@@ -7,6 +7,9 @@ set -eux
 cd "$(dirname "$0")"
 
 go build ./...
+# The portable half of the kernel layer (generic micro-kernel, no narrow
+# int kernel) never builds on an amd64 box otherwise.
+GOARCH=arm64 go build ./internal/tensor/ ./internal/accel/
 go vet ./...
 # The default tag set skips files gated on `race` (race_enabled_test.go
 # at the repo root); vet them under that tag too so both halves of the
@@ -40,22 +43,6 @@ go test -fuzz=FuzzQUBRoundtrip -fuzztime=5s -run=^$ ./internal/qub/
 go test -fuzz=FuzzGEMMEquivalence -fuzztime=5s -run=^$ ./internal/tensor/
 go test -fuzz=FuzzIntGEMMEquivalence -fuzztime=5s -run=^$ ./internal/tensor/
 go test -fuzz=FuzzSnapshotDecode -fuzztime=5s -run=^$ ./internal/snapstore/
-
-# Kernel-layer smoke: per-shape GEMM naive-vs-tiled plus the end-to-end
-# quantized forward against the in-run pre-kernel-layer replica;
-# regenerates artifacts/BENCH_kernels.json. The benchmark itself asserts
-# the optimized logits are bit-identical to the replica's before timing.
-# (The allocation-regression gate is TestForwardAllocBudget, which runs
-# with the suite above.)
-go test -run '^$' -bench BenchmarkKernels -benchtime 20x .
-
-# Integer kernel-layer smoke: the resident-operand QUB GEMM against an
-# in-run replica of the pre-PR scalar intGEMM (per-call decode + fresh
-# buffers); regenerates artifacts/BENCH_int.json. The benchmark itself
-# fails unless the gated proxy shapes clear the 2x speedup floor and the
-# requantized QUB outputs (and the int-path logits, on the 2^-16 grid)
-# are bit-identical to the scalar/float references.
-go test -run '^$' -bench BenchmarkIntKernels -benchtime 20x .
 
 # quq-serve smoke: boot the inference service on an ephemeral port and
 # drive one quantize + classify round trip through the real HTTP stack.

@@ -1,50 +1,26 @@
-// Kernel-layer benchmarks: GEMM throughput of the tiled kernels against
-// the scalar reference across proxy-scale shapes, plus the end-to-end
-// quantized forward before and after the kernel layer. Results land in
-// artifacts/BENCH_kernels.json.
-//
-// The "before" side is measured in the same run as the "after" side: a
-// line-for-line replica of the pre-kernel-layer forward (scalar
-// zero-skip GEMMs, strided per-head attention loops, an allocation per
-// intermediate, Clone + per-element Value at every quantizer site) lives
-// below in test code. Measuring both sides back to back makes the
-// speedup ratio immune to machine-load drift between sessions, which on
-// this single-core reproduction is far larger than the benchmark
-// variance.
+// The pre-kernel-layer forward, kept as a reference implementation: a
+// line-for-line replica of the forward as it existed before the kernel
+// layer (scalar zero-skip GEMMs, strided per-head attention loops, an
+// allocation per intermediate, Clone + per-element Value at every
+// quantizer site) lives below in test code, and the tests at the bottom
+// hold the production forward to its logits bit for bit and to its
+// steady-state allocation budget. Timing lives in bench/ (see
+// bench/README.md), not here.
 package quq_test
 
 import (
-	"encoding/json"
 	"math"
-	"os"
-	"path/filepath"
 	"testing"
-	"time"
 
 	"quq/internal/data"
 	"quq/internal/mathx"
 	"quq/internal/ptq"
-	"quq/internal/rng"
 	"quq/internal/tensor"
 	"quq/internal/vit"
 )
 
-// kernelShapes are the GEMM shapes of one ViT-Nano block (QKV,
-// per-head attention, MLP) plus a larger proxy for the tile interior.
-var kernelShapes = []struct {
-	Name    string
-	M, K, N int
-}{
-	{"qkv", 17, 48, 144},
-	{"attn_scores", 17, 16, 17},
-	{"attn_ctx", 17, 17, 16},
-	{"mlp_fc1", 17, 48, 192},
-	{"mlp_fc2", 17, 192, 48},
-	{"proxy", 96, 384, 96},
-}
-
-// benchQuantizedModel builds the ViT-Nano quantized model used by the
-// forward benchmarks and the alloc-budget test.
+// benchQuantizedModel builds the ViT-Nano quantized model and input
+// image the forward tests below share.
 func benchQuantizedModel(tb testing.TB) (*ptq.QuantizedModel, *tensor.Tensor) {
 	tb.Helper()
 	m := vit.New(vit.ViTNano, 1)
@@ -63,8 +39,7 @@ func benchQuantizedModel(tb testing.TB) (*ptq.QuantizedModel, *tensor.Tensor) {
 // i-k-j GEMM with a zero-skip plus a separate AddRowVector pass,
 // attention ran strided per-head dot-product loops, and the activation
 // quantizer cloned each tensor and called Params.Value per element. They
-// are the timing baseline and the bit-identity oracle for the end-to-end
-// benchmark.
+// are the bit-identity oracle for TestForwardLogitsMatchPrePR.
 
 // refTap replays Tap.apply's nil/replace semantics.
 func refTap(tap vit.Tap, site vit.Site, x *tensor.Tensor) *tensor.Tensor {
@@ -187,7 +162,7 @@ func refBlockForward(b *vit.Block, x *tensor.Tensor, nSeq, blk int, tap vit.Tap)
 
 // refModelForward is the pre-kernel-layer ViT.Forward (ViT/DeiT variant
 // without distillation or register tokens — the ViT-Nano shape the
-// benchmark runs).
+// tests run).
 func refModelForward(tb testing.TB, m *vit.ViT, img *tensor.Tensor, tap vit.Tap) *tensor.Tensor {
 	tb.Helper()
 	if m.Dist != nil || m.Reg != nil {
@@ -243,158 +218,9 @@ func preprForward(tb testing.TB, qm *ptq.QuantizedModel, img *tensor.Tensor) *te
 	return refModelForward(tb, m, img, tap)
 }
 
-// measureForwardPaired times the pre-PR replica and the optimized
-// forward interleaved: each round runs a burst of both, and the order
-// within the round alternates, so slow machine-load drift contributes
-// equally to both sums and cancels out of the ratio. On this shared
-// single-core box the drift between two sequentially-run benchmarks is
-// far larger than the difference being measured, which makes the usual
-// run-A-then-run-B structure meaningless.
-func measureForwardPaired(tb testing.TB, qm *ptq.QuantizedModel, img *tensor.Tensor, rounds, opsPerRound int) (preprNs, optNs float64) {
-	tb.Helper()
-	// Warm both paths (arena, pack pools, branch predictors).
-	preprForward(tb, qm, img)
-	qm.Forward(img)
-	var tPre, tOpt time.Duration
-	for r := 0; r < rounds; r++ {
-		runPre := func() {
-			t0 := time.Now()
-			for i := 0; i < opsPerRound; i++ {
-				preprForward(tb, qm, img)
-			}
-			tPre += time.Since(t0)
-		}
-		runOpt := func() {
-			t0 := time.Now()
-			for i := 0; i < opsPerRound; i++ {
-				qm.Forward(img)
-			}
-			tOpt += time.Since(t0)
-		}
-		if r%2 == 0 {
-			runPre()
-			runOpt()
-		} else {
-			runOpt()
-			runPre()
-		}
-	}
-	n := float64(rounds * opsPerRound)
-	return float64(tPre.Nanoseconds()) / n, float64(tOpt.Nanoseconds()) / n
-}
-
-// BenchmarkKernels measures the tiled kernels against the scalar
-// reference — per-shape GEMM throughput and the end-to-end quantized
-// forward — and records the speedups in artifacts/BENCH_kernels.json.
-func BenchmarkKernels(b *testing.B) {
-	type shapeResult struct {
-		Shape      string  `json:"shape"`
-		M          int     `json:"m"`
-		K          int     `json:"k"`
-		N          int     `json:"n"`
-		NaiveNs    float64 `json:"naive_ns_per_op"`
-		TiledNs    float64 `json:"tiled_ns_per_op"`
-		TiledGFLOP float64 `json:"tiled_gflop_per_sec"`
-		Speedup    float64 `json:"speedup"`
-	}
-	results := make([]shapeResult, len(kernelShapes))
-	src := rng.New(2024)
-	for si, s := range kernelShapes {
-		x := tensor.New(s.M, s.K)
-		w := tensor.New(s.K, s.N)
-		for i := range x.Data() {
-			x.Data()[i] = src.Norm()
-		}
-		for i := range w.Data() {
-			w.Data()[i] = src.Norm()
-		}
-		dst := tensor.New(s.M, s.N)
-		res := &results[si]
-		*res = shapeResult{Shape: s.Name, M: s.M, K: s.K, N: s.N}
-		b.Run("gemm/"+s.Name+"/naive", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				tensor.MatMulRef(x, w)
-			}
-			res.NaiveNs = float64(b.Elapsed().Nanoseconds()) / float64(b.N)
-		})
-		b.Run("gemm/"+s.Name+"/tiled", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				tensor.MatMulInto(dst, x, w)
-			}
-			res.TiledNs = float64(b.Elapsed().Nanoseconds()) / float64(b.N)
-		})
-		if res.TiledNs > 0 {
-			res.TiledGFLOP = float64(2*s.M*s.K*s.N) / res.TiledNs
-		}
-		if res.NaiveNs > 0 && res.TiledNs > 0 {
-			res.Speedup = res.NaiveNs / res.TiledNs
-		}
-	}
-
-	qm, img := benchQuantizedModel(b)
-	// The optimized path must reproduce the pre-kernel-layer logits bit
-	// for bit before any timing is worth recording.
-	want := preprForward(b, qm, img)
-	got := qm.Forward(img)
-	identical := true
-	for i, w := range want.Data() {
-		if math.Float64bits(got.Data()[i]) != math.Float64bits(w) {
-			identical = false
-			b.Errorf("logit %d: optimized %v, pre-PR reference %v", i, got.Data()[i], w)
-		}
-	}
-
-	preprNs, optNs := measureForwardPaired(b, qm, img, 12, 3)
-	b.Run("forward/paired", func(b *testing.B) {
-		// The interleaved measurement already ran; surface its numbers in
-		// the standard benchmark output. The b.N loop only keeps the
-		// framework's timing sane for the reported row.
-		for i := 0; i < b.N; i++ {
-			qm.Forward(img)
-		}
-		b.ReportMetric(preprNs, "prepr-ns/fwd")
-		b.ReportMetric(optNs, "optimized-ns/fwd")
-		b.ReportMetric(preprNs/optNs, "speedup")
-	})
-	allocs := testing.AllocsPerRun(5, func() { qm.Forward(img) })
-
-	artifact := struct {
-		Note               string        `json:"note"`
-		Workers            int           `json:"intra_op_workers"`
-		GEMM               []shapeResult `json:"gemm"`
-		ForwardPrePRNs     float64       `json:"forward_prepr_ns_per_op"`
-		ForwardOptimizedNs float64       `json:"forward_optimized_ns_per_op"`
-		ForwardSpeedup     float64       `json:"forward_speedup"`
-		ForwardAllocsPerOp float64       `json:"forward_allocs_per_op"`
-		LogitsBitIdentical bool          `json:"logits_bit_identical"`
-	}{
-		Note: "pre-PR side replayed in the same run by a line-for-line replica of the " +
-			"pre-kernel-layer forward, so the speedup ratio is immune to machine-load drift",
-		Workers:            tensor.IntraOpWorkers(),
-		GEMM:               results,
-		ForwardPrePRNs:     preprNs,
-		ForwardOptimizedNs: optNs,
-		ForwardSpeedup:     preprNs / optNs,
-		ForwardAllocsPerOp: allocs,
-		LogitsBitIdentical: identical,
-	}
-	buf, err := json.MarshalIndent(artifact, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := os.MkdirAll("artifacts", 0o755); err != nil {
-		b.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join("artifacts", "BENCH_kernels.json"), append(buf, '\n'), 0o644); err != nil {
-		b.Fatal(err)
-	}
-	b.Logf("forward: pre-PR %.0f ns, optimized %.0f ns (%.2fx), %.0f allocs/op, bit-identical=%v",
-		preprNs, optNs, preprNs/optNs, allocs, identical)
-}
-
-// TestForwardLogitsMatchPrePR asserts — independently of the benchmark —
-// that the kernel-layer forward reproduces the pre-kernel-layer logits
-// bit for bit, serial and with the intra-op budget raised.
+// TestForwardLogitsMatchPrePR asserts that the kernel-layer forward
+// reproduces the pre-kernel-layer logits bit for bit, serial and with
+// the intra-op budget raised.
 func TestForwardLogitsMatchPrePR(t *testing.T) {
 	qm, img := benchQuantizedModel(t)
 	want := preprForward(t, qm, img)

@@ -287,85 +287,6 @@ func decodeWords(dst []int64, ws []qub.Word, r qub.Registers) {
 	}
 }
 
-// ScalarIntGEMM computes dst = a·b ([m,k]·[k,n], row-major int64) with
-// the pre-kernel-layer 4×4 register-tiled scalar loops. Unlike floats,
-// int64 addition wraps mod 2^64 and is fully associative, so any
-// accumulation order is bit-exact; the loop keeps ascending-k order
-// anyway to mirror the float kernels' contract. It is retained as the
-// baseline the integer kernel benchmarks measure and an oracle for the
-// equivalence tests; production code routes through
-// tensor.IntMatMulInto.
-func ScalarIntGEMM(dst, a, b []int64, m, k, n int) {
-	i := 0
-	for ; i+4 <= m; i += 4 {
-		a0, a1 := a[i*k:(i+1)*k], a[(i+1)*k:(i+2)*k]
-		a2, a3 := a[(i+2)*k:(i+3)*k], a[(i+3)*k:(i+4)*k]
-		j := 0
-		for ; j+4 <= n; j += 4 {
-			var c00, c01, c02, c03 int64
-			var c10, c11, c12, c13 int64
-			var c20, c21, c22, c23 int64
-			var c30, c31, c32, c33 int64
-			for e := 0; e < k; e++ {
-				bq := b[e*n+j : e*n+j+4]
-				v0, v1, v2, v3 := bq[0], bq[1], bq[2], bq[3]
-				u := a0[e]
-				c00 += u * v0
-				c01 += u * v1
-				c02 += u * v2
-				c03 += u * v3
-				u = a1[e]
-				c10 += u * v0
-				c11 += u * v1
-				c12 += u * v2
-				c13 += u * v3
-				u = a2[e]
-				c20 += u * v0
-				c21 += u * v1
-				c22 += u * v2
-				c23 += u * v3
-				u = a3[e]
-				c30 += u * v0
-				c31 += u * v1
-				c32 += u * v2
-				c33 += u * v3
-			}
-			d0 := dst[i*n+j : i*n+j+4]
-			d0[0], d0[1], d0[2], d0[3] = c00, c01, c02, c03
-			d1 := dst[(i+1)*n+j : (i+1)*n+j+4]
-			d1[0], d1[1], d1[2], d1[3] = c10, c11, c12, c13
-			d2 := dst[(i+2)*n+j : (i+2)*n+j+4]
-			d2[0], d2[1], d2[2], d2[3] = c20, c21, c22, c23
-			d3 := dst[(i+3)*n+j : (i+3)*n+j+4]
-			d3[0], d3[1], d3[2], d3[3] = c30, c31, c32, c33
-		}
-		for ; j < n; j++ {
-			var c0, c1, c2, c3 int64
-			for e := 0; e < k; e++ {
-				v := b[e*n+j]
-				c0 += a0[e] * v
-				c1 += a1[e] * v
-				c2 += a2[e] * v
-				c3 += a3[e] * v
-			}
-			dst[i*n+j] = c0
-			dst[(i+1)*n+j] = c1
-			dst[(i+2)*n+j] = c2
-			dst[(i+3)*n+j] = c3
-		}
-	}
-	for ; i < m; i++ {
-		arow := a[i*k : (i+1)*k]
-		for j := 0; j < n; j++ {
-			var acc int64
-			for e := 0; e < k; e++ {
-				acc += arow[e] * b[e*n+j]
-			}
-			dst[i*n+j] = acc
-		}
-	}
-}
-
 // abs64 returns |v|, saturating at MaxInt64 for MinInt64 — whose true
 // magnitude is not representable in int64, and whose two's-complement
 // negation is itself (negative). Returning that negative value would

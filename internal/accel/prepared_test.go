@@ -7,6 +7,7 @@ import (
 	"quq/internal/dist"
 	"quq/internal/quant"
 	"quq/internal/qub"
+	"quq/internal/tensor"
 )
 
 // TestAbs64MinInt64 is the regression test for the MaxAbsAcc edge case:
@@ -102,8 +103,8 @@ func TestGEMMPreparedMatchesGEMM(t *testing.T) {
 }
 
 // TestGEMMMatchesScalarBaseline checks the kernel-layer GEMM against the
-// retained scalar loops: decode by hand, run ScalarIntGEMM, requantize
-// with the same unit — Acc and Out must match bit for bit.
+// naive scalar oracle: decode by hand, run tensor.IntMatMulRef,
+// requantize with the same unit — Acc and Out must match bit for bit.
 func TestGEMMMatchesScalarBaseline(t *testing.T) {
 	const bits, m, k, n = 6, 17, 48, 33
 	fx := preparedFixture(t, bits, m, k, n)
@@ -120,7 +121,7 @@ func TestGEMMMatchesScalarBaseline(t *testing.T) {
 	vw := make([]int64, len(fx.w))
 	decodeWords(vw, fx.w, fx.rw)
 	acc := make([]int64, m*n)
-	ScalarIntGEMM(acc, vx, vw, m, k, n)
+	tensor.IntMatMulRef(acc, vx, vw, m, k, n)
 	for i, a := range acc {
 		if got.Acc[i] != a {
 			t.Fatalf("Acc[%d] = %d, scalar baseline %d", i, got.Acc[i], a)

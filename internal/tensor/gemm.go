@@ -3,13 +3,19 @@ package tensor
 import (
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"quq/internal/check"
 )
 
-// This file is the kernel layer: cache-blocked, register-tiled GEMM with
-// destination-passing variants and optional row-partitioned intra-op
-// parallelism. Every kernel obeys one determinism contract:
+// This file is the kernel layer: one cache-blocked, register-tiled GEMM
+// driver, generic over the element type (float64 for the forward pass,
+// int64 for the pre-shifted QUB datapath), with destination-passing
+// entry points and optional row-partitioned intra-op parallelism. The
+// two element types share the loop nest, the pack-panel pool, the
+// validator and the worker pool; they differ only in the 4×4
+// micro-kernel the entry point passes in (gemm_micro.go). Every kernel
+// obeys one determinism contract:
 //
 //	each output element is the serial reduction
 //	    out[i][j] = fl(... fl(fl(a[i][0]·b[0][j]) + a[i][1]·b[1][j]) ...)
@@ -25,8 +31,11 @@ import (
 // skipped term contributes ±0 to a running sum that is never −0, which
 // cannot change the accumulator's bit pattern. Only non-finite operands,
 // where 0·±Inf is NaN, can tell the kernels apart; no model tensor
-// contains them.) The equivalence and fuzz tests in gemm_test.go assert
-// bit-identity against the Ref oracles over randomized shapes.
+// contains them.) For int64 the contract holds trivially: addition wraps
+// modulo 2^64 and is associative and commutative, so any summation order
+// produces the same bits. The equivalence and fuzz tests in gemm_test.go
+// assert bit-identity against the Ref oracles over randomized shapes,
+// for both element types.
 
 const (
 	// mrTile×nrTile is the register micro-tile: 16 accumulators live in
@@ -141,78 +150,86 @@ func releaseExtra(n int) {
 	}
 }
 
-// refKernels routes the destination-passing entry points through the
-// reference scalar loops instead of the tiled kernels. It exists for the
-// kernel benchmarks (naive-vs-blocked on identical surrounding code) and
-// for equivalence tests; results are bit-identical either way, so the
-// switch can only change timing.
-var refKernels atomic.Bool
+// elem is the kernel layer's element constraint: the float64 forward
+// and the int64 QUB datapath run the same driver.
+type elem interface{ ~float64 | ~int64 }
 
-// SetReferenceKernels selects (true) the pre-kernel-layer scalar loops or
-// (false, the default) the blocked/tiled kernels for MatMulInto,
-// MatMulTInto and MatMulBiasInto. Benchmark and test seam only.
-func SetReferenceKernels(on bool) { refKernels.Store(on) }
-
-// matMulDims validates a (m×k) @ b (k×n) and returns the dimensions.
-func matMulDims(a, b *Tensor, op string) (m, k, n int) {
+// gemmDims validates a (m×k) @ b (k×n) — or, with bT set, a (m×k) @ bᵀ
+// with b (n×k) — and returns the dimensions.
+func gemmDims(a, b *Tensor, bT bool, op string) (m, k, n int) {
 	if a.Rank() != 2 || b.Rank() != 2 {
 		panic(check.Invariantf("tensor: %s requires rank-2 tensors", op))
 	}
 	m, k = a.shape[0], a.shape[1]
 	k2, n := b.shape[0], b.shape[1]
+	rhs := ""
+	if bT {
+		k2, n, rhs = n, k2, "ᵀ"
+	}
 	if k != k2 {
-		panic(check.Invariantf("tensor: %s inner dimension mismatch %v @ %v", op, a.shape, b.shape))
+		panic(check.Invariantf("tensor: %s inner dimension mismatch %v @ %v%s", op, a.shape, b.shape, rhs))
 	}
 	return m, k, n
 }
 
-// matMulTDims validates a (m×k) @ bᵀ (n×k) and returns the dimensions.
-func matMulTDims(a, b *Tensor, op string) (m, k, n int) {
-	if a.Rank() != 2 || b.Rank() != 2 {
-		panic(check.Invariantf("tensor: %s requires rank-2 tensors", op))
+// checkGEMM is the one operand/destination validator behind every entry
+// point and oracle: an m·k-element lhs, a k·n-element rhs (k×n, or n×k
+// for a @ bᵀ — the same extent) and an m·n-element destination whose
+// extent overlaps neither operand's. The kernels stream operand rows
+// while writing dst, so any shared element — not only a shared first
+// one — would let a store clobber a value still to be read.
+func checkGEMM[T elem](dst, a, b []T, m, k, n int, op string) {
+	if m < 0 || k < 0 || n < 0 {
+		panic(check.Invariantf("tensor: %s negative dimensions %dx%dx%d", op, m, k, n))
 	}
-	m, k = a.shape[0], a.shape[1]
-	n, k2 := b.shape[0], b.shape[1]
-	if k != k2 {
-		panic(check.Invariantf("tensor: %s inner dimension mismatch %v @ %vᵀ", op, a.shape, b.shape))
+	if len(a) < m*k {
+		panic(check.Invariantf("tensor: %s lhs length %d, want >= %d", op, len(a), m*k))
 	}
-	return m, k, n
+	if len(b) < k*n {
+		panic(check.Invariantf("tensor: %s rhs length %d, want >= %d", op, len(b), k*n))
+	}
+	if len(dst) < m*n {
+		panic(check.Invariantf("tensor: %s destination length %d, want >= %d", op, len(dst), m*n))
+	}
+	if overlaps(dst[:m*n], a[:m*k]) || overlaps(dst[:m*n], b[:k*n]) {
+		panic(check.Invariantf("tensor: %s destination overlaps an operand", op))
+	}
 }
 
-// checkDst validates the destination: rank-2, m×n, and storage disjoint
-// from both operands (the kernels stream operands while writing dst).
-func checkDst(dst, a, b *Tensor, m, n int, op string) {
+// overlaps reports whether two slices share any element. The addresses
+// are only compared, never converted back to pointers.
+func overlaps[T elem](x, y []T) bool {
+	if len(x) == 0 || len(y) == 0 {
+		return false
+	}
+	size := unsafe.Sizeof(x[0])
+	x0, y0 := uintptr(unsafe.Pointer(&x[0])), uintptr(unsafe.Pointer(&y[0]))
+	return x0 < y0+uintptr(len(y))*size && y0 < x0+uintptr(len(x))*size
+}
+
+// floatGEMM is the *Tensor front of the driver: shape validation, then
+// the shared validator and loop nest over the tensors' flat storage
+// with the float64 micro-kernel init selected.
+//
+//quq:hotpath steady-state GEMM kernel; destinations come from the caller (arena or reused buffer), never fresh allocations
+func floatGEMM(dst, a, b *Tensor, bias []float64, bT bool, op string) *Tensor {
+	m, k, n := gemmDims(a, b, bT, op)
 	if dst.Rank() != 2 || dst.shape[0] != m || dst.shape[1] != n {
 		panic(check.Invariantf("tensor: %s destination shape %v, want [%d %d]", op, dst.shape, m, n))
 	}
-	if len(dst.data) == 0 {
-		return
-	}
-	if (len(a.data) > 0 && &dst.data[0] == &a.data[0]) || (len(b.data) > 0 && &dst.data[0] == &b.data[0]) {
-		panic(check.Invariantf("tensor: %s destination aliases an operand", op))
-	}
+	checkGEMM(dst.data, a.data, b.data, m, k, n, op)
+	gemm(dst.data, a.data, b.data, bias, m, k, n, bT, micro4x4, &floatPanels)
+	return dst
 }
 
 // MatMulInto computes dst = a @ b for rank-2 tensors (m×k) @ (k×n) ->
 // (m×n), writing into caller-provided storage (dst need not be zeroed;
-// every element is stored). dst must not share storage with a or b.
-// Bit-identical to MatMulRef for finite inputs; see the determinism
-// contract above.
+// every element is stored). dst must not overlap a or b. Bit-identical
+// to MatMulRef for finite inputs; see the determinism contract above.
 //
 //quq:hotpath steady-state GEMM kernel; destinations come from the caller (arena or reused buffer), never fresh allocations
 func MatMulInto(dst, a, b *Tensor) *Tensor {
-	m, k, n := matMulDims(a, b, "MatMulInto")
-	checkDst(dst, a, b, m, n, "MatMulInto")
-	if refKernels.Load() {
-		matMulRefRange(dst, a, b, nil, 0, m)
-		return dst
-	}
-	if extra := planExtra(m, k, n); extra > 0 {
-		runRows(extra, m, func(i0, i1 int) { matMulRange(dst, a, b, nil, i0, i1) })
-	} else {
-		matMulRange(dst, a, b, nil, 0, m)
-	}
-	return dst
+	return floatGEMM(dst, a, b, nil, false, "MatMulInto")
 }
 
 // MatMulBiasInto computes dst = a @ b + bias, the bias-fused linear-layer
@@ -222,42 +239,36 @@ func MatMulInto(dst, a, b *Tensor) *Tensor {
 //
 //quq:hotpath steady-state GEMM kernel; destinations come from the caller (arena or reused buffer), never fresh allocations
 func MatMulBiasInto(dst, a, b *Tensor, bias []float64) *Tensor {
-	m, k, n := matMulDims(a, b, "MatMulBiasInto")
-	checkDst(dst, a, b, m, n, "MatMulBiasInto")
-	if len(bias) != n {
+	if _, _, n := gemmDims(a, b, false, "MatMulBiasInto"); len(bias) != n {
 		panic(check.Invariantf("tensor: MatMulBiasInto bias length %d, want %d", len(bias), n))
 	}
-	if refKernels.Load() {
-		matMulRefRange(dst, a, b, bias, 0, m)
-		return dst
-	}
-	if extra := planExtra(m, k, n); extra > 0 {
-		runRows(extra, m, func(i0, i1 int) { matMulRange(dst, a, b, bias, i0, i1) })
-	} else {
-		matMulRange(dst, a, b, bias, 0, m)
-	}
-	return dst
+	return floatGEMM(dst, a, b, bias, false, "MatMulBiasInto")
 }
 
 // MatMulTInto computes dst = a @ bᵀ for rank-2 tensors (m×k) @ (n×k)ᵀ ->
 // (m×n) into caller-provided storage. Attention scores (Q @ Kᵀ) use this
 // form: both operands stream row-major and no transpose is ever
-// materialized. dst must not share storage with a or b.
+// materialized. dst must not overlap a or b.
 //
 //quq:hotpath steady-state GEMM kernel; destinations come from the caller (arena or reused buffer), never fresh allocations
 func MatMulTInto(dst, a, b *Tensor) *Tensor {
-	m, k, n := matMulTDims(a, b, "MatMulTInto")
-	checkDst(dst, a, b, m, n, "MatMulTInto")
-	if refKernels.Load() {
-		matMulTRefRange(dst, a, b, 0, m)
-		return dst
-	}
-	if extra := planExtra(m, k, n); extra > 0 {
-		runRows(extra, m, func(i0, i1 int) { matMulTRange(dst, a, b, i0, i1) })
-	} else {
-		matMulTRange(dst, a, b, 0, m)
-	}
-	return dst
+	return floatGEMM(dst, a, b, nil, true, "MatMulTInto")
+}
+
+// IntMatMulInto computes dst = a @ b for flat row-major int64 matrices
+// (m×k) @ (k×n) -> (m×n), writing into caller-provided storage (dst need
+// not be zeroed; every element is stored). It takes flat slices rather
+// than *Tensor because its callers are the integer datapath
+// (internal/accel, ptq.IntEngine), which holds pre-shifted QUB integers,
+// not float tensors. dst must not overlap a or b. Accumulation is int64
+// wrapping modulo 2^64, so results are bit-exact regardless of
+// micro-kernel, tiling, or worker count; overflow bounds are the
+// caller's contract (accel checks them at prepare time).
+//
+//quq:hotpath steady-state integer GEMM kernel; destinations come from the caller (arena or resident buffer), never fresh allocations
+func IntMatMulInto(dst, a, b []int64, m, k, n int) {
+	checkGEMM(dst, a, b, m, k, n, "IntMatMulInto")
+	gemm(dst, a, b, nil, m, k, n, false, pickIntMicro(a[:m*k], b[:k*n]), &intPanels)
 }
 
 // AddInto computes dst = a + b elementwise. dst may alias a or b.
@@ -269,6 +280,20 @@ func AddInto(dst, a, b *Tensor) *Tensor {
 		dd[i] = av + bd[i]
 	}
 	return dst
+}
+
+// gemm runs the loop nest over validated operands: serially on the
+// caller below the size cutover, otherwise row-partitioned across the
+// intra-op workers planExtra grants. The serial call stays out of the
+// parallel closure so the serial path allocates nothing.
+//
+//quq:hotpath steady-state GEMM driver shared by every entry point; scratch is the pooled pack panel
+func gemm[T elem](dst, a, b, bias []T, m, k, n int, bT bool, micro microKernel[T], panels *panelPool[T]) {
+	if extra := planExtra(m, k, n); extra > 0 {
+		runRows(extra, m, func(i0, i1 int) { gemmRange(dst, a, b, bias, k, n, i0, i1, bT, micro, panels) })
+	} else {
+		gemmRange(dst, a, b, bias, k, n, 0, m, bT, micro, panels)
+	}
 }
 
 // planExtra decides how many extra workers a m×k×n GEMM should use and
@@ -317,93 +342,103 @@ func runRows(extra, m int, run func(i0, i1 int)) {
 	releaseExtra(extra)
 }
 
-// packPool recycles the per-call B-panel pack buffers so steady-state
-// kernels allocate nothing; each concurrent kernel invocation (including
-// each intra-op worker) takes its own buffer.
-var packPool = sync.Pool{New: func() any { return new([]float64) }}
+// panelPool recycles the per-call B-panel pack buffers of one element
+// type so steady-state kernels allocate nothing; each concurrent kernel
+// invocation (including each intra-op worker) takes its own buffer.
+type panelPool[T elem] struct{ pool sync.Pool }
 
-func getPack(n int) (*[]float64, []float64) {
-	p := packPool.Get().(*[]float64)
-	if cap(*p) < n {
-		*p = make([]float64, n)
-	}
-	return p, (*p)[:n]
-}
+var (
+	floatPanels panelPool[float64]
+	intPanels   panelPool[int64]
+)
 
-// getPackAndAcc returns a pooled n-element pack panel plus a 16-element
+// get returns a pooled n-element pack panel plus a 16-element
 // accumulator block for the micro-kernel, carved from one pooled buffer
 // so the steady state allocates nothing. The accumulator must live in
-// pooled memory (not the caller's frame): micro4x4 is called through a
-// function variable, so a stack-declared block would be marked escaping
-// and heap-allocated on every kernel invocation.
-func getPackAndAcc(n int) (*[]float64, []float64, *[16]float64) {
-	p, buf := getPack(n + 16)
-	return p, buf[:n:n], (*[16]float64)(buf[n : n+16])
+// pooled memory (not the caller's frame): the micro-kernel is called
+// through a function value, so a stack-declared block would be marked
+// escaping and heap-allocated on every kernel invocation.
+func (pp *panelPool[T]) get(n int) (*[]T, []T, *[16]T) {
+	p, _ := pp.pool.Get().(*[]T)
+	if p == nil {
+		p = new([]T)
+	}
+	if cap(*p) < n+16 {
+		*p = make([]T, n+16)
+	}
+	buf := (*p)[:n+16]
+	return p, buf[:n:n], (*[16]T)(buf[n:])
 }
 
-// matMulRange is the blocked, register-tiled a @ b kernel over dst rows
-// [i0, i1). For each group of nrTile columns, the group is packed into a
-// contiguous k×4 panel (a pure copy — values are unchanged) so the inner
-// loop's b loads are sequential rather than strided by the row width;
-// the panel is then paired with mrTile rows of a in a 4×4 micro-kernel
-// whose 16 accumulators each see their terms in ascending-k order. bias
-// (optional, length n) is added after each element's reduction
-// completes.
-func matMulRange(dst, a, b *Tensor, bias []float64, i0, i1 int) {
-	k := a.shape[1]
-	n := b.shape[1]
+func (pp *panelPool[T]) put(p *[]T) { pp.pool.Put(p) }
+
+// gemmRange is the blocked, register-tiled loop nest over dst rows
+// [i0, i1), for a @ b (b is k×n) or, with bT set, a @ bᵀ (b is n×k).
+// Each group of nrTile output columns is packed into a contiguous k×4
+// panel — columns of b gathered across its rows, or rows of b
+// transposed; a pure copy either way, values unchanged — so the inner
+// loop's b loads are sequential; the panel is then paired with mrTile
+// rows of a in the 4×4 micro-kernel, whose 16 accumulators each see
+// their terms in ascending-k order. bias (optional, length n) is added
+// after each element's reduction completes.
+//
+//quq:hotpath the one blocked loop nest; scratch is the pooled pack panel
+func gemmRange[T elem](dst, a, b, bias []T, k, n, i0, i1 int, bT bool, micro microKernel[T], panels *panelPool[T]) {
 	if n == 0 {
 		return
 	}
-	ad, bd, dd := a.data, b.data, dst.data
-	pp, packed, acc := getPackAndAcc(nrTile * k)
+	pp, packed, acc := panels.get(nrTile * k)
 	j := 0
 	for ; j+nrTile <= n; j += nrTile {
-		boff := j
-		for kk := 0; kk < k; kk++ {
-			brow := bd[boff : boff+nrTile]
-			prow := packed[kk*nrTile : kk*nrTile+nrTile]
-			prow[0], prow[1], prow[2], prow[3] = brow[0], brow[1], brow[2], brow[3]
-			boff += n
+		if bT {
+			b0 := b[(j+0)*k : (j+0)*k+k]
+			b1 := b[(j+1)*k : (j+1)*k+k]
+			b2 := b[(j+2)*k : (j+2)*k+k]
+			b3 := b[(j+3)*k : (j+3)*k+k]
+			for kk := 0; kk < k; kk++ {
+				prow := packed[kk*nrTile : kk*nrTile+nrTile]
+				prow[0], prow[1], prow[2], prow[3] = b0[kk], b1[kk], b2[kk], b3[kk]
+			}
+		} else {
+			boff := j
+			for kk := 0; kk < k; kk++ {
+				brow := b[boff : boff+nrTile]
+				prow := packed[kk*nrTile : kk*nrTile+nrTile]
+				prow[0], prow[1], prow[2], prow[3] = brow[0], brow[1], brow[2], brow[3]
+				boff += n
+			}
+		}
+		var bj0, bj1, bj2, bj3 T
+		if bias != nil {
+			bj0, bj1, bj2, bj3 = bias[j], bias[j+1], bias[j+2], bias[j+3]
 		}
 		i := i0
 		for ; i+mrTile <= i1; i += mrTile {
-			a0 := ad[(i+0)*k : (i+0)*k+k]
-			a1 := ad[(i+1)*k : (i+1)*k+k]
-			a2 := ad[(i+2)*k : (i+2)*k+k]
-			a3 := ad[(i+3)*k : (i+3)*k+k]
-			micro4x4(acc, a0, a1, a2, a3, packed, k)
+			a0 := a[(i+0)*k : (i+0)*k+k]
+			a1 := a[(i+1)*k : (i+1)*k+k]
+			a2 := a[(i+2)*k : (i+2)*k+k]
+			a3 := a[(i+3)*k : (i+3)*k+k]
+			micro(acc, a0, a1, a2, a3, packed, k)
 			if bias != nil {
-				b0, b1, b2, b3 := bias[j], bias[j+1], bias[j+2], bias[j+3]
-				acc[0] += b0
-				acc[1] += b1
-				acc[2] += b2
-				acc[3] += b3
-				acc[4] += b0
-				acc[5] += b1
-				acc[6] += b2
-				acc[7] += b3
-				acc[8] += b0
-				acc[9] += b1
-				acc[10] += b2
-				acc[11] += b3
-				acc[12] += b0
-				acc[13] += b1
-				acc[14] += b2
-				acc[15] += b3
+				for r := 0; r < len(acc); r += nrTile {
+					acc[r] += bj0
+					acc[r+1] += bj1
+					acc[r+2] += bj2
+					acc[r+3] += bj3
+				}
 			}
-			d0 := dd[(i+0)*n+j : (i+0)*n+j+nrTile]
-			d1 := dd[(i+1)*n+j : (i+1)*n+j+nrTile]
-			d2 := dd[(i+2)*n+j : (i+2)*n+j+nrTile]
-			d3 := dd[(i+3)*n+j : (i+3)*n+j+nrTile]
+			d0 := dst[(i+0)*n+j : (i+0)*n+j+nrTile]
+			d1 := dst[(i+1)*n+j : (i+1)*n+j+nrTile]
+			d2 := dst[(i+2)*n+j : (i+2)*n+j+nrTile]
+			d3 := dst[(i+3)*n+j : (i+3)*n+j+nrTile]
 			d0[0], d0[1], d0[2], d0[3] = acc[0], acc[1], acc[2], acc[3]
 			d1[0], d1[1], d1[2], d1[3] = acc[4], acc[5], acc[6], acc[7]
 			d2[0], d2[1], d2[2], d2[3] = acc[8], acc[9], acc[10], acc[11]
 			d3[0], d3[1], d3[2], d3[3] = acc[12], acc[13], acc[14], acc[15]
 		}
 		for ; i < i1; i++ {
-			arow := ad[i*k : i*k+k]
-			var c0, c1, c2, c3 float64
+			arow := a[i*k : i*k+k]
+			var c0, c1, c2, c3 T
 			for kk := 0; kk < k; kk++ {
 				bq := packed[kk*nrTile : kk*nrTile+nrTile]
 				av := arow[kk]
@@ -413,116 +448,49 @@ func matMulRange(dst, a, b *Tensor, bias []float64, i0, i1 int) {
 				c3 += av * bq[3]
 			}
 			if bias != nil {
-				c0 += bias[j]
-				c1 += bias[j+1]
-				c2 += bias[j+2]
-				c3 += bias[j+3]
+				c0 += bj0
+				c1 += bj1
+				c2 += bj2
+				c3 += bj3
 			}
-			drow := dd[i*n+j : i*n+j+nrTile]
+			drow := dst[i*n+j : i*n+j+nrTile]
 			drow[0], drow[1], drow[2], drow[3] = c0, c1, c2, c3
 		}
 	}
 	for ; j < n; j++ {
+		// Column j of the product reads b[kk][j] at boff0 + kk·stride.
+		boff0, stride := j, n
+		if bT {
+			boff0, stride = j*k, 1
+		}
 		for i := i0; i < i1; i++ {
-			arow := ad[i*k : i*k+k]
-			var s float64
-			boff := j
+			arow := a[i*k : i*k+k]
+			var s T
+			boff := boff0
 			for kk := 0; kk < k; kk++ {
-				s += arow[kk] * bd[boff]
-				boff += n
+				s += arow[kk] * b[boff]
+				boff += stride
 			}
 			if bias != nil {
 				s += bias[j]
 			}
-			dd[i*n+j] = s
+			dst[i*n+j] = s
 		}
 	}
-	packPool.Put(pp)
+	panels.put(pp)
 }
 
-// matMulTRange is the register-tiled a @ bᵀ kernel over dst rows
-// [i0, i1): each group of nrTile b rows is packed transposed into the
-// same contiguous k×4 panel layout matMulRange uses (a pure copy —
-// values unchanged), then swept with the shared 4×4 micro-kernel, 16
-// in-register dot products advancing together in ascending-k order.
-func matMulTRange(dst, a, b *Tensor, i0, i1 int) {
-	k := a.shape[1]
-	n := b.shape[0]
-	if n == 0 {
-		return
-	}
-	ad, bd, dd := a.data, b.data, dst.data
-	pp, packed, acc := getPackAndAcc(nrTile * k)
-	j := 0
-	for ; j+nrTile <= n; j += nrTile {
-		b0 := bd[(j+0)*k : (j+0)*k+k]
-		b1 := bd[(j+1)*k : (j+1)*k+k]
-		b2 := bd[(j+2)*k : (j+2)*k+k]
-		b3 := bd[(j+3)*k : (j+3)*k+k]
-		for kk := 0; kk < k; kk++ {
-			prow := packed[kk*nrTile : kk*nrTile+nrTile]
-			prow[0], prow[1], prow[2], prow[3] = b0[kk], b1[kk], b2[kk], b3[kk]
-		}
-		i := i0
-		for ; i+mrTile <= i1; i += mrTile {
-			a0 := ad[(i+0)*k : (i+0)*k+k]
-			a1 := ad[(i+1)*k : (i+1)*k+k]
-			a2 := ad[(i+2)*k : (i+2)*k+k]
-			a3 := ad[(i+3)*k : (i+3)*k+k]
-			micro4x4(acc, a0, a1, a2, a3, packed, k)
-			d0 := dd[(i+0)*n+j : (i+0)*n+j+nrTile]
-			d1 := dd[(i+1)*n+j : (i+1)*n+j+nrTile]
-			d2 := dd[(i+2)*n+j : (i+2)*n+j+nrTile]
-			d3 := dd[(i+3)*n+j : (i+3)*n+j+nrTile]
-			d0[0], d0[1], d0[2], d0[3] = acc[0], acc[1], acc[2], acc[3]
-			d1[0], d1[1], d1[2], d1[3] = acc[4], acc[5], acc[6], acc[7]
-			d2[0], d2[1], d2[2], d2[3] = acc[8], acc[9], acc[10], acc[11]
-			d3[0], d3[1], d3[2], d3[3] = acc[12], acc[13], acc[14], acc[15]
-		}
-		for ; i < i1; i++ {
-			arow := ad[i*k : i*k+k]
-			var c0, c1, c2, c3 float64
-			for kk := 0; kk < k; kk++ {
-				bq := packed[kk*nrTile : kk*nrTile+nrTile]
-				av := arow[kk]
-				c0 += av * bq[0]
-				c1 += av * bq[1]
-				c2 += av * bq[2]
-				c3 += av * bq[3]
-			}
-			drow := dd[i*n+j : i*n+j+nrTile]
-			drow[0], drow[1], drow[2], drow[3] = c0, c1, c2, c3
-		}
-	}
-	for ; j < n; j++ {
-		brow := bd[j*k : j*k+k]
-		for i := i0; i < i1; i++ {
-			arow := ad[i*k : i*k+k]
-			var s float64
-			for kk := 0; kk < k; kk++ {
-				s += arow[kk] * brow[kk]
-			}
-			dd[i*n+j] = s
-		}
-	}
-	packPool.Put(pp)
-}
-
-// matMulRefRange is the pre-kernel-layer scalar a @ b loop (i-k-j order
-// with the zero-skip), writing rows [i0, i1) of dst. It is retained as
-// the bit-exact reference oracle for the equivalence tests and the
-// naive-vs-blocked benchmarks.
-func matMulRefRange(dst, a, b *Tensor, bias []float64, i0, i1 int) {
-	k := a.shape[1]
-	n := b.shape[1]
-	for i := i0; i < i1; i++ {
+// MatMulRef returns a @ b computed by the pre-kernel-layer scalar loop
+// (i-k-j order with the zero-skip). It is the bit-exact oracle the
+// blocked float kernels are tested against; production code uses
+// MatMul/MatMulInto.
+func MatMulRef(a, b *Tensor) *Tensor {
+	m, k, n := gemmDims(a, b, false, "MatMulRef")
+	out := New(m, n)
+	for i := 0; i < m; i++ {
 		arow := a.data[i*k : (i+1)*k]
-		orow := dst.data[i*n : (i+1)*n]
-		for j := range orow {
-			orow[j] = 0
-		}
-		for kk := 0; kk < k; kk++ {
-			av := arow[kk]
+		orow := out.data[i*n : (i+1)*n]
+		for kk, av := range arow {
 			if av == 0 {
 				continue
 			}
@@ -531,23 +499,19 @@ func matMulRefRange(dst, a, b *Tensor, bias []float64, i0, i1 int) {
 				orow[j] += av * brow[j]
 			}
 		}
-		if bias != nil {
-			for j := range orow {
-				orow[j] += bias[j]
-			}
-		}
 	}
+	return out
 }
 
-// matMulTRefRange is the pre-kernel-layer scalar a @ bᵀ loop (one
-// register dot product per element), writing rows [i0, i1) of dst.
-func matMulTRefRange(dst, a, b *Tensor, i0, i1 int) {
-	k := a.shape[1]
-	n := b.shape[0]
-	for i := i0; i < i1; i++ {
+// MatMulTRef returns a @ bᵀ computed by the pre-kernel-layer scalar loop
+// (one register dot product per element); see MatMulRef.
+func MatMulTRef(a, b *Tensor) *Tensor {
+	m, k, n := gemmDims(a, b, true, "MatMulTRef")
+	out := New(m, n)
+	for i := 0; i < m; i++ {
 		arow := a.data[i*k : (i+1)*k]
-		orow := dst.data[i*n : (i+1)*n]
-		for j := 0; j < n; j++ {
+		orow := out.data[i*n : (i+1)*n]
+		for j := range orow {
 			brow := b.data[j*k : (j+1)*k]
 			var s float64
 			for kk := range arow {
@@ -556,23 +520,26 @@ func matMulTRefRange(dst, a, b *Tensor, i0, i1 int) {
 			orow[j] = s
 		}
 	}
-}
-
-// MatMulRef returns a @ b computed by the reference scalar kernel. It is
-// the oracle the blocked kernels are tested against and the baseline the
-// kernel benchmarks measure; production code uses MatMul/MatMulInto.
-func MatMulRef(a, b *Tensor) *Tensor {
-	m, _, n := matMulDims(a, b, "MatMulRef")
-	out := New(m, n)
-	matMulRefRange(out, a, b, nil, 0, m)
 	return out
 }
 
-// MatMulTRef returns a @ bᵀ computed by the reference scalar kernel; see
-// MatMulRef.
-func MatMulTRef(a, b *Tensor) *Tensor {
-	m, _, n := matMulTDims(a, b, "MatMulTRef")
-	out := New(m, n)
-	matMulTRefRange(out, a, b, 0, m)
-	return out
+// IntMatMulRef computes dst = a @ b with the naive scalar loop (one dot
+// product per element). It is the oracle the blocked integer kernels —
+// and accel's GEMM — are tested against; production code uses
+// IntMatMulInto.
+func IntMatMulRef(dst, a, b []int64, m, k, n int) {
+	checkGEMM(dst, a, b, m, k, n, "IntMatMulRef")
+	for i := 0; i < m; i++ {
+		arow := a[i*k : i*k+k]
+		orow := dst[i*n : i*n+n]
+		for j := range orow {
+			var s int64
+			boff := j
+			for kk := 0; kk < k; kk++ {
+				s += arow[kk] * b[boff]
+				boff += n
+			}
+			orow[j] = s
+		}
+	}
 }

@@ -55,6 +55,69 @@ done:
 	VZEROUPPER
 	RET
 
+// func intGemmKernel4x4Narrow(c *[16]int64, a0, a1, a2, a3, bp *int64, k int)
+//
+// Four ymm accumulators, one per A row; each lane is one output column —
+// the independent int64 accumulator chains. Every input value must fit
+// in int32 (the dispatcher scans both operands before selecting this
+// kernel): each int64 lane's low dword then holds the exact
+// two's-complement int32 of the value, so one VPMULDQ — signed 32×32→64
+// on the even dwords — yields the exact int64 product. (AVX2 has no
+// packed 64×64 multiply; VPMULLQ is AVX-512.) Pre-shifted QUB operands
+// are ≤ 2^22 in magnitude, so the integer datapath always takes this
+// kernel.
+TEXT ·intGemmKernel4x4Narrow(SB), NOSPLIT, $0-56
+	MOVQ c+0(FP), DI
+	MOVQ a0+8(FP), R8
+	MOVQ a1+16(FP), R9
+	MOVQ a2+24(FP), R10
+	MOVQ a3+32(FP), R11
+	MOVQ bp+40(FP), SI
+	MOVQ k+48(FP), CX
+
+	VPXOR Y4, Y4, Y4
+	VPXOR Y5, Y5, Y5
+	VPXOR Y6, Y6, Y6
+	VPXOR Y7, Y7, Y7
+
+	TESTQ CX, CX
+	JE    ndone
+
+nloop:
+	VMOVDQU (SI), Y0          // B panel row: 4 int64 lanes, int32-valued
+
+	VPBROADCASTQ (R8), Y2
+	VPMULDQ      Y0, Y2, Y3   // exact a0*B per lane
+	VPADDQ       Y3, Y4, Y4
+
+	VPBROADCASTQ (R9), Y2
+	VPMULDQ      Y0, Y2, Y3
+	VPADDQ       Y3, Y5, Y5
+
+	VPBROADCASTQ (R10), Y2
+	VPMULDQ      Y0, Y2, Y3
+	VPADDQ       Y3, Y6, Y6
+
+	VPBROADCASTQ (R11), Y2
+	VPMULDQ      Y0, Y2, Y3
+	VPADDQ       Y3, Y7, Y7
+
+	ADDQ $32, SI
+	ADDQ $8, R8
+	ADDQ $8, R9
+	ADDQ $8, R10
+	ADDQ $8, R11
+	DECQ CX
+	JNE  nloop
+
+ndone:
+	VMOVDQU Y4, (DI)
+	VMOVDQU Y5, 32(DI)
+	VMOVDQU Y6, 64(DI)
+	VMOVDQU Y7, 96(DI)
+	VZEROUPPER
+	RET
+
 // func cpuHasAVX() bool
 //
 // CPUID leaf 1: ECX bit 27 (OSXSAVE) and bit 28 (AVX); then XGETBV to
@@ -75,5 +138,35 @@ TEXT ·cpuHasAVX(SB), NOSPLIT, $0-1
 	RET
 
 noavx:
+	MOVB $0, ret+0(FP)
+	RET
+
+// func cpuHasAVX2() bool
+//
+// CPUID leaf 1: ECX bit 27 (OSXSAVE) and bit 28 (AVX); XGETBV to confirm
+// the OS saves xmm+ymm state (XCR0 bits 1 and 2); then CPUID leaf 7
+// subleaf 0: EBX bit 5 (AVX2).
+TEXT ·cpuHasAVX2(SB), NOSPLIT, $0-1
+	MOVL $1, AX
+	XORL CX, CX
+	CPUID
+	ANDL $0x18000000, CX
+	CMPL CX, $0x18000000
+	JNE  noavx2
+	XORL CX, CX
+	XGETBV
+	ANDL $6, AX
+	CMPL AX, $6
+	JNE  noavx2
+	MOVL $7, AX
+	XORL CX, CX
+	CPUID
+	ANDL $0x20, BX
+	CMPL BX, $0x20
+	JNE  noavx2
+	MOVB $1, ret+0(FP)
+	RET
+
+noavx2:
 	MOVB $0, ret+0(FP)
 	RET

@@ -221,7 +221,7 @@ func (t *Tensor) assertSameShape(o *Tensor, op string) {
 // reference scalar loops (MatMulRef) for finite inputs. Hot paths should
 // use MatMulInto with arena-backed storage instead.
 func MatMul(a, b *Tensor) *Tensor {
-	m, _, n := matMulDims(a, b, "MatMul")
+	m, _, n := gemmDims(a, b, false, "MatMul")
 	return MatMulInto(New(m, n), a, b)
 }
 
@@ -230,7 +230,7 @@ func MatMul(a, b *Tensor) *Tensor {
 // computing against the untransposed b keeps both operands streaming
 // row-major. See MatMul for the kernel and determinism notes.
 func MatMulT(a, b *Tensor) *Tensor {
-	m, _, n := matMulTDims(a, b, "MatMulT")
+	m, _, n := gemmDims(a, b, true, "MatMulT")
 	return MatMulTInto(New(m, n), a, b)
 }
 
