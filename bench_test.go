@@ -9,14 +9,7 @@
 package quq_test
 
 import (
-	"bytes"
-	"encoding/json"
-	"net/http"
-	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"testing"
-	"time"
 
 	"quq"
 	"quq/internal/accel"
@@ -30,9 +23,7 @@ import (
 	"quq/internal/quant"
 	"quq/internal/qub"
 	"quq/internal/rng"
-	"quq/internal/serve"
 	"quq/internal/sfu"
-	"quq/internal/shard"
 	"quq/internal/tensor"
 	"quq/internal/vit"
 )
@@ -317,118 +308,6 @@ func BenchmarkHweval(b *testing.B) {
 	}
 }
 
-// BenchmarkServeThroughput compares quq-serve end-to-end throughput for
-// 16 images sent as 16 sequential single-image requests ("unbatched")
-// versus one 16-image request coalesced by the micro-batcher
-// ("batched"). On this single-core reproduction the batched path wins by
-// amortizing HTTP round trips, JSON decoding and the linger window — not
-// by parallelism. Results land in artifacts/BENCH_serve.json.
-func BenchmarkServeThroughput(b *testing.B) {
-	const images = 16
-	s := serve.New(serve.Config{
-		Registry: serve.RegistryOptions{Seed: 7, CalibImages: 2},
-		Batcher:  serve.BatcherOptions{MaxBatch: images, Linger: 2 * time.Millisecond, QueueCap: 256},
-	})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	post := func(b *testing.B, body []byte) {
-		b.Helper()
-		resp, err := http.Post(ts.URL+"/v1/classify", "application/json", bytes.NewReader(body))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := bytes.NewBuffer(nil).ReadFrom(resp.Body); err != nil {
-			b.Fatal(err)
-		}
-		if err := resp.Body.Close(); err != nil {
-			b.Fatal(err)
-		}
-		if resp.StatusCode != http.StatusOK {
-			b.Fatalf("status %d", resp.StatusCode)
-		}
-	}
-
-	// Warm the registry so neither mode pays the calibration.
-	post(b, mustMarshalBench(b, map[string]any{
-		"model": "ViT-Nano", "method": "QUQ", "bits": 6,
-		"images": benchFlatImages(1),
-	}))
-
-	flat := benchFlatImages(images)
-	singles := make([][]byte, images)
-	for i := range singles {
-		singles[i] = mustMarshalBench(b, map[string]any{
-			"model": "ViT-Nano", "method": "QUQ", "bits": 6,
-			"images": flat[i : i+1],
-		})
-	}
-	batched := mustMarshalBench(b, map[string]any{
-		"model": "ViT-Nano", "method": "QUQ", "bits": 6,
-		"images": flat,
-	})
-
-	var unbatchedIPS, batchedIPS float64
-	b.Run("unbatched", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for _, body := range singles {
-				post(b, body)
-			}
-		}
-		unbatchedIPS = float64(b.N*images) / b.Elapsed().Seconds()
-		b.ReportMetric(unbatchedIPS, "img/s")
-	})
-	b.Run("batched", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			post(b, batched)
-		}
-		batchedIPS = float64(b.N*images) / b.Elapsed().Seconds()
-		b.ReportMetric(batchedIPS, "img/s")
-	})
-
-	if unbatchedIPS == 0 || batchedIPS == 0 {
-		return // sub-benchmark filtered out; nothing coherent to record
-	}
-	artifact := struct {
-		Images             int     `json:"images"`
-		UnbatchedImgPerSec float64 `json:"unbatched_img_per_sec"`
-		BatchedImgPerSec   float64 `json:"batched_img_per_sec"`
-		Speedup            float64 `json:"speedup"`
-	}{images, unbatchedIPS, batchedIPS, batchedIPS / unbatchedIPS}
-	buf, err := json.MarshalIndent(artifact, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := os.MkdirAll("artifacts", 0o755); err != nil {
-		b.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join("artifacts", "BENCH_serve.json"), append(buf, '\n'), 0o644); err != nil {
-		b.Fatal(err)
-	}
-	b.Logf("serve throughput: unbatched %.1f img/s, batched %.1f img/s (%.2fx)",
-		unbatchedIPS, batchedIPS, artifact.Speedup)
-}
-
-func mustMarshalBench(b *testing.B, v any) []byte {
-	b.Helper()
-	buf, err := json.Marshal(v)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return buf
-}
-
-// benchFlatImages renders n deterministic ViT-Nano images as the flat
-// JSON wire format.
-func benchFlatImages(n int) [][]float64 {
-	imgs := data.Images(vit.ViTNano, n, 4242)
-	flat := make([][]float64, n)
-	for i, img := range imgs {
-		flat[i] = img.Data()
-	}
-	return flat
-}
-
 // BenchmarkMatMul times the tensor GEMM kernel (96×384×96).
 func BenchmarkMatMul(b *testing.B) {
 	src := rng.New(1)
@@ -444,108 +323,5 @@ func BenchmarkMatMul(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tensor.MatMul(x, w)
-	}
-}
-
-// BenchmarkShardThroughput measures the quq-shard proxy tax: the same
-// two-key workload (one image per request, keys alternating) sent
-// directly to the owning quq-serve backend versus through the
-// consistent-hash front-end. The front-end adds one loopback hop plus
-// ring lookup and canonicalization; the ratio quantifies that overhead.
-// Results land in artifacts/BENCH_shard.json.
-func BenchmarkShardThroughput(b *testing.B) {
-	const backendsN = 3
-	backends := make([]*httptest.Server, backendsN)
-	addrs := make([]string, backendsN)
-	for i := range backends {
-		s := serve.New(serve.Config{
-			Registry: serve.RegistryOptions{Seed: 7, CalibImages: 2},
-			Batcher:  serve.BatcherOptions{MaxBatch: 8, Linger: time.Millisecond, QueueCap: 256},
-		})
-		backends[i] = httptest.NewServer(s.Handler())
-		defer backends[i].Close()
-		addrs[i] = backends[i].URL
-	}
-	front := shard.New(shard.Options{Backends: addrs, ProbeInterval: -1, Retries: -1})
-	defer front.Close()
-	fs := httptest.NewServer(front.Handler())
-	defer fs.Close()
-
-	post := func(b *testing.B, url string, body []byte) {
-		b.Helper()
-		resp, err := http.Post(url+"/v1/classify", "application/json", bytes.NewReader(body))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := bytes.NewBuffer(nil).ReadFrom(resp.Body); err != nil {
-			b.Fatal(err)
-		}
-		if err := resp.Body.Close(); err != nil {
-			b.Fatal(err)
-		}
-		if resp.StatusCode != http.StatusOK {
-			b.Fatalf("status %d", resp.StatusCode)
-		}
-	}
-
-	img := benchFlatImages(1)
-	sels := []map[string]any{
-		{"model": "ViT-Nano", "method": "QUQ", "bits": 6, "images": img},
-		{"model": "ViT-Nano", "method": "BaseQ", "bits": 6, "images": img},
-	}
-	bodies := make([][]byte, len(sels))
-	owners := make([]string, len(sels))
-	for i, sel := range sels {
-		bodies[i] = mustMarshalBench(b, sel)
-		key, err := serve.KeyFromWire(sel["model"].(string), sel["method"].(string), sel["bits"].(int), "")
-		if err != nil {
-			b.Fatal(err)
-		}
-		owner, ok := front.Ring().Owner(key.String())
-		if !ok {
-			b.Fatal("ring has no backends")
-		}
-		owners[i] = owner.Addr()
-		// Warm through the front so each key calibrates on its owner.
-		post(b, fs.URL, bodies[i])
-	}
-
-	var directIPS, shardedIPS float64
-	b.Run("direct", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			k := i % len(bodies)
-			post(b, owners[k], bodies[k])
-		}
-		directIPS = float64(b.N) / b.Elapsed().Seconds()
-		b.ReportMetric(directIPS, "img/s")
-	})
-	b.Run("sharded", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			k := i % len(bodies)
-			post(b, fs.URL, bodies[k])
-		}
-		shardedIPS = float64(b.N) / b.Elapsed().Seconds()
-		b.ReportMetric(shardedIPS, "img/s")
-	})
-
-	if directIPS == 0 || shardedIPS == 0 {
-		return // sub-benchmark filtered out; nothing coherent to record
-	}
-	artifact := struct {
-		Backends        int     `json:"backends"`
-		Keys            int     `json:"keys"`
-		DirectImgPerSec float64 `json:"direct_img_per_sec"`
-		ShardImgPerSec  float64 `json:"sharded_img_per_sec"`
-		ProxyOverhead   float64 `json:"proxy_overhead"`
-	}{backendsN, len(sels), directIPS, shardedIPS, directIPS / shardedIPS}
-	buf, err := json.MarshalIndent(artifact, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := os.MkdirAll("artifacts", 0o755); err != nil {
-		b.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join("artifacts", "BENCH_shard.json"), append(buf, '\n'), 0o644); err != nil {
-		b.Fatal(err)
 	}
 }

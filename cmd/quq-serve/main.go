@@ -23,19 +23,17 @@ package main
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"log"
-	"net"
 	"net/http"
 	"os/signal"
 	"runtime"
-	"sync"
 	"syscall"
 	"time"
 
+	"quq/internal/chaos"
+	"quq/internal/chaos/fleet"
 	"quq/internal/data"
 	"quq/internal/serve"
 	"quq/internal/vit"
@@ -90,7 +88,7 @@ func main() {
 	if *smoke {
 		// Keep the self-test cheap: two calibration images on ViT-Nano.
 		cfg.Registry.CalibImages = 2
-		if err := runSmoke(cfg); err != nil {
+		if err := runSmoke(context.Background(), cfg); err != nil {
 			log.Fatalf("smoke: %v", err)
 		}
 		log.Printf("smoke: ok")
@@ -133,147 +131,75 @@ func run(cfg serve.Config, addr string) error {
 	return nil
 }
 
-// runSmoke boots the server on an ephemeral loopback port and drives one
-// quantize + classify round trip through the real HTTP stack.
-func runSmoke(cfg serve.Config) error {
-	s := serve.New(cfg)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+// runSmoke boots one worker on an ephemeral loopback port through the
+// shared in-process fleet and drives one quantize + classify round trip
+// at it through the real HTTP stack, then drains it.
+func runSmoke(ctx context.Context, cfg serve.Config) error {
+	f, err := fleet.Boot(ctx, 1, 1, cfg, &chaos.Script{Name: "smoke", Seed: 1}, fleet.Options{})
 	if err != nil {
 		return err
 	}
-	httpSrv := &http.Server{Handler: s.Handler()}
-	var serving sync.WaitGroup
-	defer serving.Wait()
-	serving.Add(1)
-	go func() {
-		// Serve returns ErrServerClosed on Shutdown; the smoke result is
-		// judged by the round trip below, not by this exit path.
-		defer serving.Done()
-		_ = httpSrv.Serve(ln)
-	}()
-	base := "http://" + ln.Addr().String()
+	defer f.Close()
+	worker := f.Backends[0]
+	base := worker.URL()
 
 	// The quantize carries a replica-slot stamp, the way a replicating
 	// quq-shard front-end would send it; /models must reflect it back.
-	req := map[string]any{"model": vit.ViTNano.Name, "method": "QUQ", "bits": 6}
+	sel := fleet.Selection{Model: vit.ViTNano.Name, Method: "QUQ", Bits: 6}
 	var warm struct {
 		Key     string  `json:"key"`
 		Cached  bool    `json:"cached"`
 		BuildMS float64 `json:"build_ms"`
 	}
-	if err := postJSON(base+"/v1/quantize", req, &warm, http.Header{serve.ReplicaHeader: []string{"0"}}); err != nil {
+	r, err := fleet.Do(ctx, http.MethodPost, base+"/v1/quantize", sel, http.Header{serve.ReplicaHeader: {"0"}})
+	if err == nil {
+		err = r.JSON(&warm)
+	}
+	if err != nil {
 		return fmt.Errorf("quantize: %w", err)
 	}
 	log.Printf("smoke: quantized %s in %.0fms (cached=%v)", warm.Key, warm.BuildMS, warm.Cached)
 
 	img := data.Images(vit.ViTNano, 1, 4242)[0]
-	req["images"] = [][]float64{img.Data()}
-	var cls struct {
-		Key     string `json:"key"`
-		Results []struct {
-			ArgMax int       `json:"argmax"`
-			Logits []float64 `json:"logits"`
-		} `json:"results"`
-	}
-	if err := postJSON(base+"/v1/classify", req, &cls, nil); err != nil {
+	if r, err = fleet.Do(ctx, http.MethodPost, base+"/v1/classify", fleet.ClassifyBody(sel, img.Data()), nil); err != nil {
 		return fmt.Errorf("classify: %w", err)
 	}
-	if len(cls.Results) != 1 || len(cls.Results[0].Logits) != vit.ViTNano.Classes {
+	cls, err := r.Classified(1)
+	if err != nil {
+		return fmt.Errorf("classify: %w", err)
+	}
+	if len(cls.Results[0].Logits) != vit.ViTNano.Classes {
 		return fmt.Errorf("classify: malformed response %+v", cls)
 	}
 	log.Printf("smoke: classified via %s -> argmax %d", cls.Key, cls.Results[0].ArgMax)
 
-	var models struct {
-		Entries []serve.EntryInfo `json:"entries"`
-	}
-	if err := getJSON(base+"/models", &models); err != nil {
+	if r, err = fleet.Do(ctx, http.MethodGet, base+"/models", nil, nil); err != nil {
 		return fmt.Errorf("models: %w", err)
 	}
-	found := false
-	for _, e := range models.Entries {
-		if e.Key == warm.Key {
-			found = true
-			if !e.Ready || e.Replica != 0 {
-				return fmt.Errorf("models entry %s: ready=%v replica=%d, want ready at replica 0", e.Key, e.Ready, e.Replica)
-			}
-		}
+	entries, err := r.Models()
+	if err != nil {
+		return fmt.Errorf("models: %w", err)
 	}
-	if !found {
+	e, ok := entries[warm.Key]
+	if !ok {
 		return fmt.Errorf("models: warmed key %s missing from entries", warm.Key)
+	}
+	if !e.Ready || e.Replica != 0 {
+		return fmt.Errorf("models entry %s: ready=%v replica=%d, want ready at replica 0", e.Key, e.Ready, e.Replica)
 	}
 	log.Printf("smoke: /models reflects %s ready at replica 0", warm.Key)
 
-	resp, err := http.Get(base + "/metrics")
-	if err != nil {
+	if r, err = fleet.Do(ctx, http.MethodGet, base+"/metrics", nil, nil); err != nil {
 		return fmt.Errorf("metrics: %w", err)
 	}
-	body, err := io.ReadAll(resp.Body)
-	if cerr := resp.Body.Close(); cerr != nil && err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return fmt.Errorf("metrics: %w", err)
-	}
-	if !bytes.Contains(body, []byte("quq_serve_requests_total")) {
+	if !bytes.Contains(r.Body, []byte("quq_serve_requests_total")) {
 		return fmt.Errorf("metrics: missing quq_serve_requests_total in exposition")
 	}
 
-	dctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	dctx, cancel := context.WithTimeout(ctx, 30*time.Second)
 	defer cancel()
-	if err := httpSrv.Shutdown(dctx); err != nil {
-		return fmt.Errorf("shutdown: %w", err)
-	}
-	if err := s.Drain(dctx); err != nil {
+	if err := worker.Srv.Drain(dctx); err != nil {
 		return fmt.Errorf("drain: %w", err)
 	}
 	return nil
-}
-
-// postJSON posts v with optional extra headers and decodes the response
-// into out, treating non-2xx statuses as errors.
-func postJSON(url string, v, out any, extra http.Header) error {
-	buf, err := json.Marshal(v)
-	if err != nil {
-		return err
-	}
-	req, err := http.NewRequest(http.MethodPost, url, bytes.NewReader(buf))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	for k, vs := range extra {
-		for _, v := range vs {
-			req.Header.Add(k, v)
-		}
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return err
-	}
-	return decodeResponse(url, resp, out)
-}
-
-// getJSON fetches one JSON page.
-func getJSON(url string, out any) error {
-	resp, err := http.Get(url)
-	if err != nil {
-		return err
-	}
-	return decodeResponse(url, resp, out)
-}
-
-// decodeResponse reads, closes and decodes one response, treating
-// non-200 statuses as errors.
-func decodeResponse(url string, resp *http.Response, out any) error {
-	body, err := io.ReadAll(resp.Body)
-	if cerr := resp.Body.Close(); cerr != nil && err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("%s: status %d: %s", url, resp.StatusCode, body)
-	}
-	return json.Unmarshal(body, out)
 }

@@ -32,20 +32,18 @@
 package main
 
 import (
+	"bytes"
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
-	"net"
 	"net/http"
 	"os/signal"
-	"runtime"
 	"strings"
-	"sync"
 	"syscall"
 	"time"
 
+	"quq/internal/chaos"
 	"quq/internal/chaos/fleet"
 	"quq/internal/data"
 	"quq/internal/serve"
@@ -73,14 +71,8 @@ func main() {
 		timeout       = flag.Duration("timeout", 120*time.Second, "per-request timeout, including first-request calibration")
 		maxBody       = flag.Int64("max-body", 8<<20, "request body size limit in bytes")
 		smoke         = flag.Bool("smoke", false, "spawn 3 in-process quq-serve shards and run the multi-key self-test")
-		intPath       = flag.Bool("int-path", false, "enable the integer weight path on the -smoke backends (QUQ-method models run weight GEMMs on resident integer operands)")
 		chaosMode     = flag.Bool("chaos", false, "replay the seeded fault-injection scripts against an in-process fleet and verify the failure-domain invariants")
 		chaosSeed     = flag.Uint64("chaos-seed", 7, "fault-schedule seed for -chaos")
-
-		latencyBudget  = flag.Duration("latency-budget", 0, "default per-request latency budget on the -smoke backends; estimated queue waits beyond it shed with 429 (0 disables)")
-		governorWindow = flag.Duration("governor-window", 0, "occupancy window for the -smoke backends' adaptive scheduler (0 disables adaptation)")
-		minIntraOp     = flag.Int("min-intraop", 1, "per-batch intra-op worker floor on the -smoke backends")
-		maxIntraOp     = flag.Int("max-intraop", runtime.GOMAXPROCS(0), "per-batch intra-op worker ceiling on the -smoke backends")
 	)
 	flag.Parse()
 	log.SetFlags(0)
@@ -103,18 +95,8 @@ func main() {
 		AntiEntropyInterval: *antiEntropy,
 	}
 
-	backendCfg := serve.Config{
-		Registry: serve.RegistryOptions{Seed: 2024, CalibImages: 2, IntPath: *intPath},
-		Batcher:  serve.BatcherOptions{LatencyBudget: *latencyBudget},
-		Governor: serve.GovernorOptions{
-			Window:     *governorWindow,
-			MinIntraOp: *minIntraOp,
-			MaxIntraOp: *maxIntraOp,
-		},
-	}
-
 	if *smoke {
-		if err := runSmoke(context.Background(), opts, backendCfg); err != nil {
+		if err := runSmoke(context.Background()); err != nil {
 			log.Fatalf("smoke: %v", err)
 		}
 		log.Printf("smoke: ok")
@@ -203,96 +185,55 @@ func runChaos(ctx context.Context, seed uint64) error {
 	return nil
 }
 
-// smokeShard is one in-process quq-serve backend.
-type smokeShard struct {
-	srv     *serve.Server
-	httpSrv *http.Server
-	addr    string
-}
-
-// startShard boots one quq-serve instance on an ephemeral loopback
-// port; its Serve goroutine joins serving so the smoke exits clean.
-func startShard(cfg serve.Config, serving *sync.WaitGroup) (*smokeShard, error) {
-	s := serve.New(cfg)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
-	httpSrv := &http.Server{Handler: s.Handler()}
-	serving.Add(1)
-	go func() {
-		// Serve exits with ErrServerClosed on Shutdown/Close; the smoke
-		// verdict comes from the round trips, not this goroutine.
-		defer serving.Done()
-		_ = httpSrv.Serve(ln)
-	}()
-	return &smokeShard{srv: s, httpSrv: httpSrv, addr: ln.Addr().String()}, nil
-}
-
 // runSmoke is the acceptance demonstration: three shards, four registry
 // keys each calibrated on exactly one shard (proven by the aggregated
 // metrics), canonicalized spellings hitting the warm cache, then a
-// backend kill with failover and ejection. cfg configures the spawned
-// backends, carrying the scheduler flags (-latency-budget,
-// -governor-window, -min/max-intraop) onto them.
-func runSmoke(ctx context.Context, opts shard.Options, cfg serve.Config) error {
-	var serving sync.WaitGroup
-	defer serving.Wait()
+// backend kill with failover and ejection. The fleet is a fixed one —
+// 3 ViT-Nano workers at R=1, manual probing — booted through the same
+// constructor the chaos gate uses.
+func runSmoke(ctx context.Context) error {
 	const nShards = 3
-	shards := make([]*smokeShard, nShards)
-	for i := range shards {
-		s, err := startShard(cfg, &serving)
-		if err != nil {
-			return fmt.Errorf("starting shard %d: %w", i, err)
-		}
-		shards[i] = s
-		opts.Backends = append(opts.Backends, s.addr)
-	}
-	defer func() {
-		for _, s := range shards {
-			_ = s.httpSrv.Close()
-		}
-	}()
-
-	// Probing is manual in the smoke so health transitions are
-	// deterministic; a single transport attempt keeps failover instant.
-	opts.ProbeInterval = -1
-	opts.Retries = -1
-	f := shard.New(opts)
-	defer f.Close()
-	fln, err := net.Listen("tcp", "127.0.0.1:0")
+	f, err := fleet.Boot(ctx, nShards, 1, serve.Config{
+		Registry: serve.RegistryOptions{Seed: 2024, CalibImages: 2},
+	}, &chaos.Script{Name: "smoke", Seed: 1}, fleet.Options{})
 	if err != nil {
 		return err
 	}
-	front := &http.Server{Handler: f.Handler()}
-	serving.Add(1)
-	go func() {
-		defer serving.Done()
-		_ = front.Serve(fln)
-	}()
-	defer front.Close()
-	base := "http://" + fln.Addr().String()
-	log.Printf("smoke: front-end %s over %d shards", base, nShards)
+	defer f.Close()
+	log.Printf("smoke: front-end %s over %d shards", f.Base, nShards)
+
+	// classify posts one selection through the front-end, returning the
+	// served key and the shard that handled it.
+	img := data.Images(vit.ViTNano, 1, 4242)[0].Data()
+	classify := func(sel fleet.Selection) (key, host string, err error) {
+		r, err := fleet.Do(ctx, http.MethodPost, f.Base+"/v1/classify", fleet.ClassifyBody(sel, img), nil)
+		if err != nil {
+			return "", "", err
+		}
+		out, err := r.Classified(1)
+		if err != nil {
+			return "", "", fmt.Errorf("classify: %w", err)
+		}
+		return out.Key, r.ServedBy(), nil
+	}
 
 	// Four distinct registry keys on the cheap ViT-Nano config. The
 	// third deliberately uses sloppy spelling: canonicalization must map
 	// it to the same shard (and later the same cache entry) as "BaseQ".
-	img := data.Images(vit.ViTNano, 1, 4242)[0].Data()
-	selections := []map[string]any{
-		{"model": "ViT-Nano", "method": "QUQ", "bits": 6},
-		{"model": "ViT-Nano", "method": "BaseQ", "bits": 6},
-		{"model": "vit-nano", "method": "baseq", "bits": 4},
-		{"model": "ViT-Nano", "method": "FQ-ViT", "bits": 6},
+	selections := []fleet.Selection{
+		{Model: "ViT-Nano", Method: "QUQ", Bits: 6},
+		{Model: "ViT-Nano", Method: "BaseQ", Bits: 6},
+		{Model: "vit-nano", Method: "baseq", Bits: 4},
+		{Model: "ViT-Nano", Method: "FQ-ViT", Bits: 6},
 	}
-	served := map[string]string{} // key -> shard addr
+	served := map[string]string{} // key -> shard host
 	for _, sel := range selections {
-		sel["images"] = [][]float64{img}
-		key, addr, err := classifyVia(base, sel)
+		key, host, err := classify(sel)
 		if err != nil {
 			return err
 		}
-		served[key] = addr
-		log.Printf("smoke: %-28s -> shard %s", key, addr)
+		served[key] = host
+		log.Printf("smoke: %-28s -> shard %s", key, host)
 	}
 	if len(served) != len(selections) {
 		return fmt.Errorf("expected %d distinct keys, saw %d", len(selections), len(served))
@@ -300,19 +241,24 @@ func runSmoke(ctx context.Context, opts shard.Options, cfg serve.Config) error {
 
 	// Replay the first key with a different spelling: same shard, and —
 	// proven below via cache-miss counters — no recalibration.
-	warm := map[string]any{"model": "VIT-NANO", "method": "quq", "bits": 6, "regime": "Partial",
-		"images": [][]float64{img}}
-	key, addr, err := classifyVia(base, warm)
+	key, host, err := classify(fleet.Selection{Model: "VIT-NANO", Method: "quq", Bits: 6, Regime: "Partial"})
 	if err != nil {
 		return err
 	}
-	if served[key] == "" || served[key] != addr {
-		return fmt.Errorf("respelled key %s routed to %s, originally %s", key, addr, served[key])
+	if served[key] == "" || served[key] != host {
+		return fmt.Errorf("respelled key %s routed to %s, originally %s", key, host, served[key])
 	}
 
 	// Aggregated metrics: exactly one calibration per distinct key
 	// fleet-wide, and at least one cache hit from the respelled replay.
-	page, err := scrapeMetrics(base)
+	r, err := fleet.Do(ctx, http.MethodGet, f.Base+"/metrics", nil, nil)
+	if err != nil {
+		return err
+	}
+	if r.Status != http.StatusOK {
+		return fmt.Errorf("metrics: status %d", r.Status)
+	}
+	page, err := metrics.ParseText(bytes.NewReader(r.Body))
 	if err != nil {
 		return err
 	}
@@ -325,53 +271,48 @@ func runSmoke(ctx context.Context, opts shard.Options, cfg serve.Config) error {
 	}
 	log.Printf("smoke: aggregated metrics confirm %d keys, each calibrated exactly once", len(selections))
 
-	// Kill the shard owning the first key: the survivors must serve it.
-	victimKey, victimAddr := "", ""
-	for k, a := range served {
-		victimKey, victimAddr = k, a
-		break
-	}
-	for k, a := range served {
-		if k < victimKey { // deterministic choice: lowest key
-			victimKey, victimAddr = k, a
-		}
-	}
-	var victimSel map[string]any
+	// Kill the shard owning the lowest key (a deterministic choice): the
+	// survivors must serve it.
+	var victimSel fleet.Selection
+	victimKey := ""
 	for _, sel := range selections {
-		k, err := keyOf(sel)
+		k, err := sel.Key()
 		if err != nil {
 			return fmt.Errorf("canonicalizing smoke selection: %w", err)
 		}
-		if k == victimKey {
-			victimSel = sel
+		if victimKey == "" || k < victimKey {
+			victimKey, victimSel = k, sel
 		}
 	}
-	for _, s := range shards {
-		if "http://"+s.addr == victimAddr {
-			_ = s.httpSrv.Close()
-		}
+	victim, err := f.BackendAt(served[victimKey])
+	if err != nil {
+		return err
 	}
-	log.Printf("smoke: killed shard %s (owned %s)", victimAddr, victimKey)
+	f.CrashBackend(victim)
+	log.Printf("smoke: killed shard %s (owned %s)", victim.Host, victimKey)
 
-	_, failoverAddr, err := classifyVia(base, victimSel)
+	_, failoverHost, err := classify(victimSel)
 	if err != nil {
 		return fmt.Errorf("failover classify: %w", err)
 	}
-	if failoverAddr == victimAddr {
+	if failoverHost == victim.Host {
 		return fmt.Errorf("key %s still served by the killed shard", victimKey)
 	}
-	if got := f.Metrics().Ejections.Value(); got != 1 {
+	if got := f.Front.Metrics().Ejections.Value(); got != 1 {
 		return fmt.Errorf("ejections = %d, want 1", got)
 	}
-	log.Printf("smoke: %s failed over to %s", victimKey, failoverAddr)
+	log.Printf("smoke: %s failed over to %s", victimKey, failoverHost)
 
 	// A probe round confirms the fleet view: two healthy survivors.
-	f.ProbeNow(ctx)
+	f.Front.ProbeNow(ctx)
 	var hz struct {
 		Healthy  int `json:"healthy"`
 		Backends int `json:"backends"`
 	}
-	if err := getJSON(base+"/healthz", &hz); err != nil {
+	if r, err = fleet.Do(ctx, http.MethodGet, f.Base+"/healthz", nil, nil); err == nil {
+		err = r.JSON(&hz)
+	}
+	if err != nil {
 		return fmt.Errorf("healthz: %w", err)
 	}
 	if hz.Healthy != nShards-1 || hz.Backends != nShards {
@@ -379,85 +320,4 @@ func runSmoke(ctx context.Context, opts shard.Options, cfg serve.Config) error {
 	}
 	log.Printf("smoke: healthz reports %d/%d shards healthy after ejection", hz.Healthy, hz.Backends)
 	return nil
-}
-
-// keyOf canonicalizes one smoke selection the same way the front-end
-// does.
-func keyOf(sel map[string]any) (string, error) {
-	bits, _ := sel["bits"].(int)
-	model, _ := sel["model"].(string)
-	method, _ := sel["method"].(string)
-	regime, _ := sel["regime"].(string)
-	key, err := serve.KeyFromWire(model, method, bits, regime)
-	if err != nil {
-		return "", err
-	}
-	return key.String(), nil
-}
-
-// classifyVia posts one classify request through the front-end,
-// returning the served key and the shard that handled it.
-func classifyVia(base string, sel map[string]any) (key, addr string, err error) {
-	buf, err := json.Marshal(sel)
-	if err != nil {
-		return "", "", err
-	}
-	resp, err := http.Post(base+"/v1/classify", "application/json", strings.NewReader(string(buf)))
-	if err != nil {
-		return "", "", err
-	}
-	var out struct {
-		Key     string `json:"key"`
-		Results []struct {
-			ArgMax int `json:"argmax"`
-		} `json:"results"`
-	}
-	derr := json.NewDecoder(resp.Body).Decode(&out)
-	if cerr := resp.Body.Close(); cerr != nil && derr == nil {
-		derr = cerr
-	}
-	if derr != nil {
-		return "", "", derr
-	}
-	if resp.StatusCode != http.StatusOK {
-		return "", "", fmt.Errorf("classify: status %d", resp.StatusCode)
-	}
-	if len(out.Results) != 1 {
-		return "", "", fmt.Errorf("classify: %d results, want 1", len(out.Results))
-	}
-	return out.Key, resp.Header.Get(shard.BackendHeader), nil
-}
-
-// scrapeMetrics fetches and parses the front-end's aggregated
-// exposition.
-func scrapeMetrics(base string) (*metrics.Exposition, error) {
-	resp, err := http.Get(base + "/metrics")
-	if err != nil {
-		return nil, err
-	}
-	page, perr := metrics.ParseText(resp.Body)
-	if cerr := resp.Body.Close(); cerr != nil && perr == nil {
-		perr = cerr
-	}
-	if perr != nil {
-		return nil, perr
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("metrics: status %d", resp.StatusCode)
-	}
-	return page, nil
-}
-
-// getJSON fetches and decodes one JSON page, tolerating non-200
-// statuses (healthz deliberately returns 503 with a body).
-func getJSON(url string, out any) error {
-	resp, err := http.Get(url)
-	if err != nil {
-		return err
-	}
-	derr := json.NewDecoder(resp.Body).Decode(out)
-	if cerr := resp.Body.Close(); cerr != nil && derr == nil {
-		derr = cerr
-	}
-	return derr
 }

@@ -1,11 +1,8 @@
 package fleet
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"net/url"
 	"os"
@@ -16,119 +13,26 @@ import (
 
 	"quq/internal/chaos"
 	"quq/internal/data"
-	"quq/internal/serve"
 	"quq/internal/snapstore"
 	"quq/internal/vit"
 )
 
-// directClient talks straight to individual backends across their
-// crash-restart boundary. Keep-alives are off: a pooled connection to
-// a backend that died and came back on the same port surfaces as a
-// broken pipe mid-request, which would make probe outcomes depend on
-// connection-pool state instead of on the script.
-var directClient = &http.Client{Transport: &http.Transport{DisableKeepAlives: true}}
-
-// getModels fetches one backend's /models page directly (not through
-// the front) and indexes its entries by key — how the durability
-// scenarios observe a single replica's resident state and digests.
-func getModels(ctx context.Context, base string) (map[string]serve.EntryInfo, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/models", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := directClient.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	raw, err := io.ReadAll(resp.Body)
-	if cerr := resp.Body.Close(); cerr != nil && err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("%s/models: status %d", base, resp.StatusCode)
-	}
-	var page struct {
-		Entries []serve.EntryInfo `json:"entries"`
-	}
-	if err := json.Unmarshal(raw, &page); err != nil {
-		return nil, err
-	}
-	out := make(map[string]serve.EntryInfo, len(page.Entries))
-	for _, e := range page.Entries {
-		out[e.Key] = e
-	}
-	return out, nil
-}
-
-// postDirect POSTs a JSON body straight to one backend through the
-// non-pooling client and reports only the status code.
-func postDirect(ctx context.Context, url string, body any) (int, error) {
-	buf, err := json.Marshal(body)
-	if err != nil {
-		return 0, err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(buf))
-	if err != nil {
-		return 0, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := directClient.Do(req)
-	if err != nil {
-		return 0, err
-	}
-	//quq:errdrop-ok best-effort drain before close; the status code is the whole verdict
-	_, _ = io.Copy(io.Discard, resp.Body)
-	//quq:errdrop-ok response deliberately reduced to its status code
-	_ = resp.Body.Close()
-	return resp.StatusCode, nil
-}
-
-// getStatus performs one direct GET and reports only the status code.
-func getStatus(ctx context.Context, url string) (int, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		return 0, err
-	}
-	resp, err := directClient.Do(req)
-	if err != nil {
-		return 0, err
-	}
-	//quq:errdrop-ok best-effort drain for connection reuse; the status code is the whole verdict
-	_, _ = io.Copy(io.Discard, resp.Body)
-	//quq:errdrop-ok response deliberately reduced to its status code
-	_ = resp.Body.Close()
-	return resp.StatusCode, nil
-}
-
 // waitReady polls one backend's /models through the fake clock until
 // key is resident and ready, returning its digest.
-func (f *testFleet) waitReady(ctx context.Context, b *backendShard, key string) (string, error) {
+func (f *Fleet) waitReady(ctx context.Context, b *Backend, key string) (string, error) {
 	for i := 0; i < 400; i++ {
-		entries, err := getModels(ctx, "http://"+b.host)
-		if err == nil {
-			if e, ok := entries[key]; ok && e.Ready {
-				return e.Digest, nil
+		if r, err := Do(ctx, http.MethodGet, b.URL()+"/models", nil, nil); err == nil {
+			if entries, err := r.Models(); err == nil {
+				if e, ok := entries[key]; ok && e.Ready {
+					return e.Digest, nil
+				}
 			}
 		}
-		if err := f.clock.Sleep(ctx, 5*time.Millisecond); err != nil {
+		if err := f.Clock.Sleep(ctx, 5*time.Millisecond); err != nil {
 			return "", err
 		}
 	}
-	return "", fmt.Errorf("key %s never became ready on %s", key, b.host)
-}
-
-// shardFor maps a ring owner address back to the fleet's backendShard.
-func (f *testFleet) shardFor(addr string) (*backendShard, int, error) {
-	host := hostOf(addr)
-	for i, b := range f.backends {
-		if b.host == host {
-			return b, i, nil
-		}
-	}
-	return nil, 0, fmt.Errorf("no fleet backend with host %s", host)
+	return "", fmt.Errorf("key %s never became ready on %s", key, b.Host)
 }
 
 // scenarioWarmRestart is the crash-restart fault: calibrate a key,
@@ -166,27 +70,27 @@ func scenarioWarmRestart(ctx context.Context, seed uint64, opts Options, rep *ch
 		}
 	}
 
-	f, err := boot(ctx, 3, 1, cfg, &chaos.Script{Name: "warm-restart", Seed: seed}, opts)
+	f, err := Boot(ctx, 3, 1, cfg, &chaos.Script{Name: "warm-restart", Seed: seed}, opts)
 	if err != nil {
 		return err
 	}
-	defer f.close()
+	defer f.Close()
 
-	sel := selection{Model: "ViT-Nano", Method: "BaseQ", Bits: 6}
-	key, err := sel.key()
+	sel := Selection{Model: "ViT-Nano", Method: "BaseQ", Bits: 6}
+	key, err := sel.Key()
 	if err != nil {
 		return err
 	}
-	if r, err := post(ctx, f.base+"/v1/quantize", sel); err != nil || r.status != http.StatusOK {
-		return fmt.Errorf("warm quantize: %v (status %d)", err, r.status)
+	if r, err := post(ctx, f.Base+"/v1/quantize", sel); err != nil || r.Status != http.StatusOK {
+		return fmt.Errorf("warm quantize: %v (status %d)", err, r.Status)
 	}
 	builds0 := snapshot()[key]
 
-	owners := f.front.Ring().OwnerN(key, 1)
+	owners := f.Front.Ring().OwnerN(key, 1)
 	if len(owners) != 1 {
 		return fmt.Errorf("OwnerN returned %d owners, want 1", len(owners))
 	}
-	victim, _, err := f.shardFor(owners[0].Addr())
+	victim, err := f.BackendAt(owners[0].Addr())
 	if err != nil {
 		return err
 	}
@@ -195,8 +99,8 @@ func scenarioWarmRestart(ctx context.Context, seed uint64, opts Options, rep *ch
 		return err
 	}
 
-	f.crashBackend(victim)
-	if err := f.restartBackend(ctx, victim); err != nil {
+	f.CrashBackend(victim)
+	if err := f.RestartBackend(ctx, victim); err != nil {
 		return err
 	}
 
@@ -205,11 +109,11 @@ func scenarioWarmRestart(ctx context.Context, seed uint64, opts Options, rep *ch
 	// (which would push the client to recalibrate elsewhere) and never a
 	// 200 from a half-loaded registry.
 	img := data.Images(vit.ViTNano, 1, seed)[0].Data()
-	status, err := postDirect(ctx, "http://"+victim.host+"/v1/classify", classifyBody(sel, img))
+	probe, err := post(ctx, victim.URL()+"/v1/classify", ClassifyBody(sel, img))
 	if err != nil {
 		return fmt.Errorf("warming probe: %w", err)
 	}
-	warming503 := status == http.StatusServiceUnavailable
+	warming503 := probe.Status == http.StatusServiceUnavailable
 	release()
 
 	digestAfter, err := f.waitReady(ctx, victim, key)
@@ -219,11 +123,11 @@ func scenarioWarmRestart(ctx context.Context, seed uint64, opts Options, rep *ch
 	const reads = 6
 	readsOK := 0
 	for i := 0; i < reads; i++ {
-		r, err := post(ctx, f.base+"/v1/classify", classifyBody(sel, img))
+		r, err := post(ctx, f.Base+"/v1/classify", ClassifyBody(sel, img))
 		if err != nil {
 			return fmt.Errorf("warm read %d: %w", i, err)
 		}
-		if r.status == http.StatusOK {
+		if r.Status == http.StatusOK {
 			readsOK++
 		}
 	}
@@ -251,19 +155,19 @@ func scenarioCorruptionRepair(ctx context.Context, seed uint64, opts Options, re
 
 	cfg, snapshot := buildCounter(seed)
 	cfg.Registry.SnapshotDir = root
-	f, err := boot(ctx, 3, 2, cfg, &chaos.Script{Name: "corruption-repair", Seed: seed}, opts)
+	f, err := Boot(ctx, 3, 2, cfg, &chaos.Script{Name: "corruption-repair", Seed: seed}, opts)
 	if err != nil {
 		return err
 	}
-	defer f.close()
+	defer f.Close()
 
-	sel := selection{Model: "ViT-Nano", Method: "BaseQ", Bits: 5}
-	key, err := sel.key()
+	sel := Selection{Model: "ViT-Nano", Method: "BaseQ", Bits: 5}
+	key, err := sel.Key()
 	if err != nil {
 		return err
 	}
-	if r, err := post(ctx, f.base+"/v1/quantize", sel); err != nil || r.status != http.StatusOK {
-		return fmt.Errorf("replicated warm: %v (status %d)", err, r.status)
+	if r, err := post(ctx, f.Base+"/v1/quantize", sel); err != nil || r.Status != http.StatusOK {
+		return fmt.Errorf("replicated warm: %v (status %d)", err, r.Status)
 	}
 	sumBuilds := func() int {
 		total := 0
@@ -274,15 +178,15 @@ func scenarioCorruptionRepair(ctx context.Context, seed uint64, opts Options, re
 	}
 	builds0 := sumBuilds()
 
-	owners := f.front.Ring().OwnerN(key, 2)
+	owners := f.Front.Ring().OwnerN(key, 2)
 	if len(owners) != 2 {
 		return fmt.Errorf("OwnerN returned %d owners, want 2", len(owners))
 	}
-	victim, victimIdx, err := f.shardFor(owners[0].Addr())
+	victim, err := f.BackendAt(owners[0].Addr())
 	if err != nil {
 		return err
 	}
-	survivor, _, err := f.shardFor(owners[1].Addr())
+	survivor, err := f.BackendAt(owners[1].Addr())
 	if err != nil {
 		return err
 	}
@@ -294,12 +198,12 @@ func scenarioCorruptionRepair(ctx context.Context, seed uint64, opts Options, re
 		return err
 	}
 
-	f.crashBackend(victim)
-	victimDir := filepath.Join(root, fmt.Sprintf("shard-%d", victimIdx))
+	f.CrashBackend(victim)
+	victimDir := victim.cfg.Registry.SnapshotDir
 	if err := chaos.CorruptFile(snapstore.PathFor(victimDir, key), seed, 3); err != nil {
 		return err
 	}
-	if err := f.restartBackend(ctx, victim); err != nil {
+	if err := f.RestartBackend(ctx, victim); err != nil {
 		return err
 	}
 
@@ -307,37 +211,37 @@ func scenarioCorruptionRepair(ctx context.Context, seed uint64, opts Options, re
 	// then 404 once the corrupt file has been quarantined instead of
 	// installed. A 200 here would mean the registry served a payload
 	// whose digest check should have failed.
-	snapURL := "http://" + victim.host + "/v1/snapshot?key=" + url.QueryEscape(key)
-	status := 0
+	snapURL := victim.URL() + "/v1/snapshot?key=" + url.QueryEscape(key)
+	var snap Reply
 	for i := 0; i < 400; i++ {
-		status, err = getStatus(ctx, snapURL)
-		if err == nil && status != http.StatusServiceUnavailable {
+		snap, err = Do(ctx, http.MethodGet, snapURL, nil, nil)
+		if err == nil && snap.Status != http.StatusServiceUnavailable {
 			break
 		}
-		if serr := f.clock.Sleep(ctx, 5*time.Millisecond); serr != nil {
+		if serr := f.Clock.Sleep(ctx, 5*time.Millisecond); serr != nil {
 			return serr
 		}
 	}
 	servedCorrupt := 0
-	if status == http.StatusOK {
+	if snap.Status == http.StatusOK {
 		servedCorrupt = 1
 	}
 	quarantined, err := filepath.Glob(filepath.Join(victimDir, "*.quarantined"))
 	if err != nil {
 		return err
 	}
-	hstatus, err := getStatus(ctx, "http://"+victim.host+"/healthz")
+	hz, err := Do(ctx, http.MethodGet, victim.URL()+"/healthz", nil, nil)
 	if err != nil {
 		return err
 	}
-	rep.CheckCorruptionQuarantined(len(quarantined), hstatus == http.StatusOK, servedCorrupt)
+	rep.CheckCorruptionQuarantined(len(quarantined), hz.Status == http.StatusOK, servedCorrupt)
 
-	stats := f.front.SweepNow(ctx)
+	stats := f.Front.SweepNow(ctx)
 	repairedDigest, err := f.waitReady(ctx, victim, key)
 	if err != nil {
 		return err
 	}
-	second := f.front.SweepNow(ctx)
+	second := f.Front.SweepNow(ctx)
 	converged := repairedDigest != "" && repairedDigest == healthyDigest && second.Mismatches == 0
 	rep.CheckAntiEntropyConverges(stats.Mismatches, stats.Repairs, stats.Failures, sumBuilds()-builds0, converged)
 	return nil

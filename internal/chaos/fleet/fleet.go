@@ -1,8 +1,11 @@
-// Package fleet is the chaos invariant harness: it boots an in-process
-// quq-shard fleet (three quq-serve backends plus the sharding
-// front-end), splices a chaos.Transport between the proxy and the
-// network, replays seeded fault scripts, and checks the failure-domain
-// invariants the serve/shard stack promises:
+// Package fleet owns the in-process fleet — quq-serve workers plus the
+// quq-shard front on loopback, one request helper to talk to them, one
+// teardown that joins every goroutine (Boot, Do, Close) — that
+// `quq-serve -smoke`, `quq-shard -smoke` and the chaos gate all run on.
+// On top of it sits the chaos invariant harness (Run): it splices a
+// chaos.Transport between the proxy and the network, replays seeded
+// fault scripts, and checks the failure-domain invariants the
+// serve/shard stack promises:
 //
 //   - reply conservation: no request lost, none double-answered, even
 //     while connections reset and the ring fails over;
@@ -111,145 +114,172 @@ func Run(ctx context.Context, seed uint64, opts Options) (*chaos.Report, error) 
 	return rep, nil
 }
 
-// testFleet is one booted in-process fleet: three quq-serve backends on
-// ephemeral loopback ports behind a front-end whose outbound traffic
-// passes through the fault transport and whose backoff sleeps go to a
-// fake clock.
-type testFleet struct {
-	backends []*backendShard
-	front    *shard.Front
+// Fleet is one booted in-process fleet: quq-serve workers on ephemeral
+// loopback ports behind a quq-shard front whose outbound traffic passes
+// through the fault transport and whose backoff sleeps go to a fake
+// clock. It is the one owner of "stand a fleet up on loopback, talk to
+// it, tear it down": the chaos scenarios, `quq-shard -smoke` and
+// `quq-serve -smoke` all boot through it.
+type Fleet struct {
+	Backends []*Backend
+	Front    *shard.Front
+	Base     string // front-end base URL
+	Faults   *chaos.Transport
+	Clock    *chaos.Fake
+
 	frontSrv *http.Server
-	base     string // front-end base URL
-	faults   *chaos.Transport
-	clock    *chaos.Fake
-	serving  sync.WaitGroup // joins every http.Server.Serve goroutine at close
+	serving  sync.WaitGroup // joins every http.Server.Serve goroutine at Close
 }
 
-type backendShard struct {
-	srv     *serve.Server
+// Backend is one quq-serve worker of a Fleet.
+type Backend struct {
+	Srv  *serve.Server
+	Host string // "127.0.0.1:port" — the form chaos rules match on
+
 	httpSrv *http.Server
-	host    string       // "127.0.0.1:port" — the form chaos rules match on
 	cfg     serve.Config // the exact config the backend booted with, kept for crash-restart
 }
 
-// boot starts nShards backends and the front-end. ctx roots the
-// front-end's background work (the prober). replicas is the fleet's
-// replication factor R (1 for the single-owner scenarios). script seeds
-// the fault transport (rules may be empty; scenarios add host-targeted
-// rules after boot, once ephemeral addresses exist).
-func boot(ctx context.Context, nShards, replicas int, cfg serve.Config, script *chaos.Script, opts Options) (*testFleet, error) {
-	f := &testFleet{clock: chaos.NewFake()}
+// URL is the worker's own base URL, for requests that bypass the front.
+func (b *Backend) URL() string { return "http://" + b.Host }
+
+// Boot starts workers backends and the front-end. ctx roots the
+// front-end's background work (the prober) and bounds the listens.
+// replicas is the fleet's replication factor R. script seeds the fault
+// transport and the front's backoff jitter (rules may be empty; callers
+// add host-targeted rules after boot, once ephemeral addresses exist).
+// Probe rounds are explicit via Front.ProbeNow.
+func Boot(ctx context.Context, workers, replicas int, cfg serve.Config, script *chaos.Script, opts Options) (*Fleet, error) {
+	f := &Fleet{Clock: chaos.NewFake()}
 	sopts := shard.Options{
 		BaseContext:   ctx,
 		Replicas:      replicas,
-		ProbeInterval: -1, // probe rounds are explicit via ProbeNow
+		ProbeInterval: -1,
 		Seed:          script.Seed,
-		Clock:         f.clock,
+		Clock:         f.Clock,
 	}
-	for i := 0; i < nShards; i++ {
+	for i := 0; i < workers; i++ {
 		bcfg := cfg
 		if root := cfg.Registry.SnapshotDir; root != "" {
-			// The scenario hands boot one SnapshotDir as a fleet-wide
-			// root; each backend persists into its own subdirectory, the
-			// way real shards own disjoint disks.
+			// The caller hands Boot one SnapshotDir as a fleet-wide root;
+			// each backend persists into its own subdirectory, the way real
+			// shards own disjoint disks.
 			bcfg.Registry.SnapshotDir = filepath.Join(root, fmt.Sprintf("shard-%d", i))
 		}
-		b, err := f.startBackend(bcfg)
+		b, err := f.StartBackend(ctx, bcfg)
 		if err != nil {
-			f.close()
+			f.Close()
 			return nil, fmt.Errorf("starting backend %d: %w", i, err)
 		}
-		f.backends = append(f.backends, b)
-		sopts.Backends = append(sopts.Backends, b.host)
+		sopts.Backends = append(sopts.Backends, b.Host)
 	}
-	f.faults = chaos.NewTransport(nil, f.clock, script)
-	var rt http.RoundTripper = f.faults
+	f.Faults = chaos.NewTransport(nil, f.Clock, script)
+	var rt http.RoundTripper = f.Faults
 	if opts.WrapTransport != nil {
 		rt = opts.WrapTransport(rt)
 	}
 	sopts.Transport = rt
-	f.front = shard.New(sopts)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	f.Front = shard.New(sopts)
+	srv, host, err := f.listenAndServe(ctx, "127.0.0.1:0", f.Front.Handler())
 	if err != nil {
-		f.close()
+		f.Close()
 		return nil, err
 	}
-	f.frontSrv = &http.Server{Handler: f.front.Handler()}
-	f.serving.Add(1)
-	go func() {
-		// Serve exits with ErrServerClosed on Close, which close() waits
-		// for; verdicts come from the round trips, not this goroutine.
-		defer f.serving.Done()
-		_ = f.frontSrv.Serve(ln)
-	}()
-	f.base = "http://" + ln.Addr().String()
+	f.frontSrv = srv
+	f.Base = "http://" + host
 	return f, nil
 }
 
-func (f *testFleet) startBackend(cfg serve.Config) (*backendShard, error) {
+// bindAttempts bounds listenAndServe's retries (10ms apart on the fake
+// clock).
+const bindAttempts = 50
+
+// listenAndServe binds addr and serves h on it until the returned server
+// is closed; the Serve goroutine joins f.serving. Rebinding a port that
+// just closed (RestartBackend) can transiently fail, so the listen is
+// retried through the fake clock.
+func (f *Fleet) listenAndServe(ctx context.Context, addr string, h http.Handler) (*http.Server, string, error) {
+	for attempt := 0; ; attempt++ {
+		ln, err := net.Listen("tcp", addr)
+		if err == nil {
+			srv := &http.Server{Handler: h}
+			f.serving.Add(1)
+			go func() {
+				// Serve exits with ErrServerClosed on Close, which Close()
+				// waits for; verdicts come from the round trips, not this
+				// goroutine.
+				defer f.serving.Done()
+				_ = srv.Serve(ln)
+			}()
+			return srv, ln.Addr().String(), nil
+		}
+		if attempt == bindAttempts-1 {
+			return nil, "", fmt.Errorf("binding %s: %w", addr, err)
+		}
+		if serr := f.Clock.Sleep(ctx, 10*time.Millisecond); serr != nil {
+			return nil, "", serr
+		}
+	}
+}
+
+// StartBackend adds one quq-serve worker on an ephemeral loopback port.
+// It is not on the front's ring until something joins it (Boot does, for
+// the initial set; /admin/join later).
+func (f *Fleet) StartBackend(ctx context.Context, cfg serve.Config) (*Backend, error) {
 	s := serve.New(cfg)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	httpSrv, host, err := f.listenAndServe(ctx, "127.0.0.1:0", s.Handler())
 	if err != nil {
 		return nil, err
 	}
-	httpSrv := &http.Server{Handler: s.Handler()}
-	f.serving.Add(1)
-	go func() {
-		defer f.serving.Done()
-		_ = httpSrv.Serve(ln)
-	}()
-	return &backendShard{srv: s, httpSrv: httpSrv, host: ln.Addr().String(), cfg: cfg}, nil
+	b := &Backend{Srv: s, Host: host, httpSrv: httpSrv, cfg: cfg}
+	f.Backends = append(f.Backends, b)
+	return b, nil
 }
 
-// crashBackend kills backend b abruptly: the listener closes and every
+// CrashBackend kills backend b abruptly: the listener closes and every
 // in-flight connection drops, with no drain — the process-kill fault.
 // The registry's state survives only through whatever it persisted to
 // its snapshot directory.
-func (f *testFleet) crashBackend(b *backendShard) {
+func (f *Fleet) CrashBackend(b *Backend) {
 	_ = b.httpSrv.Close()
 }
 
-// restartBackend brings a crashed backend back on the SAME address with
+// RestartBackend brings a crashed backend back on the SAME address with
 // a fresh serve.Server built from the config it originally booted with
 // — same snapshot directory, so the new registry warm-restarts from
-// disk. Rebinding an ephemeral port that just closed can transiently
-// fail, so the listen is retried through the fake clock.
-func (f *testFleet) restartBackend(ctx context.Context, b *backendShard) error {
+// disk.
+func (f *Fleet) RestartBackend(ctx context.Context, b *Backend) error {
 	s := serve.New(b.cfg)
-	var ln net.Listener
-	var err error
-	for attempt := 0; attempt < 50; attempt++ {
-		ln, err = net.Listen("tcp", b.host)
-		if err == nil {
-			break
-		}
-		if serr := f.clock.Sleep(ctx, 10*time.Millisecond); serr != nil {
-			return serr
-		}
-	}
+	httpSrv, _, err := f.listenAndServe(ctx, b.Host, s.Handler())
 	if err != nil {
-		return fmt.Errorf("rebinding %s: %w", b.host, err)
+		return err
 	}
-	b.srv = s
-	b.httpSrv = &http.Server{Handler: s.Handler()}
-	f.serving.Add(1)
-	go func() {
-		defer f.serving.Done()
-		_ = b.httpSrv.Serve(ln)
-	}()
+	b.Srv, b.httpSrv = s, httpSrv
 	return nil
 }
 
-// close tears the fleet down and joins every Serve goroutine, so a
-// scenario returns with zero fleet goroutines left behind.
-func (f *testFleet) close() {
+// BackendAt maps a ring owner address (or bare host) back to the fleet's
+// Backend.
+func (f *Fleet) BackendAt(addr string) (*Backend, error) {
+	host := hostOf(addr)
+	for _, b := range f.Backends {
+		if b.Host == host {
+			return b, nil
+		}
+	}
+	return nil, fmt.Errorf("no fleet backend with host %s", host)
+}
+
+// Close tears the fleet down and joins every Serve goroutine, so a
+// caller returns with zero fleet goroutines left behind.
+func (f *Fleet) Close() {
 	if f.frontSrv != nil {
 		_ = f.frontSrv.Close()
 	}
-	if f.front != nil {
-		f.front.Close()
+	if f.Front != nil {
+		f.Front.Close()
 	}
-	for _, b := range f.backends {
+	for _, b := range f.Backends {
 		_ = b.httpSrv.Close()
 	}
 	f.serving.Wait()

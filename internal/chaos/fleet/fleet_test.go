@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"quq/internal/chaos"
+	"quq/internal/testutil"
 )
 
 // render runs one replay and returns its report plus the byte-exact
@@ -95,4 +96,68 @@ func TestRunCatchesReintroduced429Retry(t *testing.T) {
 		}
 	}
 	t.Fatal("429-never-retried check missing from the report")
+}
+
+// TestBootCrashRestartCloseLeaksNothing drives the exported constructor
+// the smokes share with the scenarios: 3 workers at R=2 answer /healthz
+// 3/3 through the shared request helper, one backend crashes and comes
+// back on its own address, and Close joins every goroutine the fleet
+// started.
+func TestBootCrashRestartCloseLeaksNothing(t *testing.T) {
+	t.Cleanup(testutil.VerifyNoLeaks(t))
+	ctx := context.Background()
+
+	f, err := Boot(ctx, 3, 2, baseConfig(7), &chaos.Script{Name: "boot-test", Seed: 7}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	healthz := func() (healthy, backends int) {
+		t.Helper()
+		r, err := Do(ctx, http.MethodGet, f.Base+"/healthz", nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var hz struct {
+			Healthy  int `json:"healthy"`
+			Backends int `json:"backends"`
+		}
+		if err := r.JSON(&hz); err != nil {
+			t.Fatalf("healthz: %v", err)
+		}
+		return hz.Healthy, hz.Backends
+	}
+	if h, n := healthz(); h != 3 || n != 3 {
+		t.Fatalf("healthz after boot = %d/%d healthy, want 3/3", h, n)
+	}
+
+	victim := f.Backends[1]
+	host := victim.Host
+	f.CrashBackend(victim)
+	if _, err := Do(ctx, http.MethodGet, victim.URL()+"/healthz", nil, nil); err == nil {
+		t.Fatal("crashed backend still answers")
+	}
+	f.Front.ProbeNow(ctx) // FailAfter=2: one strike
+	f.Front.ProbeNow(ctx) // ejected
+	if h, _ := healthz(); h != 2 {
+		t.Fatalf("healthy after crash = %d, want 2", h)
+	}
+
+	if err := f.RestartBackend(ctx, victim); err != nil {
+		t.Fatal(err)
+	}
+	if victim.Host != host {
+		t.Fatalf("restart moved the backend: %s -> %s", host, victim.Host)
+	}
+	if b, err := f.BackendAt(victim.URL()); err != nil || b != victim {
+		t.Fatalf("BackendAt(%s) = %v, %v; want the restarted backend", host, b, err)
+	}
+	if r, err := Do(ctx, http.MethodGet, victim.URL()+"/healthz", nil, nil); err != nil || r.Status != http.StatusOK {
+		t.Fatalf("restarted backend healthz: status %d, err %v", r.Status, err)
+	}
+	f.Front.ProbeNow(ctx) // OkAfter=2: hysteresis holds it out one more round
+	f.Front.ProbeNow(ctx) // readmitted
+	if h, n := healthz(); h != 3 || n != 3 {
+		t.Fatalf("healthz after restart = %d/%d healthy, want 3/3", h, n)
+	}
 }

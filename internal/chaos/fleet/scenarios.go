@@ -3,10 +3,8 @@ package fleet
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"net/http"
 	"runtime"
@@ -21,71 +19,9 @@ import (
 	"quq/internal/vit"
 )
 
-// selection is one registry-key choice on the wire.
-type selection struct {
-	Model  string `json:"model"`
-	Method string `json:"method"`
-	Bits   int    `json:"bits"`
-	Regime string `json:"regime,omitempty"`
-}
-
-func (s selection) key() (string, error) {
-	k, err := serve.KeyFromWire(s.Model, s.Method, s.Bits, s.Regime)
-	if err != nil {
-		return "", err
-	}
-	return k.String(), nil
-}
-
-// reply is the client-side record of one request.
-type reply struct {
-	status     int
-	key        string // served key (classify) — empty on non-200
-	backend    string // X-Quq-Shard header
-	retryAfter string
-}
-
-// post sends one classify/quantize body and decodes the outcome. A
-// transport-level error (client disconnected, connection refused) is
-// returned as err with no reply.
-func post(ctx context.Context, url string, body any) (reply, error) {
-	buf, err := json.Marshal(body)
-	if err != nil {
-		return reply{}, err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(buf))
-	if err != nil {
-		return reply{}, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return reply{}, err
-	}
-	var page struct {
-		Key string `json:"key"`
-	}
-	derr := json.NewDecoder(resp.Body).Decode(&page)
-	if cerr := resp.Body.Close(); cerr != nil && derr == nil {
-		derr = cerr
-	}
-	if derr != nil && resp.StatusCode == http.StatusOK {
-		return reply{}, derr
-	}
-	return reply{
-		status:     resp.StatusCode,
-		key:        page.Key,
-		backend:    resp.Header.Get("X-Quq-Shard"),
-		retryAfter: resp.Header.Get("Retry-After"),
-	}, nil
-}
-
-// classifyBody attaches one deterministic image to a selection.
-func classifyBody(sel selection, img []float64) map[string]any {
-	return map[string]any{
-		"model": sel.Model, "method": sel.Method, "bits": sel.Bits, "regime": sel.Regime,
-		"images": [][]float64{img},
-	}
+// post sends one JSON body through the shared request helper.
+func post(ctx context.Context, url string, body any) (Reply, error) {
+	return Do(ctx, http.MethodPost, url, body, nil)
 }
 
 // scenarioResetFailover replays a connection-reset storm against the
@@ -95,14 +31,14 @@ func classifyBody(sel selection, img []float64) map[string]any {
 // sent gets exactly one answer, with backend completions equal to
 // client successes.
 func scenarioResetFailover(ctx context.Context, seed uint64, opts Options, rep *chaos.Report) error {
-	f, err := boot(ctx, 3, 1, baseConfig(seed), &chaos.Script{Name: "reset-failover", Seed: seed}, opts)
+	f, err := Boot(ctx, 3, 1, baseConfig(seed), &chaos.Script{Name: "reset-failover", Seed: seed}, opts)
 	if err != nil {
 		return err
 	}
-	defer f.close()
+	defer f.Close()
 
 	img := data.Images(vit.ViTNano, 1, seed)[0].Data()
-	selections := []selection{
+	selections := []Selection{
 		{Model: "ViT-Nano", Method: "QUQ", Bits: 6},
 		{Model: "ViT-Nano", Method: "BaseQ", Bits: 6},
 		{Model: "ViT-Nano", Method: "BaseQ", Bits: 4},
@@ -112,39 +48,39 @@ func scenarioResetFailover(ctx context.Context, seed uint64, opts Options, rep *
 	victim := ""
 	for i, sel := range selections {
 		sent++
-		r, err := post(ctx, f.base+"/v1/classify", classifyBody(sel, img))
+		r, err := post(ctx, f.Base+"/v1/classify", ClassifyBody(sel, img))
 		if err != nil {
 			return fmt.Errorf("warm classify %d: %w", i, err)
 		}
 		answered++
-		if r.status == http.StatusOK {
+		if r.Status == http.StatusOK {
 			clientOK++
 		}
 		if i == 0 {
-			victim = hostOf(r.backend)
+			victim = r.ServedBy()
 		}
 	}
 
 	// Every further attempt against the first key's shard resets; the
 	// front must retry, eject, and fail over without losing a reply.
-	f.faults.AddRule(chaos.Rule{Host: victim, PathPrefix: "/v1/classify", Fault: chaos.FaultReset})
+	f.Faults.AddRule(chaos.Rule{Host: victim, PathPrefix: "/v1/classify", Fault: chaos.FaultReset})
 	for i := 0; i < 8; i++ {
 		sent++
-		r, err := post(ctx, f.base+"/v1/classify", classifyBody(selections[0], img))
+		r, err := post(ctx, f.Base+"/v1/classify", ClassifyBody(selections[0], img))
 		if err != nil {
 			return fmt.Errorf("failover classify %d: %w", i, err)
 		}
 		answered++
-		if r.status == http.StatusOK {
+		if r.Status == http.StatusOK {
 			clientOK++
 		}
-		if hostOf(r.backend) == victim {
+		if r.ServedBy() == victim {
 			// A reply from the reset-storm shard would mean the rule did
 			// not fire; surface it through the conservation counts.
 			clientOK--
 		}
 	}
-	rep.CheckConservation(sent, answered, completions(f.faults, "/v1/classify", http.StatusOK), clientOK)
+	rep.CheckConservation(sent, answered, completions(f.Faults, "/v1/classify", http.StatusOK), clientOK)
 	return nil
 }
 
@@ -155,13 +91,13 @@ func scenarioResetFailover(ctx context.Context, seed uint64, opts Options, rep *
 // must be evicted and rebuilt exactly once more — not zero, not per
 // subsequent request).
 func scenarioCalibrateOnce(ctx context.Context, seed uint64, opts Options, rep *chaos.Report) error {
-	selA := selection{Model: "ViT-Nano", Method: "BaseQ", Bits: 6}
-	selB := selection{Model: "ViT-Nano", Method: "QUQ", Bits: 6}
-	keyA, err := selA.key()
+	selA := Selection{Model: "ViT-Nano", Method: "BaseQ", Bits: 6}
+	selB := Selection{Model: "ViT-Nano", Method: "QUQ", Bits: 6}
+	keyA, err := selA.Key()
 	if err != nil {
 		return err
 	}
-	keyB, err := selB.key()
+	keyB, err := selB.Key()
 	if err != nil {
 		return err
 	}
@@ -186,17 +122,17 @@ func scenarioCalibrateOnce(ctx context.Context, seed uint64, opts Options, rep *
 		}
 		return nil
 	}
-	f, err := boot(ctx, 3, 1, cfg, &chaos.Script{Name: "calibrate-once", Seed: seed}, opts)
+	f, err := Boot(ctx, 3, 1, cfg, &chaos.Script{Name: "calibrate-once", Seed: seed}, opts)
 	if err != nil {
 		return err
 	}
-	defer f.close()
+	defer f.Close()
 
 	// Key A: the first caller hits the owning backend directly and
 	// disconnects while its build is in flight. The build is detached
 	// from the caller, so it must complete and serve the next request
 	// from cache.
-	owner, ok := f.front.Ring().Owner(keyA)
+	owner, ok := f.Front.Ring().Owner(keyA)
 	if !ok {
 		return errors.New("empty ring")
 	}
@@ -216,27 +152,27 @@ func scenarioCalibrateOnce(ctx context.Context, seed uint64, opts Options, rep *
 	// The second caller goes through the front-end; the ring is
 	// untouched, so it lands on the same backend and must find the
 	// abandoned build's entry, not start a second calibration.
-	r, err := post(ctx, f.base+"/v1/quantize", selA)
+	r, err := post(ctx, f.Base+"/v1/quantize", selA)
 	if err != nil {
 		return err
 	}
-	if r.status != http.StatusOK {
-		return fmt.Errorf("quantize after disconnect: status %d", r.status)
+	if r.Status != http.StatusOK {
+		return fmt.Errorf("quantize after disconnect: status %d", r.Status)
 	}
 
 	// Key B: first build fails (500 to the client — relayed, never
 	// retried by the front), the entry is evicted, the retry rebuilds.
-	if r, err = post(ctx, f.base+"/v1/quantize", selB); err != nil {
+	if r, err = post(ctx, f.Base+"/v1/quantize", selB); err != nil {
 		return err
 	}
-	if r.status != http.StatusInternalServerError {
-		return fmt.Errorf("failing calibration: status %d, want 500", r.status)
+	if r.Status != http.StatusInternalServerError {
+		return fmt.Errorf("failing calibration: status %d, want 500", r.Status)
 	}
-	if r, err = post(ctx, f.base+"/v1/quantize", selB); err != nil {
+	if r, err = post(ctx, f.Base+"/v1/quantize", selB); err != nil {
 		return err
 	}
-	if r.status != http.StatusOK {
-		return fmt.Errorf("calibration retry: status %d, want 200", r.status)
+	if r.Status != http.StatusOK {
+		return fmt.Errorf("calibration retry: status %d, want 200", r.Status)
 	}
 
 	mu.Lock()
@@ -258,32 +194,32 @@ func scenarioBackpressure(ctx context.Context, seed uint64, opts Options, rep *c
 	script := &chaos.Script{Name: "backpressure-storm", Seed: seed, Rules: []chaos.Rule{
 		{Method: http.MethodPost, PathPrefix: "/v1/classify", Fault: chaos.Fault429},
 	}}
-	f, err := boot(ctx, 3, 1, baseConfig(seed), script, opts)
+	f, err := Boot(ctx, 3, 1, baseConfig(seed), script, opts)
 	if err != nil {
 		return err
 	}
-	defer f.close()
+	defer f.Close()
 
 	img := data.Images(vit.ViTNano, 1, seed)[0].Data()
 	const sent = 6
 	got429, gotRetryAfter := 0, 0
 	for i := 0; i < sent; i++ {
-		sel := selection{Model: "ViT-Nano", Method: "QUQ", Bits: 6}
+		sel := Selection{Model: "ViT-Nano", Method: "QUQ", Bits: 6}
 		if i%2 == 1 {
 			sel.Method = "BaseQ"
 		}
-		r, err := post(ctx, f.base+"/v1/classify", classifyBody(sel, img))
+		r, err := post(ctx, f.Base+"/v1/classify", ClassifyBody(sel, img))
 		if err != nil {
 			return fmt.Errorf("storm classify %d: %w", i, err)
 		}
-		if r.status == http.StatusTooManyRequests {
+		if r.Status == http.StatusTooManyRequests {
 			got429++
 		}
-		if r.retryAfter == "7" {
+		if r.Header.Get("Retry-After") == "7" {
 			gotRetryAfter++
 		}
 	}
-	attempts := f.faults.Count(http.MethodPost, "/v1/classify", "", chaos.FaultNone, true)
+	attempts := f.Faults.Count(http.MethodPost, "/v1/classify", "", chaos.FaultNone, true)
 	rep.CheckNeverRetried(sent, attempts, got429, gotRetryAfter)
 	return nil
 }
@@ -296,13 +232,13 @@ func scenarioBackpressure(ctx context.Context, seed uint64, opts Options, rep *c
 // keysPerShard keys, keeping the report's counts independent of the
 // ephemeral port layout.
 func scenarioBoundedRemap(ctx context.Context, seed uint64, opts Options, rep *chaos.Report) error {
-	f, err := boot(ctx, 3, 1, baseConfig(seed), &chaos.Script{Name: "eject-readmit", Seed: seed}, opts)
+	f, err := Boot(ctx, 3, 1, baseConfig(seed), &chaos.Script{Name: "eject-readmit", Seed: seed}, opts)
 	if err != nil {
 		return err
 	}
-	defer f.close()
+	defer f.Close()
 
-	ring := f.front.Ring()
+	ring := f.Front.Ring()
 	backends := ring.Backends()
 	index := map[string]int{}
 	for i, b := range backends {
@@ -342,16 +278,16 @@ func scenarioBoundedRemap(ctx context.Context, seed uint64, opts Options, rep *c
 		return err
 	}
 	const victim = 0 // first shard in address order; owns keysPerShard keys by construction
-	f.faults.AddRule(chaos.Rule{Host: hostOf(backends[victim].Addr()), PathPrefix: "/healthz", Fault: chaos.FaultReset})
-	f.front.ProbeNow(ctx) // FailAfter=2: one strike
-	f.front.ProbeNow(ctx) // ejected
+	f.Faults.AddRule(chaos.Rule{Host: hostOf(backends[victim].Addr()), PathPrefix: "/healthz", Fault: chaos.FaultReset})
+	f.Front.ProbeNow(ctx) // FailAfter=2: one strike
+	f.Front.ProbeNow(ctx) // ejected
 	during, err := pickAll()
 	if err != nil {
 		return err
 	}
-	f.faults.ClearRules()
-	f.front.ProbeNow(ctx) // OkAfter=2: hysteresis holds it out one more round
-	f.front.ProbeNow(ctx) // readmitted
+	f.Faults.ClearRules()
+	f.Front.ProbeNow(ctx) // OkAfter=2: hysteresis holds it out one more round
+	f.Front.ProbeNow(ctx) // readmitted
 	after, err := pickAll()
 	if err != nil {
 		return err
@@ -433,48 +369,19 @@ func scenarioBoundedDrain(ctx context.Context, seed uint64, opts Options, rep *c
 	return nil
 }
 
-// rawPost sends one body and returns the verbatim response bytes — the
-// replica-divergence check compares them byte for byte.
-func rawPost(ctx context.Context, url string, body any) (int, []byte, error) {
-	buf, err := json.Marshal(body)
-	if err != nil {
-		return 0, nil, err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(buf))
-	if err != nil {
-		return 0, nil, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return 0, nil, err
-	}
-	raw, err := io.ReadAll(resp.Body)
-	if cerr := resp.Body.Close(); cerr != nil && err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return 0, nil, err
-	}
-	return resp.StatusCode, raw, nil
-}
-
 // adminPost drives one membership mutation through the front-end's
 // admin surface and decodes its outcome.
 func adminPost(ctx context.Context, url, addr string) (epoch uint64, moved int, err error) {
-	status, raw, err := rawPost(ctx, url, map[string]string{"addr": addr})
+	r, err := post(ctx, url, map[string]string{"addr": addr})
 	if err != nil {
 		return 0, 0, err
-	}
-	if status != http.StatusOK {
-		return 0, 0, fmt.Errorf("%s: status %d: %s", url, status, raw)
 	}
 	var out struct {
 		Epoch uint64 `json:"epoch"`
 		Moved int    `json:"moved"`
 	}
-	if err := json.Unmarshal(raw, &out); err != nil {
-		return 0, 0, err
+	if err := r.JSON(&out); err != nil {
+		return 0, 0, fmt.Errorf("%s: %w", url, err)
 	}
 	return out.Epoch, out.Moved, nil
 }
@@ -509,42 +416,42 @@ func buildCounter(seed uint64) (serve.Config, func() map[string]int) {
 // A second quantize hits both warm caches without adding builds.
 func scenarioReplicaDivergence(ctx context.Context, seed uint64, opts Options, rep *chaos.Report) error {
 	cfg, snapshot := buildCounter(seed)
-	f, err := boot(ctx, 3, 2, cfg, &chaos.Script{Name: "replica-divergence", Seed: seed}, opts)
+	f, err := Boot(ctx, 3, 2, cfg, &chaos.Script{Name: "replica-divergence", Seed: seed}, opts)
 	if err != nil {
 		return err
 	}
-	defer f.close()
+	defer f.Close()
 
-	sel := selection{Model: "ViT-Nano", Method: "QUQ", Bits: 6}
-	key, err := sel.key()
+	sel := Selection{Model: "ViT-Nano", Method: "QUQ", Bits: 6}
+	key, err := sel.Key()
 	if err != nil {
 		return err
 	}
 	for i := 0; i < 2; i++ { // second pass must be a fleet-wide cache hit
-		r, err := post(ctx, f.base+"/v1/quantize", sel)
+		r, err := post(ctx, f.Base+"/v1/quantize", sel)
 		if err != nil {
 			return fmt.Errorf("replicated quantize %d: %w", i, err)
 		}
-		if r.status != http.StatusOK {
-			return fmt.Errorf("replicated quantize %d: status %d", i, r.status)
+		if r.Status != http.StatusOK {
+			return fmt.Errorf("replicated quantize %d: status %d", i, r.Status)
 		}
 	}
 
-	owners := f.front.Ring().OwnerN(key, 2)
+	owners := f.Front.Ring().OwnerN(key, 2)
 	if len(owners) != 2 {
 		return fmt.Errorf("OwnerN returned %d owners, want 2", len(owners))
 	}
 	img := data.Images(vit.ViTNano, 1, seed)[0].Data()
 	bodies := make([][]byte, len(owners))
 	for i, o := range owners {
-		status, raw, err := rawPost(ctx, o.Addr()+"/v1/classify", classifyBody(sel, img))
+		r, err := post(ctx, o.Addr()+"/v1/classify", ClassifyBody(sel, img))
 		if err != nil {
 			return fmt.Errorf("direct classify on replica %d: %w", i, err)
 		}
-		if status != http.StatusOK {
-			return fmt.Errorf("direct classify on replica %d: status %d", i, status)
+		if r.Status != http.StatusOK {
+			return fmt.Errorf("direct classify on replica %d: status %d", i, r.Status)
 		}
-		bodies[i] = raw
+		bodies[i] = r.Body
 	}
 	rep.CheckCalibrateAtMostR(snapshot(), 2)
 	rep.CheckReplicasIdentical(len(owners), bytes.Equal(bodies[0], bodies[1]))
@@ -558,40 +465,23 @@ func scenarioReplicaDivergence(ctx context.Context, seed uint64, opts Options, r
 	// int path sums exactly then scales once; the float path rounds per
 	// accumulation step), which is why this check requantizes instead of
 	// comparing response bodies.
-	intHost := hostOf(owners[1].Addr())
-	var intBackend *backendShard
-	for _, b := range f.backends {
-		if b.host == intHost {
-			intBackend = b
-		}
+	intBackend, err := f.BackendAt(owners[1].Addr())
+	if err != nil {
+		return err
 	}
-	if intBackend == nil {
-		return fmt.Errorf("no backend matches owner host %s", intHost)
-	}
-	if n, err := intBackend.srv.SetIntPath(true); err != nil || n < 1 {
-		return fmt.Errorf("enabling int path on %s: toggled %d entries, err %v", intHost, n, err)
+	if n, err := intBackend.Srv.SetIntPath(true); err != nil || n < 1 {
+		return fmt.Errorf("enabling int path on %s: toggled %d entries, err %v", intBackend.Host, n, err)
 	}
 	args := make([]int, len(owners))
 	logits := make([][]float64, len(owners))
 	for i, o := range owners {
-		status, raw, err := rawPost(ctx, o.Addr()+"/v1/classify", classifyBody(sel, img))
+		r, err := post(ctx, o.Addr()+"/v1/classify", ClassifyBody(sel, img))
 		if err != nil {
 			return fmt.Errorf("mixed-backend classify on replica %d: %w", i, err)
 		}
-		if status != http.StatusOK {
-			return fmt.Errorf("mixed-backend classify on replica %d: status %d", i, status)
-		}
-		var out struct {
-			Results []struct {
-				ArgMax int       `json:"argmax"`
-				Logits []float64 `json:"logits"`
-			} `json:"results"`
-		}
-		if err := json.Unmarshal(raw, &out); err != nil {
+		out, err := r.Classified(1)
+		if err != nil {
 			return fmt.Errorf("mixed-backend classify on replica %d: %w", i, err)
-		}
-		if len(out.Results) != 1 {
-			return fmt.Errorf("mixed-backend classify on replica %d: %d results, want 1", i, len(out.Results))
 		}
 		args[i] = out.Results[0].ArgMax
 		logits[i] = out.Results[0].Logits
@@ -626,38 +516,38 @@ func requantGrid(v float64) float64 {
 // calibrations, zero answers from the corpse.
 func scenarioReplicaFailover(ctx context.Context, seed uint64, opts Options, rep *chaos.Report) error {
 	cfg, snapshot := buildCounter(seed)
-	f, err := boot(ctx, 3, 2, cfg, &chaos.Script{Name: "replica-failover", Seed: seed}, opts)
+	f, err := Boot(ctx, 3, 2, cfg, &chaos.Script{Name: "replica-failover", Seed: seed}, opts)
 	if err != nil {
 		return err
 	}
-	defer f.close()
+	defer f.Close()
 
-	sel := selection{Model: "ViT-Nano", Method: "BaseQ", Bits: 6}
-	key, err := sel.key()
+	sel := Selection{Model: "ViT-Nano", Method: "BaseQ", Bits: 6}
+	key, err := sel.Key()
 	if err != nil {
 		return err
 	}
-	if r, err := post(ctx, f.base+"/v1/quantize", sel); err != nil || r.status != http.StatusOK {
-		return fmt.Errorf("replicated warm: %v (status %d)", err, r.status)
+	if r, err := post(ctx, f.Base+"/v1/quantize", sel); err != nil || r.Status != http.StatusOK {
+		return fmt.Errorf("replicated warm: %v (status %d)", err, r.Status)
 	}
 	warmBuilds := snapshot()[key]
 
-	owners := f.front.Ring().OwnerN(key, 2)
+	owners := f.Front.Ring().OwnerN(key, 2)
 	if len(owners) != 2 {
 		return fmt.Errorf("OwnerN returned %d owners, want 2", len(owners))
 	}
 	victim := hostOf(owners[0].Addr())
-	f.faults.AddRule(chaos.Rule{Host: victim, PathPrefix: "/v1/classify", Fault: chaos.FaultReset})
+	f.Faults.AddRule(chaos.Rule{Host: victim, PathPrefix: "/v1/classify", Fault: chaos.FaultReset})
 
 	img := data.Images(vit.ViTNano, 1, seed)[0].Data()
 	const reads = 6
 	readsOK := 0
 	for i := 0; i < reads; i++ {
-		r, err := post(ctx, f.base+"/v1/classify", classifyBody(sel, img))
+		r, err := post(ctx, f.Base+"/v1/classify", ClassifyBody(sel, img))
 		if err != nil {
 			return fmt.Errorf("failover read %d: %w", i, err)
 		}
-		if r.status == http.StatusOK && hostOf(r.backend) != victim {
+		if r.Status == http.StatusOK && r.ServedBy() != victim {
 			readsOK++
 		}
 	}
@@ -672,40 +562,39 @@ func scenarioReplicaFailover(ctx context.Context, seed uint64, opts Options, rep
 // before departure, and the key keeps serving warm afterwards.
 func scenarioMembershipElastic(ctx context.Context, seed uint64, opts Options, rep *chaos.Report) error {
 	cfg, snapshot := buildCounter(seed)
-	f, err := boot(ctx, 2, 1, cfg, &chaos.Script{Name: "membership-elastic", Seed: seed}, opts)
+	f, err := Boot(ctx, 2, 1, cfg, &chaos.Script{Name: "membership-elastic", Seed: seed}, opts)
 	if err != nil {
 		return err
 	}
-	defer f.close()
-	epochs := []uint64{f.front.Members().Epoch()}
+	defer f.Close()
+	epochs := []uint64{f.Front.Members().Epoch()}
 
-	sel := selection{Model: "ViT-Nano", Method: "QUQ", Bits: 6}
-	key, err := sel.key()
+	sel := Selection{Model: "ViT-Nano", Method: "QUQ", Bits: 6}
+	key, err := sel.Key()
 	if err != nil {
 		return err
 	}
-	if r, err := post(ctx, f.base+"/v1/quantize", sel); err != nil || r.status != http.StatusOK {
-		return fmt.Errorf("warm: %v (status %d)", err, r.status)
+	if r, err := post(ctx, f.Base+"/v1/quantize", sel); err != nil || r.Status != http.StatusOK {
+		return fmt.Errorf("warm: %v (status %d)", err, r.Status)
 	}
-	owner, ok := f.front.Ring().Owner(key)
+	owner, ok := f.Front.Ring().Owner(key)
 	if !ok {
 		return errors.New("empty ring")
 	}
 
 	// Join a cold third backend through the admin surface.
-	third, err := f.startBackend(cfg)
+	third, err := f.StartBackend(ctx, cfg)
 	if err != nil {
 		return fmt.Errorf("starting late backend: %w", err)
 	}
-	f.backends = append(f.backends, third)
-	epoch, _, err := adminPost(ctx, f.base+"/admin/join", third.host)
+	epoch, _, err := adminPost(ctx, f.Base+"/admin/join", third.Host)
 	if err != nil {
 		return err
 	}
 	epochs = append(epochs, epoch)
 
 	// Drain the owner: its one calibrated key must re-home first.
-	epoch, moved, err := adminPost(ctx, f.base+"/admin/drain", hostOf(owner.Addr()))
+	epoch, moved, err := adminPost(ctx, f.Base+"/admin/drain", hostOf(owner.Addr()))
 	if err != nil {
 		return err
 	}
@@ -715,19 +604,19 @@ func scenarioMembershipElastic(ctx context.Context, seed uint64, opts Options, r
 	// The key keeps serving — warm, off a survivor, no recalibration.
 	img := data.Images(vit.ViTNano, 1, seed)[0].Data()
 	lost := 0
-	r, err := post(ctx, f.base+"/v1/classify", classifyBody(sel, img))
+	r, err := post(ctx, f.Base+"/v1/classify", ClassifyBody(sel, img))
 	if err != nil {
 		return fmt.Errorf("post-drain read: %w", err)
 	}
-	if r.status != http.StatusOK || hostOf(r.backend) == hostOf(owner.Addr()) {
+	if r.Status != http.StatusOK || r.ServedBy() == hostOf(owner.Addr()) {
 		lost++
 	}
 	lost += snapshot()[key] - drainedBuilds
 
 	// Abrupt leave of a remaining original member still bumps the epoch.
-	for _, b := range f.backends[:2] {
-		if b.host != hostOf(owner.Addr()) {
-			epoch, _, err = adminPost(ctx, f.base+"/admin/leave", b.host)
+	for _, b := range f.Backends[:2] {
+		if b.Host != hostOf(owner.Addr()) {
+			epoch, _, err = adminPost(ctx, f.Base+"/admin/leave", b.Host)
 			if err != nil {
 				return err
 			}
@@ -737,36 +626,6 @@ func scenarioMembershipElastic(ctx context.Context, seed uint64, opts Options, r
 	}
 	rep.CheckElasticMembership(epochs, moved, lost)
 	return nil
-}
-
-// budgetPost is rawPost with an X-Quq-Latency-Budget header attached —
-// the overload scenario's lenient backdrop client and its impatient
-// probes differ only in this header.
-func budgetPost(ctx context.Context, url, budget string, body any) (int, http.Header, error) {
-	buf, err := json.Marshal(body)
-	if err != nil {
-		return 0, nil, err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(buf))
-	if err != nil {
-		return 0, nil, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	if budget != "" {
-		req.Header.Set(serve.LatencyBudgetHeader, budget)
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return 0, nil, err
-	}
-	_, err = io.Copy(io.Discard, resp.Body)
-	if cerr := resp.Body.Close(); cerr != nil && err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return 0, nil, err
-	}
-	return resp.StatusCode, resp.Header, nil
 }
 
 // scenarioOverloadShed drives the occupancy-adaptive scheduler through
@@ -808,13 +667,13 @@ func scenarioOverloadShed(ctx context.Context, seed uint64, opts Options, rep *c
 	cfg.Governor = serve.GovernorOptions{
 		Window: 500 * time.Millisecond, MinIntraOp: 1, MaxIntraOp: 4, Clock: clk,
 	}
-	f, err := boot(ctx, 1, 1, cfg, &chaos.Script{Name: "overload-shed", Seed: seed}, opts)
+	f, err := Boot(ctx, 1, 1, cfg, &chaos.Script{Name: "overload-shed", Seed: seed}, opts)
 	if err != nil {
 		return err
 	}
-	defer f.close()
-	backend := f.backends[0]
-	sel := selection{Model: "ViT-Nano", Method: "QUQ", Bits: 6}
+	defer f.Close()
+	backend := f.Backends[0]
+	sel := Selection{Model: "ViT-Nano", Method: "QUQ", Bits: 6}
 	imgs := data.Images(vit.ViTNano, 12, seed)
 	flat := make([][]float64, len(imgs))
 	for i, img := range imgs {
@@ -828,8 +687,8 @@ func scenarioOverloadShed(ctx context.Context, seed uint64, opts Options, rep *c
 	}
 
 	// Warm the key so classify latency is pure serving, not calibration.
-	if r, err := post(ctx, f.base+"/v1/quantize", sel); err != nil || r.status != http.StatusOK {
-		return fmt.Errorf("warm quantize: status %v: %w", r.status, err)
+	if r, err := post(ctx, f.Base+"/v1/quantize", sel); err != nil || r.Status != http.StatusOK {
+		return fmt.Errorf("warm quantize: status %v: %w", r.Status, err)
 	}
 
 	admitted, withinBudget := 0, 0
@@ -852,29 +711,29 @@ func scenarioOverloadShed(ctx context.Context, seed uint64, opts Options, rep *c
 	// so the governor holds the wide point it boots with.
 	for i := 0; i < 2; i++ {
 		if err := timed(cfg.Batcher.LatencyBudget, func() error {
-			r, err := post(ctx, f.base+"/v1/classify", classifyBody(sel, flat[0]))
-			if err != nil || r.status != http.StatusOK {
-				return fmt.Errorf("sparse classify %d: status %d: %w", i, r.status, err)
+			r, err := post(ctx, f.Base+"/v1/classify", ClassifyBody(sel, flat[0]))
+			if err != nil || r.Status != http.StatusOK {
+				return fmt.Errorf("sparse classify %d: status %d: %w", i, r.Status, err)
 			}
 			return nil
 		}); err != nil {
 			return err
 		}
 	}
-	workerPath = append(workerPath, int(backend.srv.Metrics().IntraopWorkers.Value()))
+	workerPath = append(workerPath, int(backend.Srv.Metrics().IntraopWorkers.Value()))
 
 	// Phase 2 — one full batch: instantaneous occupancy 1.0 shrinks the
 	// per-batch worker budget to the floor.
 	if err := timed(cfg.Batcher.LatencyBudget, func() error {
-		status, _, err := budgetPost(ctx, f.base+"/v1/classify", "", multi(4))
-		if err != nil || status != http.StatusOK {
-			return fmt.Errorf("full batch: status %d: %w", status, err)
+		r, err := post(ctx, f.Base+"/v1/classify", multi(4))
+		if err != nil || r.Status != http.StatusOK {
+			return fmt.Errorf("full batch: status %d: %w", r.Status, err)
 		}
 		return nil
 	}); err != nil {
 		return err
 	}
-	workerPath = append(workerPath, int(backend.srv.Metrics().IntraopWorkers.Value()))
+	workerPath = append(workerPath, int(backend.Srv.Metrics().IntraopWorkers.Value()))
 
 	// Phase 3 — overload: jam the workers and queue a 12-image backdrop
 	// from a lenient client (wide explicit budget) straight at the
@@ -888,29 +747,30 @@ func scenarioOverloadShed(ctx context.Context, seed uint64, opts Options, rep *c
 	backdropErr := make(chan error, 1)
 	go func() {
 		backdropErr <- timed(time.Second, func() error {
-			status, _, err := budgetPost(ctx, "http://"+backend.host+"/v1/classify", "1s", multi(12))
-			if err != nil || status != http.StatusOK {
-				return fmt.Errorf("backdrop: status %d: %w", status, err)
+			r, err := Do(ctx, http.MethodPost, backend.URL()+"/v1/classify", multi(12),
+				http.Header{serve.LatencyBudgetHeader: {"1s"}})
+			if err != nil || r.Status != http.StatusOK {
+				return fmt.Errorf("backdrop: status %d: %w", r.Status, err)
 			}
 			return nil
 		})
 	}()
-	for backend.srv.Metrics().QueueDepth.Value() != 12 {
+	for backend.Srv.Metrics().QueueDepth.Value() != 12 {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
 		runtime.Gosched()
 	}
 
-	status, hdr, err := budgetPost(ctx, "http://"+backend.host+"/v1/classify", "", classifyBody(sel, flat[0]))
+	probe, err := post(ctx, backend.URL()+"/v1/classify", ClassifyBody(sel, flat[0]))
 	if err != nil {
 		return fmt.Errorf("shed probe: %w", err)
 	}
 	shed := 0
-	if status == http.StatusTooManyRequests && hdr.Get("Retry-After") != "" {
-		shed = int(backend.srv.Metrics().Shed.Value())
+	if probe.Status == http.StatusTooManyRequests && probe.Header.Get("Retry-After") != "" {
+		shed = int(backend.Srv.Metrics().Shed.Value())
 	}
-	shedQueueSlots := int(backend.srv.Metrics().QueueDepth.Value()) - 12
+	shedQueueSlots := int(backend.Srv.Metrics().QueueDepth.Value()) - 12
 
 	block.Store(false)
 	close(gate)
@@ -924,33 +784,22 @@ func scenarioOverloadShed(ctx context.Context, seed uint64, opts Options, rep *c
 		return err
 	}
 	if err := timed(cfg.Batcher.LatencyBudget, func() error {
-		r, err := post(ctx, f.base+"/v1/classify", classifyBody(sel, flat[0]))
-		if err != nil || r.status != http.StatusOK {
-			return fmt.Errorf("recovery classify: status %d: %w", r.status, err)
+		r, err := post(ctx, f.Base+"/v1/classify", ClassifyBody(sel, flat[0]))
+		if err != nil || r.Status != http.StatusOK {
+			return fmt.Errorf("recovery classify: status %d: %w", r.Status, err)
 		}
 		return nil
 	}); err != nil {
 		return err
 	}
-	workerPath = append(workerPath, int(backend.srv.Metrics().IntraopWorkers.Value()))
+	workerPath = append(workerPath, int(backend.Srv.Metrics().IntraopWorkers.Value()))
 
 	// The shed counter must surface through the front-end's merged view.
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, f.base+"/metrics", nil)
-	if err != nil {
-		return err
-	}
-	resp, err := http.DefaultClient.Do(req)
+	page, err := Do(ctx, http.MethodGet, f.Base+"/metrics", nil, nil)
 	if err != nil {
 		return fmt.Errorf("merged metrics: %w", err)
 	}
-	page, err := io.ReadAll(resp.Body)
-	if cerr := resp.Body.Close(); cerr != nil && err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return err
-	}
-	merged := strings.Contains(string(page), fmt.Sprintf("quq_serve_shed_total %d", shed))
+	merged := strings.Contains(string(page.Body), fmt.Sprintf("quq_serve_shed_total %d", shed))
 
 	rep.CheckLatencySLO(admitted, withinBudget, shed, shedQueueSlots, workerPath, merged)
 	return nil

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"quq/internal/chaos"
 	"quq/internal/data"
 	"quq/internal/ptq"
 	"quq/internal/tensor"
@@ -85,6 +86,91 @@ func TestBatcherMaxBatchFlush(t *testing.T) {
 	}
 	if n := met.BatchSize.Count(); n != 2 {
 		t.Fatalf("dispatched %d batches, want 2 (size-triggered)", n)
+	}
+}
+
+// TestBatcherImmediateDispatchSkipsLinger pins the governor's half of
+// the dispatch decision on a fake clock. The hour-long linger can never
+// fire, so the only thing that moves a lone image is the flush at the
+// end of Submit: taken in the low-occupancy regime, withheld in the load
+// regime until the occupancy window ages out, and never taken with the
+// governor off (Window 0).
+func TestBatcherImmediateDispatchSkipsLinger(t *testing.T) {
+	qm, imgs := batchModel(t)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	opts := BatcherOptions{MaxBatch: 8, Linger: time.Hour, QueueCap: 64}
+	// open reports whether key "k" still has an undispatched batch.
+	open := func(b *Batcher) bool {
+		b.mu.Lock()
+		defer b.mu.Unlock()
+		return b.pend["k"] != nil
+	}
+	submit := func(b *Batcher, images []*tensor.Tensor) []*Item {
+		t.Helper()
+		items, err := b.Submit(context.Background(), "k", qm, images)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return items
+	}
+
+	clk := chaos.NewFake()
+	met := NewMetrics()
+	gov := NewGovernor(GovernorOptions{Window: 100 * time.Millisecond, Clock: clk}, met)
+	b := NewBatcher(opts, gov, met)
+
+	// Idle server, lone single: dispatched by the submit itself, alone.
+	single := submit(b, imgs[:1])
+	if open(b) {
+		t.Fatal("low-occupancy single still pending after Submit: the immediate-dispatch flush did not run")
+	}
+	if err := Await(ctx, single); err != nil {
+		t.Fatal(err)
+	}
+	if n, occ := met.Occupancy.Count(), met.Occupancy.Sum(); n != 1 || occ != 1.0/8 {
+		t.Fatalf("occupancy after the single: %d samples summing to %v, want 1 sample of 1/8", n, occ)
+	}
+
+	// One full batch (size-triggered) drops the governor to the load
+	// regime: the next single waits for company.
+	if err := Await(ctx, submit(b, imgs[:8])); err != nil {
+		t.Fatal(err)
+	}
+	waiting := submit(b, imgs[:1])
+	if !open(b) {
+		t.Fatal("single flushed at submit right after a full batch: load regime must keep lingering")
+	}
+	// Once the full batch ages out of the window, the next submit is back
+	// in the low-occupancy regime and takes the waiting single with it.
+	if err := clk.Sleep(ctx, 200*time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	waiting = append(waiting, submit(b, imgs[1:2])...)
+	if open(b) {
+		t.Fatal("batch still pending after the occupancy window aged out")
+	}
+	if err := Await(ctx, waiting); err != nil {
+		t.Fatal(err)
+	}
+	if n := met.BatchSize.Count(); n != 3 {
+		t.Fatalf("dispatched %d batches, want 3 (single, full, aged-out pair)", n)
+	}
+
+	// Governor off: the same single stays pending until Drain.
+	static := NewBatcher(opts, nil, nil)
+	held := submit(static, imgs[:1])
+	if !open(static) {
+		t.Fatal("Window 0 flushed a single at submit: static mode must wait out the linger")
+	}
+	if err := static.Drain(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := Await(ctx, held); err != nil {
+		t.Fatal(err)
+	}
+	if held[0].Err != nil || held[0].Out == nil {
+		t.Fatalf("drained single: out=%v err=%v", held[0].Out, held[0].Err)
 	}
 }
 

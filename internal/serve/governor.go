@@ -30,16 +30,6 @@ type GovernorOptions struct {
 	// contributes MaxIntraOp-1 extra workers to the tensor pool while the
 	// governor is in the low-occupancy regime.
 	MaxIntraOp int
-	// LowOccupancy is the window-average batch occupancy (images per
-	// dispatched batch / MaxBatch) at or below which the governor enters
-	// the low-occupancy regime: immediate dispatch, MaxIntraOp workers
-	// (default 0.25).
-	LowOccupancy float64
-	// HighOccupancy is the instantaneous occupancy at or above which the
-	// governor drops to the load regime: full linger batching,
-	// MinIntraOp workers (default 0.5). Shrinking keys off the latest
-	// batch, not the window average, so one full batch reacts instantly.
-	HighOccupancy float64
 	// Clock paces and timestamps every governor decision. Defaults to
 	// chaos.Real; tests and the chaos harness inject a *chaos.Fake so
 	// occupancy traces and shed decisions replay deterministically.
@@ -53,16 +43,24 @@ func (o *GovernorOptions) defaults() {
 	if o.MaxIntraOp < o.MinIntraOp {
 		o.MaxIntraOp = o.MinIntraOp
 	}
-	if o.LowOccupancy <= 0 {
-		o.LowOccupancy = 0.25
-	}
-	if o.HighOccupancy <= 0 {
-		o.HighOccupancy = 0.5
-	}
 	if o.Clock == nil {
 		o.Clock = chaos.Real
 	}
 }
+
+// The control law's occupancy thresholds (images per dispatched batch /
+// MaxBatch); docs/TUNING.md quotes them.
+const (
+	// lowOccupancy is the window-average occupancy at or below which the
+	// governor enters the low-occupancy regime: immediate dispatch,
+	// MaxIntraOp workers.
+	lowOccupancy = 0.25
+	// highOccupancy is the instantaneous occupancy at or above which the
+	// governor drops to the load regime: full linger batching, MinIntraOp
+	// workers. Shrinking keys off the latest batch, not the window
+	// average, so one full batch reacts instantly.
+	highOccupancy = 0.5
+)
 
 // govSample is one dispatch observation inside the sliding window.
 type govSample struct {
@@ -166,7 +164,7 @@ func (g *Governor) NoteService(images int, elapsed time.Duration) {
 // holds g.mu. The control law is asymmetric: shrinking keys off the
 // latest sample (one full batch drops the worker budget instantly, so a
 // burst never fights wide grants), raising requires the whole window
-// average to sit at or below LowOccupancy with a shallow queue.
+// average to sit at or below lowOccupancy with a shallow queue.
 func (g *Governor) decideLocked(now time.Time) {
 	if !g.enabled() {
 		g.workers = g.opts.MinIntraOp
@@ -195,10 +193,10 @@ func (g *Governor) decideLocked(now time.Time) {
 	}
 	avg := sum / float64(len(g.samples))
 	switch {
-	case latest.occ >= g.opts.HighOccupancy || latest.depth > g.maxBatch:
+	case latest.occ >= highOccupancy || latest.depth > g.maxBatch:
 		g.workers = g.opts.MinIntraOp
 		g.immediate = false
-	case avg <= g.opts.LowOccupancy && latest.depth <= g.maxBatch:
+	case avg <= lowOccupancy && latest.depth <= g.maxBatch:
 		g.workers = g.opts.MaxIntraOp
 		g.immediate = true
 	}

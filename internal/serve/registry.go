@@ -94,9 +94,9 @@ func isMethod(canon string) bool {
 	return false
 }
 
-// Key bit-width protocol bounds: ptq enforces the lower bound, the
-// default RegistryOptions.MaxBits the upper. CanonicalKey applies both so
-// a front-end can reject garbage before hashing.
+// Key bit-width protocol bounds (ptq enforces the lower one too).
+// CanonicalKey applies both, so a front-end rejects garbage before
+// hashing and no out-of-range key ever reaches a build slot.
 const (
 	MinBits = 3
 	MaxBits = 16
@@ -205,9 +205,6 @@ type RegistryOptions struct {
 	// (artifacts/vit-nano.ckpt); when set, the ViT-Nano base model is
 	// loaded from it instead of using synthetic weights.
 	Checkpoint string
-	// MaxBits bounds requested bit-widths (default 16; ptq enforces the
-	// lower bound of 3).
-	MaxBits int
 	// BuildHook, when set, runs at the start of every calibration build
 	// with the entry's key. It is the chaos layer's calibration seam: a
 	// hook that sleeps simulates slow calibration, a hook that returns
@@ -246,9 +243,6 @@ func (o *RegistryOptions) defaults() {
 	}
 	if o.CalibImages == 0 {
 		o.CalibImages = 32
-	}
-	if o.MaxBits == 0 {
-		o.MaxBits = 16
 	}
 }
 
@@ -359,23 +353,6 @@ func (r *Registry) Config(name string) (vit.Config, bool) {
 // ConfigNames lists the servable models in sorted order.
 func (r *Registry) ConfigNames() []string { return append([]string(nil), r.names...) }
 
-// validate rejects malformed keys before they occupy a build slot.
-func (r *Registry) validate(key Key) error {
-	if _, ok := r.configs[key.Config]; !ok {
-		return fmt.Errorf("%w %q", ErrUnknownModel, key.Config)
-	}
-	if _, ok := newMethod(key.Method); !ok {
-		return fmt.Errorf("%w %q", ErrUnknownMethod, key.Method)
-	}
-	if key.Bits < 3 || key.Bits > r.opts.MaxBits {
-		return fmt.Errorf("%w: bits %d out of range [3, %d]", ErrBadRequest, key.Bits, r.opts.MaxBits)
-	}
-	if key.Regime != ptq.Partial && key.Regime != ptq.Full {
-		return fmt.Errorf("%w: unknown regime", ErrBadRequest)
-	}
-	return nil
-}
-
 // Get returns the quantized model for key, building it on first use.
 // The key is canonicalized first, so two spellings of one selection can
 // never occupy two build slots. The first Get for a key starts the
@@ -390,9 +367,6 @@ func (r *Registry) validate(key Key) error {
 func (r *Registry) Get(ctx context.Context, key Key) (*ptq.QuantizedModel, bool, error) {
 	key, err := CanonicalKey(key)
 	if err != nil {
-		return nil, false, err
-	}
-	if err := r.validate(key); err != nil {
 		return nil, false, err
 	}
 	if r.Warming() {

@@ -72,9 +72,6 @@ func (r *Registry) entryKeyFor(e *snapstore.Entry) (Key, error) {
 	if err != nil {
 		return Key{}, err
 	}
-	if err := r.validate(key); err != nil {
-		return Key{}, err
-	}
 	qm := e.Model
 	if key.Config != e.Config || key.Bits != qm.Bits || key.Method != qm.Method || key.Regime != qm.Regime {
 		return Key{}, fmt.Errorf("%w: snapshot metadata does not match key %s", ErrBadRequest, e.Key)

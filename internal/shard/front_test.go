@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -203,6 +204,65 @@ func TestFrontPropagatesBackpressure(t *testing.T) {
 	}
 	if got := f.Metrics().Backpressure.Value(); got != 1 {
 		t.Fatalf("backpressure counter = %d, want 1", got)
+	}
+}
+
+// holdBackend is a backend that parks every POST until released — the
+// shape of a healthy worker busy with a long calibration.
+func holdBackend(t *testing.T) (srv *httptest.Server, arrived <-chan struct{}, release func()) {
+	t.Helper()
+	in := make(chan struct{}, 8) // roomy: no test parks more than R=2 requests
+	gate := make(chan struct{})
+	srv = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost {
+			in <- struct{}{}
+			<-gate
+		}
+		w.Header().Set("Content-Type", "application/json")
+		fmt.Fprint(w, `{"key":"held"}`)
+	}))
+	var once sync.Once
+	release = func() { once.Do(func() { close(gate) }) }
+	t.Cleanup(srv.Close)
+	t.Cleanup(release) // LIFO: parked handlers are let go before srv.Close waits on them
+	return srv, in, release
+}
+
+// TestFrontClientCancelDoesNotEject: a client that hangs up (or whose
+// deadline expires) while the proxy waits on a healthy backend is the
+// client's failure, not the backend's — the front answers 504 and leaves
+// health alone, and the same backend serves the next request.
+func TestFrontClientCancelDoesNotEject(t *testing.T) {
+	srv, arrived, release := holdBackend(t)
+	f := shard.New(shard.Options{Backends: []string{srv.URL}, ProbeInterval: -1, Retries: -1, RetryBackoff: 1})
+	t.Cleanup(f.Close)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	req := httptest.NewRequest(http.MethodPost, "/v1/classify",
+		strings.NewReader(`{"model":"ViT-S","method":"QUQ","bits":6}`)).WithContext(ctx)
+	w := httptest.NewRecorder()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		f.Handler().ServeHTTP(w, req)
+	}()
+	<-arrived // the proxy is now waiting on the backend
+	cancel()  // ... and the client walks away
+	<-done
+	if w.Code != http.StatusGatewayTimeout {
+		t.Fatalf("cancelled request: status %d, want 504", w.Code)
+	}
+	if got := f.Metrics().Ejections.Value(); got != 0 {
+		t.Fatalf("ejections = %d after a client cancel, want 0", got)
+	}
+	if got := f.Ring().HealthyCount(); got != 1 {
+		t.Fatalf("healthy count = %d, want 1: the backend never failed", got)
+	}
+
+	release()
+	w2 := classify(t, f.Handler(), `{"model":"ViT-S","method":"QUQ","bits":6}`)
+	if w2.Code != http.StatusOK || w2.Header().Get(shard.BackendHeader) != srv.URL {
+		t.Fatalf("next request: status %d via %q, want 200 via %s", w2.Code, w2.Header().Get(shard.BackendHeader), srv.URL)
 	}
 }
 

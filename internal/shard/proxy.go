@@ -225,16 +225,19 @@ func (f *Front) handleProxy(w http.ResponseWriter, r *http.Request) {
 		}
 		resp, err := f.forward(r.Context(), b, r.URL.Path, body, replica, f.drawDelays())
 		if err != nil {
+			if cerr := r.Context().Err(); cerr != nil {
+				// The client hung up or its deadline expired while the
+				// backend was still working: that says nothing about the
+				// backend, so its health is left alone.
+				f.writeError(w, http.StatusGatewayTimeout, cerr)
+				return
+			}
 			// The backend is unreachable after retries: eject it so the
 			// ring stops routing there until a probe readmits it, and move
 			// this request to the next successor.
 			eject(b, f.met)
 			f.met.Healthy.Set(int64(f.ring.HealthyCount()))
 			exclude[b] = true
-			if r.Context().Err() != nil {
-				f.writeError(w, http.StatusGatewayTimeout, r.Context().Err())
-				return
-			}
 			continue
 		}
 		f.relay(w, resp, b)
@@ -269,8 +272,9 @@ func (f *Front) pickReplica(key string, exclude map[*Backend]bool) (*Backend, in
 // (it re-warms on demand once readmitted), never substituted — writes
 // past the set would smear calibrations onto non-owners and break the
 // at-most-R-builds invariant. Owners that fail mid-request are ejected
-// like any other connection failure; the request fails only when every
-// replica is unreachable.
+// like any other connection failure — unless the request itself was
+// cancelled, which fails every owner at once and blames none; the
+// request fails only when every replica is unreachable.
 func (f *Front) proxyReplicated(w http.ResponseWriter, r *http.Request, key string, body []byte) {
 	slots := []int{}
 	owners := []*Backend{}
@@ -303,6 +307,17 @@ func (f *Front) proxyReplicated(w http.ResponseWriter, r *http.Request, key stri
 		}(i, b)
 	}
 	wg.Wait()
+	if cerr := r.Context().Err(); cerr != nil {
+		// A cancelled or expired request fails every owner's round trip at
+		// once; none of them is at fault (see handleProxy).
+		for _, resp := range resps {
+			if resp != nil {
+				discard(resp)
+			}
+		}
+		f.writeError(w, http.StatusGatewayTimeout, cerr)
+		return
+	}
 	relay := -1
 	for i := range owners {
 		switch {

@@ -1,6 +1,7 @@
 package shard_test
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -163,6 +164,52 @@ func TestReplicatedQuantizeFansOut(t *testing.T) {
 				t.Fatalf("non-owner saw %d quantizes", n)
 			}
 		}
+	}
+}
+
+// TestReplicatedQuantizeClientCancelDoesNotEject: one cancelled quantize
+// must not eject the R owners it was fanned out to — they were healthy
+// and busy, the client left. The front answers 504, no replica loses
+// health, and the next quantize reaches the same owners.
+func TestReplicatedQuantizeClientCancelDoesNotEject(t *testing.T) {
+	srvA, arrivedA, releaseA := holdBackend(t)
+	srvB, arrivedB, releaseB := holdBackend(t)
+	f := shard.New(shard.Options{
+		Backends: []string{srvA.URL, srvB.URL}, Replicas: 2,
+		ProbeInterval: -1, Retries: -1, RetryBackoff: 1,
+	})
+	t.Cleanup(f.Close)
+
+	const body = `{"model":"ViT-S","method":"QUQ","bits":6}`
+	ctx, cancel := context.WithCancel(context.Background())
+	req := httptest.NewRequest(http.MethodPost, "/v1/quantize", strings.NewReader(body)).WithContext(ctx)
+	w := httptest.NewRecorder()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		f.Handler().ServeHTTP(w, req)
+	}()
+	<-arrivedA
+	<-arrivedB // both owners hold the fan-out
+	cancel()
+	<-done
+	if w.Code != http.StatusGatewayTimeout {
+		t.Fatalf("cancelled quantize: status %d, want 504", w.Code)
+	}
+	if got := f.Metrics().Ejections.Value(); got != 0 {
+		t.Fatalf("ejections = %d after a client cancel, want 0", got)
+	}
+	if got := f.Ring().HealthyCount(); got != 2 {
+		t.Fatalf("healthy count = %d, want 2: no replica failed", got)
+	}
+
+	releaseA()
+	releaseB()
+	w2 := post(t, f.Handler(), "/v1/quantize", body)
+	owners := f.Ring().OwnerN("ViT-S/QUQ/w6a6/partial", 2)
+	if w2.Code != http.StatusOK || w2.Header().Get(shard.BackendHeader) != owners[0].Addr() {
+		t.Fatalf("next quantize: status %d via %q, want 200 via primary %s",
+			w2.Code, w2.Header().Get(shard.BackendHeader), owners[0].Addr())
 	}
 }
 
