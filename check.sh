@@ -78,9 +78,11 @@ for pkg in $(go list ./...); do
   }
 done
 
-# Tuning-guide gate: every CLI flag of both serving binaries must be
-# documented in docs/TUNING.md (as `-flagname`), so the operator's
-# guide can never drift behind the code.
+# Tuning-guide gate, both ways: every CLI flag of both serving binaries
+# must be documented in docs/TUNING.md (as `-flagname`), and every
+# `-flagname` heading a row of one of its tables must still be a flag of
+# one of them — the operator's guide can neither drift behind the code
+# nor keep a removed flag.
 for main in cmd/quq-serve/main.go cmd/quq-shard/main.go; do
   for f in $(grep -o 'flag\.[A-Za-z0-9]*("[a-z-]*"' "$main" | sed 's/.*("\([a-z-]*\)".*/\1/'); do
     grep -Fq -- "\`-$f\`" docs/TUNING.md || {
@@ -89,7 +91,17 @@ for main in cmd/quq-serve/main.go cmd/quq-shard/main.go; do
     }
   done
 done
+for f in $(sed -n 's/^| `-\([a-z-]*\)` |.*/\1/p' docs/TUNING.md | sort -u); do
+  grep -q "flag\.[A-Za-z0-9]*(\"$f\"" cmd/quq-serve/main.go cmd/quq-shard/main.go || {
+    echo "docs/TUNING.md: row for -$f, which neither binary has" >&2
+    exit 1
+  }
+done
 
-gofmt -l . | tee /dev/stderr | wc -l | grep -qx 0
+# Printed through the inherited descriptor: opening /dev/stderr by path
+# would truncate a log file stderr is redirected to.
+unformatted=$(gofmt -l .)
+echo "$unformatted" >&2
+test -z "$unformatted"
 
 test "$(git status --porcelain -- artifacts 2>/dev/null || true)" = "$artifacts_before"

@@ -28,7 +28,6 @@ import (
 	"log"
 	"net/http"
 	"os/signal"
-	"runtime"
 	"syscall"
 	"time"
 
@@ -46,7 +45,7 @@ func main() {
 		seed     = flag.Uint64("seed", 2024, "base weight/calibration seed")
 		calib    = flag.Int("calib", 32, "calibration images per model build")
 		maxBatch = flag.Int("max-batch", 8, "micro-batch dispatch threshold (images)")
-		linger   = flag.Duration("linger", 2*time.Millisecond, "max wait for a micro-batch to fill")
+		linger   = flag.Duration("linger", 2*time.Millisecond, "max wait for an underfull micro-batch to fill under load (at low occupancy batches leave at submit)")
 		queue    = flag.Int("queue", 256, "admitted-image queue capacity (backpressure beyond)")
 		timeout  = flag.Duration("timeout", 60*time.Second, "per-request timeout, including first-request calibration")
 		maxBody  = flag.Int64("max-body", 8<<20, "request body size limit in bytes")
@@ -54,10 +53,7 @@ func main() {
 		intPath  = flag.Bool("int-path", false, "run QUQ-method weight GEMMs on resident integer operands (no float64 weight rehydration); requantized outputs are byte-identical to the float path")
 		snapDir  = flag.String("snapshot-dir", "", "directory for checksummed calibration snapshots; every successful build is persisted atomically and a restart warm-loads verified snapshots instead of recalibrating (empty disables durability)")
 
-		latencyBudget  = flag.Duration("latency-budget", 0, "default per-request latency budget; estimated queue waits beyond it shed with 429 (0 disables; X-Quq-Latency-Budget overrides per request)")
-		governorWindow = flag.Duration("governor-window", 0, "occupancy window for the adaptive scheduler (0 disables adaptation: static linger and min-intraop workers)")
-		minIntraOp     = flag.Int("min-intraop", 1, "per-batch intra-op worker floor the governor shrinks to under load")
-		maxIntraOp     = flag.Int("max-intraop", runtime.GOMAXPROCS(0), "per-batch intra-op worker ceiling granted at low occupancy")
+		latencyBudget = flag.Duration("latency-budget", 0, "default per-request latency budget; estimated queue waits beyond it shed with 429 (0 disables; X-Quq-Latency-Budget overrides per request)")
 	)
 	flag.Parse()
 	log.SetFlags(0)
@@ -75,11 +71,6 @@ func main() {
 			Linger:        *linger,
 			QueueCap:      *queue,
 			LatencyBudget: *latencyBudget,
-		},
-		Governor: serve.GovernorOptions{
-			Window:     *governorWindow,
-			MinIntraOp: *minIntraOp,
-			MaxIntraOp: *maxIntraOp,
 		},
 		RequestTimeout: *timeout,
 		MaxBodyBytes:   *maxBody,

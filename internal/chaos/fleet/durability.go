@@ -18,9 +18,14 @@ import (
 )
 
 // waitReady polls one backend's /models through the fake clock until
-// key is resident and ready, returning its digest.
+// key is resident and ready, returning its digest. The warm load or
+// repair it waits on does real work while the fake-clock sleeps cost
+// nothing, so the wait is bounded by real elapsed time, not by a poll
+// count a loaded machine can run through first.
 func (f *Fleet) waitReady(ctx context.Context, b *Backend, key string) (string, error) {
-	for i := 0; i < 400; i++ {
+	ctx, cancel := context.WithTimeout(ctx, 60*time.Second)
+	defer cancel()
+	for {
 		if r, err := Do(ctx, http.MethodGet, b.URL()+"/models", nil, nil); err == nil {
 			if entries, err := r.Models(); err == nil {
 				if e, ok := entries[key]; ok && e.Ready {
@@ -29,10 +34,9 @@ func (f *Fleet) waitReady(ctx context.Context, b *Backend, key string) (string, 
 			}
 		}
 		if err := f.Clock.Sleep(ctx, 5*time.Millisecond); err != nil {
-			return "", err
+			return "", fmt.Errorf("key %s never became ready on %s: %w", key, b.Host, err)
 		}
 	}
-	return "", fmt.Errorf("key %s never became ready on %s", key, b.Host)
 }
 
 // scenarioWarmRestart is the crash-restart fault: calibrate a key,

@@ -61,6 +61,7 @@ import (
 	"net"
 	"net/http"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"time"
@@ -224,9 +225,24 @@ func (f *Fleet) listenAndServe(ctx context.Context, addr string, h http.Handler)
 
 // StartBackend adds one quq-serve worker on an ephemeral loopback port.
 // It is not on the front's ring until something joins it (Boot does, for
-// the initial set; /admin/join later).
+// the initial set; /admin/join later). A config that names no governor
+// clock gets the fleet's, so the worker's occupancy window ages with the
+// fleet's fake time, not the wall.
 func (f *Fleet) StartBackend(ctx context.Context, cfg serve.Config) (*Backend, error) {
+	if cfg.Governor.Clock == nil {
+		cfg.Governor.Clock = f.Clock
+	}
 	s := serve.New(cfg)
+	// A worker with a snapshot dir answers 503 until its warm load has
+	// run. On a first boot that is one look at an empty directory, but on
+	// its own goroutine, which a loaded machine may not have scheduled by
+	// the time the caller's first request lands.
+	for s.Registry().Warming() {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		runtime.Gosched()
+	}
 	httpSrv, host, err := f.listenAndServe(ctx, "127.0.0.1:0", s.Handler())
 	if err != nil {
 		return nil, err

@@ -319,8 +319,12 @@ func scenarioBoundedDrain(ctx context.Context, seed uint64, opts Options, rep *c
 
 	panicked := false
 	var bmu sync.Mutex
+	const maxBatch = 64
+	// Items linger undispatched only in the load regime: one full-batch
+	// observation on a clock nothing advances holds the governor there.
+	gov := serve.NewGovernor(serve.GovernorOptions{Clock: chaos.NewFake()}, nil)
 	bat := serve.NewBatcher(serve.BatcherOptions{
-		MaxBatch: 64, Linger: time.Hour, QueueCap: 16, Workers: 2,
+		MaxBatch: maxBatch, Linger: time.Hour, QueueCap: 16, Workers: 2,
 		ForwardHook: func(string) {
 			bmu.Lock()
 			first := !panicked
@@ -331,7 +335,8 @@ func scenarioBoundedDrain(ctx context.Context, seed uint64, opts Options, rep *c
 				panic("chaos: injected worker crash")
 			}
 		},
-	}, nil, nil)
+	}, gov, nil)
+	gov.NoteBatch(maxBatch, 0)
 
 	imgs := data.Images(vit.ViTNano, 8, seed+1)
 	admitted := 0
@@ -634,7 +639,7 @@ func scenarioMembershipElastic(ctx context.Context, seed uint64, opts Options, r
 //
 //   - sparse singles keep the governor at the wide point (MaxIntraOp
 //     workers, immediate dispatch) and finish inside the default budget;
-//   - one full batch shrinks the worker budget to MinIntraOp instantly;
+//   - one full batch shrinks the worker budget to one instantly;
 //   - with the queue backed up behind a gated worker, an impatient probe
 //     is shed with 429 before taking a queue slot, while the lenient
 //     backdrop (explicit wide budget) is admitted and completes;
@@ -664,9 +669,7 @@ func scenarioOverloadShed(ctx context.Context, seed uint64, opts Options, rep *c
 			_ = clk.Sleep(ctx, 5*time.Millisecond)
 		},
 	}
-	cfg.Governor = serve.GovernorOptions{
-		Window: 500 * time.Millisecond, MinIntraOp: 1, MaxIntraOp: 4, Clock: clk,
-	}
+	cfg.Governor = serve.GovernorOptions{MaxIntraOp: 4, Clock: clk}
 	f, err := Boot(ctx, 1, 1, cfg, &chaos.Script{Name: "overload-shed", Seed: seed}, opts)
 	if err != nil {
 		return err

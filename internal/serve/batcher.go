@@ -28,9 +28,10 @@ type BatcherOptions struct {
 	// MaxBatch is the dispatch threshold: a pending batch is flushed as
 	// soon as it holds this many images (default 8).
 	MaxBatch int
-	// Linger is how long the first image of a batch may wait for company
-	// before the batch is flushed anyway (default 2ms). Zero keeps the
-	// default; use a negative value for immediate dispatch.
+	// Linger is how long the first image of an underfull batch may wait
+	// for company in the load regime before the batch is flushed anyway
+	// (default 2ms). At low occupancy the governor dispatches at submit
+	// and no batch waits for it.
 	Linger time.Duration
 	// QueueCap bounds admitted-but-unfinished images across all keys;
 	// beyond it Submit fails with ErrQueueFull (default 256).
@@ -53,11 +54,8 @@ func (o *BatcherOptions) defaults() {
 	if o.MaxBatch <= 0 {
 		o.MaxBatch = 8
 	}
-	if o.Linger == 0 {
+	if o.Linger <= 0 {
 		o.Linger = 2 * time.Millisecond
-	}
-	if o.Linger < 0 {
-		o.Linger = 0
 	}
 	if o.QueueCap <= 0 {
 		o.QueueCap = 256
@@ -86,7 +84,8 @@ type pending struct {
 	key        string
 	qm         *ptq.QuantizedModel
 	items      []*Item
-	dispatched bool // detached from Batcher.pend and handed to a worker
+	linger     *time.Timer // flushes the batch if nothing else has by then
+	dispatched bool        // detached from Batcher.pend and handed to a worker
 }
 
 // Batcher coalesces admitted images into per-model micro-batches and
@@ -106,8 +105,8 @@ type Batcher struct {
 }
 
 // NewBatcher builds a scheduler. gov is the occupancy-adaptive governor
-// steering the batching/parallelism split (nil builds a disabled one:
-// static linger, MinIntraOp workers). met may be nil.
+// that decides when a batch leaves and on how many workers (nil builds
+// one with default options). met may be nil.
 func NewBatcher(opts BatcherOptions, gov *Governor, met *Metrics) *Batcher {
 	opts.defaults()
 	if gov == nil {
@@ -205,16 +204,13 @@ func (b *Batcher) SubmitBudget(ctx context.Context, key string, qm *ptq.Quantize
 		it.stop = context.AfterFunc(ctx, func() { b.abandon(it) })
 		p := b.pend[key]
 		if p == nil {
-			p = &pending{key: key, qm: qm, items: nil}
+			p = &pending{key: key, qm: qm}
 			b.pend[key] = p
-			if b.opts.Linger > 0 {
-				timerP := p
-				time.AfterFunc(b.opts.Linger, func() { b.flushIf(key, timerP) })
-			}
+			p.linger = time.AfterFunc(b.opts.Linger, func() { b.flushIf(key, p) })
 		}
 		it.p = p
 		p.items = append(p.items, it)
-		if len(p.items) >= b.opts.MaxBatch || b.opts.Linger == 0 {
+		if len(p.items) >= b.opts.MaxBatch {
 			b.flushLocked(p)
 		}
 	}
@@ -275,6 +271,9 @@ func (b *Batcher) flushIf(key string, p *pending) {
 func (b *Batcher) flushLocked(p *pending) {
 	delete(b.pend, p.key)
 	p.dispatched = true
+	// Most batches leave at submit or on size, long before the linger: a
+	// timer left armed would pin p and its items until it fired.
+	p.linger.Stop()
 	if len(p.items) == 0 {
 		return
 	}

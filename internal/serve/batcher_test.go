@@ -24,13 +24,28 @@ func batchModel(t *testing.T) (*ptq.QuantizedModel, []*tensor.Tensor) {
 	return qm, data.Images(vit.ViTNano, 8, 99)
 }
 
-// TestBatcherCoalesces submits items one by one under a generous linger
-// and checks they dispatch as one batch, bit-identical to direct
-// forwards.
+// loadRegimeBatcher builds a batcher whose governor is held in the load
+// regime: an underfull batch leaves only by linger, flushIf or Drain,
+// which is what tests that need items to sit undispatched rely on.
+func loadRegimeBatcher(opts BatcherOptions, met *Metrics) *Batcher {
+	b := NewBatcher(opts, NewGovernor(GovernorOptions{Clock: chaos.NewFake()}, met), met)
+	holdInLoadRegime(b)
+	return b
+}
+
+// holdInLoadRegime feeds b's governor one full-batch observation. On a
+// fake clock that nothing advances past the occupancy window it never
+// ages out, and the few small batches a test dispatches behind it do
+// not bring the window average down to the low threshold.
+func holdInLoadRegime(b *Batcher) { b.gov.NoteBatch(b.opts.MaxBatch, 0) }
+
+// TestBatcherCoalesces submits items one by one in the load regime under
+// a generous linger and checks they dispatch as one batch, bit-identical
+// to direct forwards.
 func TestBatcherCoalesces(t *testing.T) {
 	qm, imgs := batchModel(t)
 	met := NewMetrics()
-	b := NewBatcher(BatcherOptions{MaxBatch: 8, Linger: 20 * time.Millisecond, QueueCap: 64}, nil, met)
+	b := loadRegimeBatcher(BatcherOptions{MaxBatch: 8, Linger: 20 * time.Millisecond, QueueCap: 64}, met)
 
 	var items []*Item
 	for _, img := range imgs[:4] {
@@ -93,8 +108,7 @@ func TestBatcherMaxBatchFlush(t *testing.T) {
 // the dispatch decision on a fake clock. The hour-long linger can never
 // fire, so the only thing that moves a lone image is the flush at the
 // end of Submit: taken in the low-occupancy regime, withheld in the load
-// regime until the occupancy window ages out, and never taken with the
-// governor off (Window 0).
+// regime until the occupancy window ages out.
 func TestBatcherImmediateDispatchSkipsLinger(t *testing.T) {
 	qm, imgs := batchModel(t)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -117,7 +131,7 @@ func TestBatcherImmediateDispatchSkipsLinger(t *testing.T) {
 
 	clk := chaos.NewFake()
 	met := NewMetrics()
-	gov := NewGovernor(GovernorOptions{Window: 100 * time.Millisecond, Clock: clk}, met)
+	gov := NewGovernor(GovernorOptions{Clock: clk}, met)
 	b := NewBatcher(opts, gov, met)
 
 	// Idle server, lone single: dispatched by the submit itself, alone.
@@ -143,7 +157,7 @@ func TestBatcherImmediateDispatchSkipsLinger(t *testing.T) {
 	}
 	// Once the full batch ages out of the window, the next submit is back
 	// in the low-occupancy regime and takes the waiting single with it.
-	if err := clk.Sleep(ctx, 200*time.Millisecond); err != nil {
+	if err := clk.Sleep(ctx, 600*time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
 	waiting = append(waiting, submit(b, imgs[1:2])...)
@@ -156,21 +170,26 @@ func TestBatcherImmediateDispatchSkipsLinger(t *testing.T) {
 	if n := met.BatchSize.Count(); n != 3 {
 		t.Fatalf("dispatched %d batches, want 3 (single, full, aged-out pair)", n)
 	}
+}
 
-	// Governor off: the same single stays pending until Drain.
-	static := NewBatcher(opts, nil, nil)
-	held := submit(static, imgs[:1])
-	if !open(static) {
-		t.Fatal("Window 0 flushed a single at submit: static mode must wait out the linger")
-	}
-	if err := static.Drain(ctx); err != nil {
+// TestBatcherFlushStopsLingerTimer: a batch that leaves before its
+// linger — here at submit, on an idle server — disarms the timer, so it
+// neither fires into flushIf later nor pins the batch until then.
+func TestBatcherFlushStopsLingerTimer(t *testing.T) {
+	qm, imgs := batchModel(t)
+	b := NewBatcher(BatcherOptions{Linger: time.Hour}, nil, nil)
+	items, err := b.Submit(context.Background(), "k", qm, imgs[:1])
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := Await(ctx, held); err != nil {
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := Await(ctx, items); err != nil {
 		t.Fatal(err)
 	}
-	if held[0].Err != nil || held[0].Out == nil {
-		t.Fatalf("drained single: out=%v err=%v", held[0].Out, held[0].Err)
+	// Stop reports true only for a timer that was still armed.
+	if items[0].p.linger.Stop() {
+		t.Fatal("linger timer still armed after its batch was flushed")
 	}
 }
 
@@ -180,7 +199,7 @@ func TestBatcherImmediateDispatchSkipsLinger(t *testing.T) {
 func TestBatcherBackpressureAndDrain(t *testing.T) {
 	qm, imgs := batchModel(t)
 	met := NewMetrics()
-	b := NewBatcher(BatcherOptions{MaxBatch: 64, Linger: time.Hour, QueueCap: 3}, nil, met)
+	b := loadRegimeBatcher(BatcherOptions{MaxBatch: 64, Linger: time.Hour, QueueCap: 3}, met)
 
 	items, err := b.Submit(context.Background(), "k", qm, imgs[:3])
 	if err != nil {
@@ -242,7 +261,7 @@ func TestBatcherCancelledSubmitterFreesSlot(t *testing.T) {
 	met := NewMetrics()
 	// Hour-long linger and a roomy MaxBatch: nothing dispatches on its
 	// own, so the only way the slots come back is the abandonment path.
-	b := NewBatcher(BatcherOptions{MaxBatch: 64, Linger: time.Hour, QueueCap: 2}, nil, met)
+	b := loadRegimeBatcher(BatcherOptions{MaxBatch: 64, Linger: time.Hour, QueueCap: 2}, met)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	items, err := b.Submit(ctx, "k", qm, imgs[:2])
@@ -298,10 +317,10 @@ func TestBatcherCancelledBeforeDispatchSkipsForward(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	forwards := 0
 	gate := make(chan struct{})
-	b := NewBatcher(BatcherOptions{
+	b := loadRegimeBatcher(BatcherOptions{
 		MaxBatch: 64, Linger: time.Hour, QueueCap: 8, Workers: 1,
 		ForwardHook: func(string) { <-gate; forwards++ },
-	}, nil, met)
+	}, met)
 
 	// The single worker slot serializes the batch: at most the first
 	// item can enter the hook before cancellation; the ones behind it

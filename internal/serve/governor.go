@@ -1,34 +1,23 @@
 package serve
 
 import (
+	"runtime"
 	"sync"
 	"time"
 
 	"quq/internal/chaos"
 )
 
-// GovernorOptions tunes the occupancy-adaptive scheduler. The governor
-// re-splits one fixed core budget between inter-request batching and
-// intra-op GEMM parallelism: at low occupancy it dispatches batches
-// immediately (no linger) and grants each batch up to MaxIntraOp
-// workers; under load it shrinks back to MinIntraOp and lets the linger
-// window build wide batches. See docs/TUNING.md for the operator view.
+// GovernorOptions holds the two things a caller may pin about the
+// occupancy-adaptive scheduler; the control law itself (window,
+// thresholds, worker floor) is fixed. See docs/TUNING.md for the
+// operator view.
 type GovernorOptions struct {
-	// Window is the sliding occupancy window the governor averages over
-	// when deciding to raise the per-batch worker budget. Zero or
-	// negative disables adaptation entirely: the batcher keeps its
-	// configured linger and a fixed MinIntraOp worker budget (the
-	// pre-governor static split). Admission control (latency budgets)
-	// works in both modes.
-	Window time.Duration
-	// MinIntraOp is the per-batch intra-op worker floor the governor
-	// shrinks to under load (default 1 — serial kernels, all cores to
-	// inter-request fan-out).
-	MinIntraOp int
 	// MaxIntraOp is the per-batch intra-op worker ceiling granted at low
-	// occupancy (default MinIntraOp — no raising). Each dispatched batch
-	// contributes MaxIntraOp-1 extra workers to the tensor pool while the
-	// governor is in the low-occupancy regime.
+	// occupancy (default GOMAXPROCS; the chaos harness and tests pin a
+	// machine-independent value). Each dispatched batch contributes
+	// MaxIntraOp-1 extra workers to the tensor pool while the governor is
+	// in the low-occupancy regime; under load every batch runs on one.
 	MaxIntraOp int
 	// Clock paces and timestamps every governor decision. Defaults to
 	// chaos.Real; tests and the chaos harness inject a *chaos.Fake so
@@ -37,48 +26,49 @@ type GovernorOptions struct {
 }
 
 func (o *GovernorOptions) defaults() {
-	if o.MinIntraOp < 1 {
-		o.MinIntraOp = 1
-	}
-	if o.MaxIntraOp < o.MinIntraOp {
-		o.MaxIntraOp = o.MinIntraOp
+	if o.MaxIntraOp < 1 {
+		o.MaxIntraOp = runtime.GOMAXPROCS(0)
 	}
 	if o.Clock == nil {
 		o.Clock = chaos.Real
 	}
 }
 
-// The control law's occupancy thresholds (images per dispatched batch /
-// MaxBatch); docs/TUNING.md quotes them.
+// The control law's constants; docs/TUNING.md quotes them. Occupancy is
+// images per dispatched batch / MaxBatch, and the two thresholds are
+// held as reciprocals so every comparison stays in exact integers.
 const (
-	// lowOccupancy is the window-average occupancy at or below which the
-	// governor enters the low-occupancy regime: immediate dispatch,
-	// MaxIntraOp workers.
-	lowOccupancy = 0.25
-	// highOccupancy is the instantaneous occupancy at or above which the
-	// governor drops to the load regime: full linger batching, MinIntraOp
-	// workers. Shrinking keys off the latest batch, not the window
-	// average, so one full batch reacts instantly.
-	highOccupancy = 0.5
+	// occupancyWindow is the sliding window the governor averages
+	// occupancy over before returning to the low-occupancy regime.
+	occupancyWindow = 500 * time.Millisecond
+	// lowOccupancyInv: a window-average occupancy at or below 1/4 enters
+	// the low-occupancy regime — immediate dispatch, MaxIntraOp workers.
+	lowOccupancyInv = 4
+	// highOccupancyInv: an instantaneous occupancy at or above 1/2 drops
+	// to the load regime — linger batching, one worker per batch.
+	// Shrinking keys off the latest batch, not the window average, so one
+	// full batch reacts instantly.
+	highOccupancyInv = 2
 )
 
 // govSample is one dispatch observation inside the sliding window.
 type govSample struct {
 	at    time.Time
-	occ   float64 // images / MaxBatch at dispatch
-	depth int     // queued images at dispatch
+	size  int // images in the batch
+	depth int // queued images at dispatch
 }
 
-// Governor is the occupancy-adaptive core-budget scheduler. It observes
-// every batch dispatch (occupancy, queue depth) and batch completion
-// (service time) through the injectable clock, and from those decides
-// two things the batcher reads on its hot path: how many intra-op
-// workers the next batch may grant, and whether a submit should
-// dispatch immediately instead of waiting out the linger. It also owns
-// the per-image service-time estimate behind latency-budget admission
-// control. All methods are safe for concurrent use; decisions are pure
-// functions of the recorded samples and the clock, so a fake clock
-// makes every transition deterministic.
+// Governor is the occupancy-adaptive core-budget scheduler, the
+// batcher's one dispatch policy. It observes every batch dispatch
+// (occupancy, queue depth) and batch completion (service time) through
+// the injectable clock, and from those decides two things the batcher
+// reads on its hot path: how many intra-op workers the next batch may
+// grant, and whether a submit should dispatch immediately instead of
+// waiting out the linger. It also owns the per-image service-time
+// estimate behind latency-budget admission control. All methods are
+// safe for concurrent use; decisions are pure functions of the recorded
+// samples and the clock, so a fake clock makes every transition
+// deterministic.
 type Governor struct {
 	opts GovernorOptions
 	met  *Metrics
@@ -86,34 +76,27 @@ type Governor struct {
 	mu          sync.Mutex
 	maxBatch    int // bound by the batcher at construction
 	poolWorkers int // batcher worker-pool size, for wait estimates
-	samples     []govSample
-	workers     int  // current per-batch intra-op allocation
-	immediate   bool // low-occupancy regime: dispatch without linger
-	ewmaPerImg  time.Duration
+	// samples is the window in arrival (hence time) order, images the sum
+	// of their sizes: aged samples leave from the head, so a decision
+	// costs what aged since the last one, not a rescan.
+	samples    []govSample
+	images     int
+	lowOcc     bool // operating point: low-occupancy regime (else load regime)
+	ewmaPerImg time.Duration
 }
 
 // NewGovernor builds a governor; met may be nil. The batcher binds its
-// MaxBatch and worker-pool size via bind before traffic flows.
+// MaxBatch and worker-pool size via bind before traffic flows. An idle
+// server starts in the low-occupancy regime: the first sparse request
+// gets immediate dispatch and the full worker ceiling.
 func NewGovernor(opts GovernorOptions, met *Metrics) *Governor {
 	opts.defaults()
-	g := &Governor{opts: opts, met: met, maxBatch: 8, poolWorkers: 1}
-	g.workers = opts.MinIntraOp
-	if g.enabled() {
-		// An idle server starts in the low-occupancy regime: the first
-		// sparse request gets immediate dispatch and the full worker
-		// ceiling.
-		g.workers = opts.MaxIntraOp
-		g.immediate = true
-	}
+	g := &Governor{opts: opts, met: met, maxBatch: 8, poolWorkers: 1, lowOcc: true}
 	if met != nil {
-		met.IntraopWorkers.Set(int64(g.workers))
+		met.IntraopWorkers.Set(int64(opts.MaxIntraOp))
 	}
 	return g
 }
-
-// enabled reports whether adaptation is on (Window > 0). A disabled
-// governor still tracks service times for admission control.
-func (g *Governor) enabled() bool { return g.opts.Window > 0 }
 
 // bind wires the batcher's defaulted geometry into the governor.
 func (g *Governor) bind(maxBatch, poolWorkers int) {
@@ -128,12 +111,14 @@ func (g *Governor) bind(maxBatch, poolWorkers int) {
 // every batch run, before any forward, so the decision governs the very
 // batch that triggered it.
 func (g *Governor) NoteBatch(size, depth int) {
-	now := g.opts.Clock.Now()
 	g.mu.Lock()
-	occ := float64(size) / float64(g.maxBatch)
-	g.samples = append(g.samples, govSample{at: now, occ: occ, depth: depth})
+	// The clock is read under g.mu so samples are appended in time order.
+	now := g.opts.Clock.Now()
+	g.samples = append(g.samples, govSample{at: now, size: size, depth: depth})
+	g.images += size
 	g.decideLocked(now)
-	workers := g.workers
+	occ := float64(size) / float64(g.maxBatch)
+	workers := g.workersLocked()
 	g.mu.Unlock()
 	if g.met != nil {
 		g.met.Occupancy.Observe(occ)
@@ -160,47 +145,42 @@ func (g *Governor) NoteService(images int, elapsed time.Duration) {
 	g.mu.Unlock()
 }
 
-// decideLocked prunes the window and picks the operating point. Caller
+// decideLocked ages the window and picks the operating point. Caller
 // holds g.mu. The control law is asymmetric: shrinking keys off the
 // latest sample (one full batch drops the worker budget instantly, so a
 // burst never fights wide grants), raising requires the whole window
-// average to sit at or below lowOccupancy with a shallow queue.
+// average to sit at or below the low threshold with a shallow queue.
 func (g *Governor) decideLocked(now time.Time) {
-	if !g.enabled() {
-		g.workers = g.opts.MinIntraOp
-		g.immediate = false
-		return
+	cutoff := now.Add(-occupancyWindow)
+	aged := 0
+	for aged < len(g.samples) && g.samples[aged].at.Before(cutoff) {
+		g.images -= g.samples[aged].size
+		aged++
 	}
-	cutoff := now.Add(-g.opts.Window)
-	keep := g.samples[:0]
-	for _, s := range g.samples {
-		if !s.at.Before(cutoff) {
-			keep = append(keep, s)
-		}
-	}
-	g.samples = keep
+	g.samples = g.samples[aged:]
 	if len(g.samples) == 0 {
 		// Idle long enough that the window emptied: optimize for the next
 		// sparse arrival.
-		g.workers = g.opts.MaxIntraOp
-		g.immediate = true
+		g.lowOcc = true
 		return
 	}
 	latest := g.samples[len(g.samples)-1]
-	sum := 0.0
-	for _, s := range g.samples {
-		sum += s.occ
-	}
-	avg := sum / float64(len(g.samples))
 	switch {
-	case latest.occ >= highOccupancy || latest.depth > g.maxBatch:
-		g.workers = g.opts.MinIntraOp
-		g.immediate = false
-	case avg <= lowOccupancy && latest.depth <= g.maxBatch:
-		g.workers = g.opts.MaxIntraOp
-		g.immediate = true
+	case highOccupancyInv*latest.size >= g.maxBatch || latest.depth > g.maxBatch:
+		g.lowOcc = false
+	case lowOccupancyInv*g.images <= len(g.samples)*g.maxBatch:
+		g.lowOcc = true
 	}
 	// Between the thresholds: hysteresis — keep the current point.
+}
+
+// workersLocked is the current point's per-batch worker allocation.
+// Caller holds g.mu.
+func (g *Governor) workersLocked() int {
+	if g.lowOcc {
+		return g.opts.MaxIntraOp
+	}
+	return 1
 }
 
 // BatchWorkers returns the intra-op worker allocation for the batch
@@ -211,7 +191,7 @@ func (g *Governor) BatchWorkers() int {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	g.decideLocked(g.opts.Clock.Now())
-	return g.workers
+	return g.workersLocked()
 }
 
 // ImmediateDispatch reports whether the governor is in the
@@ -223,7 +203,7 @@ func (g *Governor) ImmediateDispatch() bool {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	g.decideLocked(g.opts.Clock.Now())
-	return g.immediate
+	return g.lowOcc
 }
 
 // EstimatedWait estimates how long a new arrival would wait before the

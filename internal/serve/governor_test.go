@@ -15,17 +15,12 @@ import (
 	"quq/internal/chaos"
 )
 
-// govUnderTest builds an enabled governor on a fake clock with the
-// geometry the transition tests assume: window 100ms, 1..4 intra-op
-// workers, MaxBatch 8, a 2-worker pool.
+// govUnderTest builds a governor on a fake clock with the geometry the
+// transition tests assume: a 4-worker ceiling, MaxBatch 8, a 2-worker
+// pool (the window is the 500ms constant).
 func govUnderTest(met *Metrics) (*Governor, *chaos.Fake) {
 	clk := chaos.NewFake()
-	g := NewGovernor(GovernorOptions{
-		Window:     100 * time.Millisecond,
-		MinIntraOp: 1,
-		MaxIntraOp: 4,
-		Clock:      clk,
-	}, met)
+	g := NewGovernor(GovernorOptions{MaxIntraOp: 4, Clock: clk}, met)
 	g.bind(8, 2)
 	return g, clk
 }
@@ -47,11 +42,11 @@ func TestGovernorTransitions(t *testing.T) {
 	}{
 		{"sparse traffic stays wide", []step{
 			{0, 1, 0, 4, true},
-			{10 * time.Millisecond, 2, 1, 4, true},
+			{50 * time.Millisecond, 2, 1, 4, true},
 		}},
 		{"full batch shrinks instantly", []step{
 			{0, 1, 0, 4, true},
-			{10 * time.Millisecond, 8, 0, 1, false},
+			{50 * time.Millisecond, 8, 0, 1, false},
 		}},
 		{"deep queue shrinks even at low occupancy", []step{
 			{0, 1, 9, 1, false},
@@ -61,8 +56,14 @@ func TestGovernorTransitions(t *testing.T) {
 		}},
 		{"hysteresis from below, then window-average recovery", []step{
 			{0, 8, 0, 1, false},                     // full batch: shrink
-			{10 * time.Millisecond, 3, 0, 1, false}, // 0.375 between: stay shrunk
-			{95 * time.Millisecond, 1, 0, 4, true},  // full-batch sample aged out; avg (0.375+0.125)/2 ≤ 0.25
+			{50 * time.Millisecond, 3, 0, 1, false}, // 0.375 between: stay shrunk
+			{475 * time.Millisecond, 1, 0, 4, true}, // full-batch sample aged out; avg (0.375+0.125)/2 ≤ 0.25
+		}},
+		{"window average exactly on the low threshold recovers", []step{
+			{0, 8, 0, 1, false},
+			{50 * time.Millisecond, 3, 0, 1, false},
+			{475 * time.Millisecond, 2, 0, 1, false}, // (3+2)/2 batches = 0.3125: stay shrunk
+			{0, 1, 0, 4, true},                       // 4·(3+2+1) = 3 batches · 8: exactly 0.25
 		}},
 	}
 	for _, tc := range cases {
@@ -100,29 +101,12 @@ func TestGovernorIdleResetsWide(t *testing.T) {
 	if got := g.BatchWorkers(); got != 1 {
 		t.Fatalf("BatchWorkers after full batch = %d, want 1", got)
 	}
-	_ = clk.Sleep(context.Background(), 150*time.Millisecond) // > window
+	_ = clk.Sleep(context.Background(), 750*time.Millisecond) // > window
 	if got := g.BatchWorkers(); got != 4 {
 		t.Fatalf("BatchWorkers after idle window = %d, want 4", got)
 	}
 	if !g.ImmediateDispatch() {
 		t.Fatal("ImmediateDispatch false after idle window, want true")
-	}
-}
-
-// TestGovernorDisabledStatic: the zero options keep the pre-governor
-// static split — MinIntraOp workers, linger always honoured — no matter
-// what traffic it observes.
-func TestGovernorDisabledStatic(t *testing.T) {
-	g := NewGovernor(GovernorOptions{Clock: chaos.NewFake()}, nil)
-	g.bind(8, 2)
-	for _, sd := range [][2]int{{1, 0}, {8, 0}, {1, 20}} {
-		g.NoteBatch(sd[0], sd[1])
-		if got := g.BatchWorkers(); got != 1 {
-			t.Fatalf("disabled governor BatchWorkers = %d, want 1", got)
-		}
-		if g.ImmediateDispatch() {
-			t.Fatal("disabled governor reports immediate dispatch")
-		}
 	}
 }
 
@@ -175,6 +159,9 @@ func TestBatcherShedsOverBudget(t *testing.T) {
 			_ = clk.Sleep(context.Background(), 10*time.Millisecond)
 		},
 	}, gov, met)
+	// Held in the load regime (the forwards advance the clock by far less
+	// than the window), so batches leave only by the flushIf calls below.
+	holdInLoadRegime(b)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 

@@ -12,16 +12,16 @@
 //     deduplicating concurrent first requests so each key calibrates
 //     exactly once;
 //   - Batcher (batcher.go): a micro-batching scheduler — requests land
-//     in a bounded queue, are coalesced per model key under a
-//     max-batch / max-linger deadline, and execute on a GOMAXPROCS-sized
-//     worker pool;
-//   - Governor (governor.go): the occupancy-adaptive scheduler — it
+//     in a bounded queue, are coalesced per model key, and execute on a
+//     GOMAXPROCS-sized worker pool;
+//   - Governor (governor.go): the batcher's one dispatch policy — it
 //     watches batch occupancy and queue depth over a sliding window
-//     (via an injectable chaos.Clock), trades the linger and per-batch
-//     intra-op worker grants against batching width, and estimates
-//     queue waits for deadline-aware admission control (requests whose
-//     estimated wait exceeds their latency budget shed with 429 before
-//     taking a queue slot);
+//     (via an injectable chaos.Clock) and picks between dispatching at
+//     submit with wide per-batch intra-op worker grants (low occupancy)
+//     and max-batch / max-linger coalescing on one worker per batch
+//     (load), and estimates queue waits for deadline-aware admission
+//     control (requests whose estimated wait exceeds their latency
+//     budget shed with 429 before taking a queue slot);
 //   - Server (server.go): the HTTP surface (POST /v1/classify,
 //     POST /v1/quantize, GET /models, /healthz, /metrics) with panic
 //     recovery, request size limits, per-request timeouts, queue

@@ -43,12 +43,13 @@ type Config struct {
 	// Registry tunes the model registry: which configs are servable, the
 	// calibration sample budget, and the cache capacity.
 	Registry RegistryOptions
-	// Batcher tunes the micro-batching scheduler: batch geometry, linger,
-	// queue capacity, worker pool, and the default latency budget.
+	// Batcher tunes the micro-batching scheduler: batch geometry, the
+	// load-regime linger, queue capacity, worker pool, and the default
+	// latency budget.
 	Batcher BatcherOptions
-	// Governor tunes the occupancy-adaptive scheduler that re-splits the
-	// core budget between batching and intra-op parallelism. The zero
-	// value disables adaptation (static split).
+	// Governor pins the occupancy-adaptive scheduler's worker ceiling and
+	// clock for tests and the chaos harness; the zero value is what a
+	// deployment runs.
 	Governor GovernorOptions
 	// RequestTimeout bounds one request end-to-end, including a
 	// first-request calibration (default 60s).

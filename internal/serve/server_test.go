@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"quq/internal/chaos"
 	"quq/internal/data"
 	"quq/internal/ptq"
 	"quq/internal/tensor"
@@ -241,10 +242,43 @@ func TestServeBodyLimit(t *testing.T) {
 	}
 }
 
+// TestServeZeroConfigSkipsLinger pins the scheduler a zero Governor
+// config boots — what bench/ and every embedder get: a lone single-image
+// classify on an idle server is dispatched at submit, so even an
+// hour-long linger cannot hold it (the request timeout only bounds how
+// long a regression takes to fail).
+func TestServeZeroConfigSkipsLinger(t *testing.T) {
+	s := New(Config{
+		Registry:       testRegistryOptions(),
+		Batcher:        BatcherOptions{Linger: time.Hour},
+		RequestTimeout: 30 * time.Second,
+	})
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+	flat, _ := flatImages(1)
+	resp, body := postJSON(t, ts.URL+"/v1/classify", classifyRequest{
+		modelRequest: modelRequest{Model: "ViT-Nano", Method: "BaseQ", Bits: 6},
+		Images:       flat,
+	})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("single-image classify on an idle server: status %d: %s", resp.StatusCode, body)
+	}
+}
+
 // TestServeBackpressure: with a full queue the server must answer 429
 // with a Retry-After hint.
 func TestServeBackpressure(t *testing.T) {
-	s, ts := testServer(t, BatcherOptions{MaxBatch: 64, Linger: time.Hour, QueueCap: 2})
+	// Two images can only sit queued in the load regime, so the governor
+	// is held there on a clock nothing advances.
+	s := New(Config{
+		Registry:       testRegistryOptions(),
+		Batcher:        BatcherOptions{MaxBatch: 64, Linger: time.Hour, QueueCap: 2},
+		Governor:       GovernorOptions{Clock: chaos.NewFake()},
+		RequestTimeout: 60 * time.Second,
+	})
+	holdInLoadRegime(s.bat)
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
 	flat, _ := flatImages(3)
 	warmKey := modelRequest{Model: "ViT-Nano", Method: "BaseQ", Bits: 6}
 	if resp, body := postJSON(t, ts.URL+"/v1/quantize", warmKey); resp.StatusCode != 200 {
