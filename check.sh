@@ -20,6 +20,14 @@ go vet ./...
 # at the repo root); vet them under that tag too so both halves of the
 # build matrix stay analyzed.
 go vet -tags race ./...
+# The benchmark is a nested module `go ... ./...` never enters, yet it
+# compiles against this tree (ptq.Collect/Quantize/Method/SiteStats,
+# quant.Refine, serve.NewRegistry, Registry.Entries/Get/Warming, ...): a
+# signature change here must not pass tier-1 and break it. Offline — its
+# only requirement is `replace quq => ../`. -o /dev/null because a bare
+# build would drop the binary into bench/.
+go build -C bench -o /dev/null ./...
+go vet -C bench ./...
 
 # quqvet: the repo's own static-analysis pass (integer-only datapath,
 # exact power-of-two scales, deterministic artifacts, audited panics,

@@ -227,10 +227,17 @@ func (f *Fleet) listenAndServe(ctx context.Context, addr string, h http.Handler)
 // It is not on the front's ring until something joins it (Boot does, for
 // the initial set; /admin/join later). A config that names no governor
 // clock gets the fleet's, so the worker's occupancy window ages with the
-// fleet's fake time, not the wall.
+// fleet's fake time, not the wall. A registry that names none gets a
+// fake of its own: its statistics grace must cost no wall time — Close
+// does not drain the workers, so a release timer on the real clock
+// would outlive the fleet — and must not move the fleet's time either,
+// which the governor and the scenarios' schedules read.
 func (f *Fleet) StartBackend(ctx context.Context, cfg serve.Config) (*Backend, error) {
 	if cfg.Governor.Clock == nil {
 		cfg.Governor.Clock = f.Clock
+	}
+	if cfg.Registry.Clock == nil {
+		cfg.Registry.Clock = chaos.NewFake()
 	}
 	s := serve.New(cfg)
 	// A worker with a snapshot dir answers 503 until its warm load has

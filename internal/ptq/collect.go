@@ -89,6 +89,13 @@ func (s *SiteStats) finalize() {
 // Seen returns the total number of elements observed.
 func (s *SiteStats) Seen() int64 { return s.seen }
 
+// Bytes returns the heap the statistics hold: 12 bytes per reservoir
+// sample plus the per-channel accumulators. A registry that keeps whole
+// sets resident budgets with it.
+func (s *SiteStats) Bytes() int64 {
+	return int64(8*cap(s.Samples) + 4*cap(s.SampleChans) + 8*(cap(s.ChanAbsMax)+cap(s.ChanSqSum)))
+}
+
 // ChanMeanSq returns E[x²] per channel, or nil if no channel-aligned
 // data was observed.
 func (s *SiteStats) ChanMeanSq() []float64 {

@@ -9,6 +9,16 @@
 // inputs and weights (Table 2), Full additionally quantizes every
 // remaining activation — residual-connection, LayerNorm, Softmax and
 // GELU inputs (Table 3).
+//
+// Calibration is a DAG with one function per node, and each loop exists
+// once: Collect (statistics; depends on the model and images only),
+// QuantizeWeights and CalibrateSites (depend on statistics, method and
+// bits, never on the regime — Partial's sites are the vit.KindGEMMIn
+// subset of Full's), and Assemble (one regime's QuantizedModel over
+// those results, sharing them). Quantize walks the DAG for one key;
+// internal/serve builds each node once and assembles sibling keys from
+// it. Nothing here is shared mutable state: a Method is used by one
+// goroutine at a time, and every node's result is read-only once built.
 package ptq
 
 import (
@@ -125,16 +135,18 @@ type CalibOptions struct {
 // QuantizedModel is a model prepared for quantized inference: a clone
 // with fake-quantized weights plus per-site activation quantizers.
 //
-// Concurrency: a QuantizedModel is immutable after Quantize returns, and
-// Forward/ForwardOpts/ForwardBatch are safe for concurrent use by
-// multiple goroutines. The contract rests on three audited properties
-// (each covered by TestQuantizedForwardConcurrent):
+// Concurrency: a QuantizedModel is immutable after Quantize (or
+// Assemble) returns, and Forward/ForwardOpts/ForwardBatch are safe for
+// concurrent use by multiple goroutines — which is also why two models
+// assembled over the same Weights and quantizer values may serve side by
+// side. The contract rests on three audited properties (each covered by
+// TestQuantizedForwardConcurrent):
 //
 //   - vit.Model.Forward never mutates model parameters or the input
 //     image — every intermediate lives in per-call tensors;
 //   - every TensorQuantizer.Apply implementation (QUQ and the baselines)
 //     reads only calibration-time state and clones its input;
-//   - Acts is written once during Quantize and only read afterwards.
+//   - Acts is written once during Assemble and only read afterwards.
 //
 // Callers must not mutate Model, Acts or quantizer internals after
 // sharing the model between goroutines. The one documented exception is
@@ -182,6 +194,11 @@ func (q *QuantizedModel) IntPath() bool { return q.engine.Load() != nil }
 
 // Quantize calibrates method on m over the given images and returns the
 // quantized model. The input model is not modified.
+//
+// It is the one-key walk over the calibration DAG — Collect, then
+// QuantizeWeights and CalibrateSites over those statistics, then
+// Assemble. A caller building several keys of one model (internal/serve)
+// runs each node once and assembles every key from the shared results.
 func Quantize(m vit.Model, method Method, opts CalibOptions) (*QuantizedModel, error) {
 	if opts.Bits < 3 {
 		return nil, fmt.Errorf("ptq: bit-width %d too small", opts.Bits)
@@ -190,42 +207,96 @@ func Quantize(m vit.Model, method Method, opts CalibOptions) (*QuantizedModel, e
 		return nil, fmt.Errorf("ptq: no calibration images")
 	}
 	stats := Collect(m, opts.Images, opts.MaxSamplesPerSite)
+	gemmIn := CalibrateSites(stats, vit.KindGEMMIn, method, opts.Bits)
+	var acts map[string]TensorQuantizer
+	if opts.Regime.covers(vit.KindActivation) {
+		acts = CalibrateSites(stats, vit.KindActivation, method, opts.Bits)
+	}
+	w := QuantizeWeights(m, stats, method, opts.Bits)
+	return Assemble(w, opts.Regime, gemmIn, acts), nil
+}
 
-	qm := &QuantizedModel{
-		Model:  m.Clone(),
-		Bits:   opts.Bits,
-		Regime: opts.Regime,
-		Method: method.Name(),
-		Acts:   make(map[string]TensorQuantizer, len(stats)),
-	}
+// CalibrateSites builds method's quantizer for every activation site of
+// one kind (vit.KindGEMMIn or vit.KindActivation) — the package's one
+// activation-calibration loop. The result depends on (statistics,
+// method, bits) and not on the regime: Partial uses the KindGEMMIn set,
+// Full both. method is called from this goroutine only; concurrent
+// callers each bring their own.
+func CalibrateSites(stats map[string]*SiteStats, kind vit.SiteKind, method Method, bits int) map[string]TensorQuantizer {
+	out := make(map[string]TensorQuantizer)
 	for key, st := range stats {
-		if !opts.Regime.covers(st.Site.Kind) {
-			continue
+		if st.Site.Kind == kind {
+			out[key] = method.CalibrateActivation(st, bits)
 		}
-		qm.Acts[key] = method.CalibrateActivation(st, opts.Bits)
 	}
+	return out
+}
+
+// Weights is the regime-independent half of a calibration: a clone of
+// the model with every weight tensor fake-quantized, and the exact
+// parameter sets behind them when the method reports those. Read-only
+// once built, so any number of QuantizedModels may share one.
+type Weights struct {
+	Model  vit.Model
+	Method string
+	Bits   int
+	// Params maps weight-site keys to their quantizer parameters for
+	// methods implementing WeightParamsRecorder; nil otherwise.
+	Params map[string]*quant.Params
+}
+
+// QuantizeWeights clones m and fake-quantizes every weight tensor of
+// the clone — the package's one weight-quantization loop. Input-aware
+// methods are handed E[x²] of each weight's GEMM input out of stats. m is
+// not modified; method is called from this goroutine only.
+func QuantizeWeights(m vit.Model, stats map[string]*SiteStats, method Method, bits int) *Weights {
+	w := &Weights{Model: m.Clone(), Method: method.Name(), Bits: bits}
 	if rec, ok := method.(WeightParamsRecorder); ok {
-		qm.WeightParams = make(map[string]*quant.Params)
+		w.Params = make(map[string]*quant.Params)
 		rec.RecordWeightParams(func(site vit.Site, p *quant.Params) {
-			qm.WeightParams[site.Key()] = p
+			w.Params[site.Key()] = p
 		})
 		defer rec.RecordWeightParams(nil)
 	}
 	aware, isAware := method.(InputAwareWeightQuantizer)
-	qm.Model.ForEachWeight(func(site vit.Site, l *vit.Linear) {
+	w.Model.ForEachWeight(func(site vit.Site, l *vit.Linear) {
 		if isAware {
 			if inSite, ok := weightInputSite(site); ok {
 				if st, ok := stats[inSite.Key()]; ok {
 					if sq := st.ChanMeanSq(); sq != nil {
-						aware.QuantizeWeightAware(site, l.W, opts.Bits, sq)
+						aware.QuantizeWeightAware(site, l.W, bits, sq)
 						return
 					}
 				}
 			}
 		}
-		method.QuantizeWeight(site, l.W, opts.Bits)
+		method.QuantizeWeight(site, l.W, bits)
 	})
-	return qm, nil
+	return w
+}
+
+// Assemble builds the QuantizedModel of one regime over already-built
+// calibration results: w's model and parameters are shared, not copied,
+// and the quantizer values of gemmIn — and of acts, which only Full
+// reads — are shared under a site map of the model's own.
+func Assemble(w *Weights, regime Regime, gemmIn, acts map[string]TensorQuantizer) *QuantizedModel {
+	qm := &QuantizedModel{
+		Model:        w.Model,
+		Bits:         w.Bits,
+		Regime:       regime,
+		Method:       w.Method,
+		Acts:         make(map[string]TensorQuantizer, len(gemmIn)+len(acts)),
+		WeightParams: w.Params,
+	}
+	for key, tq := range gemmIn {
+		qm.Acts[key] = tq
+	}
+	if regime.covers(vit.KindActivation) {
+		for key, tq := range acts {
+			qm.Acts[key] = tq
+		}
+	}
+	return qm
 }
 
 // Forward runs quantized inference on one image.

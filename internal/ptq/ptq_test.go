@@ -341,3 +341,64 @@ func TestQuantizeWeightAwareFallsBack(t *testing.T) {
 		t.Fatal("fallback path did not quantize")
 	}
 }
+
+// TestQuantizeWeightAwarePrunedPicksExhaustiveWinner: the row-wise early
+// exit in the Hessian-weighted scorer selects the parameter set an
+// exhaustive scoring of the same grid selects — on matrices whose
+// deciding rows come last, whose hot rows come first, and whose rows all
+// weigh nothing (every candidate ties at 0 and the incumbent must stay).
+func TestQuantizeWeightAwarePrunedPicksExhaustiveWinner(t *testing.T) {
+	const in, out = 48, 24
+	hot := func(is bool) float64 {
+		if is {
+			return 500
+		}
+		return 1e-6
+	}
+	for name, weight := range map[string]func(r int) float64{
+		"hot rows last":  func(r int) float64 { return hot(r >= in-2) },
+		"hot rows first": func(r int) float64 { return hot(r < 2) },
+		"flat":           func(int) float64 { return 1 },
+		"all zero":       func(int) float64 { return 0 },
+	} {
+		for _, bits := range []int{4, 6} {
+			src := rng.New(uint64(57 + bits))
+			w := tensor.New(in, out)
+			for i := range w.Data() {
+				w.Data()[i] = src.Laplace(0.05)
+				if src.Float64() < 0.02 {
+					w.Data()[i] *= 15
+				}
+			}
+			inputSq := make([]float64, in)
+			for r := range inputSq {
+				inputSq[r] = weight(r)
+			}
+			d := w.Data()
+			exhaustive := func(p *quant.Params, _ float64) float64 {
+				var s float64
+				for r := 0; r < in; r++ {
+					if inputSq[r] <= 0 {
+						continue
+					}
+					var rowErr float64
+					for _, v := range d[r*out : (r+1)*out] {
+						e := v - p.Value(v)
+						rowErr += e * e
+					}
+					s += inputSq[r] * rowErr
+				}
+				return s
+			}
+			meth := NewQUQ()
+			want := quant.RefineScored(quant.Calibrate(d, bits, meth.PRA), meth.Refine, exhaustive)
+
+			var got *quant.Params
+			meth.RecordWeightParams(func(_ vit.Site, p *quant.Params) { got = p })
+			meth.QuantizeWeightAware(vit.Site{Name: "w"}, w.Clone(), bits, inputSq)
+			if got == nil || *got != *want {
+				t.Errorf("%s, %d bits: pruned search chose %v, exhaustive %v", name, bits, got, want)
+			}
+		}
+	}
+}

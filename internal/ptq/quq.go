@@ -78,7 +78,10 @@ func (m *QUQMethod) QuantizeWeightAware(site vit.Site, w *tensor.Tensor, bits in
 	}
 	in, out := w.Dim(0), w.Dim(1)
 	d := w.Data()
-	score := func(p *quant.Params) float64 {
+	// Every term is a positive weight times a sum of squares, so the
+	// running total only grows: once it reaches bound the candidate has
+	// lost (quant.RefineScored's early-return contract).
+	score := func(p *quant.Params, bound float64) float64 {
 		var s float64
 		for r := 0; r < in; r++ {
 			wgt := inputSq[r]
@@ -92,6 +95,9 @@ func (m *QUQMethod) QuantizeWeightAware(site vit.Site, w *tensor.Tensor, bits in
 				rowErr += e * e
 			}
 			s += wgt * rowErr
+			if s >= bound {
+				break
+			}
 		}
 		return s
 	}

@@ -67,7 +67,7 @@ func Refine(xs []float64, p *Params, opts RefineOptions) *Params {
 			sample = append(sample, xs[i])
 		}
 	}
-	return RefineScored(p, opts, func(c *Params) float64 { return c.MSE(sample) })
+	return RefineScored(p, opts, func(c *Params, bound float64) float64 { return c.mseBelow(sample, bound) })
 }
 
 // RefineScored is the generalized grid search: candidates are generated
@@ -75,7 +75,14 @@ func Refine(xs []float64, p *Params, opts RefineOptions) *Params {
 // better). The accuracy pipeline uses it with a diagonal-Hessian-weighted
 // error for weight tensors (the paper's layer-wise Hessian-guided
 // optimization).
-func RefineScored(p *Params, opts RefineOptions, score func(*Params) float64) *Params {
+//
+// bound is the score to beat: a candidate is kept only if it scores
+// strictly below it, so a scorer whose running total can only grow may
+// return early, with any value >= bound, the moment the total reaches
+// bound — the selection is the one exhaustive scoring makes, ties
+// included. Below bound it must return the exact score. The incumbent p
+// is scored against a NaN bound, which no comparison satisfies.
+func RefineScored(p *Params, opts RefineOptions, score func(c *Params, bound float64) float64) *Params {
 	if len(opts.ScaleGrid) == 0 {
 		opts.ScaleGrid = []float64{1.0}
 	}
@@ -84,12 +91,12 @@ func RefineScored(p *Params, opts RefineOptions, score func(*Params) float64) *P
 	}
 
 	best := p
-	bestMSE := score(p)
+	bestMSE := score(p, math.NaN())
 	consider := func(c *Params) {
 		if c.Validate() != nil {
 			return
 		}
-		if m := score(c); m < bestMSE {
+		if m := score(c, bestMSE); m < bestMSE {
 			best, bestMSE = c, m
 		}
 	}

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"quq/internal/baselines"
+	"quq/internal/chaos"
 	"quq/internal/data"
 	"quq/internal/ptq"
 	"quq/internal/snapstore"
@@ -235,6 +236,11 @@ type RegistryOptions struct {
 	// float/int backends on the serving requantized grid. The setting
 	// can be changed at runtime with Registry.SetIntPath.
 	IntPath bool
+	// Clock times the idle grace after which a config's calibration
+	// statistics are released (calib.go). Defaults to chaos.Real; tests
+	// and the chaos harness substitute a fake so the grace costs no wall
+	// time and replays stay byte-identical.
+	Clock chaos.Clock
 }
 
 func (o *RegistryOptions) defaults() {
@@ -243,6 +249,9 @@ func (o *RegistryOptions) defaults() {
 	}
 	if o.CalibImages == 0 {
 		o.CalibImages = 32
+	}
+	if o.Clock == nil {
+		o.Clock = chaos.Real
 	}
 }
 
@@ -260,12 +269,22 @@ type entry struct {
 
 // baseEntry is the per-config singleflight slot for the FP32 base model
 // and its calibration set, shared by every method/bits/regime entry of
-// that config.
+// that config. It also owns the config's calibration statistics — the
+// root of the calibration DAG — for as long as builds need them
+// (calib.go).
 type baseEntry struct {
 	ready chan struct{}
 	model vit.Model
 	calib []*tensor.Tensor
 	err   error
+
+	// Guarded by Registry.mu. pins counts the builds in flight that may
+	// still read the statistics; stats is the set resident or being
+	// collected (nil otherwise); idle is bumped by every pin, so a release
+	// timer armed before it can tell it is stale.
+	pins  int
+	stats *statsSlot
+	idle  uint64
 }
 
 // Registry lazily builds and caches quantized models. All methods are
@@ -276,10 +295,17 @@ type Registry struct {
 	configs map[string]vit.Config
 	names   []string // sorted config names
 
-	mu      sync.Mutex
-	bases   map[string]*baseEntry
-	entries map[Key]*entry
-	builds  sync.WaitGroup // joins detached buildEntry goroutines in Drain
+	mu       sync.Mutex
+	bases    map[string]*baseEntry
+	families map[familyKey]*family
+	entries  map[Key]*entry
+	builds   sync.WaitGroup // joins detached build and statistics-release goroutines in Drain
+
+	// stop is cancelled by Drain: a statistics release waiting out its
+	// grace releases at once instead.
+	stop     context.Context
+	stopNow  context.CancelFunc
+	nodeRuns [numNodes]atomic.Int64 // calibration node builds by kind; the count tests' view
 
 	// store is the durable snapshot store (nil when SnapshotDir is
 	// empty); warm closes once the warm-restart pass has finished
@@ -298,12 +324,15 @@ type Registry struct {
 func NewRegistry(opts RegistryOptions, met *Metrics) *Registry {
 	opts.defaults()
 	r := &Registry{
-		opts:    opts,
-		met:     met,
-		configs: make(map[string]vit.Config),
-		bases:   make(map[string]*baseEntry),
-		entries: make(map[Key]*entry),
+		opts:     opts,
+		met:      met,
+		configs:  make(map[string]vit.Config),
+		bases:    make(map[string]*baseEntry),
+		families: make(map[familyKey]*family),
+		entries:  make(map[Key]*entry),
 	}
+	//quq:ctx-ok the registry owns its release timers' lifetime; Drain is what cancels them
+	r.stop, r.stopNow = context.WithCancel(context.Background())
 	for _, cfg := range append(append([]vit.Config(nil), vit.ZooConfigs...), vit.ViTNano) {
 		r.configs[cfg.Name] = cfg
 		r.names = append(r.names, cfg.Name)
@@ -453,8 +482,11 @@ func (r *Registry) NoteReplica(key Key, replica int) {
 // expires. Builds are detached from their triggering client by design
 // (the calibrate-once contract), so graceful shutdown must join them
 // here — otherwise a calibration in flight at exit is silently killed
-// mid-write with its entry published to nobody.
+// mid-write with its entry published to nobody. Calibration statistics
+// idling out their grace are released at once, and from then on as soon
+// as the last build needing them finishes.
 func (r *Registry) Drain(ctx context.Context) error {
+	r.stopNow()
 	done := make(chan struct{})
 	go func() {
 		r.builds.Wait()
@@ -468,27 +500,22 @@ func (r *Registry) Drain(ctx context.Context) error {
 	}
 }
 
-// build constructs the quantized model for a validated key.
+// build constructs the quantized model for a validated key: the key's
+// own work is the BuildHook, the assembly and the integer engine;
+// everything calibrated comes from the family's shared nodes (calib.go),
+// built here if this key is the first to need them and waited for if a
+// sibling already is.
 func (r *Registry) build(key Key) (*ptq.QuantizedModel, error) {
 	if r.opts.BuildHook != nil {
 		if err := r.opts.BuildHook(key); err != nil {
 			return nil, fmt.Errorf("serve: calibration for %s failed: %w", key, err)
 		}
 	}
-	base, calib, err := r.baseModel(key.Config)
-	if err != nil {
-		return nil, err
+	be := r.base(key.Config)
+	if be.err != nil {
+		return nil, be.err
 	}
-	method, _ := newMethod(key.Method)
-	qm, err := ptq.Quantize(base, method, ptq.CalibOptions{
-		Bits:              key.Bits,
-		Regime:            key.Regime,
-		Images:            calib,
-		MaxSamplesPerSite: r.opts.MaxSamplesPerSite,
-	})
-	if err != nil {
-		return nil, err
-	}
+	qm := r.calibrate(be, key)
 	if r.intPath.Load() && qm.WeightParams != nil {
 		if err := qm.SetIntPath(true); err != nil {
 			return nil, fmt.Errorf("serve: int path for %s: %w", key, err)
@@ -529,10 +556,11 @@ func (r *Registry) SetIntPath(on bool) (int, error) {
 	return toggled, nil
 }
 
-// baseModel returns the FP32 base model and calibration set for a config,
-// building them once (their own singleflight: two different method keys
-// on the same config must not duplicate the work or diverge on seeds).
-func (r *Registry) baseModel(name string) (vit.Model, []*tensor.Tensor, error) {
+// base returns the config's base slot — FP32 model and calibration set,
+// or the error loading them — building it once (its own singleflight:
+// two different method keys on the same config must not duplicate the
+// work or diverge on seeds).
+func (r *Registry) base(name string) *baseEntry {
 	r.mu.Lock()
 	be, ok := r.bases[name]
 	if !ok {
@@ -542,7 +570,7 @@ func (r *Registry) baseModel(name string) (vit.Model, []*tensor.Tensor, error) {
 	r.mu.Unlock()
 	if ok {
 		<-be.ready
-		return be.model, be.calib, be.err
+		return be
 	}
 
 	cfg := r.configs[name]
@@ -556,7 +584,7 @@ func (r *Registry) baseModel(name string) (vit.Model, []*tensor.Tensor, error) {
 		be.calib = data.CalibrationSet(cfg, r.opts.CalibImages, seed)
 	}
 	close(be.ready)
-	return be.model, be.calib, be.err
+	return be
 }
 
 // baseSeed derives the per-config seed with the experiments' convention

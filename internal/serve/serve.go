@@ -10,7 +10,13 @@
 //
 //   - Registry (registry.go): lazily builds and caches quantized models,
 //     deduplicating concurrent first requests so each key calibrates
-//     exactly once;
+//     exactly once — and, below the key (calib.go), so does everything a
+//     key shares with its siblings: statistics are collected once per
+//     config (owned by the base-model slot, released after an idle grace
+//     because they dwarf the models), weights and site quantizers are
+//     built once per (config, method, bits) and kept, and an entry is an
+//     assembly over them — both regimes of a selection serve from one
+//     weight clone;
 //   - Batcher (batcher.go): a micro-batching scheduler — requests land
 //     in a bounded queue, are coalesced per model key, and execute on a
 //     GOMAXPROCS-sized worker pool;
@@ -23,8 +29,9 @@
 //     control (requests whose estimated wait exceeds their latency
 //     budget shed with 429 before taking a queue slot);
 //   - Server (server.go): the HTTP surface (POST /v1/classify,
-//     POST /v1/quantize, GET /models, /healthz, /metrics) with panic
-//     recovery, request size limits, per-request timeouts, queue
+//     POST /v1/quantize, GET/POST /v1/snapshot, GET /models, /healthz,
+//     /metrics) with panic recovery, request size limits (8 MiB; a
+//     snapshot install takes whole models), per-request timeouts, queue
 //     backpressure (429) and graceful drain;
 //   - metrics (metrics/): the stdlib-only instrumentation behind
 //     /metrics.
@@ -60,7 +67,11 @@ type Metrics struct {
 	// Model registry.
 	CacheHits    *metrics.Counter   // registry lookups that found an entry
 	CacheMisses  *metrics.Counter   // lookups that triggered a calibration
-	BuildSeconds *metrics.Histogram // calibration wall time, seconds
+	BuildSeconds *metrics.Histogram // one key's build wall time, seconds, waits on shared calibration nodes included
+
+	// Shared calibration (calib.go).
+	CalibCollects   *metrics.Counter // statistics collections (one per config while its statistics stay resident)
+	CalibStatsBytes *metrics.Gauge   // calibration statistics resident, bytes
 
 	// Durable snapshot store (snapshot.go).
 	SnapshotLoads       *metrics.Counter // entries warm-restarted from disk
@@ -93,7 +104,10 @@ func NewMetrics() *Metrics {
 
 		CacheHits:    r.NewCounter("quq_serve_model_cache_hits_total", "registry lookups served from cache"),
 		CacheMisses:  r.NewCounter("quq_serve_model_cache_misses_total", "registry lookups that calibrated a model"),
-		BuildSeconds: r.NewHistogram("quq_serve_model_build_seconds", "model calibration wall time in seconds", metrics.LatencyBuckets()),
+		BuildSeconds: r.NewHistogram("quq_serve_model_build_seconds", "wall time of one key's build in seconds, waits on calibration nodes shared with sibling keys included", metrics.LatencyBuckets()),
+
+		CalibCollects:   r.NewCounter("quq_serve_calib_collects_total", "calibration-statistics collections; sibling keys of a config share one while it stays resident"),
+		CalibStatsBytes: r.NewGauge("quq_serve_calib_stats_bytes", "calibration statistics resident in memory, bytes; 0 once builds are done and the idle grace has passed"),
 
 		SnapshotLoads:       r.NewCounter("quq_serve_snapshot_loads_total", "registry entries warm-restarted from the snapshot dir"),
 		SnapshotWrites:      r.NewCounter("quq_serve_snapshot_writes_total", "snapshots committed to the snapshot dir"),

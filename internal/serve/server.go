@@ -12,6 +12,7 @@ import (
 
 	"quq/internal/data"
 	"quq/internal/ptq"
+	"quq/internal/snapstore"
 	"quq/internal/tensor"
 )
 
@@ -38,6 +39,10 @@ const LatencyBudgetHeader = "X-Quq-Latency-Budget"
 // downloading state. Absent when the entry is not snapshottable.
 const DigestHeader = "X-Quq-Digest"
 
+// snapshotPath is the snapshot transfer route (GET serves a key's file
+// image, POST installs one).
+const snapshotPath = "/v1/snapshot"
+
 // Config assembles the server from its tunables.
 type Config struct {
 	// Registry tunes the model registry: which configs are servable, the
@@ -54,7 +59,9 @@ type Config struct {
 	// RequestTimeout bounds one request end-to-end, including a
 	// first-request calibration (default 60s).
 	RequestTimeout time.Duration
-	// MaxBodyBytes caps the request body (default 8 MiB).
+	// MaxBodyBytes caps the request body (default 8 MiB) on every route
+	// but the snapshot one, whose bodies are whole models and are capped
+	// at snapstore.MaxFileBytes instead.
 	MaxBodyBytes int64
 	// MaxImagesPerRequest caps the images in one classify call
 	// (default 64).
@@ -96,8 +103,8 @@ func New(cfg Config) *Server {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/classify", s.handleClassify)
 	mux.HandleFunc("POST /v1/quantize", s.handleQuantize)
-	mux.HandleFunc("GET /v1/snapshot", s.handleSnapshotGet)
-	mux.HandleFunc("POST /v1/snapshot", s.handleSnapshotPost)
+	mux.HandleFunc("GET "+snapshotPath, s.handleSnapshotGet)
+	mux.HandleFunc("POST "+snapshotPath, s.handleSnapshotPost)
 	mux.HandleFunc("GET /models", s.handleModels)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
@@ -143,7 +150,12 @@ func (s *Server) middleware(next http.Handler) http.Handler {
 				http.Error(w, fmt.Sprintf("internal error: %v", rec), http.StatusInternalServerError)
 			}
 		}()
-		r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+		limit := s.cfg.MaxBodyBytes
+		if r.URL.Path == snapshotPath {
+			// A snapshot is a whole model: DeiT-B is 18 MB, ViT-L 42 MB.
+			limit = snapstore.MaxFileBytes
+		}
+		r.Body = http.MaxBytesReader(w, r.Body, limit)
 		ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
 		defer cancel()
 		next.ServeHTTP(w, r.WithContext(ctx))

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -15,6 +16,7 @@ import (
 	"quq/internal/chaos"
 	"quq/internal/data"
 	"quq/internal/ptq"
+	"quq/internal/snapstore"
 	"quq/internal/tensor"
 	"quq/internal/testutil"
 	"quq/internal/vit"
@@ -422,5 +424,52 @@ func TestServerLifecycleLeaksNothing(t *testing.T) {
 	defer cancel()
 	if err := s.Drain(ctx); err != nil {
 		t.Fatalf("drain: %v", err)
+	}
+}
+
+// TestServeSnapshotInstallTakesLargeModels: the anti-entropy repair path
+// must be able to install any snapshot the store can hold. A DeiT-B
+// snapshot is ~18 MB — over the 8 MiB JSON routes get — so POST
+// /v1/snapshot carries its own bound; classify keeps the small one.
+func TestServeSnapshotInstallTakesLargeModels(t *testing.T) {
+	// Hand-assembled: the route's bound is about bytes, not calibration.
+	key := Key{Config: vit.DeiTBase.Name, Method: "QUQ", Bits: 6, Regime: ptq.Partial}
+	blob, digest, err := snapstore.Encode(key.String(), &ptq.QuantizedModel{
+		Model: vit.New(vit.DeiTBase, 1), Bits: key.Bits, Regime: key.Regime, Method: key.Method,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(Config{Registry: testRegistryOptions()})
+	if int64(len(blob)) <= s.cfg.MaxBodyBytes {
+		t.Fatalf("fixture is %d bytes, inside the %d-byte default: it proves nothing", len(blob), s.cfg.MaxBodyBytes)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	resp, err := http.Post(ts.URL+"/v1/snapshot", "application/octet-stream", bytes.NewReader(blob))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("installing a %d-byte snapshot at default flags: status %d: %.200s", len(blob), resp.StatusCode, body)
+	}
+	if got := resp.Header.Get(DigestHeader); got != digest {
+		t.Fatalf("installed digest %q, sent %q", got, digest)
+	}
+	if got := s.Registry().Digest(key); got != digest {
+		t.Fatalf("registry serves digest %q for %s, installed %q", got, key, digest)
+	}
+
+	// The same bytes at a JSON route still hit the default bound.
+	resp, err = http.Post(ts.URL+"/v1/classify", "application/json", bytes.NewReader(blob))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest && resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("%d bytes at /v1/classify: status %d, want 400/413", len(blob), resp.StatusCode)
 	}
 }

@@ -190,6 +190,10 @@ func (r *Registry) InstallSnapshot(data []byte) (keyStr, digestHex string, err e
 	close(e.ready)
 	r.mu.Lock()
 	r.entries[key] = e
+	// The family's nodes belong to the calibration that was just
+	// overruled: a sibling built later recalibrates instead of reusing
+	// them, and nothing keeps the replaced weights alive.
+	delete(r.families, familyKey{key.Config, key.Method, key.Bits})
 	r.mu.Unlock()
 	if r.store != nil {
 		if werr := r.store.WriteBlob(key.String(), data); werr != nil && r.met != nil {

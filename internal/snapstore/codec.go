@@ -47,6 +47,12 @@ const (
 	maxBlobLen = 1 << 28
 	// maxEntries bounds the activation and weight-parameter counts.
 	maxEntries = 1 << 20
+
+	// MaxFileBytes bounds a snapshot file image wherever one arrives from
+	// outside (POST /v1/snapshot): the header, the largest model blob
+	// Decode accepts, and as much again for the quantizer records around
+	// it — kilobytes in practice.
+	MaxFileBytes = headerBytes + 2*maxBlobLen
 )
 
 // Entry is one decoded snapshot.
