@@ -52,6 +52,7 @@ go test -race ./...
 # Short fuzz smoke of the property-based targets. `go test -fuzz`
 # takes exactly one package per invocation.
 go test -fuzz=FuzzPRA -fuzztime=5s -run=^$ ./internal/quant/
+go test -fuzz=FuzzQuantizeSlice -fuzztime=5s -run=^$ ./internal/quant/
 go test -fuzz=FuzzQUBRoundtrip -fuzztime=5s -run=^$ ./internal/qub/
 go test -fuzz=FuzzGEMMEquivalence -fuzztime=5s -run=^$ ./internal/tensor/
 go test -fuzz=FuzzIntGEMMEquivalence -fuzztime=5s -run=^$ ./internal/tensor/

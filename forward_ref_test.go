@@ -10,6 +10,7 @@ package quq_test
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"quq/internal/data"
@@ -23,13 +24,20 @@ import (
 // image the forward tests below share.
 func benchQuantizedModel(tb testing.TB) (*ptq.QuantizedModel, *tensor.Tensor) {
 	tb.Helper()
-	m := vit.New(vit.ViTNano, 1)
-	calib := data.CalibrationSet(vit.ViTNano, 4, 3)
+	return quantizedModel(tb, vit.ViTNano)
+}
+
+// quantizedModel builds cfg's 6-bit fully-quantized QUQ model and one
+// input image.
+func quantizedModel(tb testing.TB, cfg vit.Config) (*ptq.QuantizedModel, *tensor.Tensor) {
+	tb.Helper()
+	m := vit.New(cfg, 1)
+	calib := data.CalibrationSet(cfg, 4, 3)
 	qm, err := ptq.Quantize(m, ptq.NewQUQ(), ptq.CalibOptions{Bits: 6, Regime: ptq.Full, Images: calib})
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return qm, data.Images(vit.ViTNano, 1, 2)[0]
+	return qm, data.Images(cfg, 1, 2)[0]
 }
 
 // --- pre-PR forward replica ---
@@ -192,17 +200,11 @@ func refModelForward(tb testing.TB, m *vit.ViT, img *tensor.Tensor, tap vit.Tap)
 	return refLinearApply(m.Head, cls).Reshape(cfg.Classes)
 }
 
-// preprForward replays the full pre-kernel-layer quantized forward bit
-// for bit: the replica model forward above, with the old
-// activation-quantizer shape (Clone, then a per-element Params.Value
-// loop) at every calibrated site.
-func preprForward(tb testing.TB, qm *ptq.QuantizedModel, img *tensor.Tensor) *tensor.Tensor {
-	tb.Helper()
-	m, ok := qm.Model.(*vit.ViT)
-	if !ok {
-		tb.Fatalf("pre-PR replica needs *vit.ViT, got %T", qm.Model)
-	}
-	tap := func(site vit.Site, x *tensor.Tensor) *tensor.Tensor {
+// copyingTap is the old activation-quantizer shape as a vit.Tap: Clone,
+// then a per-element Params.Value loop, at every calibrated site. The
+// tensor it was handed is left as it was.
+func copyingTap(qm *ptq.QuantizedModel) vit.Tap {
+	return func(site vit.Site, x *tensor.Tensor) *tensor.Tensor {
 		tq, ok := qm.Acts[site.Key()]
 		if !ok {
 			return x
@@ -215,49 +217,144 @@ func preprForward(tb testing.TB, qm *ptq.QuantizedModel, img *tensor.Tensor) *te
 		}
 		return out
 	}
-	return refModelForward(tb, m, img, tap)
 }
 
-// TestForwardLogitsMatchPrePR asserts that the kernel-layer forward
-// reproduces the pre-kernel-layer logits bit for bit, serial and with
-// the intra-op budget raised.
+// preprForward replays the full pre-kernel-layer quantized forward bit
+// for bit: the replica model forward above, with the old
+// activation-quantizer shape at every calibrated site.
+func preprForward(tb testing.TB, qm *ptq.QuantizedModel, img *tensor.Tensor) *tensor.Tensor {
+	tb.Helper()
+	m, ok := qm.Model.(*vit.ViT)
+	if !ok {
+		tb.Fatalf("pre-PR replica needs *vit.ViT, got %T", qm.Model)
+	}
+	return refModelForward(tb, m, img, copyingTap(qm))
+}
+
+// TestForwardLogitsMatchPrePR asserts that the served forward — in-place
+// kernel quantizers on arena tensors — reproduces the copying, scalar
+// reference logits bit for bit, serial and with the intra-op budget
+// raised. ViT-Nano is held to the pre-kernel-layer replica above. The
+// replica has no window partition or distillation token, so Swin-T and
+// DeiT-S are held to their own model code run the old way: a Tap (which
+// keeps every tensor an ordinary allocation) that clones each site and
+// quantizes the clone through Value.
 func TestForwardLogitsMatchPrePR(t *testing.T) {
-	qm, img := benchQuantizedModel(t)
-	want := preprForward(t, qm, img)
-	check := func(label string) {
-		t.Helper()
-		got := qm.Forward(img)
-		for i, w := range want.Data() {
-			if math.Float64bits(got.Data()[i]) != math.Float64bits(w) {
-				t.Fatalf("%s: logit %d = %v, pre-PR reference %v", label, i, got.Data()[i], w)
+	t.Cleanup(func() { tensor.SetIntraOpWorkers(1) })
+	for _, cfg := range []vit.Config{vit.ViTNano, vit.DeiTSmall, vit.SwinTiny} {
+		qm, img := quantizedModel(t, cfg)
+		var want *tensor.Tensor
+		if cfg.Name == vit.ViTNano.Name {
+			want = preprForward(t, qm, img)
+		} else {
+			want = qm.Model.Forward(img, vit.ForwardOpts{Tap: copyingTap(qm)})
+		}
+		check := func(label string) {
+			t.Helper()
+			// Twice: the second pass runs on recycled arena tensors.
+			for pass := 0; pass < 2; pass++ {
+				got := qm.Forward(img)
+				for i, w := range want.Data() {
+					if math.Float64bits(got.Data()[i]) != math.Float64bits(w) {
+						t.Fatalf("%s %s pass %d: logit %d = %v, reference %v", cfg.Name, label, pass, i, got.Data()[i], w)
+					}
+				}
 			}
 		}
+		check("serial")
+		tensor.SetIntraOpWorkers(4)
+		check("parallel")
+		tensor.SetIntraOpWorkers(1)
 	}
-	check("serial")
-	tensor.SetIntraOpWorkers(4)
-	t.Cleanup(func() { tensor.SetIntraOpWorkers(1) })
-	check("parallel")
 }
 
-// forwardAllocBudget is the steady-state allocation ceiling for one
-// quantized ViT-Nano forward. Measured: 797 allocs/op with the kernel
-// layer (783 before it — the arena and destination-passing kernels pay
-// for the pooling headers they add). The ceiling leaves headroom for
-// compiler-version jitter while still catching a lost arena (which
-// costs hundreds of allocations per forward).
-const forwardAllocBudget = 860
+// forwardBudgets are the steady-state ceilings for one quantized forward:
+// heap allocations and bytes. Measured 7 allocations on both models (the
+// logits tensor and its reshaped view, one bound-method closure) and
+// 1,043 B on ViT-Nano, 3,161 B on ViT-S — before the forward carved its
+// intermediates from the arena and quantized them in place these were
+// 797 / 3,865 allocations and 12.9 MB on ViT-S. The ceilings are measured
+// + 10 %: one tensor that stops coming from the arena costs three
+// allocations and tens of kilobytes, and fails both.
+var forwardBudgets = []struct {
+	cfg    vit.Config
+	allocs float64
+	bytes  uint64
+}{
+	{vit.ViTNano, 8, 1150},
+	{vit.ViTSmall, 8, 3480},
+}
 
 // TestForwardAllocBudget fails if the steady-state quantized forward
-// starts allocating above the recorded budget — the cheap canary for
-// "someone dropped tensor reuse on the hot path".
+// starts allocating above the recorded budgets — the canary for "someone
+// dropped tensor reuse on the hot path".
 func TestForwardAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector drops sync.Pool reuse; allocs/op is not meaningful")
 	}
+	for _, b := range forwardBudgets {
+		qm, img := quantizedModel(t, b.cfg)
+		qm.Forward(img) // warm the arena and pack pools
+		if allocs := testing.AllocsPerRun(5, func() { qm.Forward(img) }); allocs > b.allocs {
+			t.Errorf("%s: steady-state forward allocates %.0f/op, budget %.0f", b.cfg.Name, allocs, b.allocs)
+		}
+		// Other goroutines can add to a MemStats delta, never take away:
+		// the smallest of a few repetitions is the forward's own.
+		least := uint64(math.MaxUint64)
+		var before, after runtime.MemStats
+		for rep := 0; rep < 3; rep++ {
+			runtime.ReadMemStats(&before)
+			qm.Forward(img)
+			runtime.ReadMemStats(&after)
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		if least > b.bytes {
+			t.Errorf("%s: steady-state forward allocates %d B/op, budget %d", b.cfg.Name, least, b.bytes)
+		}
+	}
+}
+
+// TestTapKeepsWhatItWasShown pins the ownership rule the arena rests on.
+// A caller's Tap may keep a tensor it was shown: the quantized values it
+// saw at b00.ln1.out must still be there after another forward has run
+// (so the forward must not have recycled that tensor), and neither kind
+// of forward may write to the input image.
+func TestTapKeepsWhatItWasShown(t *testing.T) {
 	qm, img := benchQuantizedModel(t)
-	qm.Forward(img) // warm the arena and pack pools
-	allocs := testing.AllocsPerRun(5, func() { qm.Forward(img) })
-	if allocs > forwardAllocBudget {
-		t.Fatalf("steady-state forward allocates %.0f/op, budget %d", allocs, forwardAllocBudget)
+	pristine := img.Clone()
+	var kept *tensor.Tensor
+	want := qm.ForwardOpts(img, vit.ForwardOpts{Tap: func(s vit.Site, x *tensor.Tensor) *tensor.Tensor {
+		if s.Key() == "b00.ln1.out" {
+			kept = x
+		}
+		return x
+	}})
+	if kept == nil {
+		t.Fatal("tap never saw b00.ln1.out")
+	}
+	seen := kept.Clone()
+	p := qm.Acts["b00.ln1.out"].(ptq.QUQTensorQuantizer).Params
+	for i, v := range seen.Data() {
+		if math.Float64bits(v) != math.Float64bits(p.Value(v)) {
+			t.Fatalf("element %d = %v reached the tap unquantized", i, v)
+		}
+	}
+	for pass := 0; pass < 2; pass++ {
+		got := qm.Forward(img) // no tap: arena tensors, recycled on the second pass
+		for i, w := range want.Data() {
+			if math.Float64bits(got.Data()[i]) != math.Float64bits(w) {
+				t.Fatalf("pass %d: logit %d = %v with arena tensors, %v with a tap", pass, i, got.Data()[i], w)
+			}
+		}
+	}
+	for i, v := range seen.Data() {
+		if math.Float64bits(kept.Data()[i]) != math.Float64bits(v) {
+			t.Fatalf("the tensor a tap kept changed at %d after later forwards: %v, was %v", i, kept.Data()[i], v)
+		}
+	}
+	for i, v := range pristine.Data() {
+		if math.Float64bits(img.Data()[i]) != math.Float64bits(v) {
+			t.Fatalf("forward wrote to the input image at %d: %v, was %v", i, img.Data()[i], v)
+		}
 	}
 }

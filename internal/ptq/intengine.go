@@ -25,7 +25,7 @@ import (
 // compare on a coarse requantized grid (see the serve bench and chaos
 // checks).
 type IntEngine struct {
-	ops map[string]*intOp
+	ops map[vit.Site]*intOp
 }
 
 // intOp is one weight site's resident state.
@@ -49,7 +49,7 @@ func NewIntEngine(q *QuantizedModel) (*IntEngine, error) {
 	if q.WeightParams == nil {
 		return nil, fmt.Errorf("ptq: model has no recorded weight params (method %q); int path needs a WeightParamsRecorder method", q.Method)
 	}
-	e := &IntEngine{ops: make(map[string]*intOp)}
+	e := &IntEngine{ops: make(map[vit.Site]*intOp)}
 	var err error
 	q.Model.ForEachWeight(func(site vit.Site, l *vit.Linear) {
 		if err != nil {
@@ -83,7 +83,7 @@ func NewIntEngine(q *QuantizedModel) (*IntEngine, error) {
 			return
 		}
 		xd := tq.Params.BaseDelta()
-		e.ops[site.Key()] = &intOp{prep: prep, xDelta: xd, xInv: 1 / xd, unit: xd * prep.Delta}
+		e.ops[site] = &intOp{prep: prep, xDelta: xd, xInv: 1 / xd, unit: xd * prep.Delta}
 	})
 	if err != nil {
 		return nil, err
@@ -105,7 +105,7 @@ func NewIntEngine(q *QuantizedModel) (*IntEngine, error) {
 //
 //quq:hotpath per-inference integer weight GEMM; all scratch is arena-pooled, the destination comes from the caller
 func (e *IntEngine) Linear(site vit.Site, l *vit.Linear, dst, x *tensor.Tensor) bool {
-	op, ok := e.ops[site.Key()]
+	op, ok := e.ops[site]
 	if !ok {
 		return false
 	}

@@ -24,6 +24,7 @@ package ptq
 import (
 	"fmt"
 	"math"
+	"sync"
 	"sync/atomic"
 
 	"quq/internal/quant"
@@ -145,8 +146,13 @@ type CalibOptions struct {
 //   - vit.Model.Forward never mutates model parameters or the input
 //     image — every intermediate lives in per-call tensors;
 //   - every TensorQuantizer.Apply implementation (QUQ and the baselines)
-//     reads only calibration-time state and clones its input;
-//   - Acts is written once during Assemble and only read afterwards.
+//     reads only calibration-time state and mutates only tensors the
+//     calling forward owns: the forward hands a quantizer nothing but
+//     intermediates it allocated itself, never the image, a parameter
+//     or another call's tensor;
+//   - Acts is written once during Assemble and only read afterwards; the
+//     per-site table ForwardOpts reads is resolved from it once, under a
+//     sync.Once, on the first forward.
 //
 // Callers must not mutate Model, Acts or quantizer internals after
 // sharing the model between goroutines. The one documented exception is
@@ -167,6 +173,17 @@ type QuantizedModel struct {
 
 	// engine is the optional integer forward engine; see SetIntPath.
 	engine atomic.Pointer[IntEngine]
+
+	// sites is Acts keyed the way the forward names a site, so the
+	// quantizer seam formats no key; resolved on the first forward.
+	resolve sync.Once
+	sites   map[siteID]TensorQuantizer
+}
+
+// siteID is what names an activation site within one model.
+type siteID struct {
+	block int
+	name  string
 }
 
 // SetIntPath installs (on=true) or removes (on=false) the fully-integer
@@ -305,27 +322,43 @@ func (q *QuantizedModel) Forward(img *tensor.Tensor) *tensor.Tensor {
 }
 
 // ForwardOpts runs quantized inference with extra instrumentation (the
-// attention sink for Figure 7). Any Tap in opts is applied after the
-// quantizer at each site.
+// attention sink for Figure 7). The site quantizers fill the forward's
+// Quantize seam; any Tap in opts sees each site after its quantizer.
 func (q *QuantizedModel) ForwardOpts(img *tensor.Tensor, opts vit.ForwardOpts) *tensor.Tensor {
 	if opts.Engine == nil {
 		if e := q.engine.Load(); e != nil {
 			opts.Engine = e
 		}
 	}
-	outer := opts.Tap
-	opts.Tap = func(site vit.Site, x *tensor.Tensor) *tensor.Tensor {
-		if tq, ok := q.Acts[site.Key()]; ok {
-			x = tq.Apply(x)
-		}
-		if outer != nil {
-			if y := outer(site, x); y != nil {
-				x = y
-			}
-		}
-		return x
-	}
+	q.resolve.Do(q.resolveSites)
+	opts.Quantize = q.quantizeSite
 	return q.Model.Forward(img, opts)
+}
+
+// resolveSites builds sites from Acts.
+func (q *QuantizedModel) resolveSites() {
+	q.sites = make(map[siteID]TensorQuantizer, len(q.Acts))
+	for key, tq := range q.Acts {
+		if block, name, ok := vit.ParseSiteKey(key); ok {
+			q.sites[siteID{block, name}] = tq
+		}
+	}
+}
+
+// quantizeSite implements vit.SiteQuantizer: the site's quantizer, if it
+// has one, rewrites x. A quantizer that answers with a tensor of its own
+// (the baselines clone) has it copied back, since the forward continues
+// with x.
+//
+//quq:hotpath runs at every site of every quantized forward; quantizes in place
+func (q *QuantizedModel) quantizeSite(site vit.Site, x *tensor.Tensor) {
+	tq, ok := q.sites[siteID{site.Block, site.Name}]
+	if !ok {
+		return
+	}
+	if y := tq.Apply(x); y != x {
+		copy(x.Data(), y.Data())
+	}
 }
 
 // Classifier is anything that maps an image to logits: both vit.Model

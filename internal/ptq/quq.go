@@ -40,13 +40,11 @@ type QUQTensorQuantizer struct {
 	Params *quant.Params
 }
 
-// Apply implements TensorQuantizer. It quantizes x into a fresh tensor
-// (x is left untouched — callers may still hold it, e.g. as a residual)
-// rather than cloning first, saving a copy pass per site.
+// Apply implements TensorQuantizer: it quantizes x in place and returns
+// it. A caller that still needs the unquantized values clones first.
 func (q QUQTensorQuantizer) Apply(x *tensor.Tensor) *tensor.Tensor {
-	out := tensor.New(x.Shape()...)
-	q.Params.QuantizeSlice(out.Data(), x.Data())
-	return out
+	q.Params.QuantizeSlice(x.Data(), x.Data())
+	return x
 }
 
 // CalibrateActivation implements Method.
@@ -82,19 +80,14 @@ func (m *QUQMethod) QuantizeWeightAware(site vit.Site, w *tensor.Tensor, bits in
 	// running total only grows: once it reaches bound the candidate has
 	// lost (quant.RefineScored's early-return contract).
 	score := func(p *quant.Params, bound float64) float64 {
+		k := p.Kernel()
 		var s float64
 		for r := 0; r < in; r++ {
 			wgt := inputSq[r]
 			if wgt <= 0 {
 				continue
 			}
-			row := d[r*out : (r+1)*out]
-			var rowErr float64
-			for _, v := range row {
-				e := v - p.Value(v)
-				rowErr += e * e
-			}
-			s += wgt * rowErr
+			s += wgt * k.SumSqErr(0, d[r*out:(r+1)*out])
 			if s >= bound {
 				break
 			}

@@ -62,3 +62,45 @@ func FuzzPRA(f *testing.F) {
 		}
 	})
 }
+
+// FuzzQuantizeSlice holds the kernel to its specification on inputs no
+// calibrator produces: arbitrary slot fields — disabled sides, zero,
+// negative, NaN and infinite Δ, MaxMag of any sign and size — against
+// arbitrary float64 bit patterns. QuantizeSlice must equal Value bit for
+// bit, element-wise, separately and aliased — on the fuzzer's values and
+// on the ones where this Params' decisions flip (boundaryInputs);
+// deriving the lanes must terminate (the walk is bounded) and a Params
+// it cannot handle must fall back rather than answer wrongly.
+func FuzzQuantizeSlice(f *testing.F) {
+	f.Add(true, 0.5, int64(16), true, 0.5, int64(15), true, 4.0, int64(16), true, 2.0, int64(15), fuzzSeed(0.24, 0.25, 0.26, -7.9, 8.25, -1e9))
+	f.Add(false, 0.0, int64(0), true, 0.0437, int64(31), true, 0.0874, int64(32), false, 0.0, int64(0), fuzzSeed(0, math.Copysign(0, -1), math.Inf(1), math.NaN()))
+	f.Add(true, 5e-324, int64(3), false, 1.0, int64(0), false, 1.0, int64(0), false, 1.0, int64(0), fuzzSeed(-5e-324, -2e-323, 1))
+	f.Add(true, -1.0, int64(4), true, math.Inf(1), int64(-2), true, math.NaN(), int64(1)<<60, true, 0.0, int64(7), fuzzSeed(1, -1))
+	f.Add(true, 1e308, int64(1000), true, 1e308, int64(1000), true, 1.7e308, int64(3), true, 1.7e308, int64(3), fuzzSeed(1e308, -1.79e308, math.Inf(-1)))
+
+	f.Fuzz(func(t *testing.T,
+		e0 bool, d0 float64, m0 int64, e1 bool, d1 float64, m1 int64,
+		e2 bool, d2 float64, m2 int64, e3 bool, d3 float64, m3 int64, data []byte) {
+		p := &Params{Bits: 8, Slots: [4]SlotParams{{e0, d0, m0}, {e1, d1, m1}, {e2, d2, m2}, {e3, d3, m3}}}
+		xs := make([]float64, min(len(data)/8, 256))
+		for i := range xs {
+			xs[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[i*8:]))
+		}
+		xs = append(xs, boundaryInputs(p)...)
+		out := make([]float64, len(xs))
+		p.QuantizeSlice(out, xs)
+		for i, x := range xs {
+			if want := p.Value(x); math.Float64bits(out[i]) != math.Float64bits(want) {
+				t.Fatalf("QuantizeSlice(%v [%016x]) = %v [%016x], Value = %v [%016x] under %+v",
+					x, math.Float64bits(x), out[i], math.Float64bits(out[i]), want, math.Float64bits(want), p.Slots)
+			}
+		}
+		alias := append([]float64(nil), xs...)
+		p.QuantizeSlice(alias, alias)
+		for i := range alias {
+			if math.Float64bits(alias[i]) != math.Float64bits(out[i]) {
+				t.Fatalf("aliased QuantizeSlice diverged at %d (%v) under %+v", i, xs[i], p.Slots)
+			}
+		}
+	})
+}

@@ -11,6 +11,14 @@
 // calibration data by the progressive relaxation algorithm (PRA,
 // Algorithms 1–2), implemented in pra.go.
 //
+// The quantizer exists twice on purpose. Params.Quantize/Value is Eq. (3)
+// as the paper writes it — round by the fine Δ, fall to the coarse
+// subrange if the code does not fit — one element at a time: the
+// specification, and the oracle of every test. Kernel (kernel.go, behind
+// Params.QuantizeSlice) is the same function in threshold form for
+// slices: branch-free, one divide per element, bit-identical to Value.
+// Forward passes and calibration scoring both run the kernel.
+//
 // Terminology note: one "magnitude code" is the unsigned integer m such
 // that the dequantized value is ±m·Δ_slot. A b-bit QUQ quantizer spends
 // 2^(b−2) codes per subrange in Mode A, and 2^(b−1) codes on a subrange
@@ -322,25 +330,6 @@ func roundMag(v float64) int64 {
 	return saturatingRound(v)
 }
 
-// two52 = 2^52, the magic constant of the add-subtract rounding trick.
-const two52 = float64(1 << 52)
-
-// roundMagFast rounds a non-negative, non-NaN quotient to the nearest
-// integer, ties to even. For y < 2^52 the add-subtract sequence is exact
-// round-to-nearest-even (the FP add rounds the real sum onto the ulp-1
-// grid of [2^52, 2^53)), so it matches roundMag bit for bit. For y ≥ 2^52
-// (including +Inf) it returns MaxInt64 where roundMag would return the
-// exact integer; both exceed every representable MaxMag (≤ 2^15), so the
-// downstream slot-selection and clipping comparisons are unaffected.
-// Callers must route NaN through roundMag instead: int64(NaN) is
-// implementation-defined and the slow path's quirk must be preserved.
-func roundMagFast(y float64) int64 {
-	if y < two52 {
-		return int64((y + two52) - two52)
-	}
-	return math.MaxInt64
-}
-
 // Dequantize converts a code back to its real value.
 func (p *Params) Dequantize(c Code) float64 {
 	v := float64(c.Mag) * p.Slots[c.Slot].Delta
@@ -357,120 +346,17 @@ func (p *Params) Value(x float64) float64 {
 }
 
 // QuantizeSlice fake-quantizes every element of xs into out (which may
-// alias xs). It panics if the lengths differ.
+// alias xs), bit-identical to Value element-wise. It panics if the
+// lengths differ.
 //
-// This is the per-forward hot loop (every activation site runs it), so it
-// specializes Value: the slot parameters are hoisted out of the loop and
-// the per-element branches operate on locals. The arithmetic — which Δ
-// divides x, how the quotient rounds and clips, what multiplies back —
-// is step-for-step the same as Quantize+Dequantize, so the results are
-// bit-identical to Value; quant_test.go asserts this element-wise.
+// This is the per-forward hot loop (every activation site runs it): it
+// compiles p into a Kernel — Eq. (3) in threshold form, one divide per
+// element and no branch on the data — and runs that. Value stays the
+// specification; quant_test.go and FuzzQuantizeSlice hold the kernel to
+// it bit for bit.
 func (p *Params) QuantizeSlice(out, xs []float64) {
-	if len(out) != len(xs) {
-		panic(check.Invariant("quant: QuantizeSlice length mismatch"))
-	}
-	// Slot parameters hoisted into scalars so the per-element branches
-	// never copy a SlotParams struct.
-	fpE, fpD, fpM := p.Slots[FPos].Enabled, p.Slots[FPos].Delta, p.Slots[FPos].MaxMag
-	cpE, cpD, cpM := p.Slots[CPos].Enabled, p.Slots[CPos].Delta, p.Slots[CPos].MaxMag
-	fnE, fnD, fnM := p.Slots[FNeg].Enabled, p.Slots[FNeg].Delta, p.Slots[FNeg].MaxMag
-	cnE, cnD, cnM := p.Slots[CNeg].Enabled, p.Slots[CNeg].Delta, p.Slots[CNeg].MaxMag
-	// All zero-magnitude codes normalize onto the canonical zero slot,
-	// whose dequantized value is −0.0 when that slot is negative.
-	zeroVal := p.Dequantize(Code{Slot: p.zeroSlot(), Mag: 0})
-	for i, x := range xs {
-		if x > 0 {
-			var mag int64
-			var delta float64
-			if fpE {
-				mag = roundMagFast(x / fpD)
-				if mag <= fpM || !cpE {
-					if mag > fpM {
-						mag = fpM
-					}
-					delta = fpD
-					goto emitPos
-				}
-			}
-			if !cpE {
-				// No subrange on this side: clip to zero.
-				out[i] = zeroVal
-				continue
-			}
-			mag = roundMagFast(x / cpD)
-			if mag > cpM {
-				mag = cpM
-			}
-			delta = cpD
-		emitPos:
-			if mag == 0 {
-				out[i] = zeroVal
-				continue
-			}
-			out[i] = float64(mag) * delta
-		} else if x < 0 {
-			x = -x
-			var mag int64
-			var delta float64
-			if fnE {
-				mag = roundMagFast(x / fnD)
-				if mag <= fnM || !cnE {
-					if mag > fnM {
-						mag = fnM
-					}
-					delta = fnD
-					goto emitNeg
-				}
-			}
-			if !cnE {
-				out[i] = zeroVal
-				continue
-			}
-			mag = roundMagFast(x / cnD)
-			if mag > cnM {
-				mag = cnM
-			}
-			delta = cnD
-		emitNeg:
-			if mag == 0 {
-				out[i] = zeroVal
-				continue
-			}
-			out[i] = -(float64(mag) * delta)
-		} else if x == 0 {
-			out[i] = zeroVal
-		} else {
-			// NaN: Quantize's `x > 0` is false, so NaN routes through
-			// the negative slots (negated NaN stays NaN); replicate.
-			var mag int64
-			var delta float64
-			if fnE {
-				mag = roundMag(x / fnD)
-				if mag <= fnM || !cnE {
-					if mag > fnM {
-						mag = fnM
-					}
-					delta = fnD
-					goto emitNaNNeg
-				}
-			}
-			if !cnE {
-				out[i] = zeroVal
-				continue
-			}
-			mag = roundMag(x / cnD)
-			if mag > cnM {
-				mag = cnM
-			}
-			delta = cnD
-		emitNaNNeg:
-			if mag == 0 {
-				out[i] = zeroVal
-				continue
-			}
-			out[i] = -(float64(mag) * delta)
-		}
-	}
+	k := p.Kernel()
+	k.Quantize(out, xs)
 }
 
 // MSE returns the mean squared quantization error of p over xs, the metric
@@ -499,14 +385,12 @@ func (p *Params) mseBelow(xs []float64, bound float64) float64 {
 		return 0
 	}
 	n := float64(len(xs))
+	k := p.Kernel()
 	var s float64
 	for len(xs) > 0 {
 		blk := xs[:min(abandonBlock, len(xs))]
 		xs = xs[len(blk):]
-		for _, x := range blk {
-			d := x - p.Value(x)
-			s += d * d
-		}
+		s = k.SumSqErr(s, blk)
 		if s/n >= bound {
 			break
 		}

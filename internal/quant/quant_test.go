@@ -1,6 +1,7 @@
 package quant
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -250,11 +251,71 @@ func TestQuantizeWrongSideOfOneSided(t *testing.T) {
 	}
 }
 
-// TestQuantizeSliceMatchesValue pins the specialized hot loop to the
-// scalar Quantize+Dequantize path bit for bit (QuantizeSlice's doc
-// promises bit-identity, including the sign of zero), across every slot
-// configuration the calibrator can produce and the edge values that
-// exercise the clipping, zero-normalization and saturation branches.
+// modeParams hand-builds the slot layout PRA gives each mode at the given
+// bit-width (pra.go), over a base Δ that is not a power of two so no
+// quotient is exact by accident. Mode B and C come in both orientations.
+func modeParams(bits int, base float64) map[string]*Params {
+	half, quarter := int64(1)<<(bits-1), int64(1)<<(bits-2)
+	on := func(delta float64, maxMag int64) SlotParams {
+		return SlotParams{Enabled: true, Delta: delta, MaxMag: maxMag}
+	}
+	a := &Params{Bits: bits, Mode: ModeA}
+	a.Slots = [4]SlotParams{FNeg: on(base, quarter), FPos: on(base, quarter-1), CNeg: on(8*base, quarter), CPos: on(4*base, quarter-1)}
+	bPos := &Params{Bits: bits, Mode: ModeB}
+	bPos.Slots[FPos], bPos.Slots[CPos] = on(base, half-1), on(8*base, half-1)
+	bNeg := &Params{Bits: bits, Mode: ModeB}
+	bNeg.Slots[FNeg], bNeg.Slots[CNeg] = on(base, half), on(8*base, half)
+	bFlat := &Params{Bits: bits, Mode: ModeB}
+	bFlat.Slots[FNeg] = on(base, half)
+	cNeg := &Params{Bits: bits, Mode: ModeC}
+	cNeg.Slots[FNeg], cNeg.Slots[FPos], cNeg.Slots[CPos] = on(2*base, quarter), on(base, quarter-1), on(4*base, half-1)
+	cPos := &Params{Bits: bits, Mode: ModeC}
+	cPos.Slots[FPos], cPos.Slots[FNeg], cPos.Slots[CNeg] = on(2*base, quarter-1), on(base, quarter), on(4*base, half)
+	d := &Params{Bits: bits, Mode: ModeD}
+	d.Slots[FPos], d.Slots[CNeg] = on(base, half-1), on(2*base, half)
+	return map[string]*Params{"A": a, "B+": bPos, "B-": bNeg, "B-flat": bFlat, "C-": cNeg, "C+": cPos, "D": d}
+}
+
+// boundaryInputs returns the inputs on which a quantizer's decisions
+// flip: for every enabled slot the rounding ties (m+½)·Δ for m from 0 to
+// one past MaxMag, on the slot's side of zero; the limits the kernel
+// derived; and the float64 neighbours one ulp either side of each. A
+// MaxMag too large to walk (the fuzzer's) keeps the ties at both ends.
+func boundaryInputs(p *Params) []float64 {
+	var xs []float64
+	around := func(v float64) {
+		xs = append(xs, math.Nextafter(v, math.Inf(-1)), v, math.Nextafter(v, math.Inf(1)))
+	}
+	for i, sl := range p.Slots {
+		if !sl.Enabled || sl.MaxMag < 0 || sl.MaxMag >= 1<<52 {
+			continue
+		}
+		for m := int64(0); m <= sl.MaxMag+1; m++ {
+			if m == 1024 && sl.MaxMag > 2048 {
+				m = sl.MaxMag - 1024
+			}
+			v := (float64(m) + 0.5) * sl.Delta
+			if Slot(i).Negative() {
+				v = -v
+			}
+			around(v)
+		}
+	}
+	k := p.Kernel()
+	for _, lim := range k.limit {
+		around(math.Float64frombits(lim))
+		around(-math.Float64frombits(lim))
+	}
+	return xs
+}
+
+// TestQuantizeSliceMatchesValue pins the kernel to the scalar
+// Quantize+Dequantize path bit for bit (QuantizeSlice's doc promises
+// bit-identity, including the sign of zero): every slot layout the
+// calibrator can produce, at every bit-width from 3 to 10, on the inputs
+// where a decision flips (boundaryInputs), the values that exercise
+// clipping, zero-normalization, saturation and the NaN detour, a random
+// bulk, and the aliased call.
 func TestQuantizeSliceMatchesValue(t *testing.T) {
 	src := rng.New(8)
 	calib := make([]float64, 4096)
@@ -272,14 +333,30 @@ func TestQuantizeSliceMatchesValue(t *testing.T) {
 		"pra-one-sided+":  PRA(onePos, 6, DefaultPRAOptions()),
 		"pra-one-sided-":  PRA(oneNeg, 6, DefaultPRAOptions()),
 		"uniform-special": ParamsForUniform(0.125, 6),
+		// Δ at the bottom of the subnormals and near overflow: the limit
+		// walk starts from a rounded-to-grid or infinite (MaxMag+½)·Δ.
+		"subnormal-delta": {Bits: 4, Mode: ModeA, Slots: [4]SlotParams{
+			{true, 5e-324, 4}, {true, 5e-324, 3}, {true, 4e-323, 4}, {true, 2e-323, 3}}},
+		"huge-delta": {Bits: 4, Mode: ModeA, Slots: [4]SlotParams{
+			{true, 1e307, 20}, {true, 1e307, 19}, {true, 8e307, 4}, {true, 4e307, 3}}},
+	}
+	for bits := 3; bits <= 10; bits++ {
+		for name, p := range modeParams(bits, 0.0437) {
+			params[fmt.Sprintf("mode-%s/b%d", name, bits)] = p
+		}
 	}
 	edges := []float64{
 		0, math.Copysign(0, -1), 1e-300, -1e-300, 1e300, -1e300,
 		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
-		math.MaxFloat64, -math.MaxFloat64, math.NaN(),
+		3e-310, -3e-310, // subnormal
+		math.MaxFloat64, -math.MaxFloat64, math.Inf(1), math.Inf(-1),
+		math.NaN(), math.Float64frombits(0xFFF0_0000_0000_0001), // quiet and signalling-negative NaN
 	}
 	for name, p := range params {
-		xs := append([]float64(nil), edges...)
+		if k := p.Kernel(); !k.exact {
+			t.Fatalf("%s: lanes not derived for a well-formed quantizer %v", name, p)
+		}
+		xs := append(append([]float64(nil), edges...), boundaryInputs(p)...)
 		for i := 0; i < 2000; i++ {
 			switch {
 			case src.Float64() < 0.1:
@@ -305,6 +382,34 @@ func TestQuantizeSliceMatchesValue(t *testing.T) {
 		for i := range alias {
 			if math.Float64bits(alias[i]) != math.Float64bits(out[i]) {
 				t.Fatalf("%s: aliased QuantizeSlice diverged at %d", name, i)
+			}
+		}
+	}
+}
+
+// TestKernelFallsBackOnDegenerateParams: a quantizer the lanes cannot be
+// derived for still quantizes, through Value, instead of producing a
+// confident wrong answer.
+func TestKernelFallsBackOnDegenerateParams(t *testing.T) {
+	xs := []float64{-3, -0.4, 0, 0.4, 3, math.NaN(), math.Inf(1)}
+	for name, sl := range map[string]SlotParams{
+		"zero-delta":     {true, 0, 7},
+		"negative-delta": {true, -0.5, 7},
+		"nan-delta":      {true, math.NaN(), 7},
+		"inf-delta":      {true, math.Inf(1), 7},
+		"negative-max":   {true, 0.5, -1},
+		"huge-max":       {true, 0.5, 1 << 52},
+	} {
+		p := ParamsForUniform(0.5, 4)
+		p.Slots[CNeg] = sl
+		if k := p.Kernel(); k.exact {
+			t.Fatalf("%s: lanes derived from %v", name, sl)
+		}
+		out := make([]float64, len(xs))
+		p.QuantizeSlice(out, xs)
+		for i, x := range xs {
+			if want := p.Value(x); math.Float64bits(out[i]) != math.Float64bits(want) {
+				t.Fatalf("%s: QuantizeSlice(%v) = %v, want %v", name, x, out[i], want)
 			}
 		}
 	}

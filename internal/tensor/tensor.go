@@ -29,7 +29,10 @@ func New(shape ...int) *Tensor {
 	n := 1
 	for _, d := range shape {
 		if d < 0 {
-			panic(check.Invariantf("tensor: negative dimension %d in shape %v", d, shape))
+			// The copy keeps shape itself from escaping: a variadic call
+			// must not cost a second heap allocation on the path that
+			// succeeds.
+			panic(check.Invariantf("tensor: negative dimension %d in shape %v", d, append([]int(nil), shape...)))
 		}
 		n *= d
 	}

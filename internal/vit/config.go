@@ -1,9 +1,17 @@
 // Package vit implements the vision-transformer inference stack the QUQ
 // paper evaluates on: ViT (Dosovitskiy et al.), DeiT (ViT plus a
 // distillation token) and Swin (windowed attention with shifted windows
-// and patch merging), together with the activation-tap machinery the PTQ
-// pipeline uses to observe and rewrite every quantization point of the
-// paper's Figure 1 data flow.
+// and patch merging), together with the seams the PTQ pipeline uses at
+// every quantization point of the paper's Figure 1 data flow.
+//
+// A forward has two seams per site (ForwardOpts): Quantize rewrites the
+// site's tensor in place — quantized inference — and Tap observes it
+// afterwards and may keep or replace it — calibration, instrumentation.
+// The forward hands them only tensors it allocated itself; with no Tap
+// and no AttnSink every such tensor comes from, and goes back to, one
+// tensor.Arena checked out for the pass, and with either present they
+// are ordinary allocations a caller may keep (ARCHITECTURE.md, "Forward
+// lifecycle").
 //
 // The models here are *proxy-scale*: same architectures, reduced widths
 // and depths (see DESIGN.md). Weights are either synthetic — Gaussian

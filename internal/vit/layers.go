@@ -60,11 +60,19 @@ func NewLayerNorm(dim int) *LayerNorm {
 
 // Apply normalizes x of shape [n, dim] row-wise into a new tensor.
 func (ln *LayerNorm) Apply(x *tensor.Tensor) *tensor.Tensor {
+	return ln.ApplyInto(tensor.New(x.Dim(0), x.Dim(1)), x)
+}
+
+// ApplyInto normalizes x row-wise into dst of the same shape, which
+// typically comes from a scratch arena; every element is overwritten.
+func (ln *LayerNorm) ApplyInto(dst, x *tensor.Tensor) *tensor.Tensor {
 	n, d := x.Dim(0), x.Dim(1)
 	if d != len(ln.Gamma) {
 		panic(check.Invariantf("vit: layernorm width %d, want %d", d, len(ln.Gamma)))
 	}
-	out := tensor.New(n, d)
+	if dst.Dim(0) != n || dst.Dim(1) != d {
+		panic(check.Invariantf("vit: layernorm destination %v, want [%d %d]", dst.Shape(), n, d))
+	}
 	for r := 0; r < n; r++ {
 		row := x.Row(r)
 		var mean float64
@@ -78,12 +86,12 @@ func (ln *LayerNorm) Apply(x *tensor.Tensor) *tensor.Tensor {
 			ss += dv * dv
 		}
 		inv := 1 / math.Sqrt(ss/float64(d)+ln.Eps)
-		orow := out.Row(r)
+		orow := dst.Row(r)
 		for c, v := range row {
 			orow[c] = (v-mean)*inv*ln.Gamma[c] + ln.Beta[c]
 		}
 	}
-	return out
+	return dst
 }
 
 // Block is one transformer encoder block: pre-norm multi-head
@@ -115,9 +123,18 @@ func NewBlock(dim, heads, mlpRatio int) *Block {
 // independent sequences of T tokens laid out contiguously — nSeq is 1 for
 // ViT/DeiT and the window count for Swin). blk is the global block index
 // used in tap site names. The input is assumed to have been tapped by the
-// caller as the previous block's residual output.
+// caller as the previous block's residual output; it is read, never
+// written. The result is the caller's to keep.
 func (b *Block) Forward(x *tensor.Tensor, nSeq, blk int, opts ForwardOpts) *tensor.Tensor {
-	tap := opts.Tap
+	sc := newScratch(opts)
+	defer sc.release()
+	return b.forward(sc, x, nSeq, blk, opts)
+}
+
+// forward is Forward on the enclosing pass's scratch: every intermediate
+// is put back the moment it is dead, and the result is left for the
+// caller to put once the next stage has consumed it.
+func (b *Block) forward(sc scratch, x *tensor.Tensor, nSeq, blk int, opts ForwardOpts) *tensor.Tensor {
 	dim := x.Dim(1)
 	s := x.Dim(0)
 	if s%nSeq != 0 {
@@ -125,21 +142,22 @@ func (b *Block) Forward(x *tensor.Tensor, nSeq, blk int, opts ForwardOpts) *tens
 	}
 	t := s / nSeq
 	heads := b.Heads
+	if dim%heads != 0 {
+		// The head bands must tile the width, or ctx keeps columns no
+		// head writes.
+		panic(check.Invariantf("vit: width %d not divisible into %d heads", dim, heads))
+	}
 	dh := dim / heads
 	scale := 1 / math.Sqrt(float64(dh))
+	ar := sc.ar
 
-	// Per-forward scratch: every tensor carved from the arena below is
-	// either Put back mid-pass or dead by Release. Tensors that reach a
-	// tap (which may retain or replace them) stay ordinary allocations.
-	ar := tensor.GetArena()
-	defer ar.Release()
-
-	h := b.LN1.Apply(x)
-	h = tap.apply(Site{blk, "ln1.out", KindGEMMIn}, h)
+	h := b.LN1.ApplyInto(sc.uninit(s, dim), x)
+	h = opts.site(Site{blk, "ln1.out", KindGEMMIn}, h)
 	qkvOut := applyLinear(opts, Site{blk, "attn.qkv.w", KindWeight}, b.QKV, ar.NewUninit(s, 3*dim), h)
+	sc.put(h)
 
 	// Split into Q, K, V tensors of shape [S, dim].
-	q, k, v := tensor.New(s, dim), tensor.New(s, dim), tensor.New(s, dim)
+	q, k, v := sc.uninit(s, dim), sc.uninit(s, dim), sc.uninit(s, dim)
 	for r := 0; r < s; r++ {
 		row := qkvOut.Row(r)
 		copy(q.Row(r), row[:dim])
@@ -147,45 +165,54 @@ func (b *Block) Forward(x *tensor.Tensor, nSeq, blk int, opts ForwardOpts) *tens
 		copy(v.Row(r), row[2*dim:])
 	}
 	ar.Put(qkvOut)
-	q = tap.apply(Site{blk, "attn.q", KindGEMMIn}, q)
-	k = tap.apply(Site{blk, "attn.k", KindGEMMIn}, k)
-	v = tap.apply(Site{blk, "attn.v", KindGEMMIn}, v)
+	q = opts.site(Site{blk, "attn.q", KindGEMMIn}, q)
+	k = opts.site(Site{blk, "attn.k", KindGEMMIn}, k)
+	v = opts.site(Site{blk, "attn.v", KindGEMMIn}, v)
 
 	// Attention scores for every (sequence, head) pair, flattened to
 	// [nSeq*heads*T, T] so the whole tensor shares one quantizer.
-	scores := tensor.New(nSeq*heads*t, t)
+	scores := sc.uninit(nSeq*heads*t, t)
 	attnScores(ar, scores, q, k, nSeq, heads, t, dh, scale)
-	scores = tap.apply(Site{blk, "attn.softmax_in", KindActivation}, scores)
+	sc.put(q)
+	sc.put(k)
+	scores = opts.site(Site{blk, "attn.softmax_in", KindActivation}, scores)
 	for r := 0; r < scores.Dim(0); r++ {
 		mathx.SoftmaxInPlace(scores.Row(r))
 	}
 	if opts.Attn != nil {
 		opts.Attn(blk, scores)
 	}
-	scores = tap.apply(Site{blk, "attn.softmax_out", KindGEMMIn}, scores)
+	scores = opts.site(Site{blk, "attn.softmax_out", KindGEMMIn}, scores)
 
 	// Context: P·V per (sequence, head), reassembled to [S, dim].
-	ctx := tensor.New(s, dim)
+	ctx := sc.uninit(s, dim)
 	attnContext(ar, ctx, scores, v, nSeq, heads, t, dh)
-	ctx = tap.apply(Site{blk, "attn.proj_in", KindGEMMIn}, ctx)
-	o := applyLinear(opts, Site{blk, "attn.proj.w", KindWeight}, b.Proj, tensor.New(s, dim), ctx)
-	o = tap.apply(Site{blk, "attn.proj_out", KindActivation}, o)
+	sc.put(scores)
+	sc.put(v)
+	ctx = opts.site(Site{blk, "attn.proj_in", KindGEMMIn}, ctx)
+	o := applyLinear(opts, Site{blk, "attn.proj.w", KindWeight}, b.Proj, sc.uninit(s, dim), ctx)
+	sc.put(ctx)
+	o = opts.site(Site{blk, "attn.proj_out", KindActivation}, o)
 
-	x = x.Add(o)
-	x = tap.apply(Site{blk, "resid1.out", KindActivation}, x)
+	r1 := tensor.AddInto(sc.uninit(s, dim), x, o)
+	sc.put(o)
+	r1 = opts.site(Site{blk, "resid1.out", KindActivation}, r1)
 
-	h = b.LN2.Apply(x)
-	h = tap.apply(Site{blk, "ln2.out", KindGEMMIn}, h)
-	h = applyLinear(opts, Site{blk, "mlp.fc1.w", KindWeight}, b.FC1, tensor.New(s, b.FC1.Out()), h)
-	h = tap.apply(Site{blk, "mlp.gelu_in", KindActivation}, h)
-	h.Apply(mathx.Gelu)
-	h = tap.apply(Site{blk, "mlp.gelu_out", KindGEMMIn}, h)
-	h = applyLinear(opts, Site{blk, "mlp.fc2.w", KindWeight}, b.FC2, tensor.New(s, dim), h)
-	h = tap.apply(Site{blk, "mlp.fc2_out", KindActivation}, h)
+	h = b.LN2.ApplyInto(sc.uninit(s, dim), r1)
+	h = opts.site(Site{blk, "ln2.out", KindGEMMIn}, h)
+	f := applyLinear(opts, Site{blk, "mlp.fc1.w", KindWeight}, b.FC1, sc.uninit(s, b.FC1.Out()), h)
+	sc.put(h)
+	f = opts.site(Site{blk, "mlp.gelu_in", KindActivation}, f)
+	f.Apply(mathx.Gelu)
+	f = opts.site(Site{blk, "mlp.gelu_out", KindGEMMIn}, f)
+	h = applyLinear(opts, Site{blk, "mlp.fc2.w", KindWeight}, b.FC2, sc.uninit(s, dim), f)
+	sc.put(f)
+	h = opts.site(Site{blk, "mlp.fc2_out", KindActivation}, h)
 
-	x = x.Add(h)
-	x = tap.apply(Site{blk, "resid2.out", KindActivation}, x)
-	return x
+	out := tensor.AddInto(sc.uninit(s, dim), r1, h)
+	sc.put(h)
+	sc.put(r1)
+	return opts.site(Site{blk, "resid2.out", KindActivation}, out)
 }
 
 // packHead copies one head's column band (col0 .. col0+dh) of t

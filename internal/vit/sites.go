@@ -2,6 +2,8 @@ package vit
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
 
 	"quq/internal/tensor"
 )
@@ -48,12 +50,34 @@ func (s Site) Key() string {
 	return fmt.Sprintf("b%02d.%s", s.Block, s.Name)
 }
 
+// ParseSiteKey is Key's inverse: the block index and name of the site
+// that prints as key. ok is false for a string Key cannot produce.
+func ParseSiteKey(key string) (block int, name string, ok bool) {
+	head, name, found := strings.Cut(key, ".")
+	if !found || !strings.HasPrefix(head, "b") {
+		return 0, "", false
+	}
+	block, err := strconv.Atoi(head[1:])
+	if err != nil || (Site{Block: block, Name: name}).Key() != key {
+		return 0, "", false
+	}
+	return block, name, true
+}
+
 func (s Site) String() string { return s.Key() + "[" + s.Kind.String() + "]" }
+
+// SiteQuantizer fake-quantizes, in place, the tensor flowing through a
+// site. The forward calls it only on tensors it allocated itself and
+// still owns, so the quantizer may overwrite x freely; it must not
+// retain x past the call, which may be recycled as soon as the forward
+// is done with it. A site the quantizer does not cover is left as is.
+type SiteQuantizer func(site Site, x *tensor.Tensor)
 
 // Tap observes — and may replace — the tensor flowing through a site.
 // Returning x unchanged makes the tap a pure observer (calibration);
-// returning a fake-quantized copy simulates quantized inference. A nil
-// Tap is the identity.
+// returning a different tensor substitutes it for the rest of the pass.
+// A tap may retain x: a forward given a Tap allocates every tensor a
+// tap can see afresh and never recycles it. A nil Tap is the identity.
 type Tap func(site Site, x *tensor.Tensor) *tensor.Tensor
 
 // apply routes a tensor through the tap, handling the nil case.
@@ -85,13 +109,63 @@ type GEMMEngine interface {
 	Linear(site Site, l *Linear, dst, x *tensor.Tensor) bool
 }
 
-// ForwardOpts bundles the optional instrumentation of a forward pass.
+// ForwardOpts bundles the optional seams of a forward pass.
 type ForwardOpts struct {
-	Tap  Tap
-	Attn AttnSink
+	// Quantize, when non-nil, runs at every site before Tap: quantized
+	// inference is this seam, observation is Tap's.
+	Quantize SiteQuantizer
+	Tap      Tap
+	Attn     AttnSink
 	// Engine, when non-nil, substitutes weight-GEMM computation; see
 	// GEMMEngine.
 	Engine GEMMEngine
+}
+
+// site passes x through the site's two seams — the in-place quantizer,
+// then the observing tap — and returns the tensor the pass continues
+// with (x itself unless a tap replaced it).
+//
+//quq:hotpath runs at every site of every forward; the seams work on the tensor they are handed
+func (o *ForwardOpts) site(site Site, x *tensor.Tensor) *tensor.Tensor {
+	if o.Quantize != nil {
+		o.Quantize(site, x)
+	}
+	return o.Tap.apply(site, x)
+}
+
+// scratch is where one forward's intermediates come from. With neither a
+// Tap nor an AttnSink nobody outside the forward ever sees them, so they
+// are carved from the arena and handed back the moment they are dead
+// (pooled); with either present a caller may keep what it was shown, so
+// they are ordinary allocations and put is a no-op. Scratch no seam can
+// see (the fused QKV output, the per-head packs) uses ar directly. The
+// zero scratch allocates.
+type scratch struct {
+	ar     *tensor.Arena
+	pooled bool
+}
+
+// newScratch checks an arena out for one forward; release returns it.
+func newScratch(opts ForwardOpts) scratch {
+	return scratch{ar: tensor.GetArena(), pooled: opts.Tap == nil && opts.Attn == nil}
+}
+
+func (s scratch) release() { s.ar.Release() }
+
+// uninit returns a tensor the caller overwrites completely: recycled
+// with stale contents when pooled, freshly zeroed otherwise.
+func (s scratch) uninit(shape ...int) *tensor.Tensor {
+	if s.pooled {
+		return s.ar.NewUninit(shape...)
+	}
+	return tensor.New(shape...)
+}
+
+// put recycles a pooled tensor the forward is done with.
+func (s scratch) put(t *tensor.Tensor) {
+	if s.pooled {
+		s.ar.Put(t)
+	}
 }
 
 // applyLinear routes one weight-layer application through the engine

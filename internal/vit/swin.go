@@ -89,14 +89,13 @@ func windowOrder(g, w, shift int) []int {
 	return order
 }
 
-// permuteRows returns x with rows reordered so row i of the result is row
-// order[i] of x.
-func permuteRows(x *tensor.Tensor, order []int) *tensor.Tensor {
-	out := tensor.New(x.Dim(0), x.Dim(1))
+// permuteRows fills dst (the shape of x, every row overwritten) with x's
+// rows reordered so row i of dst is row order[i] of x.
+func permuteRows(dst, x *tensor.Tensor, order []int) *tensor.Tensor {
 	for i, o := range order {
-		copy(out.Row(i), x.Row(o))
+		copy(dst.Row(i), x.Row(o))
 	}
-	return out
+	return dst
 }
 
 // invertOrder returns the inverse permutation.
@@ -110,17 +109,24 @@ func invertOrder(order []int) []int {
 
 // Forward implements Model.
 func (m *Swin) Forward(img *tensor.Tensor, opts ForwardOpts) *tensor.Tensor {
-	tap := opts.Tap
-	patches := Patchify(img, m.cfg.PatchSize)
-	patches = tap.apply(Site{-1, "patch.in", KindGEMMIn}, patches)
-	x := applyLinear(opts, Site{-1, "patch.w", KindWeight}, m.Patch, tensor.New(patches.Dim(0), m.cfg.StageDims[0]), patches)
+	sc := newScratch(opts)
+	defer sc.release()
+	patches := patchify(sc, img, m.cfg.PatchSize)
+	patches = opts.site(Site{-1, "patch.in", KindGEMMIn}, patches)
+	x := applyLinear(opts, Site{-1, "patch.w", KindWeight}, m.Patch, sc.uninit(patches.Dim(0), m.cfg.StageDims[0]), patches)
+	sc.put(patches)
 	x.AddInPlace(m.Pos)
-	x = tap.apply(Site{-1, "embed.out", KindActivation}, x)
+	x = opts.site(Site{-1, "embed.out", KindActivation}, x)
 
+	// next replaces x by the stage that consumed it, recycling x.
+	next := func(y *tensor.Tensor) {
+		sc.put(x)
+		x = y
+	}
 	grid := m.cfg.gridSide()
 	w := m.cfg.Window
 	blk := 0
-	for s, stage := range m.Stages {
+	for _, stage := range m.Stages {
 		nWin := (grid / w) * (grid / w)
 		for i, b := range stage.Blocks {
 			shift := 0
@@ -128,29 +134,31 @@ func (m *Swin) Forward(img *tensor.Tensor, opts ForwardOpts) *tensor.Tensor {
 				shift = w / 2
 			}
 			order := windowOrder(grid, w, shift)
-			x = permuteRows(x, order)
-			x = b.Forward(x, nWin, blk, opts)
-			x = permuteRows(x, invertOrder(order))
+			next(permuteRows(sc.uninit(x.Dim(0), x.Dim(1)), x, order))
+			next(b.forward(sc, x, nWin, blk, opts))
+			next(permuteRows(sc.uninit(x.Dim(0), x.Dim(1)), x, invertOrder(order)))
 			blk++
 		}
 		if stage.Merge != nil {
-			x = mergePatches(x, grid)
-			x = stage.MergeLN.Apply(x)
-			x = tap.apply(Site{blk - 1, "merge.in", KindGEMMIn}, x)
-			x = applyLinear(opts, Site{blk - 1, "merge.w", KindWeight}, stage.Merge, tensor.New(x.Dim(0), stage.Merge.Out()), x)
+			next(mergePatches(sc.uninit(x.Dim(0)/4, 4*x.Dim(1)), x, grid))
+			next(stage.MergeLN.ApplyInto(sc.uninit(x.Dim(0), x.Dim(1)), x))
+			x = opts.site(Site{blk - 1, "merge.in", KindGEMMIn}, x)
+			next(applyLinear(opts, Site{blk - 1, "merge.w", KindWeight}, stage.Merge, sc.uninit(x.Dim(0), stage.Merge.Out()), x))
 			grid /= 2
-			x = tap.apply(Site{blk - 1, "merge.out", KindActivation}, x)
+			x = opts.site(Site{blk - 1, "merge.out", KindActivation}, x)
 		}
-		_ = s
 	}
 
-	x = m.Final.Apply(x)
-	x = tap.apply(Site{-1, "head.in", KindGEMMIn}, x)
+	next(m.Final.ApplyInto(sc.uninit(x.Dim(0), x.Dim(1)), x))
+	x = opts.site(Site{-1, "head.in", KindGEMMIn}, x)
 
-	// Global average pool over tokens, then classify.
-	dim := x.Dim(1)
-	pooled := tensor.New(1, dim)
+	// Global average pool over tokens, then classify. The logits are the
+	// caller's: they never come from the arena.
+	pooled := sc.uninit(1, x.Dim(1))
 	prow := pooled.Row(0)
+	for c := range prow {
+		prow[c] = 0
+	}
 	for r := 0; r < x.Dim(0); r++ {
 		row := x.Row(r)
 		for c := range prow {
@@ -160,28 +168,31 @@ func (m *Swin) Forward(img *tensor.Tensor, opts ForwardOpts) *tensor.Tensor {
 	for c := range prow {
 		prow[c] /= float64(x.Dim(0))
 	}
-	return applyLinear(opts, Site{-1, "head.w", KindWeight}, m.Head, tensor.New(1, m.cfg.Classes), pooled).Reshape(m.cfg.Classes)
+	sc.put(x)
+	logits := applyLinear(opts, Site{-1, "head.w", KindWeight}, m.Head, tensor.New(1, m.cfg.Classes), pooled)
+	sc.put(pooled)
+	return logits.Reshape(m.cfg.Classes)
 }
 
 // mergePatches concatenates each 2×2 neighbourhood of a row-major g×g
-// token grid into one token of 4× width: [g², d] -> [g²/4, 4d].
-func mergePatches(x *tensor.Tensor, g int) *tensor.Tensor {
+// token grid into one token of 4× width, [g², d] -> [g²/4, 4d], into dst
+// (every element overwritten).
+func mergePatches(dst, x *tensor.Tensor, g int) *tensor.Tensor {
 	d := x.Dim(1)
 	if x.Dim(0) != g*g || g%2 != 0 {
 		panic(check.Invariantf("vit: cannot merge %d tokens as a %dx%d grid", x.Dim(0), g, g))
 	}
 	h := g / 2
-	out := tensor.New(h*h, 4*d)
 	for y := 0; y < h; y++ {
 		for xx := 0; xx < h; xx++ {
-			row := out.Row(y*h + xx)
+			row := dst.Row(y*h + xx)
 			copy(row[0:d], x.Row((2*y)*g+2*xx))
 			copy(row[d:2*d], x.Row((2*y)*g+2*xx+1))
 			copy(row[2*d:3*d], x.Row((2*y+1)*g+2*xx))
 			copy(row[3*d:4*d], x.Row((2*y+1)*g+2*xx+1))
 		}
 	}
-	return out
+	return dst
 }
 
 // ForEachWeight implements Model.

@@ -86,22 +86,28 @@ func Features(m Model, img *tensor.Tensor, opts ForwardOpts) []float64 {
 // Patchify flattens img ([C, H, W]) into non-overlapping ps×ps patches:
 // a [numPatches, C·ps·ps] tensor in row-major patch order.
 func Patchify(img *tensor.Tensor, ps int) *tensor.Tensor {
+	return patchify(scratch{}, img, ps)
+}
+
+// patchify is Patchify into a tensor of sc's (the zero scratch
+// allocates): each patch row is the image's ps-pixel runs, channel by
+// channel and line by line, copied from the flat data.
+func patchify(sc scratch, img *tensor.Tensor, ps int) *tensor.Tensor {
 	c, h, w := img.Dim(0), img.Dim(1), img.Dim(2)
 	if h%ps != 0 || w%ps != 0 {
 		panic(check.Invariantf("vit: %dx%d image not divisible into %d-pixel patches", h, w, ps))
 	}
 	gy, gx := h/ps, w/ps
-	out := tensor.New(gy*gx, c*ps*ps)
+	out := sc.uninit(gy*gx, c*ps*ps)
+	pix := img.Data()
 	for py := 0; py < gy; py++ {
 		for px := 0; px < gx; px++ {
 			row := out.Row(py*gx + px)
-			i := 0
 			for ch := 0; ch < c; ch++ {
 				for y := 0; y < ps; y++ {
-					for x := 0; x < ps; x++ {
-						row[i] = img.At(ch, py*ps+y, px*ps+x)
-						i++
-					}
+					src := (ch*h+py*ps+y)*w + px*ps
+					copy(row[:ps], pix[src:src+ps])
+					row = row[ps:]
 				}
 			}
 		}
@@ -152,10 +158,13 @@ func (m *ViT) NumBlocks() int { return len(m.Blocks) }
 
 // Forward implements Model.
 func (m *ViT) Forward(img *tensor.Tensor, opts ForwardOpts) *tensor.Tensor {
-	tap := opts.Tap
-	patches := Patchify(img, m.cfg.PatchSize)
-	patches = tap.apply(Site{-1, "patch.in", KindGEMMIn}, patches)
-	emb := applyLinear(opts, Site{-1, "patch.w", KindWeight}, m.Patch, tensor.New(patches.Dim(0), m.cfg.Dim), patches)
+	sc := newScratch(opts)
+	defer sc.release()
+	dim := m.cfg.Dim
+	patches := patchify(sc, img, m.cfg.PatchSize)
+	patches = opts.site(Site{-1, "patch.in", KindGEMMIn}, patches)
+	emb := applyLinear(opts, Site{-1, "patch.w", KindWeight}, m.Patch, sc.uninit(patches.Dim(0), dim), patches)
+	sc.put(patches)
 
 	extra := 1
 	if m.Dist != nil {
@@ -165,7 +174,7 @@ func (m *ViT) Forward(img *tensor.Tensor, opts ForwardOpts) *tensor.Tensor {
 	if m.Reg != nil {
 		nreg = m.Reg.Dim(0)
 	}
-	tokens := tensor.New(emb.Dim(0)+extra+nreg, m.cfg.Dim)
+	tokens := sc.uninit(emb.Dim(0)+extra+nreg, dim)
 	copy(tokens.Row(0), m.Cls)
 	if m.Dist != nil {
 		copy(tokens.Row(1), m.Dist)
@@ -176,31 +185,37 @@ func (m *ViT) Forward(img *tensor.Tensor, opts ForwardOpts) *tensor.Tensor {
 	for r := 0; r < emb.Dim(0); r++ {
 		copy(tokens.Row(r+extra+nreg), emb.Row(r))
 	}
+	sc.put(emb)
 	tokens.AddInPlace(m.Pos)
-	x := tap.apply(Site{-1, "embed.out", KindActivation}, tokens)
+	x := opts.site(Site{-1, "embed.out", KindActivation}, tokens)
 
 	for i, b := range m.Blocks {
-		x = b.Forward(x, 1, i, opts)
+		y := b.forward(sc, x, 1, i, opts)
+		sc.put(x)
+		x = y
 	}
-	x = m.Final.Apply(x)
-	x = tap.apply(Site{-1, "head.in", KindGEMMIn}, x)
+	feat := m.Final.ApplyInto(sc.uninit(x.Dim(0), dim), x)
+	sc.put(x)
+	feat = opts.site(Site{-1, "head.in", KindGEMMIn}, feat)
 
-	if m.Dist != nil {
-		// DeiT inference: average the class- and distillation-token
-		// head outputs.
-		two := tensor.New(2, m.cfg.Dim)
-		copy(two.Row(0), x.Row(0))
-		copy(two.Row(1), x.Row(1))
-		logits := applyLinear(opts, Site{-1, "head.w", KindWeight}, m.Head, tensor.New(2, m.cfg.Classes), two)
-		out := tensor.New(m.cfg.Classes)
-		for c := 0; c < m.cfg.Classes; c++ {
-			out.Data()[c] = (logits.At(0, c) + logits.At(1, c)) / 2
-		}
-		return out
+	// The head reads the class token — and, for DeiT inference, the
+	// distillation token, averaging the two head outputs. The logits are
+	// the caller's: they never come from the arena.
+	cls := sc.uninit(extra, dim)
+	for r := 0; r < extra; r++ {
+		copy(cls.Row(r), feat.Row(r))
 	}
-	cls := tensor.New(1, m.cfg.Dim)
-	copy(cls.Row(0), x.Row(0))
-	return applyLinear(opts, Site{-1, "head.w", KindWeight}, m.Head, tensor.New(1, m.cfg.Classes), cls).Reshape(m.cfg.Classes)
+	sc.put(feat)
+	logits := applyLinear(opts, Site{-1, "head.w", KindWeight}, m.Head, tensor.New(extra, m.cfg.Classes), cls)
+	sc.put(cls)
+	if m.Dist == nil {
+		return logits.Reshape(m.cfg.Classes)
+	}
+	out := tensor.New(m.cfg.Classes)
+	for c := range out.Data() {
+		out.Data()[c] = (logits.At(0, c) + logits.At(1, c)) / 2
+	}
+	return out
 }
 
 // ForEachWeight implements Model.

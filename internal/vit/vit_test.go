@@ -309,7 +309,7 @@ func TestMergePatches(t *testing.T) {
 	for i := 0; i < 16; i++ {
 		x.Row(i)[0] = float64(i)
 	}
-	m := mergePatches(x, 4)
+	m := mergePatches(tensor.New(4, 8), x, 4)
 	if m.Dim(0) != 4 || m.Dim(1) != 8 {
 		t.Fatalf("merge shape %v", m.Shape())
 	}
@@ -349,5 +349,23 @@ func TestDeiTDistTokenContributes(t *testing.T) {
 	after := m.Forward(img, ForwardOpts{})
 	if tensor.MSE(before, after) == 0 {
 		t.Fatal("distillation token does not influence DeiT output")
+	}
+}
+
+func TestParseSiteKeyInvertsKey(t *testing.T) {
+	for _, s := range []Site{
+		{-1, "patch.in", KindGEMMIn}, {0, "ln1.out", KindGEMMIn}, {7, "attn.softmax_in", KindActivation},
+		{12, "mlp.fc2_out", KindActivation}, {123, "merge.in", KindGEMMIn},
+	} {
+		block, name, ok := ParseSiteKey(s.Key())
+		if !ok || block != s.Block || name != s.Name {
+			t.Errorf("ParseSiteKey(%q) = %d, %q, %v; want %d, %q", s.Key(), block, name, ok, s.Block, s.Name)
+		}
+	}
+	// Strings Key never prints must not alias a site that it does.
+	for _, key := range []string{"", "b00", "b5.ln1.out", "b+5.ln1.out", "b005.ln1.out", "c00.ln1.out", "bxx.ln1.out", "00.ln1.out"} {
+		if block, name, ok := ParseSiteKey(key); ok {
+			t.Errorf("ParseSiteKey(%q) accepted it as block %d, %q", key, block, name)
+		}
 	}
 }
