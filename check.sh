@@ -47,6 +47,12 @@ go run ./cmd/quq-vet -json ./... > /tmp/quqvet-report-2.json
 diff /tmp/quqvet-report-1.json /tmp/quqvet-report-2.json
 rm -f /tmp/quqvet-report-1.json /tmp/quqvet-report-2.json
 
+# Plain pass first (≈20 s), then under the race detector (≈2.5 min).
+# The detector's slowdown changes which side of a timing race a test
+# lands on, so a test that flakes only without it — as a cancelled
+# registry Get racing a fast build once did — would otherwise never run
+# the way `go test ./...` runs it.
+go test -count=1 ./...
 go test -race ./...
 
 # Short fuzz smoke of the property-based targets. `go test -fuzz`

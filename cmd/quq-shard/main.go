@@ -56,13 +56,8 @@ func main() {
 	var (
 		addr          = flag.String("addr", ":8641", "listen address")
 		backends      = flag.String("backends", "", "comma-separated quq-serve backend addresses")
-		vnodes        = flag.Int("vnodes", 128, "virtual nodes per backend")
 		replicas      = flag.Int("replicas", 1, "replication factor R: each key is owned by R ring successors; quantizes fan out to all of them")
-		handoffMax    = flag.Int("handoff-max", 64, "maximum keys re-homed by one /admin/drain")
-		loadFactor    = flag.Float64("load-factor", 1.25, "bounded-load factor c (<= 0 disables load bounding)")
 		probeInterval = flag.Duration("probe-interval", 2*time.Second, "health-probe period (<= 0 disables the probe loop)")
-		probeTimeout  = flag.Duration("probe-timeout", time.Second, "per-probe timeout")
-		failAfter     = flag.Int("fail-after", 2, "consecutive probe failures before ejection")
 		okAfter       = flag.Int("ok-after", 2, "consecutive healthy probes before an ejected backend is readmitted")
 		retries       = flag.Int("retries", 2, "connection-failure retries per backend (never retries HTTP responses)")
 		backoff       = flag.Duration("backoff", 50*time.Millisecond, "initial retry backoff (doubles per attempt, equal-jitter)")
@@ -78,13 +73,8 @@ func main() {
 	log.SetFlags(0)
 
 	opts := shard.Options{
-		VNodes:         *vnodes,
 		Replicas:       *replicas,
-		HandoffMaxKeys: *handoffMax,
-		MaxLoadFactor:  *loadFactor,
 		ProbeInterval:  *probeInterval,
-		ProbeTimeout:   *probeTimeout,
-		FailAfter:      *failAfter,
 		OkAfter:        *okAfter,
 		Retries:        *retries,
 		RetryBackoff:   *backoff,

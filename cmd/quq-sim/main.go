@@ -1,12 +1,12 @@
-// Command quq-sim drives the QUA accelerator simulator on a quantized
-// GEMM workload: it calibrates QUQ parameters for synthetic operands,
-// encodes them as QUBs, runs the bit-exact integer datapath, and reports
-// cycles, utilization, accuracy against the float reference, and the
-// area/power of the configured array.
+// Command quq-sim drives the QUA accelerator simulator. On a GEMM
+// workload it calibrates QUQ parameters for synthetic operands, encodes
+// them as QUBs, runs the bit-exact integer datapath, and reports cycles,
+// utilization, accuracy against the float reference, and the area/power
+// of the configured array; with -model it prices a served ViT-Nano.
 //
 // Usage:
 //
-//	quq-sim [-n 16] [-bits 6] [-m 64] [-k 96] [-o 64]
+//	quq-sim [-n 16] [-bits 6] [-m 64] [-k 96] [-o 64] | -model
 package main
 
 import (
@@ -19,6 +19,7 @@ import (
 	"quq/internal/data"
 	"quq/internal/dist"
 	"quq/internal/hweval"
+	"quq/internal/ptq"
 	"quq/internal/quant"
 	"quq/internal/rng"
 	"quq/internal/tensor"
@@ -99,14 +100,21 @@ func main() {
 	fmt.Printf("BaseQ reference:   %.3f mm2, %.1f mW\n", base.AreaMM2, base.PowerMW)
 }
 
-// runModel executes a complete ViT-Nano inference on the integer QUA
-// datapath and reports end-to-end cycles, latency and energy for both
-// array sizes of Table 4.
+// runModel quantizes ViT-Nano the way quq-serve does (QUQ, full regime)
+// and executes that model — its weights, its quantizers — on the integer
+// QUA datapath, reporting end-to-end cycles, latency and energy, and the
+// fidelity of the simulated logits against FP32 and against the served
+// fake-quantized forward of the same quantized model.
 func runModel(n, bits int, seed uint64) {
 	cfg := vit.ViTNano
 	mdl := vit.New(cfg, seed)
-	calib := data.CalibrationSet(cfg, 8, seed)
-	runner, err := accel.NewModelRunner(mdl, calib, bits, accel.ArrayConfig{N: n, Bits: bits})
+	qm, err := ptq.Quantize(mdl, ptq.NewQUQ(), ptq.CalibOptions{
+		Bits: bits, Regime: ptq.Full, Images: data.CalibrationSet(cfg, 8, seed),
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
+	runner, err := accel.NewModelRunner(qm.Model, qm.SiteParams(), accel.ArrayConfig{N: n, Bits: bits})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -115,13 +123,16 @@ func runModel(n, bits int, seed uint64) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	ref := mdl.Forward(img, vit.ForwardOpts{})
 	hw := hweval.Evaluate(hweval.DefaultConfig(hweval.QUADesign, bits, n))
 	secs := float64(stats.GEMMCycles) / (hw.Config.ClockMHz * 1e6)
 	fmt.Printf("%s on the integer QUA datapath (%dx%d array, %d-bit):\n", cfg.Name, n, n, bits)
 	fmt.Printf("  GEMM cycles: %d (%d MACs)\n", stats.GEMMCycles, stats.MACs)
 	fmt.Printf("  latency:     %.2f µs @ 500 MHz\n", secs*1e6)
 	fmt.Printf("  energy:      %.3f µJ (%.1f mW accelerator)\n", hw.PowerMW*secs*1e3, hw.PowerMW)
-	fmt.Printf("  top-1 match vs FP32: %v (argmax %d vs %d), logits cosine %.4f\n",
-		logits.ArgMax() == ref.ArgMax(), logits.ArgMax(), ref.ArgMax(), tensor.CosineSimilarity(logits, ref))
+	fidelity := func(name string, ref *tensor.Tensor) {
+		fmt.Printf("  top-1 match vs %s: %v (argmax %d vs %d), logits cosine %.4f\n", name,
+			logits.ArgMax() == ref.ArgMax(), logits.ArgMax(), ref.ArgMax(), tensor.CosineSimilarity(logits, ref))
+	}
+	fidelity("FP32", mdl.Forward(img, vit.ForwardOpts{}))
+	fidelity("served", qm.Forward(img))
 }

@@ -12,10 +12,10 @@
 //     zero count in hardware);
 //   - a cycle model for the systolic GEMM schedule.
 //
-// The integer datapath is cross-checked against the floating-point
-// fake-quantization pipeline in the package tests: both paths implement
-// the same quantizer, so they must agree to rounding of the M/2^N
-// rescaling.
+// The package is an executor with cost accounting, not a calibrator: the
+// block and model runners run the quantizers internal/ptq calibrated, and
+// the package tests hold a per-GEMM oracle on the served forward —
+// serving, this simulator and the QUB spec agree on every accumulator.
 package accel
 
 import (
@@ -132,6 +132,9 @@ type QuantizeUnit struct {
 	scale Rescale
 	// fracBits is the sub-LSB precision kept during subrange selection.
 	fracBits uint
+	// bias, when set, is the layer bias per output column in accumulator
+	// units: the GEMM adds it to the accumulator before requantizing.
+	bias []int64
 }
 
 // NewQuantizeUnit builds a QU for an output quantized with outParams,
@@ -176,9 +179,6 @@ func (q *QuantizeUnit) Requantize(acc int64) quant.Code {
 		}
 		if mag == 0 {
 			return q.Params.Quantize(0)
-		}
-		if slot.Negative() {
-			return quant.Code{Slot: slot, Mag: mag}
 		}
 		return quant.Code{Slot: slot, Mag: mag}
 	}
@@ -272,6 +272,9 @@ func (c ArrayConfig) gemmDecoded(ar *tensor.Arena, x []qub.Word, rx qub.Register
 			res.MaxAbsAcc = aa
 		}
 		if qu != nil {
+			if qu.bias != nil {
+				acc += qu.bias[i%n]
+			}
 			res.Out[i] = qub.Encode(qu.Params, qu.Requantize(acc))
 		}
 	}

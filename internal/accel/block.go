@@ -11,316 +11,270 @@ import (
 	"quq/internal/vit"
 )
 
-// BlockParams holds the calibrated QUQ parameter sets for every
-// quantization point of one transformer block — the Figure 1 sites — plus
-// the weight quantizers. CalibrateBlock builds them from sample inputs.
-type BlockParams struct {
-	Bits int
-
-	In         *quant.Params // block input (residual stream)
-	LN1Out     *quant.Params
-	Q, K, V    *quant.Params
-	SoftmaxIn  *quant.Params
-	SoftmaxOut *quant.Params
-	ProjIn     *quant.Params
-	ProjOut    *quant.Params
-	Resid1     *quant.Params
-	LN2Out     *quant.Params
-	GeluIn     *quant.Params
-	GeluOut    *quant.Params
-	FC2Out     *quant.Params
-	Resid2     *quant.Params
-
-	WQKV, WProj, WFC1, WFC2 *quant.Params
+// sites resolves site keys against the served parameter table — the
+// site-key → quantizer-parameters map of a Full-regime QUQ model,
+// activation and weight sites alike. The first key the table lacks, or
+// the first parameter set QUB cannot represent, becomes the construction
+// error; accel never calibrates a stand-in.
+type sites struct {
+	params map[string]*quant.Params
+	err    error
 }
 
-// CalibrateBlock runs the block in floating point over the sample inputs
-// (each [T, dim]), collects every site's values, and calibrates QUQ
-// parameters for all of them with the paper's defaults.
-func CalibrateBlock(b *vit.Block, inputs []*tensor.Tensor, bits int) (*BlockParams, error) {
-	if len(inputs) == 0 {
-		return nil, fmt.Errorf("accel: no calibration inputs")
+func (s *sites) get(block int, name string) *quant.Params {
+	key := vit.Site{Block: block, Name: name}.Key()
+	p := s.params[key]
+	if p == nil && s.err == nil {
+		s.err = fmt.Errorf("accel: no quantizer parameters for site %s", key)
 	}
-	acc := map[string][]float64{}
-	tap := func(site vit.Site, x *tensor.Tensor) *tensor.Tensor {
-		acc[site.Name] = append(acc[site.Name], x.Data()...)
-		return x
+	return p
+}
+
+func (s *sites) regs(p *quant.Params) (r qub.Registers) {
+	if s.err == nil {
+		r, s.err = qub.RegistersFor(p)
 	}
-	for _, in := range inputs {
-		acc["block.in"] = append(acc["block.in"], in.Data()...)
-		b.Forward(in, 1, 0, vit.ForwardOpts{Tap: tap})
+	return r
+}
+
+// newEpilogue configures the one GEMM epilogue of the runners — the
+// array's quantization unit: the layer bias added in accumulator units,
+// then requantization into pout's code space — for accumulators worth
+// accUnit each (Δx·Δw, times 1/√d_h for the attention scores).
+func newEpilogue(pout *quant.Params, accUnit float64, bias []float64) (*QuantizeUnit, error) {
+	qu, err := NewQuantizeUnit(pout, accUnit)
+	if err != nil || bias == nil {
+		return qu, err
 	}
-	cal := func(name string) (*quant.Params, error) {
-		xs, ok := acc[name]
-		if !ok {
-			return nil, fmt.Errorf("accel: site %q not observed during calibration", name)
-		}
-		return quant.CalibrateRefined(xs, bits, quant.DefaultPRAOptions(), quant.DefaultRefineOptions()), nil
+	qu.bias = make([]int64, len(bias))
+	for j, b := range bias {
+		// RoundToEven, not +0.5 truncation, which would round every
+		// negative bias toward zero by one accumulator unit.
+		//quq:float-ok one-time weight-loading conversion of the float bias into integer accumulator units; hardware does this at model-load, not inference
+		qu.bias[j] = int64(math.RoundToEven(b / accUnit))
 	}
-	p := &BlockParams{Bits: bits}
-	var err error
-	assign := func(dst **quant.Params, site string) {
-		if err != nil {
-			return
-		}
-		*dst, err = cal(site)
-	}
-	assign(&p.In, "block.in")
-	assign(&p.LN1Out, "ln1.out")
-	assign(&p.Q, "attn.q")
-	assign(&p.K, "attn.k")
-	assign(&p.V, "attn.v")
-	assign(&p.SoftmaxIn, "attn.softmax_in")
-	assign(&p.SoftmaxOut, "attn.softmax_out")
-	assign(&p.ProjIn, "attn.proj_in")
-	assign(&p.ProjOut, "attn.proj_out")
-	assign(&p.Resid1, "resid1.out")
-	assign(&p.LN2Out, "ln2.out")
-	assign(&p.GeluIn, "mlp.gelu_in")
-	assign(&p.GeluOut, "mlp.gelu_out")
-	assign(&p.FC2Out, "mlp.fc2_out")
-	assign(&p.Resid2, "resid2.out")
+	return qu, nil
+}
+
+// layer is one weight GEMM resident on the array: the weight operand,
+// recovered once from the served model's fake-quantized tensor the way
+// the serving integer engine recovers it (PrepareQuantized: exactly on
+// the quantizer's grid, or an error), the input site's registers, and
+// the epilogue into the output site.
+type layer struct {
+	w  *PreparedOperand
+	rx qub.Registers
+	qu *QuantizeUnit // nil for the classification head, whose accumulators leave the datapath
+}
+
+// newLayer prepares columns [lo, hi) of l under weight quantizer pw, fed
+// by a site quantized with px and requantized into pout (nil: none).
+func newLayer(l *vit.Linear, lo, hi int, px, pw, pout *quant.Params) (*layer, error) {
+	w, err := PrepareQuantized(pw, l.W.Data(), l.W.Dim(0), l.W.Dim(1))
 	if err != nil {
 		return nil, err
 	}
-	calW := func(w *tensor.Tensor) *quant.Params {
-		return quant.CalibrateRefined(w.Data(), bits, quant.DefaultPRAOptions(), quant.DefaultRefineOptions())
+	rx, err := qub.RegistersFor(px)
+	if err != nil {
+		return nil, err
 	}
-	p.WQKV = calW(b.QKV.W)
-	p.WProj = calW(b.Proj.W)
-	p.WFC1 = calW(b.FC1.W)
-	p.WFC2 = calW(b.FC2.W)
-	return p, nil
+	ly := &layer{w: w.SliceCols(lo, hi), rx: rx}
+	if pout != nil {
+		ly.qu, err = newEpilogue(pout, ly.accUnit(), l.B[lo:hi])
+	}
+	return ly, err
 }
 
-// BlockRunner executes one transformer block entirely on the QUA
-// datapath: every GEMM runs as a QUB integer matrix multiply with
-// integer requantization, and LayerNorm/Softmax/GELU/residual-add run on
-// the integer SFUs. No floating-point value enters the data path between
-// the input encoding and the output decoding.
+// accUnit is the real value of one accumulator unit of the layer, Δx·Δw.
+//
+//quq:float-ok product of two power-of-two base deltas is exact and feeds requantizer configuration and the decode boundary, not the datapath
+func (l *layer) accUnit() float64 { return l.rx.BaseDelta * l.w.Delta }
+
+// run multiplies x ([m, w.Rows] words of the input site) by the resident
+// weights through the epilogue and charges the array's schedule to stats.
+func (l *layer) run(arr ArrayConfig, x []qub.Word, m int, stats *RunStats) (*GEMMResult, error) {
+	res, err := arr.GEMMPrepared(x, l.rx, l.w, m, l.w.Rows, l.qu)
+	if err == nil {
+		stats.charge(res)
+	}
+	return res, err
+}
+
+// BlockRunner executes one transformer block of a served model entirely
+// on the QUA datapath: every GEMM runs as a QUB integer matrix multiply
+// with integer requantization, and LayerNorm/Softmax/GELU/residual-add
+// run on the integer SFUs. No floating-point value enters the data path
+// between the input encoding and the output decoding. Every quantizer is
+// the served one; the runner calibrates nothing.
 type BlockRunner struct {
-	blk *vit.Block
-	p   *BlockParams
-	arr ArrayConfig
+	heads int
+	arr   ArrayConfig
+
+	in      *quant.Params // the block-input site: what Run encodes with
+	outRegs qub.Registers // the block-output site: what Run decodes with
 
 	ln1, ln2   *sfu.LayerNormUnit
 	softmax    *sfu.Unit
 	gelu       *sfu.Unit
 	add1, add2 *sfu.AddUnit
 
-	// Resident prepared weight operands: QUB-decoded once at construction
-	// into pre-shifted int64 form and reused by every Run. The QKV weight
-	// is split into its three column groups so each can feed its own
-	// quantization unit.
-	pQ, pK, pV *PreparedOperand
-	pProj      *PreparedOperand
-	pFC1, pFC2 *PreparedOperand
+	// The fused QKV weight is split into its three column groups so each
+	// feeds its own quantization unit.
+	q, k, v, proj, fc1, fc2 *layer
 
-	// Activation register files, resolved once at construction so Run
-	// never has to handle a RegistersFor failure mid-execution.
-	rLN1, rLN2           qub.Registers
-	rQ, rK, rV           qub.Registers
-	rSoftmaxOut, rProjIn qub.Registers
-	rGeluOut             qub.Registers
+	// The attention GEMMs multiply two activation streams.
+	rQ, rK, rV, rProbs qub.Registers
+	scores, ctx        *QuantizeUnit
 }
 
-// RunStats aggregates the cycle accounting of one block execution.
+// RunStats aggregates the cycle accounting of one execution.
 type RunStats struct {
 	GEMMCycles int64
 	MACs       int64
 }
 
-// NewBlockRunner prepares the units and pre-encodes the weights.
-func NewBlockRunner(blk *vit.Block, p *BlockParams, arr ArrayConfig) (*BlockRunner, error) {
-	r := &BlockRunner{blk: blk, p: p, arr: arr}
+func (s *RunStats) charge(res *GEMMResult) {
+	s.GEMMCycles += res.Stats.Cycles
+	s.MACs += res.Stats.MACs
+}
+
+// NewBlockRunner builds the runner for block index of a plain ViT from
+// what is served: blk is that block of the model's fake-quantized weight
+// clone and params the model's site-key → parameters table. The block's
+// input site is the previous block's output, or the token embedding for
+// block 0. A site missing from the table is an error naming its key.
+func NewBlockRunner(blk *vit.Block, index int, params map[string]*quant.Params, arr ArrayConfig) (*BlockRunner, error) {
+	s := sites{params: params}
+	inName := "resid2.out"
+	if index == 0 {
+		inName = "embed.out" // block -1 is the stem
+	}
+	in := s.get(index-1, inName)
+	at := func(name string) *quant.Params { return s.get(index, name) }
+	ln1Out, pQ, pK, pV := at("ln1.out"), at("attn.q"), at("attn.k"), at("attn.v")
+	smIn, smOut, projIn, projOut := at("attn.softmax_in"), at("attn.softmax_out"), at("attn.proj_in"), at("attn.proj_out")
+	resid1, ln2Out, geluIn, geluOut := at("resid1.out"), at("ln2.out"), at("mlp.gelu_in"), at("mlp.gelu_out")
+	fc2Out, resid2 := at("mlp.fc2_out"), at("resid2.out")
+	wQKV, wProj, wFC1, wFC2 := at("attn.qkv.w"), at("attn.proj.w"), at("mlp.fc1.w"), at("mlp.fc2.w")
+	r := &BlockRunner{heads: blk.Heads, arr: arr, in: in,
+		rQ: s.regs(pQ), rK: s.regs(pK), rV: s.regs(pV), rProbs: s.regs(smOut), outRegs: s.regs(resid2)}
+	if s.err != nil {
+		return nil, s.err
+	}
+
 	var err error
-	if r.ln1, err = sfu.NewLayerNormUnit(p.In, p.LN1Out, blk.LN1.Gamma, blk.LN1.Beta); err != nil {
+	if r.ln1, err = sfu.NewLayerNormUnit(in, ln1Out, blk.LN1.Gamma, blk.LN1.Beta); err != nil {
 		return nil, fmt.Errorf("accel: ln1 unit: %w", err)
 	}
-	if r.ln2, err = sfu.NewLayerNormUnit(p.Resid1, p.LN2Out, blk.LN2.Gamma, blk.LN2.Beta); err != nil {
+	if r.ln2, err = sfu.NewLayerNormUnit(resid1, ln2Out, blk.LN2.Gamma, blk.LN2.Beta); err != nil {
 		return nil, fmt.Errorf("accel: ln2 unit: %w", err)
 	}
-	if r.softmax, err = sfu.NewUnit(p.SoftmaxIn, p.SoftmaxOut); err != nil {
+	if r.softmax, err = sfu.NewUnit(smIn, smOut); err != nil {
 		return nil, fmt.Errorf("accel: softmax unit: %w", err)
 	}
-	if r.gelu, err = sfu.NewUnit(p.GeluIn, p.GeluOut); err != nil {
+	if r.gelu, err = sfu.NewUnit(geluIn, geluOut); err != nil {
 		return nil, fmt.Errorf("accel: gelu unit: %w", err)
 	}
-	if r.add1, err = sfu.NewAddUnit(p.In, p.ProjOut, p.Resid1); err != nil {
+	if r.add1, err = sfu.NewAddUnit(in, projOut, resid1); err != nil {
 		return nil, fmt.Errorf("accel: residual adder 1: %w", err)
 	}
-	if r.add2, err = sfu.NewAddUnit(p.Resid1, p.FC2Out, p.Resid2); err != nil {
+	if r.add2, err = sfu.NewAddUnit(resid1, fc2Out, resid2); err != nil {
 		return nil, fmt.Errorf("accel: residual adder 2: %w", err)
 	}
-	// Encode each weight once and decode it straight into a resident
-	// prepared operand: Run never touches qub words (or floats) on the
-	// weight side again.
-	prep := func(p *quant.Params, w *tensor.Tensor) (*PreparedOperand, error) {
-		regs, err := qub.RegistersFor(p)
-		if err != nil {
-			return nil, err
+
+	dim := blk.QKV.In()
+	gemm := func(site string, l *vit.Linear, lo, hi int, px, pw, pout *quant.Params) *layer {
+		ly, lerr := newLayer(l, lo, hi, px, pw, pout)
+		if lerr != nil && err == nil {
+			err = fmt.Errorf("accel: %s GEMM: %w", site, lerr)
 		}
-		return PrepareWords(qub.EncodeTensor(p, w.Data()), regs, w.Dim(0), w.Dim(1))
+		return ly
 	}
-	qkv, err := prep(p.WQKV, blk.QKV.W)
+	r.q = gemm("attn.q", blk.QKV, 0, dim, ln1Out, wQKV, pQ)
+	r.k = gemm("attn.k", blk.QKV, dim, 2*dim, ln1Out, wQKV, pK)
+	r.v = gemm("attn.v", blk.QKV, 2*dim, 3*dim, ln1Out, wQKV, pV)
+	r.proj = gemm("attn.proj", blk.Proj, 0, dim, projIn, wProj, projOut)
+	r.fc1 = gemm("mlp.fc1", blk.FC1, 0, blk.FC1.Out(), ln2Out, wFC1, geluIn)
+	r.fc2 = gemm("mlp.fc2", blk.FC2, 0, dim, geluOut, wFC2, fc2Out)
 	if err != nil {
 		return nil, err
 	}
-	dim := blk.QKV.W.Dim(0)
-	r.pQ = qkv.SliceCols(0, dim)
-	r.pK = qkv.SliceCols(dim, 2*dim)
-	r.pV = qkv.SliceCols(2*dim, 3*dim)
-	if r.pProj, err = prep(p.WProj, blk.Proj.W); err != nil {
-		return nil, err
+	//quq:float-ok 1/√d_h is a compile-time constant of the head geometry, folded into the requantizer configuration with the exact power-of-two Δ product — not a runtime datapath value
+	scoreUnit := r.rQ.BaseDelta * r.rK.BaseDelta * (1 / math.Sqrt(float64(dim/blk.Heads)))
+	if r.scores, err = newEpilogue(smIn, scoreUnit, nil); err != nil {
+		return nil, fmt.Errorf("accel: attention score GEMM: %w", err)
 	}
-	if r.pFC1, err = prep(p.WFC1, blk.FC1.W); err != nil {
-		return nil, err
-	}
-	if r.pFC2, err = prep(p.WFC2, blk.FC2.W); err != nil {
-		return nil, err
-	}
-	for _, a := range []struct {
-		dst  *qub.Registers
-		p    *quant.Params
-		site string
-	}{
-		{&r.rLN1, p.LN1Out, "ln1.out"},
-		{&r.rLN2, p.LN2Out, "ln2.out"},
-		{&r.rQ, p.Q, "attn.q"},
-		{&r.rK, p.K, "attn.k"},
-		{&r.rV, p.V, "attn.v"},
-		{&r.rSoftmaxOut, p.SoftmaxOut, "attn.softmax_out"},
-		{&r.rProjIn, p.ProjIn, "attn.proj_in"},
-		{&r.rGeluOut, p.GeluOut, "mlp.gelu_out"},
-	} {
-		if *a.dst, err = qub.RegistersFor(a.p); err != nil {
-			return nil, fmt.Errorf("accel: registers for %s: %w", a.site, err)
-		}
+	//quq:float-ok accumulator-unit derivation is requantizer configuration (exact power-of-two product), computed once at construction
+	if r.ctx, err = newEpilogue(projIn, r.rProbs.BaseDelta*r.rV.BaseDelta, nil); err != nil {
+		return nil, fmt.Errorf("accel: attention context GEMM: %w", err)
 	}
 	return r, nil
 }
 
-// gemmQ runs x ([m,k] QUB with regs rx) against a dynamically-produced
-// QUB word operand (the attention GEMMs, whose right-hand sides are
-// activations), adds the layer bias in accumulator units, and
-// requantizes into pout. scale is an extra factor folded into the
-// accumulator unit (1 except for attention's 1/√d_h).
-func (r *BlockRunner) gemmQ(x []qub.Word, rx qub.Registers, w []qub.Word, rw qub.Registers,
-	m, k, n int, bias []float64, scale float64, pout *quant.Params, stats *RunStats) ([]qub.Word, error) {
+// attn multiplies two activation streams — x ([m,k], registers rx) by w
+// ([k,n], registers rw) — through the epilogue qu.
+func (r *BlockRunner) attn(x []qub.Word, rx qub.Registers, w []qub.Word, rw qub.Registers,
+	m, k, n int, qu *QuantizeUnit, stats *RunStats) ([]qub.Word, error) {
 
-	res, err := r.arr.GEMM(x, rx, w, rw, m, k, n, nil)
+	res, err := r.arr.GEMM(x, rx, w, rw, m, k, n, qu)
 	if err != nil {
 		return nil, err
 	}
-	//quq:float-ok accumulator-unit derivation is requantizer configuration (exact power-of-two products), computed once per GEMM, not per-element datapath work
-	accUnit := rx.BaseDelta * rw.BaseDelta * scale
-	return r.finishGEMM(res, accUnit, m, n, bias, pout, stats)
-}
-
-// gemmP runs x ([m,k] QUB with regs rx) against a resident prepared
-// weight operand — decoded once at construction, reused by every Run —
-// then adds the bias and requantizes like gemmQ.
-func (r *BlockRunner) gemmP(x []qub.Word, rx qub.Registers, w *PreparedOperand,
-	m, k int, bias []float64, pout *quant.Params, stats *RunStats) ([]qub.Word, error) {
-
-	res, err := r.arr.GEMMPrepared(x, rx, w, m, k, nil)
-	if err != nil {
-		return nil, err
-	}
-	//quq:float-ok accumulator-unit derivation is requantizer configuration (exact power-of-two products), computed once per GEMM, not per-element datapath work
-	accUnit := rx.BaseDelta * w.Delta
-	return r.finishGEMM(res, accUnit, m, w.Cols, bias, pout, stats)
-}
-
-// finishGEMM is the shared epilogue of gemmQ/gemmP: cycle accounting,
-// bias addition in accumulator units, and requantization into pout.
-func (r *BlockRunner) finishGEMM(res *GEMMResult, accUnit float64, m, n int,
-	bias []float64, pout *quant.Params, stats *RunStats) ([]qub.Word, error) {
-
-	stats.GEMMCycles += res.Stats.Cycles
-	stats.MACs += res.Stats.MACs
-	qu, err := NewQuantizeUnit(pout, accUnit)
-	if err != nil {
-		return nil, err
-	}
-	// Bias in accumulator units (a constant per output column, added to
-	// the accumulator before requantization — standard practice).
-	var biasAcc []int64
-	if bias != nil {
-		biasAcc = make([]int64, n)
-		for j, b := range bias {
-			//quq:float-ok one-time weight-loading conversion of the float bias into integer accumulator units; hardware does this at model-load, not inference
-			biasAcc[j] = int64(math.RoundToEven(b / accUnit))
-		}
-	}
-	out := make([]qub.Word, m*n)
-	for i := 0; i < m; i++ {
-		for j := 0; j < n; j++ {
-			acc := res.Acc[i*n+j]
-			if biasAcc != nil {
-				acc += biasAcc[j]
-			}
-			out[i*n+j] = qub.Encode(pout, qu.Requantize(acc))
-		}
-	}
-	return out, nil
+	stats.charge(res)
+	return res.Out, nil
 }
 
 // Run executes the block on input x ([T, dim], floating point at the
-// boundary) and returns the decoded output together with the float
-// values of every intermediate. The input is encoded with the block-input
-// quantizer; everything in between stays integer.
+// boundary) and returns the decoded output. The input is encoded with
+// the block-input quantizer; everything in between stays integer.
 func (r *BlockRunner) Run(x *tensor.Tensor) (*tensor.Tensor, *RunStats, error) {
-	t := x.Dim(0)
-	dim := x.Dim(1)
-	heads := r.blk.Heads
-	dh := dim / heads
 	stats := &RunStats{}
-
-	xw := qub.EncodeTensor(r.p.In, x.Data())
-
-	// LayerNorm 1 (row-wise SFU).
-	h1 := make([]qub.Word, len(xw))
-	for row := 0; row < t; row++ {
-		copy(h1[row*dim:(row+1)*dim], r.ln1.Row(xw[row*dim:(row+1)*dim]))
+	t, dim := x.Dim(0), x.Dim(1)
+	out, err := r.run(qub.EncodeTensor(r.in, x.Data()), t, dim, stats)
+	if err != nil {
+		return nil, nil, err
 	}
+	return tensor.FromSlice(qub.DecodeTensor(out, r.outRegs), t, dim), stats, nil
+}
+
+// run is Run between the boundaries: xw holds the [t, dim] words of the
+// block-input site, the result the words of the block-output site.
+func (r *BlockRunner) run(xw []qub.Word, t, dim int, stats *RunStats) ([]qub.Word, error) {
+	dh := dim / r.heads
+
+	h1 := rowWise(xw, dim, r.ln1.Row)
 
 	// QKV projection: q, k and v carry separate quantizers, so the GEMM
 	// runs as three column groups, each fanned into its own quantization
 	// unit (hardware shares the accumulators; the cycle model charges
 	// each group's tile schedule).
-	qWords, err := r.gemmP(h1, r.rLN1, r.pQ, t, dim, r.blk.QKV.B[:dim], r.p.Q, stats)
+	q, err := r.q.run(r.arr, h1, t, stats)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	kW, err := r.gemmP(h1, r.rLN1, r.pK, t, dim, r.blk.QKV.B[dim:2*dim], r.p.K, stats)
+	k, err := r.k.run(r.arr, h1, t, stats)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	vW, err := r.gemmP(h1, r.rLN1, r.pV, t, dim, r.blk.QKV.B[2*dim:], r.p.V, stats)
+	v, err := r.v.run(r.arr, h1, t, stats)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 
 	// Attention per head: scores = Q·Kᵀ/√dh -> softmax SFU -> ·V.
 	ctx := make([]qub.Word, t*dim)
-	//quq:float-ok 1/√d_h is a compile-time constant of the head geometry, folded into the requantizer configuration — not a runtime datapath value
-	scale := 1 / math.Sqrt(float64(dh))
-	for hd := 0; hd < heads; hd++ {
-		qh := sliceCols(qWords, t, dim, hd*dh, (hd+1)*dh)                     // [t, dh]
-		khT := transposeWords(sliceCols(kW, t, dim, hd*dh, (hd+1)*dh), t, dh) // [dh, t]
-		scores, err := r.gemmQ(qh, r.rQ, khT, r.rK, t, dh, t, nil, scale, r.p.SoftmaxIn, stats)
+	for hd := 0; hd < r.heads; hd++ {
+		qh := sliceCols(q.Out, t, dim, hd*dh, (hd+1)*dh)                         // [t, dh]
+		khT := transposeWords(sliceCols(k.Out, t, dim, hd*dh, (hd+1)*dh), t, dh) // [dh, t]
+		scores, err := r.attn(qh, r.rQ, khT, r.rK, t, dh, t, r.scores, stats)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		probs := make([]qub.Word, t*t)
-		for row := 0; row < t; row++ {
-			copy(probs[row*t:(row+1)*t], r.softmax.Softmax(scores[row*t:(row+1)*t]))
-		}
-		vh := sliceCols(vW, t, dim, hd*dh, (hd+1)*dh) // [t, dh]
-		ctxH, err := r.gemmQ(probs, r.rSoftmaxOut, vh, r.rV, t, t, dh, nil, 1, r.p.ProjIn, stats)
+		probs := rowWise(scores, t, r.softmax.Softmax)
+		vh := sliceCols(v.Out, t, dim, hd*dh, (hd+1)*dh) // [t, dh]
+		ctxH, err := r.attn(probs, r.rProbs, vh, r.rV, t, t, dh, r.ctx, stats)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		// Scatter head context into [t, dim].
 		for row := 0; row < t; row++ {
@@ -328,38 +282,35 @@ func (r *BlockRunner) Run(x *tensor.Tensor) (*tensor.Tensor, *RunStats, error) {
 		}
 	}
 
-	projOut, err := r.gemmP(ctx, r.rProjIn, r.pProj, t, dim, r.blk.Proj.B, r.p.ProjOut, stats)
+	projOut, err := r.proj.run(r.arr, ctx, t, stats)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 
 	// Residual 1.
-	x1 := r.add1.Add(xw, projOut)
+	x1 := r.add1.Add(xw, projOut.Out)
 
 	// LayerNorm 2 + MLP.
-	h2 := make([]qub.Word, len(x1))
-	for row := 0; row < t; row++ {
-		copy(h2[row*dim:(row+1)*dim], r.ln2.Row(x1[row*dim:(row+1)*dim]))
-	}
-	hidden := r.blk.FC1.Out()
-	hid, err := r.gemmP(h2, r.rLN2, r.pFC1, t, dim, r.blk.FC1.B, r.p.GeluIn, stats)
+	hid, err := r.fc1.run(r.arr, rowWise(x1, dim, r.ln2.Row), t, stats)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	act := r.gelu.GELU(hid)
-	mlpOut, err := r.gemmP(act, r.rGeluOut, r.pFC2, t, hidden, r.blk.FC2.B, r.p.FC2Out, stats)
+	mlpOut, err := r.fc2.run(r.arr, r.gelu.GELU(hid.Out), t, stats)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 
 	// Residual 2.
-	x2 := r.add2.Add(x1, mlpOut)
-	regsOut, err := r.add2.OutRegisters()
-	if err != nil {
-		return nil, nil, err
+	return r.add2.Add(x1, mlpOut.Out), nil
+}
+
+// rowWise applies a row-wise SFU to every width-long row of x.
+func rowWise(x []qub.Word, width int, unit func([]qub.Word) []qub.Word) []qub.Word {
+	out := make([]qub.Word, 0, len(x))
+	for lo := 0; lo < len(x); lo += width {
+		out = append(out, unit(x[lo:lo+width])...)
 	}
-	out := tensor.FromSlice(qub.DecodeTensor(x2, regsOut), t, dim)
-	return out, stats, nil
+	return out
 }
 
 // sliceCols extracts columns [lo, hi) of a row-major [rows, cols] word

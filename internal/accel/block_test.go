@@ -1,124 +1,66 @@
-package accel
+package accel_test
 
 import (
 	"math"
+	"strings"
 	"testing"
 
-	"quq/internal/quant"
-	"quq/internal/rng"
+	"quq/internal/accel"
+	"quq/internal/data"
+	"quq/internal/ptq"
 	"quq/internal/tensor"
 	"quq/internal/vit"
 )
 
-// buildTestBlock makes a small block with realistic weight statistics and
-// sample inputs resembling a residual stream.
-func buildTestBlock(t *testing.T, seed uint64) (*vit.Block, []*tensor.Tensor) {
-	t.Helper()
-	const dim, heads, tokens = 24, 2, 10
-	src := rng.New(seed)
-	b := vit.NewBlock(dim, heads, 2)
-	fill := func(l *vit.Linear, sd float64) {
-		for i := range l.W.Data() {
-			l.W.Data()[i] = src.Gauss(0, sd)
-		}
-		for i := range l.B {
-			l.B[i] = src.Gauss(0, 0.02)
-		}
-	}
-	fill(b.QKV, 0.3)
-	fill(b.Proj, 0.15)
-	fill(b.FC1, 0.25)
-	fill(b.FC2, 0.15)
-	for i := range b.LN1.Gamma {
-		b.LN1.Gamma[i] = 1 + src.Gauss(0, 0.1)
-		b.LN2.Gamma[i] = 1 + src.Gauss(0, 0.1)
-	}
-	var inputs []*tensor.Tensor
-	for n := 0; n < 4; n++ {
-		x := tensor.New(tokens, dim)
-		for i := range x.Data() {
-			x.Data()[i] = src.Laplace(0.8)
-		}
-		inputs = append(inputs, x)
-	}
-	return b, inputs
+// oneBlock is the smallest plain ViT the runners and the oracle drive:
+// one transformer block between a patch embedding and a head.
+var oneBlock = vit.Config{
+	Name: "ViT-OneBlock", Variant: vit.VariantViT,
+	ImageSize: 8, PatchSize: 4, Channels: 1, Classes: 4,
+	Dim: 24, Depth: 1, Heads: 2, MLPRatio: 2,
 }
 
-func TestCalibrateBlockCoversAllSites(t *testing.T) {
-	b, inputs := buildTestBlock(t, 1)
-	p, err := CalibrateBlock(b, inputs, 8)
+// serve quantizes a seeded synthetic model of cfg through the served
+// pipeline (ptq.Quantize, QUQ) and returns the FP32 model beside it.
+func serve(t *testing.T, cfg vit.Config, seed uint64, bits int, regime ptq.Regime) (vit.Model, *ptq.QuantizedModel) {
+	t.Helper()
+	m := vit.New(cfg, seed)
+	qm, err := ptq.Quantize(m, ptq.NewQUQ(), ptq.CalibOptions{
+		Bits: bits, Regime: regime, Images: data.CalibrationSet(cfg, 8, seed),
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, params := range map[string]*quant.Params{
-		"In": p.In, "LN1Out": p.LN1Out, "Q": p.Q, "K": p.K, "V": p.V,
-		"SoftmaxIn": p.SoftmaxIn, "SoftmaxOut": p.SoftmaxOut,
-		"ProjIn": p.ProjIn, "ProjOut": p.ProjOut, "Resid1": p.Resid1,
-		"LN2Out": p.LN2Out, "GeluIn": p.GeluIn, "GeluOut": p.GeluOut,
-		"FC2Out": p.FC2Out, "Resid2": p.Resid2,
-		"WQKV": p.WQKV, "WProj": p.WProj, "WFC1": p.WFC1, "WFC2": p.WFC2,
-	} {
-		if params == nil {
-			t.Fatalf("site %s not calibrated", name)
-		}
-		if err := params.Validate(); err != nil {
-			t.Fatalf("site %s: %v", name, err)
-		}
-	}
+	return m, qm
 }
 
-func TestCalibrateBlockRejectsEmpty(t *testing.T) {
-	b, _ := buildTestBlock(t, 2)
-	if _, err := CalibrateBlock(b, nil, 8); err == nil {
-		t.Fatal("accepted empty calibration")
-	}
+// blockIO captures block 0's input and output tensors of one forward.
+func blockIO(forward func(vit.ForwardOpts)) (in, out *tensor.Tensor) {
+	forward(vit.ForwardOpts{Tap: func(s vit.Site, x *tensor.Tensor) *tensor.Tensor {
+		switch {
+		case s.Block == -1 && s.Name == "embed.out":
+			in = x
+		case s.Block == 0 && s.Name == "resid2.out":
+			out = x
+		}
+		return x
+	}})
+	return in, out
 }
 
 // TestBlockRunnerMatchesFakeQuant is the capstone integration test: a
 // whole transformer block executed on the integer QUA datapath (QUB
-// GEMMs, integer SFUs, integer residual adders) must track the float
-// fake-quantization reference — the same quantizers applied in the float
-// executor — closely, and both must track the FP32 block.
+// GEMMs, integer SFUs, integer residual adders) from the served model's
+// own weights and quantizers must track the served fake-quantized
+// forward of that block closely, and both must track the FP32 block.
 func TestBlockRunnerMatchesFakeQuant(t *testing.T) {
-	b, inputs := buildTestBlock(t, 3)
-	p, err := CalibrateBlock(b, inputs, 8)
+	fp, qm := serve(t, oneBlock, 3, 8, ptq.Full)
+	runner, err := accel.NewBlockRunner(qm.Model.(*vit.ViT).Blocks[0], 0, qm.SiteParams(), accel.DefaultArray(8))
 	if err != nil {
 		t.Fatal(err)
 	}
-	runner, err := NewBlockRunner(b, p, DefaultArray(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Float fake-quant reference: quantize at every site via the tap.
-	siteParams := map[string]*quant.Params{
-		"ln1.out": p.LN1Out, "attn.q": p.Q, "attn.k": p.K, "attn.v": p.V,
-		"attn.softmax_in": p.SoftmaxIn, "attn.softmax_out": p.SoftmaxOut,
-		"attn.proj_in": p.ProjIn, "attn.proj_out": p.ProjOut,
-		"resid1.out": p.Resid1, "ln2.out": p.LN2Out,
-		"mlp.gelu_in": p.GeluIn, "mlp.gelu_out": p.GeluOut,
-		"mlp.fc2_out": p.FC2Out, "resid2.out": p.Resid2,
-	}
-	// Weights fake-quantized in place on a copy of the block.
-	bq := vit.NewBlock(24, 2, 2)
-	copyBlock(bq, b)
-	p.WQKV.QuantizeSlice(bq.QKV.W.Data(), bq.QKV.W.Data())
-	p.WProj.QuantizeSlice(bq.Proj.W.Data(), bq.Proj.W.Data())
-	p.WFC1.QuantizeSlice(bq.FC1.W.Data(), bq.FC1.W.Data())
-	p.WFC2.QuantizeSlice(bq.FC2.W.Data(), bq.FC2.W.Data())
-
-	for _, x := range inputs {
-		xq := x.Clone()
-		p.In.QuantizeSlice(xq.Data(), xq.Data())
-		ref := bq.Forward(xq, 1, 0, vit.ForwardOpts{Tap: func(s vit.Site, v *tensor.Tensor) *tensor.Tensor {
-			if params, ok := siteParams[s.Name]; ok {
-				out := v.Clone()
-				params.QuantizeSlice(out.Data(), out.Data())
-				return out
-			}
-			return v
-		}})
-
+	for _, img := range data.Images(oneBlock, 4, 30) {
+		x, ref := blockIO(func(o vit.ForwardOpts) { qm.ForwardOpts(img, o) })
 		got, stats, err := runner.Run(x)
 		if err != nil {
 			t.Fatal(err)
@@ -126,60 +68,50 @@ func TestBlockRunnerMatchesFakeQuant(t *testing.T) {
 		if stats.GEMMCycles <= 0 || stats.MACs <= 0 {
 			t.Fatal("no cycle accounting")
 		}
-		cos := tensor.CosineSimilarity(got, ref)
-		if cos < 0.98 {
-			t.Fatalf("integer block diverged from fake-quant reference: cosine %v", cos)
+		if cos := tensor.CosineSimilarity(got, ref); cos < 0.98 {
+			t.Fatalf("integer block diverged from the served forward: cosine %v", cos)
 		}
 		// Error bounded relative to the signal (SFU approximations plus
 		// requantization rounding accumulate across the block).
-		rel := math.Sqrt(tensor.MSE(got, ref)) / (ref.Std() + 1e-12)
-		if rel > 0.15 {
+		if rel := math.Sqrt(tensor.MSE(got, ref)) / (ref.Std() + 1e-12); rel > 0.15 {
 			t.Fatalf("relative error %v too high", rel)
 		}
-
 		// And the quantized paths must track the FP32 block.
-		fp := b.Forward(x, 1, 0, vit.ForwardOpts{})
-		if c := tensor.CosineSimilarity(got, fp); c < 0.97 {
+		_, fpOut := blockIO(func(o vit.ForwardOpts) { fp.Forward(img, o) })
+		if c := tensor.CosineSimilarity(got, fpOut); c < 0.97 {
 			t.Fatalf("integer block diverged from FP32: cosine %v", c)
 		}
 	}
 }
 
-// copyBlock copies all parameters from src into dst (same geometry).
-func copyBlock(dst, src *vit.Block) {
-	copy(dst.QKV.W.Data(), src.QKV.W.Data())
-	copy(dst.QKV.B, src.QKV.B)
-	copy(dst.Proj.W.Data(), src.Proj.W.Data())
-	copy(dst.Proj.B, src.Proj.B)
-	copy(dst.FC1.W.Data(), src.FC1.W.Data())
-	copy(dst.FC1.B, src.FC1.B)
-	copy(dst.FC2.W.Data(), src.FC2.W.Data())
-	copy(dst.FC2.B, src.FC2.B)
-	copy(dst.LN1.Gamma, src.LN1.Gamma)
-	copy(dst.LN1.Beta, src.LN1.Beta)
-	copy(dst.LN2.Gamma, src.LN2.Gamma)
-	copy(dst.LN2.Beta, src.LN2.Beta)
+// TestBlockRunnerMissingSiteNamesKey: the runner calibrates nothing, so
+// a table without one of its sites — here a Partial-regime model, which
+// quantizes no residual stream — is a construction error naming the key.
+func TestBlockRunnerMissingSiteNamesKey(t *testing.T) {
+	_, qm := serve(t, oneBlock, 2, 8, ptq.Partial)
+	_, err := accel.NewBlockRunner(qm.Model.(*vit.ViT).Blocks[0], 0, qm.SiteParams(), accel.DefaultArray(8))
+	if err == nil || !strings.Contains(err.Error(), "b-1.embed.out") {
+		t.Fatalf("partial-regime table accepted or key not named: %v", err)
+	}
 }
 
 func TestBlockRunnerCycleAccounting(t *testing.T) {
-	b, inputs := buildTestBlock(t, 4)
-	p, err := CalibrateBlock(b, inputs, 6)
+	_, qm := serve(t, oneBlock, 4, 6, ptq.Full)
+	blk, params := qm.Model.(*vit.ViT).Blocks[0], qm.SiteParams()
+	r16, err := accel.NewBlockRunner(blk, 0, params, accel.ArrayConfig{N: 16, Bits: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r16, err := NewBlockRunner(b, p, ArrayConfig{N: 16, Bits: 6})
+	r4, err := accel.NewBlockRunner(blk, 0, params, accel.ArrayConfig{N: 4, Bits: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r4, err := NewBlockRunner(b, p, ArrayConfig{N: 4, Bits: 6})
+	x, _ := blockIO(func(o vit.ForwardOpts) { qm.ForwardOpts(data.Images(oneBlock, 1, 40)[0], o) })
+	_, s16, err := r16.Run(x)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, s16, err := r16.Run(inputs[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, s4, err := r4.Run(inputs[0])
+	_, s4, err := r4.Run(x)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package accel
 
 import (
 	"fmt"
-	"math"
 
 	"quq/internal/quant"
 	"quq/internal/qub"
@@ -15,221 +14,106 @@ import (
 // embedding and head GEMMs run as QUB integer matrix multiplies, every
 // transformer block runs on a BlockRunner, and the final LayerNorm runs
 // on the integer SFU. Only the input image and the output logits cross
-// the float boundary.
-//
-// Swin and DeiT variants are served by the per-block runner; the whole-
-// model chain is provided for the plain ViT, which is the architecture
-// the paper's accelerator discussion walks through.
+// the float boundary. The chain is provided for the plain ViT, the
+// architecture the paper's accelerator discussion walks through.
 type ModelRunner struct {
 	m   *vit.ViT
 	arr ArrayConfig
 
-	embedIn  *quant.Params // patch vectors
-	embedW   *quant.Params
-	embedOut *quant.Params // token stream entering block 0
+	patchIn  *quant.Params // patch vectors
+	embed    *layer        // patch embedding, requantized into the token-stream site
+	embedOut qub.Registers
 	blocks   []*BlockRunner
 	finalLN  *sfu.LayerNormUnit
-	headIn   *quant.Params
-	headW    *quant.Params
-	headOut  *quant.Params
-
-	wEmbed, wHead   []qub.Word
-	rWEmbed, rWHead qub.Registers
+	head     *layer
 }
 
-// ModelStats aggregates the cycle accounting of one inference.
-type ModelStats struct {
-	GEMMCycles int64
-	MACs       int64
-}
-
-// NewModelRunner calibrates every quantization point of the model over
-// the calibration images and prepares the integer pipeline.
-func NewModelRunner(model vit.Model, calib []*tensor.Tensor, bits int, arr ArrayConfig) (*ModelRunner, error) {
+// NewModelRunner prepares the integer pipeline for a served model: model
+// is a Full-regime QUQ model's fake-quantized weight clone and params
+// its site-key → parameters table (ptq.QuantizedModel.SiteParams). The
+// runner executes exactly those quantizers — it calibrates nothing — and
+// a site missing from the table is an error naming its key.
+func NewModelRunner(model vit.Model, params map[string]*quant.Params, arr ArrayConfig) (*ModelRunner, error) {
 	m, ok := model.(*vit.ViT)
-	if !ok {
+	if !ok || m.Config().Variant != vit.VariantViT {
 		return nil, fmt.Errorf("accel: ModelRunner supports the plain ViT variant")
 	}
-	cfg := m.Config()
-	if cfg.Variant != vit.VariantViT {
-		return nil, fmt.Errorf("accel: ModelRunner supports the plain ViT variant")
-	}
-	if len(calib) == 0 {
-		return nil, fmt.Errorf("accel: no calibration images")
-	}
-
-	// Collect per-site samples over the calibration set, plus the
-	// tokenized block inputs needed by the per-block calibrators.
-	siteAcc := map[string][]float64{}
-	blockInputs := make([][]*tensor.Tensor, cfg.Depth)
-	var patchAcc, logitAcc []float64
-	for _, img := range calib {
-		patches := vit.Patchify(img, cfg.PatchSize)
-		patchAcc = append(patchAcc, patches.Data()...)
-		logits := m.Forward(img, vit.ForwardOpts{Tap: func(s vit.Site, x *tensor.Tensor) *tensor.Tensor {
-			key := s.Key()
-			switch {
-			case s.Block == -1 && s.Name == "embed.out":
-				blockInputs[0] = append(blockInputs[0], x.Clone())
-				siteAcc[key] = append(siteAcc[key], x.Data()...)
-			case s.Name == "resid2.out" && s.Block < cfg.Depth-1:
-				blockInputs[s.Block+1] = append(blockInputs[s.Block+1], x.Clone())
-			case s.Block == -1 && s.Name == "head.in":
-				siteAcc[key] = append(siteAcc[key], x.Data()...)
-			case s.Name == "resid2.out" && s.Block == cfg.Depth-1:
-				siteAcc["final.in"] = append(siteAcc["final.in"], x.Data()...)
-			}
-			return x
-		}})
-		logitAcc = append(logitAcc, logits.Data()...)
-	}
-	cal := func(xs []float64) *quant.Params {
-		return quant.CalibrateRefined(xs, bits, quant.DefaultPRAOptions(), quant.DefaultRefineOptions())
+	s := sites{params: params}
+	patchIn, patchW, embedOut := s.get(-1, "patch.in"), s.get(-1, "patch.w"), s.get(-1, "embed.out")
+	lastOut, headIn, headW := s.get(len(m.Blocks)-1, "resid2.out"), s.get(-1, "head.in"), s.get(-1, "head.w")
+	r := &ModelRunner{m: m, arr: arr, patchIn: patchIn, embedOut: s.regs(embedOut)}
+	if s.err != nil {
+		return nil, s.err
 	}
 
-	r := &ModelRunner{m: m, arr: arr}
-	r.embedIn = cal(patchAcc)
-	r.embedW = cal(m.Patch.W.Data())
-	r.embedOut = cal(siteAcc[vit.Site{Block: -1, Name: "embed.out"}.Key()])
-	r.headIn = cal(siteAcc[vit.Site{Block: -1, Name: "head.in"}.Key()])
-	r.headW = cal(m.Head.W.Data())
-	r.headOut = cal(logitAcc)
-
+	var err error
+	if r.embed, err = newLayer(m.Patch, 0, m.Patch.Out(), patchIn, patchW, embedOut); err != nil {
+		return nil, fmt.Errorf("accel: patch embedding GEMM: %w", err)
+	}
 	for bi, blk := range m.Blocks {
-		bp, err := CalibrateBlock(blk, blockInputs[bi], bits)
-		if err != nil {
-			return nil, fmt.Errorf("accel: block %d: %w", bi, err)
-		}
-		br, err := NewBlockRunner(blk, bp, arr)
+		br, err := NewBlockRunner(blk, bi, params, arr)
 		if err != nil {
 			return nil, fmt.Errorf("accel: block %d: %w", bi, err)
 		}
 		r.blocks = append(r.blocks, br)
 	}
-
-	var err error
-	lastIn := r.blocks[cfg.Depth-1].p.Resid2
-	if r.finalLN, err = sfu.NewLayerNormUnit(lastIn, r.headIn, m.Final.Gamma, m.Final.Beta); err != nil {
+	if r.finalLN, err = sfu.NewLayerNormUnit(lastOut, headIn, m.Final.Gamma, m.Final.Beta); err != nil {
 		return nil, fmt.Errorf("accel: final layernorm: %w", err)
 	}
-	if r.rWEmbed, err = qub.RegistersFor(r.embedW); err != nil {
-		return nil, err
+	if r.head, err = newLayer(m.Head, 0, m.Head.Out(), headIn, headW, nil); err != nil {
+		return nil, fmt.Errorf("accel: head GEMM: %w", err)
 	}
-	r.wEmbed = qub.EncodeTensor(r.embedW, m.Patch.W.Data())
-	if r.rWHead, err = qub.RegistersFor(r.headW); err != nil {
-		return nil, err
-	}
-	r.wHead = qub.EncodeTensor(r.headW, m.Head.W.Data())
 	return r, nil
 }
 
 // Run classifies one image entirely on the integer datapath and returns
 // the logits plus the cycle accounting.
-func (r *ModelRunner) Run(img *tensor.Tensor) (*tensor.Tensor, *ModelStats, error) {
+func (r *ModelRunner) Run(img *tensor.Tensor) (*tensor.Tensor, *RunStats, error) {
 	cfg := r.m.Config()
-	stats := &ModelStats{}
-	gemm := func(x []qub.Word, rx qub.Registers, w []qub.Word, rw qub.Registers,
-		m, k, n int, bias []float64, pout *quant.Params) ([]qub.Word, error) {
-		res, err := r.arr.GEMM(x, rx, w, rw, m, k, n, nil)
-		if err != nil {
-			return nil, err
-		}
-		stats.GEMMCycles += res.Stats.Cycles
-		stats.MACs += res.Stats.MACs
-		//quq:float-ok accumulator-unit derivation is requantizer configuration (exact power-of-two product), not per-element datapath work
-		qu, err := NewQuantizeUnit(pout, rx.BaseDelta*rw.BaseDelta)
-		if err != nil {
-			return nil, err
-		}
-		var biasAcc []int64
-		if bias != nil {
-			biasAcc = make([]int64, n)
-			//quq:float-ok one-time weight-loading conversion of the float bias into integer accumulator units
-			unit := rx.BaseDelta * rw.BaseDelta
-			for j, b := range bias {
-				// RoundToEven, not +0.5 truncation: truncation after +0.5
-				// rounds negative values toward zero (int64(-1.6) = -1
-				// where -2 is nearest), biasing every negative bias up by
-				// one accumulator unit.
-				//quq:float-ok same weight-loading bias conversion
-				biasAcc[j] = int64(math.RoundToEven(b / unit))
-			}
-		}
-		out := make([]qub.Word, m*n)
-		for i := 0; i < m; i++ {
-			for j := 0; j < n; j++ {
-				acc := res.Acc[i*n+j]
-				if biasAcc != nil {
-					acc += biasAcc[j]
-				}
-				out[i*n+j] = qub.Encode(pout, qu.Requantize(acc))
-			}
-		}
-		return out, nil
-	}
+	stats := &RunStats{}
 
 	// Patch embedding GEMM.
 	patches := vit.Patchify(img, cfg.PatchSize)
-	rIn, err := qub.RegistersFor(r.embedIn)
+	embW, err := r.embed.run(r.arr, qub.EncodeTensor(r.patchIn, patches.Data()), patches.Dim(0), stats)
 	if err != nil {
 		return nil, nil, err
 	}
-	pe := qub.EncodeTensor(r.embedIn, patches.Data())
-	embW, err := gemm(pe, rIn, r.wEmbed, r.rWEmbed, patches.Dim(0), cfg.PatchDim(), cfg.Dim, r.m.Patch.B, r.embedOut)
-	if err != nil {
-		return nil, nil, err
-	}
-	rEmb, err := qub.RegistersFor(r.embedOut)
-	if err != nil {
-		return nil, nil, err
-	}
-	emb := qub.DecodeTensor(embW, rEmb)
+	emb := qub.DecodeTensor(embW.Out, r.embedOut)
 
 	// Token assembly (cls, registers, position embeddings) happens at the
 	// token buffer in the quantized domain: the additions run on the
 	// element-wise SFU; here the decoded integers are reassembled and
 	// re-encoded with the block-input quantizer.
-	nreg := 0
-	if r.m.Reg != nil {
-		nreg = r.m.Reg.Dim(0)
-	}
-	tokens := tensor.New(patches.Dim(0)+1+nreg, cfg.Dim)
+	nreg, t := cfg.Registers, cfg.Tokens()
+	tokens := tensor.New(t, cfg.Dim)
 	copy(tokens.Row(0), r.m.Cls)
 	for i := 0; i < nreg; i++ {
 		copy(tokens.Row(1+i), r.m.Reg.Row(i))
 	}
-	for row := 0; row < patches.Dim(0); row++ {
-		copy(tokens.Row(1+nreg+row), emb[row*cfg.Dim:(row+1)*cfg.Dim])
-	}
+	copy(tokens.Data()[(1+nreg)*cfg.Dim:], emb)
 	tokens.AddInPlace(r.m.Pos)
 
-	x := tokens
+	// Blocks hand each other words: block i's output site is block i+1's
+	// input site.
+	x := qub.EncodeTensor(r.blocks[0].in, tokens.Data())
 	for bi, br := range r.blocks {
-		out, bstats, err := br.Run(x)
-		if err != nil {
+		if x, err = br.run(x, t, cfg.Dim, stats); err != nil {
 			return nil, nil, fmt.Errorf("accel: block %d: %w", bi, err)
 		}
-		stats.GEMMCycles += bstats.GEMMCycles
-		stats.MACs += bstats.MACs
-		x = out
 	}
 
-	// Final LayerNorm (SFU) on the class token, then the head GEMM.
-	lastParams := r.blocks[len(r.blocks)-1].p.Resid2
-	clsWords := qub.EncodeTensor(lastParams, x.Row(0))
-	headRow := r.finalLN.Row(clsWords)
-	rHead, err := qub.RegistersFor(r.headIn)
+	// Final LayerNorm (SFU) on the class token, then the head GEMM. The
+	// logits leave the datapath at the decode boundary — accumulator ×
+	// unit + bias — exactly as the serving integer engine emits them.
+	res, err := r.head.run(r.arr, r.finalLN.Row(x[:cfg.Dim]), 1, stats)
 	if err != nil {
 		return nil, nil, err
 	}
-	logitsW, err := gemm(headRow, rHead, r.wHead, r.rWHead, 1, cfg.Dim, cfg.Classes, r.m.Head.B, r.headOut)
-	if err != nil {
-		return nil, nil, err
+	logits := tensor.New(cfg.Classes)
+	unit := r.head.accUnit()
+	for j, acc := range res.Acc {
+		//quq:float-ok decode boundary: one scale of the exact integer accumulator plus the float bias, outside the integer pipeline
+		logits.Data()[j] = float64(acc)*unit + r.m.Head.B[j]
 	}
-	rLogits, err := qub.RegistersFor(r.headOut)
-	if err != nil {
-		return nil, nil, err
-	}
-	logits := qub.DecodeTensor(logitsW, rLogits)
-	return tensor.FromSlice(logits, cfg.Classes), stats, nil
+	return logits, stats, nil
 }

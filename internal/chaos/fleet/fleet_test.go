@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -227,5 +228,89 @@ func TestBootedWorkerGovernorRunsOnFleetClock(t *testing.T) {
 	// Two batches, 4 + 2 images: the first single left only with the second.
 	if n, sum := met.BatchSize.Count(), met.BatchSize.Sum(); n != 2 || sum != 6 {
 		t.Fatalf("dispatched %d batches of %v images in total, want 2 of 6 (the full batch, then the pair)", n, sum)
+	}
+}
+
+// TestFrontCarriesQuqHeaders: X-Quq-* metadata crosses quq-shard in both
+// directions. Back: the digest a quantize answers with through the front
+// is the worker's own. Forth: with the worker jammed and one request
+// queued, a classify carrying a 1 ns X-Quq-Latency-Budget through the
+// front is shed by the worker's admission control — 429 with Retry-After
+// — instead of queueing behind the jam, which is what a front that drops
+// the header makes of it.
+func TestFrontCarriesQuqHeaders(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	clk := chaos.NewFake()
+	gate := make(chan struct{})
+	var block atomic.Bool
+	cfg := baseConfig(7)
+	cfg.Registry.SnapshotDir = t.TempDir()
+	cfg.Batcher = serve.BatcherOptions{MaxBatch: 4, QueueCap: 8, Workers: 1, ForwardHook: func(string) {
+		if block.Load() {
+			<-gate
+		}
+		// Service time is what the admission estimate is made of, and
+		// the governor reads it off this clock.
+		//quq:errdrop-ok fake-clock sleep cannot fail except on test teardown
+		_ = clk.Sleep(ctx, 5*time.Millisecond)
+	}}
+	cfg.Governor = serve.GovernorOptions{Clock: clk}
+	f, err := Boot(ctx, 1, 1, cfg, &chaos.Script{Name: "front-headers", Seed: 7}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	worker := f.Backends[0]
+	sel := Selection{Model: "ViT-Nano", Method: "QUQ", Bits: 6}
+	send := func(url string, body any, header http.Header) Reply {
+		t.Helper()
+		r, err := Do(ctx, http.MethodPost, url, body, header)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+
+	direct := send(worker.URL()+"/v1/quantize", sel, nil).Header.Get(serve.DigestHeader)
+	if got := send(f.Base+"/v1/quantize", sel, nil).Header.Get(serve.DigestHeader); direct == "" || got != direct {
+		t.Fatalf("digest through the front = %q, the worker's own = %q", got, direct)
+	}
+
+	single := ClassifyBody(sel, data.Images(vit.ViTNano, 1, 7)[0].Data())
+	if r := send(f.Base+"/v1/classify", single, nil); r.Status != http.StatusOK {
+		t.Fatalf("classify through the front: status %d", r.Status)
+	}
+	block.Store(true)
+	backdrop := make(chan int, 1)
+	go func() {
+		r, err := Do(ctx, http.MethodPost, f.Base+"/v1/classify", single, nil)
+		if err != nil {
+			t.Error(err)
+		}
+		backdrop <- r.Status
+	}()
+	for worker.Srv.Metrics().QueueDepth.Value() != 1 {
+		if err := ctx.Err(); err != nil {
+			t.Fatalf("backdrop never queued: %v", err)
+		}
+		runtime.Gosched()
+	}
+	probeCtx, stop := context.WithTimeout(ctx, 5*time.Second)
+	defer stop()
+	probe, err := Do(probeCtx, http.MethodPost, f.Base+"/v1/classify", single, http.Header{serve.LatencyBudgetHeader: {"1ns"}})
+	if err != nil {
+		t.Fatalf("1 ns budget through the front was not shed, it queued behind the jam: %v", err)
+	}
+	if probe.Status != http.StatusTooManyRequests || probe.Header.Get("Retry-After") == "" {
+		t.Fatalf("1 ns budget through the front: status %d, Retry-After %q; want 429 with Retry-After", probe.Status, probe.Header.Get("Retry-After"))
+	}
+	if shed := worker.Srv.Metrics().Shed.Value(); shed != 1 {
+		t.Fatalf("worker shed %d requests, want 1", shed)
+	}
+	block.Store(false)
+	close(gate)
+	if got := <-backdrop; got != http.StatusOK {
+		t.Fatalf("backdrop: status %d", got)
 	}
 }

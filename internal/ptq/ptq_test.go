@@ -247,7 +247,21 @@ func TestQUQTensorQuantizerExposesParams(t *testing.T) {
 	if found == 0 {
 		t.Fatal("no quantizers installed")
 	}
-	_ = quant.ModeA
+	// SiteParams is the same parameter sets, weight sites included.
+	table := qm.SiteParams()
+	if len(table) != len(qm.Acts)+len(qm.WeightParams) {
+		t.Fatalf("SiteParams has %d sites, want %d activation + %d weight", len(table), len(qm.Acts), len(qm.WeightParams))
+	}
+	for key, tq := range qm.Acts {
+		if table[key] != tq.(QUQTensorQuantizer).Params {
+			t.Fatalf("SiteParams[%s] is not the served quantizer's parameter set", key)
+		}
+	}
+	for key, p := range qm.WeightParams {
+		if table[key] != p {
+			t.Fatalf("SiteParams[%s] is not the recorded weight parameter set", key)
+		}
+	}
 }
 
 func TestWeightInputSiteMapping(t *testing.T) {

@@ -34,10 +34,29 @@ func NewQUQ() *QUQMethod {
 func (m *QUQMethod) Name() string { return "QUQ" }
 
 // QUQTensorQuantizer wraps a calibrated quant.Params. It is exported so
-// the accelerator simulator can retrieve the exact parameter set (and
-// hence the QUB registers) behind a quantized model's sites.
+// the exact parameter set (and hence the QUB registers) behind a
+// quantized model's sites can be retrieved; SiteParams does, for the
+// accelerator simulator.
 type QUQTensorQuantizer struct {
 	Params *quant.Params
+}
+
+// SiteParams returns the exact QUQ parameter set behind every site of
+// the model under its site key: activation sites from Acts, weight sites
+// from WeightParams. It is what internal/accel builds its runners from,
+// so the simulator executes the served quantizers and calibrates
+// nothing. A site quantized by another method is absent.
+func (q *QuantizedModel) SiteParams() map[string]*quant.Params {
+	out := make(map[string]*quant.Params, len(q.Acts)+len(q.WeightParams))
+	for key, tq := range q.Acts {
+		if t, ok := tq.(QUQTensorQuantizer); ok {
+			out[key] = t.Params
+		}
+	}
+	for key, p := range q.WeightParams {
+		out[key] = p
+	}
+	return out
 }
 
 // Apply implements TensorQuantizer: it quantizes x in place and returns

@@ -234,7 +234,12 @@ func TestSharedCalibrationBuildsEachNodeOnce(t *testing.T) {
 	var mu sync.Mutex
 	hooked := make(map[Key]int)
 	opts := testRegistryOptions()
+	// No build finishes before every hung-up client has given up: a
+	// ViT-Nano build can otherwise beat such a client to Get's select,
+	// which then picks the ready entry over the dead context.
+	gate := make(chan struct{})
 	opts.BuildHook = func(k Key) error {
+		<-gate
 		mu.Lock()
 		hooked[k]++
 		mu.Unlock()
@@ -247,13 +252,15 @@ func TestSharedCalibrationBuildsEachNodeOnce(t *testing.T) {
 	cancel()
 	const clients = 4
 	models := make([][clients]*ptq.QuantizedModel, len(keys))
-	var wg sync.WaitGroup
+	var wg, hungUp sync.WaitGroup
+	hungUp.Add(len(keys))
 	for k, key := range keys {
 		for c := 0; c < clients; c++ {
 			wg.Add(1)
 			go func(k, c int, key Key) {
 				defer wg.Done()
 				if c == 0 {
+					defer hungUp.Done()
 					// A client that hung up abandons its wait and nothing else.
 					if _, _, err := r.Get(gone, key); !errors.Is(err, context.Canceled) {
 						t.Errorf("%s: cancelled Get = %v, want context.Canceled", key, err)
@@ -268,6 +275,8 @@ func TestSharedCalibrationBuildsEachNodeOnce(t *testing.T) {
 			}(k, c, key)
 		}
 	}
+	hungUp.Wait()
+	close(gate)
 	wg.Wait()
 	if err := r.Drain(context.Background()); err != nil {
 		t.Fatal(err)

@@ -54,8 +54,8 @@ func (f *Front) handleCluster(w http.ResponseWriter, r *http.Request) {
 	cv := ClusterView{
 		Epoch:         view.Epoch,
 		Replicas:      view.Replicas,
-		VNodes:        f.opts.VNodes,
-		MaxLoadFactor: f.opts.MaxLoadFactor,
+		VNodes:        vnodes,
+		MaxLoadFactor: maxLoadFactor,
 	}
 	for _, b := range f.ring.Backends() {
 		cv.Backends = append(cv.Backends, ClusterBackend{
@@ -102,7 +102,7 @@ func (f *Front) decodeAdmin(w http.ResponseWriter, r *http.Request) (string, boo
 // handleAdminJoin admits a backend to the ring. Idempotent: re-joining
 // a member reports added=false and leaves the epoch alone. The new
 // member starts healthy and earns its keep with the prober — a join of
-// a dead address is ejected within FailAfter probe rounds.
+// a dead address is ejected within failAfter probe rounds.
 func (f *Front) handleAdminJoin(w http.ResponseWriter, r *http.Request) {
 	addr, ok := f.decodeAdmin(w, r)
 	if !ok {
@@ -130,7 +130,7 @@ func (f *Front) handleAdminLeave(w http.ResponseWriter, r *http.Request) {
 
 // handleAdminDrain gracefully removes a backend: its calibrated keys
 // are re-warmed on the post-departure owners (bounded by
-// HandoffMaxKeys and the request context) before it leaves. A failed
+// handoffMaxKeys and the request context) before it leaves. A failed
 // handoff aborts the drain with the member intact — the caller can
 // retry, or fall back to /admin/leave and eat the recalibrations.
 func (f *Front) handleAdminDrain(w http.ResponseWriter, r *http.Request) {
@@ -160,7 +160,7 @@ func (f *Front) handleAdminDrain(w http.ResponseWriter, r *http.Request) {
 // quantizes (same retry policy, same replica stamping); the first
 // failed warm aborts the whole drain so a "successful" drain can never
 // silently shed calibrations. The key count is bounded by
-// HandoffMaxKeys — keys past the cap fall back on replication or
+// handoffMaxKeys — keys past the cap fall back on replication or
 // on-demand recalibration, as Options documents.
 func (f *Front) handoffKeys(ctx context.Context, addr string) (int, error) {
 	var page struct {
@@ -171,7 +171,7 @@ func (f *Front) handoffKeys(ctx context.Context, addr string) (int, error) {
 	}
 	moved := 0
 	for _, e := range page.Entries {
-		if !e.Ready || moved >= f.opts.HandoffMaxKeys {
+		if !e.Ready || moved >= handoffMaxKeys {
 			continue
 		}
 		key, err := serve.ParseKey(e.Key)
@@ -212,7 +212,7 @@ func (f *Front) warm(ctx context.Context, b *Backend, key serve.Key, slot int) e
 	if err != nil {
 		return err
 	}
-	resp, err := f.forward(ctx, b, "/v1/quantize", body, slot, f.drawDelays())
+	resp, err := f.forward(ctx, b, "/v1/quantize", nil, body, slot, f.drawDelays())
 	if err != nil {
 		return err
 	}

@@ -7,7 +7,7 @@ import (
 )
 
 // Prober watches backend health: every interval it GETs each backend's
-// /healthz; FailAfter consecutive failures eject the backend from
+// /healthz; failAfter consecutive failures eject the backend from
 // routing, and OkAfter consecutive healthy probes readmit it. Both
 // thresholds are hysteresis against flapping — a backend alternating
 // alive and dead every probe round never assembles the required streak

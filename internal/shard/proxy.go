@@ -31,6 +31,15 @@ const BackendHeader = "X-Quq-Shard"
 // and refresh before the next request.
 const EpochHeader = "X-Quq-Epoch"
 
+// forwardedHeaders is the allowlist of client request headers the front
+// passes on to a backend, on every attempt of every path. The replica
+// slot is not on it: that one the front stamps itself.
+var forwardedHeaders = []string{serve.LatencyBudgetHeader}
+
+// relayedHeaders is the allowlist of backend response headers the front
+// passes back to the client.
+var relayedHeaders = []string{"Content-Type", "Retry-After", serve.DigestHeader}
+
 // Front is the sharding front-end: an http.Handler that routes
 // inference traffic onto the ring and aggregates fleet observability.
 type Front struct {
@@ -57,7 +66,7 @@ type Front struct {
 func New(opts Options) *Front {
 	opts.defaults()
 	met := NewShardMetrics()
-	ring := NewRing(opts.VNodes, opts.MaxLoadFactor)
+	ring := NewRing(vnodes, maxLoadFactor)
 	client := &http.Client{Transport: opts.Transport}
 	f := &Front{
 		opts:   opts,
@@ -66,7 +75,7 @@ func New(opts Options) *Front {
 		client: client,
 		clock:  opts.Clock,
 		jitter: rng.New(opts.Seed),
-		prober: NewProber(opts.BaseContext, ring, client, opts.ProbeInterval, opts.ProbeTimeout, opts.FailAfter, opts.OkAfter, met),
+		prober: NewProber(opts.BaseContext, ring, client, opts.ProbeInterval, probeTimeout, failAfter, opts.OkAfter, met),
 	}
 	// The membership owns the roster and epoch; the ring is its routing
 	// index, mutated only through these callbacks so the two can never
@@ -223,7 +232,7 @@ func (f *Front) handleProxy(w http.ResponseWriter, r *http.Request) {
 		if len(exclude) > 0 {
 			f.met.Failovers.Inc()
 		}
-		resp, err := f.forward(r.Context(), b, r.URL.Path, body, replica, f.drawDelays())
+		resp, err := f.forward(r.Context(), b, r.URL.Path, r.Header, body, replica, f.drawDelays())
 		if err != nil {
 			if cerr := r.Context().Err(); cerr != nil {
 				// The client hung up or its deadline expired while the
@@ -303,7 +312,7 @@ func (f *Front) proxyReplicated(w http.ResponseWriter, r *http.Request, key stri
 		wg.Add(1)
 		go func(i int, b *Backend) {
 			defer wg.Done()
-			resps[i], errs[i] = f.forward(r.Context(), b, r.URL.Path, body, slots[i], schedules[i])
+			resps[i], errs[i] = f.forward(r.Context(), b, r.URL.Path, r.Header, body, slots[i], schedules[i])
 		}(i, b)
 	}
 	wg.Wait()
@@ -359,10 +368,12 @@ func discard(resp *http.Response) {
 
 // forward posts body to one backend, retrying connection failures with
 // seeded equal-jitter backoff (the schedule is pre-drawn by drawDelays)
-// slept through the injected clock. replica >= 0 stamps the request
-// with the replica slot the backend occupies for this key. Any HTTP
-// response, whatever its status, is final.
-func (f *Front) forward(ctx context.Context, b *Backend, path string, body []byte, replica int, delays []time.Duration) (*http.Response, error) {
+// slept through the injected clock. The allowlisted headers of the
+// client's request (hdr; nil for the front's own warm-ups) ride along,
+// and replica >= 0 stamps the request with the replica slot the backend
+// occupies for this key. Any HTTP response, whatever its status, is
+// final.
+func (f *Front) forward(ctx context.Context, b *Backend, path string, hdr http.Header, body []byte, replica int, delays []time.Duration) (*http.Response, error) {
 	b.inflight.Add(1)
 	defer b.inflight.Add(-1)
 	var lastErr error
@@ -378,6 +389,11 @@ func (f *Front) forward(ctx context.Context, b *Backend, path string, body []byt
 			return nil, err
 		}
 		req.Header.Set("Content-Type", "application/json")
+		for _, name := range forwardedHeaders {
+			if v := hdr.Get(name); v != "" {
+				req.Header.Set(name, v)
+			}
+		}
 		if replica >= 0 {
 			req.Header.Set(serve.ReplicaHeader, strconv.Itoa(replica))
 		}
@@ -404,11 +420,10 @@ func (f *Front) relay(w http.ResponseWriter, resp *http.Response, b *Backend) {
 		//quq:errdrop-ok response already relayed; nothing left to report to the client
 		resp.Body.Close()
 	}()
-	if ct := resp.Header.Get("Content-Type"); ct != "" {
-		w.Header().Set("Content-Type", ct)
-	}
-	if ra := resp.Header.Get("Retry-After"); ra != "" {
-		w.Header().Set("Retry-After", ra)
+	for _, name := range relayedHeaders {
+		if v := resp.Header.Get(name); v != "" {
+			w.Header().Set(name, v)
+		}
 	}
 	w.Header().Set(BackendHeader, b.addr)
 	w.Header().Set(EpochHeader, strconv.FormatUint(f.members.Epoch(), 10))
@@ -441,7 +456,7 @@ type shardsResponse struct {
 
 // handleShards reports ring topology and per-backend health/load.
 func (f *Front) handleShards(w http.ResponseWriter, r *http.Request) {
-	resp := shardsResponse{VNodes: f.opts.VNodes, MaxLoadFactor: f.opts.MaxLoadFactor}
+	resp := shardsResponse{VNodes: vnodes, MaxLoadFactor: maxLoadFactor}
 	for _, b := range f.ring.Backends() {
 		resp.Backends = append(resp.Backends, shardInfo{
 			Addr:     b.Addr(),

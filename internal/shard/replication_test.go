@@ -433,3 +433,60 @@ func TestClusterViewRendersTopology(t *testing.T) {
 		}
 	}
 }
+
+// TestFrontForwardsAllowlistedRequestHeaders: a client's latency budget
+// reaches every replica owner of a fanned-out quantize and the backend
+// of a proxied classify; a header off the allowlist does not, and the
+// replica slot is the front's stamp, never the client's.
+func TestFrontForwardsAllowlistedRequestHeaders(t *testing.T) {
+	var mu sync.Mutex
+	var seen []http.Header
+	newBackend := func() string {
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			mu.Lock()
+			seen = append(seen, r.Header.Clone())
+			mu.Unlock()
+			w.Header().Set(serve.DigestHeader, "d1g35t")
+			w.Header().Set("X-Quq-Unlisted", "stays behind")
+		}))
+		t.Cleanup(srv.Close)
+		return srv.URL
+	}
+	f := shard.New(shard.Options{
+		Backends: []string{newBackend(), newBackend()}, Replicas: 2,
+		ProbeInterval: -1, Retries: -1, RetryBackoff: 1,
+	})
+	t.Cleanup(f.Close)
+
+	for _, path := range []string{"/v1/quantize", "/v1/classify"} {
+		req := httptest.NewRequest(http.MethodPost, path, strings.NewReader(`{"model":"ViT-S","method":"QUQ","bits":6}`))
+		req.Header.Set(serve.LatencyBudgetHeader, "50ms")
+		req.Header.Set(serve.ReplicaHeader, "9")
+		req.Header.Set("X-Quq-Unlisted", "nope")
+		w := httptest.NewRecorder()
+		f.Handler().ServeHTTP(w, req)
+		if w.Code != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", path, w.Code, w.Body)
+		}
+		if got := w.Header().Get(serve.DigestHeader); got != "d1g35t" {
+			t.Fatalf("%s: relayed digest %q", path, got)
+		}
+		if got := w.Header().Get("X-Quq-Unlisted"); got != "" {
+			t.Fatalf("%s: relayed an unlisted response header: %q", path, got)
+		}
+	}
+	if len(seen) != 3 {
+		t.Fatalf("backends saw %d requests, want 3 (two quantize replicas, one classify)", len(seen))
+	}
+	for i, h := range seen {
+		if got := h.Get(serve.LatencyBudgetHeader); got != "50ms" {
+			t.Errorf("request %d: latency budget %q, want 50ms", i, got)
+		}
+		if got := h.Get(serve.ReplicaHeader); got != "0" && got != "1" {
+			t.Errorf("request %d: replica slot %q is not the front's stamp", i, got)
+		}
+		if got := h.Get("X-Quq-Unlisted"); got != "" {
+			t.Errorf("request %d: unlisted header forwarded: %q", i, got)
+		}
+	}
+}

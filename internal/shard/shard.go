@@ -34,6 +34,27 @@ import (
 	"quq/internal/serve/metrics"
 )
 
+// What no deployment, test, chaos script or benchmark has ever set is a
+// constant, not an option. /cluster and /shards report vnodes and
+// maxLoadFactor, so a shard-aware client still rebuilds the same ring.
+const (
+	// vnodes is the number of virtual nodes per backend: more means
+	// smoother key distribution and smaller moved arcs.
+	vnodes = 128
+	// maxLoadFactor bounds per-backend load: a backend whose in-flight
+	// request count exceeds it times the fleet average spills its keys
+	// to the next ring successor.
+	maxLoadFactor = 1.25
+	// handoffMaxKeys bounds how many registry keys one admin drain
+	// re-homes before the member leaves; entries beyond the cap rely on
+	// replication or on-demand recalibration.
+	handoffMaxKeys = 64
+	// probeTimeout bounds one /healthz probe.
+	probeTimeout = time.Second
+	// failAfter is the consecutive probe failures before ejection.
+	failAfter = 2
+)
+
 // Options tunes the sharding front-end.
 type Options struct {
 	// BaseContext roots the front-end's background work (the prober's
@@ -43,23 +64,11 @@ type Options struct {
 	// Backends lists the quq-serve base addresses ("host:port" or full
 	// http:// URLs) forming the initial ring.
 	Backends []string
-	// VNodes is the number of virtual nodes per backend (default 128);
-	// more vnodes means smoother key distribution and smaller moved arcs.
-	VNodes int
-	// MaxLoadFactor bounds per-backend load: a backend whose in-flight
-	// request count exceeds MaxLoadFactor times the fleet average spills
-	// its keys to the next ring successor (default 1.25; <= 0 disables
-	// bounding).
-	MaxLoadFactor float64
 	// Replicas is the replication factor R: each registry key's
 	// calibration lives on its first R healthy ring successors. Warming
 	// requests (/v1/quantize) fan out to all R owners; reads are served
 	// by the first reachable replica. Default 1 (no replication).
 	Replicas int
-	// HandoffMaxKeys bounds how many registry keys one admin drain
-	// re-homes before the member leaves (default 64). Entries beyond
-	// the cap rely on replication or on-demand recalibration.
-	HandoffMaxKeys int
 	// ProbeInterval is the /healthz probe period (default 2s; negative
 	// disables the background prober — ProbeNow still works).
 	ProbeInterval time.Duration
@@ -71,11 +80,6 @@ type Options struct {
 	// The wait goes through Clock, so chaos replays drive sweeps from a
 	// fake clock.
 	AntiEntropyInterval time.Duration
-	// ProbeTimeout bounds one probe (default 1s).
-	ProbeTimeout time.Duration
-	// FailAfter is the consecutive probe failures before ejection
-	// (default 2).
-	FailAfter int
 	// OkAfter is the consecutive healthy probes an ejected backend must
 	// pass before re-admission (default 2). The asymmetric threshold is
 	// flap hysteresis: a backend oscillating between alive and dead on
@@ -118,26 +122,11 @@ func (o *Options) defaults() {
 		//quq:ctx-ok explicit opt-out default; embedders thread a real context via Options.BaseContext
 		o.BaseContext = context.Background()
 	}
-	if o.VNodes <= 0 {
-		o.VNodes = 128
-	}
-	if o.MaxLoadFactor == 0 {
-		o.MaxLoadFactor = 1.25
-	}
 	if o.Replicas < 1 {
 		o.Replicas = 1
 	}
-	if o.HandoffMaxKeys <= 0 {
-		o.HandoffMaxKeys = 64
-	}
 	if o.ProbeInterval == 0 {
 		o.ProbeInterval = 2 * time.Second
-	}
-	if o.ProbeTimeout <= 0 {
-		o.ProbeTimeout = time.Second
-	}
-	if o.FailAfter <= 0 {
-		o.FailAfter = 2
 	}
 	if o.OkAfter <= 0 {
 		o.OkAfter = 2
