@@ -31,9 +31,15 @@ func benchQuantizedModel(tb testing.TB) (*ptq.QuantizedModel, *tensor.Tensor) {
 // input image.
 func quantizedModel(tb testing.TB, cfg vit.Config) (*ptq.QuantizedModel, *tensor.Tensor) {
 	tb.Helper()
+	return quantizedModelAt(tb, cfg, ptq.Full)
+}
+
+// quantizedModelAt is quantizedModel in either regime.
+func quantizedModelAt(tb testing.TB, cfg vit.Config, regime ptq.Regime) (*ptq.QuantizedModel, *tensor.Tensor) {
+	tb.Helper()
 	m := vit.New(cfg, 1)
 	calib := data.CalibrationSet(cfg, 4, 3)
-	qm, err := ptq.Quantize(m, ptq.NewQUQ(), ptq.CalibOptions{Bits: 6, Regime: ptq.Full, Images: calib})
+	qm, err := ptq.Quantize(m, ptq.NewQUQ(), ptq.CalibOptions{Bits: 6, Regime: regime, Images: calib})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -168,23 +174,30 @@ func refBlockForward(b *vit.Block, x *tensor.Tensor, nSeq, blk int, tap vit.Tap)
 	return x
 }
 
-// refModelForward is the pre-kernel-layer ViT.Forward (ViT/DeiT variant
-// without distillation or register tokens — the ViT-Nano shape the
-// tests run).
+// refModelForward is the pre-kernel-layer ViT.Forward for the ViT token
+// layout — class token, register tokens if any, patches — which is the
+// ViT-Nano and ViT-S shapes the tests run; it has no distillation token.
 func refModelForward(tb testing.TB, m *vit.ViT, img *tensor.Tensor, tap vit.Tap) *tensor.Tensor {
 	tb.Helper()
-	if m.Dist != nil || m.Reg != nil {
-		tb.Fatal("pre-PR replica covers the plain ViT token layout only")
+	if m.Dist != nil {
+		tb.Fatal("pre-PR replica has no distillation token")
 	}
 	cfg := m.Config()
 	patches := vit.Patchify(img, cfg.PatchSize)
 	patches = refTap(tap, vit.Site{Block: -1, Name: "patch.in", Kind: vit.KindGEMMIn}, patches)
 	emb := refLinearApply(m.Patch, patches)
 
-	tokens := tensor.New(emb.Dim(0)+1, cfg.Dim)
+	nreg := 0
+	if m.Reg != nil {
+		nreg = m.Reg.Dim(0)
+	}
+	tokens := tensor.New(emb.Dim(0)+1+nreg, cfg.Dim)
 	copy(tokens.Row(0), m.Cls)
+	for r := 0; r < nreg; r++ {
+		copy(tokens.Row(1+r), m.Reg.Row(r))
+	}
 	for r := 0; r < emb.Dim(0); r++ {
-		copy(tokens.Row(r+1), emb.Row(r))
+		copy(tokens.Row(r+1+nreg), emb.Row(r))
 	}
 	tokens.AddInPlace(m.Pos)
 	x := refTap(tap, vit.Site{Block: -1, Name: "embed.out", Kind: vit.KindActivation}, tokens)
@@ -234,17 +247,29 @@ func preprForward(tb testing.TB, qm *ptq.QuantizedModel, img *tensor.Tensor) *te
 // TestForwardLogitsMatchPrePR asserts that the served forward — in-place
 // kernel quantizers on arena tensors — reproduces the copying, scalar
 // reference logits bit for bit, serial and with the intra-op budget
-// raised. ViT-Nano is held to the pre-kernel-layer replica above. The
-// replica has no window partition or distillation token, so Swin-T and
-// DeiT-S are held to their own model code run the old way: a Tap (which
-// keeps every tensor an ordinary allocation) that clones each site and
-// quantizes the clone through Value.
+// raised. ViT-Nano and ViT-S (the two bench models), fully and partially
+// quantized, are held to the pre-kernel-layer replica above — whose own
+// per-element Gelu and per-row SoftmaxInPlace loops make it an oracle
+// for the forward's SFU slice kernels, on both sides of their selection,
+// that shares no code with them. The replica has no window partition or
+// distillation token, so Swin-T and DeiT-S are held to their own model
+// code run the old way: a Tap (which keeps every tensor an ordinary
+// allocation) that clones each site and quantizes the clone through
+// Value.
 func TestForwardLogitsMatchPrePR(t *testing.T) {
 	t.Cleanup(func() { tensor.SetIntraOpWorkers(1) })
-	for _, cfg := range []vit.Config{vit.ViTNano, vit.DeiTSmall, vit.SwinTiny} {
-		qm, img := quantizedModel(t, cfg)
+	for _, row := range []struct {
+		cfg    vit.Config
+		regime ptq.Regime
+	}{
+		{vit.ViTNano, ptq.Full}, {vit.ViTNano, ptq.Partial},
+		{vit.ViTSmall, ptq.Full}, {vit.ViTSmall, ptq.Partial},
+		{vit.DeiTSmall, ptq.Full}, {vit.SwinTiny, ptq.Full},
+	} {
+		cfg := row.cfg
+		qm, img := quantizedModelAt(t, cfg, row.regime)
 		var want *tensor.Tensor
-		if cfg.Name == vit.ViTNano.Name {
+		if cfg.Variant == vit.VariantViT {
 			want = preprForward(t, qm, img)
 		} else {
 			want = qm.Model.Forward(img, vit.ForwardOpts{Tap: copyingTap(qm)})
@@ -256,7 +281,7 @@ func TestForwardLogitsMatchPrePR(t *testing.T) {
 				got := qm.Forward(img)
 				for i, w := range want.Data() {
 					if math.Float64bits(got.Data()[i]) != math.Float64bits(w) {
-						t.Fatalf("%s %s pass %d: logit %d = %v, reference %v", cfg.Name, label, pass, i, got.Data()[i], w)
+						t.Fatalf("%s/%v %s pass %d: logit %d = %v, reference %v", cfg.Name, row.regime, label, pass, i, got.Data()[i], w)
 					}
 				}
 			}

@@ -80,7 +80,9 @@ func (r retry429) RoundTrip(req *http.Request) (*http.Response, error) {
 
 // TestRunCatchesReintroduced429Retry proves the gate has teeth: wiring
 // the 429-retrying transport between the proxy and the fault layer
-// flips exactly the backpressure invariant to FAIL.
+// flips the backpressure invariant to FAIL (and latency-slo with it: the
+// probe overload-shed sheds through the front is retried too), and the
+// replay still runs to its end.
 func TestRunCatchesReintroduced429Retry(t *testing.T) {
 	rep, text := render(t, 7, Options{
 		WrapTransport: func(inner http.RoundTripper) http.RoundTripper {
@@ -90,18 +92,27 @@ func TestRunCatchesReintroduced429Retry(t *testing.T) {
 	if !rep.Failed() {
 		t.Fatalf("429-retrying transport passed the chaos gate:\n%s", text)
 	}
+	seen := 0
 	for _, c := range rep.Results {
-		if c.Name == "429-never-retried" {
+		switch c.Name {
+		case "429-never-retried":
+			seen++
 			if c.Pass {
 				t.Fatalf("backpressure check passed despite the retry bug: %s", c.Detail)
 			}
 			if !strings.Contains(c.Detail, "backend-attempts=12") {
 				t.Fatalf("detail does not show the doubled attempts: %s", c.Detail)
 			}
-			return
+		case "latency-slo":
+			seen++
+			if c.Pass {
+				t.Fatalf("a shed retried by the front passed latency-slo: %s", c.Detail)
+			}
 		}
 	}
-	t.Fatal("429-never-retried check missing from the report")
+	if seen != 2 {
+		t.Fatalf("429-never-retried or latency-slo missing from the report:\n%s", text)
+	}
 }
 
 // TestBootCrashRestartCloseLeaksNothing drives the exported constructor

@@ -641,8 +641,9 @@ func scenarioMembershipElastic(ctx context.Context, seed uint64, opts Options, r
 //     workers, immediate dispatch) and finish inside the default budget;
 //   - one full batch shrinks the worker budget to one instantly;
 //   - with the queue backed up behind a gated worker, an impatient probe
-//     is shed with 429 before taking a queue slot, while the lenient
-//     backdrop (explicit wide budget) is admitted and completes;
+//     sent through the front is shed with 429 before taking a queue
+//     slot, while the lenient backdrop (explicit wide budget, carried by
+//     the front) is admitted and completes;
 //   - after the occupancy window ages out, the governor returns to the
 //     wide point and the shed counter shows up in the front-end's merged
 //     /metrics view.
@@ -696,15 +697,18 @@ func scenarioOverloadShed(ctx context.Context, seed uint64, opts Options, rep *c
 
 	admitted, withinBudget := 0, 0
 	var workerPath []int
-	// timed runs one admitted request and scores it against its budget
-	// using the fake clock — service time is exactly the injected sleeps.
-	timed := func(budget time.Duration, send func() error) error {
+	// timed sends one request that has to be admitted and scores it
+	// against its budget on the fake clock — service time is exactly the
+	// injected sleeps. An answer other than 200 has missed its budget:
+	// that is a verdict for the report, and the replay goes on.
+	timed := func(what string, budget time.Duration, url string, body any, header http.Header) error {
 		start := clk.Now()
-		if err := send(); err != nil {
-			return err
+		r, err := Do(ctx, http.MethodPost, url, body, header)
+		if err != nil {
+			return fmt.Errorf("%s: %w", what, err)
 		}
 		admitted++
-		if clk.Now().Sub(start) <= budget {
+		if r.Status == http.StatusOK && clk.Now().Sub(start) <= budget {
 			withinBudget++
 		}
 		return nil
@@ -713,13 +717,7 @@ func scenarioOverloadShed(ctx context.Context, seed uint64, opts Options, rep *c
 	// Phase 1 — sparse singles: occupancy 1/4 sits at the low threshold,
 	// so the governor holds the wide point it boots with.
 	for i := 0; i < 2; i++ {
-		if err := timed(cfg.Batcher.LatencyBudget, func() error {
-			r, err := post(ctx, f.Base+"/v1/classify", ClassifyBody(sel, flat[0]))
-			if err != nil || r.Status != http.StatusOK {
-				return fmt.Errorf("sparse classify %d: status %d: %w", i, r.Status, err)
-			}
-			return nil
-		}); err != nil {
+		if err := timed("sparse classify", cfg.Batcher.LatencyBudget, f.Base+"/v1/classify", ClassifyBody(sel, flat[0]), nil); err != nil {
 			return err
 		}
 	}
@@ -727,36 +725,24 @@ func scenarioOverloadShed(ctx context.Context, seed uint64, opts Options, rep *c
 
 	// Phase 2 — one full batch: instantaneous occupancy 1.0 shrinks the
 	// per-batch worker budget to the floor.
-	if err := timed(cfg.Batcher.LatencyBudget, func() error {
-		r, err := post(ctx, f.Base+"/v1/classify", multi(4))
-		if err != nil || r.Status != http.StatusOK {
-			return fmt.Errorf("full batch: status %d: %w", r.Status, err)
-		}
-		return nil
-	}); err != nil {
+	if err := timed("full batch", cfg.Batcher.LatencyBudget, f.Base+"/v1/classify", multi(4), nil); err != nil {
 		return err
 	}
 	workerPath = append(workerPath, int(backend.Srv.Metrics().IntraopWorkers.Value()))
 
 	// Phase 3 — overload: jam the workers and queue a 12-image backdrop
-	// from a lenient client (wide explicit budget) straight at the
-	// backend, then probe it with the default budget. The probe's
-	// estimated wait (5ms × 12 queued / 2 workers = 30ms) beats its 20ms
-	// budget, so admission control sheds it up front. Both go direct —
-	// 429 pass-through via the front is the backpressure scenario's
-	// claim; this one pins the backend's own shed behaviour, so a
-	// deliberately broken front transport cannot perturb its counts.
+	// from a lenient client (wide explicit budget), then probe with the
+	// default budget. The probe's estimated wait (5ms × 12 queued / 2
+	// workers = 30ms) beats its 20ms budget, so admission control sheds
+	// it up front. Both enter at the front, the way clients do: it
+	// carries the backdrop's X-Quq-Latency-Budget to the worker and
+	// hands the worker's 429 and Retry-After back without a second
+	// attempt (a front that retried would shed the probe twice).
 	block.Store(true)
 	backdropErr := make(chan error, 1)
 	go func() {
-		backdropErr <- timed(time.Second, func() error {
-			r, err := Do(ctx, http.MethodPost, backend.URL()+"/v1/classify", multi(12),
-				http.Header{serve.LatencyBudgetHeader: {"1s"}})
-			if err != nil || r.Status != http.StatusOK {
-				return fmt.Errorf("backdrop: status %d: %w", r.Status, err)
-			}
-			return nil
-		})
+		backdropErr <- timed("backdrop", time.Second, f.Base+"/v1/classify", multi(12),
+			http.Header{serve.LatencyBudgetHeader: {"1s"}})
 	}()
 	for backend.Srv.Metrics().QueueDepth.Value() != 12 {
 		if err := ctx.Err(); err != nil {
@@ -765,7 +751,7 @@ func scenarioOverloadShed(ctx context.Context, seed uint64, opts Options, rep *c
 		runtime.Gosched()
 	}
 
-	probe, err := post(ctx, backend.URL()+"/v1/classify", ClassifyBody(sel, flat[0]))
+	probe, err := post(ctx, f.Base+"/v1/classify", ClassifyBody(sel, flat[0]))
 	if err != nil {
 		return fmt.Errorf("shed probe: %w", err)
 	}
@@ -786,13 +772,7 @@ func scenarioOverloadShed(ctx context.Context, seed uint64, opts Options, rep *c
 	if err := clk.Sleep(ctx, 600*time.Millisecond); err != nil {
 		return err
 	}
-	if err := timed(cfg.Batcher.LatencyBudget, func() error {
-		r, err := post(ctx, f.Base+"/v1/classify", ClassifyBody(sel, flat[0]))
-		if err != nil || r.Status != http.StatusOK {
-			return fmt.Errorf("recovery classify: status %d: %w", r.Status, err)
-		}
-		return nil
-	}); err != nil {
+	if err := timed("recovery classify", cfg.Batcher.LatencyBudget, f.Base+"/v1/classify", ClassifyBody(sel, flat[0]), nil); err != nil {
 		return err
 	}
 	workerPath = append(workerPath, int(backend.Srv.Metrics().IntraopWorkers.Value()))

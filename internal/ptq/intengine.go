@@ -3,6 +3,7 @@ package ptq
 import (
 	"fmt"
 	"math"
+	"sync/atomic"
 
 	"quq/internal/accel"
 	"quq/internal/tensor"
@@ -26,7 +27,18 @@ import (
 // checks).
 type IntEngine struct {
 	ops map[vit.Site]*intOp
+	// declines counts the calls Linear handed back to the float path.
+	// The cell is the model's, so the count outlives an engine that
+	// SetIntPath replaces.
+	declines *atomic.Int64
 }
+
+// Declines reports how many weight GEMMs the model's integer path has
+// declined — an unknown site, a shape that does not match the resident
+// operand, an input element off the activation grid — and left to the
+// float GEMM. A forward whose GEMMs all ran on integers leaves it alone;
+// "the integer path served this" is true only while it stays zero.
+func (e *IntEngine) Declines() int64 { return e.declines.Load() }
 
 // intOp is one weight site's resident state.
 type intOp struct {
@@ -49,7 +61,7 @@ func NewIntEngine(q *QuantizedModel) (*IntEngine, error) {
 	if q.WeightParams == nil {
 		return nil, fmt.Errorf("ptq: model has no recorded weight params (method %q); int path needs a WeightParamsRecorder method", q.Method)
 	}
-	e := &IntEngine{ops: make(map[vit.Site]*intOp)}
+	e := &IntEngine{ops: make(map[vit.Site]*intOp), declines: &q.intDeclines}
 	var err error
 	q.Model.ForEachWeight(func(site vit.Site, l *vit.Linear) {
 		if err != nil {
@@ -99,7 +111,8 @@ func NewIntEngine(q *QuantizedModel) (*IntEngine, error) {
 // runs before the GEMM), so each element is a grid point m·Δx whose
 // integer code the engine recovers exactly; any element off the grid —
 // e.g. an instrumentation tap replaced the tensor — falls back to the
-// float path for the whole call, never computing a wrong result. The
+// float path for the whole call, never computing a wrong result, and is
+// counted (Declines). The
 // weight side uses the resident integer operand; the only float64 work
 // is the epilogue scale-and-bias at the decode boundary.
 //
@@ -107,11 +120,13 @@ func NewIntEngine(q *QuantizedModel) (*IntEngine, error) {
 func (e *IntEngine) Linear(site vit.Site, l *vit.Linear, dst, x *tensor.Tensor) bool {
 	op, ok := e.ops[site]
 	if !ok {
+		e.declines.Add(1)
 		return false
 	}
 	rows, k := x.Dim(0), x.Dim(1)
 	n := op.prep.Cols
 	if k != op.prep.Rows || dst.Dim(0) != rows || dst.Dim(1) != n {
+		e.declines.Add(1)
 		return false
 	}
 	ar := tensor.GetArena()
@@ -122,6 +137,7 @@ func (e *IntEngine) Linear(site vit.Site, l *vit.Linear, dst, x *tensor.Tensor) 
 		//quq:float-ok integer-recovery verification at the encode boundary: exact comparison against the activation grid, not datapath arithmetic
 		if float64(m)*op.xDelta != v {
 			ar.PutInt64(vx)
+			e.declines.Add(1)
 			return false
 		}
 		vx[i] = m

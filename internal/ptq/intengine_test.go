@@ -65,6 +65,24 @@ func TestIntPathMatchesFloatOnRequantizedGrid(t *testing.T) {
 				}
 			}
 		}
+		// The comparison above is about the integer path only if every
+		// weight GEMM of those forwards ran on it.
+		if n := qm.IntDeclines(); n != 0 {
+			t.Fatalf("regime %v: the integer engine declined %d GEMMs on quantized forwards", regime, n)
+		}
+		// And the count is live: one forward whose first GEMM input a tap
+		// has moved off the grid declines that GEMM and only that one.
+		qm.ForwardOpts(eval[0], vit.ForwardOpts{Tap: func(s vit.Site, x *tensor.Tensor) *tensor.Tensor {
+			if s.Key() != "b00.ln1.out" {
+				return x
+			}
+			off := x.Clone()
+			off.Data()[0] += 1e-3
+			return off
+		}})
+		if n := qm.IntDeclines(); n != 1 {
+			t.Fatalf("regime %v: %d declines after one off-grid GEMM input, want 1", regime, n)
+		}
 		if err := qm.SetIntPath(false); err != nil || qm.IntPath() {
 			t.Fatal("disable failed")
 		}
@@ -158,5 +176,11 @@ func TestIntEngineFallsBackOffGrid(t *testing.T) {
 	}
 	if e.Linear(vit.Site{Block: 99, Name: "nonsense.w"}, lin, dst, x) {
 		t.Fatal("engine accepted an unknown site")
+	}
+	if e.Linear(site, lin, tensor.New(3, lin.Out()+1), x) {
+		t.Fatal("engine accepted a destination of the wrong shape")
+	}
+	if n := e.Declines(); n != 3 {
+		t.Fatalf("three declined calls counted as %d", n)
 	}
 }

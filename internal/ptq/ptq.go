@@ -172,7 +172,10 @@ type QuantizedModel struct {
 	WeightParams map[string]*quant.Params
 
 	// engine is the optional integer forward engine; see SetIntPath.
-	engine atomic.Pointer[IntEngine]
+	// intDeclines is where every engine built for this model counts the
+	// GEMMs it declined; see IntDeclines.
+	engine      atomic.Pointer[IntEngine]
+	intDeclines atomic.Int64
 
 	// sites is Acts keyed the way the forward names a site, so the
 	// quantizer seam formats no key; resolved on the first forward.
@@ -208,6 +211,11 @@ func (q *QuantizedModel) SetIntPath(on bool) error {
 
 // IntPath reports whether the integer forward engine is installed.
 func (q *QuantizedModel) IntPath() bool { return q.engine.Load() != nil }
+
+// IntDeclines reports how many weight GEMMs the model's integer engines
+// have handed back to the float path over its lifetime (see
+// IntEngine.Declines); it does not restart when SetIntPath swaps engines.
+func (q *QuantizedModel) IntDeclines() int64 { return q.intDeclines.Load() }
 
 // Quantize calibrates method on m over the given images and returns the
 // quantized model. The input model is not modified.

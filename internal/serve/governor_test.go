@@ -315,3 +315,50 @@ func TestServeLatencyBudgetHeader(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestMalformedBudgetNeverTouchesTheRegistry: a classify that is going to
+// be answered 400 for its X-Quq-Latency-Budget must be rejected before
+// the registry sees its key — a never-seen key is not calibrated (the
+// BuildHook never runs, no cache miss is counted) and the reply carries
+// no digest.
+func TestMalformedBudgetNeverTouchesTheRegistry(t *testing.T) {
+	var built atomic.Int64
+	opts := testRegistryOptions()
+	opts.BuildHook = func(Key) error { built.Add(1); return nil }
+	s := New(Config{Registry: opts})
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+
+	flat, _ := flatImages(1)
+	buf, err := json.Marshal(map[string]any{"images": flat, "method": "BaseQ", "bits": 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/classify", bytes.NewReader(buf))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set(LatencyBudgetHeader, "soon")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("malformed budget on a never-seen key: %d, want 400", resp.StatusCode)
+	}
+	if d := resp.Header.Get(DigestHeader); d != "" {
+		t.Errorf("rejected request carries %s %q", DigestHeader, d)
+	}
+	if n := built.Load(); n != 0 {
+		t.Errorf("BuildHook ran %d times for a request rejected on its header", n)
+	}
+	if n := s.Metrics().CacheMisses.Value(); n != 0 {
+		t.Errorf("quq_serve_model_cache_misses_total = %d after a rejected request, want 0", n)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := s.Drain(ctx); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -265,6 +265,9 @@ type entry struct {
 	buildMS float64
 	digest  string       // hex content address of the entry's snapshot; "" if not snapshottable
 	replica atomic.Int32 // replica index stamped by the front-end; -1 until known
+	// intDeclines is how much of qm.IntDeclines() noteIntDeclines has
+	// already counted; guarded by Registry.mu.
+	intDeclines int64
 }
 
 // baseEntry is the per-config singleflight slot for the FP32 base model
@@ -554,6 +557,31 @@ func (r *Registry) SetIntPath(on bool) (int, error) {
 		toggled++
 	}
 	return toggled, nil
+}
+
+// noteIntDeclines brings quq_serve_int_declines_total up to what the
+// resident models' integer engines have declined. The models count (the
+// forward cannot reach a metric); a scrape collects.
+func (r *Registry) noteIntDeclines() {
+	if r.met == nil {
+		return
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for _, e := range r.entries {
+		select {
+		case <-e.ready:
+		default:
+			continue
+		}
+		if e.qm == nil {
+			continue
+		}
+		if n := e.qm.IntDeclines(); n > e.intDeclines {
+			r.met.IntDeclines.Add(uint64(n - e.intDeclines))
+			e.intDeclines = n
+		}
+	}
 }
 
 // base returns the config's base slot — FP32 model and calibration set,

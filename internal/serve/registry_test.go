@@ -3,10 +3,16 @@ package serve
 import (
 	"context"
 	"errors"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"quq/internal/ptq"
+	"quq/internal/tensor"
 	"quq/internal/vit"
 )
 
@@ -302,5 +308,69 @@ func TestRegistryIntPath(t *testing.T) {
 	}
 	if !quq.IntPath() {
 		t.Fatal("runtime enable did not reach the cached model")
+	}
+}
+
+// TestIntDeclinesMetric: quq_serve_int_declines_total reads 0 while every
+// weight GEMM of an -int-path worker runs on integers, moves by exactly
+// what the resident models' engines declined — here one forward whose
+// first GEMM input a tap moved off the grid — and counts it once however
+// often /metrics is scraped, engine swaps included.
+func TestIntDeclinesMetric(t *testing.T) {
+	opts := testRegistryOptions()
+	opts.IntPath = true
+	s := New(Config{Registry: opts})
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+	scrape := func() string {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		page, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(page)
+	}
+
+	flat, imgs := flatImages(1)
+	if resp, body := postJSON(t, ts.URL+"/v1/classify", map[string]any{"images": flat}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("classify: %d %s", resp.StatusCode, body)
+	}
+	if page := scrape(); !strings.Contains(page, "quq_serve_int_declines_total 0\n") {
+		t.Fatalf("after an all-integer classify:\n%s", page)
+	}
+
+	key, err := KeyFromWire("", "", 0, "") // what a classify naming nothing asks for
+	if err != nil {
+		t.Fatal(err)
+	}
+	qm, cached, err := s.Registry().Get(context.Background(), key)
+	if err != nil || !cached {
+		t.Fatalf("the classified key %v: cached %v, err %v", key, cached, err)
+	}
+	qm.ForwardOpts(imgs[0], vit.ForwardOpts{Tap: func(site vit.Site, x *tensor.Tensor) *tensor.Tensor {
+		if site.Key() != "b00.ln1.out" {
+			return x
+		}
+		off := x.Clone()
+		off.Data()[0] += 1e-3
+		return off
+	}})
+	if _, err := s.SetIntPath(true); err != nil { // a fresh engine; the count carries over
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if page := scrape(); !strings.Contains(page, "quq_serve_int_declines_total 1\n") {
+			t.Fatalf("scrape %d after one declined GEMM:\n%s", i, page)
+		}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := s.Drain(ctx); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -68,6 +68,7 @@ type Metrics struct {
 	CacheHits    *metrics.Counter   // registry lookups that found an entry
 	CacheMisses  *metrics.Counter   // lookups that triggered a calibration
 	BuildSeconds *metrics.Histogram // one key's build wall time, seconds, waits on shared calibration nodes included
+	IntDeclines  *metrics.Counter   // weight GEMMs the integer path handed back to the float path; brought up to date by each /metrics scrape
 
 	// Shared calibration (calib.go).
 	CalibCollects   *metrics.Counter // statistics collections (one per config while its statistics stay resident)
@@ -105,6 +106,7 @@ func NewMetrics() *Metrics {
 		CacheHits:    r.NewCounter("quq_serve_model_cache_hits_total", "registry lookups served from cache"),
 		CacheMisses:  r.NewCounter("quq_serve_model_cache_misses_total", "registry lookups that calibrated a model"),
 		BuildSeconds: r.NewHistogram("quq_serve_model_build_seconds", "wall time of one key's build in seconds, waits on calibration nodes shared with sibling keys included", metrics.LatencyBuckets()),
+		IntDeclines:  r.NewCounter("quq_serve_int_declines_total", "weight GEMMs an -int-path model handed back to the float GEMM (unknown site, shape mismatch, off-grid input); the integer path served everything only while this is 0"),
 
 		CalibCollects:   r.NewCounter("quq_serve_calib_collects_total", "calibration-statistics collections; sibling keys of a config share one while it stays resident"),
 		CalibStatsBytes: r.NewGauge("quq_serve_calib_stats_bytes", "calibration statistics resident in memory, bytes; 0 once builds are done and the idle grace has passed"),

@@ -231,6 +231,13 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 		}
 		images[i] = img
 	}
+	// Everything that can make this a 400 is settled before the registry
+	// sees the key: Get calibrates a key it has not seen.
+	budget, err := latencyBudgetFrom(r)
+	if err != nil {
+		s.writeError(w, err)
+		return
+	}
 
 	qm, _, err := s.reg.Get(r.Context(), key)
 	if err != nil {
@@ -240,11 +247,6 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 	s.reg.NoteReplica(key, replicaFrom(r))
 	if d := s.reg.Digest(key); d != "" {
 		w.Header().Set(DigestHeader, d)
-	}
-	budget, err := latencyBudgetFrom(r)
-	if err != nil {
-		s.writeError(w, err)
-		return
 	}
 	items, err := s.bat.SubmitBudget(r.Context(), key.String(), qm, images, budget)
 	if err != nil {
@@ -435,6 +437,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
+	s.reg.noteIntDeclines()
 	if err := s.met.Registry.WriteText(w); err != nil {
 		// The client hung up mid-scrape; nothing useful left to do.
 		s.met.Failures.Inc()

@@ -176,9 +176,7 @@ func (b *Block) forward(sc scratch, x *tensor.Tensor, nSeq, blk int, opts Forwar
 	sc.put(q)
 	sc.put(k)
 	scores = opts.site(Site{blk, "attn.softmax_in", KindActivation}, scores)
-	for r := 0; r < scores.Dim(0); r++ {
-		mathx.SoftmaxInPlace(scores.Row(r))
-	}
+	mathx.SoftmaxRows(scores.Data(), t)
 	if opts.Attn != nil {
 		opts.Attn(blk, scores)
 	}
@@ -203,7 +201,7 @@ func (b *Block) forward(sc scratch, x *tensor.Tensor, nSeq, blk int, opts Forwar
 	f := applyLinear(opts, Site{blk, "mlp.fc1.w", KindWeight}, b.FC1, sc.uninit(s, b.FC1.Out()), h)
 	sc.put(h)
 	f = opts.site(Site{blk, "mlp.gelu_in", KindActivation}, f)
-	f.Apply(mathx.Gelu)
+	mathx.GeluSlice(f.Data())
 	f = opts.site(Site{blk, "mlp.gelu_out", KindGEMMIn}, f)
 	h = applyLinear(opts, Site{blk, "mlp.fc2.w", KindWeight}, b.FC2, sc.uninit(s, dim), f)
 	sc.put(f)
