@@ -53,6 +53,10 @@ rm -f /tmp/quqvet-report-1.json /tmp/quqvet-report-2.json
 # registry Get racing a fast build once did — would otherwise never run
 # the way `go test ./...` runs it.
 go test -count=1 ./...
+# Stacked ≡ per-image again at three GOMAXPROCS values: the chunk rule
+# follows it (workers <= 0, the batcher's default pool), so one value
+# runs one family of chunk shapes.
+go test -count=1 -cpu 1,2,4 -run 'Stacked|ForwardBatchMatchesSerial|BatcherChunk|BatcherPanicFails' . ./internal/vit/ ./internal/ptq/ ./internal/serve/
 go test -race ./...
 
 # Short fuzz smoke of the property-based targets. `go test -fuzz`

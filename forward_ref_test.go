@@ -9,6 +9,7 @@
 package quq_test
 
 import (
+	"fmt"
 	"math"
 	"runtime"
 	"testing"
@@ -245,17 +246,18 @@ func preprForward(tb testing.TB, qm *ptq.QuantizedModel, img *tensor.Tensor) *te
 }
 
 // TestForwardLogitsMatchPrePR asserts that the served forward — in-place
-// kernel quantizers on arena tensors — reproduces the copying, scalar
-// reference logits bit for bit, serial and with the intra-op budget
-// raised. ViT-Nano and ViT-S (the two bench models), fully and partially
-// quantized, are held to the pre-kernel-layer replica above — whose own
-// per-element Gelu and per-row SoftmaxInPlace loops make it an oracle
-// for the forward's SFU slice kernels, on both sides of their selection,
-// that shares no code with them. The replica has no window partition or
-// distillation token, so Swin-T and DeiT-S are held to their own model
-// code run the old way: a Tap (which keeps every tensor an ordinary
-// allocation) that clones each site and quantizes the clone through
-// Value.
+// kernel quantizers on arena tensors, lone and stacked into a batch —
+// reproduces the copying, scalar, per-image reference logits bit for bit,
+// serial and with the intra-op budget raised. ViT-Nano and ViT-S (the two
+// bench models), fully and partially quantized, are held to the
+// pre-kernel-layer replica above — whose own per-element Gelu and per-row
+// SoftmaxInPlace loops make it an oracle for the forward's SFU slice
+// kernels, on both sides of their selection, and whose one-image-at-a-time
+// body makes it one for the batch-major forward, that shares no code with
+// either. The replica has no window partition or distillation token, so
+// Swin-T and DeiT-S are held to their own model code run the old way: one
+// image and a Tap (which keeps every tensor an ordinary allocation) that
+// clones each site and quantizes the clone through Value.
 func TestForwardLogitsMatchPrePR(t *testing.T) {
 	t.Cleanup(func() { tensor.SetIntraOpWorkers(1) })
 	for _, row := range []struct {
@@ -267,21 +269,26 @@ func TestForwardLogitsMatchPrePR(t *testing.T) {
 		{vit.DeiTSmall, ptq.Full}, {vit.SwinTiny, ptq.Full},
 	} {
 		cfg := row.cfg
-		qm, img := quantizedModelAt(t, cfg, row.regime)
-		var want *tensor.Tensor
-		if cfg.Variant == vit.VariantViT {
-			want = preprForward(t, qm, img)
-		} else {
-			want = qm.Model.Forward(img, vit.ForwardOpts{Tap: copyingTap(qm)})
+		qm, _ := quantizedModelAt(t, cfg, row.regime)
+		imgs := data.Images(cfg, 3, 2)
+		want := make([]*tensor.Tensor, len(imgs))
+		for i, img := range imgs {
+			if cfg.Variant == vit.VariantViT {
+				want[i] = preprForward(t, qm, img)
+			} else {
+				want[i] = qm.Model.Forward(img, vit.ForwardOpts{Tap: copyingTap(qm)})
+			}
 		}
 		check := func(label string) {
 			t.Helper()
+			label = fmt.Sprintf("%s/%v %s", cfg.Name, row.regime, label)
 			// Twice: the second pass runs on recycled arena tensors.
 			for pass := 0; pass < 2; pass++ {
-				got := qm.Forward(img)
-				for i, w := range want.Data() {
-					if math.Float64bits(got.Data()[i]) != math.Float64bits(w) {
-						t.Fatalf("%s/%v %s pass %d: logit %d = %v, reference %v", cfg.Name, row.regime, label, pass, i, got.Data()[i], w)
+				assertLogitBits(t, label+" lone", qm.Forward(imgs[0]), want[0])
+				// One stack of three, then a stack of two beside a lone one.
+				for workers := 1; workers <= 2; workers++ {
+					for i, got := range qm.ForwardBatch(imgs, workers) {
+						assertLogitBits(t, fmt.Sprintf("%s batch, image %d", label, i), got, want[i])
 					}
 				}
 			}
@@ -293,48 +300,110 @@ func TestForwardLogitsMatchPrePR(t *testing.T) {
 	}
 }
 
-// forwardBudgets are the steady-state ceilings for one quantized forward:
-// heap allocations and bytes. Measured 7 allocations on both models (the
-// logits tensor and its reshaped view, one bound-method closure) and
-// 1,043 B on ViT-Nano, 3,161 B on ViT-S — before the forward carved its
-// intermediates from the arena and quantized them in place these were
-// 797 / 3,865 allocations and 12.9 MB on ViT-S. The ceilings are measured
-// + 10 %: one tensor that stops coming from the arena costs three
-// allocations and tens of kilobytes, and fails both.
+// TestTapSeesWhatThePrePRTapSaw: making Forward the one-image case of the
+// batch-major body must not change what a caller's Tap is shown. The
+// replica's tap and the served forward's, on the same image, see the same
+// sites in the same order with the same shapes and the same quantized
+// bits.
+func TestTapSeesWhatThePrePRTapSaw(t *testing.T) {
+	// A site's tensor goes on being written after its tap (softmax and
+	// GELU work in place), so what the tap saw is copied out.
+	type shown struct {
+		site  vit.Site
+		shape []int
+		data  []float64
+	}
+	for _, cfg := range []vit.Config{vit.ViTNano, vit.ViTSmall} {
+		qm, img := quantizedModel(t, cfg)
+		var want, got []shown
+		quantize := copyingTap(qm)
+		refModelForward(t, qm.Model.(*vit.ViT), img, func(site vit.Site, x *tensor.Tensor) *tensor.Tensor {
+			y := quantize(site, x)
+			want = append(want, shown{site, y.Shape(), append([]float64(nil), y.Data()...)})
+			return y
+		})
+		qm.ForwardOpts(img, vit.ForwardOpts{Tap: func(site vit.Site, x *tensor.Tensor) *tensor.Tensor {
+			got = append(got, shown{site, x.Shape(), append([]float64(nil), x.Data()...)})
+			return x
+		}})
+		if len(got) != len(want) {
+			t.Fatalf("%s: the tap ran %d times, the replica's %d", cfg.Name, len(got), len(want))
+		}
+		for i, w := range want {
+			g := got[i]
+			if g.site != w.site || len(g.shape) != len(w.shape) || len(g.data) != len(w.data) {
+				t.Fatalf("%s call %d: saw %v %v, the replica's tap %v %v", cfg.Name, i, g.site, g.shape, w.site, w.shape)
+			}
+			for d := range w.shape {
+				if g.shape[d] != w.shape[d] {
+					t.Fatalf("%s %v: shape %v, the replica's %v", cfg.Name, w.site, g.shape, w.shape)
+				}
+			}
+			for j, v := range w.data {
+				if math.Float64bits(g.data[j]) != math.Float64bits(v) {
+					t.Fatalf("%s %v: element %d = %v, the replica's tap saw %v", cfg.Name, w.site, j, g.data[j], v)
+				}
+			}
+		}
+	}
+}
+
+// forwardBudgets are the steady-state ceilings for one quantized forward,
+// per image: heap allocations and bytes. Measured for a lone forward, 6
+// allocations on both models (the one-image slice and the result slice,
+// the logits tensor's three, one bound-method closure) and 176 B on
+// ViT-Nano, 992 B on ViT-S — before the forward carved its intermediates
+// from the arena and quantized them in place these were 797 / 3,865
+// allocations and 12.9 MB on ViT-S. The ceilings are measured + 10 %: one
+// tensor that stops coming from the arena costs three allocations and
+// tens of kilobytes, and fails both. (Making Forward the one-image batch
+// moved the pin from 7 allocations and 224 / 1,040 B to these: two
+// slices came, and the fresh rank-2 head output with its reshaped view
+// went — the stacked head output is arena scratch, each image's logits
+// one fresh rank-1 tensor.) A batch of four on one worker pays the
+// per-call part once and the logits four times — 17 allocations, 4.25 an
+// image — so it is held to the lone forward's ceilings per image.
 var forwardBudgets = []struct {
 	cfg    vit.Config
 	allocs float64
 	bytes  uint64
 }{
-	{vit.ViTNano, 8, 1150},
-	{vit.ViTSmall, 8, 3480},
+	{vit.ViTNano, 7, 200},
+	{vit.ViTSmall, 7, 1100},
 }
 
-// TestForwardAllocBudget fails if the steady-state quantized forward
-// starts allocating above the recorded budgets — the canary for "someone
-// dropped tensor reuse on the hot path".
+// TestForwardAllocBudget fails if the steady-state quantized forward,
+// lone or stacked, starts allocating above the recorded per-image
+// budgets — the canary for "someone dropped tensor reuse on the hot path".
 func TestForwardAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector drops sync.Pool reuse; allocs/op is not meaningful")
 	}
 	for _, b := range forwardBudgets {
-		qm, img := quantizedModel(t, b.cfg)
-		qm.Forward(img) // warm the arena and pack pools
-		if allocs := testing.AllocsPerRun(5, func() { qm.Forward(img) }); allocs > b.allocs {
-			t.Errorf("%s: steady-state forward allocates %.0f/op, budget %.0f", b.cfg.Name, allocs, b.allocs)
-		}
-		// Other goroutines can add to a MemStats delta, never take away:
-		// the smallest of a few repetitions is the forward's own.
-		least := uint64(math.MaxUint64)
-		var before, after runtime.MemStats
-		for rep := 0; rep < 3; rep++ {
-			runtime.ReadMemStats(&before)
-			qm.Forward(img)
-			runtime.ReadMemStats(&after)
-			least = min(least, after.TotalAlloc-before.TotalAlloc)
-		}
-		if least > b.bytes {
-			t.Errorf("%s: steady-state forward allocates %d B/op, budget %d", b.cfg.Name, least, b.bytes)
+		qm, _ := quantizedModel(t, b.cfg)
+		for _, n := range []int{1, 4} {
+			imgs := data.Images(b.cfg, n, 2)
+			forward := func() { qm.ForwardBatch(imgs, 1) }
+			if n == 1 {
+				forward = func() { qm.Forward(imgs[0]) }
+			}
+			forward() // warm the arena and pack pools
+			if allocs := testing.AllocsPerRun(5, forward) / float64(n); allocs > b.allocs {
+				t.Errorf("%s B=%d: steady-state forward allocates %.1f/image, budget %.0f", b.cfg.Name, n, allocs, b.allocs)
+			}
+			// Other goroutines can add to a MemStats delta, never take away:
+			// the smallest of a few repetitions is the forward's own.
+			least := uint64(math.MaxUint64)
+			var before, after runtime.MemStats
+			for rep := 0; rep < 3; rep++ {
+				runtime.ReadMemStats(&before)
+				forward()
+				runtime.ReadMemStats(&after)
+				least = min(least, after.TotalAlloc-before.TotalAlloc)
+			}
+			if least/uint64(n) > b.bytes {
+				t.Errorf("%s B=%d: steady-state forward allocates %d B/image, budget %d", b.cfg.Name, n, least/uint64(n), b.bytes)
+			}
 		}
 	}
 }

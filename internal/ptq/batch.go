@@ -5,62 +5,68 @@ import (
 	"sync"
 
 	"quq/internal/tensor"
+	"quq/internal/vit"
 )
 
-// ForwardBatch classifies a batch of images, fanning the per-image
-// forward passes across at most workers goroutines (workers <= 0 means
-// GOMAXPROCS). The result slice is index-aligned with images, and each
-// output is bit-identical to the corresponding serial Forward call: the
-// forward path is deterministic and shares no mutable state between
-// images (see the concurrency contract on Forward), so parallel order
-// cannot perturb the arithmetic.
-//
-// This is the batch primitive behind quq-serve's micro-batching
-// scheduler; it is exported so non-HTTP callers (benchmarks, bulk
-// evaluation) get the same amortization.
-//
-// Interaction with intra-op parallelism: the kernel layer's worker
-// budget (tensor.SetIntraOpWorkers) defaults to 1, so under ForwardBatch
-// every image's GEMMs run serially inside their goroutine and the two
-// levels of parallelism never multiply. Raising the intra-op budget is
-// safe — the budget is a process-wide token pool, so batch workers share
-// (budget−1) extra kernel goroutines rather than spawning budget each —
-// but for throughput-oriented batch serving the inter-image fan-out here
-// is the better use of cores; keep the intra-op budget at 1 and spend
-// the cores on `workers` instead. Reserve SetIntraOpWorkers(n>1) for
-// latency-oriented single-image callers.
-func (q *QuantizedModel) ForwardBatch(images []*tensor.Tensor, workers int) []*tensor.Tensor {
-	out := make([]*tensor.Tensor, len(images))
-	if len(images) == 0 {
-		return out
-	}
+// BatchChunks cuts a batch of n images into min(n, workers) contiguous,
+// near-equal chunks — one stacked forward each — and returns their
+// bounds: chunk c is [bounds[c], bounds[c+1]). It is the one chunk rule
+// of the serving path (ForwardBatch here, the quq-serve batcher), and a
+// constant of the code: as many chunks as there are workers keeps every
+// core busy, and no more than that keeps each weight matrix streamed as
+// few times per batch as the cores allow. workers <= 0 means GOMAXPROCS.
+func BatchChunks(n, workers int) []int {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(images) {
-		workers = len(images)
+	chunks := min(n, workers)
+	bounds := make([]int, chunks+1)
+	for c := range bounds {
+		bounds[c] = c * n / max(chunks, 1)
 	}
-	if workers == 1 {
-		for i, img := range images {
-			out[i] = q.Forward(img)
-		}
-		return out
-	}
-	next := make(chan int)
+	return bounds
+}
+
+// ForwardBatch classifies a batch of images of one shape. The result is
+// index-aligned with images, and each output is bit-identical to the
+// corresponding lone Forward call whatever its batch-mates, the chunking
+// or the worker count: a stacked forward never mixes rows of different
+// images, a GEMM element's reduction order does not depend on how many
+// rows the GEMM has, and the site quantizers and SFU kernels are
+// functions of the element (and its channel) alone.
+//
+// The batch is cut by BatchChunks into at most workers chunks
+// (workers <= 0 means GOMAXPROCS), each run as one batch-major forward
+// (vit.Model.ForwardBatch) on its own goroutine: within a chunk every
+// weight matrix is packed and streamed once for all of the chunk's
+// images instead of once per image, which is where a batch is cheaper
+// than its images one by one. This is the batch primitive behind
+// quq-serve's micro-batching scheduler; it is exported so non-HTTP
+// callers (benchmarks, bulk evaluation) get the same amortization.
+//
+// Interaction with intra-op parallelism: the kernel layer's worker
+// budget (tensor.SetIntraOpWorkers) defaults to 1, so every chunk's
+// GEMMs run serially inside its goroutine and the two levels of
+// parallelism never multiply. Raising the budget is safe — it is a
+// process-wide token pool, so chunks share (budget−1) extra kernel
+// goroutines rather than spawning budget each — and splits a stacked
+// GEMM's rows across them; a caller with one chunk and idle cores
+// (workers = 1) is who that is for.
+func (q *QuantizedModel) ForwardBatch(images []*tensor.Tensor, workers int) []*tensor.Tensor {
+	out := make([]*tensor.Tensor, len(images))
+	bounds := BatchChunks(len(images), workers)
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for c := 1; c+1 < len(bounds); c++ {
 		wg.Add(1)
-		go func() {
+		go func(lo, hi int) {
 			defer wg.Done()
-			for i := range next {
-				out[i] = q.Forward(images[i])
-			}
-		}()
+			copy(out[lo:hi], q.forwardStacked(images[lo:hi], vit.ForwardOpts{}))
+		}(bounds[c], bounds[c+1])
 	}
-	for i := range images {
-		next <- i
+	if len(bounds) > 1 {
+		// The caller is the first chunk's worker.
+		copy(out[:bounds[1]], q.forwardStacked(images[:bounds[1]], vit.ForwardOpts{}))
 	}
-	close(next)
 	wg.Wait()
 	return out
 }

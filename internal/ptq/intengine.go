@@ -112,7 +112,11 @@ func NewIntEngine(q *QuantizedModel) (*IntEngine, error) {
 // integer code the engine recovers exactly; any element off the grid —
 // e.g. an instrumentation tap replaced the tensor — falls back to the
 // float path for the whole call, never computing a wrong result, and is
-// counted (Declines). The
+// counted (Declines). In a stacked forward the whole call is every image
+// of the chunk, so a GEMM the engine serves for one image and declines
+// for another would make the first one's logits depend on its
+// batch-mates; no site does that — a quantizing tap puts every row on
+// the grid, and Swin's pooled head input is off it for every image. The
 // weight side uses the resident integer operand; the only float64 work
 // is the epilogue scale-and-bias at the decode boundary.
 //

@@ -333,6 +333,13 @@ func (q *QuantizedModel) Forward(img *tensor.Tensor) *tensor.Tensor {
 // attention sink for Figure 7). The site quantizers fill the forward's
 // Quantize seam; any Tap in opts sees each site after its quantizer.
 func (q *QuantizedModel) ForwardOpts(img *tensor.Tensor, opts vit.ForwardOpts) *tensor.Tensor {
+	return q.forwardStacked([]*tensor.Tensor{img}, opts)[0]
+}
+
+// forwardStacked is the one quantized forward: images, one or many, as
+// one batch-major pass of the model with the site quantizers and the
+// installed engine in opts' seams.
+func (q *QuantizedModel) forwardStacked(images []*tensor.Tensor, opts vit.ForwardOpts) []*tensor.Tensor {
 	if opts.Engine == nil {
 		if e := q.engine.Load(); e != nil {
 			opts.Engine = e
@@ -340,7 +347,7 @@ func (q *QuantizedModel) ForwardOpts(img *tensor.Tensor, opts vit.ForwardOpts) *
 	}
 	q.resolve.Do(q.resolveSites)
 	opts.Quantize = q.quantizeSite
-	return q.Model.Forward(img, opts)
+	return q.Model.ForwardBatch(images, opts)
 }
 
 // resolveSites builds sites from Acts.

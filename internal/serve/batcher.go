@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"quq/internal/ptq"
@@ -38,8 +39,8 @@ type BatcherOptions struct {
 	QueueCap int
 	// Workers sizes the forward-pass worker pool (default GOMAXPROCS).
 	Workers int
-	// ForwardHook, when set, runs before every forward pass with the
-	// item's registry key. It is the chaos layer's worker seam: a hook
+	// ForwardHook, when set, runs once for every image about to be
+	// forwarded, with the item's registry key. It is the chaos layer's worker seam: a hook
 	// that stalls simulates a slow worker, a hook that panics exercises
 	// the panic-to-error conversion. Not for production use.
 	ForwardHook func(key string)
@@ -281,19 +282,21 @@ func (b *Batcher) flushLocked(p *pending) {
 	go b.run(p, b.queued)
 }
 
-// run executes one batch on the worker pool: each image's forward pass
-// acquires a pool token, so total inference parallelism across all
-// in-flight batches never exceeds Workers. A panic inside Forward is
-// converted to a per-item error instead of killing the server. An item
-// whose submitter already gave up is finished with its context error
-// without paying for the forward pass.
+// run executes one batch on the worker pool. The batch is cut into
+// ptq.BatchChunks' min(len(items), Workers) contiguous chunks; each takes
+// one pool token and one goroutine and runs as one stacked forward
+// (runChunk), so every weight matrix is streamed once per chunk rather
+// than once per image, and total inference parallelism across all
+// in-flight batches never exceeds Workers.
 //
 // Ordering matters for determinism: the governor observes the dispatch
 // (NoteBatch) before any forward runs, and the service time
 // (NoteService) before any submitter is woken — so a caller whose Await
 // has returned is guaranteed to see governor state that already reflects
 // its own batch, which is what lets the chaos harness replay occupancy
-// traces byte-identically.
+// traces byte-identically. The service sample counts the images whose
+// forward ran, not the batch: an item dropped at the last moment took no
+// time, and charging it would make every survivor look cheaper.
 func (b *Batcher) run(p *pending, depth int) {
 	defer b.wg.Done()
 	b.gov.NoteBatch(len(p.items), depth)
@@ -307,41 +310,73 @@ func (b *Batcher) run(p *pending, depth int) {
 		defer g.Release()
 	}
 	start := b.gov.clock().Now()
-	var iwg sync.WaitGroup
-	for _, it := range p.items {
+	bounds := ptq.BatchChunks(len(p.items), b.opts.Workers)
+	var cwg sync.WaitGroup
+	var ran atomic.Int64
+	for c := 0; c+1 < len(bounds); c++ {
 		b.tokens <- struct{}{}
-		iwg.Add(1)
-		go func(it *Item) {
+		cwg.Add(1)
+		go func(chunk []*Item) {
 			defer func() {
-				if rec := recover(); rec != nil {
-					it.Err = fmt.Errorf("serve: forward pass panicked: %v", rec)
-					if b.met != nil {
-						b.met.Panics.Inc()
-					}
-				}
 				<-b.tokens
-				iwg.Done()
+				cwg.Done()
 			}()
-			// Last-moment cancellation check: the submitter may have
-			// disconnected while this item waited for a pool token.
-			if err := it.ctx.Err(); err != nil {
-				it.Err = err
-				if b.met != nil {
-					b.met.Abandoned.Inc()
-				}
-				return
-			}
-			if b.opts.ForwardHook != nil {
-				b.opts.ForwardHook(p.key)
-			}
-			it.Out = p.qm.Forward(it.img)
-		}(it)
+			ran.Add(int64(b.runChunk(p, chunk)))
+		}(p.items[bounds[c]:bounds[c+1]])
 	}
-	iwg.Wait()
-	b.gov.NoteService(len(p.items), b.gov.clock().Now().Sub(start))
+	cwg.Wait()
+	b.gov.NoteService(int(ran.Load()), b.gov.clock().Now().Sub(start))
 	for _, it := range p.items {
 		b.finish(it)
 	}
+}
+
+// runChunk runs one chunk of a batch as one stacked forward and reports
+// how many images it ran. Item by item, in order: an item whose submitter
+// already gave up — it may have disconnected while the chunk waited for
+// its pool token — is finished with its context error and never stacked,
+// so it pays for no forward; ForwardHook runs for each live item. A panic
+// in a hook or in the forward is converted to the error of every item of
+// this chunk that had no outcome yet, instead of killing the server; the
+// batch's other chunks are untouched.
+func (b *Batcher) runChunk(p *pending, chunk []*Item) int {
+	live := make([]*Item, 0, len(chunk))
+	images := make([]*tensor.Tensor, 0, len(chunk))
+	defer func() {
+		if rec := recover(); rec != nil {
+			err := fmt.Errorf("serve: forward pass panicked: %v", rec)
+			for _, it := range chunk {
+				if it.Err == nil {
+					it.Err = err
+				}
+			}
+			if b.met != nil {
+				b.met.Panics.Inc()
+			}
+		}
+	}()
+	for _, it := range chunk {
+		if err := it.ctx.Err(); err != nil {
+			it.Err = err
+			if b.met != nil {
+				b.met.Abandoned.Inc()
+			}
+			continue
+		}
+		if b.opts.ForwardHook != nil {
+			b.opts.ForwardHook(p.key)
+		}
+		live = append(live, it)
+		images = append(images, it.img)
+	}
+	if len(live) == 0 {
+		return 0
+	}
+	// One worker: the chunk is one stacked forward on this goroutine.
+	for i, out := range p.qm.ForwardBatch(images, 1) {
+		live[i].Out = out
+	}
+	return len(live)
 }
 
 // finish releases an item's queue slot and wakes its submitter.

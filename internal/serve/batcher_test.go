@@ -2,7 +2,9 @@ package serve
 
 import (
 	"context"
+	"math"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -393,5 +395,183 @@ func TestBatcherForwardHookPanicConverted(t *testing.T) {
 	}
 	if items[0].Err != nil || items[0].Out == nil {
 		t.Fatalf("post-panic item: out=%v err=%v", items[0].Out, items[0].Err)
+	}
+}
+
+// submitEach admits imgs one submit apiece, each under its own
+// cancellable context, into one undispatched batch of a load-regime
+// batcher, and returns the items with their cancel functions.
+func submitEach(t *testing.T, b *Batcher, qm *ptq.QuantizedModel, imgs []*tensor.Tensor) ([]*Item, []context.CancelFunc) {
+	t.Helper()
+	var items []*Item
+	var cancels []context.CancelFunc
+	for _, img := range imgs {
+		ctx, cancel := context.WithCancel(context.Background())
+		t.Cleanup(cancel)
+		got, err := b.Submit(ctx, "k", qm, []*tensor.Tensor{img})
+		if err != nil {
+			t.Fatal(err)
+		}
+		items = append(items, got...)
+		cancels = append(cancels, cancel)
+	}
+	return items, cancels
+}
+
+func assertServedLogits(t *testing.T, qm *ptq.QuantizedModel, it *Item, img *tensor.Tensor) {
+	t.Helper()
+	if it.Err != nil || it.Out == nil {
+		t.Fatalf("live item: out=%v err=%v", it.Out, it.Err)
+	}
+	want := qm.Forward(img)
+	for j, v := range it.Out.Data() {
+		if math.Float64bits(v) != math.Float64bits(want.Data()[j]) {
+			t.Fatalf("logit %d = %v, lone forward %v", j, v, want.Data()[j])
+		}
+	}
+}
+
+// TestBatcherChunkDropsCancelledItem: a chunk is one stacked forward, and
+// an item whose submitter hung up before its turn is left out of the
+// stack — no hook, no forward, its context's error — while the mates on
+// either side of it are served the logits a lone forward gives them, and
+// the governor's service sample is the 20 ms over the two images that ran.
+func TestBatcherChunkDropsCancelledItem(t *testing.T) {
+	qm, imgs := batchModel(t)
+	met := NewMetrics()
+	clk := chaos.NewFake()
+	var cancels []context.CancelFunc
+	hooks := 0
+	b := NewBatcher(BatcherOptions{
+		MaxBatch: 64, Linger: time.Hour, QueueCap: 8, Workers: 1,
+		ForwardHook: func(string) {
+			// The first live item's hook is where the middle one's
+			// submitter hangs up: dispatched, not yet looked at.
+			if hooks++; hooks == 1 {
+				cancels[1]()
+			}
+			_ = clk.Sleep(context.Background(), 10*time.Millisecond)
+		},
+	}, NewGovernor(GovernorOptions{Clock: clk}, met), met)
+	holdInLoadRegime(b)
+	items, cancels := submitEach(t, b, qm, imgs[:3])
+	b.flushIf("k", items[0].p)
+
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := Await(ctx, items); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Drain(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if hooks != 2 {
+		t.Fatalf("hook ran %d times, want 2: once per live item, never for the dead one", hooks)
+	}
+	if items[1].Err != context.Canceled || items[1].Out != nil {
+		t.Fatalf("cancelled item: out=%v err=%v, want the context's error and no output", items[1].Out, items[1].Err)
+	}
+	assertServedLogits(t, qm, items[0], imgs[0])
+	assertServedLogits(t, qm, items[2], imgs[2])
+	if got := met.Abandoned.Value(); got != 1 {
+		t.Fatalf("abandoned = %d, want 1", got)
+	}
+	if got := b.gov.EstimatedWait(1); got != 10*time.Millisecond {
+		t.Fatalf("service estimate = %v an image, want 10ms (20ms over the 2 images that ran)", got)
+	}
+}
+
+// TestBatcherServiceEstimateSkipsImagesThatNeverRan is the under-shedding
+// regression: three of a batch's four submitters hang up between dispatch
+// and the worker's last look, one 10 ms forward runs, and the estimate
+// admission control divides the queue by must read 10 ms an image — not
+// the 2.5 ms that charging the batch's four would make it, a quarter of
+// the truth right after a burst of hang-ups.
+func TestBatcherServiceEstimateSkipsImagesThatNeverRan(t *testing.T) {
+	qm, imgs := batchModel(t)
+	clk := chaos.NewFake()
+	var cancels []context.CancelFunc
+	b := NewBatcher(BatcherOptions{
+		MaxBatch: 64, Linger: time.Hour, QueueCap: 8, Workers: 1,
+		ForwardHook: func(string) {
+			for _, cancel := range cancels[1:] {
+				cancel()
+			}
+			_ = clk.Sleep(context.Background(), 10*time.Millisecond)
+		},
+	}, NewGovernor(GovernorOptions{Clock: clk}, nil), nil)
+	holdInLoadRegime(b)
+	items, cancels := submitEach(t, b, qm, imgs[:4])
+	b.flushIf("k", items[0].p)
+
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := Await(ctx, items); err != nil {
+		t.Fatal(err)
+	}
+	if items[0].Out == nil {
+		t.Fatalf("the live item was not served: %v", items[0].Err)
+	}
+	for _, it := range items[1:] {
+		if it.Err != context.Canceled {
+			t.Fatalf("hung-up item: err = %v, want context.Canceled", it.Err)
+		}
+	}
+	if got := b.gov.EstimatedWait(1); got != 10*time.Millisecond {
+		t.Fatalf("service estimate = %v an image after one 10ms forward, want 10ms", got)
+	}
+}
+
+// TestBatcherPanicFailsItsChunkOnly: with two workers a batch of four
+// runs as two chunks of two. A hook that panics once takes down the chunk
+// it ran in — both items, since they were to share one forward — and the
+// other chunk serves its two untouched; Drain still joins everything and
+// the pool token comes back.
+func TestBatcherPanicFailsItsChunkOnly(t *testing.T) {
+	qm, imgs := batchModel(t)
+	met := NewMetrics()
+	var panicked atomic.Bool
+	b := loadRegimeBatcher(BatcherOptions{
+		MaxBatch: 64, Linger: time.Hour, QueueCap: 8, Workers: 2,
+		ForwardHook: func(string) {
+			if panicked.CompareAndSwap(false, true) {
+				panic("chaos: injected worker crash")
+			}
+		},
+	}, met)
+	items, err := b.Submit(context.Background(), "k", qm, imgs[:4])
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := b.Drain(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := Await(ctx, items); err != nil {
+		t.Fatal(err)
+	}
+	failed := 0
+	for c := 0; c < 4; c += 2 {
+		if items[c].Err == nil {
+			assertServedLogits(t, qm, items[c], imgs[c])
+			assertServedLogits(t, qm, items[c+1], imgs[c+1])
+			continue
+		}
+		failed++
+		for _, it := range items[c : c+2] {
+			if it.Err == nil || !strings.Contains(it.Err.Error(), "panicked") || it.Out != nil {
+				t.Fatalf("item of the panicked chunk: out=%v err=%v, want the converted panic", it.Out, it.Err)
+			}
+		}
+	}
+	if failed != 1 {
+		t.Fatalf("%d chunks failed, want exactly the one the panic ran in", failed)
+	}
+	if got := met.Panics.Value(); got != 1 {
+		t.Fatalf("panics = %d, want 1", got)
+	}
+	if len(b.tokens) != 0 {
+		t.Fatalf("%d pool tokens still held after the drain", len(b.tokens))
 	}
 }

@@ -67,9 +67,9 @@ var intraOpN atomic.Int32
 // SetIntraOpWorkers sets the process-wide intra-op worker budget: the
 // maximum number of goroutines (including the caller) a single GEMM may
 // use. The default budget is 1 — every kernel is serial unless a binary
-// opts in — which is also the required setting under per-image fan-out
-// (quq-serve workers, ptq.ForwardBatch with workers>1), where parallelism
-// across images already saturates the cores. Intended to be called once
+// opts in — which is also the required setting under chunk fan-out
+// (quq-serve workers, ptq.ForwardBatch with workers>1), where one
+// stacked forward per core already saturates the cores. Intended to be called once
 // at startup, before kernels run; worker counts never affect results
 // (outputs are bit-identical at any budget), only timing.
 func SetIntraOpWorkers(n int) {
@@ -382,15 +382,30 @@ func (pp *panelPool[T]) put(p *[]T) { pp.pool.Put(p) }
 // their terms in ascending-k order. bias (optional, length n) is added
 // after each element's reduction completes.
 //
+// The tile tails go through the same micro-kernel: the last n mod 4
+// columns are packed beside zero columns, the last m mod 4 rows are
+// handed over with the final row repeated, and the padding's
+// accumulators are never stored. A stored element is still one
+// accumulator fed its own terms in ascending k, so a tail element
+// carries the bits an interior one would.
+//
 //quq:hotpath the one blocked loop nest; scratch is the pooled pack panel
 func gemmRange[T elem](dst, a, b, bias []T, k, n, i0, i1 int, bT bool, micro microKernel[T], panels *panelPool[T]) {
-	if n == 0 {
+	if n == 0 || i0 >= i1 {
 		return
 	}
 	pp, packed, acc := panels.get(nrTile * k)
-	j := 0
-	for ; j+nrTile <= n; j += nrTile {
-		if bT {
+	last := a[(i1-1)*k : (i1-1)*k+k]
+	for j := 0; j < n; j += nrTile {
+		nc := min(nrTile, n-j)
+		// full is where the full 4×4 tiles of this panel end; a column-tail
+		// panel has none.
+		full := i0
+		var bj0, bj1, bj2, bj3 T
+		switch {
+		case nc < nrTile:
+			packTail(packed, b, k, n, j, nc, bT)
+		case bT:
 			b0 := b[(j+0)*k : (j+0)*k+k]
 			b1 := b[(j+1)*k : (j+1)*k+k]
 			b2 := b[(j+2)*k : (j+2)*k+k]
@@ -399,7 +414,7 @@ func gemmRange[T elem](dst, a, b, bias []T, k, n, i0, i1 int, bT bool, micro mic
 				prow := packed[kk*nrTile : kk*nrTile+nrTile]
 				prow[0], prow[1], prow[2], prow[3] = b0[kk], b1[kk], b2[kk], b3[kk]
 			}
-		} else {
+		default:
 			boff := j
 			for kk := 0; kk < k; kk++ {
 				brow := b[boff : boff+nrTile]
@@ -408,12 +423,13 @@ func gemmRange[T elem](dst, a, b, bias []T, k, n, i0, i1 int, bT bool, micro mic
 				boff += n
 			}
 		}
-		var bj0, bj1, bj2, bj3 T
-		if bias != nil {
-			bj0, bj1, bj2, bj3 = bias[j], bias[j+1], bias[j+2], bias[j+3]
+		if nc == nrTile {
+			full = i1 - (i1-i0)%mrTile
+			if bias != nil {
+				bj0, bj1, bj2, bj3 = bias[j], bias[j+1], bias[j+2], bias[j+3]
+			}
 		}
-		i := i0
-		for ; i+mrTile <= i1; i += mrTile {
+		for i := i0; i < full; i += mrTile {
 			a0 := a[(i+0)*k : (i+0)*k+k]
 			a1 := a[(i+1)*k : (i+1)*k+k]
 			a2 := a[(i+2)*k : (i+2)*k+k]
@@ -436,48 +452,47 @@ func gemmRange[T elem](dst, a, b, bias []T, k, n, i0, i1 int, bT bool, micro mic
 			d2[0], d2[1], d2[2], d2[3] = acc[8], acc[9], acc[10], acc[11]
 			d3[0], d3[1], d3[2], d3[3] = acc[12], acc[13], acc[14], acc[15]
 		}
-		for ; i < i1; i++ {
-			arow := a[i*k : i*k+k]
-			var c0, c1, c2, c3 T
-			for kk := 0; kk < k; kk++ {
-				bq := packed[kk*nrTile : kk*nrTile+nrTile]
-				av := arow[kk]
-				c0 += av * bq[0]
-				c1 += av * bq[1]
-				c2 += av * bq[2]
-				c3 += av * bq[3]
+		// The partial tiles. Rows past the last are the last again: read,
+		// multiplied and dropped.
+		for i := full; i < i1; i += mrTile {
+			mr := min(mrTile, i1-i)
+			rows := [mrTile][]T{last, last, last, last}
+			for r := 0; r < mr; r++ {
+				rows[r] = a[(i+r)*k : (i+r)*k+k]
 			}
-			if bias != nil {
-				c0 += bj0
-				c1 += bj1
-				c2 += bj2
-				c3 += bj3
+			micro(acc, rows[0], rows[1], rows[2], rows[3], packed, k)
+			for r := 0; r < mr; r++ {
+				drow := dst[(i+r)*n+j : (i+r)*n+j+nc]
+				for c := range drow {
+					v := acc[r*nrTile+c]
+					if bias != nil {
+						v += bias[j+c]
+					}
+					drow[c] = v
+				}
 			}
-			drow := dst[i*n+j : i*n+j+nrTile]
-			drow[0], drow[1], drow[2], drow[3] = c0, c1, c2, c3
-		}
-	}
-	for ; j < n; j++ {
-		// Column j of the product reads b[kk][j] at boff0 + kk·stride.
-		boff0, stride := j, n
-		if bT {
-			boff0, stride = j*k, 1
-		}
-		for i := i0; i < i1; i++ {
-			arow := a[i*k : i*k+k]
-			var s T
-			boff := boff0
-			for kk := 0; kk < k; kk++ {
-				s += arow[kk] * b[boff]
-				boff += stride
-			}
-			if bias != nil {
-				s += bias[j]
-			}
-			dst[i*n+j] = s
 		}
 	}
 	panels.put(pp)
+}
+
+// packTail packs the last nc < nrTile columns of the product (columns j
+// onwards of b, or rows j onwards with bT set) into the k×4 panel beside
+// zero columns, whose accumulators gemmRange never stores.
+func packTail[T elem](packed, b []T, k, n, j, nc int, bT bool) {
+	for kk := 0; kk < k; kk++ {
+		prow := packed[kk*nrTile : kk*nrTile+nrTile]
+		for c := range prow {
+			switch {
+			case c >= nc:
+				prow[c] = 0
+			case bT:
+				prow[c] = b[(j+c)*k+kk]
+			default:
+				prow[c] = b[kk*n+j+c]
+			}
+		}
+	}
 }
 
 // MatMulRef returns a @ b computed by the pre-kernel-layer scalar loop

@@ -160,6 +160,23 @@ var gemmShapes = []struct{ m, k, n int }{
 	{33, 31, 35},
 }
 
+// The tile tails, exhaustively: every m mod 4 ∈ {1,2,3} against every
+// n mod 4 ∈ {0,1,2,3}, behind one full tile and alone (m < 4, where the
+// padded rows are all the kernel gets), at k = 0 (the micro-kernel's
+// zeroing path), k = 1 and a forward-sized k. Both element types and
+// both bT forms run the table.
+func init() {
+	for _, k := range []int{0, 1, 96} {
+		for mm := 1; mm <= 3; mm++ {
+			for nn := 0; nn <= 3; nn++ {
+				gemmShapes = append(gemmShapes,
+					struct{ m, k, n int }{4 + mm, k, 4 + nn},
+					struct{ m, k, n int }{mm, k, 8 + nn})
+			}
+		}
+	}
+}
+
 func testIntoMatchesRef[T elem](t *testing.T, api gemmAPI[T], seed uint64) {
 	src := rng.New(seed)
 	for _, fill := range api.fills {

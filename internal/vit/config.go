@@ -4,7 +4,9 @@
 // and patch merging), together with the seams the PTQ pipeline uses at
 // every quantization point of the paper's Figure 1 data flow.
 //
-// A forward has two seams per site (ForwardOpts): Quantize rewrites the
+// The forward is batch-major — Model.ForwardBatch stacks the tokens of
+// its images into one [B·T, dim] pass, and Forward is its one-image case —
+// and has two seams per site (ForwardOpts): Quantize rewrites the
 // site's tensor in place — quantized inference — and Tap observes it
 // afterwards and may keep or replace it — calibration, instrumentation.
 // The forward hands them only tensors it allocated itself; with no Tap

@@ -120,8 +120,8 @@ func NewBlock(dim, heads, mlpRatio int) *Block {
 }
 
 // Forward runs the block on x ([S, dim], where S = nSeq·T is nSeq
-// independent sequences of T tokens laid out contiguously — nSeq is 1 for
-// ViT/DeiT and the window count for Swin). blk is the global block index
+// independent sequences of T tokens laid out contiguously — the images of
+// the batch for ViT/DeiT, their windows for Swin). blk is the global block index
 // used in tap site names. The input is assumed to have been tapped by the
 // caller as the previous block's residual output; it is read, never
 // written. The result is the caller's to keep.

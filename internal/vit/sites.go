@@ -77,7 +77,9 @@ type SiteQuantizer func(site Site, x *tensor.Tensor)
 // Returning x unchanged makes the tap a pure observer (calibration);
 // returning a different tensor substitutes it for the rest of the pass.
 // A tap may retain x: a forward given a Tap allocates every tensor a
-// tap can see afresh and never recycles it. A nil Tap is the identity.
+// tap can see afresh and never recycles it. A forward of B images calls
+// the tap once per site with the stacked tensor, the B images' rows one
+// after another. A nil Tap is the identity.
 type Tap func(site Site, x *tensor.Tensor) *tensor.Tensor
 
 // apply routes a tensor through the tap, handling the nil case.
@@ -92,7 +94,8 @@ func (t Tap) apply(site Site, x *tensor.Tensor) *tensor.Tensor {
 }
 
 // AttnSink receives each block's attention probability tensor
-// ([heads*T, T] rows are softmax distributions) during a forward pass;
+// ([heads*T, T] rows are softmax distributions; a forward of B images
+// hands over [B*heads*T, T], image after image) during a forward pass;
 // the Figure 7 experiment uses it to extract attention maps.
 type AttnSink func(block int, attn *tensor.Tensor)
 

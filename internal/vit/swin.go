@@ -89,11 +89,17 @@ func windowOrder(g, w, shift int) []int {
 	return order
 }
 
-// permuteRows fills dst (the shape of x, every row overwritten) with x's
-// rows reordered so row i of dst is row order[i] of x.
+// permuteRows fills dst (the shape of x, every row overwritten) with
+// x's rows reordered within each consecutive len(order)-row group — one
+// image's tokens — so row i of a group of dst is row order[i] of that
+// group of x.
+//
+//quq:hotpath around every Swin block; the destination is the pass's scratch
 func permuteRows(dst, x *tensor.Tensor, order []int) *tensor.Tensor {
-	for i, o := range order {
-		copy(dst.Row(i), x.Row(o))
+	for base := 0; base < x.Dim(0); base += len(order) {
+		for i, o := range order {
+			copy(dst.Row(base+i), x.Row(base+o))
+		}
 	}
 	return dst
 }
@@ -109,13 +115,24 @@ func invertOrder(order []int) []int {
 
 // Forward implements Model.
 func (m *Swin) Forward(img *tensor.Tensor, opts ForwardOpts) *tensor.Tensor {
+	return m.ForwardBatch([]*tensor.Tensor{img}, opts)[0]
+}
+
+// ForwardBatch implements Model. An image's windows are already
+// independent sequences to a block, so a batch is simply more of them:
+// the permutes, merges and pooling walk the stacked rows image by image.
+func (m *Swin) ForwardBatch(imgs []*tensor.Tensor, opts ForwardOpts) []*tensor.Tensor {
+	out := make([]*tensor.Tensor, len(imgs))
+	if len(imgs) == 0 {
+		return out
+	}
 	sc := newScratch(opts)
 	defer sc.release()
-	patches := patchify(sc, img, m.cfg.PatchSize)
+	patches := patchify(sc, imgs, m.cfg.PatchSize)
 	patches = opts.site(Site{-1, "patch.in", KindGEMMIn}, patches)
 	x := applyLinear(opts, Site{-1, "patch.w", KindWeight}, m.Patch, sc.uninit(patches.Dim(0), m.cfg.StageDims[0]), patches)
 	sc.put(patches)
-	x.AddInPlace(m.Pos)
+	addPos(x, m.Pos, len(imgs))
 	x = opts.site(Site{-1, "embed.out", KindActivation}, x)
 
 	// next replaces x by the stage that consumed it, recycling x.
@@ -135,7 +152,7 @@ func (m *Swin) Forward(img *tensor.Tensor, opts ForwardOpts) *tensor.Tensor {
 			}
 			order := windowOrder(grid, w, shift)
 			next(permuteRows(sc.uninit(x.Dim(0), x.Dim(1)), x, order))
-			next(b.forward(sc, x, nWin, blk, opts))
+			next(b.forward(sc, x, len(imgs)*nWin, blk, opts))
 			next(permuteRows(sc.uninit(x.Dim(0), x.Dim(1)), x, invertOrder(order)))
 			blk++
 		}
@@ -152,44 +169,63 @@ func (m *Swin) Forward(img *tensor.Tensor, opts ForwardOpts) *tensor.Tensor {
 	next(m.Final.ApplyInto(sc.uninit(x.Dim(0), x.Dim(1)), x))
 	x = opts.site(Site{-1, "head.in", KindGEMMIn}, x)
 
-	// Global average pool over tokens, then classify. The logits are the
-	// caller's: they never come from the arena.
-	pooled := sc.uninit(1, x.Dim(1))
-	prow := pooled.Row(0)
-	for c := range prow {
-		prow[c] = 0
-	}
-	for r := 0; r < x.Dim(0); r++ {
-		row := x.Row(r)
-		for c := range prow {
-			prow[c] += row[c]
-		}
-	}
-	for c := range prow {
-		prow[c] /= float64(x.Dim(0))
-	}
+	// Global average pool over each image's tokens, then classify.
+	pooled := meanPool(sc.uninit(len(imgs), x.Dim(1)), x)
 	sc.put(x)
-	logits := applyLinear(opts, Site{-1, "head.w", KindWeight}, m.Head, tensor.New(1, m.cfg.Classes), pooled)
+	logits := applyLinear(opts, Site{-1, "head.w", KindWeight}, m.Head, sc.ar.NewUninit(len(imgs), m.cfg.Classes), pooled)
 	sc.put(pooled)
-	return logits.Reshape(m.cfg.Classes)
+	for b := range out {
+		out[b] = splitLogits(logits, b, 1)
+	}
+	sc.ar.Put(logits)
+	return out
 }
 
-// mergePatches concatenates each 2×2 neighbourhood of a row-major g×g
-// token grid into one token of 4× width, [g², d] -> [g²/4, 4d], into dst
-// (every element overwritten).
+// meanPool fills row b of dst ([n, d]) with the mean of x's b-th group
+// of x.Dim(0)/n consecutive rows, summed in row order.
+//
+//quq:hotpath Swin's pooling; the destination is the pass's scratch
+func meanPool(dst, x *tensor.Tensor) *tensor.Tensor {
+	t := x.Dim(0) / dst.Dim(0)
+	for b := 0; b < dst.Dim(0); b++ {
+		prow := dst.Row(b)
+		for c := range prow {
+			prow[c] = 0
+		}
+		for r := b * t; r < (b+1)*t; r++ {
+			row := x.Row(r)
+			for c := range prow {
+				prow[c] += row[c]
+			}
+		}
+		for c := range prow {
+			prow[c] /= float64(t)
+		}
+	}
+	return dst
+}
+
+// mergePatches concatenates each 2×2 neighbourhood of every image's
+// row-major g×g token grid into one token of 4× width, [B·g², d] ->
+// [B·g²/4, 4d], into dst (every element overwritten).
+//
+//quq:hotpath between Swin stages; the destination is the pass's scratch
 func mergePatches(dst, x *tensor.Tensor, g int) *tensor.Tensor {
 	d := x.Dim(1)
-	if x.Dim(0) != g*g || g%2 != 0 {
-		panic(check.Invariantf("vit: cannot merge %d tokens as a %dx%d grid", x.Dim(0), g, g))
+	if x.Dim(0)%(g*g) != 0 || g%2 != 0 {
+		panic(check.Invariantf("vit: cannot merge %d tokens as %dx%d grids", x.Dim(0), g, g))
 	}
 	h := g / 2
-	for y := 0; y < h; y++ {
-		for xx := 0; xx < h; xx++ {
-			row := dst.Row(y*h + xx)
-			copy(row[0:d], x.Row((2*y)*g+2*xx))
-			copy(row[d:2*d], x.Row((2*y)*g+2*xx+1))
-			copy(row[2*d:3*d], x.Row((2*y+1)*g+2*xx))
-			copy(row[3*d:4*d], x.Row((2*y+1)*g+2*xx+1))
+	for b := 0; b*g*g < x.Dim(0); b++ {
+		in, out := b*g*g, b*h*h
+		for y := 0; y < h; y++ {
+			for xx := 0; xx < h; xx++ {
+				row := dst.Row(out + y*h + xx)
+				copy(row[0:d], x.Row(in+(2*y)*g+2*xx))
+				copy(row[d:2*d], x.Row(in+(2*y)*g+2*xx+1))
+				copy(row[2*d:3*d], x.Row(in+(2*y+1)*g+2*xx))
+				copy(row[3*d:4*d], x.Row(in+(2*y+1)*g+2*xx+1))
+			}
 		}
 	}
 	return dst

@@ -10,10 +10,10 @@ import (
 // Model is the common interface of the ViT/DeiT and Swin implementations:
 // a classifier over single images with instrumentable internals.
 //
-// Concurrency: Forward, Config, NumBlocks and Features treat the model
-// as read-only — both implementations allocate every intermediate tensor
-// per call and never write to parameter storage — so a model may serve
-// concurrent Forward calls from multiple goroutines. Mutating operations
+// Concurrency: Forward, ForwardBatch, Config, NumBlocks and Features
+// treat the model as read-only — both implementations allocate every
+// intermediate tensor per call and never write to parameter storage — so
+// a model may serve concurrent forwards from multiple goroutines. Mutating operations
 // (ForEachWeight used for in-place weight quantization, Params used by
 // training and checkpoint loading, Clone's source enumeration) must not
 // run concurrently with Forward. Taps are invoked on the calling
@@ -24,8 +24,17 @@ type Model interface {
 	Config() Config
 	// Forward classifies one image ([channels, H, W]) and returns the
 	// logits ([classes]). The opts instrument the pass; ForwardOpts{} is
-	// plain inference.
+	// plain inference. It is ForwardBatch over that one image.
 	Forward(img *tensor.Tensor, opts ForwardOpts) *tensor.Tensor
+	// ForwardBatch classifies imgs, all of one shape, in one batch-major
+	// pass and returns their logits index-aligned: the images' tokens are
+	// stacked into [len(imgs)·T, dim] tensors, so every weight GEMM runs
+	// once over all of them, while attention, position embeddings and
+	// pooling stay per image. Rows never mix across images, so each
+	// image's logits carry the bits of its lone Forward whatever its
+	// batch-mates. The seams of opts see the stacked tensors, image after
+	// image in row order.
+	ForwardBatch(imgs []*tensor.Tensor, opts ForwardOpts) []*tensor.Tensor
 	// ForEachWeight visits every GEMM weight layer with its site, in a
 	// stable order. The PTQ pipeline uses it to quantize weights in
 	// place on a cloned model.
@@ -86,33 +95,58 @@ func Features(m Model, img *tensor.Tensor, opts ForwardOpts) []float64 {
 // Patchify flattens img ([C, H, W]) into non-overlapping ps×ps patches:
 // a [numPatches, C·ps·ps] tensor in row-major patch order.
 func Patchify(img *tensor.Tensor, ps int) *tensor.Tensor {
-	return patchify(scratch{}, img, ps)
+	return patchify(scratch{}, []*tensor.Tensor{img}, ps)
 }
 
-// patchify is Patchify into a tensor of sc's (the zero scratch
-// allocates): each patch row is the image's ps-pixel runs, channel by
-// channel and line by line, copied from the flat data.
-func patchify(sc scratch, img *tensor.Tensor, ps int) *tensor.Tensor {
-	c, h, w := img.Dim(0), img.Dim(1), img.Dim(2)
+// patchify is Patchify over a batch into one tensor of sc's (the zero
+// scratch allocates), image after image: each patch row is the image's
+// ps-pixel runs, channel by channel and line by line, copied from the
+// flat data. Every image must have the shape of the first.
+//
+//quq:hotpath stem of every forward; the destination is the pass's scratch
+func patchify(sc scratch, imgs []*tensor.Tensor, ps int) *tensor.Tensor {
+	c, h, w := imgs[0].Dim(0), imgs[0].Dim(1), imgs[0].Dim(2)
 	if h%ps != 0 || w%ps != 0 {
 		panic(check.Invariantf("vit: %dx%d image not divisible into %d-pixel patches", h, w, ps))
 	}
 	gy, gx := h/ps, w/ps
-	out := sc.uninit(gy*gx, c*ps*ps)
-	pix := img.Data()
-	for py := 0; py < gy; py++ {
-		for px := 0; px < gx; px++ {
-			row := out.Row(py*gx + px)
-			for ch := 0; ch < c; ch++ {
-				for y := 0; y < ps; y++ {
-					src := (ch*h+py*ps+y)*w + px*ps
-					copy(row[:ps], pix[src:src+ps])
-					row = row[ps:]
+	out := sc.uninit(len(imgs)*gy*gx, c*ps*ps)
+	for b, img := range imgs {
+		if img.Rank() != 3 || img.Dim(0) != c || img.Dim(1) != h || img.Dim(2) != w {
+			panic(check.Invariantf("vit: image %d of the batch is %v, the first [%d %d %d]", b, img.Shape(), c, h, w))
+		}
+		pix := img.Data()
+		for py := 0; py < gy; py++ {
+			for px := 0; px < gx; px++ {
+				row := out.Row((b*gy+py)*gx + px)
+				for ch := 0; ch < c; ch++ {
+					for y := 0; y < ps; y++ {
+						src := (ch*h+py*ps+y)*w + px*ps
+						copy(row[:ps], pix[src:src+ps])
+						row = row[ps:]
+					}
 				}
 			}
 		}
 	}
 	return out
+}
+
+// addPos adds the [t, dim] position table into each of x's n
+// consecutive t-row groups, one per image.
+//
+//quq:hotpath stem of every forward; adds in place
+func addPos(x, pos *tensor.Tensor, n int) {
+	if x.Dim(0) != n*pos.Dim(0) || x.Dim(1) != pos.Dim(1) {
+		panic(check.Invariantf("vit: %v tokens of %d images do not take a %v position table", x.Shape(), n, pos.Shape()))
+	}
+	xd, pd := x.Data(), pos.Data()
+	for off := 0; off < len(xd); off += len(pd) {
+		img := xd[off : off+len(pd)]
+		for i, p := range pd {
+			img[i] += p
+		}
+	}
 }
 
 // ViT implements the plain vision transformer and its DeiT variant.
@@ -158,10 +192,19 @@ func (m *ViT) NumBlocks() int { return len(m.Blocks) }
 
 // Forward implements Model.
 func (m *ViT) Forward(img *tensor.Tensor, opts ForwardOpts) *tensor.Tensor {
+	return m.ForwardBatch([]*tensor.Tensor{img}, opts)[0]
+}
+
+// ForwardBatch implements Model.
+func (m *ViT) ForwardBatch(imgs []*tensor.Tensor, opts ForwardOpts) []*tensor.Tensor {
+	out := make([]*tensor.Tensor, len(imgs))
+	if len(imgs) == 0 {
+		return out
+	}
 	sc := newScratch(opts)
 	defer sc.release()
 	dim := m.cfg.Dim
-	patches := patchify(sc, img, m.cfg.PatchSize)
+	patches := patchify(sc, imgs, m.cfg.PatchSize)
 	patches = opts.site(Site{-1, "patch.in", KindGEMMIn}, patches)
 	emb := applyLinear(opts, Site{-1, "patch.w", KindWeight}, m.Patch, sc.uninit(patches.Dim(0), dim), patches)
 	sc.put(patches)
@@ -174,23 +217,16 @@ func (m *ViT) Forward(img *tensor.Tensor, opts ForwardOpts) *tensor.Tensor {
 	if m.Reg != nil {
 		nreg = m.Reg.Dim(0)
 	}
-	tokens := sc.uninit(emb.Dim(0)+extra+nreg, dim)
-	copy(tokens.Row(0), m.Cls)
-	if m.Dist != nil {
-		copy(tokens.Row(1), m.Dist)
-	}
-	for r := 0; r < nreg; r++ {
-		copy(tokens.Row(extra+r), m.Reg.Row(r))
-	}
-	for r := 0; r < emb.Dim(0); r++ {
-		copy(tokens.Row(r+extra+nreg), emb.Row(r))
-	}
+	np := emb.Dim(0) / len(imgs)
+	t := np + extra + nreg
+	tokens := sc.uninit(len(imgs)*t, dim)
+	m.assemble(tokens, emb, np, extra, nreg)
 	sc.put(emb)
-	tokens.AddInPlace(m.Pos)
+	addPos(tokens, m.Pos, len(imgs))
 	x := opts.site(Site{-1, "embed.out", KindActivation}, tokens)
 
 	for i, b := range m.Blocks {
-		y := b.forward(sc, x, 1, i, opts)
+		y := b.forward(sc, x, len(imgs), i, opts)
 		sc.put(x)
 		x = y
 	}
@@ -198,22 +234,57 @@ func (m *ViT) Forward(img *tensor.Tensor, opts ForwardOpts) *tensor.Tensor {
 	sc.put(x)
 	feat = opts.site(Site{-1, "head.in", KindGEMMIn}, feat)
 
-	// The head reads the class token — and, for DeiT inference, the
-	// distillation token, averaging the two head outputs. The logits are
-	// the caller's: they never come from the arena.
-	cls := sc.uninit(extra, dim)
-	for r := 0; r < extra; r++ {
-		copy(cls.Row(r), feat.Row(r))
+	// The head reads each image's class token — and, for DeiT inference,
+	// its distillation token, averaging the two head outputs.
+	cls := sc.uninit(len(imgs)*extra, dim)
+	for b := range imgs {
+		for r := 0; r < extra; r++ {
+			copy(cls.Row(b*extra+r), feat.Row(b*t+r))
+		}
 	}
 	sc.put(feat)
-	logits := applyLinear(opts, Site{-1, "head.w", KindWeight}, m.Head, tensor.New(extra, m.cfg.Classes), cls)
+	logits := applyLinear(opts, Site{-1, "head.w", KindWeight}, m.Head, sc.ar.NewUninit(len(imgs)*extra, m.cfg.Classes), cls)
 	sc.put(cls)
-	if m.Dist == nil {
-		return logits.Reshape(m.cfg.Classes)
+	for b := range out {
+		out[b] = splitLogits(logits, b, extra)
 	}
-	out := tensor.New(m.cfg.Classes)
+	sc.ar.Put(logits)
+	return out
+}
+
+// assemble lays out each image's token sequence in its t rows of
+// tokens: class token, distillation token if any, registers, then the
+// image's np patch embeddings out of emb.
+//
+//quq:hotpath stem of every forward; the destination is the pass's scratch
+func (m *ViT) assemble(tokens, emb *tensor.Tensor, np, extra, nreg int) {
+	t := np + extra + nreg
+	for b := 0; b*t < tokens.Dim(0); b++ {
+		copy(tokens.Row(b*t), m.Cls)
+		if m.Dist != nil {
+			copy(tokens.Row(b*t+1), m.Dist)
+		}
+		for r := 0; r < nreg; r++ {
+			copy(tokens.Row(b*t+extra+r), m.Reg.Row(r))
+		}
+		for r := 0; r < np; r++ {
+			copy(tokens.Row(b*t+extra+nreg+r), emb.Row(b*np+r))
+		}
+	}
+}
+
+// splitLogits returns image b's logits out of the stacked head output
+// ([B·extra, classes]) as a tensor of the caller's own — it never comes
+// from the arena: the image's one row, or the mean of its two.
+func splitLogits(logits *tensor.Tensor, b, extra int) *tensor.Tensor {
+	out := tensor.New(logits.Dim(1))
+	if extra == 1 {
+		copy(out.Data(), logits.Row(b))
+		return out
+	}
+	l0, l1 := logits.Row(2*b), logits.Row(2*b+1)
 	for c := range out.Data() {
-		out.Data()[c] = (logits.At(0, c) + logits.At(1, c)) / 2
+		out.Data()[c] = (l0[c] + l1[c]) / 2
 	}
 	return out
 }
