@@ -68,6 +68,7 @@ go test -fuzz=FuzzGEMMEquivalence -fuzztime=5s -run=^$ ./internal/tensor/
 go test -fuzz=FuzzIntGEMMEquivalence -fuzztime=5s -run=^$ ./internal/tensor/
 go test -fuzz=FuzzSnapshotDecode -fuzztime=5s -run=^$ ./internal/snapstore/
 go test -fuzz=FuzzSFUSliceKernels -fuzztime=5s -run=^$ ./internal/mathx/
+go test -fuzz=FuzzUniformQuantizer -fuzztime=5s -run=^$ ./internal/ptq/
 
 # quq-serve smoke: boot the inference service on an ephemeral port and
 # drive one quantize + classify round trip through the real HTTP stack.

@@ -14,6 +14,7 @@ import (
 	"runtime"
 	"testing"
 
+	"quq/internal/baselines"
 	"quq/internal/data"
 	"quq/internal/mathx"
 	"quq/internal/ptq"
@@ -259,7 +260,6 @@ func preprForward(tb testing.TB, qm *ptq.QuantizedModel, img *tensor.Tensor) *te
 // image and a Tap (which keeps every tensor an ordinary allocation) that
 // clones each site and quantizes the clone through Value.
 func TestForwardLogitsMatchPrePR(t *testing.T) {
-	t.Cleanup(func() { tensor.SetIntraOpWorkers(1) })
 	for _, row := range []struct {
 		cfg    vit.Config
 		regime ptq.Regime
@@ -294,9 +294,10 @@ func TestForwardLogitsMatchPrePR(t *testing.T) {
 			}
 		}
 		check("serial")
-		tensor.SetIntraOpWorkers(4)
+		grant := tensor.GrantWorkers(3)
+		t.Cleanup(grant.Release)
 		check("parallel")
-		tensor.SetIntraOpWorkers(1)
+		grant.Release()
 	}
 }
 
@@ -362,14 +363,22 @@ func TestTapSeesWhatThePrePRTapSaw(t *testing.T) {
 // went — the stacked head output is arena scratch, each image's logits
 // one fresh rank-1 tensor.) A batch of four on one worker pays the
 // per-call part once and the logits four times — 17 allocations, 4.25 an
-// image — so it is held to the lone forward's ceilings per image.
+// image — so it is held to the lone forward's ceilings per image. The
+// comparison methods quantize in place too and are held to QUQ's
+// ViT-Nano pin.
 var forwardBudgets = []struct {
 	cfg    vit.Config
+	method ptq.Method
 	allocs float64
 	bytes  uint64
 }{
-	{vit.ViTNano, 7, 200},
-	{vit.ViTSmall, 7, 1100},
+	{vit.ViTNano, ptq.NewQUQ(), 7, 200},
+	{vit.ViTSmall, ptq.NewQUQ(), 7, 1100},
+	{vit.ViTNano, baselines.BaseQ{}, 7, 200},
+	{vit.ViTNano, baselines.PTQ4ViT{}, 7, 200},
+	{vit.ViTNano, baselines.APQViT{}, 7, 200},
+	{vit.ViTNano, baselines.FQViT{}, 7, 200},
+	{vit.ViTNano, baselines.BiScaled{}, 7, 200},
 }
 
 // TestForwardAllocBudget fails if the steady-state quantized forward,
@@ -380,7 +389,8 @@ func TestForwardAllocBudget(t *testing.T) {
 		t.Skip("race detector drops sync.Pool reuse; allocs/op is not meaningful")
 	}
 	for _, b := range forwardBudgets {
-		qm, _ := quantizedModel(t, b.cfg)
+		qm := bothRegimes(t, b.cfg, b.method)[ptq.Full]
+		label := b.cfg.Name + "/" + b.method.Name()
 		for _, n := range []int{1, 4} {
 			imgs := data.Images(b.cfg, n, 2)
 			forward := func() { qm.ForwardBatch(imgs, 1) }
@@ -389,7 +399,7 @@ func TestForwardAllocBudget(t *testing.T) {
 			}
 			forward() // warm the arena and pack pools
 			if allocs := testing.AllocsPerRun(5, forward) / float64(n); allocs > b.allocs {
-				t.Errorf("%s B=%d: steady-state forward allocates %.1f/image, budget %.0f", b.cfg.Name, n, allocs, b.allocs)
+				t.Errorf("%s B=%d: steady-state forward allocates %.1f/image, budget %.0f", label, n, allocs, b.allocs)
 			}
 			// Other goroutines can add to a MemStats delta, never take away:
 			// the smallest of a few repetitions is the forward's own.
@@ -402,7 +412,7 @@ func TestForwardAllocBudget(t *testing.T) {
 				least = min(least, after.TotalAlloc-before.TotalAlloc)
 			}
 			if least/uint64(n) > b.bytes {
-				t.Errorf("%s B=%d: steady-state forward allocates %d B/image, budget %d", b.cfg.Name, n, least/uint64(n), b.bytes)
+				t.Errorf("%s B=%d: steady-state forward allocates %d B/image, budget %d", label, n, least/uint64(n), b.bytes)
 			}
 		}
 	}

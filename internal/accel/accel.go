@@ -251,10 +251,9 @@ func (c ArrayConfig) GEMMPrepared(x []qub.Word, rx qub.Registers, w *PreparedOpe
 }
 
 // gemmDecoded is the shared GEMM core: decode the activation stream into
-// arena scratch, multiply on the int64 kernel layer (which honors the
-// intra-op worker budget — SetIntraOpWorkers/GrantWorkers — like the
-// float kernels), then scan for the accumulator-width statistic and
-// requantize.
+// arena scratch, multiply on the int64 kernel layer (which draws on the
+// intra-op worker pool like the float kernels), then scan for the
+// accumulator-width statistic and requantize.
 //
 //quq:hotpath per-inference integer GEMM core; decode scratch is arena-pooled, only the escaping result is allocated
 func (c ArrayConfig) gemmDecoded(ar *tensor.Arena, x []qub.Word, rx qub.Registers, vw []int64, m, k, n int, qu *QuantizeUnit) (*GEMMResult, error) {

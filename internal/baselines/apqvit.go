@@ -26,26 +26,30 @@ type affineQuantizer struct {
 	bits  int
 }
 
+// value clips in float64 and never converts to an integer: a quotient
+// past 2^63, or ±Inf, has no defined int64 and could land on either end
+// of the grid. NaN takes level 0. Levels and zero points are integers
+// far below 2^53, so the sum and the difference are exact.
 func (a affineQuantizer) value(x float64) float64 {
-	hi := int64(1)<<a.bits - 1
-	q := int64(math.RoundToEven(x/a.scale)) + a.zp
-	if q < 0 {
+	hi := float64(int64(1)<<a.bits - 1)
+	zp := float64(a.zp)
+	q := math.RoundToEven(x/a.scale) + zp
+	if !(q >= 0) {
 		q = 0
 	}
 	if q > hi {
 		q = hi
 	}
-	return float64(q-a.zp) * a.scale
+	return (q - zp) * a.scale
 }
 
 // Apply implements ptq.TensorQuantizer.
 func (a affineQuantizer) Apply(x *tensor.Tensor) *tensor.Tensor {
-	out := x.Clone()
-	d := out.Data()
+	d := x.Data()
 	for i, v := range d {
 		d[i] = a.value(v)
 	}
-	return out
+	return x
 }
 
 // calibrateAffine searches clip fractions on both endpoints.

@@ -39,8 +39,7 @@ func (BaseQ) CalibrateActivation(stats *ptq.SiteStats, bits int) ptq.TensorQuant
 
 // QuantizeWeight implements ptq.Method.
 func (BaseQ) QuantizeWeight(_ vit.Site, w *tensor.Tensor, bits int) {
-	q := ptq.UniformQuantizer{Delta: ptq.SearchUniformDelta(w.Data(), bits, ptq.DefaultAlphaGrid), Bits: bits}
-	copy(w.Data(), q.Apply(w).Data())
+	ptq.UniformQuantizer{Delta: ptq.SearchUniformDelta(w.Data(), bits, ptq.DefaultAlphaGrid), Bits: bits}.Apply(w)
 }
 
 // isPostSoftmax reports whether the site carries attention probabilities.

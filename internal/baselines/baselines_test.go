@@ -216,7 +216,7 @@ func TestFQViTPTFPerChannel(t *testing.T) {
 	// every value rounds to zero) while PTF keeps them at full per-
 	// channel resolution.
 	in := tensor.FromSlice(append([]float64(nil), xs...), len(xs)/cols, cols)
-	outPTF := q.Apply(in)
+	outPTF := q.Apply(in.Clone())
 	absmax := 0.0
 	for _, v := range xs {
 		if a := math.Abs(v); a > absmax {
@@ -361,6 +361,45 @@ func TestAllMethodsHandleDegenerateStats(t *testing.T) {
 		for _, v := range out.Data() {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
 				t.Fatalf("%s produced non-finite output on degenerate stats", meth.Name())
+			}
+		}
+	}
+}
+
+// TestAffineQuantizerSaturates: a value past the grid lands on the end
+// it is past, however far — including quotients past int64, whose
+// conversion Go leaves to the platform.
+func TestAffineQuantizerSaturates(t *testing.T) {
+	a := affineQuantizer{scale: 1, zp: 32, bits: 6} // levels 0..63 are -32..31
+	for _, c := range []struct{ in, want float64 }{
+		{0.3, 0}, {2.5, 2}, {-3, -3}, {40, 31}, {-40, -32},
+		{math.Inf(1), 31}, {math.Inf(-1), -32}, {1e300, 31}, {-1e300, -32},
+		{math.NaN(), -32},
+	} {
+		if got := a.value(c.in); math.Float64bits(got) != math.Float64bits(c.want) {
+			t.Errorf("value(%v) = %v, want %v", c.in, got, c.want)
+		}
+	}
+}
+
+// TestApplyQuantizesInPlace: every site quantizer every method builds
+// rewrites the tensor it is handed and returns it.
+func TestApplyQuantizesInPlace(t *testing.T) {
+	xs := dist.Sample(dist.PreAddition, 512, rng.New(10))
+	for _, meth := range []ptq.Method{BaseQ{}, PTQ4ViT{}, APQViT{}, FQViT{}, BiScaled{}} {
+		for _, site := range []vit.Site{
+			{Name: "attn.softmax_out", Kind: vit.KindGEMMIn},
+			{Name: "mlp.gelu_out", Kind: vit.KindGEMMIn},
+			{Name: "resid1.out", Kind: vit.KindActivation},
+			{Name: "ln1.out", Kind: vit.KindGEMMIn},
+		} {
+			q := meth.CalibrateActivation(statsFor(site, xs, 8), 6)
+			x := tensor.FromSlice(append([]float64(nil), xs...), len(xs)/8, 8)
+			if q.Apply(x) != x {
+				t.Errorf("%s %s (%T): Apply returned a tensor other than its input", meth.Name(), site.Name, q)
+			}
+			if tensor.MSE(x, tensor.FromSlice(xs, len(xs)/8, 8)) == 0 {
+				t.Errorf("%s %s (%T): Apply left its input as it was", meth.Name(), site.Name, q)
 			}
 		}
 	}

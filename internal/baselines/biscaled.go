@@ -63,10 +63,9 @@ func (b biScaledQuantizer) value(x float64, ch int) float64 {
 // Apply implements ptq.TensorQuantizer. Tensors whose channel width does
 // not match the calibrated table are treated as all-bulk.
 func (b biScaledQuantizer) Apply(x *tensor.Tensor) *tensor.Tensor {
-	out := x.Clone()
-	cols := out.Dim(out.Rank() - 1)
+	cols := x.Dim(x.Rank() - 1)
 	match := cols == len(b.outlierChan)
-	d := out.Data()
+	d := x.Data()
 	for i, v := range d {
 		ch := -1
 		if match {
@@ -74,7 +73,7 @@ func (b biScaledQuantizer) Apply(x *tensor.Tensor) *tensor.Tensor {
 		}
 		d[i] = b.value(v, ch)
 	}
-	return out
+	return x
 }
 
 // calibrateBiScaled searches the outlier-channel count k: the top-k
@@ -154,7 +153,7 @@ func (BiScaled) CalibrateActivation(stats *ptq.SiteStats, bits int) ptq.TensorQu
 // QuantizeWeight implements ptq.Method: weights are a static data
 // structure, so the index table is exact — BiScaled's home turf.
 func (BiScaled) QuantizeWeight(_ vit.Site, w *tensor.Tensor, bits int) {
-	in, out := w.Dim(0), w.Dim(1)
+	out := w.Dim(1)
 	chanAbsMax := make([]float64, out)
 	d := w.Data()
 	for i, v := range d {
@@ -167,7 +166,5 @@ func (BiScaled) QuantizeWeight(_ vit.Site, w *tensor.Tensor, bits int) {
 	for i := range chans {
 		chans[i] = int32(i % out)
 	}
-	q := calibrateBiScaled(d, chans, chanAbsMax, bits)
-	copy(d, q.Apply(w).Data())
-	_ = in
+	calibrateBiScaled(d, chans, chanAbsMax, bits).Apply(w)
 }

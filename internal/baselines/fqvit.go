@@ -75,8 +75,7 @@ type log2Quantizer struct{ bits int }
 
 // Apply implements ptq.TensorQuantizer.
 func (l log2Quantizer) Apply(x *tensor.Tensor) *tensor.Tensor {
-	out := x.Clone()
-	d := out.Data()
+	d := x.Data()
 	maxCode := float64(int64(1)<<l.bits - 1)
 	for i, v := range d {
 		if v <= 0 {
@@ -93,7 +92,7 @@ func (l log2Quantizer) Apply(x *tensor.Tensor) *tensor.Tensor {
 		}
 		d[i] = math.Ldexp(1, -int(q))
 	}
-	return out
+	return x
 }
 
 // ptfQuantizer applies Δ·2^shift[c] per channel c of the last axis.
@@ -106,9 +105,8 @@ type ptfQuantizer struct {
 // Apply implements ptq.TensorQuantizer. Tensors whose channel width does
 // not match the calibrated layout fall back to the base Δ.
 func (p ptfQuantizer) Apply(x *tensor.Tensor) *tensor.Tensor {
-	out := x.Clone()
-	cols := out.Dim(out.Rank() - 1)
-	d := out.Data()
+	cols := x.Dim(x.Rank() - 1)
+	d := x.Data()
 	hi := float64(int64(1)<<(p.bits-1) - 1)
 	lo := -hi - 1
 	for i, v := range d {
@@ -125,7 +123,7 @@ func (p ptfQuantizer) Apply(x *tensor.Tensor) *tensor.Tensor {
 		}
 		d[i] = q * delta
 	}
-	return out
+	return x
 }
 
 // calibratePTF picks the shared Δ and per-channel power-of-two shifts.

@@ -68,12 +68,11 @@ func (t twinSoftmaxQuantizer) value(x float64) float64 {
 
 // Apply implements ptq.TensorQuantizer.
 func (t twinSoftmaxQuantizer) Apply(x *tensor.Tensor) *tensor.Tensor {
-	out := x.Clone()
-	d := out.Data()
+	d := x.Data()
 	for i, v := range d {
 		d[i] = t.value(v)
 	}
-	return out
+	return x
 }
 
 func calibrateTwinSoftmax(xs []float64, bits int) ptq.TensorQuantizer {
@@ -119,12 +118,11 @@ func (t twinGELUQuantizer) value(x float64) float64 {
 
 // Apply implements ptq.TensorQuantizer.
 func (t twinGELUQuantizer) Apply(x *tensor.Tensor) *tensor.Tensor {
-	out := x.Clone()
-	d := out.Data()
+	d := x.Data()
 	for i, v := range d {
 		d[i] = t.value(v)
 	}
-	return out
+	return x
 }
 
 func calibrateTwinGELU(xs []float64, bits int) ptq.TensorQuantizer {

@@ -32,23 +32,3 @@ func CorruptFile(path string, seed uint64, nFlips int) error {
 	}
 	return nil
 }
-
-// TruncateFile cuts the file at path down to a deterministic fraction
-// of its size (at least one byte removed) — the torn-write fault a
-// crash mid-append leaves behind.
-func TruncateFile(path string, seed uint64) error {
-	info, err := os.Stat(path)
-	if err != nil {
-		return fmt.Errorf("chaos: truncating %s: %w", path, err)
-	}
-	size := info.Size()
-	if size < 1 {
-		return fmt.Errorf("chaos: truncating %s: file is empty", path)
-	}
-	src := rng.New(seed)
-	keep := int64(src.Intn(int(size)))
-	if err := os.Truncate(path, keep); err != nil {
-		return fmt.Errorf("chaos: truncating %s: %w", path, err)
-	}
-	return nil
-}

@@ -21,8 +21,6 @@
 // genuine component counts.
 package hweval
 
-import "math"
-
 // Process constants for the 28 nm / 500 MHz operating point.
 const (
 	// AreaPerGate is the area of one NAND2-equivalent gate in µm²,
@@ -227,6 +225,3 @@ func CrossBitSavings(n int) (areaPct, powerPct float64) {
 	b8 := Evaluate(DefaultConfig(BaseQDesign, 8, n))
 	return 100 * (1 - q6.AreaMM2/b8.AreaMM2), 100 * (1 - q6.PowerMW/b8.PowerMW)
 }
-
-// Round2 rounds to three decimals for table printing.
-func Round2(v float64) float64 { return math.Round(v*1000) / 1000 }

@@ -44,14 +44,14 @@ func BatchChunks(n, workers int) []int {
 // quq-serve's micro-batching scheduler; it is exported so non-HTTP
 // callers (benchmarks, bulk evaluation) get the same amortization.
 //
-// Interaction with intra-op parallelism: the kernel layer's worker
-// budget (tensor.SetIntraOpWorkers) defaults to 1, so every chunk's
-// GEMMs run serially inside its goroutine and the two levels of
-// parallelism never multiply. Raising the budget is safe — it is a
-// process-wide token pool, so chunks share (budget−1) extra kernel
-// goroutines rather than spawning budget each — and splits a stacked
-// GEMM's rows across them; a caller with one chunk and idle cores
-// (workers = 1) is who that is for.
+// Interaction with intra-op parallelism: the kernel layer's pool of
+// extra GEMM workers is empty unless a tensor.GrantWorkers grant is
+// live, so every chunk's GEMMs run serially inside its goroutine and the
+// two levels of parallelism never multiply. A grant is safe — the pool
+// is process-wide, so chunks share its extra kernel goroutines rather
+// than spawning their own — and splits a stacked GEMM's rows across
+// them; a caller with one chunk and idle cores (workers = 1) is who that
+// is for.
 func (q *QuantizedModel) ForwardBatch(images []*tensor.Tensor, workers int) []*tensor.Tensor {
 	out := make([]*tensor.Tensor, len(images))
 	bounds := BatchChunks(len(images), workers)

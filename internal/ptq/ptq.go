@@ -3,7 +3,8 @@
 // over a small image set, per-tensor quantizer construction by a
 // pluggable Method, weight quantization on a cloned model, and a
 // quantized executor that rewrites every Figure 1 quantization point
-// during inference.
+// during inference. Every site quantizer, QUQ's and the baselines',
+// rewrites the tensor it is handed in place (TensorQuantizer).
 //
 // Two regimes mirror the paper's tables: Partial quantizes only GEMM
 // inputs and weights (Table 2), Full additionally quantizes every
@@ -63,8 +64,9 @@ func (r Regime) covers(k vit.SiteKind) bool {
 
 // TensorQuantizer fake-quantizes activation tensors at one site.
 type TensorQuantizer interface {
-	// Apply returns the fake-quantized tensor. Implementations may
-	// return a new tensor or mutate and return x.
+	// Apply quantizes x in place and returns x. The forward owns the
+	// tensors it hands a quantizer; a caller that still needs the
+	// unquantized values clones first.
 	Apply(x *tensor.Tensor) *tensor.Tensor
 }
 
@@ -361,18 +363,12 @@ func (q *QuantizedModel) resolveSites() {
 }
 
 // quantizeSite implements vit.SiteQuantizer: the site's quantizer, if it
-// has one, rewrites x. A quantizer that answers with a tensor of its own
-// (the baselines clone) has it copied back, since the forward continues
-// with x.
+// has one, rewrites x in place.
 //
 //quq:hotpath runs at every site of every quantized forward; quantizes in place
 func (q *QuantizedModel) quantizeSite(site vit.Site, x *tensor.Tensor) {
-	tq, ok := q.sites[siteID{site.Block, site.Name}]
-	if !ok {
-		return
-	}
-	if y := tq.Apply(x); y != x {
-		copy(x.Data(), y.Data())
+	if tq, ok := q.sites[siteID{site.Block, site.Name}]; ok {
+		tq.Apply(x)
 	}
 }
 
@@ -427,7 +423,7 @@ func Accuracy(c Classifier, images []*tensor.Tensor, labels []int) float64 {
 }
 
 // UniformQuantizer is the shared symmetric-uniform activation quantizer
-// used by several methods.
+// used by several methods: quant.Uniform, U_b, at every element.
 type UniformQuantizer struct {
 	Delta float64
 	Bits  int
@@ -435,27 +431,20 @@ type UniformQuantizer struct {
 
 // Apply implements TensorQuantizer.
 func (u UniformQuantizer) Apply(x *tensor.Tensor) *tensor.Tensor {
-	out := x.Clone()
-	lo := -(int64(1) << (u.Bits - 1))
-	hi := int64(1)<<(u.Bits-1) - 1
-	d := out.Data()
+	d := x.Data()
 	for i, v := range d {
-		q := int64(math.RoundToEven(v / u.Delta))
-		if q < lo {
-			q = lo
-		}
-		if q > hi {
-			q = hi
-		}
-		d[i] = float64(q) * u.Delta
+		d[i] = quant.Uniform(v, u.Delta, u.Bits)
 	}
-	return out
+	return x
 }
 
 // SearchUniformDelta returns the Δ in {α·absmax/(2^(b−1)−1)} over the
 // grid minimizing MSE on xs — the grid-search step the paper applies to
 // every method ("the optimization techniques used in QUQ are also
-// applied"). An empty grid means {1.0}.
+// applied"). An empty grid means {1.0}; data too small to give a
+// positive Δ, Δ = 1. Candidates are compared on raw sums of squared
+// error: quant.UniformMSE's mean would round them once more and could
+// turn a strict win into a tie.
 func SearchUniformDelta(xs []float64, bits int, grid []float64) float64 {
 	absmax := 0.0
 	for _, v := range xs {
@@ -463,35 +452,26 @@ func SearchUniformDelta(xs []float64, bits int, grid []float64) float64 {
 			absmax = a
 		}
 	}
-	if absmax == 0 {
+	base := absmax / float64(int64(1)<<(bits-1)-1)
+	if base == 0 {
 		return 1
 	}
 	if len(grid) == 0 {
 		grid = []float64{1}
 	}
-	base := absmax / float64(int64(1)<<(bits-1)-1)
-	best, bestMSE := base, math.Inf(1)
+	best, bestSSE := base, math.Inf(1)
 	for _, alpha := range grid {
-		if alpha <= 0 {
+		d := base * alpha
+		if !(d > 0) {
 			continue
 		}
-		d := base * alpha
-		var mse float64
-		lo := -(int64(1) << (bits - 1))
-		hi := int64(1)<<(bits-1) - 1
+		var sse float64
 		for _, v := range xs {
-			q := int64(math.RoundToEven(v / d))
-			if q < lo {
-				q = lo
-			}
-			if q > hi {
-				q = hi
-			}
-			e := v - float64(q)*d
-			mse += e * e
+			e := v - quant.Uniform(v, d, bits)
+			sse += e * e
 		}
-		if mse < bestMSE {
-			best, bestMSE = d, mse
+		if sse < bestSSE {
+			best, bestSSE = d, sse
 		}
 	}
 	return best

@@ -63,10 +63,10 @@ type Config struct {
 	// but the snapshot one, whose bodies are whole models and are capped
 	// at snapstore.MaxFileBytes instead.
 	MaxBodyBytes int64
-	// MaxImagesPerRequest caps the images in one classify call
-	// (default 64).
-	MaxImagesPerRequest int
 }
+
+// maxImagesPerRequest caps the images in one classify call.
+const maxImagesPerRequest = 64
 
 func (c *Config) defaults() {
 	if c.RequestTimeout <= 0 {
@@ -74,9 +74,6 @@ func (c *Config) defaults() {
 	}
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 8 << 20
-	}
-	if c.MaxImagesPerRequest <= 0 {
-		c.MaxImagesPerRequest = 64
 	}
 }
 
@@ -207,9 +204,9 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, fmt.Errorf("%w: no images", ErrBadRequest))
 		return
 	}
-	if len(req.Images) > s.cfg.MaxImagesPerRequest {
+	if len(req.Images) > maxImagesPerRequest {
 		s.writeError(w, fmt.Errorf("%w: %d images exceeds the per-request limit %d",
-			ErrBadRequest, len(req.Images), s.cfg.MaxImagesPerRequest))
+			ErrBadRequest, len(req.Images), maxImagesPerRequest))
 		return
 	}
 	key, err := req.key()

@@ -61,38 +61,10 @@ const (
 // draw from one budget and can never multiply into oversubscription.
 var intraOpExtra atomic.Int32
 
-// intraOpN is the configured budget, reported by IntraOpWorkers.
-var intraOpN atomic.Int32
-
-// SetIntraOpWorkers sets the process-wide intra-op worker budget: the
-// maximum number of goroutines (including the caller) a single GEMM may
-// use. The default budget is 1 — every kernel is serial unless a binary
-// opts in — which is also the required setting under chunk fan-out
-// (quq-serve workers, ptq.ForwardBatch with workers>1), where one
-// stacked forward per core already saturates the cores. Intended to be called once
-// at startup, before kernels run; worker counts never affect results
-// (outputs are bit-identical at any budget), only timing.
-func SetIntraOpWorkers(n int) {
-	if n < 1 {
-		n = 1
-	}
-	intraOpN.Store(int32(n))
-	intraOpExtra.Store(int32(n - 1))
-}
-
-// IntraOpWorkers returns the configured intra-op worker budget.
-func IntraOpWorkers() int {
-	if n := intraOpN.Load(); n > 1 {
-		return int(n)
-	}
-	return 1
-}
-
 // WorkerGrant is a per-call contribution of extra intra-op workers: the
 // tokens it adds live in the shared pool for the grant's lifetime, so a
 // caller that knows it is the only hot batch (the occupancy-adaptive
-// scheduler at low load) can let its GEMMs borrow helpers without
-// touching the process-global SetIntraOpWorkers budget. Release is
+// scheduler at low load) can let its GEMMs borrow helpers. Release is
 // idempotent and must be called when the batch completes; outstanding
 // borrows are accounted for (the pool balance may swing negative until
 // borrowed workers return, which only pauses new borrows).
@@ -104,7 +76,7 @@ type WorkerGrant struct {
 // GrantWorkers adds n extra workers to the intra-op pool for the
 // lifetime of the returned grant. n <= 0 returns an empty grant.
 // Bit-identity is unaffected: worker counts never change results, only
-// timing (see SetIntraOpWorkers).
+// timing.
 func GrantWorkers(n int) *WorkerGrant {
 	g := &WorkerGrant{}
 	if n > 0 {

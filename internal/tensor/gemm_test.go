@@ -308,8 +308,7 @@ func TestIntMicroDispatchBoundary(t *testing.T) {
 // this is guaranteed by associativity mod 2^64; the test guards the
 // row-partitioning bookkeeping.)
 func testParallelMatchesSerial[T elem](t *testing.T, api gemmAPI[T], seed uint64) {
-	SetIntraOpWorkers(4)
-	t.Cleanup(func() { SetIntraOpWorkers(1) })
+	t.Cleanup(GrantWorkers(3).Release)
 	src := rng.New(seed)
 	// 64·128·80 = 655360 MACs, above parallelMinMACs with 64 rows to split.
 	const m, k, n = 64, 128, 80
@@ -327,8 +326,8 @@ func testParallelMatchesSerial[T elem](t *testing.T, api gemmAPI[T], seed uint64
 func TestIntParallelMatchesSerial(t *testing.T) { testParallelMatchesSerial(t, intAPI, 24) }
 
 // TestParallelMatchesSerial adds the float-only a @ bᵀ form to the
-// shared case, under the budget the shared case raised (its cleanup
-// restores it when this test ends).
+// shared case, under the grant the shared case took (its cleanup
+// releases it when this test ends).
 func TestParallelMatchesSerial(t *testing.T) {
 	testParallelMatchesSerial(t, floatAPI, 15)
 	src := rng.New(15)
@@ -344,8 +343,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 // an intra-op budget) and checks every result. Run under -race this also
 // proves the pool's acquire/release is sound.
 func TestParallelConcurrentCallers(t *testing.T) {
-	SetIntraOpWorkers(3)
-	t.Cleanup(func() { SetIntraOpWorkers(1) })
+	t.Cleanup(GrantWorkers(2).Release)
 	src := rng.New(16)
 	a := randTensor(src, 48, 96)
 	b := randTensor(src, 96, 64)
@@ -372,9 +370,6 @@ func TestParallelConcurrentCallers(t *testing.T) {
 	close(errs)
 	if msg, ok := <-errs; ok {
 		t.Fatal(msg)
-	}
-	if IntraOpWorkers() != 3 {
-		t.Fatalf("IntraOpWorkers = %d, want 3", IntraOpWorkers())
 	}
 	// The token pool must be whole again: all extra workers returned.
 	if got := acquireExtra(2); got != 2 {
@@ -572,8 +567,7 @@ func FuzzGEMMEquivalence(f *testing.F) {
 			assertBitEqual(t, label+" MatMulTInto", MatMulTInto(New(m, n), a, bt), wantMMT)
 		}
 		check("serial")
-		SetIntraOpWorkers(4)
-		defer SetIntraOpWorkers(1)
+		defer GrantWorkers(3).Release()
 		check("parallel")
 	})
 }
@@ -610,8 +604,7 @@ func FuzzIntGEMMEquivalence(f *testing.F) {
 			assertSlicesEqual(t, label+" IntMatMulInto", got, want)
 		}
 		check("serial")
-		SetIntraOpWorkers(4)
-		defer SetIntraOpWorkers(1)
+		defer GrantWorkers(3).Release()
 		check("parallel")
 	})
 }

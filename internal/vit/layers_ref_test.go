@@ -142,8 +142,7 @@ func TestBlockForwardMatchesNaiveReference(t *testing.T) {
 			want := refBlockForward(b, x.Clone(), tc.nSeq)
 			got := b.Forward(x.Clone(), tc.nSeq, 0, ForwardOpts{})
 
-			tensor.SetIntraOpWorkers(4)
-			t.Cleanup(func() { tensor.SetIntraOpWorkers(1) })
+			t.Cleanup(tensor.GrantWorkers(3).Release)
 			gotPar := b.Forward(x.Clone(), tc.nSeq, 0, ForwardOpts{})
 
 			for i, w := range want.Data() {
