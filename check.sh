@@ -13,8 +13,9 @@ artifacts_before=$(git status --porcelain -- artifacts 2>/dev/null || true)
 
 go build ./...
 # The portable half of the kernel layer (generic micro-kernel, no narrow
-# int kernel) never builds on an amd64 box otherwise.
-GOARCH=arm64 go build ./internal/tensor/ ./internal/accel/
+# int kernel, the tap kernel's loop alone, the CPUID probe's stand-in)
+# never builds on an amd64 box otherwise.
+GOARCH=arm64 go build ./internal/tensor/ ./internal/accel/ ./internal/quant/
 go vet ./...
 # The default tag set skips files gated on `race` (race_enabled_test.go
 # at the repo root); vet them under that tag too so both halves of the
@@ -32,13 +33,9 @@ go vet -C bench ./...
 # quqvet: the repo's own static-analysis pass (integer-only datapath,
 # exact power-of-two scales, deterministic artifacts, audited panics,
 # no dropped errors on io paths, lock/context/goroutine/atomic/metric
-# concurrency invariants). See README.md "Verification".
+# concurrency invariants). See README.md "Verification". The analyzer's
+# own sources are part of ./... (only its testdata fixtures are exempt).
 go run ./cmd/quq-vet ./...
-
-# quqvet must also keep its own house clean: run the suite over the
-# analyzer package explicitly (fixture corpora under testdata are
-# exempt by design; the analyzer sources are not).
-go run ./cmd/quq-vet ./internal/analysis/
 
 # The machine-readable report must be deterministic: two runs over the
 # same tree are byte-identical.

@@ -1,9 +1,11 @@
 package analysis
 
 import (
+	"go/build"
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -421,6 +423,35 @@ func TestExpandPatternsSkipsTestdata(t *testing.T) {
 	}
 	if len(dirs) != 1 {
 		t.Fatalf("expected exactly the package directory, got %v", dirs)
+	}
+}
+
+// TestLoaderHonoursBuildConstraints: a package whose kernel_amd64.go
+// and `!amd64` kernel_other.go declare the same function type-checks the
+// way `go build` compiles it, with one file of the pair and never both;
+// a directory whose only Go file is `//go:build ignore` holds no package.
+func TestLoaderHonoursBuildConstraints(t *testing.T) {
+	loader, err := fixtureLoader()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkg, err := loader.LoadDir(filepath.Join("testdata", "src", "buildtags"), "quq/internal/buildtagsfixture")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"doc.go", "kernel_other.go"}
+	if build.Default.GOARCH == "amd64" {
+		want[1] = "kernel_amd64.go"
+	}
+	var got []string
+	for _, f := range pkg.Files {
+		got = append(got, filepath.Base(pkg.Fset.Position(f.Package).Filename))
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("loaded %v for GOARCH=%s, want %v", got, build.Default.GOARCH, want)
+	}
+	if dirs, err := loader.ExpandPatterns([]string{filepath.Join("testdata", "src", "buildignored")}); err == nil {
+		t.Fatalf("ExpandPatterns accepted a directory holding only an ignored file: %v", dirs)
 	}
 }
 

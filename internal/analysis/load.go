@@ -3,6 +3,7 @@ package analysis
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -119,11 +120,13 @@ func (l *Loader) LoadDir(dir, importPath string) (*Package, error) {
 	}
 	var names []string
 	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
-			continue
+		ok, err := buildsHere(dir, e)
+		if err != nil {
+			return nil, err
 		}
-		names = append(names, name)
+		if ok {
+			names = append(names, e.Name())
+		}
 	}
 	sort.Strings(names)
 	if len(names) == 0 {
@@ -241,10 +244,22 @@ func hasGoFiles(dir string) (bool, error) {
 		return false, err
 	}
 	for _, e := range entries {
-		name := e.Name()
-		if !e.IsDir() && strings.HasSuffix(name, ".go") && !strings.HasSuffix(name, "_test.go") {
-			return true, nil
+		if ok, err := buildsHere(dir, e); ok || err != nil {
+			return ok, err
 		}
 	}
 	return false, nil
+}
+
+// buildsHere reports whether e is a non-test Go file that `go build`
+// would compile in dir for the current target: its _GOOS/_GOARCH name
+// suffix and //go:build line both match build.Default. A kernel_amd64.go
+// and its `!amd64` twin may declare the same identifiers; only one of
+// them is the package.
+func buildsHere(dir string, e os.DirEntry) (bool, error) {
+	name := e.Name()
+	if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+		return false, nil
+	}
+	return build.Default.MatchFile(dir, name)
 }

@@ -116,8 +116,9 @@ func NewIntEngine(q *QuantizedModel) (*IntEngine, error) {
 // of the chunk, so a GEMM the engine serves for one image and declines
 // for another would make the first one's logits depend on its
 // batch-mates; no site does that — a quantizing tap puts every row on
-// the grid, and Swin's pooled head input is off it for every image. The
-// weight side uses the resident integer operand; the only float64 work
+// the grid, and Swin's pooled head input is off it for every image, so
+// Swin's head is the one GEMM this engine always declines: it runs as a
+// float GEMM (see vit's meanPool). The weight side uses the resident integer operand; the only float64 work
 // is the epilogue scale-and-bias at the decode boundary.
 //
 //quq:hotpath per-inference integer weight GEMM; all scratch is arena-pooled, the destination comes from the caller

@@ -68,7 +68,8 @@ func FuzzPRA(f *testing.F) {
 // negative, NaN and infinite Δ, MaxMag of any sign and size — against
 // arbitrary float64 bit patterns. QuantizeSlice must equal Value bit for
 // bit, element-wise, separately and aliased — on the fuzzer's values and
-// on the ones where this Params' decisions flip (boundaryInputs);
+// on the ones where this Params' decisions flip (boundaryInputs), through
+// the vector body where this CPU has one and through the portable loop;
 // deriving the lanes must terminate (the walk is bounded) and a Params
 // it cannot handle must fall back rather than answer wrongly.
 func FuzzQuantizeSlice(f *testing.F) {
@@ -87,20 +88,22 @@ func FuzzQuantizeSlice(f *testing.F) {
 			xs[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[i*8:]))
 		}
 		xs = append(xs, boundaryInputs(p)...)
-		out := make([]float64, len(xs))
-		p.QuantizeSlice(out, xs)
-		for i, x := range xs {
-			if want := p.Value(x); math.Float64bits(out[i]) != math.Float64bits(want) {
-				t.Fatalf("QuantizeSlice(%v [%016x]) = %v [%016x], Value = %v [%016x] under %+v",
-					x, math.Float64bits(x), out[i], math.Float64bits(out[i]), want, math.Float64bits(want), p.Slots)
+		bothBodies(func(body string) {
+			out := make([]float64, len(xs))
+			p.QuantizeSlice(out, xs)
+			for i, x := range xs {
+				if want := p.Value(x); math.Float64bits(out[i]) != math.Float64bits(want) {
+					t.Fatalf("%s: QuantizeSlice(%v [%016x]) = %v [%016x], Value = %v [%016x] under %+v",
+						body, x, math.Float64bits(x), out[i], math.Float64bits(out[i]), want, math.Float64bits(want), p.Slots)
+				}
 			}
-		}
-		alias := append([]float64(nil), xs...)
-		p.QuantizeSlice(alias, alias)
-		for i := range alias {
-			if math.Float64bits(alias[i]) != math.Float64bits(out[i]) {
-				t.Fatalf("aliased QuantizeSlice diverged at %d (%v) under %+v", i, xs[i], p.Slots)
+			alias := append([]float64(nil), xs...)
+			p.QuantizeSlice(alias, alias)
+			for i := range alias {
+				if math.Float64bits(alias[i]) != math.Float64bits(out[i]) {
+					t.Fatalf("%s: aliased QuantizeSlice diverged at %d (%v) under %+v", body, i, xs[i], p.Slots)
+				}
 			}
-		}
+		})
 	})
 }

@@ -144,6 +144,11 @@ func (p *Params) Kernel() Kernel {
 // bits it saw; when those say a NaN went by, the NaNs in out are
 // rewritten to Value's answer, which does not depend on the payload.
 //
+// On amd64 CPUs with AVX2 a vector body (kernel_amd64.s) runs that
+// sequence four elements at a time, lane by lane the same IEEE
+// operations, over the longest multiple-of-4 prefix; the loop below
+// finishes the tail and is the whole kernel everywhere else.
+//
 //quq:hotpath every activation site of every forward; no allocation, no data-dependent branch
 func (k *Kernel) Quantize(out, xs []float64) {
 	if len(out) != len(xs) {
@@ -155,9 +160,11 @@ func (k *Kernel) Quantize(out, xs []float64) {
 		}
 		return
 	}
+	n, nan := k.quantizeVector(out, xs)
 	zero := k.zero
 	var top uint64
-	for i, x := range xs {
+	tail := out[n:]
+	for i, x := range xs[n:] {
 		b := math.Float64bits(x)
 		mag := b &^ signBit
 		sign := b >> 63
@@ -171,9 +178,9 @@ func (k *Kernel) Quantize(out, xs []float64) {
 		if v == 0 {
 			res = zero
 		}
-		out[i] = math.Float64frombits(res)
+		tail[i] = math.Float64frombits(res)
 	}
-	if top > infBits {
+	if nan || top > infBits {
 		for i, v := range out {
 			if v != v {
 				out[i] = k.p.Value(v)
@@ -181,6 +188,10 @@ func (k *Kernel) Quantize(out, xs []float64) {
 		}
 	}
 }
+
+// portableOnly, set only by tests, keeps Quantize off the vector body so
+// the portable loop is covered on CPUs that have one.
+var portableOnly bool
 
 // SumSqErr returns acc + Σ (x − Q(x))² over xs, adding the terms to acc
 // one by one in slice order — the running sum a per-element Value loop

@@ -2,6 +2,8 @@
 
 package tensor
 
+import "quq/internal/cpuid"
+
 // Vector paths of the 4×4 micro-kernel. Both assembly kernels keep one
 // ymm accumulator per A row (four 64-bit column lanes) and advance all
 // four rows per k step in ascending-k order.
@@ -33,15 +35,6 @@ func gemmKernel4x4(c *[16]float64, a0, a1, a2, a3, bp *float64, k int)
 //go:noescape
 func intGemmKernel4x4Narrow(c *[16]int64, a0, a1, a2, a3, bp *int64, k int)
 
-// cpuHasAVX reports CPU and OS support for AVX (CPUID leaf 1 OSXSAVE +
-// AVX, and XCR0 enabling xmm+ymm state). Implemented in
-// gemm_micro_amd64.s.
-func cpuHasAVX() bool
-
-// cpuHasAVX2 reports cpuHasAVX plus CPUID leaf 7 AVX2. Implemented in
-// gemm_micro_amd64.s.
-func cpuHasAVX2() bool
-
 func micro4x4AVX(c *[16]float64, a0, a1, a2, a3, bp []float64, k int) {
 	if k == 0 {
 		*c = [16]float64{}
@@ -59,10 +52,10 @@ func intMicro4x4NarrowAVX2(c *[16]int64, a0, a1, a2, a3, bp []int64, k int) {
 }
 
 func init() {
-	if cpuHasAVX() {
+	if cpuid.HasAVX {
 		micro4x4 = micro4x4AVX
 	}
-	if cpuHasAVX2() {
+	if cpuid.HasAVX2 {
 		intMicro4x4Narrow = intMicro4x4NarrowAVX2
 	}
 }

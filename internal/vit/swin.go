@@ -184,6 +184,13 @@ func (m *Swin) ForwardBatch(imgs []*tensor.Tensor, opts ForwardOpts) []*tensor.T
 // meanPool fills row b of dst ([n, d]) with the mean of x's b-th group
 // of x.Dim(0)/n consecutive rows, summed in row order.
 //
+// Its output is the one GEMM input of any architecture that no site
+// quantizer sees: the "head.in" site quantizes the tokens before they
+// are pooled, and a mean of grid points is off the grid. Swin's head is
+// therefore the one float GEMM of a quantized forward — weights on
+// their grid, activations not — on every engine: ptq.IntEngine declines
+// it and the QUA simulator's runners do not take Swin at all.
+//
 //quq:hotpath Swin's pooling; the destination is the pass's scratch
 func meanPool(dst, x *tensor.Tensor) *tensor.Tensor {
 	t := x.Dim(0) / dst.Dim(0)
