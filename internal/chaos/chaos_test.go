@@ -242,6 +242,7 @@ func TestReportDeterminismAndVerdicts(t *testing.T) {
 	r.CheckBoundedDrain(false, 4, 4)                     // deadline blown
 	r.CheckLatencySLO(5, 4, 1, 0, []int{4, 1, 4}, true)  // admitted request missed its budget
 	r.CheckLatencySLO(5, 5, 0, 0, []int{4, 1, 4}, true)  // overload never shed
+	r.CheckLatencySLO(5, 5, 2, 0, []int{4, 1, 4}, true)  // shed probe re-sent and shed again
 	r.CheckLatencySLO(5, 5, 1, 2, []int{4, 1, 4}, true)  // shed request held queue slots
 	r.CheckLatencySLO(5, 5, 1, 0, []int{4, 4, 4}, true)  // governor never adapted
 	r.CheckLatencySLO(5, 5, 1, 0, []int{4, 1, 4}, false) // shed counter absent from merged view

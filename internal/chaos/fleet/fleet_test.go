@@ -3,6 +3,7 @@ package fleet
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"net/http"
 	"runtime"
 	"strings"
@@ -63,7 +64,10 @@ func TestRunInvariantsHoldAndReplayIsByteIdentical(t *testing.T) {
 
 // retry429 is the deliberately reintroduced bug: a transport that
 // "helpfully" retries backpressure responses once. The chaos gate must
-// catch it — a retried 429 doubles the backend attempt count.
+// catch it — a retried 429 doubles the backend attempt count. The retry
+// is a clone with a fresh body from GetBody: the first attempt's write
+// loop may still be reading the original body when its 429 arrives, so
+// re-sending req itself would race on that reader.
 type retry429 struct {
 	inner http.RoundTripper
 }
@@ -75,7 +79,15 @@ func (r retry429) RoundTrip(req *http.Request) (*http.Response, error) {
 	}
 	//quq:errdrop-ok the buggy transport under test discards the first 429 on purpose
 	_ = resp.Body.Close()
-	return r.inner.RoundTrip(req)
+	retry := req.Clone(req.Context())
+	if req.GetBody != nil {
+		body, err := req.GetBody()
+		if err != nil {
+			return nil, fmt.Errorf("retry429: rewind request body: %w", err)
+		}
+		retry.Body = body
+	}
+	return r.inner.RoundTrip(retry)
 }
 
 // TestRunCatchesReintroduced429Retry proves the gate has teeth: wiring

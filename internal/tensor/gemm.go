@@ -13,16 +13,17 @@ import (
 // int64 for the pre-shifted QUB datapath), with destination-passing
 // entry points and optional row-partitioned intra-op parallelism. The
 // two element types share the loop nest, the pack-panel pool, the
-// validator and the worker pool; they differ only in the 4×4
-// micro-kernel the entry point passes in (gemm_micro.go). Every kernel
-// obeys one determinism contract:
+// validator and the worker pool; they differ only in the 4×8
+// micro-kernel the entry point passes in (gemm_micro.go), which also
+// owns the tile's epilogue: it adds the bias and stores its 32 results
+// into dst itself. Every kernel obeys one determinism contract:
 //
 //	each output element is the serial reduction
 //	    out[i][j] = fl(... fl(fl(a[i][0]·b[0][j]) + a[i][1]·b[1][j]) ...)
 //	with the inner index ascending,
 //
 // which is exactly what the original scalar loops computed. Register
-// tiling reuses operand loads across a 4×4 tile of outputs but keeps one
+// tiling reuses operand loads across a 4×8 tile of outputs but keeps one
 // accumulator per element, cache blocking only reorders *which* elements
 // are in flight, and parallelism partitions output rows across workers —
 // none of the three changes any element's reduction order, so blocked,
@@ -38,11 +39,13 @@ import (
 // for both element types.
 
 const (
-	// mrTile×nrTile is the register micro-tile: 16 accumulators live in
-	// registers while each inner-loop iteration issues 8 loads and 16
-	// multiply-adds, versus 2 loads per multiply-add in the scalar loops.
+	// mrTile×nrTile is the register micro-tile: 32 accumulators (eight
+	// ymm registers of four lanes on amd64) live in registers while each
+	// inner-loop iteration issues 6 loads — one 64-byte packed B row and
+	// four A broadcasts — and 32 multiply-adds, versus 2 loads per
+	// multiply-add in the scalar loops.
 	mrTile = 4
-	nrTile = 4
+	nrTile = 8
 	// parallelMinMACs is the size cutover for intra-op parallelism:
 	// below this many multiply-accumulates the fork/join overhead
 	// outweighs the work and the kernel stays on the cheap serial path.
@@ -190,7 +193,7 @@ func floatGEMM(dst, a, b *Tensor, bias []float64, bT bool, op string) *Tensor {
 		panic(check.Invariantf("tensor: %s destination shape %v, want [%d %d]", op, dst.shape, m, n))
 	}
 	checkGEMM(dst.data, a.data, b.data, m, k, n, op)
-	gemm(dst.data, a.data, b.data, bias, m, k, n, bT, micro4x4, &floatPanels)
+	gemm(dst.data, a.data, b.data, bias, m, k, n, bT, micro4x8, &floatPanels)
 	return dst
 }
 
@@ -324,105 +327,69 @@ var (
 	intPanels   panelPool[int64]
 )
 
-// get returns a pooled n-element pack panel plus a 16-element
-// accumulator block for the micro-kernel, carved from one pooled buffer
-// so the steady state allocates nothing. The accumulator must live in
-// pooled memory (not the caller's frame): the micro-kernel is called
-// through a function value, so a stack-declared block would be marked
-// escaping and heap-allocated on every kernel invocation.
-func (pp *panelPool[T]) get(n int) (*[]T, []T, *[16]T) {
+// tileLen is the element count of one mrTile×nrTile register tile.
+const tileLen = mrTile * nrTile
+
+// get returns a pooled n-element pack panel plus a tileLen-element
+// scratch tile for the partial tiles, carved from one pooled buffer so
+// the steady state allocates nothing.
+func (pp *panelPool[T]) get(n int) (*[]T, []T, []T) {
 	p, _ := pp.pool.Get().(*[]T)
 	if p == nil {
 		p = new([]T)
 	}
-	if cap(*p) < n+16 {
-		*p = make([]T, n+16)
+	if cap(*p) < n+tileLen {
+		*p = make([]T, n+tileLen)
 	}
-	buf := (*p)[:n+16]
-	return p, buf[:n:n], (*[16]T)(buf[n:])
+	buf := (*p)[:n+tileLen]
+	return p, buf[:n:n], buf[n:]
 }
 
 func (pp *panelPool[T]) put(p *[]T) { pp.pool.Put(p) }
 
 // gemmRange is the blocked, register-tiled loop nest over dst rows
 // [i0, i1), for a @ b (b is k×n) or, with bT set, a @ bᵀ (b is n×k).
-// Each group of nrTile output columns is packed into a contiguous k×4
-// panel — columns of b gathered across its rows, or rows of b
-// transposed; a pure copy either way, values unchanged — so the inner
-// loop's b loads are sequential; the panel is then paired with mrTile
-// rows of a in the 4×4 micro-kernel, whose 16 accumulators each see
-// their terms in ascending-k order. bias (optional, length n) is added
-// after each element's reduction completes.
+// Each group of nrTile output columns is packed into a contiguous k×8
+// panel — one 64-byte row per k step, columns of b copied across its
+// rows, or rows of b transposed; a pure copy either way, values
+// unchanged — so the inner loop's b loads are sequential; the panel is
+// then paired with mrTile rows of a in the 4×8 micro-kernel, whose 32
+// accumulators each see their terms in ascending-k order. A full tile
+// is written by the micro-kernel straight into dst, bias (optional,
+// length n) added after each element's reduction completes.
 //
-// The tile tails go through the same micro-kernel: the last n mod 4
-// columns are packed beside zero columns, the last m mod 4 rows are
-// handed over with the final row repeated, and the padding's
-// accumulators are never stored. A stored element is still one
-// accumulator fed its own terms in ascending k, so a tail element
-// carries the bits an interior one would.
+// The tile tails go through the same micro-kernel into the scratch
+// tile: the last n mod 8 columns are packed beside zero columns, the
+// last m mod 4 rows are handed over with the final row repeated, and
+// only the real elements are copied out (bias added on the way). A
+// stored element is still one accumulator fed its own terms in
+// ascending k, so a tail element carries the bits an interior one
+// would.
 //
 //quq:hotpath the one blocked loop nest; scratch is the pooled pack panel
 func gemmRange[T elem](dst, a, b, bias []T, k, n, i0, i1 int, bT bool, micro microKernel[T], panels *panelPool[T]) {
 	if n == 0 || i0 >= i1 {
 		return
 	}
-	pp, packed, acc := panels.get(nrTile * k)
+	pp, packed, tile := panels.get(nrTile * k)
 	last := a[(i1-1)*k : (i1-1)*k+k]
 	for j := 0; j < n; j += nrTile {
 		nc := min(nrTile, n-j)
-		// full is where the full 4×4 tiles of this panel end; a column-tail
-		// panel has none.
+		pack(packed, b, k, n, j, nc, bT)
+		// full is where the full 4×8 tiles of this panel end; a
+		// column-tail panel has none.
 		full := i0
-		var bj0, bj1, bj2, bj3 T
-		switch {
-		case nc < nrTile:
-			packTail(packed, b, k, n, j, nc, bT)
-		case bT:
-			b0 := b[(j+0)*k : (j+0)*k+k]
-			b1 := b[(j+1)*k : (j+1)*k+k]
-			b2 := b[(j+2)*k : (j+2)*k+k]
-			b3 := b[(j+3)*k : (j+3)*k+k]
-			for kk := 0; kk < k; kk++ {
-				prow := packed[kk*nrTile : kk*nrTile+nrTile]
-				prow[0], prow[1], prow[2], prow[3] = b0[kk], b1[kk], b2[kk], b3[kk]
-			}
-		default:
-			boff := j
-			for kk := 0; kk < k; kk++ {
-				brow := b[boff : boff+nrTile]
-				prow := packed[kk*nrTile : kk*nrTile+nrTile]
-				prow[0], prow[1], prow[2], prow[3] = brow[0], brow[1], brow[2], brow[3]
-				boff += n
-			}
-		}
 		if nc == nrTile {
 			full = i1 - (i1-i0)%mrTile
+			var bj []T
 			if bias != nil {
-				bj0, bj1, bj2, bj3 = bias[j], bias[j+1], bias[j+2], bias[j+3]
+				bj = bias[j : j+nrTile]
 			}
-		}
-		for i := i0; i < full; i += mrTile {
-			a0 := a[(i+0)*k : (i+0)*k+k]
-			a1 := a[(i+1)*k : (i+1)*k+k]
-			a2 := a[(i+2)*k : (i+2)*k+k]
-			a3 := a[(i+3)*k : (i+3)*k+k]
-			micro(acc, a0, a1, a2, a3, packed, k)
-			if bias != nil {
-				for r := 0; r < len(acc); r += nrTile {
-					acc[r] += bj0
-					acc[r+1] += bj1
-					acc[r+2] += bj2
-					acc[r+3] += bj3
-				}
+			for i := i0; i < full; i += mrTile {
+				micro(dst[i*n+j:(i+mrTile-1)*n+j+nrTile], n, bj,
+					a[(i+0)*k:(i+0)*k+k], a[(i+1)*k:(i+1)*k+k],
+					a[(i+2)*k:(i+2)*k+k], a[(i+3)*k:(i+3)*k+k], packed, k)
 			}
-			d0 := dst[(i+0)*n+j : (i+0)*n+j+nrTile]
-			d1 := dst[(i+1)*n+j : (i+1)*n+j+nrTile]
-			d2 := dst[(i+2)*n+j : (i+2)*n+j+nrTile]
-			d3 := dst[(i+3)*n+j : (i+3)*n+j+nrTile]
-			d0[0], d0[1], d0[2], d0[3] = acc[0], acc[1], acc[2], acc[3]
-			d1[0], d1[1], d1[2], d1[3] = acc[4], acc[5], acc[6], acc[7]
-			d2[0], d2[1], d2[2], d2[3] = acc[8], acc[9], acc[10], acc[11]
-			d3[0], d3[1], d3[2], d3[3] = acc[12], acc[13], acc[14], acc[15]
 		}
 		// The partial tiles. Rows past the last are the last again: read,
 		// multiplied and dropped.
@@ -432,11 +399,11 @@ func gemmRange[T elem](dst, a, b, bias []T, k, n, i0, i1 int, bT bool, micro mic
 			for r := 0; r < mr; r++ {
 				rows[r] = a[(i+r)*k : (i+r)*k+k]
 			}
-			micro(acc, rows[0], rows[1], rows[2], rows[3], packed, k)
+			micro(tile, nrTile, nil, rows[0], rows[1], rows[2], rows[3], packed, k)
 			for r := 0; r < mr; r++ {
 				drow := dst[(i+r)*n+j : (i+r)*n+j+nc]
 				for c := range drow {
-					v := acc[r*nrTile+c]
+					v := tile[r*nrTile+c]
 					if bias != nil {
 						v += bias[j+c]
 					}
@@ -448,21 +415,31 @@ func gemmRange[T elem](dst, a, b, bias []T, k, n, i0, i1 int, bT bool, micro mic
 	panels.put(pp)
 }
 
-// packTail packs the last nc < nrTile columns of the product (columns j
-// onwards of b, or rows j onwards with bT set) into the k×4 panel beside
-// zero columns, whose accumulators gemmRange never stores.
-func packTail[T elem](packed, b []T, k, n, j, nc int, bT bool) {
-	for kk := 0; kk < k; kk++ {
-		prow := packed[kk*nrTile : kk*nrTile+nrTile]
-		for c := range prow {
-			switch {
-			case c >= nc:
-				prow[c] = 0
-			case bT:
-				prow[c] = b[(j+c)*k+kk]
-			default:
-				prow[c] = b[kk*n+j+c]
+// pack copies the nc ≤ nrTile product columns starting at j (columns of
+// b, or rows of b with bT set) into the k×8 panel, zero-filling columns
+// nc..7 of a tail panel; gemmRange never stores their accumulators.
+func pack[T elem](packed, b []T, k, n, j, nc int, bT bool) {
+	switch {
+	case bT:
+		for c := 0; c < nc; c++ {
+			for kk, v := range b[(j+c)*k : (j+c)*k+k] {
+				packed[kk*nrTile+c] = v
 			}
+		}
+	case nc == nrTile:
+		// Spelled out: a copy call per 64-byte row costs more than the row.
+		for kk := 0; kk < k; kk++ {
+			p, q := packed[kk*nrTile:kk*nrTile+nrTile], b[kk*n+j:kk*n+j+nrTile]
+			p[0], p[1], p[2], p[3], p[4], p[5], p[6], p[7] = q[0], q[1], q[2], q[3], q[4], q[5], q[6], q[7]
+		}
+	default:
+		for kk := 0; kk < k; kk++ {
+			copy(packed[kk*nrTile:kk*nrTile+nc], b[kk*n+j:kk*n+j+nc])
+		}
+	}
+	if nc < nrTile {
+		for kk := 0; kk < k; kk++ {
+			clear(packed[kk*nrTile+nc : kk*nrTile+nrTile])
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"sync"
 	"testing"
@@ -149,9 +150,9 @@ var intAPI = gemmAPI[int64]{
 	ref:   IntMatMulRef,
 }
 
-// gemmShapes covers the tile interior, every edge-tile combination (m, n
-// not multiples of 4), and the degenerate shapes (k=0, single row,
-// single column, empty).
+// gemmShapes covers the tile interior, every edge-tile combination (m
+// not a multiple of 4, n not a multiple of 8), and the degenerate shapes
+// (k=0, single row, single column, empty).
 var gemmShapes = []struct{ m, k, n int }{
 	{0, 3, 3}, {3, 0, 3}, {3, 3, 0},
 	{1, 1, 1}, {1, 5, 1}, {5, 1, 1}, {1, 7, 9},
@@ -161,17 +162,21 @@ var gemmShapes = []struct{ m, k, n int }{
 }
 
 // The tile tails, exhaustively: every m mod 4 ∈ {1,2,3} against every
-// n mod 4 ∈ {0,1,2,3}, behind one full tile and alone (m < 4, where the
-// padded rows are all the kernel gets), at k = 0 (the micro-kernel's
-// zeroing path), k = 1 and a forward-sized k. Both element types and
-// both bT forms run the table.
+// n mod 8 ∈ {0..7}, behind a full tile and alone — m < 4, where the
+// padded rows are all the kernel gets, and n < 8, where the zero-padded
+// column panel is — at k = 0 (the micro-kernel's zeroing path), k = 1
+// and a forward-sized k. Both element types and both bT forms run the
+// table.
 func init() {
 	for _, k := range []int{0, 1, 96} {
 		for mm := 1; mm <= 3; mm++ {
-			for nn := 0; nn <= 3; nn++ {
+			for nn := 0; nn < nrTile; nn++ {
 				gemmShapes = append(gemmShapes,
-					struct{ m, k, n int }{4 + mm, k, 4 + nn},
-					struct{ m, k, n int }{mm, k, 8 + nn})
+					struct{ m, k, n int }{mrTile + mm, k, nrTile + nn},
+					struct{ m, k, n int }{mm, k, nrTile + nn})
+				if nn > 0 {
+					gemmShapes = append(gemmShapes, struct{ m, k, n int }{mrTile + mm, k, nn})
+				}
 			}
 		}
 	}
@@ -220,37 +225,90 @@ func TestMatMulBiasIntoMatchesRef(t *testing.T) {
 	}
 }
 
+// TestMatMulBiasNegativeZero pins the bias add to after the reduction:
+// every product is −0, so the sum is +0 and fl(+0 + −0) = +0, where a
+// bias folded in first (−0 + −0 + …) would store −0. One full tile and
+// both tails run it.
+func TestMatMulBiasNegativeZero(t *testing.T) {
+	const m, k, n = mrTile + 1, 3, nrTile + 1
+	a := New(m, k)
+	a.Fill(1)
+	b := New(k, n)
+	b.Fill(math.Copysign(0, -1))
+	bias := make([]float64, n)
+	for i := range bias {
+		bias[i] = math.Copysign(0, -1)
+	}
+	got := MatMulBiasInto(New(m, n), a, b, bias)
+	assertBitEqual(t, "MatMulBiasInto", got, MatMulRef(a, b).AddRowVector(bias))
+	for i, v := range got.Data() {
+		if math.Signbit(v) {
+			t.Fatalf("element %d = −0, want +0", i)
+		}
+	}
+}
+
+// TestPortableDriverMatchesRef reruns the driver's shape and
+// parallelism cases with both vector kernels swapped for the portable
+// one, so the path arm64 and non-AVX CPUs take is executed here too,
+// not only compiled.
+func TestPortableDriverMatchesRef(t *testing.T) {
+	float, narrow := micro4x8, intMicro4x8Narrow
+	t.Cleanup(func() { micro4x8, intMicro4x8Narrow = float, narrow })
+	micro4x8, intMicro4x8Narrow = micro4x8Go[float64], nil
+	testIntoMatchesRef(t, floatAPI, 11)
+	testIntoMatchesRef(t, intAPI, 21)
+	TestMatMulTIntoMatchesRef(t)
+	TestMatMulBiasIntoMatchesRef(t)
+	testParallelMatchesSerial(t, floatAPI, 15)
+	testParallelMatchesSerial(t, intAPI, 24)
+}
+
 // TestPortableMicroKernel runs the generic portable micro-kernel
 // directly — on an AVX machine no GEMM entry point ever reaches it for
 // float64 or narrow int64 operands — against a naive per-element dot
 // product and against the vector kernel init selected for the same
 // operands (nil where there is none: wide int64, or a non-amd64 build).
+// The tile sits inside a wider destination (ldd > 8) filled with
+// sentinels, so a store outside the four 8-element row windows shows.
 func TestPortableMicroKernel(t *testing.T) {
-	testPortableMicro(t, "float64", randFloats, micro4x4)
-	testPortableMicro(t, "int64 narrow", randNarrowInt64s, intMicro4x4Narrow)
+	testPortableMicro(t, "float64", randFloats, micro4x8)
+	testPortableMicro(t, "int64 narrow", randNarrowInt64s, intMicro4x8Narrow)
 	testPortableMicro(t, "int64 wide", randInt64s, nil)
 }
 
 func testPortableMicro[T elem](t *testing.T, name string, fill func(*rng.Source, int) []T, vec microKernel[T]) {
+	const ldd, off, sentinel = nrTile + 5, 3, 77
 	src := rng.New(19)
 	for _, k := range []int{0, 1, 7, 513} {
-		rows := [4][]T{fill(src, k), fill(src, k), fill(src, k), fill(src, k)}
-		bp := fill(src, 4*k)
-		var want, got [16]T
-		for r, row := range rows {
-			for j := 0; j < 4; j++ {
-				for kk, av := range row {
-					want[r*4+j] += av * bp[kk*4+j]
-				}
-				got[r*4+j] = 1 // stale accumulator contents must be overwritten, k=0 included
+		rows := [mrTile][]T{fill(src, k), fill(src, k), fill(src, k), fill(src, k)}
+		bp := fill(src, nrTile*k)
+		for _, bias := range [][]T{nil, fill(src, nrTile)} {
+			label := fmt.Sprintf("%s k=%d bias=%t", name, k, bias != nil)
+			want := make([]T, off+mrTile*ldd)
+			for i := range want {
+				want[i] = sentinel
 			}
-		}
-		vecGot := got
-		micro4x4Go(&got, rows[0], rows[1], rows[2], rows[3], bp, k)
-		assertSlicesEqual(t, name+" portable vs naive", got[:], want[:])
-		if vec != nil {
-			vec(&vecGot, rows[0], rows[1], rows[2], rows[3], bp, k)
-			assertSlicesEqual(t, name+" vector vs portable", vecGot[:], got[:])
+			got := append([]T(nil), want...)
+			for r, row := range rows {
+				for j := 0; j < nrTile; j++ {
+					var s T
+					for kk, av := range row {
+						s += av * bp[kk*nrTile+j]
+					}
+					if bias != nil {
+						s += bias[j]
+					}
+					want[off+r*ldd+j] = s
+				}
+			}
+			vecGot := append([]T(nil), got...)
+			micro4x8Go(got[off:], ldd, bias, rows[0], rows[1], rows[2], rows[3], bp, k)
+			assertSlicesEqual(t, label+" portable vs naive", got, want)
+			if vec != nil {
+				vec(vecGot[off:], ldd, bias, rows[0], rows[1], rows[2], rows[3], bp, k)
+				assertSlicesEqual(t, label+" vector vs portable", vecGot, got)
+			}
 		}
 	}
 }
@@ -546,6 +604,11 @@ func FuzzGEMMEquivalence(f *testing.F) {
 	f.Add(int64(3), uint8(1), uint8(0), uint8(1))
 	f.Add(int64(4), uint8(17), uint8(16), uint8(17))
 	f.Add(int64(5), uint8(65), uint8(33), uint8(70))
+	// The column tails either side of one and two 8-wide panels.
+	f.Add(int64(6), uint8(5), uint8(7), uint8(7))
+	f.Add(int64(7), uint8(6), uint8(9), uint8(9))
+	f.Add(int64(8), uint8(7), uint8(15), uint8(15))
+	f.Add(int64(9), uint8(9), uint8(17), uint8(17))
 	f.Fuzz(func(t *testing.T, seed int64, m8, k8, n8 uint8) {
 		m, k, n := int(m8%80), int(k8%80), int(n8%80)
 		src := rng.New(uint64(seed))
@@ -583,6 +646,11 @@ func FuzzIntGEMMEquivalence(f *testing.F) {
 	f.Add(int64(3), uint8(1), uint8(0), uint8(1))
 	f.Add(int64(4), uint8(17), uint8(16), uint8(17))
 	f.Add(int64(5), uint8(65), uint8(33), uint8(70))
+	// The column tails either side of one and two 8-wide panels.
+	f.Add(int64(6), uint8(5), uint8(7), uint8(7))
+	f.Add(int64(7), uint8(6), uint8(9), uint8(9))
+	f.Add(int64(8), uint8(7), uint8(15), uint8(15))
+	f.Add(int64(9), uint8(9), uint8(17), uint8(17))
 	f.Fuzz(func(t *testing.T, seed int64, m8, k8, n8 uint8) {
 		m, k, n := int(m8%80), int(k8%80), int(n8%80)
 		src := rng.New(uint64(seed))
@@ -608,3 +676,47 @@ func FuzzIntGEMMEquivalence(f *testing.F) {
 		check("parallel")
 	})
 }
+
+// BenchmarkGEMMViTS times the served ViT-S GEMMs one shape at a time and
+// reports GFLOP/s (2·m·k·n per call): the four weight GEMMs of a stacked
+// 4-image batch (m = 4 × 66 tokens, bias fused) and the two per-head
+// attention GEMMs. Run with
+//
+//	go test -run '^$' -bench GEMMViTS -benchtime 200x ./internal/tensor/
+func BenchmarkGEMMViTS(b *testing.B) {
+	const tokens, dim, heads = 66, 96, 3
+	const rows = 4 * tokens
+	cases := []struct {
+		name    string
+		m, k, n int
+		run     func(dst, a, w *Tensor, bias []float64)
+		wT      bool
+	}{
+		{"qkv", rows, dim, 3 * dim, biasInto, false},
+		{"proj", rows, dim, dim, biasInto, false},
+		{"fc1", rows, dim, 4 * dim, biasInto, false},
+		{"fc2", rows, 4 * dim, dim, biasInto, false},
+		{"scores", tokens, dim / heads, tokens, func(dst, a, w *Tensor, _ []float64) { MatMulTInto(dst, a, w) }, true},
+		{"context", tokens, tokens, dim / heads, func(dst, a, w *Tensor, _ []float64) { MatMulInto(dst, a, w) }, false},
+	}
+	for _, c := range cases {
+		b.Run(fmt.Sprintf("%s_%dx%dx%d", c.name, c.m, c.k, c.n), func(b *testing.B) {
+			src := rng.New(31)
+			a := randTensor(src, c.m, c.k)
+			w := randTensor(src, c.k, c.n)
+			if c.wT {
+				w = randTensor(src, c.n, c.k)
+			}
+			bias := randFloats(src, c.n)
+			dst := New(c.m, c.n)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c.run(dst, a, w, bias)
+			}
+			flops := 2 * float64(c.m*c.k*c.n) * float64(b.N)
+			b.ReportMetric(flops/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+		})
+	}
+}
+
+func biasInto(dst, a, w *Tensor, bias []float64) { MatMulBiasInto(dst, a, w, bias) }
