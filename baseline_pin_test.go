@@ -1,8 +1,10 @@
 // The bit-level pin on every quantization method: ViT-Nano at 6 bits,
 // each method in both regimes, held to committed digests of what it
 // calibrated (the snapshot payload: weights and site quantizers) and of
-// what it serves (a stacked forward's logits). QUQ keys are also held by
-// the benchmark's cold-keys digests; the comparison methods only here.
+// what it serves (a stacked forward's logits). QUQ is pinned at every
+// other bit-width the cold keys use too (4, 5, 7 and 8): PRA's quantile
+// walk stops at a different q for each. QUQ keys are also held by the
+// benchmark's cold-keys digests; the comparison methods only here.
 //
 // A deliberate change of any method's arithmetic re-pins with
 //
@@ -42,11 +44,9 @@ func TestBaselinePin(t *testing.T) {
 	cfg := vit.ViTNano
 	imgs := data.Images(cfg, 3, 2)
 	got := map[string]pinCell{}
-	for _, method := range []ptq.Method{
-		ptq.NewQUQ(), baselines.BaseQ{}, baselines.PTQ4ViT{}, baselines.APQViT{}, baselines.FQViT{}, baselines.BiScaled{},
-	} {
-		for regime, qm := range bothRegimes(t, cfg, method) {
-			key := serve.Key{Config: cfg.Name, Method: method.Name(), Bits: 6, Regime: regime}.String()
+	pin := func(method ptq.Method, bits int) {
+		for regime, qm := range bothRegimesAt(t, cfg, method, bits) {
+			key := serve.Key{Config: cfg.Name, Method: method.Name(), Bits: bits, Regime: regime}.String()
 			_, digest, err := snapstore.Encode(key, qm)
 			if err != nil {
 				t.Fatalf("%s: %v", key, err)
@@ -59,6 +59,14 @@ func TestBaselinePin(t *testing.T) {
 			}
 			got[key] = pinCell{Snapshot: digest, Logits: hex.EncodeToString(h.Sum(nil))}
 		}
+	}
+	for _, method := range []ptq.Method{
+		ptq.NewQUQ(), baselines.BaseQ{}, baselines.PTQ4ViT{}, baselines.APQViT{}, baselines.FQViT{}, baselines.BiScaled{},
+	} {
+		pin(method, 6)
+	}
+	for _, bits := range []int{4, 5, 7, 8} {
+		pin(ptq.NewQUQ(), bits)
 	}
 
 	path := filepath.Join("testdata", "baseline_pin.json")

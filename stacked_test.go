@@ -21,11 +21,17 @@ import (
 // and the Full model over the shared results, the way the registry does.
 func bothRegimes(tb testing.TB, cfg vit.Config, method ptq.Method) map[ptq.Regime]*ptq.QuantizedModel {
 	tb.Helper()
+	return bothRegimesAt(tb, cfg, method, 6)
+}
+
+// bothRegimesAt is bothRegimes at bits.
+func bothRegimesAt(tb testing.TB, cfg vit.Config, method ptq.Method, bits int) map[ptq.Regime]*ptq.QuantizedModel {
+	tb.Helper()
 	m := vit.New(cfg, 1)
 	stats := ptq.Collect(m, data.CalibrationSet(cfg, 4, 3), 0)
-	gemmIn := ptq.CalibrateSites(stats, vit.KindGEMMIn, method, 6)
-	acts := ptq.CalibrateSites(stats, vit.KindActivation, method, 6)
-	w := ptq.QuantizeWeights(m, stats, method, 6)
+	gemmIn := ptq.CalibrateSites(stats, vit.KindGEMMIn, method, bits)
+	acts := ptq.CalibrateSites(stats, vit.KindActivation, method, bits)
+	w := ptq.QuantizeWeights(m, stats, method, bits)
 	return map[ptq.Regime]*ptq.QuantizedModel{
 		ptq.Partial: ptq.Assemble(w, ptq.Partial, gemmIn, acts),
 		ptq.Full:    ptq.Assemble(w, ptq.Full, gemmIn, acts),
