@@ -38,6 +38,7 @@ type SiteStats struct {
 }
 
 // observe folds one tensor into the statistics via reservoir sampling.
+// It walks the tensor row by row, so an element's channel is its column.
 func (s *SiteStats) observe(x *tensor.Tensor) {
 	d := x.Data()
 	cols := x.Dim(x.Rank() - 1)
@@ -46,33 +47,37 @@ func (s *SiteStats) observe(x *tensor.Tensor) {
 		s.ChanAbsMax = make([]float64, cols)
 		s.ChanSqSum = make([]float64, cols)
 	}
+	if s.seen == 0 && len(d) > 0 {
+		s.Min, s.Max = d[0], d[0]
+	}
 	trackChans := cols == s.LastDim
-	for i, v := range d {
-		if s.seen == 0 || v < s.Min {
-			s.Min = v
-		}
-		if s.seen == 0 || v > s.Max {
-			s.Max = v
-		}
-		if trackChans {
-			ch := i % cols
-			if a := math.Abs(v); a > s.ChanAbsMax[ch] {
-				s.ChanAbsMax[ch] = a
+	if trackChans {
+		s.chanCount += int64(len(d))
+	}
+	for r := 0; r < len(d); r += cols {
+		for c, v := range d[r : r+cols] {
+			if v < s.Min {
+				s.Min = v
 			}
-			s.ChanSqSum[ch] += v * v
-			s.chanCount++
-		}
-		s.seen++
-		ch := int32(-1)
-		if trackChans {
-			ch = int32(i % cols)
-		}
-		if len(s.Samples) < s.cap {
-			s.Samples = append(s.Samples, v)
-			s.SampleChans = append(s.SampleChans, ch)
-		} else if j := s.src.Intn(int(s.seen)); j < s.cap {
-			s.Samples[j] = v
-			s.SampleChans[j] = ch
+			if v > s.Max {
+				s.Max = v
+			}
+			ch := int32(-1)
+			if trackChans {
+				ch = int32(c)
+				if a := math.Abs(v); a > s.ChanAbsMax[c] {
+					s.ChanAbsMax[c] = a
+				}
+				s.ChanSqSum[c] += v * v
+			}
+			s.seen++
+			if len(s.Samples) < s.cap {
+				s.Samples = append(s.Samples, v)
+				s.SampleChans = append(s.SampleChans, ch)
+			} else if j := s.src.Intn(int(s.seen)); j < s.cap {
+				s.Samples[j] = v
+				s.SampleChans[j] = ch
+			}
 		}
 	}
 }

@@ -2,7 +2,9 @@ package quant
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
+	"reflect"
 	"testing"
 )
 
@@ -33,24 +35,60 @@ func fuzzSeed(vals ...float64) []byte {
 	return b
 }
 
-// FuzzPRA asserts the Algorithm 2 contract on arbitrary finite
-// calibration slices: PRA never panics and always returns a parameter
-// set satisfying the Eq. (4) power-of-two invariant (Validate == nil),
-// whose fake-quantized values are finite.
-func FuzzPRA(f *testing.F) {
-	f.Add(fuzzSeed(0.1, -0.2, 3.5, -4.25, 0.01, 12.0), uint8(6))
-	f.Add(fuzzSeed(1, 2, 4, 8, 1024), uint8(8))
-	f.Add(fuzzSeed(-0.5, -0.25, -1e-3), uint8(5))             // one-signed: Mode B
-	f.Add(fuzzSeed(1e-310, 2e300, -1e-310, -2e300), uint8(3)) // denormal + near-overflow
-	f.Add(fuzzSeed(0, 0, 0), uint8(4))                        // all-zero tensor
-	f.Add(fuzzSeed(0.001, 0.002, 100000), uint8(6))           // extreme tail
+// fuzzPRAOptions decodes PRAOptions from the fuzz payload: QInit in
+// [0, 1], QAccept in [-0.5, 1.5], QStep in (0, 1] no finer than 1/1024,
+// λ_A in [0, 16). Options whose quantile walk leaves [0, 1] are among
+// them; PRA must reject those.
+func fuzzPRAOptions(qInit, qAccept, qStep uint16, lambda uint8, noSwitch bool) PRAOptions {
+	return PRAOptions{
+		LambdaA:           float64(lambda) / 16,
+		QInit:             float64(qInit) / math.MaxUint16,
+		QAccept:           2*float64(qAccept)/math.MaxUint16 - 0.5,
+		QStep:             float64(1+qStep%1024) / 1024,
+		DisableModeSwitch: noSwitch,
+	}
+}
 
-	f.Fuzz(func(t *testing.T, data []byte, bitsRaw uint8) {
+// FuzzPRA asserts the Algorithm 2 contract on arbitrary finite
+// calibration slices and options: PRA returns a parameter set satisfying
+// the Eq. (4) power-of-two invariant (Validate == nil), whose
+// fake-quantized values are finite, and equal to praReference's — the
+// same algorithm over fully sorted magnitudes. It panics, with a
+// check.InvariantError, exactly on options whose quantile walk praQMin
+// rejects.
+func FuzzPRA(f *testing.F) {
+	// The paper's settings, as close as the decoding gets.
+	for _, seed := range []struct {
+		data []byte
+		bits uint8
+	}{
+		{fuzzSeed(0.1, -0.2, 3.5, -4.25, 0.01, 12.0), 6},
+		{fuzzSeed(1, 2, 4, 8, 1024), 8},
+		{fuzzSeed(-0.5, -0.25, -1e-3), 5},             // one-signed: Mode B
+		{fuzzSeed(1e-310, 2e300, -1e-310, -2e300), 3}, // denormal + near-overflow
+		{fuzzSeed(0, 0, 0), 4},                        // all-zero tensor
+		{fuzzSeed(0.001, 0.002, 100000), 6},           // extreme tail
+	} {
+		f.Add(seed.data, seed.bits, uint16(64880), uint16(31129), uint16(9), uint8(64), false)
+	}
+	f.Add(fuzzSeed(-1, -0.5, 0.5, 1, 2, 3), uint8(6), uint16(65535), uint16(16384), uint16(0), uint8(255), false) // walk from 1 to 0 in 1024 steps
+	f.Add(fuzzSeed(-1, -0.5, 0.5, 1, 2, 3), uint8(6), uint16(20000), uint16(0), uint16(100), uint8(255), false)   // walk below 0: rejected
+	f.Add(fuzzSeed(-3, -1, 0.5, 0.75, 2, 3, 4), uint8(5), uint16(0), uint16(65535), uint16(0), uint8(255), true)  // QInit 0, no switch
+
+	f.Fuzz(func(t *testing.T, data []byte, bitsRaw uint8, qInit, qAccept, qStep uint16, lambda uint8, noSwitch bool) {
 		bits := 3 + int(bitsRaw%6) // 3..8, the useful PTQ range
 		xs := fuzzFloats(data)
-		p := PRA(xs, bits, DefaultPRAOptions())
+		opts := fuzzPRAOptions(qInit, qAccept, qStep, lambda, noSwitch)
+		if walkPanics(opts) {
+			mustInvariantPanic(t, fmt.Sprintf("PRA under %+v", opts), func() { PRA(xs, bits, opts) })
+			return
+		}
+		p := PRA(xs, bits, opts)
 		if err := p.Validate(); err != nil {
 			t.Fatalf("PRA returned invalid params for %d samples at %d bits: %v\n%v", len(xs), bits, err, p)
+		}
+		if want := praReference(xs, bits, opts); !reflect.DeepEqual(p, want) {
+			t.Fatalf("PRA under %+v at %d bits on %d samples = %v, over fully sorted magnitudes %v", opts, bits, len(xs), p, want)
 		}
 		for i, x := range xs {
 			if i == 64 {
@@ -61,6 +99,13 @@ func FuzzPRA(f *testing.F) {
 			}
 		}
 	})
+}
+
+// walkPanics reports whether praQMin rejects opts.
+func walkPanics(opts PRAOptions) (panicked bool) {
+	defer func() { panicked = recover() != nil }()
+	praQMin(opts)
+	return false
 }
 
 // FuzzQuantizeSlice holds the kernel to its specification on inputs no

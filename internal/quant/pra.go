@@ -2,6 +2,7 @@ package quant
 
 import (
 	"math"
+	"math/bits"
 	"quq/internal/check"
 	"sort"
 )
@@ -59,11 +60,14 @@ func Relax(d1, d2 float64) (float64, float64) {
 // about zero, Algorithm 2 runs on the symmetric tensor, and the mirror
 // side's encoding space is merged into the occupied side (doubling its
 // resolution). An all-zero tensor yields a trivial uniform quantizer.
+//
+// PRA panics on options whose quantile walk (see praQMin) leaves [0, 1]
+// or does not stop.
 func PRA(xs []float64, bits int, opts PRAOptions) *Params {
 	if bits < 3 {
 		panic(check.Invariantf("quant: PRA requires at least 3 bits, got %d", bits))
 	}
-	neg, pos := splitMagnitudes(xs)
+	neg, pos := splitMagnitudes(xs, praQMin(opts))
 	var p *Params
 	switch {
 	case len(neg) == 0 && len(pos) == 0:
@@ -97,11 +101,53 @@ var (
 	praMagCeil  = math.Ldexp(1, 500)
 )
 
+// praMaxRelax bounds the quantile walk of praQMin, and so the depth of
+// praCore's recursion: the paper's settings take 4 steps, and a step of
+// 0.001 walks all of [0, 1] in 1000.
+const praMaxRelax = 1 << 10
+
+// relaxes reports whether Algorithm 2 may still relax the quantile q
+// (q has not yet reached q_A).
+func (o PRAOptions) relaxes(q float64) bool { return q > o.QAccept+1e-9 }
+
+// praQMin returns the smallest quantile praCore can read under opts. It
+// takes the same float steps praCore's relaxation does — from QInit,
+// q -= QStep while relaxes(q), or QInit alone under DisableModeSwitch —
+// so every q praCore reads is at least the value returned.
+//
+// It panics if QInit lies outside [0, 1], or if the walk leaves [0, 1],
+// stalls (QStep ≤ 0, NaN, or below q's precision) or takes more than
+// praMaxRelax steps: praCore would index outside the magnitudes or
+// recurse without bound.
+func praQMin(opts PRAOptions) float64 {
+	q := opts.QInit
+	if !(q >= 0 && q <= 1) {
+		panic(check.Invariantf("quant: PRA requires QInit in [0, 1], got %v", q))
+	}
+	if opts.DisableModeSwitch {
+		return q
+	}
+	for steps := 0; opts.relaxes(q); steps++ {
+		next := q - opts.QStep
+		if !(next < q) || next < 0 || steps == praMaxRelax {
+			panic(check.Invariantf("quant: PRA's quantile walk from QInit %v by QStep %v to QAccept %v must descend within [0, 1] and stop within %d steps",
+				opts.QInit, opts.QStep, opts.QAccept, praMaxRelax))
+		}
+		q = next
+	}
+	return q
+}
+
 // splitMagnitudes separates xs into the magnitudes of its negative
-// elements and its positive elements (Algorithm 2 line 3), sorted
-// ascending so quantiles are cheap. Magnitudes are clamped into
-// [praMagFloor, praMagCeil]; see the bound comment above.
-func splitMagnitudes(xs []float64) (neg, pos []float64) {
+// elements and of its positive elements (Algorithm 2 line 3), as the
+// two ends of one buffer. Each side is in ascending order only from
+// sortedQuantile's lower index at qMin upward, the part Algorithm 2
+// reads for any q ≥ qMin; below it the order is arbitrary. Magnitudes
+// are clamped into [praMagFloor, praMagCeil]; see the bound comment
+// above.
+func splitMagnitudes(xs []float64, qMin float64) (neg, pos []float64) {
+	buf := make([]float64, len(xs))
+	i, j := 0, len(buf)
 	for _, v := range xs {
 		m := math.Abs(v)
 		if m < praMagFloor {
@@ -111,14 +157,95 @@ func splitMagnitudes(xs []float64) (neg, pos []float64) {
 			m = praMagCeil
 		}
 		if v > 0 {
-			pos = append(pos, m)
+			j--
+			buf[j] = m
 		} else {
-			neg = append(neg, m)
+			buf[i] = m
+			i++
 		}
 	}
-	sort.Float64s(neg)
-	sort.Float64s(pos)
+	neg, pos = buf[:i], buf[j:]
+	for _, side := range [][]float64{neg, pos} {
+		if n := len(side); n > 0 {
+			sortFrom(side, int(math.Floor(qMin*float64(n-1))), 3*bits.Len(uint(n)))
+		}
+	}
 	return neg, pos
+}
+
+// sortFrom reorders xs so that xs[k:] holds exactly what sort.Float64s
+// would put there (ascending, NaNs first); xs[:k] is left in arbitrary
+// order. It quickselects index k with three-way partitions around a
+// sampled estimate of the k-th value, then sorts the tail. After budget
+// partitions the remaining range is sorted outright, so the work stays
+// O(n log n) on inputs that defeat the sample.
+func sortFrom(xs []float64, k, budget int) {
+	// NaNs order first: gather them at the front, then select among the
+	// rest with plain comparisons.
+	nan := 0
+	for i, v := range xs {
+		if math.IsNaN(v) {
+			xs[i], xs[nan] = xs[nan], v
+			nan++
+		}
+	}
+	k = max(k, nan)
+	// Invariant: every element of xs[:lo] ≤ every element of xs[lo:hi]
+	// ≤ every element of xs[hi:], and xs[k:lo] is in its final order.
+	lo, hi := nan, len(xs)
+	for hi-lo > 16 && budget > 0 {
+		budget--
+		lt, gt := partition3(xs[lo:hi], samplePivot(xs[lo:hi], k-lo))
+		lt, gt = lo+lt, lo+gt
+		switch {
+		case k < lt:
+			hi = lt
+		case k >= gt:
+			lo = gt
+		default:
+			// xs[k:gt] all equal the pivot: only xs[gt:] is unordered.
+			lo, hi = gt, gt
+		}
+	}
+	sort.Float64s(xs[lo:hi])
+	sort.Float64s(xs[hi:])
+}
+
+// samplePivot estimates the k-th smallest of NaN-free xs (len(xs) ≥ 2,
+// k < len(xs)) as the element of matching rank among 32 evenly strided
+// samples. One partition around it leaves k in a range a few percent of
+// len(xs) wide, and the partition's branches are as predictable as the
+// pivot's rank is lopsided (PRA's k sits near the top).
+func samplePivot(xs []float64, k int) float64 {
+	const m = 32
+	var s [m]float64
+	n := len(xs)
+	for i := range s {
+		s[i] = xs[i*(n-1)/(m-1)]
+	}
+	sort.Float64s(s[:])
+	return s[k*(m-1)/(n-1)]
+}
+
+// partition3 partitions NaN-free xs around p, which xs holds, into
+// xs[:lt] < p, xs[lt:gt] == p and xs[gt:] > p.
+func partition3(xs []float64, p float64) (lt, gt int) {
+	i := 0
+	lt, gt = 0, len(xs)
+	for i < gt {
+		switch v := xs[i]; {
+		case v < p:
+			xs[lt], xs[i] = v, xs[lt]
+			lt++
+			i++
+		case v > p:
+			gt--
+			xs[gt], xs[i] = v, xs[gt]
+		default:
+			i++
+		}
+	}
+	return lt, gt
 }
 
 // sortedQuantile is the linear-interpolation quantile of an ascending
@@ -157,7 +284,7 @@ func praCore(neg, pos []float64, bits int, opts PRAOptions, q float64) *Params {
 
 	if !opts.DisableModeSwitch {
 		switch {
-		case ratioN < lam && ratioP < lam && q > opts.QAccept+1e-9:
+		case ratioN < lam && ratioP < lam && opts.relaxes(q):
 			// Both partitions waste encoding space: relax Principle ②
 			// (fine coverage) by retrying with a smaller quantile.
 			return praCore(neg, pos, bits, opts, q-opts.QStep)
