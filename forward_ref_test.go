@@ -307,8 +307,8 @@ func TestForwardLogitsMatchPrePR(t *testing.T) {
 // sites in the same order with the same shapes and the same quantized
 // bits.
 func TestTapSeesWhatThePrePRTapSaw(t *testing.T) {
-	// A site's tensor goes on being written after its tap (softmax and
-	// GELU work in place), so what the tap saw is copied out.
+	// The replica's softmax and GELU write their input in place after
+	// its tap, so what each tap saw is copied out.
 	type shown struct {
 		site  vit.Site
 		shape []int

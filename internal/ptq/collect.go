@@ -2,6 +2,9 @@ package ptq
 
 import (
 	"math"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"quq/internal/rng"
 	"quq/internal/tensor"
@@ -115,35 +118,80 @@ func (s *SiteStats) ChanMeanSq() []float64 {
 	return out
 }
 
+// collectChunk is how many calibration images Collect stacks into one
+// forward: the served request width, past which stacking gains flatten
+// (docs/TUNING.md) while the site tensors a chunk retains keep growing.
+const collectChunk = 4
+
 // Collect runs the model in FP32 over the calibration images and gathers
 // SiteStats for every activation site. maxSamples caps each reservoir
 // (0 = 32768).
+//
+// The images go through m.ForwardBatch collectChunk at a time. The tap
+// only records what each site was shown, in first-seen site order; once
+// a chunk's forward returns, min(GOMAXPROCS, sites) goroutines observe
+// its sites, taking them by an atomic index, while the next chunk's
+// forward runs. The statistics are bit-identical to observing one image
+// at a time on the forward's goroutine: a stacked site tensor is its
+// images' tensors one after another (vit.Model.ForwardBatch), a kept
+// tensor keeps the bits the tap was shown (vit.Tap), each site owns its
+// reservoir source (seeded by hashKey of its key alone), and each site is
+// observed by one goroutine at a time, chunk after chunk, in tap order —
+// the observers of chunk k are joined before chunk k+1's are started.
 func Collect(m vit.Model, images []*tensor.Tensor, maxSamples int) map[string]*SiteStats {
 	if maxSamples <= 0 {
 		maxSamples = 32768
 	}
 	stats := make(map[string]*SiteStats)
+	var (
+		sites []*SiteStats       // first-seen order
+		index = map[string]int{} // site key -> position in sites
+		shown [][]*tensor.Tensor // per site, the chunk's tensors in tap order
+		obs   sync.WaitGroup     // the observers of the previous chunk
+	)
 	tap := func(site vit.Site, x *tensor.Tensor) *tensor.Tensor {
 		key := site.Key()
-		st, ok := stats[key]
+		i, ok := index[key]
 		if !ok {
-			st = &SiteStats{
-				Site: site,
-				cap:  maxSamples,
-				src:  rng.New(hashKey(key)),
-			}
+			i = len(sites)
+			index[key] = i
+			st := &SiteStats{Site: site, cap: maxSamples, src: rng.New(hashKey(key))}
 			stats[key] = st
+			sites = append(sites, st)
+			shown = append(shown, nil)
 		}
-		st.observe(x)
+		shown[i] = append(shown[i], x)
 		return x
 	}
-	for _, img := range images {
-		m.Forward(img, vit.ForwardOpts{Tap: tap})
+	for lo := 0; lo < len(images); lo += collectChunk {
+		m.ForwardBatch(images[lo:min(lo+collectChunk, len(images))], vit.ForwardOpts{Tap: tap})
+		obs.Wait()
+		observeSites(&obs, sites, shown)
+		shown = make([][]*tensor.Tensor, len(sites))
 	}
-	for _, st := range stats {
+	obs.Wait()
+	for _, st := range sites {
 		st.finalize()
 	}
 	return stats
+}
+
+// observeSites starts min(GOMAXPROCS, len(sites)) goroutines, tracked by
+// wg, that fold shown[i] into sites[i] in order, one site per goroutine
+// at a time.
+func observeSites(wg *sync.WaitGroup, sites []*SiteStats, shown [][]*tensor.Tensor) {
+	var next atomic.Int64
+	for w := min(runtime.GOMAXPROCS(0), len(sites)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1) - 1); i < len(sites); i = int(next.Add(1) - 1) {
+				for _, x := range shown[i] {
+					sites[i].observe(x)
+				}
+			}
+		}()
+	}
 }
 
 // hashKey derives a deterministic reservoir seed from a site key (FNV-1a).

@@ -3,10 +3,13 @@ package ptq
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
+	"quq/internal/data"
 	"quq/internal/rng"
 	"quq/internal/tensor"
+	"quq/internal/vit"
 )
 
 // observeReference is observe as it read before it walked rows: one
@@ -70,7 +73,7 @@ func assertSameStats(t *testing.T, what string, got, want *SiteStats) {
 	switch {
 	case !sameBits(got.Samples, want.Samples):
 		t.Fatalf("%s: Samples differ", what)
-	case fmt.Sprint(got.SampleChans) != fmt.Sprint(want.SampleChans):
+	case !slices.Equal(got.SampleChans, want.SampleChans):
 		t.Fatalf("%s: SampleChans differ", what)
 	case !sameBits([]float64{got.Min, got.Max}, []float64{want.Min, want.Max}):
 		t.Fatalf("%s: Min, Max = %v, %v, want %v, %v", what, got.Min, got.Max, want.Min, want.Max)
@@ -129,5 +132,100 @@ func TestObserveMatchesReference(t *testing.T) {
 			want.observeReference(x)
 			assertSameStats(t, fmt.Sprintf("%s after tensor %d", c.name, i), got, want)
 		}
+	}
+}
+
+// collectPerImage is Collect as it read before it stacked chunks — one
+// lone forward per image, every site observed inline on the forward's
+// goroutine as the tap is called — walked once over images with one
+// reservoir set per cap in caps. want[c][j] holds caps[c]'s statistics
+// of images[:ns[j]], finalized: a copy of the walk's state after its
+// first ns[j] images.
+func collectPerImage(m vit.Model, images []*tensor.Tensor, caps, ns []int) (want [][]map[string]*SiteStats) {
+	stats := make([]map[string]*SiteStats, len(caps))
+	want = make([][]map[string]*SiteStats, len(caps))
+	for c := range caps {
+		stats[c] = make(map[string]*SiteStats)
+		want[c] = make([]map[string]*SiteStats, len(ns))
+	}
+	tap := func(site vit.Site, x *tensor.Tensor) *tensor.Tensor {
+		key := site.Key()
+		for c, maxSamples := range caps {
+			if maxSamples <= 0 {
+				maxSamples = 32768
+			}
+			st, ok := stats[c][key]
+			if !ok {
+				st = &SiteStats{Site: site, cap: maxSamples, src: rng.New(hashKey(key))}
+				stats[c][key] = st
+			}
+			st.observe(x)
+		}
+		return x
+	}
+	for i, img := range images {
+		m.Forward(img, vit.ForwardOpts{Tap: tap})
+		for j, n := range ns {
+			if n != i+1 {
+				continue
+			}
+			for c := range caps {
+				want[c][j] = make(map[string]*SiteStats)
+				for key, st := range stats[c] {
+					snap := *st
+					snap.Samples = slices.Clone(st.Samples)
+					snap.SampleChans = slices.Clone(st.SampleChans)
+					snap.ChanAbsMax = slices.Clone(st.ChanAbsMax)
+					snap.ChanSqSum = slices.Clone(st.ChanSqSum)
+					src := *st.src
+					snap.src = &src
+					snap.finalize()
+					want[c][j][key] = &snap
+				}
+			}
+		}
+	}
+	return want
+}
+
+// TestCollectStackedMatchesPerImage holds Collect — stacked chunks,
+// observed off the forward's goroutine — to the per-image reference,
+// every SiteStats field bit for bit, for every architecture: image
+// counts on both sides of each chunk edge, and reservoirs that fill in
+// mid-chunk (100 samples) or never (the default cap). check.sh runs it
+// at GOMAXPROCS 1, 2 and 4, and under the race detector.
+func TestCollectStackedMatchesPerImage(t *testing.T) {
+	cfgs := []vit.Config{vit.ViTNano, vit.ViTSmall, vit.DeiTSmall, vit.SwinTiny}
+	if raceEnabled {
+		// The hand-off is the same code whatever the model, and the
+		// detector makes the large models ten times dearer.
+		cfgs = cfgs[:1]
+	}
+	caps, ns := []int{0, 100}, []int{1, 3, 4, 5, 32}
+	for _, cfg := range cfgs {
+		t.Run(cfg.Name, func(t *testing.T) {
+			m := vit.New(cfg, 5)
+			calib := data.CalibrationSet(cfg, ns[len(ns)-1], 3)
+			want := collectPerImage(m, calib, caps, ns)
+			for c, maxSamples := range caps {
+				for j, n := range ns {
+					what := fmt.Sprintf("n=%d maxSamples=%d", n, maxSamples)
+					got := Collect(m, calib[:n], maxSamples)
+					if len(got) != len(want[c][j]) {
+						t.Fatalf("%s: %d sites, want %d", what, len(got), len(want[c][j]))
+					}
+					for key, w := range want[c][j] {
+						g, ok := got[key]
+						if !ok {
+							t.Fatalf("%s: site %s missing", what, key)
+						}
+						if g.Site != w.Site {
+							t.Fatalf("%s: site %s is %v, want %v", what, key, g.Site, w.Site)
+						}
+						assertSameStats(t, what+" "+key, g, w)
+					}
+				}
+			}
+		})
 	}
 }

@@ -20,6 +20,14 @@
 // internal/serve builds each node once and assembles sibling keys from
 // it. Nothing here is shared mutable state: a Method is used by one
 // goroutine at a time, and every node's result is read-only once built.
+//
+// Collect, the largest node, runs the calibration images as stacked
+// 4-image forwards and folds each chunk's site tensors into the
+// statistics on a pool of min(GOMAXPROCS, sites) goroutines while the
+// next chunk's forward runs. Its statistics are bit-identical to
+// observing one image at a time, whatever GOMAXPROCS: a stacked site
+// tensor is its images' tensors concatenated, every site owns its
+// reservoir source, and each site is observed serially, in order.
 package ptq
 
 import (

@@ -175,7 +175,7 @@ func (b *Block) forward(sc scratch, x *tensor.Tensor, nSeq, blk int, opts Forwar
 	attnScores(ar, scores, q, k, nSeq, heads, t, dh, scale)
 	sc.put(q)
 	sc.put(k)
-	scores = opts.site(Site{blk, "attn.softmax_in", KindActivation}, scores)
+	scores = sc.writable(opts.site(Site{blk, "attn.softmax_in", KindActivation}, scores))
 	mathx.SoftmaxRows(scores.Data(), t)
 	if opts.Attn != nil {
 		opts.Attn(blk, scores)
@@ -200,7 +200,7 @@ func (b *Block) forward(sc scratch, x *tensor.Tensor, nSeq, blk int, opts Forwar
 	h = opts.site(Site{blk, "ln2.out", KindGEMMIn}, h)
 	f := applyLinear(opts, Site{blk, "mlp.fc1.w", KindWeight}, b.FC1, sc.uninit(s, b.FC1.Out()), h)
 	sc.put(h)
-	f = opts.site(Site{blk, "mlp.gelu_in", KindActivation}, f)
+	f = sc.writable(opts.site(Site{blk, "mlp.gelu_in", KindActivation}, f))
 	mathx.GeluSlice(f.Data())
 	f = opts.site(Site{blk, "mlp.gelu_out", KindGEMMIn}, f)
 	h = applyLinear(opts, Site{blk, "mlp.fc2.w", KindWeight}, b.FC2, sc.uninit(s, dim), f)

@@ -77,9 +77,11 @@ type SiteQuantizer func(site Site, x *tensor.Tensor)
 // Returning x unchanged makes the tap a pure observer (calibration);
 // returning a different tensor substitutes it for the rest of the pass.
 // A tap may retain x: a forward given a Tap allocates every tensor a
-// tap can see afresh and never recycles it. A forward of B images calls
-// the tap once per site with the stacked tensor, the B images' rows one
-// after another. A nil Tap is the identity.
+// tap can see afresh, never recycles it, and never writes it once the
+// tap has returned (the SFUs work on a copy), so a kept x holds the bits
+// the tap was shown. A forward of B images calls the tap once per site
+// with the stacked tensor, the B images' rows one after another. A nil
+// Tap is the identity.
 type Tap func(site Site, x *tensor.Tensor) *tensor.Tensor
 
 // apply routes a tensor through the tap, handling the nil case.
@@ -96,7 +98,11 @@ func (t Tap) apply(site Site, x *tensor.Tensor) *tensor.Tensor {
 // AttnSink receives each block's attention probability tensor
 // ([heads*T, T] rows are softmax distributions; a forward of B images
 // hands over [B*heads*T, T], image after image) during a forward pass;
-// the Figure 7 experiment uses it to extract attention maps.
+// the Figure 7 experiment uses it to extract attention maps. The sink
+// is shown the tensor the pass goes on with: in a quantized forward the
+// "attn.softmax_out" quantizer rewrites it in place right after the sink
+// returns, so a sink that keeps it past the call holds the quantized
+// probabilities. Figure 7 reads it synchronously, inside the call.
 type AttnSink func(block int, attn *tensor.Tensor)
 
 // GEMMEngine substitutes the computation of weight GEMMs during a
@@ -162,6 +168,16 @@ func (s scratch) uninit(shape ...int) *tensor.Tensor {
 		return s.ar.NewUninit(shape...)
 	}
 	return tensor.New(shape...)
+}
+
+// writable returns t for the forward to rewrite in place: t itself when
+// pooled, a copy otherwise, so a tap that kept t still holds what it was
+// shown. The SFUs, which overwrite their input, go through it.
+func (s scratch) writable(t *tensor.Tensor) *tensor.Tensor {
+	if s.pooled {
+		return t
+	}
+	return t.Clone()
 }
 
 // put recycles a pooled tensor the forward is done with.

@@ -1,6 +1,7 @@
 package vit
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -14,7 +15,8 @@ type seen struct {
 }
 
 // record runs fwd with a Tap and an AttnSink that keep what they see (a
-// forward given either never recycles those tensors).
+// forward given either never recycles those tensors, and never rewrites
+// what a tap was shown: TestKeptTapTensorsHoldTheirBits).
 func record(fwd func(ForwardOpts)) (taps, attn []seen) {
 	fwd(ForwardOpts{
 		Tap: func(s Site, x *tensor.Tensor) *tensor.Tensor {
@@ -90,6 +92,33 @@ func TestStackedForwardIsItsImagesConcatenated(t *testing.T) {
 		}
 		if out := m.ForwardBatch(nil, ForwardOpts{}); len(out) != 0 {
 			t.Fatalf("%s: empty batch returned %d results", cfg.Name, len(out))
+		}
+	}
+}
+
+// TestKeptTapTensorsHoldTheirBits pins Tap's retention promise at every
+// site, for every architecture, lone and stacked: after the forward
+// returns, the tensor a tap kept holds the bits it held when the tap was
+// called — the SFUs, which overwrite their input, must not reach it.
+// The root package's TestTapKeepsWhatItWasShown pins the other half:
+// a later forward does not recycle it.
+func TestKeptTapTensorsHoldTheirBits(t *testing.T) {
+	for _, cfg := range []Config{ViTNano, ViTSmall, DeiTSmall, SwinTiny} {
+		m := New(cfg, 3)
+		for _, b := range []int{1, 3} {
+			imgs := make([]*tensor.Tensor, b)
+			for i := range imgs {
+				imgs[i] = testImage(cfg, uint64(i+1))
+			}
+			var kept, copied []seen
+			m.ForwardBatch(imgs, ForwardOpts{Tap: func(s Site, x *tensor.Tensor) *tensor.Tensor {
+				kept = append(kept, seen{s.String(), x})
+				copied = append(copied, seen{s.String(), x.Clone()})
+				return x
+			}})
+			for i, k := range kept {
+				assertSameBits(t, fmt.Sprintf("%s B=%d %s", cfg.Name, b, k.site), k.t.Data(), copied[i].t.Data())
+			}
 		}
 	}
 }
