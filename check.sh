@@ -64,6 +64,9 @@ go test -fuzz=FuzzQUBRoundtrip -fuzztime=5s -run=^$ ./internal/qub/
 go test -fuzz=FuzzGEMMEquivalence -fuzztime=5s -run=^$ ./internal/tensor/
 go test -fuzz=FuzzIntGEMMEquivalence -fuzztime=5s -run=^$ ./internal/tensor/
 go test -fuzz=FuzzSnapshotDecode -fuzztime=5s -run=^$ ./internal/snapstore/
+# The checkpoint parser behind the snapshot digest, which
+# FuzzSnapshotDecode's mutations never get past.
+go test -fuzz=FuzzCheckpointLoad -fuzztime=5s -run=^$ ./internal/vit/
 go test -fuzz=FuzzSFUSliceKernels -fuzztime=5s -run=^$ ./internal/mathx/
 go test -fuzz=FuzzUniformQuantizer -fuzztime=5s -run=^$ ./internal/ptq/
 

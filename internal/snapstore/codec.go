@@ -16,7 +16,6 @@
 package snapstore
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -74,108 +73,110 @@ type Entry struct {
 // complete snapshot file image plus its hex digest. Encoding fails if
 // any activation quantizer is not snapshot-capable; the caller keeps
 // serving from memory in that case.
+//
+// The metadata and quantizer records (kilobytes) are marshaled first;
+// the file image is then one allocation sized from them and the model's
+// checkpoint, with the header reserved up front and filled in once the
+// payload has been hashed in place.
 func Encode(key string, qm *ptq.QuantizedModel) (fileBytes []byte, digestHex string, err error) {
 	if qm == nil {
 		return nil, "", fmt.Errorf("snapstore: encode nil model")
 	}
-	payload, err := encodePayload(key, qm)
+	configName := qm.Model.Config().Name
+	if err := checkStrings(key, configName, qm.Method); err != nil {
+		return nil, "", err
+	}
+	sites, err := appendSites(nil, qm)
 	if err != nil {
 		return nil, "", err
 	}
+	head := appendString(appendString(appendString(nil, key), configName), qm.Method)
+	head = binary.LittleEndian.AppendUint32(head, uint32(qm.Bits))
+	head = binary.LittleEndian.AppendUint32(head, uint32(qm.Regime))
+	ckpt := vit.CheckpointSize(qm.Model)
+
+	out := make([]byte, headerBytes, headerBytes+len(head)+8+ckpt+len(sites))
+	out = append(out, head...)
+	out = binary.LittleEndian.AppendUint64(out, uint64(ckpt))
+	out = vit.AppendCheckpoint(out, qm.Model)
+	out = append(out, sites...)
+
+	payload := out[headerBytes:]
 	sum := sha256.Sum256(payload)
-	out := make([]byte, 0, headerBytes+len(payload))
-	out = append(out, magic...)
-	out = binary.LittleEndian.AppendUint32(out, version)
-	out = append(out, sum[:]...)
-	out = binary.LittleEndian.AppendUint64(out, uint64(len(payload)))
-	out = append(out, payload...)
+	copy(out, magic)
+	binary.LittleEndian.PutUint32(out[8:], version)
+	copy(out[12:44], sum[:])
+	binary.LittleEndian.PutUint64(out[44:], uint64(len(payload)))
 	return out, hex.EncodeToString(sum[:]), nil
 }
 
-func encodePayload(key string, qm *ptq.QuantizedModel) ([]byte, error) {
-	var buf bytes.Buffer
-	appendString := func(s string) error {
+// checkStrings bounds every length-prefixed string before it is written.
+func checkStrings(ss ...string) error {
+	for _, s := range ss {
 		if len(s) > maxStringLen {
 			return fmt.Errorf("snapstore: string field %d bytes exceeds %d", len(s), maxStringLen)
 		}
-		var lenBuf [4]byte
-		binary.LittleEndian.PutUint32(lenBuf[:], uint32(len(s)))
-		buf.Write(lenBuf[:])
-		buf.WriteString(s)
-		return nil
 	}
-	appendBlob := func(b []byte) {
-		var lenBuf [8]byte
-		binary.LittleEndian.PutUint64(lenBuf[:], uint64(len(b)))
-		buf.Write(lenBuf[:])
-		buf.Write(b)
-	}
-	appendU32 := func(v uint32) {
-		var b [4]byte
-		binary.LittleEndian.PutUint32(b[:], v)
-		buf.Write(b[:])
-	}
+	return nil
+}
 
-	if err := appendString(key); err != nil {
-		return nil, err
-	}
-	if err := appendString(qm.Model.Config().Name); err != nil {
-		return nil, err
-	}
-	if err := appendString(qm.Method); err != nil {
-		return nil, err
-	}
-	appendU32(uint32(qm.Bits))
-	appendU32(uint32(qm.Regime))
+// appendString appends s with its u32 length prefix; callers bound s
+// with checkStrings first.
+func appendString(dst []byte, s string) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(s)))
+	return append(dst, s...)
+}
 
-	var model bytes.Buffer
-	if err := vit.Save(qm.Model, &model); err != nil {
-		return nil, fmt.Errorf("snapstore: serializing model: %w", err)
-	}
-	appendBlob(model.Bytes())
+func appendBlob(dst, b []byte) []byte {
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(len(b)))
+	return append(dst, b...)
+}
 
+// appendSites appends the payload's tail after the model checkpoint:
+// every activation quantizer, then the integer-path weight parameters,
+// each in sorted site order.
+func appendSites(dst []byte, qm *ptq.QuantizedModel) ([]byte, error) {
 	actKeys := make([]string, 0, len(qm.Acts))
 	for k := range qm.Acts {
 		actKeys = append(actKeys, k)
 	}
 	sort.Strings(actKeys)
-	appendU32(uint32(len(actKeys)))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(actKeys)))
 	for _, k := range actKeys {
 		tag, data, err := ptq.MarshalQuantizer(qm.Acts[k])
 		if err != nil {
 			return nil, fmt.Errorf("snapstore: site %s: %w", k, err)
 		}
-		if err := appendString(k); err != nil {
+		if err := checkStrings(k, tag); err != nil {
 			return nil, err
 		}
-		if err := appendString(tag); err != nil {
-			return nil, err
-		}
-		appendBlob(data)
+		dst = appendString(dst, k)
+		dst = appendString(dst, tag)
+		dst = appendBlob(dst, data)
 	}
 
 	if qm.WeightParams == nil {
-		buf.WriteByte(0)
-	} else {
-		buf.WriteByte(1)
-		wpKeys := make([]string, 0, len(qm.WeightParams))
-		for k := range qm.WeightParams {
-			wpKeys = append(wpKeys, k)
-		}
-		sort.Strings(wpKeys)
-		appendU32(uint32(len(wpKeys)))
-		for _, k := range wpKeys {
-			data, err := qm.WeightParams[k].MarshalBinary()
-			if err != nil {
-				return nil, fmt.Errorf("snapstore: weight site %s: %w", k, err)
-			}
-			if err := appendString(k); err != nil {
-				return nil, err
-			}
-			appendBlob(data)
-		}
+		return append(dst, 0), nil
 	}
-	return buf.Bytes(), nil
+	dst = append(dst, 1)
+	wpKeys := make([]string, 0, len(qm.WeightParams))
+	for k := range qm.WeightParams {
+		wpKeys = append(wpKeys, k)
+	}
+	sort.Strings(wpKeys)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(wpKeys)))
+	for _, k := range wpKeys {
+		data, err := qm.WeightParams[k].MarshalBinary()
+		if err != nil {
+			return nil, fmt.Errorf("snapstore: weight site %s: %w", k, err)
+		}
+		if err := checkStrings(k); err != nil {
+			return nil, err
+		}
+		dst = appendString(dst, k)
+		dst = appendBlob(dst, data)
+	}
+	return dst, nil
 }
 
 // Decode parses and verifies one snapshot file image. The payload
@@ -298,7 +299,7 @@ func decodePayload(payload []byte) (*Entry, error) {
 	if err != nil {
 		return nil, err
 	}
-	model, err := vit.Load(cfg, bytes.NewReader(modelBlob))
+	model, err := vit.LoadCheckpoint(cfg, modelBlob)
 	if err != nil {
 		return nil, fmt.Errorf("snapstore: loading model weights: %w", err)
 	}

@@ -1,14 +1,20 @@
 package snapstore
 
 import (
+	"bufio"
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"io"
+	"math"
 	"os"
 	"path/filepath"
+	"runtime"
+	"sort"
 	"testing"
 
+	"quq/internal/baselines"
 	"quq/internal/data"
 	"quq/internal/ptq"
 	"quq/internal/vit"
@@ -215,4 +221,178 @@ func FuzzSnapshotDecode(f *testing.F) {
 			t.Fatal("decoder accepted a payload whose embedded digest does not match")
 		}
 	})
+}
+
+// legacySave is the per-element checkpoint writer vit.AppendCheckpoint
+// replaced: one 8-byte bufio write per value.
+func legacySave(m vit.Model, w io.Writer) error {
+	bw := bufio.NewWriter(w)
+	bw.WriteString("QUQVIT01")
+	var names []string
+	var datas [][]float64
+	m.Params(func(name string, data []float64) {
+		names = append(names, name)
+		datas = append(datas, data)
+	})
+	binary.Write(bw, binary.LittleEndian, uint32(len(names)))
+	buf := make([]byte, 8)
+	for i, name := range names {
+		binary.Write(bw, binary.LittleEndian, uint32(len(name)))
+		bw.WriteString(name)
+		binary.Write(bw, binary.LittleEndian, uint64(len(datas[i])))
+		for _, v := range datas[i] {
+			binary.LittleEndian.PutUint64(buf, math.Float64bits(v))
+			bw.Write(buf)
+		}
+	}
+	return bw.Flush()
+}
+
+// legacyEncode is the snapshot writer Encode replaced: the payload grown
+// through a bytes.Buffer around a legacySave checkpoint, then copied
+// behind the header.
+func legacyEncode(t *testing.T, key string, qm *ptq.QuantizedModel) []byte {
+	t.Helper()
+	var p bytes.Buffer
+	str := func(s string) {
+		binary.Write(&p, binary.LittleEndian, uint32(len(s)))
+		p.WriteString(s)
+	}
+	blob := func(b []byte) {
+		binary.Write(&p, binary.LittleEndian, uint64(len(b)))
+		p.Write(b)
+	}
+	str(key)
+	str(qm.Model.Config().Name)
+	str(qm.Method)
+	binary.Write(&p, binary.LittleEndian, uint32(qm.Bits))
+	binary.Write(&p, binary.LittleEndian, uint32(qm.Regime))
+	var model bytes.Buffer
+	if err := legacySave(qm.Model, &model); err != nil {
+		t.Fatal(err)
+	}
+	blob(model.Bytes())
+	acts := make([]string, 0, len(qm.Acts))
+	for k := range qm.Acts {
+		acts = append(acts, k)
+	}
+	sort.Strings(acts)
+	binary.Write(&p, binary.LittleEndian, uint32(len(acts)))
+	for _, k := range acts {
+		tag, data, err := ptq.MarshalQuantizer(qm.Acts[k])
+		if err != nil {
+			t.Fatal(err)
+		}
+		str(k)
+		str(tag)
+		blob(data)
+	}
+	if qm.WeightParams == nil {
+		p.WriteByte(0)
+	} else {
+		p.WriteByte(1)
+		wps := make([]string, 0, len(qm.WeightParams))
+		for k := range qm.WeightParams {
+			wps = append(wps, k)
+		}
+		sort.Strings(wps)
+		binary.Write(&p, binary.LittleEndian, uint32(len(wps)))
+		for _, k := range wps {
+			data, err := qm.WeightParams[k].MarshalBinary()
+			if err != nil {
+				t.Fatal(err)
+			}
+			str(k)
+			blob(data)
+		}
+	}
+	sum := sha256.Sum256(p.Bytes())
+	out := append([]byte("QUQSNAP1"), 1, 0, 0, 0)
+	out = append(out, sum[:]...)
+	out = binary.LittleEndian.AppendUint64(out, uint64(p.Len()))
+	return append(out, p.Bytes()...)
+}
+
+// TestEncodeMatchesPerElementWriter is the byte-identity oracle: on the
+// served architectures, with QUQ (weight params present) and FQ-ViT
+// (none), Encode's file image equals the per-element writer's, is one
+// allocation of exactly its own length, and survives Decode→Encode
+// byte for byte.
+func TestEncodeMatchesPerElementWriter(t *testing.T) {
+	for _, cfg := range []vit.Config{vit.ViTNano, vit.ViTSmall, vit.DeiTSmall, vit.SwinTiny} {
+		calib := data.CalibrationSet(cfg, 2, 1)
+		for _, meth := range []ptq.Method{ptq.NewQUQ(), baselines.FQViT{}} {
+			qm, err := ptq.Quantize(vit.New(cfg, 99), meth, ptq.CalibOptions{Bits: 6, Regime: ptq.Full, Images: calib})
+			if err != nil {
+				t.Fatal(err)
+			}
+			key := cfg.Name + "/" + meth.Name() + "/w6a6/full"
+			blob, digest, err := Encode(key, qm)
+			if err != nil {
+				t.Fatalf("%s: %v", key, err)
+			}
+			if (qm.WeightParams == nil) != (meth.Name() == "FQ-ViT") {
+				t.Fatalf("%s: weight params present = %v", key, qm.WeightParams != nil)
+			}
+			if !bytes.Equal(blob, legacyEncode(t, key, qm)) {
+				t.Fatalf("%s: file image differs from the per-element writer's", key)
+			}
+			if cap(blob) != len(blob) {
+				t.Fatalf("%s: file image has capacity %d for %d bytes", key, cap(blob), len(blob))
+			}
+			e, err := Decode(blob)
+			if err != nil {
+				t.Fatalf("%s: %v", key, err)
+			}
+			again, digest2, err := Encode(key, e.Model)
+			if err != nil {
+				t.Fatalf("%s: %v", key, err)
+			}
+			if digest2 != digest || !bytes.Equal(again, blob) {
+				t.Fatalf("%s: Decode→Encode is not byte-identical", key)
+			}
+		}
+	}
+}
+
+// TestDecodeBoundsHostileCheckpoints: the digest is an unsigned
+// SHA-256, so a sender can wrap any checkpoint in a snapshot that
+// passes it. Headers claiming 2^28 values in one record, or 2^26
+// records, must be rejected without sizing anything from the claim —
+// the per-element reader allocated 2 GiB and 7 GiB for these.
+func TestDecodeBoundsHostileCheckpoints(t *testing.T) {
+	hugeRecord := binary.LittleEndian.AppendUint32([]byte("QUQVIT01"), 1)
+	hugeRecord = binary.LittleEndian.AppendUint32(hugeRecord, 1)
+	hugeRecord = append(hugeRecord, 'x')
+	hugeRecord = binary.LittleEndian.AppendUint64(hugeRecord, 1<<28)
+	hugeCount := binary.LittleEndian.AppendUint32([]byte("QUQVIT01"), 1<<26)
+	for name, ckpt := range map[string][]byte{"value count 2^28": hugeRecord, "record count 2^26": hugeCount} {
+		var p []byte
+		for _, s := range []string{testKey, "ViT-Nano", "QUQ"} {
+			p = binary.LittleEndian.AppendUint32(p, uint32(len(s)))
+			p = append(p, s...)
+		}
+		p = binary.LittleEndian.AppendUint32(p, 6)
+		p = binary.LittleEndian.AppendUint32(p, uint32(ptq.Partial))
+		p = binary.LittleEndian.AppendUint64(p, uint64(len(ckpt)))
+		p = append(p, ckpt...)
+		p = binary.LittleEndian.AppendUint32(p, 0) // no activation sites
+		p = append(p, 0)                           // no weight params
+		sum := sha256.Sum256(p)
+		file := append([]byte(magic), 1, 0, 0, 0)
+		file = append(file, sum[:]...)
+		file = binary.LittleEndian.AppendUint64(file, uint64(len(p)))
+		file = append(file, p...)
+
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := Decode(file)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("%s: hostile checkpoint decoded", name)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+			t.Fatalf("%s: rejecting a %d-byte snapshot allocated %d bytes", name, len(file), grew)
+		}
+	}
 }

@@ -1,12 +1,11 @@
 package vit
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
-	"io"
 	"math"
 	"os"
+	"slices"
 )
 
 // The checkpoint format is a small self-describing binary container:
@@ -17,94 +16,92 @@ import (
 
 const checkpointMagic = "QUQVIT01"
 
-// Save writes the model's parameters to w.
-func Save(m Model, w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(checkpointMagic); err != nil {
-		return err
-	}
-	var entries []struct {
-		name string
-		data []float64
-	}
-	m.Params(func(name string, data []float64) {
-		entries = append(entries, struct {
-			name string
-			data []float64
-		}{name, data})
-	})
-	if err := binary.Write(bw, binary.LittleEndian, uint32(len(entries))); err != nil {
-		return err
-	}
-	for _, e := range entries {
-		if err := binary.Write(bw, binary.LittleEndian, uint32(len(e.name))); err != nil {
-			return err
-		}
-		if _, err := bw.WriteString(e.name); err != nil {
-			return err
-		}
-		if err := binary.Write(bw, binary.LittleEndian, uint64(len(e.data))); err != nil {
-			return err
-		}
-		buf := make([]byte, 8)
-		for _, v := range e.data {
-			binary.LittleEndian.PutUint64(buf, math.Float64bits(v))
-			if _, err := bw.Write(buf); err != nil {
-				return err
-			}
-		}
-	}
-	return bw.Flush()
+// CheckpointSize is the exact length of m's checkpoint in bytes.
+func CheckpointSize(m Model) int {
+	_, size := checkpointLayout(m)
+	return size
 }
 
-// Load reads parameters from r into a freshly allocated model for cfg.
-// The checkpoint's parameter names and sizes must match cfg's layout
-// exactly.
-func Load(cfg Config, r io.Reader) (Model, error) {
-	br := bufio.NewReader(r)
-	magic := make([]byte, len(checkpointMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("vit: reading checkpoint magic: %w", err)
-	}
-	if string(magic) != checkpointMagic {
-		return nil, fmt.Errorf("vit: bad checkpoint magic %q", magic)
-	}
-	var count uint32
-	if err := binary.Read(br, binary.LittleEndian, &count); err != nil {
-		return nil, err
-	}
-	params := make(map[string][]float64, count)
-	order := make([]string, 0, count)
+func checkpointLayout(m Model) (count, size int) {
+	size = len(checkpointMagic) + 4
+	m.Params(func(name string, data []float64) {
+		count++
+		size += 4 + len(name) + 8 + 8*len(data)
+	})
+	return count, size
+}
+
+// AppendCheckpoint appends m's checkpoint to dst and returns the
+// extended slice. dst grows at most once, by CheckpointSize(m); a caller
+// that reserved that much already gets no allocation at all.
+func AppendCheckpoint(dst []byte, m Model) []byte {
+	count, size := checkpointLayout(m)
+	dst = slices.Grow(dst, size)
+	dst = append(dst, checkpointMagic...)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(count))
+	m.Params(func(name string, data []float64) {
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(name)))
+		dst = append(dst, name...)
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(len(data)))
+		off := len(dst)
+		dst = dst[:off+8*len(data)]
+		out := dst[off:]
+		for i, v := range data {
+			binary.LittleEndian.PutUint64(out[8*i:], math.Float64bits(v))
+		}
+	})
+	return dst
+}
+
+// eachRecord walks the count records after the checkpoint header and
+// hands fn each name and its raw little-endian float64 bytes. Every
+// length is checked against the bytes left before it is used, and
+// bytes after the last record are an error.
+func eachRecord(b []byte, count uint32, fn func(name, raw []byte) error) error {
 	for i := uint32(0); i < count; i++ {
-		var nameLen uint32
-		if err := binary.Read(br, binary.LittleEndian, &nameLen); err != nil {
-			return nil, err
+		if len(b) < 4 {
+			return fmt.Errorf("vit: checkpoint truncated in record %d of %d", i, count)
 		}
-		if nameLen > 4096 {
-			return nil, fmt.Errorf("vit: implausible parameter name length %d", nameLen)
+		nameLen := binary.LittleEndian.Uint32(b)
+		b = b[4:]
+		if uint64(nameLen)+8 > uint64(len(b)) {
+			return fmt.Errorf("vit: checkpoint record %d: name of %d bytes overruns the %d left", i, nameLen, len(b))
 		}
-		nameBuf := make([]byte, nameLen)
-		if _, err := io.ReadFull(br, nameBuf); err != nil {
-			return nil, err
+		name := b[:nameLen]
+		dataLen := binary.LittleEndian.Uint64(b[nameLen:])
+		b = b[nameLen+8:]
+		if dataLen > uint64(len(b))/8 {
+			return fmt.Errorf("vit: parameter %q: %d values overrun the %d bytes left", name, dataLen, len(b))
 		}
-		var dataLen uint64
-		if err := binary.Read(br, binary.LittleEndian, &dataLen); err != nil {
-			return nil, err
+		if err := fn(name, b[:8*dataLen]); err != nil {
+			return err
 		}
-		if dataLen > 1<<28 {
-			return nil, fmt.Errorf("vit: implausible parameter size %d", dataLen)
-		}
-		data := make([]float64, dataLen)
-		buf := make([]byte, 8)
-		for j := range data {
-			if _, err := io.ReadFull(br, buf); err != nil {
-				return nil, err
-			}
-			data[j] = math.Float64frombits(binary.LittleEndian.Uint64(buf))
-		}
-		name := string(nameBuf)
-		params[name] = data
-		order = append(order, name)
+		b = b[8*dataLen:]
+	}
+	if len(b) != 0 {
+		return fmt.Errorf("vit: %d bytes after the last checkpoint record", len(b))
+	}
+	return nil
+}
+
+// LoadCheckpoint decodes a checkpoint into a freshly allocated model for
+// cfg. Records may come in any order, but their names and sizes must
+// match cfg's layout exactly: a missing, duplicate, unknown or
+// wrong-length record is an error. The records' framing is walked
+// before the model exists, so no header value sizes an allocation: a
+// hostile or truncated checkpoint costs nothing, and a well-formed one
+// costs the model plus a name index.
+func LoadCheckpoint(cfg Config, b []byte) (Model, error) {
+	if len(b) < len(checkpointMagic)+4 {
+		return nil, fmt.Errorf("vit: checkpoint is %d bytes, shorter than its header", len(b))
+	}
+	if string(b[:len(checkpointMagic)]) != checkpointMagic {
+		return nil, fmt.Errorf("vit: bad checkpoint magic %q", b[:len(checkpointMagic)])
+	}
+	count := binary.LittleEndian.Uint32(b[len(checkpointMagic):])
+	records := b[len(checkpointMagic)+4:]
+	if err := eachRecord(records, count, func(_, _ []byte) error { return nil }); err != nil {
+		return nil, err
 	}
 
 	var m Model
@@ -113,55 +110,50 @@ func Load(cfg Config, r io.Reader) (Model, error) {
 	} else {
 		m = newViT(cfg)
 	}
-	var loadErr error
-	seen := 0
-	m.Params(func(name string, dst []float64) {
-		src, ok := params[name]
-		if !ok {
-			if loadErr == nil {
-				loadErr = fmt.Errorf("vit: checkpoint missing parameter %q", name)
-			}
-			return
-		}
-		if len(src) != len(dst) {
-			if loadErr == nil {
-				loadErr = fmt.Errorf("vit: parameter %q has %d values, model wants %d", name, len(src), len(dst))
-			}
-			return
-		}
-		copy(dst, src)
-		seen++
+	index := make(map[string]int)
+	var dsts [][]float64
+	m.Params(func(name string, data []float64) {
+		index[name] = len(dsts)
+		dsts = append(dsts, data)
 	})
-	if loadErr != nil {
-		return nil, loadErr
+	if uint64(count) != uint64(len(dsts)) {
+		return nil, fmt.Errorf("vit: checkpoint has %d parameters, model has %d", count, len(dsts))
 	}
-	if seen != len(order) {
-		return nil, fmt.Errorf("vit: checkpoint has %d parameters, model consumed %d", len(order), seen)
+	seen := make([]bool, len(dsts))
+	err := eachRecord(records, count, func(name, raw []byte) error {
+		i, ok := index[string(name)]
+		if !ok {
+			return fmt.Errorf("vit: checkpoint has unknown parameter %q", name)
+		}
+		if seen[i] {
+			return fmt.Errorf("vit: checkpoint repeats parameter %q", name)
+		}
+		seen[i] = true
+		dst := dsts[i]
+		if len(raw) != 8*len(dst) {
+			return fmt.Errorf("vit: parameter %q has %d values, model wants %d", name, len(raw)/8, len(dst))
+		}
+		for j := range dst {
+			dst[j] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*j:]))
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return m, nil
 }
 
-// SaveFile writes the model to path.
+// SaveFile writes m's checkpoint to path.
 func SaveFile(m Model, path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := Save(m, f); err != nil {
-		//quq:errdrop-ok already on the Save error path; the write error is the one worth reporting
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return os.WriteFile(path, AppendCheckpoint(nil, m), 0o666)
 }
 
-// LoadFile reads a model for cfg from path.
+// LoadFile reads a model for cfg from the checkpoint at path.
 func LoadFile(cfg Config, path string) (Model, error) {
-	f, err := os.Open(path)
+	b, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	//quq:errdrop-ok read-only file: a Close error cannot lose data, and Load's own error dominates
-	defer f.Close()
-	return Load(cfg, f)
+	return LoadCheckpoint(cfg, b)
 }

@@ -1,7 +1,6 @@
 package vit
 
 import (
-	"bytes"
 	"math"
 	"testing"
 
@@ -236,41 +235,6 @@ func TestCloneIndependence(t *testing.T) {
 		if tensor.MSE(c.Forward(img, ForwardOpts{}), before) == 0 {
 			t.Fatalf("%s: clone corruption had no effect", cfg.Name)
 		}
-	}
-}
-
-func TestSaveLoadRoundTrip(t *testing.T) {
-	for _, cfg := range []Config{ViTNano, SwinTiny} {
-		m := New(cfg, 15)
-		var buf bytes.Buffer
-		if err := Save(m, &buf); err != nil {
-			t.Fatalf("%s: save: %v", cfg.Name, err)
-		}
-		m2, err := Load(cfg, &buf)
-		if err != nil {
-			t.Fatalf("%s: load: %v", cfg.Name, err)
-		}
-		img := testImage(cfg, 16)
-		if tensor.MSE(m.Forward(img, ForwardOpts{}), m2.Forward(img, ForwardOpts{})) != 0 {
-			t.Fatalf("%s: loaded model disagrees with original", cfg.Name)
-		}
-	}
-}
-
-func TestLoadRejectsWrongConfig(t *testing.T) {
-	m := New(ViTNano, 17)
-	var buf bytes.Buffer
-	if err := Save(m, &buf); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Load(ViTSmall, &buf); err == nil {
-		t.Fatal("loaded a ViT-Nano checkpoint into ViT-S")
-	}
-}
-
-func TestLoadRejectsGarbage(t *testing.T) {
-	if _, err := Load(ViTNano, bytes.NewReader([]byte("not a checkpoint"))); err == nil {
-		t.Fatal("accepted garbage")
 	}
 }
 
