@@ -52,8 +52,9 @@ rm -f /tmp/quqvet-report-1.json /tmp/quqvet-report-2.json
 go test -count=1 ./...
 # Stacked ≡ per-image again at three GOMAXPROCS values: the chunk rule
 # follows it (workers <= 0, the batcher's default pool), so one value
-# runs one family of chunk shapes.
-go test -count=1 -cpu 1,2,4 -run 'Stacked|ForwardBatchMatchesSerial|BatcherChunk|BatcherPanicFails' . ./internal/vit/ ./internal/ptq/ ./internal/serve/
+# runs one family of chunk shapes. The parallel snapshot load sizes its
+# worker pool the same way, so its serial-loop oracle runs here too.
+go test -count=1 -cpu 1,2,4 -run 'Stacked|ForwardBatchMatchesSerial|BatcherChunk|BatcherPanicFails|LoadMatchesSerialLoad' . ./internal/vit/ ./internal/ptq/ ./internal/serve/ ./internal/snapstore/
 go test -race ./...
 
 # Short fuzz smoke of the property-based targets. `go test -fuzz`

@@ -233,10 +233,12 @@ func TestBatcherBackpressureAndDrain(t *testing.T) {
 }
 
 // TestAwaitTimeout: Await must respect an expired context while workers
-// finish in the background.
+// finish in the background. The batcher holds its lone image for an
+// hour-long linger, so the item cannot be done before Await runs — a
+// done item would make both of Await's select cases ready.
 func TestAwaitTimeout(t *testing.T) {
 	qm, imgs := batchModel(t)
-	b := NewBatcher(BatcherOptions{MaxBatch: 64, Linger: time.Hour, QueueCap: 8}, nil, nil)
+	b := loadRegimeBatcher(BatcherOptions{MaxBatch: 64, Linger: time.Hour, QueueCap: 8}, NewMetrics())
 	items, err := b.Submit(context.Background(), "k", qm, imgs[:1])
 	if err != nil {
 		t.Fatal(err)

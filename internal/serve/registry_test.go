@@ -6,6 +6,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -371,6 +373,55 @@ func TestIntDeclinesMetric(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	if err := s.Drain(ctx); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestWarmRestartSkipsUnreadableSnapshot: an unreadable file in the
+// snapshot dir costs one snapshot error and nothing else — the snapshots
+// around it still come back, with no rebuild and no quarantine.
+func TestWarmRestartSkipsUnreadableSnapshot(t *testing.T) {
+	opts := testRegistryOptions()
+	opts.SnapshotDir = t.TempDir()
+	key := nanoKey("BaseQ", ptq.Partial)
+	r := NewRegistry(opts, NewMetrics())
+	for r.Warming() {
+		time.Sleep(time.Millisecond)
+	}
+	if _, _, err := r.Get(context.Background(), key); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	// Dangling symlinks named to sort before and after the snapshot.
+	for _, name := range []string{"0000.qsnap", "ffff.qsnap"} {
+		if err := os.Symlink(filepath.Join(opts.SnapshotDir, "missing"), filepath.Join(opts.SnapshotDir, name)); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	met := NewMetrics()
+	r = NewRegistry(opts, met)
+	for r.Warming() {
+		time.Sleep(time.Millisecond)
+	}
+	if got := met.SnapshotErrors.Value(); got != 2 {
+		t.Errorf("snapshot errors = %d, want 2 (one per unreadable file)", got)
+	}
+	if got := met.SnapshotLoads.Value(); got != 1 {
+		t.Errorf("snapshot loads = %d, want 1", got)
+	}
+	if got := met.SnapshotQuarantined.Value(); got != 0 {
+		t.Errorf("quarantined = %d, want 0", got)
+	}
+	if _, _, err := r.Get(context.Background(), key); err != nil {
+		t.Fatal(err)
+	}
+	if got := met.CacheMisses.Value(); got != 0 {
+		t.Errorf("cache misses = %d, want 0: the restored key was rebuilt", got)
+	}
+	if err := r.Drain(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 }

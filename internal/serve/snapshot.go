@@ -21,9 +21,7 @@ func (r *Registry) warmRestart() {
 	loaded, quarantined, err := r.store.Load()
 	if r.met != nil {
 		r.met.SnapshotQuarantined.Add(uint64(quarantined))
-		if err != nil {
-			r.met.SnapshotErrors.Inc()
-		}
+		r.met.SnapshotErrors.Add(uint64(countErrors(err)))
 	}
 	if r.opts.SnapshotLoadHook != nil {
 		r.opts.SnapshotLoadHook(len(loaded))
@@ -37,6 +35,18 @@ func (r *Registry) warmRestart() {
 			}
 		}
 	}
+}
+
+// countErrors counts the failures in a Store.Load error: one per file
+// it could not read or quarantine, or one for an unreadable directory.
+func countErrors(err error) int {
+	if err == nil {
+		return 0
+	}
+	if joined, ok := err.(interface{ Unwrap() []error }); ok {
+		return len(joined.Unwrap())
+	}
+	return 1
 }
 
 // installLoaded validates one decoded snapshot against the registry's

@@ -1,6 +1,8 @@
 package snapstore
 
 import (
+	"fmt"
+	"sync"
 	"testing"
 
 	"quq/internal/data"
@@ -44,4 +46,64 @@ func BenchmarkSnapshotCodecViTS(b *testing.B) {
 			}
 		}
 	})
+}
+
+type keyedBlob struct {
+	key  string
+	blob []byte
+}
+
+// coldKeyBlobs encodes the cold-keys snapshot mix once per process: ten
+// ViT-S and ten ViT-Nano QUQ keys, bits 4-8 x both regimes.
+var coldKeyBlobs = sync.OnceValues(func() ([]keyedBlob, error) {
+	var out []keyedBlob
+	for _, cfg := range []vit.Config{vit.ViTSmall, vit.ViTNano} {
+		calib := data.CalibrationSet(cfg, 1, 1)
+		for bits := 4; bits <= 8; bits++ {
+			for _, regime := range []ptq.Regime{ptq.Partial, ptq.Full} {
+				qm, err := ptq.Quantize(vit.New(cfg, 2025), ptq.NewQUQ(), ptq.CalibOptions{Bits: bits, Regime: regime, Images: calib})
+				if err != nil {
+					return nil, err
+				}
+				key := fmt.Sprintf("%s/QUQ/w%da%d/%s", cfg.Name, bits, bits, regime)
+				blob, _, err := Encode(key, qm)
+				if err != nil {
+					return nil, err
+				}
+				out = append(out, keyedBlob{key, blob})
+			}
+		}
+	}
+	return out, nil
+})
+
+// BenchmarkStoreLoad times one warm restart's Store.Load over the
+// cold-keys mix (twenty files, ≈65 MB), allocations included.
+//
+//	go test -run '^$' -bench StoreLoad -benchtime 20x -cpu 1,2 ./internal/snapstore/
+func BenchmarkStoreLoad(b *testing.B) {
+	blobs, err := coldKeyBlobs()
+	if err != nil {
+		b.Fatal(err)
+	}
+	s, _, err := Open(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	var total int64
+	for _, kb := range blobs {
+		if err := s.WriteBlob(kb.key, kb.blob); err != nil {
+			b.Fatal(err)
+		}
+		total += int64(len(kb.blob))
+	}
+	b.ReportAllocs()
+	b.SetBytes(total)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		loaded, quarantined, err := s.Load()
+		if err != nil || quarantined != 0 || len(loaded) != len(blobs) {
+			b.Fatalf("load: %d entries, %d quarantined, err %v", len(loaded), quarantined, err)
+		}
+	}
 }

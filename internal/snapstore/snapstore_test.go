@@ -12,6 +12,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"sort"
+	"sync"
 	"testing"
 
 	"quq/internal/baselines"
@@ -313,44 +314,66 @@ func legacyEncode(t *testing.T, key string, qm *ptq.QuantizedModel) []byte {
 	return append(out, p.Bytes()...)
 }
 
+// servedModel is one calibrated fixture and the key it is encoded under.
+type servedModel struct {
+	key string
+	qm  *ptq.QuantizedModel
+}
+
+// servedModels calibrates the served architectures under QUQ (weight
+// params present) and FQ-ViT (none) once per process: the writer oracle
+// and the load oracle share them, and check.sh runs the load oracle at
+// three -cpu values in one binary.
+var servedModels = sync.OnceValues(func() ([]servedModel, error) {
+	var out []servedModel
+	for _, cfg := range []vit.Config{vit.ViTNano, vit.ViTSmall, vit.DeiTSmall, vit.SwinTiny} {
+		calib := data.CalibrationSet(cfg, 2, 1)
+		for _, meth := range []ptq.Method{ptq.NewQUQ(), baselines.FQViT{}} {
+			qm, err := ptq.Quantize(vit.New(cfg, 99), meth, ptq.CalibOptions{Bits: 6, Regime: ptq.Full, Images: calib})
+			if err != nil {
+				return nil, err
+			}
+			out = append(out, servedModel{cfg.Name + "/" + meth.Name() + "/w6a6/full", qm})
+		}
+	}
+	return out, nil
+})
+
 // TestEncodeMatchesPerElementWriter is the byte-identity oracle: on the
 // served architectures, with QUQ (weight params present) and FQ-ViT
 // (none), Encode's file image equals the per-element writer's, is one
 // allocation of exactly its own length, and survives Decode→Encode
 // byte for byte.
 func TestEncodeMatchesPerElementWriter(t *testing.T) {
-	for _, cfg := range []vit.Config{vit.ViTNano, vit.ViTSmall, vit.DeiTSmall, vit.SwinTiny} {
-		calib := data.CalibrationSet(cfg, 2, 1)
-		for _, meth := range []ptq.Method{ptq.NewQUQ(), baselines.FQViT{}} {
-			qm, err := ptq.Quantize(vit.New(cfg, 99), meth, ptq.CalibOptions{Bits: 6, Regime: ptq.Full, Images: calib})
-			if err != nil {
-				t.Fatal(err)
-			}
-			key := cfg.Name + "/" + meth.Name() + "/w6a6/full"
-			blob, digest, err := Encode(key, qm)
-			if err != nil {
-				t.Fatalf("%s: %v", key, err)
-			}
-			if (qm.WeightParams == nil) != (meth.Name() == "FQ-ViT") {
-				t.Fatalf("%s: weight params present = %v", key, qm.WeightParams != nil)
-			}
-			if !bytes.Equal(blob, legacyEncode(t, key, qm)) {
-				t.Fatalf("%s: file image differs from the per-element writer's", key)
-			}
-			if cap(blob) != len(blob) {
-				t.Fatalf("%s: file image has capacity %d for %d bytes", key, cap(blob), len(blob))
-			}
-			e, err := Decode(blob)
-			if err != nil {
-				t.Fatalf("%s: %v", key, err)
-			}
-			again, digest2, err := Encode(key, e.Model)
-			if err != nil {
-				t.Fatalf("%s: %v", key, err)
-			}
-			if digest2 != digest || !bytes.Equal(again, blob) {
-				t.Fatalf("%s: Decode→Encode is not byte-identical", key)
-			}
+	models, err := servedModels()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sm := range models {
+		key, qm := sm.key, sm.qm
+		blob, digest, err := Encode(key, qm)
+		if err != nil {
+			t.Fatalf("%s: %v", key, err)
+		}
+		if (qm.WeightParams == nil) != (qm.Method == "FQ-ViT") {
+			t.Fatalf("%s: weight params present = %v", key, qm.WeightParams != nil)
+		}
+		if !bytes.Equal(blob, legacyEncode(t, key, qm)) {
+			t.Fatalf("%s: file image differs from the per-element writer's", key)
+		}
+		if cap(blob) != len(blob) {
+			t.Fatalf("%s: file image has capacity %d for %d bytes", key, cap(blob), len(blob))
+		}
+		e, err := Decode(blob)
+		if err != nil {
+			t.Fatalf("%s: %v", key, err)
+		}
+		again, digest2, err := Encode(key, e.Model)
+		if err != nil {
+			t.Fatalf("%s: %v", key, err)
+		}
+		if digest2 != digest || !bytes.Equal(again, blob) {
+			t.Fatalf("%s: Decode→Encode is not byte-identical", key)
 		}
 	}
 }
