@@ -53,8 +53,9 @@ go test -count=1 ./...
 # Stacked ≡ per-image again at three GOMAXPROCS values: the chunk rule
 # follows it (workers <= 0, the batcher's default pool), so one value
 # runs one family of chunk shapes. The parallel snapshot load sizes its
-# worker pool the same way, so its serial-loop oracle runs here too.
-go test -count=1 -cpu 1,2,4 -run 'Stacked|ForwardBatchMatchesSerial|BatcherChunk|BatcherPanicFails|LoadMatchesSerialLoad' . ./internal/vit/ ./internal/ptq/ ./internal/serve/ ./internal/snapstore/
+# worker pool the same way, so its serial-loop oracle and its
+# model-sharing oracle run here too.
+go test -count=1 -cpu 1,2,4 -run 'Stacked|ForwardBatchMatchesSerial|BatcherChunk|BatcherPanicFails|LoadMatchesSerialLoad|LoadSharesIdenticalFamilyModels' . ./internal/vit/ ./internal/ptq/ ./internal/serve/ ./internal/snapstore/
 go test -race ./...
 
 # Short fuzz smoke of the property-based targets. `go test -fuzz`
@@ -68,6 +69,8 @@ go test -fuzz=FuzzSnapshotDecode -fuzztime=5s -run=^$ ./internal/snapstore/
 # The checkpoint parser behind the snapshot digest, which
 # FuzzSnapshotDecode's mutations never get past.
 go test -fuzz=FuzzCheckpointLoad -fuzztime=5s -run=^$ ./internal/vit/
+# The bit-for-bit matcher a warm restart shares a decoded model on.
+go test -fuzz=FuzzCheckpointMatches -fuzztime=5s -run=^$ ./internal/vit/
 go test -fuzz=FuzzSFUSliceKernels -fuzztime=5s -run=^$ ./internal/mathx/
 go test -fuzz=FuzzUniformQuantizer -fuzztime=5s -run=^$ ./internal/ptq/
 

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"io"
@@ -13,7 +14,9 @@ import (
 	"testing"
 	"time"
 
+	"quq/internal/data"
 	"quq/internal/ptq"
+	"quq/internal/snapstore"
 	"quq/internal/tensor"
 	"quq/internal/vit"
 )
@@ -420,6 +423,113 @@ func TestWarmRestartSkipsUnreadableSnapshot(t *testing.T) {
 	}
 	if got := met.CacheMisses.Value(); got != 0 {
 		t.Errorf("cache misses = %d, want 0: the restored key was rebuilt", got)
+	}
+	if err := r.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRestoredSiblingsShareReadOnlyModel: the two regimes of one family
+// come back from a warm restart sharing one vit.Model, and nothing that
+// serves them writes it — classifying through both keys, arming and
+// disarming the integer path leave each key's Snapshot equal to its
+// file, and installing a different build over the Partial key moves
+// neither the Full sibling's digest nor its Snapshot bytes.
+func TestRestoredSiblingsShareReadOnlyModel(t *testing.T) {
+	opts := testRegistryOptions()
+	opts.SnapshotDir = t.TempDir()
+	keys := []Key{nanoKey("QUQ", ptq.Partial), nanoKey("QUQ", ptq.Full)}
+	r := NewRegistry(opts, nil)
+	for r.Warming() {
+		time.Sleep(time.Millisecond)
+	}
+	for _, k := range keys {
+		if _, _, err := r.Get(context.Background(), k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := r.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	files := make([][]byte, len(keys))
+	for i, k := range keys {
+		b, err := os.ReadFile(snapstore.PathFor(opts.SnapshotDir, k.String()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[i] = b
+	}
+
+	met := NewMetrics()
+	r = NewRegistry(opts, met)
+	for r.Warming() {
+		time.Sleep(time.Millisecond)
+	}
+	if got := met.SnapshotLoads.Value(); got != 2 {
+		t.Fatalf("snapshot loads = %d, want 2", got)
+	}
+	qms := make([]*ptq.QuantizedModel, len(keys))
+	for i, k := range keys {
+		qm, cached, err := r.Get(context.Background(), k)
+		if err != nil || !cached {
+			t.Fatalf("%v: cached %v, err %v", k, cached, err)
+		}
+		qms[i] = qm
+	}
+	if qms[0].Model != qms[1].Model {
+		t.Fatal("the restored regimes of one family hold two weight clones")
+	}
+	imgs := data.Images(vit.ViTNano, 3, 1234)
+	for _, on := range []bool{false, true, false} {
+		if n, err := r.SetIntPath(on); err != nil || n != len(qms) {
+			t.Fatalf("int path %v: toggled %d, err %v; want %d", on, n, err, len(qms))
+		}
+		for _, qm := range qms {
+			if qm.IntPath() != on {
+				t.Fatalf("int path %v did not reach a restored model", on)
+			}
+			qm.ForwardBatch(imgs, 0)
+		}
+	}
+	snapshot := func(k Key) ([]byte, string) {
+		t.Helper()
+		b, digest, err := r.Snapshot(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b, digest
+	}
+	for i, k := range keys {
+		if b, _ := snapshot(k); !bytes.Equal(b, files[i]) {
+			t.Fatalf("%v: Snapshot differs from its file after serving", k)
+		}
+	}
+	partialDigest, fullDigest := r.Digest(keys[0]), r.Digest(keys[1])
+
+	other := testRegistryOptions()
+	other.Seed = 8
+	o := NewRegistry(other, nil)
+	if _, _, err := o.Get(context.Background(), keys[0]); err != nil {
+		t.Fatal(err)
+	}
+	blob, digest, err := o.Snapshot(keys[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := o.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if _, got, err := r.InstallSnapshot(blob); err != nil || got != digest || r.Digest(keys[0]) != digest {
+		t.Fatalf("install over %v: digest %s, err %v; want %s", keys[0], got, err, digest)
+	}
+	if digest == partialDigest {
+		t.Fatal("the other build's Partial snapshot is the restored one")
+	}
+	if got := r.Digest(keys[1]); got != fullDigest {
+		t.Fatalf("Full sibling's digest moved from %s to %s", fullDigest, got)
+	}
+	if b, _ := snapshot(keys[1]); !bytes.Equal(b, files[1]) {
+		t.Fatal("Full sibling's Snapshot changed when its Partial sibling was replaced")
 	}
 	if err := r.Drain(context.Background()); err != nil {
 		t.Fatal(err)

@@ -184,6 +184,12 @@ func appendSites(dst []byte, qm *ptq.QuantizedModel) ([]byte, error) {
 // is rejected by the hash comparison alone — mutated bytes never reach
 // the model decoder.
 func Decode(data []byte) (*Entry, error) {
+	return decode(data, nil)
+}
+
+// decode is Decode drawing the entry's model from pool, which a nil
+// pool leaves to a decode of its own.
+func decode(data []byte, pool *modelPool) (*Entry, error) {
 	if len(data) < headerBytes {
 		return nil, fmt.Errorf("snapstore: file is %d bytes, shorter than the %d-byte header", len(data), headerBytes)
 	}
@@ -204,7 +210,7 @@ func Decode(data []byte) (*Entry, error) {
 		return nil, fmt.Errorf("snapstore: digest mismatch: file says %s, payload hashes to %s",
 			hex.EncodeToString(want[:]), hex.EncodeToString(sum[:]))
 	}
-	e, err := decodePayload(payload)
+	e, err := decodePayload(payload, pool)
 	if err != nil {
 		return nil, err
 	}
@@ -269,7 +275,7 @@ func (r *reader) blob() ([]byte, error) {
 	return r.take(int(n))
 }
 
-func decodePayload(payload []byte) (*Entry, error) {
+func decodePayload(payload []byte, pool *modelPool) (*Entry, error) {
 	r := &reader{data: payload}
 	key, err := r.str()
 	if err != nil {
@@ -299,7 +305,7 @@ func decodePayload(payload []byte) (*Entry, error) {
 	if err != nil {
 		return nil, err
 	}
-	model, err := vit.LoadCheckpoint(cfg, modelBlob)
+	model, err := pool.model(familyKey{configName, method, bits}, cfg, modelBlob)
 	if err != nil {
 		return nil, fmt.Errorf("snapstore: loading model weights: %w", err)
 	}

@@ -13,6 +13,8 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+
+	"quq/internal/vit"
 )
 
 const (
@@ -109,7 +111,9 @@ func (s *Store) WriteBlob(key string, blob []byte) error {
 	return nil
 }
 
-// Loaded is one successfully verified and decoded snapshot.
+// Loaded is one successfully verified and decoded snapshot. Entries
+// from one Load may share their Model.Model (see Load): a restored
+// vit.Model is read-only, as a ptq.Weights model is.
 type Loaded struct {
 	Path  string
 	Entry *Entry
@@ -121,6 +125,16 @@ type Loaded struct {
 // reuses (Decode's result never aliases its input); a single pass then
 // merges the results in filename order, so callers see the same entries
 // in the same order as a one-file-after-another load.
+//
+// Both regimes of a (config, method, bits) family carry the same
+// weights, so Load decodes each family's checkpoint once: the first
+// worker to reach a family decodes its model, and a later file of the
+// family whose checkpoint bytes equal that model's bit for bit
+// (vit.CheckpointMatches) waits for the decode and shares the model
+// instead of building its own. A checkpoint that differs in any bit
+// decodes a model of its own, which later files of the family are
+// compared against too. Sharing changes no entry's bytes: each still
+// re-encodes to the file it came from.
 //
 // A file that fails verification or decoding, or is larger than
 // MaxFileBytes, is quarantined in place (renamed, kept for post-mortem)
@@ -140,6 +154,7 @@ func (s *Store) Load() (loaded []Loaded, quarantined int, err error) {
 		}
 	}
 	results := make([]loadResult, len(paths))
+	pool := &modelPool{families: make(map[familyKey][]*pooledModel)}
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := min(runtime.GOMAXPROCS(0), len(paths)); w > 0; w-- {
@@ -148,7 +163,7 @@ func (s *Store) Load() (loaded []Loaded, quarantined int, err error) {
 			defer wg.Done()
 			var buf []byte
 			for i := int(next.Add(1) - 1); i < len(paths); i = int(next.Add(1) - 1) {
-				results[i], buf = loadFile(paths[i], buf)
+				results[i], buf = loadFile(paths[i], buf, pool)
 			}
 		}()
 	}
@@ -180,9 +195,9 @@ type loadResult struct {
 }
 
 // loadFile reads path into buf, growing it only when the file is larger
-// than any before it, and decodes it. It returns the buffer for the
-// worker's next file.
-func loadFile(path string, buf []byte) (loadResult, []byte) {
+// than any before it, and decodes it with its model drawn from pool.
+// It returns the buffer for the worker's next file.
+func loadFile(path string, buf []byte, pool *modelPool) (loadResult, []byte) {
 	f, err := os.Open(path)
 	if err != nil {
 		return loadResult{readErr: fmt.Errorf("snapstore: reading %s: %w", filepath.Base(path), err)}, buf
@@ -204,11 +219,65 @@ func loadFile(path string, buf []byte) (loadResult, []byte) {
 	if _, err := io.ReadFull(f, data); err != nil {
 		return loadResult{readErr: fmt.Errorf("snapstore: reading %s: %w", filepath.Base(path), err)}, buf
 	}
-	e, err := Decode(data)
+	e, err := decode(data, pool)
 	if err != nil {
 		return loadResult{}, buf
 	}
 	return loadResult{entry: e}, buf
+}
+
+// familyKey names the snapshots whose checkpoints may be shared: both
+// regimes of one (config, method, bits) selection.
+type familyKey struct {
+	config, method string
+	bits           uint32
+}
+
+// modelPool holds the models one Load has decoded, by family, so the
+// workers decode each distinct checkpoint once.
+type modelPool struct {
+	mu       sync.Mutex
+	families map[familyKey][]*pooledModel
+}
+
+// pooledModel is one decoded checkpoint of a family. model is set, nil
+// if the decode failed, before done closes.
+type pooledModel struct {
+	done  chan struct{}
+	model vit.Model
+}
+
+// model returns the vit.Model for ckpt: a pooled model of the family
+// whose checkpoint is ckpt bit for bit, else one decoded here and
+// pooled for the family's later files. A nil pool always decodes.
+//
+// A worker waits only on models other workers are decoding, and only
+// before it has pooled a slot of its own; a decoder waits on nothing
+// once its slot is pooled. No cycle of waits can form.
+func (p *modelPool) model(fk familyKey, cfg vit.Config, ckpt []byte) (vit.Model, error) {
+	if p == nil {
+		return vit.LoadCheckpoint(cfg, ckpt)
+	}
+	compared := 0
+	p.mu.Lock()
+	for pending := p.families[fk][compared:]; len(pending) > 0; pending = p.families[fk][compared:] {
+		p.mu.Unlock()
+		for _, pm := range pending {
+			<-pm.done
+			if pm.model != nil && vit.CheckpointMatches(pm.model, ckpt) {
+				return pm.model, nil
+			}
+		}
+		compared += len(pending)
+		p.mu.Lock()
+	}
+	pm := &pooledModel{done: make(chan struct{})}
+	p.families[fk] = append(p.families[fk], pm)
+	p.mu.Unlock()
+	m, err := vit.LoadCheckpoint(cfg, ckpt)
+	pm.model = m
+	close(pm.done)
+	return m, err
 }
 
 // Quarantine renames a failed snapshot aside so it is never loaded

@@ -53,6 +53,45 @@ func AppendCheckpoint(dst []byte, m Model) []byte {
 	return dst
 }
 
+// CheckpointMatches reports whether b is exactly m's checkpoint, the
+// answer bytes.Equal(b, AppendCheckpoint(nil, m)) gives, without
+// building one: it allocates nothing beyond the names Params formats.
+// Values compare by their bits, so +0 and −0, or two NaN payloads,
+// differ; record names, lengths and order must match too, so a
+// checkpoint LoadCheckpoint accepts with its records reordered does
+// not match.
+func CheckpointMatches(m Model, b []byte) bool {
+	if len(b) < len(checkpointMagic)+4 || string(b[:len(checkpointMagic)]) != checkpointMagic {
+		return false
+	}
+	count := binary.LittleEndian.Uint32(b[len(checkpointMagic):])
+	rest := b[len(checkpointMagic)+4:]
+	seen, ok := uint32(0), true
+	m.Params(func(name string, data []float64) {
+		if !ok {
+			return
+		}
+		seen++
+		head := 4 + len(name) + 8
+		if len(rest) < head || (len(rest)-head)/8 < len(data) ||
+			binary.LittleEndian.Uint32(rest) != uint32(len(name)) ||
+			string(rest[4:4+len(name)]) != name ||
+			binary.LittleEndian.Uint64(rest[4+len(name):]) != uint64(len(data)) {
+			ok = false
+			return
+		}
+		raw := rest[head:]
+		for i, v := range data {
+			if binary.LittleEndian.Uint64(raw[8*i:]) != math.Float64bits(v) {
+				ok = false
+				return
+			}
+		}
+		rest = raw[8*len(data):]
+	})
+	return ok && seen == count && len(rest) == 0
+}
+
 // eachRecord walks the count records after the checkpoint header and
 // hands fn each name and its raw little-endian float64 bytes. Every
 // length is checked against the bytes left before it is used, and

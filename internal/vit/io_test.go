@@ -418,3 +418,113 @@ func FuzzCheckpointLoad(f *testing.F) {
 		}
 	})
 }
+
+// valueOffset is where value i of parameter param sits in m's
+// checkpoint.
+func valueOffset(m Model, param string, i int) int {
+	off, at := len(checkpointMagic)+4, -1
+	m.Params(func(name string, data []float64) {
+		if name == param {
+			at = off + 4 + len(name) + 8 + 8*i
+		}
+		off += 4 + len(name) + 8 + 8*len(data)
+	})
+	return at
+}
+
+// matchModel is tinyViT with a +0 in patch.b and a payload-1 NaN in
+// head.b, so the near-misses below have a zero and a NaN to vary.
+func matchModel() Model {
+	m := New(tinyViT, 5)
+	m.Params(func(name string, data []float64) {
+		switch name {
+		case "patch.b":
+			data[0] = 0
+		case "head.b":
+			data[0] = math.Float64frombits(0x7ff8000000000001)
+		}
+	})
+	return m
+}
+
+// swappedCheckpoint is m's checkpoint with its first two records
+// swapped: LoadCheckpoint accepts it, CheckpointMatches must not.
+func swappedCheckpoint(m Model) []byte {
+	records := checkpointRecords(m)
+	records[0], records[1] = records[1], records[0]
+	return joinRecords(records)
+}
+
+// matchSeeds are matchModel's checkpoint and its near-misses: one value
+// bit flipped, +0 stored as −0, a NaN with another payload, two records
+// swapped, a record renamed, the last byte cut and one byte appended.
+func matchSeeds(m Model) [][]byte {
+	blob := AppendCheckpoint(nil, m)
+	setBits := func(param string, bits uint64) []byte {
+		b := append([]byte(nil), blob...)
+		binary.LittleEndian.PutUint64(b[valueOffset(m, param, 0):], bits)
+		return b
+	}
+	flipped := append([]byte(nil), blob...)
+	flipped[valueOffset(m, "patch.w", 0)] ^= 1
+	renamed := checkpointRecords(m)
+	renamed[0] = ckptRecord("patch.W", paramSnapshot(m)["patch.w"])
+	return [][]byte{
+		blob,
+		flipped,
+		setBits("patch.b", math.Float64bits(math.Copysign(0, -1))),
+		setBits("head.b", 0x7ff8000000000002),
+		swappedCheckpoint(m),
+		joinRecords(renamed),
+		blob[:len(blob)-1],
+		append(append([]byte(nil), blob...), 0),
+	}
+}
+
+// TestCheckpointMatches: records in another order load the same
+// parameters but do not match, and matching a ViT-Nano checkpoint
+// allocates nothing like a checkpoint. FuzzCheckpointMatches' seeds
+// hold the other near-misses.
+func TestCheckpointMatches(t *testing.T) {
+	m := matchModel()
+	swapped := swappedCheckpoint(m)
+	if got, err := LoadCheckpoint(tinyViT, swapped); err != nil || !sameParamBits(got, m) {
+		t.Fatalf("swapped records: LoadCheckpoint err %v; want the same parameters", err)
+	}
+	if CheckpointMatches(m, swapped) {
+		t.Fatal("swapped records match")
+	}
+
+	nano := New(ViTNano, 3)
+	blob := AppendCheckpoint(nil, nano)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	ok := CheckpointMatches(nano, blob)
+	runtime.ReadMemStats(&after)
+	if !ok {
+		t.Fatal("ViT-Nano checkpoint does not match its model")
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > uint64(len(blob))/16 {
+		t.Fatalf("matching a %d-byte checkpoint allocated %d bytes", len(blob), grew)
+	}
+}
+
+// FuzzCheckpointMatches is CheckpointMatches' differential target: on
+// any input it never panics and answers exactly what comparing with a
+// freshly built checkpoint answers.
+func FuzzCheckpointMatches(f *testing.F) {
+	m := matchModel()
+	blob := AppendCheckpoint(nil, m)
+	for _, b := range matchSeeds(m) {
+		f.Add(b)
+	}
+	f.Add([]byte{})
+	for _, h := range hostileCheckpoints() {
+		f.Add(h)
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		if got, want := CheckpointMatches(m, b), bytes.Equal(b, blob); got != want {
+			t.Fatalf("CheckpointMatches = %v, bytes.Equal with the model's checkpoint = %v", got, want)
+		}
+	})
+}
