@@ -59,20 +59,25 @@ go test -count=1 -cpu 1,2,4 -run 'Stacked|ForwardBatchMatchesSerial|BatcherChunk
 go test -race ./...
 
 # Short fuzz smoke of the property-based targets. `go test -fuzz`
-# takes exactly one package per invocation.
-go test -fuzz=FuzzPRA -fuzztime=5s -run=^$ ./internal/quant/
-go test -fuzz=FuzzQuantizeSlice -fuzztime=5s -run=^$ ./internal/quant/
-go test -fuzz=FuzzQUBRoundtrip -fuzztime=5s -run=^$ ./internal/qub/
-go test -fuzz=FuzzGEMMEquivalence -fuzztime=5s -run=^$ ./internal/tensor/
-go test -fuzz=FuzzIntGEMMEquivalence -fuzztime=5s -run=^$ ./internal/tensor/
-go test -fuzz=FuzzSnapshotDecode -fuzztime=5s -run=^$ ./internal/snapstore/
+# takes exactly one package per invocation. Minimization is off: the
+# engine minimizes every coverage-expanding input (60 s budget each),
+# which held both workers from about the 3 s mark to the deadline, so a
+# 5 s run executed the target for 3 s at best and for well under one on
+# a bad draw. A crasher is still reported and written, at full length.
+fuzz() { go test -fuzz="$1" -fuzztime=5s -fuzzminimizetime=0 -run='^$' "$2"; }
+fuzz FuzzPRA ./internal/quant/
+fuzz FuzzQuantizeSlice ./internal/quant/
+fuzz FuzzQUBRoundtrip ./internal/qub/
+fuzz FuzzGEMMEquivalence ./internal/tensor/
+fuzz FuzzIntGEMMEquivalence ./internal/tensor/
+fuzz FuzzSnapshotDecode ./internal/snapstore/
 # The checkpoint parser behind the snapshot digest, which
 # FuzzSnapshotDecode's mutations never get past.
-go test -fuzz=FuzzCheckpointLoad -fuzztime=5s -run=^$ ./internal/vit/
+fuzz FuzzCheckpointLoad ./internal/vit/
 # The bit-for-bit matcher a warm restart shares a decoded model on.
-go test -fuzz=FuzzCheckpointMatches -fuzztime=5s -run=^$ ./internal/vit/
-go test -fuzz=FuzzSFUSliceKernels -fuzztime=5s -run=^$ ./internal/mathx/
-go test -fuzz=FuzzUniformQuantizer -fuzztime=5s -run=^$ ./internal/ptq/
+fuzz FuzzCheckpointMatches ./internal/vit/
+fuzz FuzzSFUSliceKernels ./internal/mathx/
+fuzz FuzzUniformQuantizer ./internal/ptq/
 
 # quq-serve smoke: boot the inference service on an ephemeral port and
 # drive one quantize + classify round trip through the real HTTP stack.

@@ -40,18 +40,14 @@ import (
 
 func main() {
 	var (
-		addr     = flag.String("addr", ":8642", "listen address")
-		ckpt     = flag.String("ckpt", "", "ViT-Nano checkpoint path (empty: synthetic weights)")
-		seed     = flag.Uint64("seed", 2024, "base weight/calibration seed")
-		calib    = flag.Int("calib", 32, "calibration images per model build")
-		maxBatch = flag.Int("max-batch", 8, "micro-batch dispatch threshold (images)")
-		linger   = flag.Duration("linger", 2*time.Millisecond, "max wait for an underfull micro-batch to fill under load (at low occupancy batches leave at submit)")
-		queue    = flag.Int("queue", 256, "admitted-image queue capacity (backpressure beyond)")
-		timeout  = flag.Duration("timeout", 60*time.Second, "per-request timeout, including first-request calibration")
-		maxBody  = flag.Int64("max-body", 8<<20, "request body size limit in bytes")
-		smoke    = flag.Bool("smoke", false, "start on an ephemeral port, run a quantize+classify round trip, exit")
-		intPath  = flag.Bool("int-path", false, "run QUQ-method weight GEMMs on resident integer operands (no float64 weight rehydration); requantized outputs are byte-identical to the float path")
-		snapDir  = flag.String("snapshot-dir", "", "directory for checksummed calibration snapshots; every successful build is persisted atomically and a restart warm-loads verified snapshots instead of recalibrating (empty disables durability)")
+		addr    = flag.String("addr", ":8642", "listen address")
+		ckpt    = flag.String("ckpt", "", "ViT-Nano checkpoint path (empty: synthetic weights)")
+		seed    = flag.Uint64("seed", 2024, "base weight/calibration seed")
+		timeout = flag.Duration("timeout", 60*time.Second, "per-request timeout, including first-request calibration")
+		maxBody = flag.Int64("max-body", 8<<20, "request body size limit in bytes")
+		smoke   = flag.Bool("smoke", false, "start on an ephemeral port, run a quantize+classify round trip, exit")
+		intPath = flag.Bool("int-path", false, "run QUQ-method weight GEMMs on resident integer operands (no float64 weight rehydration); logits agree with the float path on the 2^-16 requantized grid, with the same argmax")
+		snapDir = flag.String("snapshot-dir", "", "directory for checksummed calibration snapshots; every successful build is persisted atomically and a restart warm-loads verified snapshots instead of recalibrating (empty disables durability)")
 
 		latencyBudget = flag.Duration("latency-budget", 0, "default per-request latency budget; estimated queue waits beyond it shed with 429 (0 disables; X-Quq-Latency-Budget overrides per request)")
 	)
@@ -61,15 +57,11 @@ func main() {
 	cfg := serve.Config{
 		Registry: serve.RegistryOptions{
 			Seed:        *seed,
-			CalibImages: *calib,
 			Checkpoint:  *ckpt,
 			IntPath:     *intPath,
 			SnapshotDir: *snapDir,
 		},
 		Batcher: serve.BatcherOptions{
-			MaxBatch:      *maxBatch,
-			Linger:        *linger,
-			QueueCap:      *queue,
 			LatencyBudget: *latencyBudget,
 		},
 		RequestTimeout: *timeout,

@@ -54,31 +54,21 @@ import (
 
 func main() {
 	var (
-		addr          = flag.String("addr", ":8641", "listen address")
-		backends      = flag.String("backends", "", "comma-separated quq-serve backend addresses")
-		replicas      = flag.Int("replicas", 1, "replication factor R: each key is owned by R ring successors; quantizes fan out to all of them")
-		probeInterval = flag.Duration("probe-interval", 2*time.Second, "health-probe period (<= 0 disables the probe loop)")
-		okAfter       = flag.Int("ok-after", 2, "consecutive healthy probes before an ejected backend is readmitted")
-		retries       = flag.Int("retries", 2, "connection-failure retries per backend (never retries HTTP responses)")
-		backoff       = flag.Duration("backoff", 50*time.Millisecond, "initial retry backoff (doubles per attempt, equal-jitter)")
-		seed          = flag.Uint64("seed", 1, "deterministic seed for retry-backoff jitter")
-		antiEntropy   = flag.Duration("anti-entropy-interval", 0, "period of the background anti-entropy sweep comparing snapshot digests across each key's R replica owners and repairing divergent or missing copies (0 disables; needs -replicas >= 2 and backends running with -snapshot-dir)")
-		timeout       = flag.Duration("timeout", 120*time.Second, "per-request timeout, including first-request calibration")
-		maxBody       = flag.Int64("max-body", 8<<20, "request body size limit in bytes")
-		smoke         = flag.Bool("smoke", false, "spawn 3 in-process quq-serve shards and run the multi-key self-test")
-		chaosMode     = flag.Bool("chaos", false, "replay the seeded fault-injection scripts against an in-process fleet and verify the failure-domain invariants")
-		chaosSeed     = flag.Uint64("chaos-seed", 7, "fault-schedule seed for -chaos")
+		addr        = flag.String("addr", ":8641", "listen address")
+		backends    = flag.String("backends", "", "comma-separated quq-serve backend addresses")
+		replicas    = flag.Int("replicas", 1, "replication factor R: each key is owned by R ring successors; quantizes fan out to all of them")
+		antiEntropy = flag.Duration("anti-entropy-interval", 0, "period of the background anti-entropy sweep comparing snapshot digests across each key's R replica owners and repairing divergent or missing copies (0 disables; needs -replicas >= 2 and backends running with -snapshot-dir)")
+		timeout     = flag.Duration("timeout", 120*time.Second, "per-request timeout, including first-request calibration")
+		maxBody     = flag.Int64("max-body", 8<<20, "request body size limit in bytes")
+		smoke       = flag.Bool("smoke", false, "spawn 3 in-process quq-serve shards and run the multi-key self-test")
+		chaosMode   = flag.Bool("chaos", false, "replay the seeded fault-injection scripts against an in-process fleet and verify the failure-domain invariants")
+		chaosSeed   = flag.Uint64("chaos-seed", 7, "fault-schedule seed for -chaos")
 	)
 	flag.Parse()
 	log.SetFlags(0)
 
 	opts := shard.Options{
 		Replicas:       *replicas,
-		ProbeInterval:  *probeInterval,
-		OkAfter:        *okAfter,
-		Retries:        *retries,
-		RetryBackoff:   *backoff,
-		Seed:           *seed,
 		RequestTimeout: *timeout,
 		MaxBodyBytes:   *maxBody,
 

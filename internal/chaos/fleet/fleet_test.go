@@ -166,7 +166,7 @@ func TestBootCrashRestartCloseLeaksNothing(t *testing.T) {
 	if _, err := Do(ctx, http.MethodGet, victim.URL()+"/healthz", nil, nil); err == nil {
 		t.Fatal("crashed backend still answers")
 	}
-	f.Front.ProbeNow(ctx) // FailAfter=2: one strike
+	f.Front.ProbeNow(ctx) // failAfter=2: one strike
 	f.Front.ProbeNow(ctx) // ejected
 	if h, _ := healthz(); h != 2 {
 		t.Fatalf("healthy after crash = %d, want 2", h)
@@ -184,7 +184,7 @@ func TestBootCrashRestartCloseLeaksNothing(t *testing.T) {
 	if r, err := Do(ctx, http.MethodGet, victim.URL()+"/healthz", nil, nil); err != nil || r.Status != http.StatusOK {
 		t.Fatalf("restarted backend healthz: status %d, err %v", r.Status, err)
 	}
-	f.Front.ProbeNow(ctx) // OkAfter=2: hysteresis holds it out one more round
+	f.Front.ProbeNow(ctx) // okAfter=2: hysteresis holds it out one more round
 	f.Front.ProbeNow(ctx) // readmitted
 	if h, n := healthz(); h != 3 || n != 3 {
 		t.Fatalf("healthz after restart = %d/%d healthy, want 3/3", h, n)

@@ -279,14 +279,14 @@ func scenarioBoundedRemap(ctx context.Context, seed uint64, opts Options, rep *c
 	}
 	const victim = 0 // first shard in address order; owns keysPerShard keys by construction
 	f.Faults.AddRule(chaos.Rule{Host: hostOf(backends[victim].Addr()), PathPrefix: "/healthz", Fault: chaos.FaultReset})
-	f.Front.ProbeNow(ctx) // FailAfter=2: one strike
+	f.Front.ProbeNow(ctx) // failAfter=2: one strike
 	f.Front.ProbeNow(ctx) // ejected
 	during, err := pickAll()
 	if err != nil {
 		return err
 	}
 	f.Faults.ClearRules()
-	f.Front.ProbeNow(ctx) // OkAfter=2: hysteresis holds it out one more round
+	f.Front.ProbeNow(ctx) // okAfter=2: hysteresis holds it out one more round
 	f.Front.ProbeNow(ctx) // readmitted
 	after, err := pickAll()
 	if err != nil {

@@ -232,9 +232,11 @@ type RegistryOptions struct {
 	// resident pre-shifted int64 operands through the tensor kernel
 	// layer instead of rehydrating float64 weights. Models quantized
 	// with other methods are unaffected — the path needs recorded QUQ
-	// weight params — and logits stay byte-identical across mixed
-	// float/int backends on the serving requantized grid. The setting
-	// can be changed at runtime with Registry.SetIntPath.
+	// weight params. Logits agree with the float path on the 2^-16
+	// requantized grid, with the same argmax, so float and integer
+	// backends are interchangeable in one fleet; raw logits may differ
+	// by about an ulp. The setting can be changed at runtime with
+	// Registry.SetIntPath.
 	IntPath bool
 	// Clock times the idle grace after which a config's calibration
 	// statistics are released (calib.go). Defaults to chaos.Real; tests

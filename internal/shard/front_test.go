@@ -309,15 +309,16 @@ func TestFrontFailsOverOnConnectionFailure(t *testing.T) {
 	}
 }
 
-// TestProberEjectsAndReadmits: FailAfter consecutive probe failures
-// eject a backend; OkAfter consecutive healthy probes readmit it and it
-// resumes owning exactly its old arcs.
+// TestProberEjectsAndReadmits: failAfter consecutive probe failures
+// eject a backend; okAfter consecutive healthy probes readmit it and it
+// resumes owning exactly its old arcs. The readmission lands on the
+// okAfter-th healthy probe itself: there is no hidden extra round.
 func TestProberEjectsAndReadmits(t *testing.T) {
 	b0, b1 := newFakeBackend(t, "b0"), newFakeBackend(t, "b1")
 	f, addrs := newFront(t, b0, b1)
 
 	b0.healthy.Store(false)
-	f.ProbeNow(context.Background()) // one failure: below FailAfter=2, still admitted
+	f.ProbeNow(context.Background()) // one failure: below failAfter=2, still admitted
 	if got := f.Ring().HealthyCount(); got != 2 {
 		t.Fatalf("after 1 failed probe: healthy = %d, want 2", got)
 	}
@@ -330,7 +331,7 @@ func TestProberEjectsAndReadmits(t *testing.T) {
 	}
 
 	b0.healthy.Store(true)
-	f.ProbeNow(context.Background()) // one recovery probe: below OkAfter=2, still ejected
+	f.ProbeNow(context.Background()) // one recovery probe: below okAfter=2, still ejected
 	if got := f.Ring().HealthyCount(); got != 1 {
 		t.Fatalf("after 1 recovery probe: healthy = %d, want 1 (hysteresis)", got)
 	}
@@ -346,15 +347,16 @@ func TestProberEjectsAndReadmits(t *testing.T) {
 
 // TestProberFlapHysteresis: a backend alternating dead and alive on
 // every probe round must settle, not oscillate. Once ejected it never
-// assembles OkAfter consecutive healthy probes, so it stays out (and
-// the moved arc stays moved) until it is genuinely stable again.
+// assembles okAfter consecutive healthy probes, so it stays out (and
+// the moved arc stays moved) until it is genuinely stable again: the
+// recovery streak counts only the probes after the last failure.
 func TestProberFlapHysteresis(t *testing.T) {
 	b0, b1 := newFakeBackend(t, "b0"), newFakeBackend(t, "b1")
 	f, _ := newFront(t, b0, b1)
 
 	b0.healthy.Store(false)
 	f.ProbeNow(context.Background())
-	f.ProbeNow(context.Background()) // FailAfter=2 consecutive failures: ejected
+	f.ProbeNow(context.Background()) // failAfter=2 consecutive failures: ejected
 	if got := f.Ring().HealthyCount(); got != 1 {
 		t.Fatalf("flapping backend not ejected: healthy = %d", got)
 	}
@@ -376,9 +378,14 @@ func TestProberFlapHysteresis(t *testing.T) {
 		t.Fatalf("ejections = %d, want 1 (the flapping backend never re-entered)", got)
 	}
 
-	// A genuinely stable recovery still gets back in.
+	// A genuinely stable recovery still gets back in, on the okAfter-th
+	// healthy probe after the last failure: the three healthy probes
+	// the flapping interleaved count for nothing.
 	b0.healthy.Store(true)
 	f.ProbeNow(context.Background())
+	if got := f.Ring().HealthyCount(); got != 1 {
+		t.Fatalf("first probe after the last failure readmitted: healthy = %d, want 1", got)
+	}
 	f.ProbeNow(context.Background())
 	if got := f.Ring().HealthyCount(); got != 2 {
 		t.Fatalf("stable recovery not readmitted: healthy = %d, want 2", got)

@@ -6,9 +6,9 @@ import (
 	"time"
 )
 
-// Prober watches backend health: every interval it GETs each backend's
+// prober watches backend health: every interval it GETs each backend's
 // /healthz; failAfter consecutive failures eject the backend from
-// routing, and OkAfter consecutive healthy probes readmit it. Both
+// routing, and okAfter consecutive healthy probes readmit it. Both
 // thresholds are hysteresis against flapping — a backend alternating
 // alive and dead every probe round never assembles the required streak
 // in either direction, so it stays wherever it is instead of churning
@@ -17,47 +17,38 @@ import (
 // always owned come back to it (key remapping stays limited to the
 // moved arc in both directions).
 //
-// All probe I/O descends from the base context handed to NewProber, so
+// All probe I/O descends from the base context handed to newProber, so
 // cancelling it (the embedder shutting down) aborts in-flight health
 // checks instead of letting them run out their timeouts.
-type Prober struct {
-	base      context.Context
-	ring      *Ring
-	client    *http.Client
-	interval  time.Duration
-	timeout   time.Duration
-	failAfter int
-	okAfter   int
-	met       *Metrics
+type prober struct {
+	base     context.Context
+	ring     *Ring
+	client   *http.Client
+	interval time.Duration
+	met      *Metrics
 
 	stop chan struct{}
 	done chan struct{}
 }
 
-// NewProber builds a prober over the ring. base roots every probe's
-// context and must be non-nil; met may be nil.
-func NewProber(base context.Context, ring *Ring, client *http.Client, interval, timeout time.Duration, failAfter, okAfter int, met *Metrics) *Prober {
-	if okAfter <= 0 {
-		okAfter = 1
-	}
-	return &Prober{
-		base:      base,
-		ring:      ring,
-		client:    client,
-		interval:  interval,
-		timeout:   timeout,
-		failAfter: failAfter,
-		okAfter:   okAfter,
-		met:       met,
-		stop:      make(chan struct{}),
-		done:      make(chan struct{}),
+// newProber builds a prober over the ring. base roots every probe's
+// context; base and met must be non-nil.
+func newProber(base context.Context, ring *Ring, client *http.Client, interval time.Duration, met *Metrics) *prober {
+	return &prober{
+		base:     base,
+		ring:     ring,
+		client:   client,
+		interval: interval,
+		met:      met,
+		stop:     make(chan struct{}),
+		done:     make(chan struct{}),
 	}
 }
 
 // Start launches the background probe loop. A non-positive interval
 // disables it (ProbeNow still works, which is how tests and -smoke drive
 // health transitions deterministically).
-func (p *Prober) Start() {
+func (p *prober) Start() {
 	if p.interval <= 0 {
 		close(p.done)
 		return
@@ -65,7 +56,7 @@ func (p *Prober) Start() {
 	go p.loop()
 }
 
-func (p *Prober) loop() {
+func (p *prober) loop() {
 	defer close(p.done)
 	t := time.NewTicker(p.interval)
 	defer t.Stop()
@@ -82,7 +73,7 @@ func (p *Prober) loop() {
 }
 
 // Stop terminates the probe loop and waits for it to exit.
-func (p *Prober) Stop() {
+func (p *prober) Stop() {
 	select {
 	case <-p.stop:
 	default:
@@ -93,25 +84,23 @@ func (p *Prober) Stop() {
 
 // ProbeNow runs one synchronous probe round over every backend; each
 // round trip is bounded by the probe timeout and ctx.
-func (p *Prober) ProbeNow(ctx context.Context) {
+func (p *prober) ProbeNow(ctx context.Context) {
 	for _, b := range p.ring.Backends() {
 		p.probe(ctx, b)
 	}
-	if p.met != nil {
-		p.met.Healthy.Set(int64(p.ring.HealthyCount()))
-	}
+	p.met.Healthy.Set(int64(p.ring.HealthyCount()))
 }
 
 // probe checks one backend and applies the ejection/re-admission policy.
-func (p *Prober) probe(ctx context.Context, b *Backend) {
+func (p *prober) probe(ctx context.Context, b *Backend) {
 	if p.probeOK(ctx, b) {
 		b.probeFails.Store(0)
 		if b.healthy.Load() {
 			return
 		}
-		if int(b.probeOKs.Add(1)) >= p.okAfter {
+		if int(b.probeOKs.Add(1)) >= okAfter {
 			b.probeOKs.Store(0)
-			if !b.healthy.Swap(true) && p.met != nil {
+			if !b.healthy.Swap(true) {
 				p.met.Readmissions.Inc()
 			}
 		}
@@ -119,14 +108,14 @@ func (p *Prober) probe(ctx context.Context, b *Backend) {
 	}
 	b.probeOKs.Store(0)
 	fails := b.probeFails.Add(1)
-	if int(fails) >= p.failAfter {
+	if int(fails) >= failAfter {
 		eject(b, p.met)
 	}
 }
 
 // probeOK reports whether one /healthz round trip succeeded.
-func (p *Prober) probeOK(ctx context.Context, b *Backend) bool {
-	ctx, cancel := context.WithTimeout(ctx, p.timeout)
+func (p *prober) probeOK(ctx context.Context, b *Backend) bool {
+	ctx, cancel := context.WithTimeout(ctx, probeTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, b.addr+"/healthz", nil)
 	if err != nil {
@@ -146,10 +135,10 @@ func (p *Prober) probeOK(ctx context.Context, b *Backend) bool {
 // eject marks a backend unhealthy (idempotently), counting the
 // transition. Shared by the prober and the proxy's passive
 // connection-failure path. The recovery streak resets so re-admission
-// always demands OkAfter fresh consecutive healthy probes.
+// always demands okAfter fresh consecutive healthy probes.
 func eject(b *Backend, met *Metrics) {
 	b.probeOKs.Store(0)
-	if b.healthy.Swap(false) && met != nil {
+	if b.healthy.Swap(false) {
 		met.Ejections.Inc()
 	}
 }

@@ -46,7 +46,7 @@ type Front struct {
 	opts    Options
 	ring    *Ring
 	members *cluster.Membership
-	prober  *Prober
+	prober  *prober
 	met     *Metrics
 	client  *http.Client
 	clock   chaos.Clock
@@ -75,7 +75,7 @@ func New(opts Options) *Front {
 		client: client,
 		clock:  opts.Clock,
 		jitter: rng.New(opts.Seed),
-		prober: NewProber(opts.BaseContext, ring, client, opts.ProbeInterval, probeTimeout, failAfter, opts.OkAfter, met),
+		prober: newProber(opts.BaseContext, ring, client, opts.ProbeInterval, met),
 	}
 	// The membership owns the roster and epoch; the ring is its routing
 	// index, mutated only through these callbacks so the two can never

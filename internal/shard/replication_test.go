@@ -21,6 +21,7 @@ type repBackend struct {
 	srv          *httptest.Server
 	healthy      atomic.Bool
 	modelsBroken atomic.Bool
+	scrapes      atomic.Int64 // GET /models served
 
 	mu         sync.Mutex
 	quantizes  []string // "key@replica" per /v1/quantize
@@ -76,6 +77,7 @@ func newRepBackend(t *testing.T) *repBackend {
 		}
 	})
 	mux.HandleFunc("GET /models", func(w http.ResponseWriter, r *http.Request) {
+		b.scrapes.Add(1)
 		if b.modelsBroken.Load() {
 			http.Error(w, "wedged", http.StatusInternalServerError)
 			return
@@ -87,9 +89,53 @@ func newRepBackend(t *testing.T) *repBackend {
 		//quq:errdrop-ok test fake writing to an in-memory recorder
 		_ = json.NewEncoder(w).Encode(map[string]any{"entries": entries})
 	})
+	// A snapshot is the entry itself, as JSON: GET hands out the held
+	// entry for ?key=, POST installs (or replaces) the one it carries.
+	mux.HandleFunc("GET /v1/snapshot", func(w http.ResponseWriter, r *http.Request) {
+		e, ok := b.entry(r.URL.Query().Get("key"))
+		if !ok {
+			http.NotFound(w, r)
+			return
+		}
+		//quq:errdrop-ok test fake writing to an in-memory recorder
+		_ = json.NewEncoder(w).Encode(e)
+	})
+	mux.HandleFunc("POST /v1/snapshot", func(w http.ResponseWriter, r *http.Request) {
+		var e serve.EntryInfo
+		if err := json.NewDecoder(r.Body).Decode(&e); err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		b.setEntry(e)
+	})
 	b.srv = httptest.NewServer(mux)
 	t.Cleanup(b.srv.Close)
 	return b
+}
+
+// entry returns the /models entry held for key.
+func (b *repBackend) entry(key string) (serve.EntryInfo, bool) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	for _, e := range b.entries {
+		if e.Key == key {
+			return e, true
+		}
+	}
+	return serve.EntryInfo{}, false
+}
+
+// setEntry installs e in /models, replacing any entry for its key.
+func (b *repBackend) setEntry(e serve.EntryInfo) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	for i := range b.entries {
+		if b.entries[i].Key == e.Key {
+			b.entries[i] = e
+			return
+		}
+	}
+	b.entries = append(b.entries, e)
 }
 
 // newRepFront builds a replicating front over the fakes, probing and

@@ -13,7 +13,7 @@
 //     on one shard); hashing is FNV-1a, so two processes always agree
 //     on ownership, and adding or removing one backend only remaps the
 //     arcs it owns (~1/N of the keyspace);
-//   - Prober (prober.go): periodic /healthz probes with
+//   - prober (prober.go): periodic /healthz probes with
 //     consecutive-failure ejection and re-admission on recovery;
 //   - Front (proxy.go): the HTTP surface — it canonicalizes the key in
 //     a classify/quantize body, picks the owning backend, proxies with
@@ -53,6 +53,12 @@ const (
 	probeTimeout = time.Second
 	// failAfter is the consecutive probe failures before ejection.
 	failAfter = 2
+	// okAfter is the consecutive healthy probes an ejected backend must
+	// pass before re-admission. Together with failAfter it is flap
+	// hysteresis: a backend oscillating between alive and dead on
+	// successive probe rounds stays ejected instead of churning the ring
+	// (and re-moving its arcs) every cycle.
+	okAfter = 2
 )
 
 // Options tunes the sharding front-end.
@@ -80,12 +86,6 @@ type Options struct {
 	// The wait goes through Clock, so chaos replays drive sweeps from a
 	// fake clock.
 	AntiEntropyInterval time.Duration
-	// OkAfter is the consecutive healthy probes an ejected backend must
-	// pass before re-admission (default 2). The asymmetric threshold is
-	// flap hysteresis: a backend oscillating between alive and dead on
-	// successive probe rounds stays ejected instead of churning the ring
-	// (and re-moving its arcs) every cycle.
-	OkAfter int
 	// Retries is how many times a proxied request is retried against the
 	// same backend on connection failure before failing over (default 2).
 	// HTTP-level responses, including 429 backpressure, are never
@@ -127,9 +127,6 @@ func (o *Options) defaults() {
 	}
 	if o.ProbeInterval == 0 {
 		o.ProbeInterval = 2 * time.Second
-	}
-	if o.OkAfter <= 0 {
-		o.OkAfter = 2
 	}
 	if o.Retries < 0 {
 		o.Retries = 0
