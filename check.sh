@@ -77,7 +77,10 @@ fuzz FuzzCheckpointLoad ./internal/vit/
 # The bit-for-bit matcher a warm restart shares a decoded model on.
 fuzz FuzzCheckpointMatches ./internal/vit/
 fuzz FuzzSFUSliceKernels ./internal/mathx/
-fuzz FuzzUniformQuantizer ./internal/ptq/
+# U_b ≡ the QUQ kernel on its uniform special case, bit for bit.
+fuzz FuzzUniform ./internal/quant/
+# The baselines' quantizer records: decode, re-marshal, Apply on edges.
+fuzz FuzzQuantizerRecord ./internal/baselines/
 
 # quq-serve smoke: boot the inference service on an ephemeral port and
 # drive one quantize + classify round trip through the real HTTP stack.

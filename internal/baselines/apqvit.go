@@ -68,7 +68,7 @@ func calibrateAffine(xs []float64, bits int) affineQuantizer {
 	}
 	levels := float64(int64(1)<<bits - 1)
 	grid := []float64{0.5, 0.6, 0.7, 0.8, 0.9, 1.0}
-	best := affineQuantizer{scale: (hi - lo) / levels, bits: bits}
+	best := affineQuantizer{scale: usableDelta((hi - lo) / levels), bits: bits}
 	best.zp = int64(math.RoundToEven(-lo / best.scale))
 	bestMSE := math.Inf(1)
 	for _, al := range grid {
@@ -80,7 +80,7 @@ func calibrateAffine(xs []float64, bits int) affineQuantizer {
 			if chi <= clo {
 				continue
 			}
-			cand := affineQuantizer{scale: (chi - clo) / levels, bits: bits}
+			cand := affineQuantizer{scale: usableDelta((chi - clo) / levels), bits: bits}
 			cand.zp = int64(math.RoundToEven(-clo / cand.scale))
 			var mse float64
 			for _, v := range xs {

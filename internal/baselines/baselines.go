@@ -20,6 +20,7 @@ import (
 	"strings"
 
 	"quq/internal/ptq"
+	"quq/internal/quant"
 	"quq/internal/tensor"
 	"quq/internal/vit"
 )
@@ -34,12 +35,31 @@ func (BaseQ) Name() string { return "BaseQ" }
 
 // CalibrateActivation implements ptq.Method.
 func (BaseQ) CalibrateActivation(stats *ptq.SiteStats, bits int) ptq.TensorQuantizer {
-	return ptq.UniformQuantizer{Delta: ptq.SearchUniformDelta(stats.Samples, bits, ptq.DefaultAlphaGrid), Bits: bits}
+	return searchedUniform(stats.Samples, bits)
 }
 
 // QuantizeWeight implements ptq.Method.
 func (BaseQ) QuantizeWeight(_ vit.Site, w *tensor.Tensor, bits int) {
-	ptq.UniformQuantizer{Delta: ptq.SearchUniformDelta(w.Data(), bits, ptq.DefaultAlphaGrid), Bits: bits}.Apply(w)
+	searchedUniform(w.Data(), bits).Apply(w)
+}
+
+// searchedUniform is per-tensor symmetric uniform quantization with
+// clipping search, built as what it is: QUQ's uniform special case
+// (quant.ParamsForUniform), so its sites run on the tap kernel and
+// serialize as QUQ records.
+func searchedUniform(xs []float64, bits int) ptq.QUQTensorQuantizer {
+	return ptq.QUQTensorQuantizer{Params: quant.ParamsForUniform(ptq.SearchUniformDelta(xs, bits, ptq.DefaultAlphaGrid), bits)}
+}
+
+// usableDelta maps a calibrated scale factor that is not > 0 to 1, the
+// rule ptq.SearchUniformDelta and quant.UniformDelta follow: the range of
+// subnormal data divided by a code count underflows to 0, and any
+// positive Δ rounds such data to zero alike.
+func usableDelta(d float64) float64 {
+	if d > 0 {
+		return d
+	}
+	return 1
 }
 
 // isPostSoftmax reports whether the site carries attention probabilities.

@@ -1,11 +1,13 @@
 package baselines
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
 	"quq/internal/dist"
 	"quq/internal/ptq"
+	"quq/internal/quant"
 	"quq/internal/rng"
 	"quq/internal/tensor"
 	"quq/internal/vit"
@@ -54,10 +56,7 @@ func uniformMSEOf(xs []float64, bits int) float64 {
 			absmax = a
 		}
 	}
-	hi := float64(int64(1)<<(bits-1) - 1)
-	delta := absmax / hi
-	q := ptq.UniformQuantizer{Delta: delta, Bits: bits}
-	return sampleMSE(q, xs)
+	return quant.UniformMSE(xs, quant.UniformDelta(absmax, bits), bits)
 }
 
 func TestMethodNames(t *testing.T) {
@@ -223,7 +222,7 @@ func TestFQViTPTFPerChannel(t *testing.T) {
 			absmax = a
 		}
 	}
-	outUni := ptq.UniformQuantizer{Delta: absmax / 31, Bits: 6}.Apply(in)
+	outUni := ptq.QUQTensorQuantizer{Params: quant.ParamsForUniform(absmax/31, 6)}.Apply(in)
 	relErr := func(out *tensor.Tensor, ch int) float64 {
 		var num, den float64
 		for i, v := range xs {
@@ -352,18 +351,61 @@ func TestWeightQuantizersPreserveShape(t *testing.T) {
 	}
 }
 
+// TestAllMethodsHandleDegenerateStats: statistics with no usable range —
+// all zeros, or subnormals whose range divided by a code count
+// underflows to a zero Δ — calibrate, at a plain site and at the sites
+// with their own mechanism, to a quantizer whose outputs are finite and
+// whose record the snapshot decoder accepts; a weight tensor of such
+// values quantizes to finite values.
 func TestAllMethodsHandleDegenerateStats(t *testing.T) {
-	zero := statsFor(vit.Site{Name: "x", Kind: vit.KindGEMMIn}, make([]float64, 64), 8)
-	for _, meth := range []ptq.Method{BaseQ{}, PTQ4ViT{}, APQViT{}, FQViT{}, BiScaled{}} {
-		q := meth.CalibrateActivation(zero, 6)
-		in := tensor.FromSlice([]float64{0, 0.1, -0.1}, 3)
-		out := q.Apply(in)
-		for _, v := range out.Data() {
+	const tiny = math.SmallestNonzeroFloat64
+	subnormal := make([]float64, 64)
+	for i := range subnormal {
+		subnormal[i] = []float64{tiny, -tiny, 0, 2 * tiny}[i%4]
+	}
+	finite := func(what string, xs []float64) {
+		t.Helper()
+		for _, v := range xs {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
-				t.Fatalf("%s produced non-finite output on degenerate stats", meth.Name())
+				t.Fatalf("%s: non-finite output %v", what, xs)
 			}
 		}
 	}
+	for _, meth := range []ptq.Method{BaseQ{}, PTQ4ViT{}, APQViT{}, FQViT{}, BiScaled{}} {
+		for name, xs := range map[string][]float64{"zero": make([]float64, 64), "subnormal": subnormal} {
+			for _, site := range []vit.Site{
+				{Name: "x", Kind: vit.KindGEMMIn},
+				{Name: "mlp.gelu_out", Kind: vit.KindGEMMIn},
+				{Name: "resid1.out", Kind: vit.KindActivation},
+			} {
+				what := meth.Name() + " " + site.Name + " on " + name + " stats"
+				q := meth.CalibrateActivation(statsFor(site, xs, 8), 6)
+				finite(what, q.Apply(tensor.FromSlice([]float64{0, 0.1, -0.1, tiny}, 4)).Data())
+				tag, data, err := ptq.MarshalQuantizer(q)
+				if err != nil {
+					t.Fatalf("%s: %v", what, err)
+				}
+				if _, err := decodeRecord(tag, data); err != nil {
+					t.Errorf("%s: its record does not decode: %v", what, err)
+				}
+			}
+			w := tensor.FromSlice(append([]float64(nil), xs...), 8, 8)
+			meth.QuantizeWeight(vit.Site{Name: "w", Kind: vit.KindWeight}, w, 6)
+			finite(meth.Name()+" weights of "+name+" values", w.Data())
+		}
+	}
+}
+
+// decodeRecord decodes a quantizer record the way the snapshot store
+// does: this package's tags after ptq's.
+func decodeRecord(tag string, data []byte) (ptq.TensorQuantizer, error) {
+	if q, ok, err := ptq.UnmarshalQuantizer(tag, data); ok {
+		return q, err
+	}
+	if q, ok, err := UnmarshalQuantizer(tag, data); ok {
+		return q, err
+	}
+	return nil, fmt.Errorf("unknown quantizer tag %q", tag)
 }
 
 // TestAffineQuantizerSaturates: a value past the grid lands on the end

@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"quq/internal/ptq"
+	"quq/internal/quant"
 	"quq/internal/tensor"
 	"quq/internal/vit"
 )
@@ -47,17 +48,7 @@ func (b biScaledQuantizer) deltaFor(ch int) float64 {
 }
 
 func (b biScaledQuantizer) value(x float64, ch int) float64 {
-	hi := float64(int64(1)<<(b.bits-1) - 1)
-	lo := -hi - 1
-	d := b.deltaFor(ch)
-	q := math.RoundToEven(x / d)
-	if q < lo {
-		q = lo
-	}
-	if q > hi {
-		q = hi
-	}
-	return q * d
+	return quant.Uniform(x, b.deltaFor(ch), b.bits)
 }
 
 // Apply implements ptq.TensorQuantizer. Tensors whose channel width does
@@ -101,7 +92,7 @@ func calibrateBiScaled(samples []float64, chans []int32, chanAbsMax []float64, b
 
 	cols := len(chanAbsMax)
 	candidates := []int{0, 1, 2, 4, 8, 16, cols / 8, cols / 4}
-	best := biScaledQuantizer{fineDelta: absmax / hi, bits: bits, outlierChan: make([]bool, cols)}
+	best := biScaledQuantizer{fineDelta: usableDelta(absmax / hi), bits: bits, outlierChan: make([]bool, cols)}
 	bestMSE := math.Inf(1)
 	tried := map[int]bool{}
 	for _, k := range candidates {
@@ -123,7 +114,7 @@ func calibrateBiScaled(samples []float64, chans []int32, chanAbsMax []float64, b
 		if fineMax == 0 {
 			continue
 		}
-		fine := fineMax / hi
+		fine := usableDelta(fineMax / hi)
 		ratio := 0
 		for fine*float64(int64(1)<<ratio)*hi < absmax && ratio < 12 {
 			ratio++

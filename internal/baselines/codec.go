@@ -23,6 +23,11 @@ const (
 // panic or overflow; calibrated models use single-digit widths.
 func bitsOK(bits int) bool { return bits >= 1 && bits <= 62 }
 
+// deltaOK reports whether a decoded scale factor is one calibration can
+// make: positive and finite (quant.Uniform panics on Δ <= 0, and a QUQ
+// record's Validate holds its slots to the same).
+func deltaOK(d float64) bool { return d > 0 && !math.IsInf(d, 1) }
+
 // MarshalQuantizer implements ptq.QuantizerCodec.
 func (a affineQuantizer) MarshalQuantizer() (string, []byte, error) {
 	buf := make([]byte, 0, 20)
@@ -88,8 +93,9 @@ func (t twinGELUQuantizer) MarshalQuantizer() (string, []byte, error) {
 // UnmarshalQuantizer reverses MarshalQuantizer for the tags this package
 // owns, keeping the baseline quantizer types unexported. ok=false means
 // the tag is not a baselines tag; err!=nil means the tag matched but the
-// payload is structurally invalid (lengths, bit widths and shift
-// exponents are bounds-checked so Apply cannot panic on decoded state).
+// payload is structurally invalid (lengths, bit widths, shift exponents
+// and scale factors are bounds-checked so Apply cannot panic on decoded
+// state).
 func UnmarshalQuantizer(tag string, data []byte) (q ptq.TensorQuantizer, ok bool, err error) {
 	switch tag {
 	case tagAffine:
@@ -101,8 +107,8 @@ func UnmarshalQuantizer(tag string, data []byte) (q ptq.TensorQuantizer, ok bool
 			zp:    int64(binary.LittleEndian.Uint64(data[8:16])),
 			bits:  int(binary.LittleEndian.Uint32(data[16:20])),
 		}
-		if !bitsOK(a.bits) {
-			return nil, true, fmt.Errorf("baselines: affine bits %d out of range", a.bits)
+		if !bitsOK(a.bits) || !deltaOK(a.scale) {
+			return nil, true, fmt.Errorf("baselines: affine bits %d / scale %v out of range", a.bits, a.scale)
 		}
 		return a, true, nil
 	case tagBiScaled:
@@ -118,8 +124,8 @@ func UnmarshalQuantizer(tag string, data []byte) (q ptq.TensorQuantizer, ok bool
 		if len(data) != 20+n {
 			return nil, true, fmt.Errorf("baselines: biscaled channel table is %d bytes, want %d", len(data)-20, n)
 		}
-		if !bitsOK(b.bits) || b.ratioLog < 0 || b.ratioLog > 62 {
-			return nil, true, fmt.Errorf("baselines: biscaled bits %d / ratioLog %d out of range", b.bits, b.ratioLog)
+		if !bitsOK(b.bits) || b.ratioLog < 0 || b.ratioLog > 62 || !deltaOK(b.fineDelta) {
+			return nil, true, fmt.Errorf("baselines: biscaled bits %d / ratioLog %d / fineDelta %v out of range", b.bits, b.ratioLog, b.fineDelta)
 		}
 		b.outlierChan = make([]bool, n)
 		for i := 0; i < n; i++ {
@@ -153,8 +159,8 @@ func UnmarshalQuantizer(tag string, data []byte) (q ptq.TensorQuantizer, ok bool
 		if len(data) != 16+4*n {
 			return nil, true, fmt.Errorf("baselines: ptf shift table is %d bytes, want %d", len(data)-16, 4*n)
 		}
-		if !bitsOK(p.bits) {
-			return nil, true, fmt.Errorf("baselines: ptf bits %d out of range", p.bits)
+		if !bitsOK(p.bits) || !deltaOK(p.delta) {
+			return nil, true, fmt.Errorf("baselines: ptf bits %d / delta %v out of range", p.bits, p.delta)
 		}
 		p.shifts = make([]int, n)
 		for i := 0; i < n; i++ {
@@ -186,8 +192,8 @@ func UnmarshalQuantizer(tag string, data []byte) (q ptq.TensorQuantizer, ok bool
 			dPos: math.Float64frombits(binary.LittleEndian.Uint64(data[8:16])),
 			bits: int(binary.LittleEndian.Uint32(data[16:20])),
 		}
-		if !bitsOK(t.bits) {
-			return nil, true, fmt.Errorf("baselines: twin-gelu bits %d out of range", t.bits)
+		if !bitsOK(t.bits) || !deltaOK(t.dNeg) || !deltaOK(t.dPos) {
+			return nil, true, fmt.Errorf("baselines: twin-gelu bits %d / dNeg %v / dPos %v out of range", t.bits, t.dNeg, t.dPos)
 		}
 		return t, true, nil
 	}

@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"quq/internal/ptq"
+	"quq/internal/quant"
 	"quq/internal/tensor"
 	"quq/internal/vit"
 )
@@ -32,7 +33,7 @@ func (FQViT) CalibrateActivation(stats *ptq.SiteStats, bits int) ptq.TensorQuant
 	case isResidualStream(stats.Site):
 		return calibratePTF(stats, bits)
 	default:
-		return ptq.UniformQuantizer{Delta: ptq.SearchUniformDelta(stats.Samples, bits, ptq.DefaultAlphaGrid), Bits: bits}
+		return searchedUniform(stats.Samples, bits)
 	}
 }
 
@@ -42,7 +43,6 @@ func (FQViT) CalibrateActivation(stats *ptq.SiteStats, bits int) ptq.TensorQuant
 func (FQViT) QuantizeWeight(_ vit.Site, w *tensor.Tensor, bits int) {
 	in, out := w.Dim(0), w.Dim(1)
 	hi := float64(int64(1)<<(bits-1) - 1)
-	lo := -hi - 1
 	d := w.Data()
 	for c := 0; c < out; c++ {
 		absmax := 0.0
@@ -54,16 +54,9 @@ func (FQViT) QuantizeWeight(_ vit.Site, w *tensor.Tensor, bits int) {
 		if absmax == 0 {
 			continue
 		}
-		delta := absmax / hi
+		delta := usableDelta(absmax / hi)
 		for r := 0; r < in; r++ {
-			q := math.RoundToEven(d[r*out+c] / delta)
-			if q < lo {
-				q = lo
-			}
-			if q > hi {
-				q = hi
-			}
-			d[r*out+c] = q * delta
+			d[r*out+c] = quant.Uniform(d[r*out+c], delta, bits)
 		}
 	}
 }
@@ -107,21 +100,12 @@ type ptfQuantizer struct {
 func (p ptfQuantizer) Apply(x *tensor.Tensor) *tensor.Tensor {
 	cols := x.Dim(x.Rank() - 1)
 	d := x.Data()
-	hi := float64(int64(1)<<(p.bits-1) - 1)
-	lo := -hi - 1
 	for i, v := range d {
 		delta := p.delta
 		if cols == len(p.shifts) {
 			delta = p.delta * float64(int64(1)<<p.shifts[i%cols])
 		}
-		q := math.RoundToEven(v / delta)
-		if q < lo {
-			q = lo
-		}
-		if q > hi {
-			q = hi
-		}
-		d[i] = q * delta
+		d[i] = quant.Uniform(v, delta, p.bits)
 	}
 	return x
 }
@@ -149,12 +133,13 @@ func calibratePTF(stats *ptq.SiteStats, bits int) ptq.TensorQuantizer {
 		}
 	}
 	if maxAbs == 0 {
-		return ptq.UniformQuantizer{Delta: 1, Bits: bits}
+		return ptq.QUQTensorQuantizer{Params: quant.ParamsForUniform(1, bits)}
 	}
 	base := maxAbs / hi / float64(int64(1)<<maxShift)
 	if ideal := minAbs / hi; ideal > base {
 		base = ideal
 	}
+	base = usableDelta(base)
 	shifts := make([]int, len(stats.ChanAbsMax))
 	for c, a := range stats.ChanAbsMax {
 		if a <= 0 {

@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"quq/internal/ptq"
+	"quq/internal/quant"
 	"quq/internal/tensor"
 	"quq/internal/vit"
 )
@@ -27,7 +28,7 @@ func (PTQ4ViT) CalibrateActivation(stats *ptq.SiteStats, bits int) ptq.TensorQua
 	case isPostGELU(stats.Site):
 		return calibrateTwinGELU(stats.Samples, bits)
 	default:
-		return ptq.UniformQuantizer{Delta: ptq.SearchUniformDelta(stats.Samples, bits, ptq.DefaultAlphaGrid), Bits: bits}
+		return searchedUniform(stats.Samples, bits)
 	}
 }
 
@@ -94,26 +95,17 @@ func calibrateTwinSoftmax(xs []float64, bits int) ptq.TensorQuantizer {
 
 // twinGELUQuantizer gives the bounded negative side and the long-tailed
 // positive side of a GELU output separate scale factors, each with
-// 2^(b−1) codes.
+// 2^(b−1) codes: U_b at dNeg below zero, at dPos from zero up.
 type twinGELUQuantizer struct {
 	dNeg, dPos float64
 	bits       int
 }
 
 func (t twinGELUQuantizer) value(x float64) float64 {
-	half := float64(int64(1) << (t.bits - 1))
 	if x < 0 {
-		q := math.RoundToEven(-x / t.dNeg)
-		if q > half {
-			q = half
-		}
-		return -q * t.dNeg
+		return quant.Uniform(x, t.dNeg, t.bits)
 	}
-	q := math.RoundToEven(x / t.dPos)
-	if q > half-1 {
-		q = half - 1
-	}
-	return q * t.dPos
+	return quant.Uniform(x, t.dPos, t.bits)
 }
 
 // Apply implements ptq.TensorQuantizer.
@@ -142,11 +134,11 @@ func calibrateTwinGELU(xs []float64, bits int) ptq.TensorQuantizer {
 		maxPos = 1e-9
 	}
 	half := float64(int64(1) << (bits - 1))
-	best := twinGELUQuantizer{dNeg: maxNeg / half, dPos: maxPos / (half - 1), bits: bits}
+	best := twinGELUQuantizer{dNeg: usableDelta(maxNeg / half), dPos: usableDelta(maxPos / (half - 1)), bits: bits}
 	bestMSE := math.Inf(1)
 	for _, an := range ptq.DefaultAlphaGrid {
 		for _, ap := range ptq.DefaultAlphaGrid {
-			cand := twinGELUQuantizer{dNeg: an * maxNeg / half, dPos: ap * maxPos / (half - 1), bits: bits}
+			cand := twinGELUQuantizer{dNeg: usableDelta(an * maxNeg / half), dPos: usableDelta(ap * maxPos / (half - 1)), bits: bits}
 			var mse float64
 			for _, v := range xs {
 				e := v - cand.value(v)

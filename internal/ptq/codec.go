@@ -1,20 +1,18 @@
 package ptq
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
 
 	"quq/internal/quant"
 )
 
-// Wire tags for the activation quantizers this package can serialize.
-// Tags are part of the snapshot format: renaming one invalidates every
-// snapshot on disk, so treat them as frozen.
-const (
-	TagQUQ     = "quq"
-	TagUniform = "uniform"
-)
+// TagQUQ is the wire tag of QUQTensorQuantizer, the one activation
+// quantizer this package serializes; every per-tensor uniform site is
+// one too. Tags are part of the snapshot format: renaming one
+// invalidates every snapshot on disk, so treat them as frozen. The
+// retired "uniform" tag decodes as unknown, and Store.Load quarantines
+// its files.
+const TagQUQ = "quq"
 
 // QuantizerCodec is implemented by every concrete TensorQuantizer that
 // can round-trip through the snapshot store. The tag names the concrete
@@ -46,41 +44,20 @@ func (q QUQTensorQuantizer) MarshalQuantizer() (string, []byte, error) {
 	return TagQUQ, data, nil
 }
 
-// MarshalQuantizer implements QuantizerCodec.
-func (u UniformQuantizer) MarshalQuantizer() (string, []byte, error) {
-	buf := make([]byte, 0, 12)
-	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(u.Delta))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(u.Bits))
-	return TagUniform, buf, nil
-}
-
-// UnmarshalQuantizer reverses MarshalQuantizer for the tags this package
+// UnmarshalQuantizer reverses MarshalQuantizer for the tag this package
 // owns. ok=false means the tag belongs to another package (the caller
 // should try the baselines decoder); err!=nil means the tag matched but
 // the payload is malformed.
 func UnmarshalQuantizer(tag string, data []byte) (q TensorQuantizer, ok bool, err error) {
-	switch tag {
-	case TagQUQ:
-		p, err := quant.UnmarshalParams(data)
-		if err != nil {
-			return nil, true, err
-		}
-		if err := p.Validate(); err != nil {
-			return nil, true, fmt.Errorf("ptq: decoded QUQ params invalid: %w", err)
-		}
-		return QUQTensorQuantizer{Params: p}, true, nil
-	case TagUniform:
-		if len(data) != 12 {
-			return nil, true, fmt.Errorf("ptq: uniform encoding is %d bytes, want 12", len(data))
-		}
-		u := UniformQuantizer{
-			Delta: math.Float64frombits(binary.LittleEndian.Uint64(data[0:8])),
-			Bits:  int(binary.LittleEndian.Uint32(data[8:12])),
-		}
-		if u.Bits < 1 || u.Bits > 62 || !(u.Delta > 0) || math.IsInf(u.Delta, 0) {
-			return nil, true, fmt.Errorf("ptq: decoded uniform quantizer invalid (delta=%v bits=%d)", u.Delta, u.Bits)
-		}
-		return u, true, nil
+	if tag != TagQUQ {
+		return nil, false, nil
 	}
-	return nil, false, nil
+	p, err := quant.UnmarshalParams(data)
+	if err != nil {
+		return nil, true, err
+	}
+	if err := p.Validate(); err != nil {
+		return nil, true, fmt.Errorf("ptq: decoded QUQ params invalid: %w", err)
+	}
+	return QUQTensorQuantizer{Params: p}, true, nil
 }

@@ -430,29 +430,14 @@ func Accuracy(c Classifier, images []*tensor.Tensor, labels []int) float64 {
 	return float64(hit) / float64(len(images))
 }
 
-// UniformQuantizer is the shared symmetric-uniform activation quantizer
-// used by several methods: quant.Uniform, U_b, at every element.
-type UniformQuantizer struct {
-	Delta float64
-	Bits  int
-}
-
-// Apply implements TensorQuantizer.
-func (u UniformQuantizer) Apply(x *tensor.Tensor) *tensor.Tensor {
-	d := x.Data()
-	for i, v := range d {
-		d[i] = quant.Uniform(v, u.Delta, u.Bits)
-	}
-	return x
-}
-
 // SearchUniformDelta returns the Δ in {α·absmax/(2^(b−1)−1)} over the
 // grid minimizing MSE on xs — the grid-search step the paper applies to
 // every method ("the optimization techniques used in QUQ are also
 // applied"). An empty grid means {1.0}; data too small to give a
-// positive Δ, Δ = 1. Candidates are compared on raw sums of squared
-// error: quant.UniformMSE's mean would round them once more and could
-// turn a strict win into a tie.
+// positive Δ, Δ = 1. Each candidate is scored on the tap kernel of its
+// quant.ParamsForUniform, by raw sums of squared error: quant.UniformMSE's
+// mean would round them once more and could turn a strict win into a
+// tie.
 func SearchUniformDelta(xs []float64, bits int, grid []float64) float64 {
 	absmax := 0.0
 	for _, v := range xs {
@@ -473,12 +458,8 @@ func SearchUniformDelta(xs []float64, bits int, grid []float64) float64 {
 		if !(d > 0) {
 			continue
 		}
-		var sse float64
-		for _, v := range xs {
-			e := v - quant.Uniform(v, d, bits)
-			sse += e * e
-		}
-		if sse < bestSSE {
+		k := quant.ParamsForUniform(d, bits).Kernel()
+		if sse := k.SumSqErr(0, xs); sse < bestSSE {
 			best, bestSSE = d, sse
 		}
 	}

@@ -1,7 +1,6 @@
 package ptq
 
 import (
-	"encoding/binary"
 	"math"
 	"testing"
 
@@ -195,8 +194,10 @@ func TestAccuracy(t *testing.T) {
 	}
 }
 
+// TestUniformQuantizerApply: a per-tensor uniform site is QUQ's uniform
+// special case, and rewrites its tensor in place.
 func TestUniformQuantizerApply(t *testing.T) {
-	u := UniformQuantizer{Delta: 0.5, Bits: 4}
+	u := QUQTensorQuantizer{Params: quant.ParamsForUniform(0.5, 4)}
 	x := tensor.FromSlice([]float64{0.3, -0.3, 100, -100, 0}, 5)
 	got := u.Apply(x)
 	want := []float64{0.5, -0.5, 3.5, -4, 0}
@@ -212,52 +213,19 @@ func TestUniformQuantizerApply(t *testing.T) {
 
 // TestUniformQuantizerSaturates: a value past the grid lands on the end
 // it is past, however far — including quotients past int64, whose
-// conversion Go leaves to the platform.
+// conversion Go leaves to the platform — and NaN on +0.
 func TestUniformQuantizerSaturates(t *testing.T) {
-	u := UniformQuantizer{Delta: 1, Bits: 6}
+	u := QUQTensorQuantizer{Params: quant.ParamsForUniform(1, 6)}
 	for _, c := range []struct{ in, want float64 }{
 		{0.3, 0}, {2.5, 2}, {-2.5, -2}, {31.4, 31}, {-40, -32},
 		{math.Inf(1), 31}, {math.Inf(-1), -32}, {1e300, 31}, {-1e300, -32},
-		{math.NaN(), quant.Uniform(math.NaN(), 1, 6)},
+		{math.Copysign(0, -1), 0}, {-0.3, 0}, {math.NaN(), 0},
 	} {
 		got := u.Apply(tensor.FromSlice([]float64{c.in}, 1)).Data()[0]
 		if math.Float64bits(got) != math.Float64bits(c.want) {
 			t.Errorf("Apply(%v) = %v, want %v", c.in, got, c.want)
 		}
 	}
-}
-
-// FuzzUniformQuantizer holds UniformQuantizer.Apply to quant.Uniform, the
-// repo's one U_b, bit for bit on arbitrary float bits, and to the
-// in-place contract.
-func FuzzUniformQuantizer(f *testing.F) {
-	var seed []byte
-	for _, v := range []float64{0, math.Copysign(0, -1), 0.3, -2.5, 1e300, -1e300, math.Inf(1), math.Inf(-1), math.NaN(), 5e-324} {
-		seed = binary.LittleEndian.AppendUint64(seed, math.Float64bits(v))
-	}
-	f.Add(seed, 1.0, uint8(6))
-	f.Add(seed, 1e-300, uint8(16))
-	f.Add(seed, 0.0625, uint8(1))
-	f.Fuzz(func(t *testing.T, raw []byte, delta float64, bits uint8) {
-		if !(delta > 0) || bits < 1 || bits > 16 {
-			t.Skip()
-		}
-		in := make([]float64, len(raw)/8)
-		for i := range in {
-			in[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
-		}
-		x := tensor.FromSlice(append([]float64(nil), in...), len(in))
-		u := UniformQuantizer{Delta: delta, Bits: int(bits)}
-		if u.Apply(x) != x {
-			t.Fatal("Apply returned a tensor other than its input")
-		}
-		for i, v := range in {
-			want := quant.Uniform(v, delta, int(bits))
-			if got := x.Data()[i]; math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("Apply(%v) = %v, quant.Uniform %v (Δ=%v, b=%d)", v, got, want, delta, bits)
-			}
-		}
-	})
 }
 
 func TestSearchUniformDelta(t *testing.T) {

@@ -45,7 +45,7 @@ type QUQTensorQuantizer struct {
 // the model under its site key: activation sites from Acts, weight sites
 // from WeightParams. It is what internal/accel builds its runners from,
 // so the simulator executes the served quantizers and calibrates
-// nothing. A site quantized by another method is absent.
+// nothing. A site whose quantizer is not a quant.Params is absent.
 func (q *QuantizedModel) SiteParams() map[string]*quant.Params {
 	out := make(map[string]*quant.Params, len(q.Acts)+len(q.WeightParams))
 	for key, tq := range q.Acts {

@@ -152,3 +152,39 @@ func FuzzQuantizeSlice(f *testing.F) {
 		})
 	})
 }
+
+// FuzzUniform holds QUQ's uniform special case to U_b, the paper's
+// Eq. (1): the kernel of ParamsForUniform(Δ, b) — what every per-tensor
+// uniform site of the comparison methods runs — equals Uniform(x, Δ, b)
+// bit for bit, in place, through both kernel bodies, for b in 3..16, on
+// arbitrary float bits (NaN included), the edge values and the inputs
+// where its decisions flip.
+func FuzzUniform(f *testing.F) {
+	seed := fuzzSeed(0, math.Copysign(0, -1), 0.3, -2.5, 1e300, -1e300, math.Inf(1), math.Inf(-1), math.NaN(), 5e-324)
+	f.Add(seed, 1.0, uint8(3))
+	f.Add(seed, 1e-300, uint8(13))
+	f.Add(seed, 0.0625, uint8(0))
+	f.Add(seed, 0.37, uint8(3))
+	f.Fuzz(func(t *testing.T, data []byte, delta float64, bitsRaw uint8) {
+		if !(delta > 0) {
+			t.Skip()
+		}
+		bits := 3 + int(bitsRaw%14)
+		p := ParamsForUniform(delta, bits)
+		xs := make([]float64, min(len(data)/8, 256))
+		for i := range xs {
+			xs[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[i*8:]))
+		}
+		xs = append(append(xs, edgeInputs...), boundaryInputs(p)...)
+		bothBodies(func(body string) {
+			out := append([]float64(nil), xs...)
+			p.QuantizeSlice(out, out)
+			for i, x := range xs {
+				if want := Uniform(x, delta, bits); math.Float64bits(out[i]) != math.Float64bits(want) {
+					t.Fatalf("%s: ParamsForUniform(%v, %d) quantizes %v [%016x] to %v [%016x], Uniform to %v [%016x]",
+						body, delta, bits, x, math.Float64bits(x), out[i], math.Float64bits(out[i]), want, math.Float64bits(want))
+				}
+			}
+		})
+	})
+}

@@ -58,9 +58,14 @@ func UniformCode(x, delta float64, bits int) int64 {
 // saturatingRound rounds v to the nearest int64, saturating at the
 // integer range instead of hitting Go's implementation-specific
 // out-of-range float-to-int conversion (a tiny Δ against a huge value
-// can push the quotient past 2^63, or to +Inf).
+// can push the quotient past 2^63, or to +Inf). NaN, which has no
+// integer on any platform, rounds to 0: Uniform and Value then both
+// give it the canonical zero.
 func saturatingRound(v float64) int64 {
 	r := math.RoundToEven(v)
+	if r != r {
+		return 0
+	}
 	if r >= float64(math.MaxInt64) {
 		return math.MaxInt64
 	}
@@ -401,15 +406,7 @@ func (p *Params) mseBelow(xs []float64, bound float64) float64 {
 // UniformMSE returns the mean squared error of symmetric uniform b-bit
 // quantization with the given delta over xs (the BaseQ row of Table 1).
 func UniformMSE(xs []float64, delta float64, bits int) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var s float64
-	for _, x := range xs {
-		d := x - Uniform(x, delta, bits)
-		s += d * d
-	}
-	return s / float64(len(xs))
+	return ParamsForUniform(delta, bits).MSE(xs)
 }
 
 // ParamsForUniform builds the QUQ parameter set that reproduces symmetric

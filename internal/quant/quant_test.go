@@ -135,6 +135,33 @@ func TestParamsForUniformMatchesUniform(t *testing.T) {
 	}
 }
 
+// TestNaNQuantizesToZero: NaN has no integer code, and Go leaves
+// int64(NaN) to the platform (amd64 gives MinInt64, arm64 0). U_b and
+// every QUQ quantizer, scalar and slice, give it the canonical zero.
+func TestNaNQuantizesToZero(t *testing.T) {
+	nan := math.NaN()
+	if c := UniformCode(nan, 0.37, 6); c != 0 {
+		t.Errorf("UniformCode(NaN) = %d, want 0", c)
+	}
+	if v := Uniform(nan, 0.37, 6); math.Float64bits(v) != 0 {
+		t.Errorf("Uniform(NaN) = %v, want +0", v)
+	}
+	modeA := &Params{Bits: 6, Slots: [4]SlotParams{
+		FNeg: {true, 0.5, 16}, FPos: {true, 0.5, 15}, CNeg: {true, 4, 16}, CPos: {true, 2, 15},
+	}}
+	for _, p := range []*Params{ParamsForUniform(0.37, 6), modeA} {
+		zero := math.Float64bits(p.Dequantize(Code{Slot: p.zeroSlot()}))
+		if v := p.Value(nan); math.Float64bits(v) != zero {
+			t.Errorf("%v: Value(NaN) = %v, want the canonical zero", p, v)
+		}
+		out := []float64{nan}
+		p.QuantizeSlice(out, out)
+		if math.Float64bits(out[0]) != zero {
+			t.Errorf("%v: QuantizeSlice(NaN) = %v, want the canonical zero", p, out[0])
+		}
+	}
+}
+
 func TestValidateRejectsBadRatio(t *testing.T) {
 	p := &Params{Bits: 8}
 	p.Slots[FPos] = SlotParams{Enabled: true, Delta: 1, MaxMag: 63}
