@@ -81,6 +81,10 @@ fuzz FuzzSFUSliceKernels ./internal/mathx/
 fuzz FuzzUniform ./internal/quant/
 # The baselines' quantizer records: decode, re-marshal, Apply on edges.
 fuzz FuzzQuantizerRecord ./internal/baselines/
+# The worker's classify decode and the front's key peek against the
+# encoding/json decodes they replace: same errors, same bits.
+fuzz FuzzClassifyRequest ./internal/serve/
+fuzz FuzzProxySelection ./internal/shard/
 
 # quq-serve smoke: boot the inference service on an ephemeral port and
 # drive one quantize + classify round trip through the real HTTP stack.

@@ -174,7 +174,7 @@ func TestFQViTLog2OnSoftmax(t *testing.T) {
 
 func TestLog2QuantizerValues(t *testing.T) {
 	q := log2Quantizer{bits: 4}
-	x := tensor.FromSlice([]float64{1, 0.5, 0.25, 0.3, 0, -0.1, 1e-9}, 7)
+	x := tensor.FromSlice([]float64{1, 0.5, 0.25, 0.3, 0, -0.1, 1e-9, math.NaN()}, 8)
 	out := q.Apply(x)
 	if out.Data()[0] != 1 || out.Data()[1] != 0.5 || out.Data()[2] != 0.25 {
 		t.Fatalf("exact powers wrong: %v", out.Data())
@@ -184,6 +184,9 @@ func TestLog2QuantizerValues(t *testing.T) {
 	}
 	if out.Data()[6] != 0 {
 		t.Fatalf("underflow must map to 0, got %v", out.Data()[6])
+	}
+	if out.Data()[7] != 0 {
+		t.Fatalf("NaN must map to 0, got %v", out.Data()[7])
 	}
 }
 

@@ -58,7 +58,7 @@ var recordEdgeInputs = []float64{
 // pairs: decoding never panics; a record it accepts re-marshals to the
 // same tag and bytes, and its Apply takes recordEdgeInputs — laid out
 // flat and as rows of four channels, the width the seeds were
-// calibrated on — without panicking.
+// calibrated on — without panicking; FQ-ViT's log2 record maps NaN to 0.
 func FuzzQuantizerRecord(f *testing.F) {
 	xs := dist.Sample(dist.PreAddition, 256, rng.New(11))
 	probs := dist.Sample(dist.PostSoftmax, 256, rng.New(12))
@@ -91,7 +91,14 @@ func FuzzQuantizerRecord(f *testing.F) {
 			t.Fatalf("%s %x decodes to %T, which re-marshals to %s %x (err %v)", tag, data, q, tag2, data2, err)
 		}
 		n := len(recordEdgeInputs)
-		q.Apply(tensor.FromSlice(append([]float64(nil), recordEdgeInputs...), n))
+		out := q.Apply(tensor.FromSlice(append([]float64(nil), recordEdgeInputs...), n))
+		if _, ok := q.(log2Quantizer); ok {
+			for i, v := range recordEdgeInputs {
+				if math.IsNaN(v) && out.Data()[i] != 0 {
+					t.Fatalf("log2 record %x maps NaN to %v, want 0", data, out.Data()[i])
+				}
+			}
+		}
 		q.Apply(tensor.FromSlice(append([]float64(nil), recordEdgeInputs...), n/4, 4))
 	})
 }

@@ -62,8 +62,8 @@ func (FQViT) QuantizeWeight(_ vit.Site, w *tensor.Tensor, bits int) {
 }
 
 // log2Quantizer maps a probability x to 2^−q with q = round(−log2 x)
-// clipped to [0, 2^b−1]; zero (and anything below the smallest
-// representable power) maps to 0 via the largest code.
+// clipped to [0, 2^b−1]; zero, negatives, NaN (and anything below the
+// smallest representable power) map to 0 via the largest code.
 type log2Quantizer struct{ bits int }
 
 // Apply implements ptq.TensorQuantizer.
@@ -71,7 +71,7 @@ func (l log2Quantizer) Apply(x *tensor.Tensor) *tensor.Tensor {
 	d := x.Data()
 	maxCode := float64(int64(1)<<l.bits - 1)
 	for i, v := range d {
-		if v <= 0 {
+		if !(v > 0) { // NaN too: int(NaN) below is platform-defined
 			d[i] = 0
 			continue
 		}

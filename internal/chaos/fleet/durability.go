@@ -65,9 +65,9 @@ func scenarioWarmRestart(ctx context.Context, seed uint64, opts Options, rep *ch
 	release := func() { gateOnce.Do(func() { close(gate) }) }
 	defer release()
 	cfg.Registry.SnapshotLoadHook = func(n int) {
-		// First boots see an empty store (n == 0) and pass straight
-		// through; the restart (n > 0) parks here until the scenario has
-		// observed the warming window.
+		// First boots see an empty store and start no warm restart; the
+		// restart (n > 0) parks here until the scenario has observed the
+		// warming window.
 		if n > 0 {
 			restored.Store(int32(n))
 			<-gate

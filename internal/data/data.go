@@ -175,9 +175,9 @@ func Image(channels, size int, src *rng.Source) *tensor.Tensor {
 // are rejected: a single NaN would propagate through every GEMM and turn
 // the logits into garbage that still serializes as valid JSON.
 //
-// This is the decode path between quq-serve's JSON request body and the
-// inference stack; the copy keeps the caller's buffer (typically a
-// json.Decoder allocation) out of the model's working set.
+// This is the decode path between quq-serve's request body and the
+// inference stack. The tensor takes ownership of vals: it is a view, not
+// a copy, so the caller must not touch vals afterwards.
 func ImageFromFlat(cfg vit.Config, vals []float64) (*tensor.Tensor, error) {
 	want := cfg.Channels * cfg.ImageSize * cfg.ImageSize
 	if len(vals) != want {
@@ -189,9 +189,7 @@ func ImageFromFlat(cfg vit.Config, vals []float64) (*tensor.Tensor, error) {
 			return nil, fmt.Errorf("data: image value %d is not finite", i)
 		}
 	}
-	img := tensor.New(cfg.Channels, cfg.ImageSize, cfg.ImageSize)
-	copy(img.Data(), vals)
-	return img, nil
+	return tensor.FromSlice(vals, cfg.Channels, cfg.ImageSize, cfg.ImageSize), nil
 }
 
 // CalibrationSet returns the paper's calibration protocol: a small number

@@ -168,10 +168,10 @@ func TestImageFromFlat(t *testing.T) {
 	if img.At(0, 0, 1) != vals[1] {
 		t.Fatal("layout mismatch: not channel-major row-major")
 	}
-	// The tensor must not alias the request buffer.
+	// The tensor takes ownership of the request buffer: a view, no copy.
 	vals[1] = 99
-	if img.At(0, 0, 1) == 99 {
-		t.Fatal("ImageFromFlat aliases the caller's slice")
+	if img.At(0, 0, 1) != 99 {
+		t.Fatal("ImageFromFlat copied the caller's slice instead of taking it")
 	}
 
 	if _, err := ImageFromFlat(cfg, vals[:n-1]); err == nil {

@@ -178,6 +178,9 @@ func TestSharedCalibrationDigestsMatchStandalone(t *testing.T) {
 			}
 		}},
 		{"recollected-between", func(t *testing.T, r *Registry, met *Metrics, f family) {
+			// The previous family's release runs on a goroutine; until it
+			// has, this family's first key would find the set resident.
+			waitFor(t, func() bool { return !r.holdsStats(f.config) })
 			before := met.CalibCollects.Value()
 			check(t, r, Key{f.config, f.method, f.bits, ptq.Partial})
 			waitFor(t, func() bool { return !r.holdsStats(f.config) })

@@ -222,10 +222,11 @@ type RegistryOptions struct {
 	SnapshotDir string
 	// SnapshotLoadHook, when set, runs on the warm-restart goroutine
 	// after the snapshot directory has been read, with the number of
-	// verified snapshots about to be installed. It is the chaos layer's
-	// restart seam: a hook that blocks holds the registry in its warming
-	// state (requests answer 503) for as long as the scenario needs. Not
-	// for production use.
+	// verified snapshots about to be installed; a directory that held no
+	// snapshot file at construction starts no warm restart and no hook.
+	// It is the chaos layer's restart seam: a hook that blocks holds the
+	// registry in its warming state (requests answer 503) for as long as
+	// the scenario needs. Not for production use.
 	SnapshotLoadHook func(n int)
 	// IntPath enables the fully-integer weight path (-int-path flag) on
 	// every QUQ-method model the registry builds: weight GEMMs run on
@@ -360,6 +361,13 @@ func NewRegistry(opts RegistryOptions, met *Metrics) *Registry {
 		return r
 	}
 	r.store = store
+	if store.Committed() == 0 {
+		// Nothing to restore: open for traffic now. A warm-restart
+		// goroutine scheduled late would answer the first requests of a
+		// fresh worker with 503s.
+		close(r.warm)
+		return r
+	}
 	r.builds.Add(1)
 	go r.warmRestart()
 	return r

@@ -380,6 +380,22 @@ func TestIntDeclinesMetric(t *testing.T) {
 	}
 }
 
+// TestEmptySnapshotDirIsNotWarming: a worker with nothing to restore
+// serves from construction. Its warm restart used to run on a goroutine
+// anyway, and a benchmark's first 20 quantize requests, sent in the
+// milliseconds before that goroutine ran, all came back 503.
+func TestEmptySnapshotDirIsNotWarming(t *testing.T) {
+	opts := testRegistryOptions()
+	opts.SnapshotDir = t.TempDir()
+	r := NewRegistry(opts, nil)
+	if r.Warming() {
+		t.Fatal("a registry over an empty snapshot dir answers 503 until a goroutine runs")
+	}
+	if err := r.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestWarmRestartSkipsUnreadableSnapshot: an unreadable file in the
 // snapshot dir costs one snapshot error and nothing else — the snapshots
 // around it still come back, with no rebuild and no quarantine.

@@ -195,8 +195,13 @@ type classifyResponse struct {
 // quantized model, routes the images through the micro-batcher and
 // returns per-image logits.
 func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
-	var req classifyRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	body, err := ReadBody(r, s.cfg.MaxBodyBytes)
+	if err != nil {
+		s.writeError(w, fmt.Errorf("%w: %v", ErrBadRequest, err))
+		return
+	}
+	req, err := decodeClassify(body)
+	if err != nil {
 		s.writeError(w, fmt.Errorf("%w: %v", ErrBadRequest, err))
 		return
 	}

@@ -32,7 +32,22 @@ func testServer(t *testing.T, bopts BatcherOptions) (*Server, *httptest.Server) 
 	})
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
+	drainOnCleanup(t, s)
 	return s, ts
+}
+
+// drainOnCleanup drains d when the test ends. An undrained registry
+// keeps its builds' statistics-release goroutines asleep in their grace
+// after the test returns, and TestServerLifecycleLeaksNothing counts one
+// that had not yet reached its sleep at its first census as a leak.
+func drainOnCleanup(t *testing.T, d interface{ Drain(context.Context) error }) {
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		if err := d.Drain(ctx); err != nil {
+			t.Errorf("drain: %v", err)
+		}
+	})
 }
 
 // flatImages renders n deterministic ViT-Nano images as flat slices.
@@ -75,6 +90,7 @@ func TestServeEndToEndConcurrent(t *testing.T) {
 	// Reference outputs from a twin registry with identical options: the
 	// server must reproduce them bit-for-bit over HTTP.
 	ref := NewRegistry(testRegistryOptions(), nil)
+	drainOnCleanup(t, ref)
 	key := nanoKey("QUQ", ptq.Full)
 	qref, _, err := ref.Get(context.Background(), key)
 	if err != nil {
@@ -242,6 +258,35 @@ func TestServeBodyLimit(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest && resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Fatalf("oversized body: status %d, want 400/413", resp.StatusCode)
 	}
+
+	// The whole body is read before it is decoded, so a valid request
+	// padded past the cap is refused too, before the registry sees it.
+	flat, _ := flatImages(1)
+	body, err := json.Marshal(classifyRequest{
+		modelRequest: modelRequest{Model: "ViT-Nano", Method: "BaseQ", Bits: 6},
+		Images:       flat,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s = New(Config{Registry: testRegistryOptions(), MaxBodyBytes: int64(len(body)) + 8})
+	ts2 := httptest.NewServer(s.Handler())
+	defer ts2.Close()
+	padded := append(body, bytes.Repeat([]byte(" "), 16)...)
+	// With a Content-Length and chunked, without one.
+	for _, r := range []io.Reader{bytes.NewReader(padded), io.MultiReader(bytes.NewReader(padded))} {
+		resp, err := http.Post(ts2.URL+"/v1/classify", "application/json", r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("valid request padded past the cap: status %d, want 400", resp.StatusCode)
+		}
+	}
+	if misses := s.Metrics().CacheMisses.Value(); misses != 0 {
+		t.Fatalf("%d cache misses: an oversized body reached the registry", misses)
+	}
 }
 
 // TestServeZeroConfigSkipsLinger pins the scheduler a zero Governor
@@ -257,6 +302,7 @@ func TestServeZeroConfigSkipsLinger(t *testing.T) {
 	})
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
+	drainOnCleanup(t, s)
 	flat, _ := flatImages(1)
 	resp, body := postJSON(t, ts.URL+"/v1/classify", classifyRequest{
 		modelRequest: modelRequest{Model: "ViT-Nano", Method: "BaseQ", Bits: 6},

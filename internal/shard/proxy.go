@@ -185,6 +185,23 @@ func (f *Front) middleware(next http.Handler) http.Handler {
 	})
 }
 
+// selection reads a body's key fields as json.Unmarshal would, without
+// parsing the images the front only relays: by serve.ScanSelection for
+// the bodies clients send, by encoding/json for anything else.
+func selection(body []byte) (serve.Selection, error) {
+	if sel, ok := serve.ScanSelection(body); ok {
+		return sel, nil
+	}
+	var sel struct {
+		Model  string `json:"model"`
+		Method string `json:"method"`
+		Bits   int    `json:"bits"`
+		Regime string `json:"regime"`
+	}
+	err := json.Unmarshal(body, &sel)
+	return serve.Selection(sel), err
+}
+
 // handleProxy routes one classify/quantize request: canonicalize the
 // key selection (unknown enums are rejected here, before hashing — the
 // same spelling rules the backend registry applies), pick the owning
@@ -193,18 +210,13 @@ func (f *Front) middleware(next http.Handler) http.Handler {
 // ring successor; HTTP responses — 429 backpressure above all — are
 // relayed as-is, never retried.
 func (f *Front) handleProxy(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(r.Body)
+	body, err := serve.ReadBody(r, f.opts.MaxBodyBytes)
 	if err != nil {
 		f.writeError(w, http.StatusBadRequest, fmt.Errorf("reading body: %w", err))
 		return
 	}
-	var sel struct {
-		Model  string `json:"model"`
-		Method string `json:"method"`
-		Bits   int    `json:"bits"`
-		Regime string `json:"regime"`
-	}
-	if err := json.Unmarshal(body, &sel); err != nil {
+	sel, err := selection(body)
+	if err != nil {
 		f.writeError(w, http.StatusBadRequest, fmt.Errorf("decoding body: %w", err))
 		return
 	}

@@ -33,6 +33,8 @@ const (
 // the key's content address so any key maps to exactly one path.
 type Store struct {
 	dir string
+	// committed counts the snapshot files dir held at Open.
+	committed int
 }
 
 // Open prepares dir (creating it if needed) and sweeps temp files left
@@ -49,8 +51,12 @@ func Open(dir string) (*Store, int, error) {
 	if err != nil {
 		return nil, 0, err
 	}
+	s := &Store{dir: dir}
 	swept := 0
 	for _, name := range names {
+		if strings.HasSuffix(name, snapExt) {
+			s.committed++
+		}
 		if !strings.HasSuffix(name, tmpExt) {
 			continue
 		}
@@ -59,11 +65,15 @@ func Open(dir string) (*Store, int, error) {
 		}
 		swept++
 	}
-	return &Store{dir: dir}, swept, nil
+	return s, swept, nil
 }
 
 // Dir returns the store's directory.
 func (s *Store) Dir() string { return s.dir }
+
+// Committed returns how many committed snapshot files the directory
+// held when it was opened; with none, Load has nothing to load.
+func (s *Store) Committed() int { return s.committed }
 
 // PathFor returns the committed snapshot path a key maps to under dir.
 // Exported as a function (not just a method) so the chaos harness can
