@@ -85,6 +85,12 @@ fuzz FuzzQuantizerRecord ./internal/baselines/
 # encoding/json decodes they replace: same errors, same bits.
 fuzz FuzzClassifyRequest ./internal/serve/
 fuzz FuzzProxySelection ./internal/shard/
+# Key strings from outside the process (GET /v1/snapshot?key=, snapshot
+# files, a leaving backend's /models) parse only as Key.String prints.
+fuzz FuzzParseKey ./internal/serve/
+# POST /v1/quantize on arbitrary bodies: 4xx before the registry, or
+# exactly KeyFromWire's key at the (refusing) build hook.
+fuzz FuzzQuantizeRequest ./internal/serve/
 
 # quq-serve smoke: boot the inference service on an ephemeral port and
 # drive one quantize + classify round trip through the real HTTP stack.

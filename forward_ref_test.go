@@ -248,14 +248,13 @@ func preprForward(tb testing.TB, qm *ptq.QuantizedModel, img *tensor.Tensor) *te
 
 // TestForwardLogitsMatchPrePR asserts that the served forward — in-place
 // kernel quantizers on arena tensors, lone and stacked into a batch —
-// reproduces the copying, scalar, per-image reference logits bit for bit,
-// serial and with the intra-op budget raised. ViT-Nano and ViT-S (the two
-// bench models), fully and partially quantized, are held to the
-// pre-kernel-layer replica above — whose own per-element Gelu and per-row
-// SoftmaxInPlace loops make it an oracle for the forward's SFU slice
-// kernels, on both sides of their selection, and whose one-image-at-a-time
-// body makes it one for the batch-major forward, that shares no code with
-// either. The replica has no window partition or distillation token, so
+// reproduces the copying, scalar, per-image reference logits bit for bit.
+// ViT-Nano and ViT-S (the two bench models), fully and partially
+// quantized, are held to the pre-kernel-layer replica above — whose own
+// per-element Gelu and per-row SoftmaxInPlace loops make it an oracle for
+// the forward's SFU slice kernels, on both sides of their selection, and
+// whose one-image-at-a-time body makes it one for the batch-major
+// forward, that shares no code with either. The replica has no window partition or distillation token, so
 // Swin-T and DeiT-S are held to their own model code run the old way: one
 // image and a Tap (which keeps every tensor an ordinary allocation) that
 // clones each site and quantizes the clone through Value.
@@ -279,25 +278,17 @@ func TestForwardLogitsMatchPrePR(t *testing.T) {
 				want[i] = qm.Model.Forward(img, vit.ForwardOpts{Tap: copyingTap(qm)})
 			}
 		}
-		check := func(label string) {
-			t.Helper()
-			label = fmt.Sprintf("%s/%v %s", cfg.Name, row.regime, label)
-			// Twice: the second pass runs on recycled arena tensors.
-			for pass := 0; pass < 2; pass++ {
-				assertLogitBits(t, label+" lone", qm.Forward(imgs[0]), want[0])
-				// One stack of three, then a stack of two beside a lone one.
-				for workers := 1; workers <= 2; workers++ {
-					for i, got := range qm.ForwardBatch(imgs, workers) {
-						assertLogitBits(t, fmt.Sprintf("%s batch, image %d", label, i), got, want[i])
-					}
+		label := fmt.Sprintf("%s/%v", cfg.Name, row.regime)
+		// Twice: the second pass runs on recycled arena tensors.
+		for pass := 0; pass < 2; pass++ {
+			assertLogitBits(t, label+" lone", qm.Forward(imgs[0]), want[0])
+			// One stack of three, then a stack of two beside a lone one.
+			for workers := 1; workers <= 2; workers++ {
+				for i, got := range qm.ForwardBatch(imgs, workers) {
+					assertLogitBits(t, fmt.Sprintf("%s batch, image %d", label, i), got, want[i])
 				}
 			}
 		}
-		check("serial")
-		grant := tensor.GrantWorkers(3)
-		t.Cleanup(grant.Release)
-		check("parallel")
-		grant.Release()
 	}
 }
 

@@ -211,7 +211,7 @@ func TestReportDeterminismAndVerdicts(t *testing.T) {
 			0,
 		)
 		r.CheckBoundedDrain(true, 4, 4)
-		r.CheckLatencySLO(5, 5, 1, 0, []int{4, 1, 4}, true)
+		r.CheckLatencySLO(5, 5, 1, 0, []int{1, 0, 1}, true)
 		return r
 	}
 	var a, b strings.Builder
@@ -240,12 +240,12 @@ func TestReportDeterminismAndVerdicts(t *testing.T) {
 		0,
 	)
 	r.CheckBoundedDrain(false, 4, 4)                     // deadline blown
-	r.CheckLatencySLO(5, 4, 1, 0, []int{4, 1, 4}, true)  // admitted request missed its budget
-	r.CheckLatencySLO(5, 5, 0, 0, []int{4, 1, 4}, true)  // overload never shed
-	r.CheckLatencySLO(5, 5, 2, 0, []int{4, 1, 4}, true)  // shed probe re-sent and shed again
-	r.CheckLatencySLO(5, 5, 1, 2, []int{4, 1, 4}, true)  // shed request held queue slots
-	r.CheckLatencySLO(5, 5, 1, 0, []int{4, 4, 4}, true)  // governor never adapted
-	r.CheckLatencySLO(5, 5, 1, 0, []int{4, 1, 4}, false) // shed counter absent from merged view
+	r.CheckLatencySLO(5, 4, 1, 0, []int{1, 0, 1}, true)  // admitted request missed its budget
+	r.CheckLatencySLO(5, 5, 0, 0, []int{1, 0, 1}, true)  // overload never shed
+	r.CheckLatencySLO(5, 5, 2, 0, []int{1, 0, 1}, true)  // shed probe re-sent and shed again
+	r.CheckLatencySLO(5, 5, 1, 2, []int{1, 0, 1}, true)  // shed request held queue slots
+	r.CheckLatencySLO(5, 5, 1, 0, []int{1, 1, 1}, true)  // governor never adapted
+	r.CheckLatencySLO(5, 5, 1, 0, []int{1, 0, 1}, false) // shed counter absent from merged view
 	for i, c := range r.Results {
 		if c.Pass {
 			t.Errorf("check %d (%s) passed on a violating history: %s", i, c.Name, c.Detail)

@@ -637,19 +637,19 @@ func scenarioMembershipElastic(ctx context.Context, seed uint64, opts Options, r
 // its whole operating range on a fake clock and checks the latency-SLO
 // invariant:
 //
-//   - sparse singles keep the governor at the wide point (MaxIntraOp
-//     workers, immediate dispatch) and finish inside the default budget;
-//   - one full batch shrinks the worker budget to one instantly;
+//   - sparse singles keep the governor in the low-occupancy regime
+//     (immediate dispatch) and finish inside the default budget;
+//   - one full batch switches it to the load regime (linger) instantly;
 //   - with the queue backed up behind a gated worker, an impatient probe
 //     sent through the front is shed with 429 before taking a queue
 //     slot, while the lenient backdrop (explicit wide budget, carried by
 //     the front) is admitted and completes;
-//   - after the occupancy window ages out, the governor returns to the
-//     wide point and the shed counter shows up in the front-end's merged
-//     /metrics view.
+//   - after the occupancy window ages out, the governor returns to
+//     immediate dispatch and the shed counter shows up in the
+//     front-end's merged /metrics view.
 //
-// Every figure in the report — request counts, worker allocations, shed
-// tallies, queue depths — is script-determined: the injected clock makes
+// Every figure in the report — request counts, regimes, shed tallies,
+// queue depths — is script-determined: the injected clock makes
 // service times exact, so two replays render byte-identical verdicts.
 func scenarioOverloadShed(ctx context.Context, seed uint64, opts Options, rep *chaos.Report) error {
 	clk := chaos.NewFake()
@@ -670,7 +670,7 @@ func scenarioOverloadShed(ctx context.Context, seed uint64, opts Options, rep *c
 			_ = clk.Sleep(ctx, 5*time.Millisecond)
 		},
 	}
-	cfg.Governor = serve.GovernorOptions{MaxIntraOp: 4, Clock: clk}
+	cfg.Governor = serve.GovernorOptions{Clock: clk}
 	f, err := Boot(ctx, 1, 1, cfg, &chaos.Script{Name: "overload-shed", Seed: seed}, opts)
 	if err != nil {
 		return err
@@ -696,7 +696,7 @@ func scenarioOverloadShed(ctx context.Context, seed uint64, opts Options, rep *c
 	}
 
 	admitted, withinBudget := 0, 0
-	var workerPath []int
+	var immediatePath []int
 	// timed sends one request that has to be admitted and scores it
 	// against its budget on the fake clock — service time is exactly the
 	// injected sleeps. An answer other than 200 has missed its budget:
@@ -715,20 +715,20 @@ func scenarioOverloadShed(ctx context.Context, seed uint64, opts Options, rep *c
 	}
 
 	// Phase 1 — sparse singles: occupancy 1/4 sits at the low threshold,
-	// so the governor holds the wide point it boots with.
+	// so the governor holds the immediate dispatch it boots with.
 	for i := 0; i < 2; i++ {
 		if err := timed("sparse classify", cfg.Batcher.LatencyBudget, f.Base+"/v1/classify", ClassifyBody(sel, flat[0]), nil); err != nil {
 			return err
 		}
 	}
-	workerPath = append(workerPath, int(backend.Srv.Metrics().IntraopWorkers.Value()))
+	immediatePath = append(immediatePath, int(backend.Srv.Metrics().ImmediateDispatch.Value()))
 
-	// Phase 2 — one full batch: instantaneous occupancy 1.0 shrinks the
-	// per-batch worker budget to the floor.
+	// Phase 2 — one full batch: instantaneous occupancy 1.0 ends
+	// immediate dispatch.
 	if err := timed("full batch", cfg.Batcher.LatencyBudget, f.Base+"/v1/classify", multi(4), nil); err != nil {
 		return err
 	}
-	workerPath = append(workerPath, int(backend.Srv.Metrics().IntraopWorkers.Value()))
+	immediatePath = append(immediatePath, int(backend.Srv.Metrics().ImmediateDispatch.Value()))
 
 	// Phase 3 — overload: jam the workers and queue a 12-image backdrop
 	// from a lenient client (wide explicit budget), then probe with the
@@ -768,14 +768,14 @@ func scenarioOverloadShed(ctx context.Context, seed uint64, opts Options, rep *c
 	}
 
 	// Phase 4 — recovery: age the occupancy window out entirely; the
-	// next sparse single dispatches immediately at the wide point again.
+	// next sparse single dispatches immediately again.
 	if err := clk.Sleep(ctx, 600*time.Millisecond); err != nil {
 		return err
 	}
 	if err := timed("recovery classify", cfg.Batcher.LatencyBudget, f.Base+"/v1/classify", ClassifyBody(sel, flat[0]), nil); err != nil {
 		return err
 	}
-	workerPath = append(workerPath, int(backend.Srv.Metrics().IntraopWorkers.Value()))
+	immediatePath = append(immediatePath, int(backend.Srv.Metrics().ImmediateDispatch.Value()))
 
 	// The shed counter must surface through the front-end's merged view.
 	page, err := Do(ctx, http.MethodGet, f.Base+"/metrics", nil, nil)
@@ -784,6 +784,6 @@ func scenarioOverloadShed(ctx context.Context, seed uint64, opts Options, rep *c
 	}
 	merged := strings.Contains(string(page.Body), fmt.Sprintf("quq_serve_shed_total %d", shed))
 
-	rep.CheckLatencySLO(admitted, withinBudget, shed, shedQueueSlots, workerPath, merged)
+	rep.CheckLatencySLO(admitted, withinBudget, shed, shedQueueSlots, immediatePath, merged)
 	return nil
 }

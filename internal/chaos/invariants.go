@@ -205,26 +205,26 @@ func (r *Report) CheckZeroLostKeys(reads, readsOK, newBuilds int) {
 // latency budget (admission control refused the rest up front), the
 // script's one overload probe was shed exactly once — zero means
 // shedding never fired, two means something re-sent the shed request —
-// shed requests consumed no queue capacity, and the governor both
-// lowered the per-batch worker budget under load and raised it back at
-// low occupancy (workerPath is the script-observed allocation sequence).
-// merged asserts the shed counter surfaced through the fleet's merged
-// /metrics view.
-func (r *Report) CheckLatencySLO(admitted, withinBudget, shed, shedQueueSlots int, workerPath []int, merged bool) {
+// shed requests consumed no queue capacity, and the governor both left
+// immediate dispatch under load and returned to it at low occupancy
+// (immediatePath is the script-observed sequence of the 0/1
+// immediate-dispatch gauge). merged asserts the shed counter surfaced
+// through the fleet's merged /metrics view.
+func (r *Report) CheckLatencySLO(admitted, withinBudget, shed, shedQueueSlots int, immediatePath []int, merged bool) {
 	lowered, raised := false, false
-	for i := 1; i < len(workerPath); i++ {
-		if workerPath[i] < workerPath[i-1] {
+	for i := 1; i < len(immediatePath); i++ {
+		if immediatePath[i] < immediatePath[i-1] {
 			lowered = true
 		}
-		if workerPath[i] > workerPath[i-1] {
+		if immediatePath[i] > immediatePath[i-1] {
 			raised = true
 		}
 	}
 	pass := admitted == withinBudget && shed == 1 && shedQueueSlots == 0 &&
 		lowered && raised && merged
 	r.Add("latency-slo", pass,
-		"admitted=%d within-budget=%d shed=%d shed-queue-slots=%d workers=%v lowered=%v raised=%v merged-metrics=%v",
-		admitted, withinBudget, shed, shedQueueSlots, workerPath, lowered, raised, merged)
+		"admitted=%d within-budget=%d shed=%d shed-queue-slots=%d immediate=%v lowered=%v raised=%v merged-metrics=%v",
+		admitted, withinBudget, shed, shedQueueSlots, immediatePath, lowered, raised, merged)
 }
 
 // CheckElasticMembership asserts the membership subsystem's contract

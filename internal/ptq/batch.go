@@ -44,14 +44,9 @@ func BatchChunks(n, workers int) []int {
 // quq-serve's micro-batching scheduler; it is exported so non-HTTP
 // callers (benchmarks, bulk evaluation) get the same amortization.
 //
-// Interaction with intra-op parallelism: the kernel layer's pool of
-// extra GEMM workers is empty unless a tensor.GrantWorkers grant is
-// live, so every chunk's GEMMs run serially inside its goroutine and the
-// two levels of parallelism never multiply. A grant is safe — the pool
-// is process-wide, so chunks share its extra kernel goroutines rather
-// than spawning their own — and splits a stacked GEMM's rows across
-// them; a caller with one chunk and idle cores (workers = 1) is who that
-// is for.
+// The chunks are the only parallelism: every GEMM runs serially inside
+// its chunk's goroutine, so a batch uses at most workers cores and a
+// one-image call uses one.
 func (q *QuantizedModel) ForwardBatch(images []*tensor.Tensor, workers int) []*tensor.Tensor {
 	out := make([]*tensor.Tensor, len(images))
 	bounds := BatchChunks(len(images), workers)

@@ -303,12 +303,6 @@ func (b *Batcher) run(p *pending, depth int) {
 	if b.met != nil {
 		b.met.BatchSize.Observe(float64(len(p.items)))
 	}
-	if extra := b.gov.BatchWorkers() - 1; extra > 0 {
-		// This batch's share of the core budget: contribute extra intra-op
-		// workers to the tensor pool for the duration of its forwards.
-		g := tensor.GrantWorkers(extra)
-		defer g.Release()
-	}
 	start := b.gov.clock().Now()
 	bounds := ptq.BatchChunks(len(p.items), b.opts.Workers)
 	var cwg sync.WaitGroup

@@ -1,24 +1,16 @@
 package serve
 
 import (
-	"runtime"
 	"sync"
 	"time"
 
 	"quq/internal/chaos"
 )
 
-// GovernorOptions holds the two things a caller may pin about the
+// GovernorOptions holds the one thing a caller may pin about the
 // occupancy-adaptive scheduler; the control law itself (window,
-// thresholds, worker floor) is fixed. See docs/TUNING.md for the
-// operator view.
+// thresholds) is fixed. See docs/TUNING.md for the operator view.
 type GovernorOptions struct {
-	// MaxIntraOp is the per-batch intra-op worker ceiling granted at low
-	// occupancy (default GOMAXPROCS; the chaos harness and tests pin a
-	// machine-independent value). Each dispatched batch contributes
-	// MaxIntraOp-1 extra workers to the tensor pool while the governor is
-	// in the low-occupancy regime; under load every batch runs on one.
-	MaxIntraOp int
 	// Clock paces and timestamps every governor decision. Defaults to
 	// chaos.Real; tests and the chaos harness inject a *chaos.Fake so
 	// occupancy traces and shed decisions replay deterministically.
@@ -26,9 +18,6 @@ type GovernorOptions struct {
 }
 
 func (o *GovernorOptions) defaults() {
-	if o.MaxIntraOp < 1 {
-		o.MaxIntraOp = runtime.GOMAXPROCS(0)
-	}
 	if o.Clock == nil {
 		o.Clock = chaos.Real
 	}
@@ -42,10 +31,10 @@ const (
 	// occupancy over before returning to the low-occupancy regime.
 	occupancyWindow = 500 * time.Millisecond
 	// lowOccupancyInv: a window-average occupancy at or below 1/4 enters
-	// the low-occupancy regime — immediate dispatch, MaxIntraOp workers.
+	// the low-occupancy regime — immediate dispatch.
 	lowOccupancyInv = 4
 	// highOccupancyInv: an instantaneous occupancy at or above 1/2 drops
-	// to the load regime — linger batching, one worker per batch.
+	// to the load regime — linger batching.
 	// Shrinking keys off the latest batch, not the window average, so one
 	// full batch reacts instantly.
 	highOccupancyInv = 2
@@ -58,12 +47,11 @@ type govSample struct {
 	depth int // queued images at dispatch
 }
 
-// Governor is the occupancy-adaptive core-budget scheduler, the
-// batcher's one dispatch policy. It observes every batch dispatch
-// (occupancy, queue depth) and batch completion (service time) through
-// the injectable clock, and from those decides two things the batcher
-// reads on its hot path: how many intra-op workers the next batch may
-// grant, and whether a submit should dispatch immediately instead of
+// Governor is the occupancy-adaptive scheduler, the batcher's one
+// dispatch policy. It observes every batch dispatch (occupancy, queue
+// depth) and batch completion (service time) through the injectable
+// clock, and from those decides the one thing the batcher reads on its
+// hot path: whether a submit should dispatch immediately instead of
 // waiting out the linger. It also owns the per-image service-time
 // estimate behind latency-budget admission control. All methods are
 // safe for concurrent use; decisions are pure functions of the recorded
@@ -88,12 +76,12 @@ type Governor struct {
 // NewGovernor builds a governor; met may be nil. The batcher binds its
 // MaxBatch and worker-pool size via bind before traffic flows. An idle
 // server starts in the low-occupancy regime: the first sparse request
-// gets immediate dispatch and the full worker ceiling.
+// gets immediate dispatch.
 func NewGovernor(opts GovernorOptions, met *Metrics) *Governor {
 	opts.defaults()
 	g := &Governor{opts: opts, met: met, maxBatch: 8, poolWorkers: 1, lowOcc: true}
 	if met != nil {
-		met.IntraopWorkers.Set(int64(opts.MaxIntraOp))
+		met.ImmediateDispatch.Set(1)
 	}
 	return g
 }
@@ -118,11 +106,14 @@ func (g *Governor) NoteBatch(size, depth int) {
 	g.images += size
 	g.decideLocked(now)
 	occ := float64(size) / float64(g.maxBatch)
-	workers := g.workersLocked()
+	var immediate int64
+	if g.lowOcc {
+		immediate = 1
+	}
 	g.mu.Unlock()
 	if g.met != nil {
 		g.met.Occupancy.Observe(occ)
-		g.met.IntraopWorkers.Set(int64(workers))
+		g.met.ImmediateDispatch.Set(immediate)
 	}
 }
 
@@ -147,8 +138,8 @@ func (g *Governor) NoteService(images int, elapsed time.Duration) {
 
 // decideLocked ages the window and picks the operating point. Caller
 // holds g.mu. The control law is asymmetric: shrinking keys off the
-// latest sample (one full batch drops the worker budget instantly, so a
-// burst never fights wide grants), raising requires the whole window
+// latest sample (one full batch ends immediate dispatch instantly, so a
+// burst coalesces under the linger), raising requires the whole window
 // average to sit at or below the low threshold with a shallow queue.
 func (g *Governor) decideLocked(now time.Time) {
 	cutoff := now.Add(-occupancyWindow)
@@ -174,31 +165,11 @@ func (g *Governor) decideLocked(now time.Time) {
 	// Between the thresholds: hysteresis — keep the current point.
 }
 
-// workersLocked is the current point's per-batch worker allocation.
-// Caller holds g.mu.
-func (g *Governor) workersLocked() int {
-	if g.lowOcc {
-		return g.opts.MaxIntraOp
-	}
-	return 1
-}
-
-// BatchWorkers returns the intra-op worker allocation for the batch
-// being dispatched. Reads re-run the decision so a governor that sat
-// idle past its window snaps back to the wide low-occupancy point
-// before the next batch runs, not one batch later.
-func (g *Governor) BatchWorkers() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.decideLocked(g.opts.Clock.Now())
-	return g.workersLocked()
-}
-
 // ImmediateDispatch reports whether the governor is in the
 // low-occupancy regime, where a submit flushes its batch at the end of
-// the call instead of waiting out the linger. Like BatchWorkers it
-// re-decides first, so the first submit after an idle stretch gets
-// immediate dispatch.
+// the call instead of waiting out the linger. It re-decides first, so
+// the first submit after an idle stretch gets immediate dispatch, not
+// the one after it.
 func (g *Governor) ImmediateDispatch() bool {
 	g.mu.Lock()
 	defer g.mu.Unlock()

@@ -16,11 +16,11 @@ import (
 )
 
 // govUnderTest builds a governor on a fake clock with the geometry the
-// transition tests assume: a 4-worker ceiling, MaxBatch 8, a 2-worker
-// pool (the window is the 500ms constant).
+// transition tests assume: MaxBatch 8, a 2-worker pool (the window is
+// the 500ms constant).
 func govUnderTest(met *Metrics) (*Governor, *chaos.Fake) {
 	clk := chaos.NewFake()
-	g := NewGovernor(GovernorOptions{MaxIntraOp: 4, Clock: clk}, met)
+	g := NewGovernor(GovernorOptions{Clock: clk}, met)
 	g.bind(8, 2)
 	return g, clk
 }
@@ -33,7 +33,6 @@ func TestGovernorTransitions(t *testing.T) {
 	type step struct {
 		advance       time.Duration // fake-clock advance before the dispatch
 		size, depth   int           // NoteBatch arguments
-		wantWorkers   int
 		wantImmediate bool
 	}
 	cases := []struct {
@@ -41,29 +40,29 @@ func TestGovernorTransitions(t *testing.T) {
 		steps []step
 	}{
 		{"sparse traffic stays wide", []step{
-			{0, 1, 0, 4, true},
-			{50 * time.Millisecond, 2, 1, 4, true},
+			{0, 1, 0, true},
+			{50 * time.Millisecond, 2, 1, true},
 		}},
 		{"full batch shrinks instantly", []step{
-			{0, 1, 0, 4, true},
-			{50 * time.Millisecond, 8, 0, 1, false},
+			{0, 1, 0, true},
+			{50 * time.Millisecond, 8, 0, false},
 		}},
 		{"deep queue shrinks even at low occupancy", []step{
-			{0, 1, 9, 1, false},
+			{0, 1, 9, false},
 		}},
 		{"mid occupancy holds the current point from above", []step{
-			{0, 3, 0, 4, true}, // 0.375 is between the thresholds: keep wide
+			{0, 3, 0, true}, // 0.375 is between the thresholds: keep wide
 		}},
 		{"hysteresis from below, then window-average recovery", []step{
-			{0, 8, 0, 1, false},                     // full batch: shrink
-			{50 * time.Millisecond, 3, 0, 1, false}, // 0.375 between: stay shrunk
-			{475 * time.Millisecond, 1, 0, 4, true}, // full-batch sample aged out; avg (0.375+0.125)/2 ≤ 0.25
+			{0, 8, 0, false},                     // full batch: shrink
+			{50 * time.Millisecond, 3, 0, false}, // 0.375 between: stay shrunk
+			{475 * time.Millisecond, 1, 0, true}, // full-batch sample aged out; avg (0.375+0.125)/2 ≤ 0.25
 		}},
 		{"window average exactly on the low threshold recovers", []step{
-			{0, 8, 0, 1, false},
-			{50 * time.Millisecond, 3, 0, 1, false},
-			{475 * time.Millisecond, 2, 0, 1, false}, // (3+2)/2 batches = 0.3125: stay shrunk
-			{0, 1, 0, 4, true},                       // 4·(3+2+1) = 3 batches · 8: exactly 0.25
+			{0, 8, 0, false},
+			{50 * time.Millisecond, 3, 0, false},
+			{475 * time.Millisecond, 2, 0, false}, // (3+2)/2 batches = 0.3125: stay shrunk
+			{0, 1, 0, true},                       // 4·(3+2+1) = 3 batches · 8: exactly 0.25
 		}},
 	}
 	for _, tc := range cases {
@@ -75,14 +74,13 @@ func TestGovernorTransitions(t *testing.T) {
 					_ = clk.Sleep(context.Background(), s.advance)
 				}
 				g.NoteBatch(s.size, s.depth)
-				if got := g.BatchWorkers(); got != s.wantWorkers {
-					t.Fatalf("step %d: BatchWorkers = %d, want %d", i, got, s.wantWorkers)
+				// The gauge is read first: it must carry NoteBatch's own
+				// decision, not one a later read re-made.
+				if got := met.ImmediateDispatch.Value(); (got == 1) != s.wantImmediate {
+					t.Fatalf("step %d: immediate-dispatch gauge = %d, want immediate %v", i, got, s.wantImmediate)
 				}
 				if got := g.ImmediateDispatch(); got != s.wantImmediate {
 					t.Fatalf("step %d: ImmediateDispatch = %v, want %v", i, got, s.wantImmediate)
-				}
-				if got := met.IntraopWorkers.Value(); got != int64(s.wantWorkers) {
-					t.Fatalf("step %d: intraop gauge = %d, want %d", i, got, s.wantWorkers)
 				}
 			}
 			if got := met.Occupancy.Count(); got != uint64(len(tc.steps)) {
@@ -93,18 +91,22 @@ func TestGovernorTransitions(t *testing.T) {
 }
 
 // TestGovernorIdleResetsWide: once the window has fully aged out, a
-// read-side decision (the next submit or dispatch) snaps back to the
-// wide low-occupancy point without waiting for a batch observation.
+// read-side decision (the next submit) snaps back to the low-occupancy
+// point without waiting for a batch observation.
 func TestGovernorIdleResetsWide(t *testing.T) {
-	g, clk := govUnderTest(nil)
+	met := NewMetrics()
+	g, clk := govUnderTest(met)
+	if got := met.ImmediateDispatch.Value(); got != 1 {
+		t.Fatalf("immediate-dispatch gauge on an idle governor = %d, want 1", got)
+	}
 	g.NoteBatch(8, 0) // full batch: shrink
-	if got := g.BatchWorkers(); got != 1 {
-		t.Fatalf("BatchWorkers after full batch = %d, want 1", got)
+	if g.ImmediateDispatch() {
+		t.Fatal("ImmediateDispatch true after full batch, want false")
+	}
+	if got := met.ImmediateDispatch.Value(); got != 0 {
+		t.Fatalf("immediate-dispatch gauge after full batch = %d, want 0", got)
 	}
 	_ = clk.Sleep(context.Background(), 750*time.Millisecond) // > window
-	if got := g.BatchWorkers(); got != 4 {
-		t.Fatalf("BatchWorkers after idle window = %d, want 4", got)
-	}
 	if !g.ImmediateDispatch() {
 		t.Fatal("ImmediateDispatch false after idle window, want true")
 	}

@@ -143,9 +143,12 @@ func KeyFromWire(model, method string, bits int, regime string) (Key, error) {
 }
 
 // ParseKey inverts Key.String: "Config/Method/wNaN/regime" back into a
-// canonical key. The drain handoff in quq-shard lives on this — it
-// learns a leaving backend's entries from /models (key strings) and
-// must turn them back into quantize requests for the new owners.
+// canonical key. It accepts exactly the strings Key.String prints — no
+// other spelling, no defaulted field, no trailing bytes — because its
+// inputs come from outside the process: the ?key= of GET /v1/snapshot,
+// snapshot files, and a leaving backend's /models, which the drain
+// handoff in quq-shard turns back into quantize requests for the new
+// owners.
 func ParseKey(s string) (Key, error) {
 	parts := strings.Split(s, "/")
 	if len(parts) != 4 {
@@ -155,7 +158,14 @@ func ParseKey(s string) (Key, error) {
 	if _, err := fmt.Sscanf(parts[2], "w%da%d", &wb, &ab); err != nil || wb != ab {
 		return Key{}, fmt.Errorf("%w: key %q has malformed bit-width %q", ErrBadRequest, s, parts[2])
 	}
-	return KeyFromWire(parts[0], parts[1], wb, parts[3])
+	k, err := KeyFromWire(parts[0], parts[1], wb, parts[3])
+	if err != nil {
+		return Key{}, err
+	}
+	if k.String() != s {
+		return Key{}, fmt.Errorf("%w: key %q is not canonical (want %q)", ErrBadRequest, s, k)
+	}
+	return k, nil
 }
 
 func newMethod(name string) (ptq.Method, bool) {

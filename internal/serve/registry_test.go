@@ -148,6 +148,39 @@ func TestCanonicalKey(t *testing.T) {
 	}
 }
 
+// FuzzParseKey holds ParseKey to Key.String both ways: every valid key's
+// string parses back to that key, and a string ParseKey accepts prints
+// back as itself — no other spelling, defaulted field or trailing byte
+// gets in.
+func FuzzParseKey(f *testing.F) {
+	configs := append([]vit.Config{vit.ViTNano}, vit.ZooConfigs...)
+	for _, cfg := range configs {
+		for _, method := range methodNames {
+			for bits := MinBits; bits <= MaxBits; bits++ {
+				for _, regime := range []ptq.Regime{ptq.Partial, ptq.Full} {
+					k := Key{Config: cfg.Name, Method: method, Bits: bits, Regime: regime}
+					if got, err := ParseKey(k.String()); err != nil || got != k {
+						f.Fatalf("ParseKey(%q) = %v, %v; want %v", k.String(), got, err, k)
+					}
+				}
+			}
+		}
+	}
+	for _, s := range []string{
+		"ViT-S/QUQ/w6a6/full", "ViT-Nano/BiScaled-FxP/w16a16/partial",
+		"ViT-S/QUQ/w6a6x/full", "ViT-S/QUQ/w+6a6/full", "ViT-S/QUQ/w06a6/full",
+		"ViT-S/QUQ/w 6a6/full", "ViT-S/QUQ/w0a0/full", "vit-s/quq/w6a6/full",
+		"ViT-S/QUQ/w6a6/", "ViT-S/QUQ/w6a7/full", "ViT-S/QUQ/w6a6/full/", "",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		if k, err := ParseKey(s); err == nil && k.String() != s {
+			t.Fatalf("ParseKey(%q) accepted %v, which prints as %q", s, k, k.String())
+		}
+	})
+}
+
 // TestRegistryCanonicalizationDedupes proves the fix at the cache level:
 // two spellings of one selection share a single build slot.
 func TestRegistryCanonicalizationDedupes(t *testing.T) {

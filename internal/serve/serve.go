@@ -23,8 +23,7 @@
 //   - Governor (governor.go): the batcher's one dispatch policy — it
 //     watches batch occupancy and queue depth over a sliding window
 //     (via an injectable chaos.Clock) and picks between dispatching at
-//     submit with wide per-batch intra-op worker grants (low occupancy)
-//     and max-batch / max-linger coalescing on one worker per batch
+//     submit (low occupancy) and max-batch / max-linger coalescing
 //     (load), and estimates queue waits for deadline-aware admission
 //     control (requests whose estimated wait exceeds their latency
 //     budget shed with 429 before taking a queue slot);
@@ -60,9 +59,9 @@ type Metrics struct {
 	Abandoned  *metrics.Counter   // queued items released after their submitter gave up
 
 	// Occupancy-adaptive scheduling (governor.go).
-	IntraopWorkers *metrics.Gauge     // per-batch intra-op worker allocation the governor chose
-	Occupancy      *metrics.Histogram // batch occupancy (images / max-batch) per dispatched batch
-	Shed           *metrics.Counter   // requests shed by latency-budget admission control (429)
+	ImmediateDispatch *metrics.Gauge     // 1 in the low-occupancy regime (a submit dispatches at once), 0 under load (linger)
+	Occupancy         *metrics.Histogram // batch occupancy (images / max-batch) per dispatched batch
+	Shed              *metrics.Counter   // requests shed by latency-budget admission control (429)
 
 	// Model registry.
 	CacheHits    *metrics.Counter   // registry lookups that found an entry
@@ -99,9 +98,9 @@ func NewMetrics() *Metrics {
 		QueueDepth: r.NewGauge("quq_serve_queue_depth", "images admitted and not yet finished"),
 		Abandoned:  r.NewCounter("quq_serve_abandoned_total", "queued items released after their submitter's context expired"),
 
-		IntraopWorkers: r.NewGauge("quq_serve_intraop_workers", "per-batch intra-op worker allocation chosen by the governor"),
-		Occupancy:      r.NewHistogram("quq_serve_occupancy", "batch occupancy (images / max-batch) per dispatched micro-batch", metrics.FractionBuckets()),
-		Shed:           r.NewCounter("quq_serve_shed_total", "requests shed by latency-budget admission control (429)"),
+		ImmediateDispatch: r.NewGauge("quq_serve_immediate_dispatch", "1 while the governor dispatches each submit at once (low occupancy), 0 while batches linger (load)"),
+		Occupancy:         r.NewHistogram("quq_serve_occupancy", "batch occupancy (images / max-batch) per dispatched micro-batch", metrics.FractionBuckets()),
+		Shed:              r.NewCounter("quq_serve_shed_total", "requests shed by latency-budget admission control (429)"),
 
 		CacheHits:    r.NewCounter("quq_serve_model_cache_hits_total", "registry lookups served from cache"),
 		CacheMisses:  r.NewCounter("quq_serve_model_cache_misses_total", "registry lookups that calibrated a model"),

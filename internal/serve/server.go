@@ -52,9 +52,8 @@ type Config struct {
 	// load-regime linger, queue capacity, worker pool, and the default
 	// latency budget.
 	Batcher BatcherOptions
-	// Governor pins the occupancy-adaptive scheduler's worker ceiling and
-	// clock for tests and the chaos harness; the zero value is what a
-	// deployment runs.
+	// Governor pins the occupancy-adaptive scheduler's clock for tests
+	// and the chaos harness; the zero value is what a deployment runs.
 	Governor GovernorOptions
 	// RequestTimeout bounds one request end-to-end, including a
 	// first-request calibration (default 60s).

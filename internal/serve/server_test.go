@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -40,7 +41,7 @@ func testServer(t *testing.T, bopts BatcherOptions) (*Server, *httptest.Server) 
 // keeps its builds' statistics-release goroutines asleep in their grace
 // after the test returns, and TestServerLifecycleLeaksNothing counts one
 // that had not yet reached its sleep at its first census as a leak.
-func drainOnCleanup(t *testing.T, d interface{ Drain(context.Context) error }) {
+func drainOnCleanup(t testing.TB, d interface{ Drain(context.Context) error }) {
 	t.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 		defer cancel()
@@ -518,4 +519,62 @@ func TestServeSnapshotInstallTakesLargeModels(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest && resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Fatalf("%d bytes at /v1/classify: status %d, want 400/413", len(blob), resp.StatusCode)
 	}
+}
+
+// FuzzQuantizeRequest drives POST /v1/quantize with arbitrary bodies
+// through a server whose BuildHook refuses every build, so nothing is
+// ever calibrated. A body the handler's JSON decode or KeyFromWire
+// rejects answers 4xx and never reaches the hook; an accepted body
+// reaches it once, with exactly KeyFromWire's key, and answers the
+// hook's own 500. No body panics or fails in any other way.
+func FuzzQuantizeRequest(f *testing.F) {
+	errRefused := errors.New("fuzz: build refused")
+	var (
+		mu     sync.Mutex
+		hooked []Key
+	)
+	opts := testRegistryOptions()
+	opts.BuildHook = func(k Key) error {
+		mu.Lock()
+		hooked = append(hooked, k)
+		mu.Unlock()
+		return errRefused
+	}
+	s := New(Config{Registry: opts})
+	drainOnCleanup(f, s)
+	for _, b := range []string{
+		`{"model":"ViT-S","bits":6,"regime":"full"}`, `{}`, `null`,
+		`{"model":"vit-nano","method":"quq","regime":"PARTIAL"}`,
+		`{"model":"ViT-S"} trailing`, `{"bits":2}`, `{"bits":17}`, `{"bits":"6"}`,
+		`{"bits":6.5}`, `{"bits":1e400}`, `{"model":"QUQ"}`, `{"method":"ViT-S"}`,
+		`{"regime":"bogus"}`, `[1]`, `not json`, ``,
+	} {
+		f.Add([]byte(b))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		mu.Lock()
+		hooked = hooked[:0]
+		mu.Unlock()
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/quantize", bytes.NewReader(body)))
+		mu.Lock()
+		got := append([]Key(nil), hooked...)
+		mu.Unlock()
+
+		var req modelRequest
+		want, err := Key{}, json.NewDecoder(bytes.NewReader(body)).Decode(&req)
+		if err == nil {
+			want, err = KeyFromWire(req.Model, req.Method, req.Bits, req.Regime)
+		}
+		if err != nil {
+			if rec.Code < 400 || rec.Code >= 500 || len(got) != 0 {
+				t.Fatalf("%q (rejected: %v): status %d, hook saw %v; want 4xx and no build", body, err, rec.Code, got)
+			}
+			return
+		}
+		if rec.Code != http.StatusInternalServerError || !strings.Contains(rec.Body.String(), errRefused.Error()) ||
+			len(got) != 1 || got[0] != want {
+			t.Fatalf("%q (key %v): status %d %s, hook saw %v; want the hook's 500 for exactly that key", body, want, rec.Code, rec.Body, got)
+		}
+	})
 }

@@ -2,7 +2,6 @@ package tensor
 
 import (
 	"sync"
-	"sync/atomic"
 	"unsafe"
 
 	"quq/internal/check"
@@ -11,9 +10,10 @@ import (
 // This file is the kernel layer: one cache-blocked, register-tiled GEMM
 // driver, generic over the element type (float64 for the forward pass,
 // int64 for the pre-shifted QUB datapath), with destination-passing
-// entry points and optional row-partitioned intra-op parallelism. The
-// two element types share the loop nest, the pack-panel pool, the
-// validator and the worker pool; they differ only in the 4×8
+// entry points. A GEMM runs serially on its caller: the serving path's
+// parallelism is one level up, one stacked forward per batch chunk
+// (ptq.BatchChunks). The two element types share the loop nest, the
+// pack-panel pool and the validator; they differ only in the 4×8
 // micro-kernel the entry point passes in (gemm_micro.go), which also
 // owns the tile's epilogue: it adds the bias and stores its 32 results
 // into dst itself. Every kernel obeys one determinism contract:
@@ -24,15 +24,14 @@ import (
 //
 // which is exactly what the original scalar loops computed. Register
 // tiling reuses operand loads across a 4×8 tile of outputs but keeps one
-// accumulator per element, cache blocking only reorders *which* elements
-// are in flight, and parallelism partitions output rows across workers —
-// none of the three changes any element's reduction order, so blocked,
-// tiled and parallel results are bit-identical to the reference kernels
-// for finite inputs. (The reference MatMul skips a[i][kk]==0 terms; a
-// skipped term contributes ±0 to a running sum that is never −0, which
-// cannot change the accumulator's bit pattern. Only non-finite operands,
-// where 0·±Inf is NaN, can tell the kernels apart; no model tensor
-// contains them.) For int64 the contract holds trivially: addition wraps
+// accumulator per element, and cache blocking only reorders *which*
+// elements are in flight — neither changes any element's reduction
+// order, so blocked and tiled results are bit-identical to the
+// reference kernels for finite inputs. (The reference MatMul skips
+// a[i][kk]==0 terms; a skipped term contributes ±0 to a running sum that
+// is never −0, which cannot change the accumulator's bit pattern. Only
+// non-finite operands, where 0·±Inf is NaN, can tell the kernels apart;
+// no model tensor contains them.) For int64 the contract holds trivially: addition wraps
 // modulo 2^64 and is associative and commutative, so any summation order
 // produces the same bits. The equivalence and fuzz tests in gemm_test.go
 // assert bit-identity against the Ref oracles over randomized shapes,
@@ -46,84 +45,7 @@ const (
 	// multiply-add in the scalar loops.
 	mrTile = 4
 	nrTile = 8
-	// parallelMinMACs is the size cutover for intra-op parallelism:
-	// below this many multiply-accumulates the fork/join overhead
-	// outweighs the work and the kernel stays on the cheap serial path.
-	// Proxy-scale forward shapes (ViT-Nano attention is 17×16×17) never
-	// cross it; calibration sweeps and large batched GEMMs do.
-	parallelMinMACs = 1 << 18
-	// minRowsPerWorker bounds the split granularity so a worker always
-	// has enough rows to amortize its goroutine.
-	minRowsPerWorker = 16
 )
-
-// intraOpExtra is the process-wide pool of *extra* GEMM workers: a kernel
-// always runs on its calling goroutine and may additionally borrow up to
-// budget−1 helpers from this pool. Because the pool is global, batch-level
-// fan-out (ptq.ForwardBatch, the quq-serve batcher) and intra-op fan-out
-// draw from one budget and can never multiply into oversubscription.
-var intraOpExtra atomic.Int32
-
-// WorkerGrant is a per-call contribution of extra intra-op workers: the
-// tokens it adds live in the shared pool for the grant's lifetime, so a
-// caller that knows it is the only hot batch (the occupancy-adaptive
-// scheduler at low load) can let its GEMMs borrow helpers. Release is
-// idempotent and must be called when the batch completes; outstanding
-// borrows are accounted for (the pool balance may swing negative until
-// borrowed workers return, which only pauses new borrows).
-type WorkerGrant struct {
-	n        int32
-	released atomic.Bool
-}
-
-// GrantWorkers adds n extra workers to the intra-op pool for the
-// lifetime of the returned grant. n <= 0 returns an empty grant.
-// Bit-identity is unaffected: worker counts never change results, only
-// timing.
-func GrantWorkers(n int) *WorkerGrant {
-	g := &WorkerGrant{}
-	if n > 0 {
-		g.n = int32(n)
-		intraOpExtra.Add(g.n)
-	}
-	return g
-}
-
-// Release returns the grant's workers to nowhere — it withdraws the
-// extra capacity. Safe to call more than once; only the first call
-// takes effect.
-func (g *WorkerGrant) Release() {
-	if g == nil || g.n == 0 {
-		return
-	}
-	if !g.released.CompareAndSwap(false, true) {
-		return
-	}
-	intraOpExtra.Add(-g.n)
-}
-
-// acquireExtra takes up to max extra workers from the pool.
-func acquireExtra(max int) int {
-	for {
-		cur := intraOpExtra.Load()
-		if cur <= 0 || max <= 0 {
-			return 0
-		}
-		take := int32(max)
-		if take > cur {
-			take = cur
-		}
-		if intraOpExtra.CompareAndSwap(cur, cur-take) {
-			return int(take)
-		}
-	}
-}
-
-func releaseExtra(n int) {
-	if n > 0 {
-		intraOpExtra.Add(int32(n))
-	}
-}
 
 // elem is the kernel layer's element constraint: the float64 forward
 // and the int64 QUB datapath run the same driver.
@@ -237,8 +159,8 @@ func MatMulTInto(dst, a, b *Tensor) *Tensor {
 // (internal/accel, ptq.IntEngine), which holds pre-shifted QUB integers,
 // not float tensors. dst must not overlap a or b. Accumulation is int64
 // wrapping modulo 2^64, so results are bit-exact regardless of
-// micro-kernel, tiling, or worker count; overflow bounds are the
-// caller's contract (accel checks them at prepare time).
+// micro-kernel or tiling; overflow bounds are the caller's contract
+// (accel checks them at prepare time).
 //
 //quq:hotpath steady-state integer GEMM kernel; destinations come from the caller (arena or resident buffer), never fresh allocations
 func IntMatMulInto(dst, a, b []int64, m, k, n int) {
@@ -257,69 +179,9 @@ func AddInto(dst, a, b *Tensor) *Tensor {
 	return dst
 }
 
-// gemm runs the loop nest over validated operands: serially on the
-// caller below the size cutover, otherwise row-partitioned across the
-// intra-op workers planExtra grants. The serial call stays out of the
-// parallel closure so the serial path allocates nothing.
-//
-//quq:hotpath steady-state GEMM driver shared by every entry point; scratch is the pooled pack panel
-func gemm[T elem](dst, a, b, bias []T, m, k, n int, bT bool, micro microKernel[T], panels *panelPool[T]) {
-	if extra := planExtra(m, k, n); extra > 0 {
-		runRows(extra, m, func(i0, i1 int) { gemmRange(dst, a, b, bias, k, n, i0, i1, bT, micro, panels) })
-	} else {
-		gemmRange(dst, a, b, bias, k, n, 0, m, bT, micro, panels)
-	}
-}
-
-// planExtra decides how many extra workers a m×k×n GEMM should use and
-// acquires them from the intra-op pool (the caller must releaseExtra the
-// same count). It returns 0 — keep the cheap serial path — below the
-// size cutover, when the split would leave workers underfed, or when the
-// pool is drained. Callers keep the serial kernel call out of the
-// parallel closure so the serial path allocates nothing.
-func planExtra(m, k, n int) int {
-	if m*k*n < parallelMinMACs || m < 2*minRowsPerWorker {
-		return 0
-	}
-	want := m / minRowsPerWorker
-	if want < 2 {
-		return 0
-	}
-	return acquireExtra(want - 1)
-}
-
-// runRows splits rows [0, m) into extra+1 contiguous chunks: the extra
-// workers take the tail chunks while the caller computes the first, then
-// releases the workers. Row partitioning cannot perturb results: each
-// output element is produced by one worker running the identical serial
-// reduction, so parallel output is bit-identical to serial output.
-func runRows(extra, m int, run func(i0, i1 int)) {
-	w := extra + 1
-	chunk := (m + w - 1) / w
-	var wg sync.WaitGroup
-	for t := 1; t < w; t++ {
-		lo := t * chunk
-		hi := lo + chunk
-		if hi > m {
-			hi = m
-		}
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			run(lo, hi)
-		}(lo, hi)
-	}
-	run(0, chunk) // the caller is worker 0
-	wg.Wait()
-	releaseExtra(extra)
-}
-
 // panelPool recycles the per-call B-panel pack buffers of one element
 // type so steady-state kernels allocate nothing; each concurrent kernel
-// invocation (including each intra-op worker) takes its own buffer.
+// invocation (one per stacked forward in flight) takes its own buffer.
 type panelPool[T elem] struct{ pool sync.Pool }
 
 var (
@@ -347,8 +209,9 @@ func (pp *panelPool[T]) get(n int) (*[]T, []T, []T) {
 
 func (pp *panelPool[T]) put(p *[]T) { pp.pool.Put(p) }
 
-// gemmRange is the blocked, register-tiled loop nest over dst rows
-// [i0, i1), for a @ b (b is k×n) or, with bT set, a @ bᵀ (b is n×k).
+// gemm is the blocked, register-tiled loop nest over validated operands
+// behind every entry point: all m rows of dst, for a @ b (b is k×n) or,
+// with bT set, a @ bᵀ (b is n×k).
 // Each group of nrTile output columns is packed into a contiguous k×8
 // panel — one 64-byte row per k step, columns of b copied across its
 // rows, or rows of b transposed; a pure copy either way, values
@@ -367,25 +230,25 @@ func (pp *panelPool[T]) put(p *[]T) { pp.pool.Put(p) }
 // would.
 //
 //quq:hotpath the one blocked loop nest; scratch is the pooled pack panel
-func gemmRange[T elem](dst, a, b, bias []T, k, n, i0, i1 int, bT bool, micro microKernel[T], panels *panelPool[T]) {
-	if n == 0 || i0 >= i1 {
+func gemm[T elem](dst, a, b, bias []T, m, k, n int, bT bool, micro microKernel[T], panels *panelPool[T]) {
+	if n == 0 || m == 0 {
 		return
 	}
 	pp, packed, tile := panels.get(nrTile * k)
-	last := a[(i1-1)*k : (i1-1)*k+k]
+	last := a[(m-1)*k : (m-1)*k+k]
 	for j := 0; j < n; j += nrTile {
 		nc := min(nrTile, n-j)
 		pack(packed, b, k, n, j, nc, bT)
 		// full is where the full 4×8 tiles of this panel end; a
 		// column-tail panel has none.
-		full := i0
+		full := 0
 		if nc == nrTile {
-			full = i1 - (i1-i0)%mrTile
+			full = m - m%mrTile
 			var bj []T
 			if bias != nil {
 				bj = bias[j : j+nrTile]
 			}
-			for i := i0; i < full; i += mrTile {
+			for i := 0; i < full; i += mrTile {
 				micro(dst[i*n+j:(i+mrTile-1)*n+j+nrTile], n, bj,
 					a[(i+0)*k:(i+0)*k+k], a[(i+1)*k:(i+1)*k+k],
 					a[(i+2)*k:(i+2)*k+k], a[(i+3)*k:(i+3)*k+k], packed, k)
@@ -393,8 +256,8 @@ func gemmRange[T elem](dst, a, b, bias []T, k, n, i0, i1 int, bT bool, micro mic
 		}
 		// The partial tiles. Rows past the last are the last again: read,
 		// multiplied and dropped.
-		for i := full; i < i1; i += mrTile {
-			mr := min(mrTile, i1-i)
+		for i := full; i < m; i += mrTile {
+			mr := min(mrTile, m-i)
 			rows := [mrTile][]T{last, last, last, last}
 			for r := 0; r < mr; r++ {
 				rows[r] = a[(i+r)*k : (i+r)*k+k]
@@ -417,7 +280,7 @@ func gemmRange[T elem](dst, a, b, bias []T, k, n, i0, i1 int, bT bool, micro mic
 
 // pack copies the nc ≤ nrTile product columns starting at j (columns of
 // b, or rows of b with bT set) into the k×8 panel, zero-filling columns
-// nc..7 of a tail panel; gemmRange never stores their accumulators.
+// nc..7 of a tail panel; gemm never stores their accumulators.
 func pack[T elem](packed, b []T, k, n, j, nc int, bT bool) {
 	switch {
 	case bT:

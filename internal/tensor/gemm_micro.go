@@ -1,6 +1,6 @@
 package tensor
 
-// microKernel is the 4×8 register-tile contract the driver (gemmRange)
+// microKernel is the 4×8 register-tile contract the driver (gemm)
 // calls: 32 dot products of four A rows against a shared k×8 packed B
 // panel, written straight into the caller's tile,
 //

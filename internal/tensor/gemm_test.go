@@ -3,7 +3,6 @@ package tensor
 import (
 	"fmt"
 	"math"
-	"sync"
 	"testing"
 
 	"quq/internal/rng"
@@ -248,8 +247,7 @@ func TestMatMulBiasNegativeZero(t *testing.T) {
 	}
 }
 
-// TestPortableDriverMatchesRef reruns the driver's shape and
-// parallelism cases with both vector kernels swapped for the portable
+// TestPortableDriverMatchesRef reruns the driver's shape cases with both vector kernels swapped for the portable
 // one, so the path arm64 and non-AVX CPUs take is executed here too,
 // not only compiled.
 func TestPortableDriverMatchesRef(t *testing.T) {
@@ -260,8 +258,6 @@ func TestPortableDriverMatchesRef(t *testing.T) {
 	testIntoMatchesRef(t, intAPI, 21)
 	TestMatMulTIntoMatchesRef(t)
 	TestMatMulBiasIntoMatchesRef(t)
-	testParallelMatchesSerial(t, floatAPI, 15)
-	testParallelMatchesSerial(t, intAPI, 24)
 }
 
 // TestPortableMicroKernel runs the generic portable micro-kernel
@@ -358,110 +354,6 @@ func TestIntMicroDispatchBoundary(t *testing.T) {
 	IntMatMulInto(got, aLong, b, m, k, n)
 	IntMatMulRef(want, aLong, b, m, k, n)
 	assertSlicesEqual(t, "oversized operand", got, want)
-}
-
-// testParallelMatchesSerial raises the intra-op budget and checks that a
-// GEMM above the size cutover — which then actually splits across
-// workers — produces bit-identical results to the oracle. (For int64
-// this is guaranteed by associativity mod 2^64; the test guards the
-// row-partitioning bookkeeping.)
-func testParallelMatchesSerial[T elem](t *testing.T, api gemmAPI[T], seed uint64) {
-	t.Cleanup(GrantWorkers(3).Release)
-	src := rng.New(seed)
-	// 64·128·80 = 655360 MACs, above parallelMinMACs with 64 rows to split.
-	const m, k, n = 64, 128, 80
-	a := api.fills[0](src, m*k)
-	b := api.fills[0](src, k*n)
-	want := make([]T, m*n)
-	api.ref(want, a, b, m, k, n)
-	for round := 0; round < 4; round++ {
-		got := make([]T, m*n)
-		api.into(got, a, b, m, k, n)
-		assertSlicesEqual(t, "parallel "+api.name, got, want)
-	}
-}
-
-func TestIntParallelMatchesSerial(t *testing.T) { testParallelMatchesSerial(t, intAPI, 24) }
-
-// TestParallelMatchesSerial adds the float-only a @ bᵀ form to the
-// shared case, under the grant the shared case took (its cleanup
-// releases it when this test ends).
-func TestParallelMatchesSerial(t *testing.T) {
-	testParallelMatchesSerial(t, floatAPI, 15)
-	src := rng.New(15)
-	a := randTensor(src, 64, 128)
-	bt := randTensor(src, 80, 128)
-	for round := 0; round < 4; round++ {
-		assertBitEqual(t, "parallel MatMulT", MatMulT(a, bt), MatMulTRef(a, bt))
-	}
-}
-
-// TestParallelConcurrentCallers hammers the worker-token pool from many
-// goroutines at once (the quq-serve shape: per-image fan-out on top of
-// an intra-op budget) and checks every result. Run under -race this also
-// proves the pool's acquire/release is sound.
-func TestParallelConcurrentCallers(t *testing.T) {
-	t.Cleanup(GrantWorkers(2).Release)
-	src := rng.New(16)
-	a := randTensor(src, 48, 96)
-	b := randTensor(src, 96, 64)
-	want := MatMulRef(a, b)
-	var wg sync.WaitGroup
-	errs := make(chan string, 8)
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 20; i++ {
-				got := MatMul(a, b)
-				gd, wd := got.Data(), want.Data()
-				for j := range gd {
-					if math.Float64bits(gd[j]) != math.Float64bits(wd[j]) {
-						errs <- "concurrent MatMul diverged from serial reference"
-						return
-					}
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	close(errs)
-	if msg, ok := <-errs; ok {
-		t.Fatal(msg)
-	}
-	// The token pool must be whole again: all extra workers returned.
-	if got := acquireExtra(2); got != 2 {
-		t.Fatalf("token pool leaked: acquired %d of 2 extra workers", got)
-	}
-	releaseExtra(2)
-}
-
-// TestWorkerGrant exercises the per-call budget seam the serve-layer
-// governor uses: a grant adds extra workers to the pool, a parallel GEMM
-// under the grant stays bit-identical to the serial reference, and
-// Release (idempotently) withdraws exactly the granted capacity.
-func TestWorkerGrant(t *testing.T) {
-	if got := acquireExtra(1); got != 0 {
-		t.Fatalf("pool not empty before grant: acquired %d", got)
-	}
-	g := GrantWorkers(3)
-	src := rng.New(18)
-	a := randTensor(src, 64, 128)
-	b := randTensor(src, 128, 80)
-	assertBitEqual(t, "granted MatMul", MatMul(a, b), MatMulRef(a, b))
-	// The grant's tokens are all back in the pool after the call.
-	if got := acquireExtra(4); got != 3 {
-		t.Fatalf("acquired %d extra workers under a 3-worker grant, want 3", got)
-	}
-	releaseExtra(3)
-	g.Release()
-	g.Release() // idempotent
-	if got := acquireExtra(1); got != 0 {
-		t.Fatalf("pool not empty after release: acquired %d", got)
-	}
-	GrantWorkers(0).Release() // empty grant is a no-op
-	var nilGrant *WorkerGrant
-	nilGrant.Release() // nil-safe
 }
 
 func TestAddInto(t *testing.T) {
@@ -597,7 +489,7 @@ func TestArenaInt64Reuse(t *testing.T) {
 
 // FuzzGEMMEquivalence fuzzes randomized shapes and finite contents
 // through every kernel entry point, asserting bit-identity against the
-// scalar reference oracle — serial and with the parallel budget raised.
+// scalar reference oracle.
 func FuzzGEMMEquivalence(f *testing.F) {
 	f.Add(int64(1), uint8(3), uint8(4), uint8(5))
 	f.Add(int64(2), uint8(0), uint8(1), uint8(9))
@@ -623,23 +515,16 @@ func FuzzGEMMEquivalence(f *testing.F) {
 		wantMMB := wantMM.Clone().AddRowVector(bias)
 		wantMMT := MatMulTRef(a, bt)
 
-		check := func(label string) {
-			t.Helper()
-			assertBitEqual(t, label+" MatMulInto", MatMulInto(New(m, n), a, b), wantMM)
-			assertBitEqual(t, label+" MatMulBiasInto", MatMulBiasInto(New(m, n), a, b, bias), wantMMB)
-			assertBitEqual(t, label+" MatMulTInto", MatMulTInto(New(m, n), a, bt), wantMMT)
-		}
-		check("serial")
-		defer GrantWorkers(3).Release()
-		check("parallel")
+		assertBitEqual(t, "MatMulInto", MatMulInto(New(m, n), a, b), wantMM)
+		assertBitEqual(t, "MatMulBiasInto", MatMulBiasInto(New(m, n), a, b, bias), wantMMB)
+		assertBitEqual(t, "MatMulTInto", MatMulTInto(New(m, n), a, bt), wantMMT)
 	})
 }
 
 // FuzzIntGEMMEquivalence fuzzes randomized shapes and full-range int64
 // contents through the integer entry point, asserting exact equality
-// against the naive reference oracle — serial and with the parallel
-// budget raised. Wrapping overflow is in scope: int64 arithmetic mod
-// 2^64 must agree between kernels for any inputs.
+// against the naive reference oracle. Wrapping overflow is in scope:
+// int64 arithmetic mod 2^64 must agree between kernels for any inputs.
 func FuzzIntGEMMEquivalence(f *testing.F) {
 	f.Add(int64(1), uint8(3), uint8(4), uint8(5))
 	f.Add(int64(2), uint8(0), uint8(1), uint8(9))
@@ -664,16 +549,9 @@ func FuzzIntGEMMEquivalence(f *testing.F) {
 		b := fill(src, k*n)
 		want := make([]int64, m*n)
 		IntMatMulRef(want, a, b, m, k, n)
-
-		check := func(label string) {
-			t.Helper()
-			got := make([]int64, m*n)
-			IntMatMulInto(got, a, b, m, k, n)
-			assertSlicesEqual(t, label+" IntMatMulInto", got, want)
-		}
-		check("serial")
-		defer GrantWorkers(3).Release()
-		check("parallel")
+		got := make([]int64, m*n)
+		IntMatMulInto(got, a, b, m, k, n)
+		assertSlicesEqual(t, "IntMatMulInto", got, want)
 	})
 }
 
