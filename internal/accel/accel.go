@@ -219,7 +219,7 @@ type GEMMResult struct {
 // 2^64 — so pre-shifting is bit-exact and removes the shift from the
 // inner loop, which runs on the tensor kernel layer's tiled/SIMD int64
 // GEMM. For a weight operand reused across calls, prepare it once with
-// PrepareWords and use GEMMPrepared instead.
+// PrepareQuantized and use GEMMPrepared instead.
 //
 //quq:hotpath per-inference integer GEMM; decode scratch is arena-pooled, only the escaping result is allocated
 func (c ArrayConfig) GEMM(x []qub.Word, rx qub.Registers, w []qub.Word, rw qub.Registers, m, k, n int, qu *QuantizeUnit) (*GEMMResult, error) {

@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"quq/internal/quant"
-	"quq/internal/qub"
 )
 
 // PreparedOperand is a QUB operand decoded once into resident,
@@ -27,24 +26,6 @@ type PreparedOperand struct {
 	// of depth k against activations of magnitude ≤ xMax accumulates at
 	// most k·xMax·MaxAbs in absolute value.
 	MaxAbs int64
-}
-
-// PrepareWords decodes a QUB word stream into a resident prepared
-// operand.
-func PrepareWords(ws []qub.Word, r qub.Registers, rows, cols int) (*PreparedOperand, error) {
-	if len(ws) != rows*cols {
-		return nil, fmt.Errorf("accel: prepared operand has %d words, want %dx%d", len(ws), rows, cols)
-	}
-	p := &PreparedOperand{Rows: rows, Cols: cols, V: make([]int64, len(ws)), Delta: r.BaseDelta}
-	for i, w := range ws {
-		d := qub.Decode(w, r)
-		v := int64(d.D) << d.Nsh
-		p.V[i] = v
-		if a := abs64(v); a > p.MaxAbs {
-			p.MaxAbs = a
-		}
-	}
-	return p, nil
 }
 
 // SliceCols extracts columns [lo, hi) into a new prepared operand with

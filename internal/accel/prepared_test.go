@@ -1,6 +1,7 @@
 package accel
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -88,7 +89,7 @@ func TestGEMMPreparedMatchesGEMM(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prep, err := PrepareWords(fx.w, fx.rw, k, n)
+	prep, err := prepareWords(fx.w, fx.rw, k, n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +182,7 @@ func TestPrepareQuantizedRejectsOffGrid(t *testing.T) {
 
 // TestPrepareWordsRejectsSizeMismatch covers the word-count check.
 func TestPrepareWordsRejectsSizeMismatch(t *testing.T) {
-	if _, err := PrepareWords(make([]qub.Word, 7), qub.Registers{Bits: 8}, 2, 4); err == nil {
+	if _, err := prepareWords(make([]qub.Word, 7), qub.Registers{Bits: 8}, 2, 4); err == nil {
 		t.Fatal("size mismatch accepted")
 	}
 }
@@ -191,13 +192,13 @@ func TestPrepareWordsRejectsSizeMismatch(t *testing.T) {
 func TestSliceColsPrepared(t *testing.T) {
 	const bits, k, n = 6, 16, 24
 	fx := preparedFixture(t, bits, 1, k, n)
-	whole, err := PrepareWords(fx.w, fx.rw, k, n)
+	whole, err := prepareWords(fx.w, fx.rw, k, n)
 	if err != nil {
 		t.Fatal(err)
 	}
 	lo, hi := 8, 16
 	slice := whole.SliceCols(lo, hi)
-	direct, err := PrepareWords(sliceCols(fx.w, k, n, lo, hi), fx.rw, k, hi-lo)
+	direct, err := prepareWords(sliceCols(fx.w, k, n, lo, hi), fx.rw, k, hi-lo)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,4 +239,22 @@ func assertGEMMEqual(t *testing.T, name string, got, want *GEMMResult) {
 			t.Fatalf("%s: Out[%d] = %#x, want %#x", name, i, got.Out[i], want.Out[i])
 		}
 	}
+}
+
+// prepareWords decodes a QUB word stream into a resident prepared
+// operand: the QUB-words oracle for PrepareQuantized and GEMMPrepared.
+func prepareWords(ws []qub.Word, r qub.Registers, rows, cols int) (*PreparedOperand, error) {
+	if len(ws) != rows*cols {
+		return nil, fmt.Errorf("accel: prepared operand has %d words, want %dx%d", len(ws), rows, cols)
+	}
+	p := &PreparedOperand{Rows: rows, Cols: cols, V: make([]int64, len(ws)), Delta: r.BaseDelta}
+	for i, w := range ws {
+		d := qub.Decode(w, r)
+		v := int64(d.D) << d.Nsh
+		p.V[i] = v
+		if a := abs64(v); a > p.MaxAbs {
+			p.MaxAbs = a
+		}
+	}
+	return p, nil
 }

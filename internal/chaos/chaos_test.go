@@ -211,7 +211,7 @@ func TestReportDeterminismAndVerdicts(t *testing.T) {
 			0,
 		)
 		r.CheckBoundedDrain(true, 4, 4)
-		r.CheckLatencySLO(5, 5, 1, 0, []int{1, 0, 1}, true)
+		r.CheckLatencySLO(5, 5, 1, 0, 0, true, true)
 		return r
 	}
 	var a, b strings.Builder
@@ -239,13 +239,14 @@ func TestReportDeterminismAndVerdicts(t *testing.T) {
 		map[string]int{"k1": 0, "k2": 1},
 		0,
 	)
-	r.CheckBoundedDrain(false, 4, 4)                     // deadline blown
-	r.CheckLatencySLO(5, 4, 1, 0, []int{1, 0, 1}, true)  // admitted request missed its budget
-	r.CheckLatencySLO(5, 5, 0, 0, []int{1, 0, 1}, true)  // overload never shed
-	r.CheckLatencySLO(5, 5, 2, 0, []int{1, 0, 1}, true)  // shed probe re-sent and shed again
-	r.CheckLatencySLO(5, 5, 1, 2, []int{1, 0, 1}, true)  // shed request held queue slots
-	r.CheckLatencySLO(5, 5, 1, 0, []int{1, 1, 1}, true)  // governor never adapted
-	r.CheckLatencySLO(5, 5, 1, 0, []int{1, 0, 1}, false) // shed counter absent from merged view
+	r.CheckBoundedDrain(false, 4, 4)                              // deadline blown
+	r.CheckLatencySLO(5, 4, 1, 0, 0, true, true)                  // admitted request missed its budget
+	r.CheckLatencySLO(5, 5, 0, 0, 0, true, true)                  // overload never shed
+	r.CheckLatencySLO(5, 5, 2, 0, 0, true, true)                  // shed probe re-sent and shed again
+	r.CheckLatencySLO(5, 5, 1, 2, 0, true, true)                  // shed request held queue slots
+	r.CheckLatencySLO(5, 5, 1, 0, 2*time.Millisecond, true, true) // a lone request waited for company
+	r.CheckLatencySLO(5, 5, 1, 0, 0, false, true)                 // a busy pool never stacked its queue
+	r.CheckLatencySLO(5, 5, 1, 0, 0, true, false)                 // shed counter absent from merged view
 	for i, c := range r.Results {
 		if c.Pass {
 			t.Errorf("check %d (%s) passed on a violating history: %s", i, c.Name, c.Detail)

@@ -32,11 +32,11 @@
 //   - elastic-membership: admin join/drain/leave advance the epoch
 //     monotonically and a drain re-homes the leaver's keys before
 //     removal;
-//   - latency-slo: under deliberate overload the occupancy-adaptive
-//     governor shrinks then restores the per-batch worker budget,
-//     admission control sheds impatient requests up front (429, no
-//     queue slot) while every admitted request meets its budget, and
-//     the shed counter surfaces in the merged /metrics view;
+//   - latency-slo: a lone request on an idle worker starts at once,
+//     under deliberate overload the batcher stacks what queues behind
+//     its busy workers, admission control sheds impatient requests up
+//     front (429, no queue slot) while every admitted request meets its
+//     budget, and the shed counter surfaces in the merged /metrics view;
 //   - warm-restart-zero-recalibration: a backend killed and restarted
 //     against its snapshot directory serves every previously-calibrated
 //     key warm — zero new calibration builds, identical digests, and a
@@ -226,8 +226,8 @@ func (f *Fleet) listenAndServe(ctx context.Context, addr string, h http.Handler)
 // StartBackend adds one quq-serve worker on an ephemeral loopback port.
 // It is not on the front's ring until something joins it (Boot does, for
 // the initial set; /admin/join later). A config that names no governor
-// clock gets the fleet's, so the worker's occupancy window ages with the
-// fleet's fake time, not the wall. A registry that names none gets a
+// clock gets the fleet's, so the worker's service-time estimate reads
+// the fleet's fake time, not the wall. A registry that names none gets a
 // fake of its own: its statistics grace must cost no wall time — Close
 // does not drain the workers, so a release timer on the real clock
 // would outlive the fleet — and must not move the fleet's time either,

@@ -191,69 +191,6 @@ func TestBootCrashRestartCloseLeaksNothing(t *testing.T) {
 	}
 }
 
-// TestBootedWorkerGovernorRunsOnFleetClock: a worker booted with a zero
-// Governor config takes the fleet's fake clock, so its occupancy window
-// ages by f.Clock.Sleep and by nothing else. Under an hour-long linger a
-// full batch drops it to the load regime and the next single pends; once
-// fake time passes the window, the single after that dispatches at
-// submit and takes the pending one along — no real time involved.
-func TestBootedWorkerGovernorRunsOnFleetClock(t *testing.T) {
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	cfg := baseConfig(7)
-	cfg.Batcher = serve.BatcherOptions{MaxBatch: 4, Linger: time.Hour, QueueCap: 4}
-	f, err := Boot(ctx, 1, 1, cfg, &chaos.Script{Name: "governor-clock", Seed: 7}, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	worker := f.Backends[0]
-	met := worker.Srv.Metrics()
-	sel := Selection{Model: "ViT-Nano", Method: "QUQ", Bits: 6}
-	imgs := data.Images(vit.ViTNano, 4, 7)
-	full := ClassifyBody(sel, nil)
-	full["images"] = [][]float64{imgs[0].Data(), imgs[1].Data(), imgs[2].Data(), imgs[3].Data()}
-	classify := func(body map[string]any) int {
-		r, err := Do(ctx, http.MethodPost, worker.URL()+"/v1/classify", body, nil)
-		if err != nil {
-			t.Error(err)
-		}
-		return r.Status
-	}
-
-	if got := classify(full); got != http.StatusOK {
-		t.Fatalf("full batch: status %d", got)
-	}
-	pending := make(chan int, 1)
-	go func() { pending <- classify(ClassifyBody(sel, imgs[0].Data())) }()
-	for met.QueueDepth.Value() != 1 {
-		if err := ctx.Err(); err != nil {
-			t.Fatalf("single behind the full batch never queued: %v", err)
-		}
-		runtime.Gosched()
-	}
-	// The queue holds the single, so four more images bounce — under the
-	// batcher's lock, hence after the single's submit made its dispatch
-	// decision: the clock below cannot move under that decision.
-	if got := classify(full); got != http.StatusTooManyRequests {
-		t.Fatalf("full batch behind the queued single: status %d, want 429", got)
-	}
-
-	if err := f.Clock.Sleep(ctx, time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if got := classify(ClassifyBody(sel, imgs[1].Data())); got != http.StatusOK {
-		t.Fatalf("single after the window aged out on the fleet clock: status %d", got)
-	}
-	if got := <-pending; got != http.StatusOK {
-		t.Fatalf("pending single: status %d", got)
-	}
-	// Two batches, 4 + 2 images: the first single left only with the second.
-	if n, sum := met.BatchSize.Count(), met.BatchSize.Sum(); n != 2 || sum != 6 {
-		t.Fatalf("dispatched %d batches of %v images in total, want 2 of 6 (the full batch, then the pair)", n, sum)
-	}
-}
-
 // TestFrontCarriesQuqHeaders: X-Quq-* metadata crosses quq-shard in both
 // directions. Back: the digest a quantize answers with through the front
 // is the worker's own. Forth: with the worker jammed and one request

@@ -301,10 +301,10 @@ func scenarioBoundedRemap(ctx context.Context, seed uint64, opts Options, rep *c
 
 // scenarioBoundedDrain drives the micro-batcher — the layer drain
 // actually waits on — through a drain with every awkward passenger
-// aboard: items still lingering undispatched, a submitter whose context
-// expired (their slots must already be free), and a worker that panics
-// mid-batch. Drain must still answer every admitted item inside the
-// deadline.
+// aboard: items still waiting in the FIFO behind a pool held inside its
+// forwards, a submitter whose context expired (their slots must already
+// be free), and a worker that panics mid-forward. Drain must still
+// answer every admitted item inside the deadline.
 func scenarioBoundedDrain(ctx context.Context, seed uint64, opts Options, rep *chaos.Report) error {
 	_ = opts // no proxy in this scenario: drain is a backend-local contract
 	reg := serve.NewRegistry(serve.RegistryOptions{Seed: seed, CalibImages: 2}, nil)
@@ -317,15 +317,18 @@ func scenarioBoundedDrain(ctx context.Context, seed uint64, opts Options, rep *c
 		return err
 	}
 
+	const workers = 2
 	panicked := false
 	var bmu sync.Mutex
-	const maxBatch = 64
-	// Items linger undispatched only in the load regime: one full-batch
-	// observation on a clock nothing advances holds the governor there.
-	gov := serve.NewGovernor(serve.GovernorOptions{Clock: chaos.NewFake()}, nil)
+	gate := make(chan struct{})
+	var held atomic.Int64
 	bat := serve.NewBatcher(serve.BatcherOptions{
-		MaxBatch: maxBatch, Linger: time.Hour, QueueCap: 16, Workers: 2,
+		MaxBatch: 64, QueueCap: 16, Workers: workers,
 		ForwardHook: func(string) {
+			// Every worker parks in its first forward until the gate
+			// opens, so what is submitted behind them waits in the FIFO.
+			held.Add(1)
+			<-gate
 			bmu.Lock()
 			first := !panicked
 			panicked = true
@@ -335,16 +338,27 @@ func scenarioBoundedDrain(ctx context.Context, seed uint64, opts Options, rep *c
 				panic("chaos: injected worker crash")
 			}
 		},
-	}, gov, nil)
-	gov.NoteBatch(maxBatch, 0)
+	}, nil, nil)
 
 	imgs := data.Images(vit.ViTNano, 8, seed+1)
 	admitted := 0
-	items, err := bat.Submit(ctx, key.String(), qm, imgs[:6])
+	// One image per worker: each takes one and parks on the gate.
+	items, err := bat.Submit(ctx, key.String(), qm, imgs[:workers])
 	if err != nil {
 		return err
 	}
 	admitted += len(items)
+	for held.Load() != workers {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		runtime.Gosched()
+	}
+	waiting, err := bat.Submit(ctx, key.String(), qm, imgs[workers:6])
+	if err != nil {
+		return err
+	}
+	admitted += len(waiting)
 
 	cctx, cancel := context.WithCancel(ctx)
 	abandoned, err := bat.Submit(cctx, key.String(), qm, imgs[6:8])
@@ -353,12 +367,15 @@ func scenarioBoundedDrain(ctx context.Context, seed uint64, opts Options, rep *c
 		return err
 	}
 	admitted += len(abandoned)
-	cancel() // the submitter walks away before dispatch
+	cancel() // the submitter walks away while its items wait
 
 	dctx, dcancel := context.WithTimeout(ctx, 60*time.Second)
 	defer dcancel()
-	drainErr := bat.Drain(dctx)
-	all := append(append([]*serve.Item{}, items...), abandoned...)
+	drained := make(chan error, 1)
+	go func() { drained <- bat.Drain(dctx) }()
+	close(gate)
+	drainErr := <-drained
+	all := append(append(append([]*serve.Item{}, items...), waiting...), abandoned...)
 	finished := 0
 	for _, it := range all {
 		select {
@@ -633,33 +650,36 @@ func scenarioMembershipElastic(ctx context.Context, seed uint64, opts Options, r
 	return nil
 }
 
-// scenarioOverloadShed drives the occupancy-adaptive scheduler through
-// its whole operating range on a fake clock and checks the latency-SLO
-// invariant:
+// scenarioOverloadShed drives the work-conserving batcher and admission
+// control from idle through overload and back on a fake clock, and
+// checks the latency-SLO invariant:
 //
-//   - sparse singles keep the governor in the low-occupancy regime
-//     (immediate dispatch) and finish inside the default budget;
-//   - one full batch switches it to the load regime (linger) instantly;
-//   - with the queue backed up behind a gated worker, an impatient probe
+//   - a lone single on an idle worker starts its forward with zero
+//     clock advance — nothing waits for company — and sparse singles
+//     finish inside the default budget;
+//   - with the queue backed up behind gated workers, an impatient probe
 //     sent through the front is shed with 429 before taking a queue
 //     slot, while the lenient backdrop (explicit wide budget, carried by
-//     the front) is admitted and completes;
-//   - after the occupancy window ages out, the governor returns to
-//     immediate dispatch and the shed counter shows up in the
-//     front-end's merged /metrics view.
+//     the front) is admitted, completes, and coalesces: its takes hold
+//     more than one image on average;
+//   - after the overload a lone single starts at once again, and the
+//     shed counter shows up in the front-end's merged /metrics view.
 //
-// Every figure in the report — request counts, regimes, shed tallies,
-// queue depths — is script-determined: the injected clock makes
-// service times exact, so two replays render byte-identical verdicts.
+// Every figure in the report — request counts, start delays, shed
+// tallies, queue depths — is script-determined: the injected clock
+// makes service times exact, so two replays render byte-identical
+// verdicts.
 func scenarioOverloadShed(ctx context.Context, seed uint64, opts Options, rep *chaos.Report) error {
 	clk := chaos.NewFake()
 	gate := make(chan struct{})
 	var block atomic.Bool
+	var hookAt atomic.Int64 // fake-clock time the latest forward started, ns
 	cfg := baseConfig(seed)
 	cfg.Batcher = serve.BatcherOptions{
 		MaxBatch: 4, QueueCap: 64, Workers: 2,
 		LatencyBudget: 20 * time.Millisecond,
 		ForwardHook: func(string) {
+			hookAt.Store(clk.Now().UnixNano())
 			if block.Load() {
 				<-gate
 			}
@@ -696,7 +716,7 @@ func scenarioOverloadShed(ctx context.Context, seed uint64, opts Options, rep *c
 	}
 
 	admitted, withinBudget := 0, 0
-	var immediatePath []int
+	var loneStartDelay time.Duration
 	// timed sends one request that has to be admitted and scores it
 	// against its budget on the fake clock — service time is exactly the
 	// injected sleeps. An answer other than 200 has missed its budget:
@@ -714,21 +734,28 @@ func scenarioOverloadShed(ctx context.Context, seed uint64, opts Options, rep *c
 		return nil
 	}
 
-	// Phase 1 — sparse singles: occupancy 1/4 sits at the low threshold,
-	// so the governor holds the immediate dispatch it boots with.
+	// lone sends one single on an idle pool and keeps the largest
+	// fake-clock advance between its send and its forward's start.
+	lone := func(what string) error {
+		start := clk.Now()
+		if err := timed(what, cfg.Batcher.LatencyBudget, f.Base+"/v1/classify", ClassifyBody(sel, flat[0]), nil); err != nil {
+			return err
+		}
+		loneStartDelay = max(loneStartDelay, time.Duration(hookAt.Load()-start.UnixNano()))
+		return nil
+	}
+
+	// Phase 1 — sparse singles, each started by the first free worker.
 	for i := 0; i < 2; i++ {
-		if err := timed("sparse classify", cfg.Batcher.LatencyBudget, f.Base+"/v1/classify", ClassifyBody(sel, flat[0]), nil); err != nil {
+		if err := lone("sparse classify"); err != nil {
 			return err
 		}
 	}
-	immediatePath = append(immediatePath, int(backend.Srv.Metrics().ImmediateDispatch.Value()))
 
-	// Phase 2 — one full batch: instantaneous occupancy 1.0 ends
-	// immediate dispatch.
-	if err := timed("full batch", cfg.Batcher.LatencyBudget, f.Base+"/v1/classify", multi(4), nil); err != nil {
+	// Phase 2 — a 4-image request on two idle workers, inside budget.
+	if err := timed("multi-image classify", cfg.Batcher.LatencyBudget, f.Base+"/v1/classify", multi(4), nil); err != nil {
 		return err
 	}
-	immediatePath = append(immediatePath, int(backend.Srv.Metrics().ImmediateDispatch.Value()))
 
 	// Phase 3 — overload: jam the workers and queue a 12-image backdrop
 	// from a lenient client (wide explicit budget), then probe with the
@@ -738,6 +765,8 @@ func scenarioOverloadShed(ctx context.Context, seed uint64, opts Options, rep *c
 	// carries the backdrop's X-Quq-Latency-Budget to the worker and
 	// hands the worker's 429 and Retry-After back without a second
 	// attempt (a front that retried would shed the probe twice).
+	met := backend.Srv.Metrics()
+	takes, taken := met.BatchSize.Count(), met.BatchSize.Sum()
 	block.Store(true)
 	backdropErr := make(chan error, 1)
 	go func() {
@@ -766,16 +795,14 @@ func scenarioOverloadShed(ctx context.Context, seed uint64, opts Options, rep *c
 	if err := <-backdropErr; err != nil {
 		return err
 	}
+	// The backdrop's 12 images ran in more than one take of one image
+	// apiece on average: each worker took two while the other was busy.
+	coalesced := met.BatchSize.Sum()-taken > float64(met.BatchSize.Count()-takes)
 
-	// Phase 4 — recovery: age the occupancy window out entirely; the
-	// next sparse single dispatches immediately again.
-	if err := clk.Sleep(ctx, 600*time.Millisecond); err != nil {
+	// Phase 4 — recovery: a lone single starts at once again.
+	if err := lone("recovery classify"); err != nil {
 		return err
 	}
-	if err := timed("recovery classify", cfg.Batcher.LatencyBudget, f.Base+"/v1/classify", ClassifyBody(sel, flat[0]), nil); err != nil {
-		return err
-	}
-	immediatePath = append(immediatePath, int(backend.Srv.Metrics().ImmediateDispatch.Value()))
 
 	// The shed counter must surface through the front-end's merged view.
 	page, err := Do(ctx, http.MethodGet, f.Base+"/metrics", nil, nil)
@@ -784,6 +811,6 @@ func scenarioOverloadShed(ctx context.Context, seed uint64, opts Options, rep *c
 	}
 	merged := strings.Contains(string(page.Body), fmt.Sprintf("quq_serve_shed_total %d", shed))
 
-	rep.CheckLatencySLO(admitted, withinBudget, shed, shedQueueSlots, immediatePath, merged)
+	rep.CheckLatencySLO(admitted, withinBudget, shed, shedQueueSlots, loneStartDelay, coalesced, merged)
 	return nil
 }

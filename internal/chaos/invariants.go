@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"time"
 )
 
 // CheckResult is one invariant verdict inside a Report.
@@ -200,31 +201,23 @@ func (r *Report) CheckZeroLostKeys(reads, readsOK, newBuilds int) {
 		"reads=%d reads-ok=%d new-builds=%d", reads, readsOK, newBuilds)
 }
 
-// CheckLatencySLO asserts the occupancy-adaptive scheduling contract
-// over an overload script: every admitted request finished inside its
+// CheckLatencySLO asserts the work-conserving scheduling contract over
+// an overload script: every admitted request finished inside its
 // latency budget (admission control refused the rest up front), the
 // script's one overload probe was shed exactly once — zero means
 // shedding never fired, two means something re-sent the shed request —
-// shed requests consumed no queue capacity, and the governor both left
-// immediate dispatch under load and returned to it at low occupancy
-// (immediatePath is the script-observed sequence of the 0/1
-// immediate-dispatch gauge). merged asserts the shed counter surfaced
-// through the fleet's merged /metrics view.
-func (r *Report) CheckLatencySLO(admitted, withinBudget, shed, shedQueueSlots int, immediatePath []int, merged bool) {
-	lowered, raised := false, false
-	for i := 1; i < len(immediatePath); i++ {
-		if immediatePath[i] < immediatePath[i-1] {
-			lowered = true
-		}
-		if immediatePath[i] > immediatePath[i-1] {
-			raised = true
-		}
-	}
+// shed requests consumed no queue capacity, a lone request on an idle
+// worker started its forward with no clock advance (loneStartDelay is
+// the largest the script saw: nothing waited for company), and the
+// overload's takes held more than one image on average (coalesced: a
+// busy pool stacks what queues behind it). merged asserts the shed
+// counter surfaced through the fleet's merged /metrics view.
+func (r *Report) CheckLatencySLO(admitted, withinBudget, shed, shedQueueSlots int, loneStartDelay time.Duration, coalesced, merged bool) {
 	pass := admitted == withinBudget && shed == 1 && shedQueueSlots == 0 &&
-		lowered && raised && merged
+		loneStartDelay == 0 && coalesced && merged
 	r.Add("latency-slo", pass,
-		"admitted=%d within-budget=%d shed=%d shed-queue-slots=%d immediate=%v lowered=%v raised=%v merged-metrics=%v",
-		admitted, withinBudget, shed, shedQueueSlots, immediatePath, lowered, raised, merged)
+		"admitted=%d within-budget=%d shed=%d shed-queue-slots=%d lone-start-delay=%v overload-coalesced=%v merged-metrics=%v",
+		admitted, withinBudget, shed, shedQueueSlots, loneStartDelay, coalesced, merged)
 }
 
 // CheckElasticMembership asserts the membership subsystem's contract

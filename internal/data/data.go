@@ -1,7 +1,7 @@
 // Package data provides the synthetic image workloads that substitute for
 // ImageNet in this reproduction (see DESIGN.md).
 //
-// Two generators are provided. PatternDataset emits a 10-class texture
+// Two generators are provided. PatternSamples emits a 10-class texture
 // classification task — stripes, checkerboards, blobs, rings at varying
 // phases and amplitudes under additive noise — that a small ViT can
 // genuinely learn, giving the accuracy experiments a true top-1 metric
@@ -26,18 +26,6 @@ const NumPatternClasses = 10
 type Sample struct {
 	Image *tensor.Tensor // [channels, H, W]
 	Label int
-}
-
-// PatternDataset generates n labelled 1×size×size images, classes
-// balanced round-robin, deterministically from seed.
-func PatternDataset(n, size int, seed uint64) []Sample {
-	src := rng.New(seed)
-	out := make([]Sample, n)
-	for i := range out {
-		label := i % NumPatternClasses
-		out[i] = Sample{Image: PatternImage(label, size, src), Label: label}
-	}
-	return out
 }
 
 // PatternImage draws one image of the given class. Every class has a

@@ -9,7 +9,7 @@ import (
 )
 
 func TestPatternDatasetBalanced(t *testing.T) {
-	ds := PatternDataset(100, 16, 1)
+	ds := PatternSamples(1, 16, 100, 1)
 	counts := make([]int, NumPatternClasses)
 	for _, s := range ds {
 		if s.Label < 0 || s.Label >= NumPatternClasses {
@@ -28,8 +28,8 @@ func TestPatternDatasetBalanced(t *testing.T) {
 }
 
 func TestPatternDatasetDeterministic(t *testing.T) {
-	a := PatternDataset(20, 16, 7)
-	b := PatternDataset(20, 16, 7)
+	a := PatternSamples(1, 16, 20, 7)
+	b := PatternSamples(1, 16, 20, 7)
 	for i := range a {
 		for j, v := range a[i].Image.Data() {
 			if v != b[i].Image.Data()[j] {

@@ -1,6 +1,6 @@
 // Package mathx collects the small numerical helpers shared by the model
 // stack, the synthetic data generators and the quantizers: activation
-// functions, stable softmax, and power-of-two utilities.
+// functions and stable softmax, with the forward's memoized slice kernels.
 package mathx
 
 import "math"
@@ -33,50 +33,4 @@ func SoftmaxInPlace(xs []float64) {
 	for i := range xs {
 		xs[i] /= sum
 	}
-}
-
-// IsPow2Ratio reports whether a/b equals 2^k for some integer k ≥ 0,
-// within floating-point tolerance.
-func IsPow2Ratio(a, b float64) bool {
-	if a <= 0 || b <= 0 {
-		return false
-	}
-	k := math.Log2(a / b)
-	return k > -1e-9 && math.Abs(k-math.Round(k)) < 1e-9
-}
-
-// Log2Int returns log2(v) for a positive power-of-two integer, and -1
-// otherwise.
-func Log2Int(v int64) int {
-	if v <= 0 || v&(v-1) != 0 {
-		return -1
-	}
-	n := 0
-	for v > 1 {
-		v >>= 1
-		n++
-	}
-	return n
-}
-
-// Clamp limits v to [lo, hi].
-func Clamp(v, lo, hi float64) float64 {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
-}
-
-// ClampInt limits v to [lo, hi].
-func ClampInt(v, lo, hi int64) int64 {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
 }

@@ -72,30 +72,3 @@ func TestSoftmaxShiftInvariance(t *testing.T) {
 func TestSoftmaxEmpty(t *testing.T) {
 	SoftmaxInPlace(nil) // must not panic
 }
-
-func TestIsPow2Ratio(t *testing.T) {
-	if !IsPow2Ratio(8, 2) || !IsPow2Ratio(0.25, 0.25) || !IsPow2Ratio(1, 0.125) {
-		t.Error("valid power-of-two ratios rejected")
-	}
-	if IsPow2Ratio(3, 2) || IsPow2Ratio(0, 1) || IsPow2Ratio(-4, 2) {
-		t.Error("invalid ratios accepted")
-	}
-}
-
-func TestLog2Int(t *testing.T) {
-	cases := map[int64]int{1: 0, 2: 1, 1024: 10, 3: -1, 0: -1, -8: -1, 6: -1}
-	for v, want := range cases {
-		if got := Log2Int(v); got != want {
-			t.Errorf("Log2Int(%d) = %d, want %d", v, got, want)
-		}
-	}
-}
-
-func TestClamp(t *testing.T) {
-	if Clamp(5, 0, 3) != 3 || Clamp(-5, 0, 3) != 0 || Clamp(2, 0, 3) != 2 {
-		t.Error("Clamp wrong")
-	}
-	if ClampInt(5, -2, 3) != 3 || ClampInt(-5, -2, 3) != -2 || ClampInt(1, -2, 3) != 1 {
-		t.Error("ClampInt wrong")
-	}
-}

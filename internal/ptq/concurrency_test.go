@@ -118,7 +118,7 @@ func TestForwardBatchMatchesSerial(t *testing.T) {
 func TestAgreementAccuracyEmpty(t *testing.T) {
 	qm, imgs := quantizedNano(t, 2)
 	ref := qm // any Classifier works; the guards fire before Forward
-	if got := Agreement(ref, qm, nil); got != 0 {
+	if got := agreement(ref, qm, nil); got != 0 {
 		t.Fatalf("Agreement on empty slice = %v, want 0", got)
 	}
 	if got := Accuracy(qm, nil, nil); got != 0 {
@@ -128,7 +128,7 @@ func TestAgreementAccuracyEmpty(t *testing.T) {
 		t.Fatalf("Accuracy on mismatched labels = %v, want 0", got)
 	}
 	// Non-empty sanity: the same classifier always agrees with itself.
-	if got := Agreement(qm, qm, imgs); got != 1 {
+	if got := agreement(qm, qm, imgs); got != 1 {
 		t.Fatalf("self-agreement = %v, want 1", got)
 	}
 }

@@ -394,25 +394,6 @@ func (c ModelClassifier) Forward(img *tensor.Tensor) *tensor.Tensor {
 	return c.M.Forward(img, vit.ForwardOpts{})
 }
 
-// Agreement returns the fraction of images on which the two classifiers
-// produce the same argmax — this repo's substitution for ImageNet top-1
-// when the reference model's own predictions define the labels (see
-// DESIGN.md). An empty image slice returns 0, never NaN: serving and
-// experiment code feed request-derived slices here, and a 0/0 NaN would
-// poison every downstream aggregate.
-func Agreement(ref, q Classifier, images []*tensor.Tensor) float64 {
-	if len(images) == 0 {
-		return 0
-	}
-	same := 0
-	for _, img := range images {
-		if ref.Forward(img).ArgMax() == q.Forward(img).ArgMax() {
-			same++
-		}
-	}
-	return float64(same) / float64(len(images))
-}
-
 // Accuracy returns top-1 accuracy of the classifier on labelled samples.
 // An empty or length-mismatched (images, labels) pair returns 0, never
 // NaN — mismatches are caller bugs, but a metric that silently turns the

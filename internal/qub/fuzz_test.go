@@ -68,7 +68,7 @@ func FuzzQUBRoundtrip(f *testing.F) {
 			if err != nil {
 				t.Fatalf("RegistersFor accepted an unpackable space: %v", err)
 			}
-			if u := UnpackSpace(packed); u != space {
+			if u := unpackSpace(packed); u != space {
 				t.Fatalf("register roundtrip: packed %+v, unpacked %+v", space, u)
 			}
 		}

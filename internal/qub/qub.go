@@ -73,18 +73,6 @@ func (s SpaceReg) Pack() (uint8, error) {
 	return b, nil
 }
 
-// UnpackSpace parses an 8-bit FC register. The Used flag is set: a packed
-// register always describes a live space.
-func UnpackSpace(b uint8) SpaceReg {
-	return SpaceReg{
-		Used:    true,
-		Both:    b&(1<<7) != 0,
-		NegSide: b&(1<<6) != 0,
-		ShNeg:   (b >> 3) & 7,
-		ShPos:   b & 7,
-	}
-}
-
 // Registers is the per-tensor QUB metadata: the two FC registers plus the
 // shared base scale factor and the bit-width.
 type Registers struct {

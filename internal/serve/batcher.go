@@ -5,8 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"quq/internal/ptq"
@@ -26,18 +26,13 @@ var (
 
 // BatcherOptions tunes the micro-batching scheduler.
 type BatcherOptions struct {
-	// MaxBatch is the dispatch threshold: a pending batch is flushed as
-	// soon as it holds this many images (default 8).
+	// MaxBatch is how many images the worker pool stacks at once: one
+	// take holds at most ⌈MaxBatch / Workers⌉ of them (default 8).
 	MaxBatch int
-	// Linger is how long the first image of an underfull batch may wait
-	// for company in the load regime before the batch is flushed anyway
-	// (default 2ms). At low occupancy the governor dispatches at submit
-	// and no batch waits for it.
-	Linger time.Duration
 	// QueueCap bounds admitted-but-unfinished images across all keys;
 	// beyond it Submit fails with ErrQueueFull (default 256).
 	QueueCap int
-	// Workers sizes the forward-pass worker pool (default GOMAXPROCS).
+	// Workers caps the forward-pass workers (default GOMAXPROCS).
 	Workers int
 	// ForwardHook, when set, runs once for every image about to be
 	// forwarded, with the item's registry key. It is the chaos layer's worker seam: a hook
@@ -55,9 +50,6 @@ func (o *BatcherOptions) defaults() {
 	if o.MaxBatch <= 0 {
 		o.MaxBatch = 8
 	}
-	if o.Linger <= 0 {
-		o.Linger = 2 * time.Millisecond
-	}
 	if o.QueueCap <= 0 {
 		o.QueueCap = 256
 	}
@@ -69,72 +61,66 @@ func (o *BatcherOptions) defaults() {
 // Item is one admitted image travelling through the scheduler. The
 // submitter waits on Done; afterwards exactly one of Out and Err is set.
 type Item struct {
-	img  *tensor.Tensor
-	ctx  context.Context // the submitter's context
-	stop func() bool     // cancels the context.AfterFunc watcher
-	p    *pending        // batch holding the item while undispatched
-	done bool            // finished (guarded by Batcher.mu)
+	img     *tensor.Tensor
+	ctx     context.Context     // the submitter's context
+	stop    func() bool         // cancels the context.AfterFunc watcher
+	key     string              // registry key, for ForwardHook
+	qm      *ptq.QuantizedModel // the model it was admitted for; takes group by it
+	waiting bool                // in the FIFO, not yet taken (guarded by Batcher.mu)
 
 	Out  *tensor.Tensor
 	Err  error
 	Done chan struct{}
 }
 
-// pending is the open batch for one model key.
-type pending struct {
-	key        string
-	qm         *ptq.QuantizedModel
-	items      []*Item
-	linger     *time.Timer // flushes the batch if nothing else has by then
-	dispatched bool        // detached from Batcher.pend and handed to a worker
-}
-
-// Batcher coalesces admitted images into per-model micro-batches and
-// runs them on a bounded worker pool. All methods are safe for
-// concurrent use.
+// Batcher runs admitted images on a work-conserving worker pool: one
+// FIFO holds every waiting item, and a free worker takes the oldest
+// item's model with as many of that model's waiting items as the take
+// rule allows (takeLocked), as one stacked forward. Nothing waits for
+// company: a request coalesces only with what queued behind a busy pool.
+// All methods are safe for concurrent use.
 type Batcher struct {
-	opts   BatcherOptions
-	met    *Metrics
-	gov    *Governor
-	tokens chan struct{} // worker-pool semaphore
+	opts BatcherOptions
+	met  *Metrics
+	gov  *Governor
+	take int // ⌈MaxBatch / Workers⌉: the most images one take stacks
 
 	mu       sync.Mutex
-	queued   int // admitted and not yet finished
-	pend     map[string]*pending
+	queued   int     // admitted and not yet finished
+	fifo     []*Item // admitted and not yet taken, oldest first
+	workers  int     // worker goroutines alive
+	busy     int     // workers inside a forward
 	draining bool
 	wg       sync.WaitGroup
 }
 
-// NewBatcher builds a scheduler. gov is the occupancy-adaptive governor
-// that decides when a batch leaves and on how many workers (nil builds
-// one with default options). met may be nil.
+// NewBatcher builds a scheduler. gov is the admission estimator (nil
+// builds one on the real clock). met may be nil.
 func NewBatcher(opts BatcherOptions, gov *Governor, met *Metrics) *Batcher {
 	opts.defaults()
 	if gov == nil {
-		gov = NewGovernor(GovernorOptions{}, met)
+		gov = NewGovernor(GovernorOptions{})
 	}
-	gov.bind(opts.MaxBatch, opts.Workers)
+	gov.bind(opts.Workers)
 	return &Batcher{
-		opts:   opts,
-		met:    met,
-		gov:    gov,
-		tokens: make(chan struct{}, opts.Workers),
-		pend:   make(map[string]*pending),
+		opts: opts,
+		met:  met,
+		gov:  gov,
+		take: (opts.MaxBatch + opts.Workers - 1) / opts.Workers,
 	}
 }
 
-// Submit admits images for batched inference on qm, coalescing them with
-// other requests for the same key. It returns one Item per image (index-
-// aligned) to wait on, or ErrQueueFull / ErrDraining without admitting
-// anything — admission is all-or-nothing so a multi-image request can
-// never deadlock half-queued.
+// Submit admits images for batched inference on qm. It returns one Item
+// per image (index-aligned) to wait on, or ErrQueueFull / ErrDraining
+// without admitting anything — admission is all-or-nothing so a
+// multi-image request can never deadlock half-queued.
 //
 // ctx is the submitter's context and must be non-nil (the HTTP layer
 // passes the request's): if it is cancelled while an item is still
-// queued (not yet handed to a worker), the item finishes immediately
+// waiting (not yet taken by a worker), the item finishes immediately
 // with the context's error and releases its QueueCap slot — an
-// abandoned client must not hold admission capacity until dispatch.
-// Items already dispatched complete normally in the background.
+// abandoned client must not hold admission capacity until a worker
+// frees up. Items already taken complete normally in the background.
 func (b *Batcher) Submit(ctx context.Context, key string, qm *ptq.QuantizedModel, images []*tensor.Tensor) ([]*Item, error) {
 	return b.SubmitBudget(ctx, key, qm, images, 0)
 }
@@ -195,145 +181,132 @@ func (b *Batcher) SubmitBudget(ctx context.Context, key string, qm *ptq.Quantize
 	}
 	items := make([]*Item, len(images))
 	for i, img := range images {
-		it := &Item{img: img, ctx: ctx, Done: make(chan struct{})}
+		it := &Item{img: img, ctx: ctx, key: key, qm: qm, waiting: true, Done: make(chan struct{})}
 		items[i] = it
-		// The abandonment watcher is registered under b.mu before the
-		// item can be flushed, so it.stop is visible to whichever path
-		// finishes the item. AfterFunc always runs its callback on a
-		// fresh goroutine, so abandon's own b.mu acquisition cannot
-		// deadlock here even for an already-expired context.
+		// The abandonment watcher is registered under b.mu before any
+		// worker can take the item, so it.stop is visible to whichever
+		// path finishes it. AfterFunc always runs its callback on a fresh
+		// goroutine, so abandon's own b.mu acquisition cannot deadlock
+		// here even for an already-expired context.
 		it.stop = context.AfterFunc(ctx, func() { b.abandon(it) })
-		p := b.pend[key]
-		if p == nil {
-			p = &pending{key: key, qm: qm}
-			b.pend[key] = p
-			p.linger = time.AfterFunc(b.opts.Linger, func() { b.flushIf(key, p) })
-		}
-		it.p = p
-		p.items = append(p.items, it)
-		if len(p.items) >= b.opts.MaxBatch {
-			b.flushLocked(p)
-		}
+		b.fifo = append(b.fifo, it)
 	}
-	if b.gov.ImmediateDispatch() {
-		// Low-occupancy regime: flush at the end of the submit call, after
-		// every image of this request has been appended — within-request
-		// batching is preserved, only the cross-request linger wait is
-		// skipped. A size-triggered flush above leaves b.pend[key] nil, so
-		// this is naturally a no-op then.
-		if p := b.pend[key]; p != nil && len(p.items) > 0 {
-			b.flushLocked(p)
-		}
+	// Start a worker for every waiting item no started-but-not-yet-taking
+	// worker will cover, up to the pool size. A worker exits once the
+	// FIFO is empty, so an idle batcher holds no goroutine.
+	start := 0
+	for b.workers < b.opts.Workers && b.workers-b.busy < len(b.fifo) {
+		b.workers++
+		start++
 	}
+	b.wg.Add(start)
 	b.mu.Unlock()
+	// Started after the unlock: a worker's first act is to take b.mu, and
+	// one started under it could only wake, contend and sleep again.
+	for ; start > 0; start-- {
+		go b.work()
+	}
 	return items, nil
 }
 
-// abandon handles a submitter whose context expired: a still-queued
-// item is pulled out of its batch and finished with the context's
-// error, releasing its queue slot right away. A dispatched item is left
-// alone — its worker observes the same context before the forward pass
-// and short-circuits there.
+// abandon handles a submitter whose context expired: a still-waiting
+// item leaves the FIFO and is finished with the context's error,
+// releasing its queue slot right away. A taken item is left alone — its
+// worker observes the same context before the forward pass and
+// short-circuits there.
 func (b *Batcher) abandon(it *Item) {
 	b.mu.Lock()
-	if it.done || it.p == nil || it.p.dispatched {
-		b.mu.Unlock()
+	defer b.mu.Unlock()
+	if !it.waiting {
 		return
 	}
-	kept := it.p.items[:0]
-	for _, other := range it.p.items {
-		if other != it {
-			kept = append(kept, other)
-		}
-	}
-	it.p.items = kept
+	b.fifo = slices.DeleteFunc(b.fifo, func(o *Item) bool { return o == it })
+	it.waiting = false
 	it.Err = it.ctx.Err()
 	if b.met != nil {
 		b.met.Abandoned.Inc()
 	}
 	b.finishLocked(it)
-	b.mu.Unlock()
 }
 
-// flushIf flushes p if it is still the open batch for key (the linger
-// timer may race a size-triggered flush; the pointer comparison
-// disambiguates generations).
-func (b *Batcher) flushIf(key string, p *pending) {
-	b.mu.Lock()
-	if b.pend[key] == p {
-		b.flushLocked(p)
-	}
-	b.mu.Unlock()
-}
-
-// flushLocked detaches p and dispatches it. Caller holds b.mu. The
-// queue depth at dispatch rides along so the governor observes the
-// backlog that existed when the batch left the queue.
-func (b *Batcher) flushLocked(p *pending) {
-	delete(b.pend, p.key)
-	p.dispatched = true
-	// Most batches leave at submit or on size, long before the linger: a
-	// timer left armed would pin p and its items until it fired.
-	p.linger.Stop()
-	if len(p.items) == 0 {
-		return
-	}
-	b.wg.Add(1)
-	go b.run(p, b.queued)
-}
-
-// run executes one batch on the worker pool. The batch is cut into
-// ptq.BatchChunks' min(len(items), Workers) contiguous chunks; each takes
-// one pool token and one goroutine and runs as one stacked forward
-// (runChunk), so every weight matrix is streamed once per chunk rather
-// than once per image, and total inference parallelism across all
-// in-flight batches never exceeds Workers.
+// work is one worker of the pool: it takes from the FIFO and runs each
+// take as one stacked forward until the FIFO is empty, then exits.
 //
-// Ordering matters for determinism: the governor observes the dispatch
-// (NoteBatch) before any forward runs, and the service time
-// (NoteService) before any submitter is woken — so a caller whose Await
-// has returned is guaranteed to see governor state that already reflects
-// its own batch, which is what lets the chaos harness replay occupancy
-// traces byte-identically. The service sample counts the images whose
-// forward ran, not the batch: an item dropped at the last moment took no
-// time, and charging it would make every survivor look cheaper.
-func (b *Batcher) run(p *pending, depth int) {
+// Ordering matters twice. The governor observes the service time before
+// any submitter of the take is woken, so a caller whose Await has
+// returned sees an estimate that already reflects its own forward — what
+// lets the chaos harness replay shed decisions byte-identically. And the
+// worker counts as free again before it wakes them: a closed-loop client
+// resubmits the moment it wakes, and a worker still counted busy then
+// makes the next take stack two clients' singles while a core idles.
+func (b *Batcher) work() {
 	defer b.wg.Done()
-	b.gov.NoteBatch(len(p.items), depth)
-	if b.met != nil {
-		b.met.BatchSize.Observe(float64(len(p.items)))
+	clk := b.gov.clock()
+	b.mu.Lock()
+	for len(b.fifo) > 0 {
+		chunk := b.takeLocked()
+		b.busy++
+		b.mu.Unlock()
+		if b.met != nil {
+			b.met.BatchSize.Observe(float64(len(chunk)))
+			b.met.Occupancy.Observe(float64(len(chunk)) / float64(b.take))
+		}
+		start := clk.Now()
+		ran := b.runChunk(chunk)
+		b.gov.NoteService(ran, clk.Now().Sub(start))
+		b.mu.Lock()
+		b.busy--
+		for _, it := range chunk {
+			b.finishLocked(it)
+		}
 	}
-	start := b.gov.clock().Now()
-	bounds := ptq.BatchChunks(len(p.items), b.opts.Workers)
-	var cwg sync.WaitGroup
-	var ran atomic.Int64
-	for c := 0; c+1 < len(bounds); c++ {
-		b.tokens <- struct{}{}
-		cwg.Add(1)
-		go func(chunk []*Item) {
-			defer func() {
-				<-b.tokens
-				cwg.Done()
-			}()
-			ran.Add(int64(b.runChunk(p, chunk)))
-		}(p.items[bounds[c]:bounds[c+1]])
-	}
-	cwg.Wait()
-	b.gov.NoteService(int(ran.Load()), b.gov.clock().Now().Sub(start))
-	for _, it := range p.items {
-		b.finish(it)
-	}
+	b.workers--
+	b.mu.Unlock()
 }
 
-// runChunk runs one chunk of a batch as one stacked forward and reports
-// how many images it ran. Item by item, in order: an item whose submitter
-// already gave up — it may have disconnected while the chunk waited for
-// its pool token — is finished with its context error and never stacked,
+// takeLocked removes the next take from the FIFO. Caller holds b.mu and
+// is a worker not counted busy. The take is the oldest waiting item's
+// model and the first n of that model's q waiting items, in FIFO order,
+// with n = min(q, ⌈q / f⌉, ⌈MaxBatch / Workers⌉) and f the workers not
+// inside a forward, this one included. The ⌈q / f⌉ term spreads a lone
+// request over the idle workers (a 4-image request on two of them runs
+// as two 2-image forwards); behind a busy pool the waiting items of one
+// model coalesce up to the cap. Items group by model, not by key string:
+// a key whose model was replaced in place (Registry.InstallSnapshot)
+// never stacks an item onto a model it was not admitted for.
+func (b *Batcher) takeLocked() []*Item {
+	qm := b.fifo[0].qm
+	q := 0
+	for _, it := range b.fifo {
+		if it.qm == qm {
+			q++
+		}
+	}
+	free := b.opts.Workers - b.busy
+	n := min(q, (q+free-1)/free, b.take)
+	chunk := make([]*Item, 0, n)
+	kept := b.fifo[:0]
+	for _, it := range b.fifo {
+		if it.qm == qm && len(chunk) < n {
+			it.waiting = false
+			chunk = append(chunk, it)
+		} else {
+			kept = append(kept, it)
+		}
+	}
+	clear(b.fifo[len(kept):])
+	b.fifo = kept
+	return chunk
+}
+
+// runChunk runs one take as one stacked forward and reports how many
+// images it ran. Item by item, in order: an item whose submitter gave up
+// after the take is finished with its context error and never stacked,
 // so it pays for no forward; ForwardHook runs for each live item. A panic
 // in a hook or in the forward is converted to the error of every item of
-// this chunk that had no outcome yet, instead of killing the server; the
-// batch's other chunks are untouched.
-func (b *Batcher) runChunk(p *pending, chunk []*Item) int {
+// this take that had no outcome yet, instead of killing the server;
+// other takes are untouched.
+func (b *Batcher) runChunk(chunk []*Item) int {
 	live := make([]*Item, 0, len(chunk))
 	images := make([]*tensor.Tensor, 0, len(chunk))
 	defer func() {
@@ -358,7 +331,7 @@ func (b *Batcher) runChunk(p *pending, chunk []*Item) int {
 			continue
 		}
 		if b.opts.ForwardHook != nil {
-			b.opts.ForwardHook(p.key)
+			b.opts.ForwardHook(it.key)
 		}
 		live = append(live, it)
 		images = append(images, it.img)
@@ -366,30 +339,18 @@ func (b *Batcher) runChunk(p *pending, chunk []*Item) int {
 	if len(live) == 0 {
 		return 0
 	}
-	// One worker: the chunk is one stacked forward on this goroutine.
-	for i, out := range p.qm.ForwardBatch(images, 1) {
+	// One stacked forward on this worker's goroutine.
+	for i, out := range chunk[0].qm.ForwardBatch(images, 1) {
 		live[i].Out = out
 	}
 	return len(live)
 }
 
-// finish releases an item's queue slot and wakes its submitter.
-func (b *Batcher) finish(it *Item) {
-	b.mu.Lock()
-	if it.done {
-		// The abandonment path got here first; nothing left to release.
-		b.mu.Unlock()
-		return
-	}
-	b.finishLocked(it)
-	b.mu.Unlock()
-}
-
-// finishLocked marks an item done under b.mu: slot released, watcher
-// stopped, submitter woken. Exactly one of finish/abandon reaches it
-// per item (the done flag arbitrates), so Done closes exactly once.
+// finishLocked finishes an item under b.mu: slot released, watcher
+// stopped, submitter woken. An item is finished by abandon while it
+// waits or by the worker that took it, never both, so Done closes
+// exactly once.
 func (b *Batcher) finishLocked(it *Item) {
-	it.done = true
 	b.queued--
 	if b.met != nil {
 		b.met.QueueDepth.Set(int64(b.queued))
@@ -415,20 +376,11 @@ func Await(ctx context.Context, items []*Item) error {
 	return nil
 }
 
-// Drain stops admission, flushes every pending batch immediately, and
-// waits for in-flight work to finish or ctx to expire.
+// Drain stops admission and waits for every admitted item to finish or
+// ctx to expire. The workers run the FIFO dry and exit.
 func (b *Batcher) Drain(ctx context.Context) error {
 	b.mu.Lock()
 	b.draining = true
-	// Collect open batches first: flushLocked mutates b.pend.
-	open := make([]*pending, 0, len(b.pend))
-	// Map order is irrelevant: every open batch is flushed.
-	for _, p := range b.pend {
-		open = append(open, p)
-	}
-	for _, p := range open {
-		b.flushLocked(p)
-	}
 	b.mu.Unlock()
 
 	done := make(chan struct{})

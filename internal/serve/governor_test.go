@@ -15,109 +15,12 @@ import (
 	"quq/internal/chaos"
 )
 
-// govUnderTest builds a governor on a fake clock with the geometry the
-// transition tests assume: MaxBatch 8, a 2-worker pool (the window is
-// the 500ms constant).
-func govUnderTest(met *Metrics) (*Governor, *chaos.Fake) {
-	clk := chaos.NewFake()
-	g := NewGovernor(GovernorOptions{Clock: clk}, met)
-	g.bind(8, 2)
-	return g, clk
-}
-
-// TestGovernorTransitions drives the control law through fake-clock
-// traces: every transition is a pure function of the recorded samples
-// and the injected time, so each trace asserts the exact operating
-// point after every observation.
-func TestGovernorTransitions(t *testing.T) {
-	type step struct {
-		advance       time.Duration // fake-clock advance before the dispatch
-		size, depth   int           // NoteBatch arguments
-		wantImmediate bool
-	}
-	cases := []struct {
-		name  string
-		steps []step
-	}{
-		{"sparse traffic stays wide", []step{
-			{0, 1, 0, true},
-			{50 * time.Millisecond, 2, 1, true},
-		}},
-		{"full batch shrinks instantly", []step{
-			{0, 1, 0, true},
-			{50 * time.Millisecond, 8, 0, false},
-		}},
-		{"deep queue shrinks even at low occupancy", []step{
-			{0, 1, 9, false},
-		}},
-		{"mid occupancy holds the current point from above", []step{
-			{0, 3, 0, true}, // 0.375 is between the thresholds: keep wide
-		}},
-		{"hysteresis from below, then window-average recovery", []step{
-			{0, 8, 0, false},                     // full batch: shrink
-			{50 * time.Millisecond, 3, 0, false}, // 0.375 between: stay shrunk
-			{475 * time.Millisecond, 1, 0, true}, // full-batch sample aged out; avg (0.375+0.125)/2 ≤ 0.25
-		}},
-		{"window average exactly on the low threshold recovers", []step{
-			{0, 8, 0, false},
-			{50 * time.Millisecond, 3, 0, false},
-			{475 * time.Millisecond, 2, 0, false}, // (3+2)/2 batches = 0.3125: stay shrunk
-			{0, 1, 0, true},                       // 4·(3+2+1) = 3 batches · 8: exactly 0.25
-		}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			met := NewMetrics()
-			g, clk := govUnderTest(met)
-			for i, s := range tc.steps {
-				if s.advance > 0 {
-					_ = clk.Sleep(context.Background(), s.advance)
-				}
-				g.NoteBatch(s.size, s.depth)
-				// The gauge is read first: it must carry NoteBatch's own
-				// decision, not one a later read re-made.
-				if got := met.ImmediateDispatch.Value(); (got == 1) != s.wantImmediate {
-					t.Fatalf("step %d: immediate-dispatch gauge = %d, want immediate %v", i, got, s.wantImmediate)
-				}
-				if got := g.ImmediateDispatch(); got != s.wantImmediate {
-					t.Fatalf("step %d: ImmediateDispatch = %v, want %v", i, got, s.wantImmediate)
-				}
-			}
-			if got := met.Occupancy.Count(); got != uint64(len(tc.steps)) {
-				t.Fatalf("occupancy observations = %d, want %d", got, len(tc.steps))
-			}
-		})
-	}
-}
-
-// TestGovernorIdleResetsWide: once the window has fully aged out, a
-// read-side decision (the next submit) snaps back to the low-occupancy
-// point without waiting for a batch observation.
-func TestGovernorIdleResetsWide(t *testing.T) {
-	met := NewMetrics()
-	g, clk := govUnderTest(met)
-	if got := met.ImmediateDispatch.Value(); got != 1 {
-		t.Fatalf("immediate-dispatch gauge on an idle governor = %d, want 1", got)
-	}
-	g.NoteBatch(8, 0) // full batch: shrink
-	if g.ImmediateDispatch() {
-		t.Fatal("ImmediateDispatch true after full batch, want false")
-	}
-	if got := met.ImmediateDispatch.Value(); got != 0 {
-		t.Fatalf("immediate-dispatch gauge after full batch = %d, want 0", got)
-	}
-	_ = clk.Sleep(context.Background(), 750*time.Millisecond) // > window
-	if !g.ImmediateDispatch() {
-		t.Fatal("ImmediateDispatch false after idle window, want true")
-	}
-}
-
 // TestGovernorEstimatedWait checks the admission-control estimate: an
 // integer-exact EWMA (alpha 1/2) of per-image service time, multiplied
 // by the queue depth and divided across the worker pool.
 func TestGovernorEstimatedWait(t *testing.T) {
-	g := NewGovernor(GovernorOptions{Clock: chaos.NewFake()}, nil)
-	g.bind(8, 2)
+	g := NewGovernor(GovernorOptions{Clock: chaos.NewFake()})
+	g.bind(2)
 	if got := g.EstimatedWait(10); got != 0 {
 		t.Fatalf("estimate before any service = %v, want 0 (never shed blind)", got)
 	}
@@ -148,11 +51,10 @@ func TestBatcherShedsOverBudget(t *testing.T) {
 	qm, imgs := batchModel(t)
 	met := NewMetrics()
 	clk := chaos.NewFake()
-	gov := NewGovernor(GovernorOptions{Clock: clk}, met)
 	gate := make(chan struct{})
 	var block atomic.Bool
 	b := NewBatcher(BatcherOptions{
-		MaxBatch: 8, Linger: time.Hour, QueueCap: 64, Workers: 1,
+		MaxBatch: 8, QueueCap: 64, Workers: 1,
 		LatencyBudget: 20 * time.Millisecond,
 		ForwardHook: func(string) {
 			if block.Load() {
@@ -160,33 +62,17 @@ func TestBatcherShedsOverBudget(t *testing.T) {
 			}
 			_ = clk.Sleep(context.Background(), 10*time.Millisecond)
 		},
-	}, gov, met)
-	// Held in the load regime (the forwards advance the clock by far less
-	// than the window), so batches leave only by the flushIf calls below.
-	holdInLoadRegime(b)
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
+	}, NewGovernor(GovernorOptions{Clock: clk}), met)
 
 	// Seed the per-image estimate: one image at 10ms of fake service time.
-	items, err := b.Submit(context.Background(), "k", qm, imgs[:1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	b.flushIf("k", items[0].p)
-	if err := Await(ctx, items); err != nil {
-		t.Fatal(err)
-	}
+	await(t, submit(t, b, "k", qm, imgs[:1]))
 
-	// Jam the single worker and back up four images.
+	// Jam the single worker inside a forward of four images.
 	block.Store(true)
 	var once sync.Once
 	release := func() { once.Do(func() { close(gate) }) }
 	defer release()
-	stuck, err := b.Submit(context.Background(), "k", qm, imgs[:4])
-	if err != nil {
-		t.Fatal(err)
-	}
-	b.flushIf("k", stuck[0].p)
+	stuck := submit(t, b, "k", qm, imgs[:4])
 
 	// Estimated wait is now 10ms × 4 / 1 worker = 40ms > the 20ms budget.
 	if _, err := b.Submit(context.Background(), "k", qm, imgs[4:5]); !errors.Is(err, ErrOverBudget) {
@@ -210,13 +96,8 @@ func TestBatcherShedsOverBudget(t *testing.T) {
 
 	block.Store(false)
 	release()
-	b.flushIf("k2", admitted[0].p)
-	if err := Await(ctx, append(stuck, admitted...)); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Drain(ctx); err != nil {
-		t.Fatal(err)
-	}
+	await(t, append(stuck, admitted...))
+	drain(t, b)
 }
 
 // TestServeLatencyBudgetHeader exercises the HTTP surface of admission

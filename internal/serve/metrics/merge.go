@@ -63,15 +63,6 @@ func (e *Exposition) Scalar(name string) (float64, bool) {
 	return s.value, true
 }
 
-// HistCount returns the observation count of a histogram family.
-func (e *Exposition) HistCount(name string) (uint64, bool) {
-	h, ok := e.hists[name]
-	if !ok {
-		return 0, false
-	}
-	return h.count, true
-}
-
 // Names lists every sample family in sorted order.
 func (e *Exposition) Names() []string {
 	names := make([]string, 0, len(e.scalars)+len(e.hists))

@@ -178,7 +178,7 @@ func TestMergeUnderConcurrentScrapes(t *testing.T) {
 	if got, ok := cluster.Scalar("quq_requests_total"); !ok || got != totalClusterWide {
 		t.Fatalf("merged quq_requests_total = %v (present=%v), want %d", got, ok, totalClusterWide)
 	}
-	if got, ok := cluster.HistCount("quq_batch_size"); !ok || got != totalClusterWide {
+	if got, ok := histCount(cluster, "quq_batch_size"); !ok || got != totalClusterWide {
 		t.Fatalf("merged quq_batch_size count = %v (present=%v), want %d", got, ok, totalClusterWide)
 	}
 }

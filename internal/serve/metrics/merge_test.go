@@ -38,7 +38,7 @@ func TestParseTextRoundTrip(t *testing.T) {
 	if v, ok := e.Scalar("quq_serve_queue_depth"); !ok || v != 3 {
 		t.Fatalf("queue depth = %v, %v; want 3", v, ok)
 	}
-	if n, ok := e.HistCount("quq_serve_request_seconds"); !ok || n != 3 {
+	if n, ok := histCount(e, "quq_serve_request_seconds"); !ok || n != 3 {
 		t.Fatalf("histogram count = %v, %v; want 3", n, ok)
 	}
 
@@ -83,7 +83,7 @@ func TestMergeSumsEverything(t *testing.T) {
 	if v, _ := merged.Scalar("quq_serve_queue_depth"); v != 3 {
 		t.Fatalf("merged queue depth = %g; want 3", v)
 	}
-	if n, _ := merged.HistCount("quq_serve_request_seconds"); n != 3 {
+	if n, _ := histCount(merged, "quq_serve_request_seconds"); n != 3 {
 		t.Fatalf("merged histogram count = %d; want 3", n)
 	}
 	h := merged.hists["quq_serve_request_seconds"]
@@ -216,4 +216,13 @@ func TestMergeLabelledScalars(t *testing.T) {
 	if _, err := ParseText(strings.NewReader(`x{backend="a"} notanumber` + "\n")); err == nil {
 		t.Fatal("non-numeric labelled scalar parsed")
 	}
+}
+
+// histCount returns the observation count of a histogram family.
+func histCount(e *Exposition, name string) (uint64, bool) {
+	h, ok := e.hists[name]
+	if !ok {
+		return 0, false
+	}
+	return h.count, true
 }

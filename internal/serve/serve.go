@@ -17,16 +17,16 @@
 //     built once per (config, method, bits) and kept, and an entry is an
 //     assembly over them — both regimes of a selection serve from one
 //     weight clone;
-//   - Batcher (batcher.go): a micro-batching scheduler — requests land
-//     in a bounded queue, are coalesced per model key, and execute on a
-//     GOMAXPROCS-sized worker pool;
-//   - Governor (governor.go): the batcher's one dispatch policy — it
-//     watches batch occupancy and queue depth over a sliding window
-//     (via an injectable chaos.Clock) and picks between dispatching at
-//     submit (low occupancy) and max-batch / max-linger coalescing
-//     (load), and estimates queue waits for deadline-aware admission
-//     control (requests whose estimated wait exceeds their latency
-//     budget shed with 429 before taking a queue slot);
+//   - Batcher (batcher.go): a work-conserving micro-batcher — admitted
+//     images wait in one bounded FIFO, and each free worker of a
+//     GOMAXPROCS-sized pool takes the oldest image's model with what of
+//     that model waits behind it, as one stacked forward; nothing
+//     lingers for company, so a request coalesces only behind a busy
+//     pool;
+//   - Governor (governor.go): admission control — an EWMA of per-image
+//     service time on an injectable chaos.Clock estimates queue waits,
+//     and a request whose estimated wait exceeds its latency budget is
+//     shed with 429 before taking a queue slot;
 //   - Server (server.go): the HTTP surface (POST /v1/classify,
 //     POST /v1/quantize, GET/POST /v1/snapshot, GET /models, /healthz,
 //     /metrics) with panic recovery, request size limits (8 MiB; a
@@ -54,14 +54,13 @@ type Metrics struct {
 
 	// Micro-batching.
 	Images     *metrics.Counter   // images classified
-	BatchSize  *metrics.Histogram // images per dispatched batch
+	BatchSize  *metrics.Histogram // images per take (one stacked forward)
 	QueueDepth *metrics.Gauge     // items admitted and not yet finished
 	Abandoned  *metrics.Counter   // queued items released after their submitter gave up
+	Occupancy  *metrics.Histogram // images per take / ⌈MaxBatch / Workers⌉
 
-	// Occupancy-adaptive scheduling (governor.go).
-	ImmediateDispatch *metrics.Gauge     // 1 in the low-occupancy regime (a submit dispatches at once), 0 under load (linger)
-	Occupancy         *metrics.Histogram // batch occupancy (images / max-batch) per dispatched batch
-	Shed              *metrics.Counter   // requests shed by latency-budget admission control (429)
+	// Admission control (governor.go).
+	Shed *metrics.Counter // requests shed by latency-budget admission control (429)
 
 	// Model registry.
 	CacheHits    *metrics.Counter   // registry lookups that found an entry
@@ -94,13 +93,13 @@ func NewMetrics() *Metrics {
 		Latency:  r.NewHistogram("quq_serve_request_seconds", "request latency in seconds", metrics.LatencyBuckets()),
 
 		Images:     r.NewCounter("quq_serve_images_total", "images classified"),
-		BatchSize:  r.NewHistogram("quq_serve_batch_size", "images per dispatched micro-batch", metrics.SizeBuckets()),
+		BatchSize:  r.NewHistogram("quq_serve_batch_size", "images per take (one stacked forward)", metrics.SizeBuckets()),
 		QueueDepth: r.NewGauge("quq_serve_queue_depth", "images admitted and not yet finished"),
 		Abandoned:  r.NewCounter("quq_serve_abandoned_total", "queued items released after their submitter's context expired"),
 
-		ImmediateDispatch: r.NewGauge("quq_serve_immediate_dispatch", "1 while the governor dispatches each submit at once (low occupancy), 0 while batches linger (load)"),
-		Occupancy:         r.NewHistogram("quq_serve_occupancy", "batch occupancy (images / max-batch) per dispatched micro-batch", metrics.FractionBuckets()),
-		Shed:              r.NewCounter("quq_serve_shed_total", "requests shed by latency-budget admission control (429)"),
+		Occupancy: r.NewHistogram("quq_serve_occupancy", "take occupancy: images per take / ceil(max-batch / workers)", metrics.FractionBuckets()),
+
+		Shed: r.NewCounter("quq_serve_shed_total", "requests shed by latency-budget admission control (429)"),
 
 		CacheHits:    r.NewCounter("quq_serve_model_cache_hits_total", "registry lookups served from cache"),
 		CacheMisses:  r.NewCounter("quq_serve_model_cache_misses_total", "registry lookups that calibrated a model"),

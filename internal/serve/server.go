@@ -48,11 +48,10 @@ type Config struct {
 	// Registry tunes the model registry: which configs are servable, the
 	// calibration sample budget, and the cache capacity.
 	Registry RegistryOptions
-	// Batcher tunes the micro-batching scheduler: batch geometry, the
-	// load-regime linger, queue capacity, worker pool, and the default
-	// latency budget.
+	// Batcher tunes the micro-batching scheduler: the images stacked at
+	// once, queue capacity, worker pool, and the default latency budget.
 	Batcher BatcherOptions
-	// Governor pins the occupancy-adaptive scheduler's clock for tests
+	// Governor pins admission control's service-time clock for tests
 	// and the chaos harness; the zero value is what a deployment runs.
 	Governor GovernorOptions
 	// RequestTimeout bounds one request end-to-end, including a
@@ -89,12 +88,11 @@ type Server struct {
 func New(cfg Config) *Server {
 	cfg.defaults()
 	met := NewMetrics()
-	gov := NewGovernor(cfg.Governor, met)
 	s := &Server{
 		cfg: cfg,
 		met: met,
 		reg: NewRegistry(cfg.Registry, met),
-		bat: NewBatcher(cfg.Batcher, gov, met),
+		bat: NewBatcher(cfg.Batcher, NewGovernor(cfg.Governor), met),
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/classify", s.handleClassify)
@@ -121,7 +119,7 @@ func (s *Server) SetIntPath(on bool) (int, error) { return s.reg.SetIntPath(on) 
 // Metrics exposes the instrument set.
 func (s *Server) Metrics() *Metrics { return s.met }
 
-// Drain stops admission, waits for in-flight batches, then joins any
+// Drain stops admission, waits for admitted images, then joins any
 // detached registry builds (graceful shutdown; pair with
 // http.Server.Shutdown).
 func (s *Server) Drain(ctx context.Context) error {

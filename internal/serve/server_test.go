@@ -14,7 +14,6 @@ import (
 	"testing"
 	"time"
 
-	"quq/internal/chaos"
 	"quq/internal/data"
 	"quq/internal/ptq"
 	"quq/internal/snapstore"
@@ -84,7 +83,7 @@ func postJSON(t *testing.T, url string, body any) (*http.Response, []byte) {
 // to direct QuantizedModel.Forward calls, while the registry calibrates
 // the shared key exactly once.
 func TestServeEndToEndConcurrent(t *testing.T) {
-	s, ts := testServer(t, BatcherOptions{MaxBatch: 4, Linger: time.Millisecond, QueueCap: 256})
+	s, ts := testServer(t, BatcherOptions{MaxBatch: 4, QueueCap: 256})
 	const clients = 16
 	flat, imgs := flatImages(clients)
 
@@ -145,7 +144,7 @@ func TestServeEndToEndConcurrent(t *testing.T) {
 
 // TestServeMultiImageRequest exercises the batched request shape.
 func TestServeMultiImageRequest(t *testing.T) {
-	_, ts := testServer(t, BatcherOptions{MaxBatch: 8, Linger: time.Millisecond, QueueCap: 64})
+	_, ts := testServer(t, BatcherOptions{MaxBatch: 8, QueueCap: 64})
 	flat, _ := flatImages(3)
 	resp, body := postJSON(t, ts.URL+"/v1/classify", classifyRequest{
 		modelRequest: modelRequest{Model: "ViT-Nano", Method: "BaseQ", Bits: 6},
@@ -169,7 +168,7 @@ func TestServeMultiImageRequest(t *testing.T) {
 // TestServeQuantizeWarmsCache: /v1/quantize then /v1/classify must not
 // re-calibrate.
 func TestServeQuantizeWarmsCache(t *testing.T) {
-	s, ts := testServer(t, BatcherOptions{MaxBatch: 4, Linger: 0, QueueCap: 64})
+	s, ts := testServer(t, BatcherOptions{MaxBatch: 4, QueueCap: 64})
 	warm := modelRequest{Model: "ViT-Nano", Method: "BaseQ", Bits: 6}
 	resp, body := postJSON(t, ts.URL+"/v1/quantize", warm)
 	if resp.StatusCode != http.StatusOK {
@@ -290,15 +289,14 @@ func TestServeBodyLimit(t *testing.T) {
 	}
 }
 
-// TestServeZeroConfigSkipsLinger pins the scheduler a zero Governor
-// config boots — what bench/ and every embedder get: a lone single-image
-// classify on an idle server is dispatched at submit, so even an
-// hour-long linger cannot hold it (the request timeout only bounds how
-// long a regression takes to fail).
-func TestServeZeroConfigSkipsLinger(t *testing.T) {
+// TestServeZeroConfigServesALoneSingle pins the scheduler a zero config
+// boots — what bench/ and every embedder get: a lone single-image
+// classify on an idle server is taken by the worker its submit starts,
+// with nothing else to move it (the request timeout only bounds how long
+// a regression takes to fail).
+func TestServeZeroConfigServesALoneSingle(t *testing.T) {
 	s := New(Config{
 		Registry:       testRegistryOptions(),
-		Batcher:        BatcherOptions{Linger: time.Hour},
 		RequestTimeout: 30 * time.Second,
 	})
 	ts := httptest.NewServer(s.Handler())
@@ -317,15 +315,14 @@ func TestServeZeroConfigSkipsLinger(t *testing.T) {
 // TestServeBackpressure: with a full queue the server must answer 429
 // with a Retry-After hint.
 func TestServeBackpressure(t *testing.T) {
-	// Two images can only sit queued in the load regime, so the governor
-	// is held there on a clock nothing advances.
+	// The one worker parks inside the forward of the first request, whose
+	// two images fill the queue until the gate opens.
+	gate := make(chan struct{})
 	s := New(Config{
 		Registry:       testRegistryOptions(),
-		Batcher:        BatcherOptions{MaxBatch: 64, Linger: time.Hour, QueueCap: 2},
-		Governor:       GovernorOptions{Clock: chaos.NewFake()},
+		Batcher:        BatcherOptions{MaxBatch: 64, QueueCap: 2, Workers: 1, ForwardHook: func(string) { <-gate }},
 		RequestTimeout: 60 * time.Second,
 	})
-	holdInLoadRegime(s.bat)
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 	flat, _ := flatImages(3)
@@ -334,7 +331,7 @@ func TestServeBackpressure(t *testing.T) {
 		t.Fatalf("warm: %d %s", resp.StatusCode, body)
 	}
 
-	// Two images sit pending behind the hour-long linger...
+	// Two images sit in a held forward...
 	stuck := make(chan struct{})
 	go func() {
 		defer close(stuck)
@@ -351,7 +348,8 @@ func TestServeBackpressure(t *testing.T) {
 		t.Fatal("429 without Retry-After")
 	}
 
-	// Drain flushes the stuck batch; the pending client completes.
+	// Once the gate opens, drain waits the stuck request out.
+	close(gate)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	if err := s.Drain(ctx); err != nil {
@@ -448,7 +446,7 @@ func TestServerLifecycleLeaksNothing(t *testing.T) {
 
 	s := New(Config{
 		Registry:       testRegistryOptions(),
-		Batcher:        BatcherOptions{MaxBatch: 4, Linger: time.Millisecond, QueueCap: 64},
+		Batcher:        BatcherOptions{MaxBatch: 4, QueueCap: 64},
 		RequestTimeout: 60 * time.Second,
 	})
 	ts := httptest.NewServer(s.Handler())

@@ -31,12 +31,6 @@ func ToFixed(x float64) int64 {
 	return int64(math.RoundToEven(x * float64(One)))
 }
 
-// FromFixed converts fixed point back to float (for tests and boundary
-// conversions only; the datapath stays integer).
-func FromFixed(v int64) float64 {
-	return float64(v) / float64(One)
-}
-
 // log2(e) ≈ 1.442695 in fixed point.
 var log2e = ToFixed(math.Log2E)
 

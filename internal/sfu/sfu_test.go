@@ -10,7 +10,7 @@ import (
 
 func TestFixedPointRoundTrip(t *testing.T) {
 	for _, x := range []float64{0, 1, -1, 0.5, -3.25, 100.125} {
-		if got := FromFixed(ToFixed(x)); math.Abs(got-x) > 1.0/float64(One) {
+		if got := fromFixed(ToFixed(x)); math.Abs(got-x) > 1.0/float64(One) {
 			t.Errorf("round trip %v -> %v", x, got)
 		}
 	}
@@ -18,7 +18,7 @@ func TestFixedPointRoundTrip(t *testing.T) {
 
 func TestExp2NegAccuracy(t *testing.T) {
 	for x := 0.0; x >= -20; x -= 0.01 {
-		got := FromFixed(Exp2Neg(ToFixed(x)))
+		got := fromFixed(Exp2Neg(ToFixed(x)))
 		want := math.Pow(2, x)
 		if math.Abs(got-want) > 0.01*want+2e-4 {
 			t.Fatalf("Exp2Neg(%v) = %v, want %v", x, got, want)
@@ -28,7 +28,7 @@ func TestExp2NegAccuracy(t *testing.T) {
 
 func TestExp2NegEdges(t *testing.T) {
 	if Exp2Neg(0) != One {
-		t.Fatalf("2^0 = %v", FromFixed(Exp2Neg(0)))
+		t.Fatalf("2^0 = %v", fromFixed(Exp2Neg(0)))
 	}
 	if Exp2Neg(ToFixed(5)) != One {
 		t.Fatal("positive inputs must clamp to 1")
@@ -54,13 +54,13 @@ func TestSoftmaxMatchesFloat(t *testing.T) {
 		Softmax(out, xs)
 		var sum int64
 		for i, o := range out {
-			if diff := math.Abs(FromFixed(o) - ref[i]); diff > 0.01 {
-				t.Fatalf("trial %d: p[%d] = %v, want %v", trial, i, FromFixed(o), ref[i])
+			if diff := math.Abs(fromFixed(o) - ref[i]); diff > 0.01 {
+				t.Fatalf("trial %d: p[%d] = %v, want %v", trial, i, fromFixed(o), ref[i])
 			}
 			sum += o
 		}
-		if math.Abs(FromFixed(sum)-1) > 0.01 {
-			t.Fatalf("integer softmax sums to %v", FromFixed(sum))
+		if math.Abs(fromFixed(sum)-1) > 0.01 {
+			t.Fatalf("integer softmax sums to %v", fromFixed(sum))
 		}
 	}
 }
@@ -72,7 +72,7 @@ func TestSoftmaxDegenerateRow(t *testing.T) {
 	out := make([]int64, 3)
 	Softmax(out, xs)
 	if out[1] < One*99/100 {
-		t.Fatalf("spike got %v of the mass", FromFixed(out[1]))
+		t.Fatalf("spike got %v of the mass", fromFixed(out[1]))
 	}
 }
 
@@ -87,7 +87,7 @@ func TestSoftmaxMismatchPanics(t *testing.T) {
 
 func TestSigmoidAccuracy(t *testing.T) {
 	for x := -8.0; x <= 8; x += 0.05 {
-		got := FromFixed(Sigmoid(ToFixed(x)))
+		got := fromFixed(Sigmoid(ToFixed(x)))
 		want := 1 / (1 + math.Exp(-x))
 		if math.Abs(got-want) > 0.01 {
 			t.Fatalf("Sigmoid(%v) = %v, want %v", x, got, want)
@@ -100,7 +100,7 @@ func TestGELUAccuracy(t *testing.T) {
 	// integer kernel must stay within 0.02 absolute + 2% relative of the
 	// exact GELU over the activation range.
 	for x := -6.0; x <= 6; x += 0.05 {
-		got := FromFixed(GELU(ToFixed(x)))
+		got := fromFixed(GELU(ToFixed(x)))
 		want := mathx.Gelu(x)
 		if math.Abs(got-want) > 0.02+0.02*math.Abs(want) {
 			t.Fatalf("GELU(%v) = %v, want %v", x, got, want)
@@ -160,8 +160,8 @@ func TestLayerNormMatchesFloat(t *testing.T) {
 		LayerNorm(out, xs, gamma, beta)
 		for i := range out {
 			want := (fx[i]-mean)/sigma*fg[i] + fb[i]
-			if math.Abs(FromFixed(out[i])-want) > 0.03+0.01*math.Abs(want) {
-				t.Fatalf("trial %d: LN[%d] = %v, want %v", trial, i, FromFixed(out[i]), want)
+			if math.Abs(fromFixed(out[i])-want) > 0.03+0.01*math.Abs(want) {
+				t.Fatalf("trial %d: LN[%d] = %v, want %v", trial, i, fromFixed(out[i]), want)
 			}
 		}
 	}
@@ -174,8 +174,8 @@ func TestLayerNormConstantRow(t *testing.T) {
 	out := make([]int64, 4)
 	LayerNorm(out, xs, gamma, beta) // must not divide by zero
 	for _, v := range out {
-		if math.Abs(FromFixed(v)) > 0.01 {
-			t.Fatalf("constant row normalized to %v", FromFixed(v))
+		if math.Abs(fromFixed(v)) > 0.01 {
+			t.Fatalf("constant row normalized to %v", fromFixed(v))
 		}
 	}
 }
@@ -187,4 +187,9 @@ func TestLayerNormMismatchPanics(t *testing.T) {
 		}
 	}()
 	LayerNorm(make([]int64, 2), make([]int64, 2), make([]int64, 3), make([]int64, 2))
+}
+
+// fromFixed converts fixed point back to float.
+func fromFixed(v int64) float64 {
+	return float64(v) / float64(One)
 }
