@@ -15,10 +15,11 @@
 //	POST /v1/classify   proxied to the shard owning the request's key
 //	POST /v1/quantize   proxied to the key's R replica owners (-replicas)
 //	GET  /models        fleet-merged registry view
-//	GET  /shards        ring topology, per-backend health and load
-//	GET  /cluster       membership view (epoch, replication, ring params)
+//	GET  /cluster       membership view (epoch, replication, ring params,
+//	                    per-backend health, drain mark and load)
 //	POST /admin/join    admit a backend without a restart
-//	POST /admin/drain   re-home a backend's calibrated keys, then remove it
+//	POST /admin/drain   copy a backend's calibrated keys' snapshots to
+//	                    their new owners, then remove it
 //	POST /admin/leave   remove a backend abruptly (replication covers it)
 //	GET  /healthz       front-end liveness (503 when no shard is healthy)
 //	GET  /metrics       merged cluster exposition (front-end + shards)

@@ -30,8 +30,8 @@
 //   - zero-lost-keys: killing one replica owner loses no calibrated
 //     key — the surviving replica serves warm, no rebuilds;
 //   - elastic-membership: admin join/drain/leave advance the epoch
-//     monotonically and a drain re-homes the leaver's keys before
-//     removal;
+//     monotonically and a drain copies the leaver's keys' snapshots to
+//     their new owners before removal, with no build across it;
 //   - latency-slo: a lone request on an idle worker starts at once,
 //     under deliberate overload the batcher stacks what queues behind
 //     its busy workers, admission control sheds impatient requests up

@@ -581,7 +581,8 @@ func scenarioReplicaFailover(ctx context.Context, seed uint64, opts Options, rep
 // lifecycle over the admin surface — join a cold backend, drain the
 // member owning a calibrated key, abruptly remove another — and checks
 // that the epoch advances monotonically, the drain re-homes the key
-// before departure, and the key keeps serving warm afterwards.
+// before departure by copying its snapshot (no build runs across the
+// drain), and the key keeps serving warm afterwards.
 func scenarioMembershipElastic(ctx context.Context, seed uint64, opts Options, rep *chaos.Report) error {
 	cfg, snapshot := buildCounter(seed)
 	f, err := Boot(ctx, 2, 1, cfg, &chaos.Script{Name: "membership-elastic", Seed: seed}, opts)
@@ -589,7 +590,7 @@ func scenarioMembershipElastic(ctx context.Context, seed uint64, opts Options, r
 		return err
 	}
 	defer f.Close()
-	epochs := []uint64{f.Front.Members().Epoch()}
+	epochs := []uint64{f.Front.Ring().Epoch()}
 
 	sel := Selection{Model: "ViT-Nano", Method: "QUQ", Bits: 6}
 	key, err := sel.Key()
@@ -616,6 +617,7 @@ func scenarioMembershipElastic(ctx context.Context, seed uint64, opts Options, r
 	epochs = append(epochs, epoch)
 
 	// Drain the owner: its one calibrated key must re-home first.
+	beforeDrain := snapshot()[key]
 	epoch, moved, err := adminPost(ctx, f.Base+"/admin/drain", hostOf(owner.Addr()))
 	if err != nil {
 		return err
@@ -646,7 +648,7 @@ func scenarioMembershipElastic(ctx context.Context, seed uint64, opts Options, r
 			break
 		}
 	}
-	rep.CheckElasticMembership(epochs, moved, lost)
+	rep.CheckElasticMembership(epochs, moved, lost, drainedBuilds-beforeDrain)
 	return nil
 }
 

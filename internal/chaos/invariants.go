@@ -223,18 +223,20 @@ func (r *Report) CheckLatencySLO(admitted, withinBudget, shed, shedQueueSlots in
 // CheckElasticMembership asserts the membership subsystem's contract
 // over a join/drain/leave sequence: the epoch advanced strictly
 // monotonically (every effective mutation visible, none reordered), the
-// drain re-homed at least one calibrated key, and no key was lost — the
-// drained member's keys kept serving warm, without recalibration.
-func (r *Report) CheckElasticMembership(epochs []uint64, moved, lost int) {
+// drain re-homed at least one calibrated key by copying its snapshot
+// (drainBuilds, the calibrations run across the drain, is zero), and no
+// key was lost — the drained member's keys kept serving warm, without
+// recalibration.
+func (r *Report) CheckElasticMembership(epochs []uint64, moved, lost, drainBuilds int) {
 	monotonic := len(epochs) > 1
 	for i := 1; i < len(epochs); i++ {
 		if epochs[i] <= epochs[i-1] {
 			monotonic = false
 		}
 	}
-	pass := monotonic && moved >= 1 && lost == 0
+	pass := monotonic && moved >= 1 && lost == 0 && drainBuilds == 0
 	r.Add("elastic-membership", pass,
-		"epochs=%v moved=%d lost=%d", epochs, moved, lost)
+		"epochs=%v moved=%d lost=%d drain-builds=%d", epochs, moved, lost, drainBuilds)
 }
 
 // CheckWarmRestart asserts the durability contract over a crash-restart

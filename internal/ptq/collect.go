@@ -94,9 +94,6 @@ func (s *SiteStats) finalize() {
 	s.SampleChans = append(s.SampleChans, -1, -1)
 }
 
-// Seen returns the total number of elements observed.
-func (s *SiteStats) Seen() int64 { return s.seen }
-
 // Bytes returns the heap the statistics hold: 12 bytes per reservoir
 // sample plus the per-channel accumulators. A registry that keeps whole
 // sets resident budgets with it.

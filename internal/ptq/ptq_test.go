@@ -57,7 +57,7 @@ func TestCollectGathersAllSites(t *testing.T) {
 		}
 	}
 	for _, st := range stats {
-		if st.Seen() == 0 {
+		if st.seen == 0 {
 			t.Errorf("site %v saw no data", st.Site)
 		}
 		if len(st.Samples) != len(st.SampleChans) {

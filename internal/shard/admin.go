@@ -3,11 +3,13 @@ package shard
 // The membership admin surface: /cluster exposes the roster + ring
 // parameters (the page a shard-aware client builds its local ring
 // from), and the POST /admin endpoints mutate membership without a
-// front-end restart. Join admits a backend and claims its arcs; leave
-// drops it abruptly (replication is what covers the keys it held);
-// drain re-homes its calibrated keys onto the post-departure owners
-// first and only then removes it, so a planned departure loses nothing
-// even at R = 1.
+// front-end restart. The ring is the roster: its members are the fleet
+// and its epoch counts their effective changes. Join admits a backend
+// and claims its arcs; leave drops it abruptly (replication is what
+// covers the keys it held); drain copies its calibrated keys' snapshots
+// onto the post-departure owners first and only then removes it, so a
+// planned departure loses nothing and recalibrates nothing, even at
+// R = 1.
 
 import (
 	"context"
@@ -17,12 +19,8 @@ import (
 	"net/http"
 	"strconv"
 
-	"quq/internal/cluster"
 	"quq/internal/serve"
 )
-
-// Members exposes the membership (introspection, smoke assertions).
-func (f *Front) Members() *cluster.Membership { return f.members }
 
 // ClusterBackend is the /cluster view of one member.
 type ClusterBackend struct {
@@ -44,29 +42,62 @@ type ClusterView struct {
 	Backends      []ClusterBackend `json:"backends"`
 }
 
-// handleCluster renders the membership view, epoch-stamped.
+// handleCluster renders the roster, epoch-stamped.
 func (f *Front) handleCluster(w http.ResponseWriter, r *http.Request) {
-	view := f.members.View()
-	draining := make(map[string]bool, len(view.Members))
-	for _, m := range view.Members {
-		draining[m.Addr] = m.Draining
-	}
+	epoch, members := f.ring.Roster()
 	cv := ClusterView{
-		Epoch:         view.Epoch,
-		Replicas:      view.Replicas,
+		Epoch:         epoch,
+		Replicas:      f.opts.Replicas,
 		VNodes:        vnodes,
 		MaxLoadFactor: maxLoadFactor,
 	}
-	for _, b := range f.ring.Backends() {
+	for _, b := range members {
 		cv.Backends = append(cv.Backends, ClusterBackend{
 			Addr:     b.Addr(),
 			Healthy:  b.Healthy(),
-			Draining: draining[b.Addr()],
+			Draining: b.Draining(),
 			Inflight: b.Inflight(),
 		})
 	}
-	w.Header().Set(EpochHeader, strconv.FormatUint(view.Epoch, 10))
+	w.Header().Set(EpochHeader, strconv.FormatUint(epoch, 10))
 	f.writeJSON(w, http.StatusOK, cv)
+}
+
+// join admits addr to the ring, returning the resulting epoch and
+// whether the roster changed.
+func (f *Front) join(addr string) (uint64, bool) {
+	f.adminMu.Lock()
+	defer f.adminMu.Unlock()
+	_, added := f.ring.Add(addr)
+	if added {
+		f.met.Joins.Inc()
+		f.met.Inflight.Set(addr, 0)
+	}
+	return f.topologyChanged(), added
+}
+
+// leave removes addr from the ring, returning the resulting epoch and
+// false (epoch unmoved) when addr was not a member.
+func (f *Front) leave(addr string) (uint64, bool) {
+	f.adminMu.Lock()
+	defer f.adminMu.Unlock()
+	if !f.ring.Remove(addr) {
+		return f.ring.Epoch(), false
+	}
+	f.met.Leaves.Inc()
+	f.met.Inflight.Delete(addr)
+	return f.topologyChanged(), true
+}
+
+// topologyChanged brings the topology gauges level with the ring and
+// returns its epoch. Callers hold adminMu, so the gauges and the epoch
+// an admin answer reports are those of that mutation.
+func (f *Front) topologyChanged() uint64 {
+	epoch, members := f.ring.Roster()
+	f.met.RingEpoch.Set(int64(epoch))
+	f.met.RingBackends.Set(int64(len(members)))
+	f.met.Healthy.Set(int64(f.ring.HealthyCount()))
+	return epoch
 }
 
 // adminRequest is the body of every membership mutation.
@@ -85,7 +116,7 @@ type adminResponse struct {
 }
 
 // decodeAdmin reads and normalizes an admin body; empty addresses are
-// rejected here so the membership never sees one.
+// rejected here so the ring never sees one.
 func (f *Front) decodeAdmin(w http.ResponseWriter, r *http.Request) (string, bool) {
 	var req adminRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
@@ -99,6 +130,11 @@ func (f *Front) decodeAdmin(w http.ResponseWriter, r *http.Request) (string, boo
 	return normalizeAddr(req.Addr), true
 }
 
+// notMember is the 404 of a leave or drain naming a stranger.
+func (f *Front) notMember(w http.ResponseWriter, addr string) {
+	f.writeError(w, http.StatusNotFound, fmt.Errorf("shard: %s is not a member", addr))
+}
+
 // handleAdminJoin admits a backend to the ring. Idempotent: re-joining
 // a member reports added=false and leaves the epoch alone. The new
 // member starts healthy and earns its keep with the prober — a join of
@@ -108,8 +144,7 @@ func (f *Front) handleAdminJoin(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	epoch, added := f.members.Join(addr)
-	f.met.RingEpoch.Set(int64(epoch))
+	epoch, added := f.join(addr)
 	f.writeJSON(w, http.StatusOK, adminResponse{Addr: addr, Epoch: epoch, Added: added})
 }
 
@@ -119,106 +154,87 @@ func (f *Front) handleAdminLeave(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	epoch, err := f.members.Leave(addr)
-	if err != nil {
-		f.writeError(w, http.StatusNotFound, err)
+	epoch, ok := f.leave(addr)
+	if !ok {
+		f.notMember(w, addr)
 		return
 	}
-	f.met.RingEpoch.Set(int64(epoch))
 	f.writeJSON(w, http.StatusOK, adminResponse{Addr: addr, Epoch: epoch})
 }
 
-// handleAdminDrain gracefully removes a backend: its calibrated keys
-// are re-warmed on the post-departure owners (bounded by
-// handoffMaxKeys and the request context) before it leaves. A failed
-// handoff aborts the drain with the member intact — the caller can
-// retry, or fall back to /admin/leave and eat the recalibrations.
+// handleAdminDrain gracefully removes a backend: it is marked draining
+// (it keeps serving), its calibrated keys' snapshots are copied onto
+// the post-departure owners (bounded by handoffMaxKeys and the request
+// context), and only then does it leave. A failed handoff aborts the
+// drain with the member intact and un-marked — the caller can retry, or
+// fall back to /admin/leave and eat the recalibrations. A second drain
+// of a member already draining is a 409.
 func (f *Front) handleAdminDrain(w http.ResponseWriter, r *http.Request) {
 	addr, ok := f.decodeAdmin(w, r)
 	if !ok {
 		return
 	}
-	moved, epoch, err := f.members.Drain(r.Context(), addr)
-	switch {
-	case errors.Is(err, cluster.ErrNotMember):
-		f.writeError(w, http.StatusNotFound, err)
-		return
-	case errors.Is(err, cluster.ErrDraining):
-		f.writeError(w, http.StatusConflict, err)
-		return
-	case err != nil:
-		f.writeError(w, http.StatusBadGateway, err)
+	b, ok := f.ring.Member(addr)
+	if !ok {
+		f.notMember(w, addr)
 		return
 	}
-	f.met.RingEpoch.Set(int64(epoch))
+	if !b.draining.CompareAndSwap(false, true) {
+		f.writeError(w, http.StatusConflict, fmt.Errorf("shard: drain of %s already in progress", addr))
+		return
+	}
+	moved, err := f.handoffKeys(r.Context(), b)
+	if err != nil {
+		b.draining.Store(false)
+		f.writeError(w, http.StatusBadGateway, fmt.Errorf("shard: drain handoff for %s: %w", addr, err))
+		return
+	}
+	epoch, ok := f.leave(addr)
+	if !ok {
+		// An abrupt leave overtook the handoff.
+		f.notMember(w, addr)
+		return
+	}
 	f.writeJSON(w, http.StatusOK, adminResponse{Addr: addr, Epoch: epoch, Moved: moved})
 }
 
 // handoffKeys is the drain's work: list the leaving backend's registry
-// entries, and warm every ready key on each owner it will have after
-// the departure. Warms go through the same forward path as proxied
-// quantizes (same retry policy, same replica stamping); the first
-// failed warm aborts the whole drain so a "successful" drain can never
-// silently shed calibrations. The key count is bounded by
+// entries, and copy every ready key's snapshot from it onto each
+// healthy owner the key will have after the departure — the same
+// verified transfer anti-entropy repairs with, so nothing recalibrates.
+// The first failed copy aborts the whole drain so a "successful" drain
+// can never silently shed calibrations. The key count is bounded by
 // handoffMaxKeys — keys past the cap fall back on replication or
-// on-demand recalibration, as Options documents.
-func (f *Front) handoffKeys(ctx context.Context, addr string) (int, error) {
+// on-demand recalibration.
+func (f *Front) handoffKeys(ctx context.Context, from *Backend) (int, error) {
 	var page struct {
 		Entries []serve.EntryInfo `json:"entries"`
 	}
-	if err := f.getJSON(ctx, addr+"/models", &page); err != nil {
-		return 0, fmt.Errorf("listing entries on %s: %w", addr, err)
+	if err := f.getJSON(ctx, from.addr+"/models", &page); err != nil {
+		return 0, fmt.Errorf("listing entries on %s: %w", from.addr, err)
 	}
 	moved := 0
 	for _, e := range page.Entries {
 		if !e.Ready || moved >= handoffMaxKeys {
 			continue
 		}
-		key, err := serve.ParseKey(e.Key)
-		if err != nil {
-			return moved, fmt.Errorf("entry key %q on %s: %w", e.Key, addr, err)
-		}
-		warmed := 0
-		for slot, owner := range f.ring.OwnerNSkip(key.String(), f.opts.Replicas, addr) {
+		copied := 0
+		for _, owner := range f.ring.OwnerNSkip(e.Key, f.opts.Replicas, from.addr) {
 			if !owner.Healthy() {
-				// An ejected owner keeps its slot but cannot be warmed now;
-				// it recalibrates on demand once readmitted.
+				// An ejected owner keeps its slot but cannot take a copy
+				// now; it recalibrates on demand once readmitted.
 				continue
 			}
-			if err := f.warm(ctx, owner, key, slot); err != nil {
-				return moved, fmt.Errorf("re-homing %s onto %s: %w", e.Key, owner.Addr(), err)
+			if err := f.repair(ctx, e.Key, from, owner); err != nil {
+				return moved, fmt.Errorf("re-homing %s onto %s: %w", e.Key, owner.addr, err)
 			}
-			warmed++
+			copied++
 		}
-		if warmed == 0 {
+		if copied == 0 {
 			return moved, fmt.Errorf("re-homing %s: no healthy post-departure owner", e.Key)
 		}
 		moved++
 		f.met.Handoffs.Inc()
 	}
 	return moved, nil
-}
-
-// warm issues one /v1/quantize against a specific backend, stamping the
-// replica slot it will occupy for the key. Warming an already-cached
-// key is a cheap no-op on the backend (registry cache hit).
-func (f *Front) warm(ctx context.Context, b *Backend, key serve.Key, slot int) error {
-	body, err := json.Marshal(map[string]any{
-		"model":  key.Config,
-		"method": key.Method,
-		"bits":   key.Bits,
-		"regime": key.Regime.String(),
-	})
-	if err != nil {
-		return err
-	}
-	resp, err := f.forward(ctx, b, "/v1/quantize", nil, body, slot, f.drawDelays())
-	if err != nil {
-		return err
-	}
-	discard(resp)
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("quantize on %s: status %d", b.Addr(), resp.StatusCode)
-	}
-	return nil
 }

@@ -3,6 +3,7 @@ package shard
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"io"
 	"net/http"
 	"net/url"
@@ -168,7 +169,7 @@ func (f *Front) sweepKey(ctx context.Context, key string, digests map[string]map
 		}
 		f.met.DigestMismatch.Inc()
 		stats.Mismatches++
-		if f.repair(ctx, key, source, b) {
+		if f.repair(ctx, key, source, b) == nil {
 			f.met.Repairs.Inc()
 			stats.Repairs++
 		} else {
@@ -177,38 +178,41 @@ func (f *Front) sweepKey(ctx context.Context, key string, digests map[string]map
 	}
 }
 
-// repair copies one key's snapshot from the authority owner to a
-// divergent one.
-func (f *Front) repair(ctx context.Context, key string, from, to *Backend) bool {
+// repair copies one key's snapshot from one owner to another: the
+// anti-entropy fix for a divergent replica, and a drain's handoff.
+func (f *Front) repair(ctx context.Context, key string, from, to *Backend) error {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
 		from.addr+"/v1/snapshot?key="+url.QueryEscape(key), nil)
 	if err != nil {
-		return false
+		return err
 	}
 	resp, err := f.client.Do(req)
 	if err != nil {
-		return false
+		return err
 	}
 	blob, err := io.ReadAll(resp.Body)
 	if cerr := resp.Body.Close(); cerr != nil && err == nil {
 		err = cerr
 	}
-	if err != nil || resp.StatusCode != http.StatusOK {
-		return false
+	if err != nil {
+		return err
+	}
+	if resp.StatusCode != http.StatusOK {
+		return fmt.Errorf("snapshot from %s: status %d", from.addr, resp.StatusCode)
 	}
 	preq, err := http.NewRequestWithContext(ctx, http.MethodPost,
 		to.addr+"/v1/snapshot", bytes.NewReader(blob))
 	if err != nil {
-		return false
+		return err
 	}
 	preq.Header.Set("Content-Type", "application/octet-stream")
 	presp, err := f.client.Do(preq)
 	if err != nil {
-		return false
+		return err
 	}
-	//quq:errdrop-ok best-effort drain for connection reuse; the install verdict is the status code
-	_, _ = io.Copy(io.Discard, presp.Body)
-	//quq:errdrop-ok install verdict already taken from the status code
-	_ = presp.Body.Close()
-	return presp.StatusCode == http.StatusOK
+	discard(presp)
+	if presp.StatusCode != http.StatusOK {
+		return fmt.Errorf("snapshot install on %s: status %d", to.addr, presp.StatusCode)
+	}
+	return nil
 }

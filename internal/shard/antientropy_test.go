@@ -71,8 +71,6 @@ func TestAntiEntropyLoopRepairsPerReleasedRound(t *testing.T) {
 		Replicas:            2,
 		ProbeInterval:       -1,
 		AntiEntropyInterval: time.Hour,
-		Retries:             -1,
-		RetryBackoff:        1,
 		Clock:               clk,
 	})
 	t.Cleanup(f.Close)

@@ -3,7 +3,6 @@ package shard_test
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -69,8 +68,8 @@ func newFakeBackend(t *testing.T, name string) *fakeBackend {
 }
 
 // newFront builds a front-end over the given backends with background
-// probing disabled and no transport retries, so every health transition
-// in a test is explicit.
+// probing disabled and retry backoffs on a fake clock, so every health
+// transition in a test is explicit and no retry waits out wall time.
 func newFront(t *testing.T, backends ...*fakeBackend) (*shard.Front, []string) {
 	t.Helper()
 	addrs := make([]string, len(backends))
@@ -80,8 +79,7 @@ func newFront(t *testing.T, backends ...*fakeBackend) (*shard.Front, []string) {
 	f := shard.New(shard.Options{
 		Backends:      addrs,
 		ProbeInterval: -1,
-		Retries:       -1,
-		RetryBackoff:  1,
+		Clock:         chaos.NewFake(),
 	})
 	t.Cleanup(f.Close)
 	return f, addrs
@@ -185,7 +183,8 @@ func TestFrontRejectsUnknownEnums(t *testing.T) {
 
 // TestFrontPropagatesBackpressure: a backend 429 is relayed with its
 // Retry-After, counted, and — critically — never retried or failed over:
-// exactly one backend attempt.
+// exactly one backend attempt, although the front retries connection
+// failures.
 func TestFrontPropagatesBackpressure(t *testing.T) {
 	b0, b1 := newFakeBackend(t, "b0"), newFakeBackend(t, "b1")
 	b0.status.Store(http.StatusTooManyRequests)
@@ -204,6 +203,9 @@ func TestFrontPropagatesBackpressure(t *testing.T) {
 	}
 	if got := f.Metrics().Backpressure.Value(); got != 1 {
 		t.Fatalf("backpressure counter = %d, want 1", got)
+	}
+	if got := f.Metrics().Retries.Value(); got != 0 {
+		t.Fatalf("retry counter = %d after a 429, want 0", got)
 	}
 }
 
@@ -234,7 +236,7 @@ func holdBackend(t *testing.T) (srv *httptest.Server, arrived <-chan struct{}, r
 // health alone, and the same backend serves the next request.
 func TestFrontClientCancelDoesNotEject(t *testing.T) {
 	srv, arrived, release := holdBackend(t)
-	f := shard.New(shard.Options{Backends: []string{srv.URL}, ProbeInterval: -1, Retries: -1, RetryBackoff: 1})
+	f := shard.New(shard.Options{Backends: []string{srv.URL}, ProbeInterval: -1, Clock: chaos.NewFake()})
 	t.Cleanup(f.Close)
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -475,45 +477,6 @@ func TestFrontAggregatesMetrics(t *testing.T) {
 	}
 }
 
-// TestFrontShards: topology endpoint reports every backend with health
-// and the ring parameters.
-func TestFrontShards(t *testing.T) {
-	b0, b1 := newFakeBackend(t, "b0"), newFakeBackend(t, "b1")
-	f, addrs := newFront(t, b0, b1)
-
-	req := httptest.NewRequest(http.MethodGet, "/shards", nil)
-	w := httptest.NewRecorder()
-	f.Handler().ServeHTTP(w, req)
-	if w.Code != http.StatusOK {
-		t.Fatalf("/shards status %d", w.Code)
-	}
-	var resp struct {
-		VNodes   int `json:"vnodes"`
-		Backends []struct {
-			Addr    string `json:"addr"`
-			Healthy bool   `json:"healthy"`
-		} `json:"backends"`
-	}
-	if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.VNodes != 128 {
-		t.Fatalf("vnodes = %d, want default 128", resp.VNodes)
-	}
-	if len(resp.Backends) != 2 {
-		t.Fatalf("backends = %d, want 2", len(resp.Backends))
-	}
-	got := map[string]bool{}
-	for _, b := range resp.Backends {
-		got[b.Addr] = b.Healthy
-	}
-	for _, a := range addrs {
-		if healthy, ok := got[a]; !ok || !healthy {
-			t.Fatalf("backend %s missing or unhealthy in /shards: %v", a, got)
-		}
-	}
-}
-
 // TestAggregatorDegradesWithStaleShard: a healthy backend whose
 // /metrics endpoint is wedged must not take the fleet view down — the
 // merged page still renders, minus that backend's contribution, and
@@ -606,7 +569,7 @@ func TestRetryBackoffSeededAndReproducible(t *testing.T) {
 	b := retrySchedule(t, 42)
 	c := retrySchedule(t, 43)
 
-	// Default Retries=2 against both backends: four backoff sleeps.
+	// Two retries against each of both backends: four backoff sleeps.
 	if len(a) != 4 {
 		t.Fatalf("retry sleeps = %d, want 4 (2 retries x 2 backends)", len(a))
 	}
@@ -649,8 +612,7 @@ func TestFrontLifecycleLeaksNothing(t *testing.T) {
 	f := shard.New(shard.Options{
 		Backends:      []string{a.srv.URL, b.srv.URL},
 		ProbeInterval: 2 * time.Millisecond,
-		Retries:       -1,
-		RetryBackoff:  1,
+		Clock:         chaos.NewFake(),
 	})
 	w := classify(t, f.Handler(), `{"model":"ViT-Nano","method":"QUQ","bits":6,"regime":"full"}`)
 	if w.Code != http.StatusOK {

@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"quq/internal/chaos"
-	"quq/internal/cluster"
 	"quq/internal/rng"
 	"quq/internal/serve"
 )
@@ -44,13 +43,18 @@ var relayedHeaders = []string{"Content-Type", "Retry-After", serve.DigestHeader}
 // inference traffic onto the ring and aggregates fleet observability.
 type Front struct {
 	opts    Options
-	ring    *Ring
-	members *cluster.Membership
+	ring    *Ring // the routing index and the roster
 	prober  *prober
 	met     *Metrics
 	client  *http.Client
 	clock   chaos.Clock
 	handler http.Handler
+
+	// adminMu orders membership mutations (admin.go), so each answer
+	// reports its own epoch and the topology gauges end level with the
+	// ring. A drain holds it only for the final removal, never across
+	// its handoff round trips.
+	adminMu sync.Mutex
 
 	rngMu  sync.Mutex
 	jitter *rng.Source // retry-backoff jitter stream, seeded by Options.Seed
@@ -77,24 +81,13 @@ func New(opts Options) *Front {
 		jitter: rng.New(opts.Seed),
 		prober: newProber(opts.BaseContext, ring, client, opts.ProbeInterval, met),
 	}
-	// The membership owns the roster and epoch; the ring is its routing
-	// index, mutated only through these callbacks so the two can never
-	// disagree about who is a member.
-	f.members = cluster.New(cluster.Config{
-		Replicas: opts.Replicas,
-		OnJoin:   f.onJoin,
-		OnLeave:  f.onLeave,
-		Handoff:  f.handoffKeys,
-	})
 	for _, addr := range opts.Backends {
-		f.members.Join(normalizeAddr(addr))
+		f.join(normalizeAddr(addr))
 	}
-	f.met.RingEpoch.Set(int64(f.members.Epoch()))
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/classify", f.handleProxy)
 	mux.HandleFunc("POST /v1/quantize", f.handleProxy)
 	mux.HandleFunc("GET /models", f.handleModels)
-	mux.HandleFunc("GET /shards", f.handleShards)
 	mux.HandleFunc("GET /cluster", f.handleCluster)
 	mux.HandleFunc("POST /admin/join", f.handleAdminJoin)
 	mux.HandleFunc("POST /admin/drain", f.handleAdminDrain)
@@ -111,25 +104,6 @@ func New(opts Options) *Front {
 		close(f.aeDone)
 	}
 	return f
-}
-
-// onJoin and onLeave keep the ring and the topology gauges in lockstep
-// with the roster. Both run under the membership lock and do nothing
-// that blocks (ring and gauge mutations are short critical sections).
-func (f *Front) onJoin(addr string) {
-	f.ring.Add(addr)
-	f.met.Joins.Inc()
-	f.met.Inflight.Set(addr, 0)
-	f.met.RingBackends.Set(int64(len(f.ring.Backends())))
-	f.met.Healthy.Set(int64(f.ring.HealthyCount()))
-}
-
-func (f *Front) onLeave(addr string) {
-	f.ring.Remove(addr)
-	f.met.Leaves.Inc()
-	f.met.Inflight.Delete(addr)
-	f.met.RingBackends.Set(int64(len(f.ring.Backends())))
-	f.met.Healthy.Set(int64(f.ring.HealthyCount()))
 }
 
 // normalizeAddr turns "host:port" into a base URL.
@@ -366,7 +340,7 @@ func (f *Front) proxyReplicated(w http.ResponseWriter, r *http.Request, key stri
 func (f *Front) drawDelays() []time.Duration {
 	f.rngMu.Lock()
 	defer f.rngMu.Unlock()
-	return retryDelays(f.jitter, f.opts.RetryBackoff, f.opts.Retries)
+	return retryDelays(f.jitter, retryBackoff, retries)
 }
 
 // discard drains and closes a response that will not be relayed (the
@@ -381,15 +355,14 @@ func discard(resp *http.Response) {
 // forward posts body to one backend, retrying connection failures with
 // seeded equal-jitter backoff (the schedule is pre-drawn by drawDelays)
 // slept through the injected clock. The allowlisted headers of the
-// client's request (hdr; nil for the front's own warm-ups) ride along,
-// and replica >= 0 stamps the request with the replica slot the backend
-// occupies for this key. Any HTTP response, whatever its status, is
-// final.
+// client's request (hdr) ride along, and replica >= 0 stamps the
+// request with the replica slot the backend occupies for this key. Any
+// HTTP response, whatever its status, is final.
 func (f *Front) forward(ctx context.Context, b *Backend, path string, hdr http.Header, body []byte, replica int, delays []time.Duration) (*http.Response, error) {
 	b.inflight.Add(1)
 	defer b.inflight.Add(-1)
 	var lastErr error
-	for attempt := 0; attempt <= f.opts.Retries; attempt++ {
+	for attempt := 0; attempt <= retries; attempt++ {
 		if attempt > 0 {
 			f.met.Retries.Inc()
 			if err := f.clock.Sleep(ctx, delays[attempt-1]); err != nil {
@@ -438,7 +411,7 @@ func (f *Front) relay(w http.ResponseWriter, resp *http.Response, b *Backend) {
 		}
 	}
 	w.Header().Set(BackendHeader, b.addr)
-	w.Header().Set(EpochHeader, strconv.FormatUint(f.members.Epoch(), 10))
+	w.Header().Set(EpochHeader, strconv.FormatUint(f.ring.Epoch(), 10))
 	if resp.StatusCode == http.StatusTooManyRequests {
 		f.met.Backpressure.Inc()
 	}
@@ -451,32 +424,6 @@ func (f *Front) relay(w http.ResponseWriter, resp *http.Response, b *Backend) {
 		// remaining audience.
 		f.met.Failures.Inc()
 	}
-}
-
-// shardInfo is the /shards view of one backend.
-type shardInfo struct {
-	Addr     string `json:"addr"`
-	Healthy  bool   `json:"healthy"`
-	Inflight int64  `json:"inflight"`
-}
-
-type shardsResponse struct {
-	VNodes        int         `json:"vnodes"`
-	MaxLoadFactor float64     `json:"max_load_factor"`
-	Backends      []shardInfo `json:"backends"`
-}
-
-// handleShards reports ring topology and per-backend health/load.
-func (f *Front) handleShards(w http.ResponseWriter, r *http.Request) {
-	resp := shardsResponse{VNodes: vnodes, MaxLoadFactor: maxLoadFactor}
-	for _, b := range f.ring.Backends() {
-		resp.Backends = append(resp.Backends, shardInfo{
-			Addr:     b.Addr(),
-			Healthy:  b.Healthy(),
-			Inflight: b.Inflight(),
-		})
-	}
-	f.writeJSON(w, http.StatusOK, resp)
 }
 
 // handleHealthz is the front-end's own liveness view: healthy while at

@@ -10,7 +10,9 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
+	"quq/internal/chaos"
 	"quq/internal/serve"
 	"quq/internal/shard"
 )
@@ -21,7 +23,10 @@ type repBackend struct {
 	srv          *httptest.Server
 	healthy      atomic.Bool
 	modelsBroken atomic.Bool
-	scrapes      atomic.Int64 // GET /models served
+	modelsGate   chan struct{} // when set, GET /models parks until it closes
+	scrapes      atomic.Int64  // GET /models served
+	snapGets     atomic.Int64  // GET /v1/snapshot served
+	snapPosts    atomic.Int64  // POST /v1/snapshot installed
 
 	mu         sync.Mutex
 	quantizes  []string // "key@replica" per /v1/quantize
@@ -78,6 +83,9 @@ func newRepBackend(t *testing.T) *repBackend {
 	})
 	mux.HandleFunc("GET /models", func(w http.ResponseWriter, r *http.Request) {
 		b.scrapes.Add(1)
+		if b.modelsGate != nil {
+			<-b.modelsGate
+		}
 		if b.modelsBroken.Load() {
 			http.Error(w, "wedged", http.StatusInternalServerError)
 			return
@@ -92,6 +100,7 @@ func newRepBackend(t *testing.T) *repBackend {
 	// A snapshot is the entry itself, as JSON: GET hands out the held
 	// entry for ?key=, POST installs (or replaces) the one it carries.
 	mux.HandleFunc("GET /v1/snapshot", func(w http.ResponseWriter, r *http.Request) {
+		b.snapGets.Add(1)
 		e, ok := b.entry(r.URL.Query().Get("key"))
 		if !ok {
 			http.NotFound(w, r)
@@ -106,6 +115,7 @@ func newRepBackend(t *testing.T) *repBackend {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
+		b.snapPosts.Add(1)
 		b.setEntry(e)
 	})
 	b.srv = httptest.NewServer(mux)
@@ -138,8 +148,9 @@ func (b *repBackend) setEntry(e serve.EntryInfo) {
 	b.entries = append(b.entries, e)
 }
 
-// newRepFront builds a replicating front over the fakes, probing and
-// retries disabled so health transitions are explicit.
+// newRepFront builds a replicating front over the fakes, probing
+// disabled so health transitions are explicit, retry backoffs on a fake
+// clock.
 func newRepFront(t *testing.T, replicas int, backends ...*repBackend) *shard.Front {
 	t.Helper()
 	addrs := make([]string, len(backends))
@@ -150,8 +161,7 @@ func newRepFront(t *testing.T, replicas int, backends ...*repBackend) *shard.Fro
 		Backends:      addrs,
 		Replicas:      replicas,
 		ProbeInterval: -1,
-		Retries:       -1,
-		RetryBackoff:  1,
+		Clock:         chaos.NewFake(),
 	})
 	t.Cleanup(f.Close)
 	return f
@@ -222,7 +232,7 @@ func TestReplicatedQuantizeClientCancelDoesNotEject(t *testing.T) {
 	srvB, arrivedB, releaseB := holdBackend(t)
 	f := shard.New(shard.Options{
 		Backends: []string{srvA.URL, srvB.URL}, Replicas: 2,
-		ProbeInterval: -1, Retries: -1, RetryBackoff: 1,
+		ProbeInterval: -1, Clock: chaos.NewFake(),
 	})
 	t.Cleanup(f.Close)
 
@@ -350,17 +360,27 @@ func TestAdminJoinAndLeave(t *testing.T) {
 	if _, ok := f.Metrics().Inflight.Value(late.srv.URL); ok {
 		t.Fatal("left backend still in the inflight gauge vec")
 	}
+	if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
+		t.Fatal(err)
+	}
+	if resp.Epoch != 4 {
+		t.Fatalf("leave = %+v, want epoch 4", resp)
+	}
 	if w := post(t, f.Handler(), "/admin/leave", `{"addr":"127.0.0.1:9"}`); w.Code != http.StatusNotFound {
 		t.Fatalf("unknown leave: status %d, want 404", w.Code)
+	}
+	if got := f.Metrics().RingEpoch.Value(); got != 4 {
+		t.Fatalf("quq_shard_ring_epoch after an unknown leave = %d, want 4", got)
 	}
 	if w := post(t, f.Handler(), "/admin/join", `{}`); w.Code != http.StatusBadRequest {
 		t.Fatalf("empty join: status %d, want 400", w.Code)
 	}
 }
 
-// TestAdminDrainHandsOffKeys: a drain re-warms the leaver's ready
-// entries on their post-departure owners before removal; not-ready
-// entries are skipped; the member is gone from /cluster afterwards.
+// TestAdminDrainHandsOffKeys: a drain copies the leaver's ready entries
+// onto their post-departure owners before removal — one snapshot GET
+// from the drainee, one install on the new owner, no quantize anywhere;
+// not-ready entries are skipped; the member is gone afterwards.
 func TestAdminDrainHandsOffKeys(t *testing.T) {
 	backends := []*repBackend{newRepBackend(t), newRepBackend(t), newRepBackend(t)}
 	f := newRepFront(t, 1, backends...)
@@ -392,11 +412,22 @@ func TestAdminDrainHandsOffKeys(t *testing.T) {
 	if resp.Moved != 1 || resp.Epoch != 4 {
 		t.Fatalf("drain = %+v, want 1 key moved at epoch 4", resp)
 	}
-	warmed := addrs[newOwners[0].Addr()].seen(&addrs[newOwners[0].Addr()].quantizes)
-	if len(warmed) != 1 || warmed[0] != key+"@0" {
-		t.Fatalf("new owner warms = %v, want [%s@0]", warmed, key)
+	heir := addrs[newOwners[0].Addr()]
+	if got := drainee.snapGets.Load(); got != 1 {
+		t.Fatalf("snapshot GETs from the drainee = %d, want 1", got)
 	}
-	if f.Members().IsMember(owner.Addr()) {
+	if got := heir.snapPosts.Load(); got != 1 {
+		t.Fatalf("snapshot installs on the new owner = %d, want 1", got)
+	}
+	if e, ok := heir.entry(key); !ok || !e.Ready {
+		t.Fatalf("new owner holds %+v (ok=%v), want the ready entry", e, ok)
+	}
+	for _, b := range backends {
+		if got := b.seen(&b.quantizes); len(got) != 0 {
+			t.Fatalf("%s saw quantizes %v: a drain must not recalibrate", b.srv.URL, got)
+		}
+	}
+	if _, ok := f.Ring().Member(owner.Addr()); ok {
 		t.Fatal("drained backend still a member")
 	}
 	if got := f.Metrics().Handoffs.Value(); got != 1 {
@@ -422,10 +453,14 @@ func TestAdminDrainAbortsOnFailure(t *testing.T) {
 	if w.Code != http.StatusBadGateway {
 		t.Fatalf("failed drain: status %d, want 502", w.Code)
 	}
-	if !f.Members().IsMember(b0.srv.URL) {
+	b, ok := f.Ring().Member(b0.srv.URL)
+	if !ok {
 		t.Fatal("failed drain removed the member")
 	}
-	if got := f.Members().Epoch(); got != 2 {
+	if b.Draining() {
+		t.Fatal("failed drain left the member marked draining")
+	}
+	if got := f.Metrics().RingEpoch.Value(); got != 2 {
 		t.Fatalf("epoch after failed drain = %d, want 2 (unchanged)", got)
 	}
 
@@ -434,7 +469,7 @@ func TestAdminDrainAbortsOnFailure(t *testing.T) {
 	if w.Code != http.StatusOK {
 		t.Fatalf("drain retry: status %d: %s", w.Code, w.Body)
 	}
-	if f.Members().IsMember(b0.srv.URL) {
+	if _, ok := f.Ring().Member(b0.srv.URL); ok {
 		t.Fatal("retried drain left the member behind")
 	}
 	if w := post(t, f.Handler(), "/admin/drain", fmt.Sprintf(`{"addr":%q}`, b0.srv.URL)); w.Code != http.StatusNotFound {
@@ -442,25 +477,83 @@ func TestAdminDrainAbortsOnFailure(t *testing.T) {
 	}
 }
 
-// TestClusterViewRendersTopology: /cluster carries the epoch, the
-// replication factor and the placement parameters a client ring replica
-// needs, with backends sorted by address.
-func TestClusterViewRendersTopology(t *testing.T) {
-	backends := []*repBackend{newRepBackend(t), newRepBackend(t)}
-	f := newRepFront(t, 2, backends...)
-
+// getCluster fetches and decodes the front's /cluster page.
+func getCluster(t *testing.T, f *shard.Front) (shard.ClusterView, http.Header) {
+	t.Helper()
 	req := httptest.NewRequest(http.MethodGet, "/cluster", nil)
 	w := httptest.NewRecorder()
 	f.Handler().ServeHTTP(w, req)
 	if w.Code != http.StatusOK {
 		t.Fatalf("/cluster status %d", w.Code)
 	}
-	if got := w.Header().Get(shard.EpochHeader); got != "2" {
-		t.Fatalf("epoch header = %q, want \"2\"", got)
-	}
 	var view shard.ClusterView
 	if err := json.Unmarshal(w.Body.Bytes(), &view); err != nil {
 		t.Fatal(err)
+	}
+	return view, w.Header()
+}
+
+// TestAdminDrainConflicts: while a drain's handoff runs, the member is
+// marked draining on /cluster, a second drain of it is a 409 and a
+// drain of a stranger a 404; the first drain then completes. The front
+// here asks for no replication, so /cluster also shows R clamped to 1.
+func TestAdminDrainConflicts(t *testing.T) {
+	b0, b1 := newRepBackend(t), newRepBackend(t)
+	b0.modelsGate = make(chan struct{})
+	release := sync.OnceFunc(func() { close(b0.modelsGate) })
+	t.Cleanup(release) // LIFO: the parked handoff is let go before b0 closes
+	f := newRepFront(t, 0, b0, b1)
+
+	body := fmt.Sprintf(`{"addr":%q}`, b0.srv.URL)
+	done := make(chan *httptest.ResponseRecorder, 1)
+	go func() { done <- post(t, f.Handler(), "/admin/drain", body) }()
+	for b0.scrapes.Load() == 0 {
+		time.Sleep(time.Millisecond) // the handoff is now listing b0's entries
+	}
+
+	view, _ := getCluster(t, f)
+	if view.Replicas != 1 || view.Epoch != 2 || len(view.Backends) != 2 {
+		t.Fatalf("mid-drain view = %+v, want replicas 1, epoch 2, 2 members", view)
+	}
+	for _, b := range view.Backends {
+		if want := b.Addr == b0.srv.URL; b.Draining != want {
+			t.Fatalf("member %s draining = %v, want %v", b.Addr, b.Draining, want)
+		}
+	}
+	// Bounded, so a second drain that wrongly starts its own handoff
+	// fails here instead of parking on the gate.
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	req := httptest.NewRequest(http.MethodPost, "/admin/drain", strings.NewReader(body)).WithContext(ctx)
+	w := httptest.NewRecorder()
+	f.Handler().ServeHTTP(w, req)
+	if w.Code != http.StatusConflict {
+		t.Fatalf("concurrent drain: status %d, want 409", w.Code)
+	}
+	if w := post(t, f.Handler(), "/admin/drain", `{"addr":"127.0.0.1:9"}`); w.Code != http.StatusNotFound {
+		t.Fatalf("drain of a stranger: status %d, want 404", w.Code)
+	}
+
+	release()
+	if w := <-done; w.Code != http.StatusOK {
+		t.Fatalf("first drain: status %d: %s", w.Code, w.Body)
+	}
+	if got := f.Metrics().RingEpoch.Value(); got != 3 {
+		t.Fatalf("epoch after the drain = %d, want 3", got)
+	}
+}
+
+// TestClusterViewRendersTopology: /cluster carries the epoch, the
+// replication factor and the placement parameters a client ring replica
+// needs, with backends sorted by address, each with its health and
+// in-flight load.
+func TestClusterViewRendersTopology(t *testing.T) {
+	backends := []*repBackend{newRepBackend(t), newRepBackend(t)}
+	f := newRepFront(t, 2, backends...)
+
+	view, hdr := getCluster(t, f)
+	if got := hdr.Get(shard.EpochHeader); got != "2" {
+		t.Fatalf("epoch header = %q, want \"2\"", got)
 	}
 	if view.Epoch != 2 || view.Replicas != 2 || view.VNodes != 128 || view.MaxLoadFactor != 1.25 {
 		t.Fatalf("view = %+v, want epoch 2, replicas 2, vnodes 128, load factor 1.25", view)
@@ -473,11 +566,42 @@ func TestClusterViewRendersTopology(t *testing.T) {
 			t.Fatal("cluster view backends not sorted by address")
 		}
 	}
+	members := byAddr(backends)
 	for _, b := range view.Backends {
-		if !b.Healthy || b.Draining {
-			t.Fatalf("fresh member %s reported unhealthy or draining", b.Addr)
+		if members[b.Addr] == nil {
+			t.Fatalf("cluster view lists %s, not a member", b.Addr)
+		}
+		if !b.Healthy || b.Draining || b.Inflight != 0 {
+			t.Fatalf("fresh idle member %+v reported unhealthy, draining or loaded", b)
 		}
 	}
+
+	// An ejected member stays listed, unhealthy.
+	backends[0].healthy.Store(false)
+	f.ProbeNow(context.Background())
+	f.ProbeNow(context.Background()) // failAfter=2: ejected
+	view, _ = getCluster(t, f)
+	for _, b := range view.Backends {
+		if want := b.Addr != backends[0].srv.URL; b.Healthy != want {
+			t.Fatalf("member %s healthy = %v after ejecting %s", b.Addr, b.Healthy, backends[0].srv.URL)
+		}
+	}
+	// A classify parked on a busy member shows as its in-flight load.
+	srv, arrived, release := holdBackend(t)
+	busy := shard.New(shard.Options{Backends: []string{srv.URL}, ProbeInterval: -1, Clock: chaos.NewFake()})
+	t.Cleanup(busy.Close)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		post(t, busy.Handler(), "/v1/classify", `{"model":"ViT-S","method":"QUQ","bits":6}`)
+	}()
+	<-arrived
+	view, _ = getCluster(t, busy)
+	if len(view.Backends) != 1 || view.Backends[0].Inflight != 1 {
+		t.Fatalf("view with one parked classify = %+v, want inflight 1", view.Backends)
+	}
+	release()
+	<-done
 }
 
 // TestFrontForwardsAllowlistedRequestHeaders: a client's latency budget
@@ -500,7 +624,7 @@ func TestFrontForwardsAllowlistedRequestHeaders(t *testing.T) {
 	}
 	f := shard.New(shard.Options{
 		Backends: []string{newBackend(), newBackend()}, Replicas: 2,
-		ProbeInterval: -1, Retries: -1, RetryBackoff: 1,
+		ProbeInterval: -1, Clock: chaos.NewFake(),
 	})
 	t.Cleanup(f.Close)
 

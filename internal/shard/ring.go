@@ -14,12 +14,13 @@ import (
 // ErrNoBackends is returned when no healthy backend can serve a key.
 var ErrNoBackends = errors.New("shard: no healthy backends")
 
-// Backend is one quq-serve instance on the ring. Health and load are
-// atomics: the prober, the proxy path and introspection read them
-// concurrently.
+// Backend is one quq-serve instance on the ring. Health, load and the
+// drain mark are atomics: the prober, the proxy path, the admin surface
+// and introspection read them concurrently.
 type Backend struct {
 	addr       string // normalized base URL, e.g. "http://127.0.0.1:8642"
 	healthy    atomic.Bool
+	draining   atomic.Bool // an admin drain is handing off its keys
 	inflight   atomic.Int64
 	probeFails atomic.Int32 // consecutive failed probes while admitted
 	probeOKs   atomic.Int32 // consecutive healthy probes while ejected
@@ -30,6 +31,9 @@ func (b *Backend) Addr() string { return b.addr }
 
 // Healthy reports whether the backend is currently admitted.
 func (b *Backend) Healthy() bool { return b.healthy.Load() }
+
+// Draining reports whether an admin drain of the backend is running.
+func (b *Backend) Draining() bool { return b.draining.Load() }
 
 // Inflight returns the number of requests currently proxied to the
 // backend.
@@ -42,15 +46,17 @@ func (b *Backend) Inflight() int64 { return b.inflight.Load() }
 func (b *Backend) SetHealthy(v bool) { b.healthy.Store(v) }
 
 // Ring is a consistent-hash ring with virtual nodes and bounded-load
-// overflow. Placement depends only on the backend address set and the
-// key bytes — FNV-1a hashing, no map iteration, no randomness, no time —
-// so every front-end process computes identical ownership. All methods
-// are safe for concurrent use.
+// overflow, and the front's roster: its members are the fleet. Placement
+// depends only on the backend address set and the key bytes — FNV-1a
+// hashing, no map iteration, no randomness, no time — so every
+// front-end process computes identical ownership. All methods are safe
+// for concurrent use.
 type Ring struct {
 	vnodes        int
 	maxLoadFactor float64
 
 	mu       sync.RWMutex
+	epoch    uint64 // effective Adds and Removes so far
 	backends map[string]*Backend
 	points   []ringPoint // sorted by (hash, addr, replica)
 }
@@ -87,16 +93,17 @@ func hashString(s string) uint64 {
 	return h.Sum64()
 }
 
-// Add inserts a backend (healthy, idle) and claims its virtual-node
-// arcs. Re-adding an existing address is a no-op returning the existing
-// backend.
-func (r *Ring) Add(addr string) *Backend {
+// Add inserts a backend (healthy, idle), claims its virtual-node arcs
+// and bumps the epoch. Re-adding an existing address is a no-op
+// returning the existing backend and added = false.
+func (r *Ring) Add(addr string) (b *Backend, added bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if b, ok := r.backends[addr]; ok {
-		return b
+		return b, false
 	}
-	b := &Backend{addr: addr}
+	r.epoch++
+	b = &Backend{addr: addr}
 	b.healthy.Store(true)
 	r.backends[addr] = b
 	for i := 0; i < r.vnodes; i++ {
@@ -107,17 +114,19 @@ func (r *Ring) Add(addr string) *Backend {
 		})
 	}
 	r.sortLocked()
-	return b
+	return b, true
 }
 
-// Remove deletes a backend; only the arcs it owned are remapped (each
-// moves to its ring successor).
-func (r *Ring) Remove(addr string) {
+// Remove deletes a backend and bumps the epoch; only the arcs it owned
+// are remapped (each moves to its ring successor). It reports false,
+// epoch unmoved, for an address that is not a member.
+func (r *Ring) Remove(addr string) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if _, ok := r.backends[addr]; !ok {
-		return
+		return false
 	}
+	r.epoch++
 	delete(r.backends, addr)
 	kept := r.points[:0]
 	for _, p := range r.points {
@@ -126,6 +135,25 @@ func (r *Ring) Remove(addr string) {
 		}
 	}
 	r.points = kept
+	return true
+}
+
+// Epoch returns the membership epoch: the count of effective Adds and
+// Removes. A re-Add or the Remove of a stranger never moves it, so a
+// client holding a view stamped with the current epoch is not forced
+// through a spurious refresh.
+func (r *Ring) Epoch() uint64 {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	return r.epoch
+}
+
+// Member returns the backend at addr, if it is on the ring.
+func (r *Ring) Member(addr string) (*Backend, bool) {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	b, ok := r.backends[addr]
+	return b, ok
 }
 
 // sortLocked orders the points; hash ties (vanishingly rare with 64-bit
@@ -292,7 +320,15 @@ func (r *Ring) loadBoundLocked() int64 {
 
 // Backends snapshots the ring membership sorted by address.
 func (r *Ring) Backends() []*Backend {
+	_, list := r.Roster()
+	return list
+}
+
+// Roster snapshots the epoch and the members it numbers, sorted by
+// address, under one lock: the pair a client ring replica is built from.
+func (r *Ring) Roster() (uint64, []*Backend) {
 	r.mu.RLock()
+	epoch := r.epoch
 	list := make([]*Backend, 0, len(r.backends))
 	// Map order is irrelevant here: the snapshot is sorted below.
 	for _, b := range r.backends {
@@ -300,7 +336,7 @@ func (r *Ring) Backends() []*Backend {
 	}
 	r.mu.RUnlock()
 	sort.Slice(list, func(i, j int) bool { return list[i].addr < list[j].addr })
-	return list
+	return epoch, list
 }
 
 // HealthyCount returns the number of admitted backends.

@@ -237,26 +237,63 @@ func TestNewRingRejectsNonPositiveVNodes(t *testing.T) {
 }
 
 // TestRingAddIdempotent: re-adding a member must return the existing
-// backend and claim no additional virtual nodes — double-inserted
-// vnodes would double the member's keyspace share and desynchronize
-// any ring replica built from the membership view.
+// backend, report no change, leave the epoch alone and claim no
+// additional virtual nodes — double-inserted vnodes would double the
+// member's keyspace share and desynchronize any ring replica built from
+// the membership view.
 func TestRingAddIdempotent(t *testing.T) {
 	r := NewRing(64, 0)
-	first := r.Add("http://backend-0:86")
+	first, added := r.Add("http://backend-0:86")
+	if !added {
+		t.Fatal("first Add reported no change")
+	}
 	r.Add("http://backend-1:86")
 	points := r.Points()
 	if points != 2*64 {
 		t.Fatalf("points = %d, want %d", points, 2*64)
 	}
-	again := r.Add("http://backend-0:86")
-	if again != first {
-		t.Fatal("re-Add returned a different *Backend")
+	again, added := r.Add("http://backend-0:86")
+	if again != first || added {
+		t.Fatalf("re-Add = %p, %v; want the existing %p, false", again, added, first)
 	}
 	if got := r.Points(); got != points {
 		t.Fatalf("re-Add grew the ring: %d -> %d points", points, got)
 	}
 	if n := len(r.Backends()); n != 2 {
 		t.Fatalf("backends = %d, want 2", n)
+	}
+	if e := r.Epoch(); e != 2 {
+		t.Fatalf("epoch after two joins and a re-join = %d, want 2", e)
+	}
+}
+
+// TestRingEpochCountsEffectiveChanges: every Add or Remove that changes
+// the member set bumps the epoch exactly once; a re-Add or the Remove
+// of a stranger reports no change and leaves it alone. Roster pairs the
+// epoch with the members it numbers.
+func TestRingEpochCountsEffectiveChanges(t *testing.T) {
+	r := NewRing(8, 0)
+	if e := r.Epoch(); e != 0 {
+		t.Fatalf("fresh epoch = %d, want 0", e)
+	}
+	for _, a := range []string{"c", "a", "b"} {
+		r.Add(a)
+	}
+	if !r.Remove("a") {
+		t.Fatal("Remove(a) reported no change")
+	}
+	if r.Remove("a") {
+		t.Fatal("second Remove(a) reported a change")
+	}
+	if _, ok := r.Member("a"); ok {
+		t.Fatal("removed backend still a member")
+	}
+	epoch, members := r.Roster()
+	if epoch != 4 || len(members) != 2 || members[0].Addr() != "b" || members[1].Addr() != "c" {
+		t.Fatalf("roster = %d, %v; want epoch 4 over [b c]", epoch, members)
+	}
+	if got := r.Points(); got != 2*8 {
+		t.Fatalf("points = %d, want %d", got, 2*8)
 	}
 }
 

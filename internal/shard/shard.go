@@ -12,7 +12,9 @@
 //     (serve.CanonicalKey runs before hashing, so "Quq" and "quq" land
 //     on one shard); hashing is FNV-1a, so two processes always agree
 //     on ownership, and adding or removing one backend only remaps the
-//     arcs it owns (~1/N of the keyspace);
+//     arcs it owns (~1/N of the keyspace). The ring is also the roster:
+//     the admin surface (admin.go) joins, drains and removes members on
+//     it, and its epoch counts those changes;
 //   - prober (prober.go): periodic /healthz probes with
 //     consecutive-failure ejection and re-admission on recovery;
 //   - Front (proxy.go): the HTTP surface — it canonicalizes the key in
@@ -34,9 +36,9 @@ import (
 	"quq/internal/serve/metrics"
 )
 
-// What no deployment, test, chaos script or benchmark has ever set is a
-// constant, not an option. /cluster and /shards report vnodes and
-// maxLoadFactor, so a shard-aware client still rebuilds the same ring.
+// What no deployment, chaos script or benchmark has ever set is a
+// constant, not an option. /cluster reports vnodes and maxLoadFactor,
+// so a shard-aware client still rebuilds the same ring.
 const (
 	// vnodes is the number of virtual nodes per backend: more means
 	// smoother key distribution and smaller moved arcs.
@@ -49,6 +51,14 @@ const (
 	// re-homes before the member leaves; entries beyond the cap rely on
 	// replication or on-demand recalibration.
 	handoffMaxKeys = 64
+	// retries is how many times a proxied request is retried against
+	// the same backend on connection failure before failing over.
+	// HTTP-level responses, including 429 backpressure, are never
+	// retried.
+	retries = 2
+	// retryBackoff is the first retry delay, doubled per attempt and
+	// jittered from Options.Seed; the sleeps go through Options.Clock.
+	retryBackoff = 50 * time.Millisecond
 	// probeTimeout bounds one /healthz probe.
 	probeTimeout = time.Second
 	// failAfter is the consecutive probe failures before ejection.
@@ -86,14 +96,6 @@ type Options struct {
 	// The wait goes through Clock, so chaos replays drive sweeps from a
 	// fake clock.
 	AntiEntropyInterval time.Duration
-	// Retries is how many times a proxied request is retried against the
-	// same backend on connection failure before failing over (default 2).
-	// HTTP-level responses, including 429 backpressure, are never
-	// retried.
-	Retries int
-	// RetryBackoff is the first retry delay, doubled per attempt
-	// (default 50ms).
-	RetryBackoff time.Duration
 	// RequestTimeout bounds one proxied request end-to-end, including a
 	// first-request calibration on the backend (default 120s).
 	RequestTimeout time.Duration
@@ -109,8 +111,9 @@ type Options struct {
 	// replay a fault script byte-for-byte.
 	Seed uint64
 	// Clock is the time source for retry-backoff sleeps (default the
-	// real clock). The chaos harness swaps in a fake so fault replays
-	// neither wait out real backoffs nor depend on wall time.
+	// real clock). The chaos harness and the tests swap in a fake so
+	// fault replays neither wait out real backoffs nor depend on wall
+	// time.
 	Clock chaos.Clock
 }
 
@@ -127,14 +130,6 @@ func (o *Options) defaults() {
 	}
 	if o.ProbeInterval == 0 {
 		o.ProbeInterval = 2 * time.Second
-	}
-	if o.Retries < 0 {
-		o.Retries = 0
-	} else if o.Retries == 0 {
-		o.Retries = 2
-	}
-	if o.RetryBackoff <= 0 {
-		o.RetryBackoff = 50 * time.Millisecond
 	}
 	if o.RequestTimeout <= 0 {
 		o.RequestTimeout = 120 * time.Second

@@ -122,7 +122,7 @@ func (c *Client) Refresh(ctx context.Context) error {
 	}
 	ring := shard.NewRing(view.VNodes, view.MaxLoadFactor)
 	for _, cb := range view.Backends {
-		b := ring.Add(cb.Addr)
+		b, _ := ring.Add(cb.Addr)
 		b.SetHealthy(cb.Healthy)
 	}
 	c.mu.Lock()

@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"quq/internal/chaos"
 	"quq/internal/serve"
 	"quq/internal/shard"
 	"quq/internal/shardclient"
@@ -87,8 +88,9 @@ func (w *fakeWorker) warmHits() int {
 	return w.warmingHits
 }
 
-// newFleet builds workers, a front over them (probing and retries off)
-// serving real HTTP, and a client bootstrapped from its /cluster page.
+// newFleet builds workers, a front over them (probing off, retry
+// backoffs on a fake clock) serving real HTTP, and a client
+// bootstrapped from its /cluster page.
 func newFleet(t *testing.T, replicas, n int) ([]*fakeWorker, *shard.Front, *httptest.Server, *shardclient.Client) {
 	t.Helper()
 	workers := make([]*fakeWorker, n)
@@ -101,8 +103,7 @@ func newFleet(t *testing.T, replicas, n int) ([]*fakeWorker, *shard.Front, *http
 		Backends:      addrs,
 		Replicas:      replicas,
 		ProbeInterval: -1,
-		Retries:       -1,
-		RetryBackoff:  1,
+		Clock:         chaos.NewFake(),
 	})
 	t.Cleanup(f.Close)
 	front := httptest.NewServer(f.Handler())
@@ -139,7 +140,7 @@ func testKeys(n int) []string {
 func TestClientRingMatchesServer(t *testing.T) {
 	_, f, _, c := newFleet(t, 2, 4)
 
-	if got, want := c.Epoch(), f.Members().Epoch(); got != want {
+	if got, want := c.Epoch(), uint64(f.Metrics().RingEpoch.Value()); got != want {
 		t.Fatalf("client epoch = %d, server epoch = %d", got, want)
 	}
 	if got := c.Replicas(); got != 2 {
@@ -317,7 +318,7 @@ func TestClientRefreshesOnEpochChange(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if want := f.Members().Epoch(); want != before+1 {
+	if want := uint64(f.Metrics().RingEpoch.Value()); want != before+1 {
 		t.Fatalf("join moved epoch to %d, want %d", want, before+1)
 	}
 
