@@ -477,6 +477,66 @@ func TestFrontAggregatesMetrics(t *testing.T) {
 	}
 }
 
+// TestFrontShards: the front reports every shard on /cluster with the
+// ring's vnodes and each backend's health and in-flight load; an
+// ejected backend stays listed, unhealthy. /cluster is the only
+// topology route.
+func TestFrontShards(t *testing.T) {
+	b0, b1 := newFakeBackend(t, "b0"), newFakeBackend(t, "b1")
+	f, addrs := newFront(t, b0, b1)
+
+	view, _ := getCluster(t, f)
+	if view.VNodes != 128 {
+		t.Fatalf("vnodes = %d, want default 128", view.VNodes)
+	}
+	if len(view.Backends) != 2 {
+		t.Fatalf("backends = %d, want 2", len(view.Backends))
+	}
+	got := map[string]bool{}
+	for _, b := range view.Backends {
+		got[b.Addr] = b.Healthy
+	}
+	for _, a := range addrs {
+		if healthy, ok := got[a]; !ok || !healthy {
+			t.Fatalf("backend %s missing or unhealthy in /cluster: %v", a, got)
+		}
+	}
+
+	b0.healthy.Store(false)
+	f.ProbeNow(context.Background())
+	f.ProbeNow(context.Background()) // failAfter=2: ejected
+	view, _ = getCluster(t, f)
+	for _, b := range view.Backends {
+		if want := b.Addr != b0.srv.URL; b.Healthy != want {
+			t.Fatalf("backend %s healthy = %v after ejecting %s", b.Addr, b.Healthy, b0.srv.URL)
+		}
+	}
+
+	// A classify parked on a busy backend shows as its in-flight load.
+	srv, arrived, release := holdBackend(t)
+	busy := shard.New(shard.Options{Backends: []string{srv.URL}, ProbeInterval: -1, Clock: chaos.NewFake()})
+	t.Cleanup(busy.Close)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		classify(t, busy.Handler(), `{"model":"ViT-S","method":"QUQ","bits":6}`)
+	}()
+	<-arrived
+	view, _ = getCluster(t, busy)
+	if len(view.Backends) != 1 || view.Backends[0].Inflight != 1 {
+		t.Fatalf("view with one parked classify = %+v, want inflight 1", view.Backends)
+	}
+	release()
+	<-done
+
+	req := httptest.NewRequest(http.MethodGet, "/shards", nil)
+	w := httptest.NewRecorder()
+	f.Handler().ServeHTTP(w, req)
+	if w.Code != http.StatusNotFound {
+		t.Fatalf("/shards status %d, want 404", w.Code)
+	}
+}
+
 // TestAggregatorDegradesWithStaleShard: a healthy backend whose
 // /metrics endpoint is wedged must not take the fleet view down — the
 // merged page still renders, minus that backend's contribution, and

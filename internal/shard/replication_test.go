@@ -24,6 +24,8 @@ type repBackend struct {
 	healthy      atomic.Bool
 	modelsBroken atomic.Bool
 	modelsGate   chan struct{} // when set, GET /models parks until it closes
+	snapGate     chan struct{} // when set, GET /v1/snapshot parks until it closes
+	installsOff  atomic.Bool   // POST /v1/snapshot answers 500 while set
 	scrapes      atomic.Int64  // GET /models served
 	snapGets     atomic.Int64  // GET /v1/snapshot served
 	snapPosts    atomic.Int64  // POST /v1/snapshot installed
@@ -101,6 +103,9 @@ func newRepBackend(t *testing.T) *repBackend {
 	// entry for ?key=, POST installs (or replaces) the one it carries.
 	mux.HandleFunc("GET /v1/snapshot", func(w http.ResponseWriter, r *http.Request) {
 		b.snapGets.Add(1)
+		if b.snapGate != nil {
+			<-b.snapGate
+		}
 		e, ok := b.entry(r.URL.Query().Get("key"))
 		if !ok {
 			http.NotFound(w, r)
@@ -110,6 +115,10 @@ func newRepBackend(t *testing.T) *repBackend {
 		_ = json.NewEncoder(w).Encode(e)
 	})
 	mux.HandleFunc("POST /v1/snapshot", func(w http.ResponseWriter, r *http.Request) {
+		if b.installsOff.Load() {
+			http.Error(w, "disk full", http.StatusInternalServerError)
+			return
+		}
 		var e serve.EntryInfo
 		if err := json.NewDecoder(r.Body).Decode(&e); err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
@@ -477,6 +486,98 @@ func TestAdminDrainAbortsOnFailure(t *testing.T) {
 	}
 }
 
+// TestAdminDrainCopiesBeforeLeaving: the drainee stays a member,
+// marked draining, and the epoch stays put while its snapshot is being
+// read; it leaves only after the copy landed, and the drain reports the
+// moved key at the post-departure epoch.
+func TestAdminDrainCopiesBeforeLeaving(t *testing.T) {
+	b0, b1 := newRepBackend(t), newRepBackend(t)
+	f := newRepFront(t, 1, b0, b1)
+	const key = "ViT-S/QUQ/w6a6/partial"
+	b0.entries = []serve.EntryInfo{{Key: key, Ready: true}}
+	b0.snapGate = make(chan struct{})
+	release := sync.OnceFunc(func() { close(b0.snapGate) })
+	t.Cleanup(release)
+
+	done := make(chan *httptest.ResponseRecorder, 1)
+	go func() { done <- post(t, f.Handler(), "/admin/drain", fmt.Sprintf(`{"addr":%q}`, b0.srv.URL)) }()
+	for b0.snapGets.Load() == 0 {
+		time.Sleep(time.Millisecond) // the handoff is now reading the snapshot
+	}
+	if b, ok := f.Ring().Member(b0.srv.URL); !ok || !b.Draining() {
+		t.Fatalf("mid-copy drainee member=%v; want a member marked draining", ok)
+	}
+	if got := f.Metrics().RingEpoch.Value(); got != 2 {
+		t.Fatalf("mid-copy epoch = %d, want 2", got)
+	}
+	if _, ok := b1.entry(key); ok {
+		t.Fatal("new owner holds the key before the copy was read")
+	}
+
+	release()
+	w := <-done
+	if w.Code != http.StatusOK {
+		t.Fatalf("drain: status %d: %s", w.Code, w.Body)
+	}
+	var resp struct {
+		Epoch uint64 `json:"epoch"`
+		Moved int    `json:"moved"`
+	}
+	if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
+		t.Fatal(err)
+	}
+	if resp.Moved != 1 || resp.Epoch != 3 {
+		t.Fatalf("drain = %+v, want 1 key moved at epoch 3", resp)
+	}
+	if _, ok := b1.entry(key); !ok {
+		t.Fatal("new owner missing the copied key")
+	}
+	if _, ok := f.Ring().Member(b0.srv.URL); ok {
+		t.Fatal("drained backend still a member")
+	}
+}
+
+// TestAdminDrainFailedCopyKeepsMember: a snapshot install the new owner
+// refuses fails the handoff; the drain aborts with the member intact,
+// un-marked and the epoch unmoved, and a retry once installs work
+// again moves the key and removes the member.
+func TestAdminDrainFailedCopyKeepsMember(t *testing.T) {
+	b0, b1 := newRepBackend(t), newRepBackend(t)
+	f := newRepFront(t, 1, b0, b1)
+	const key = "ViT-S/QUQ/w6a6/partial"
+	b0.entries = []serve.EntryInfo{{Key: key, Ready: true}}
+	body := fmt.Sprintf(`{"addr":%q}`, b0.srv.URL)
+
+	b1.installsOff.Store(true)
+	if w := post(t, f.Handler(), "/admin/drain", body); w.Code != http.StatusBadGateway {
+		t.Fatalf("drain with a refused install: status %d, want 502", w.Code)
+	}
+	if b, ok := f.Ring().Member(b0.srv.URL); !ok || b.Draining() {
+		t.Fatalf("after a failed copy member=%v; want a member not marked draining", ok)
+	}
+	if got := f.Metrics().RingEpoch.Value(); got != 2 {
+		t.Fatalf("epoch after a failed copy = %d, want 2 (unchanged)", got)
+	}
+	if got := f.Metrics().Handoffs.Value(); got != 0 {
+		t.Fatalf("handoff counter after a failed copy = %d, want 0", got)
+	}
+
+	b1.installsOff.Store(false)
+	w := post(t, f.Handler(), "/admin/drain", body)
+	if w.Code != http.StatusOK {
+		t.Fatalf("drain retry: status %d: %s", w.Code, w.Body)
+	}
+	if _, ok := b1.entry(key); !ok {
+		t.Fatal("retried drain did not copy the key")
+	}
+	if _, ok := f.Ring().Member(b0.srv.URL); ok {
+		t.Fatal("retried drain left the member behind")
+	}
+	if got := f.Metrics().Handoffs.Value(); got != 1 {
+		t.Fatalf("handoff counter after the retry = %d, want 1", got)
+	}
+}
+
 // getCluster fetches and decodes the front's /cluster page.
 func getCluster(t *testing.T, f *shard.Front) (shard.ClusterView, http.Header) {
 	t.Helper()
@@ -493,37 +594,36 @@ func getCluster(t *testing.T, f *shard.Front) (shard.ClusterView, http.Header) {
 	return view, w.Header()
 }
 
-// TestAdminDrainConflicts: while a drain's handoff runs, the member is
-// marked draining on /cluster, a second drain of it is a 409 and a
-// drain of a stranger a 404; the first drain then completes. The front
-// here asks for no replication, so /cluster also shows R clamped to 1.
+// startParkedDrain starts a drain of b on f whose handoff parks on
+// b's /models listing, and returns once the handoff is listing: the
+// caller inspects the front mid-drain, then calls release and reads
+// the drain's response from done.
+func startParkedDrain(t *testing.T, f *shard.Front, b *repBackend) (release func(), done <-chan *httptest.ResponseRecorder) {
+	t.Helper()
+	b.modelsGate = make(chan struct{})
+	release = sync.OnceFunc(func() { close(b.modelsGate) })
+	t.Cleanup(release) // runs before b's own cleanup closes its server
+	out := make(chan *httptest.ResponseRecorder, 1)
+	go func() { out <- post(t, f.Handler(), "/admin/drain", fmt.Sprintf(`{"addr":%q}`, b.srv.URL)) }()
+	for b.scrapes.Load() == 0 {
+		time.Sleep(time.Millisecond) // the handoff is now listing b's entries
+	}
+	return release, out
+}
+
+// TestAdminDrainConflicts: while a drain's handoff runs, a second drain
+// of the same member is a 409 and a drain of a stranger a 404; the
+// first drain then completes.
 func TestAdminDrainConflicts(t *testing.T) {
 	b0, b1 := newRepBackend(t), newRepBackend(t)
-	b0.modelsGate = make(chan struct{})
-	release := sync.OnceFunc(func() { close(b0.modelsGate) })
-	t.Cleanup(release) // LIFO: the parked handoff is let go before b0 closes
-	f := newRepFront(t, 0, b0, b1)
+	f := newRepFront(t, 1, b0, b1)
+	release, done := startParkedDrain(t, f, b0)
 
-	body := fmt.Sprintf(`{"addr":%q}`, b0.srv.URL)
-	done := make(chan *httptest.ResponseRecorder, 1)
-	go func() { done <- post(t, f.Handler(), "/admin/drain", body) }()
-	for b0.scrapes.Load() == 0 {
-		time.Sleep(time.Millisecond) // the handoff is now listing b0's entries
-	}
-
-	view, _ := getCluster(t, f)
-	if view.Replicas != 1 || view.Epoch != 2 || len(view.Backends) != 2 {
-		t.Fatalf("mid-drain view = %+v, want replicas 1, epoch 2, 2 members", view)
-	}
-	for _, b := range view.Backends {
-		if want := b.Addr == b0.srv.URL; b.Draining != want {
-			t.Fatalf("member %s draining = %v, want %v", b.Addr, b.Draining, want)
-		}
-	}
 	// Bounded, so a second drain that wrongly starts its own handoff
 	// fails here instead of parking on the gate.
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
+	body := fmt.Sprintf(`{"addr":%q}`, b0.srv.URL)
 	req := httptest.NewRequest(http.MethodPost, "/admin/drain", strings.NewReader(body)).WithContext(ctx)
 	w := httptest.NewRecorder()
 	f.Handler().ServeHTTP(w, req)
@@ -543,10 +643,58 @@ func TestAdminDrainConflicts(t *testing.T) {
 	}
 }
 
+// TestClusterViewMarksDrainingMember: mid-drain, /cluster lists every
+// member sorted by address with the replication factor and the epoch,
+// and marks only the drainee draining; once the drain completes the
+// drainee is gone and nobody is marked.
+func TestClusterViewMarksDrainingMember(t *testing.T) {
+	backends := []*repBackend{newRepBackend(t), newRepBackend(t), newRepBackend(t)}
+	f := newRepFront(t, 3, backends...)
+	drainee := backends[1]
+	release, done := startParkedDrain(t, f, drainee)
+
+	view, _ := getCluster(t, f)
+	if view.Epoch != 3 || view.Replicas != 3 || len(view.Backends) != 3 {
+		t.Fatalf("mid-drain view = %+v, want epoch 3, replicas 3, 3 members", view)
+	}
+	for i, b := range view.Backends {
+		if i > 0 && view.Backends[i-1].Addr >= b.Addr {
+			t.Fatal("mid-drain view not sorted by address")
+		}
+		if want := b.Addr == drainee.srv.URL; b.Draining != want {
+			t.Fatalf("member %s draining = %v, want %v", b.Addr, b.Draining, want)
+		}
+	}
+
+	release()
+	if w := <-done; w.Code != http.StatusOK {
+		t.Fatalf("drain: status %d: %s", w.Code, w.Body)
+	}
+	view, _ = getCluster(t, f)
+	if view.Epoch != 4 || len(view.Backends) != 2 {
+		t.Fatalf("post-drain view = %+v, want epoch 4, 2 members", view)
+	}
+	for _, b := range view.Backends {
+		if b.Addr == drainee.srv.URL || b.Draining {
+			t.Fatalf("post-drain member %+v: drainee listed or still marked", b)
+		}
+	}
+}
+
+// TestFrontReplicasFloor: a replication factor below 1 clamps to 1;
+// /cluster reports the factor the front places with.
+func TestFrontReplicasFloor(t *testing.T) {
+	for _, tc := range []struct{ asked, want int }{{0, 1}, {-3, 1}, {2, 2}} {
+		f := newRepFront(t, tc.asked, newRepBackend(t), newRepBackend(t))
+		if view, _ := getCluster(t, f); view.Replicas != tc.want {
+			t.Fatalf("Replicas %d: /cluster replicas = %d, want %d", tc.asked, view.Replicas, tc.want)
+		}
+	}
+}
+
 // TestClusterViewRendersTopology: /cluster carries the epoch, the
 // replication factor and the placement parameters a client ring replica
-// needs, with backends sorted by address, each with its health and
-// in-flight load.
+// needs, with backends sorted by address.
 func TestClusterViewRendersTopology(t *testing.T) {
 	backends := []*repBackend{newRepBackend(t), newRepBackend(t)}
 	f := newRepFront(t, 2, backends...)
@@ -575,33 +723,6 @@ func TestClusterViewRendersTopology(t *testing.T) {
 			t.Fatalf("fresh idle member %+v reported unhealthy, draining or loaded", b)
 		}
 	}
-
-	// An ejected member stays listed, unhealthy.
-	backends[0].healthy.Store(false)
-	f.ProbeNow(context.Background())
-	f.ProbeNow(context.Background()) // failAfter=2: ejected
-	view, _ = getCluster(t, f)
-	for _, b := range view.Backends {
-		if want := b.Addr != backends[0].srv.URL; b.Healthy != want {
-			t.Fatalf("member %s healthy = %v after ejecting %s", b.Addr, b.Healthy, backends[0].srv.URL)
-		}
-	}
-	// A classify parked on a busy member shows as its in-flight load.
-	srv, arrived, release := holdBackend(t)
-	busy := shard.New(shard.Options{Backends: []string{srv.URL}, ProbeInterval: -1, Clock: chaos.NewFake()})
-	t.Cleanup(busy.Close)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		post(t, busy.Handler(), "/v1/classify", `{"model":"ViT-S","method":"QUQ","bits":6}`)
-	}()
-	<-arrived
-	view, _ = getCluster(t, busy)
-	if len(view.Backends) != 1 || view.Backends[0].Inflight != 1 {
-		t.Fatalf("view with one parked classify = %+v, want inflight 1", view.Backends)
-	}
-	release()
-	<-done
 }
 
 // TestFrontForwardsAllowlistedRequestHeaders: a client's latency budget
