@@ -1,8 +1,9 @@
 // Command quq-shard runs the consistent-hash sharding front-end: it
 // hashes each registry key (model, method, bits, regime) onto a ring of
-// quq-serve backends with bounded-load virtual nodes, proxies inference
-// to the owning shard, health-checks the fleet, and aggregates every
-// shard's /metrics into one deterministic cluster exposition.
+// quq-serve backends with virtual nodes, proxies inference to the
+// owning shard (a busy owner keeps its keys and sheds with 429s),
+// health-checks the fleet, and aggregates every shard's /metrics into
+// one deterministic cluster exposition.
 //
 // Usage:
 //

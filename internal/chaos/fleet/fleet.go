@@ -10,9 +10,10 @@
 //   - reply conservation: no request lost, none double-answered, even
 //     while connections reset and the ring fails over;
 //   - calibrate-exactly-once: a key's PRA calibration runs once
-//     fleet-wide, surviving a first client that disconnects mid-build
-//     and a transient failure that must evict-and-retry, never
-//     double-build;
+//     fleet-wide, surviving a first client that disconnects mid-build,
+//     a transient failure that must evict-and-retry, never
+//     double-build, and requests that overlap on a busy owner, which
+//     keeps its keys;
 //   - 429-never-retried: backend backpressure reaches the client
 //     verbatim (status and Retry-After) with exactly one backend
 //     attempt — retrying a 429 amplifies the very overload it signals;

@@ -85,27 +85,37 @@ func scenarioResetFailover(ctx context.Context, seed uint64, opts Options, rep *
 }
 
 // scenarioCalibrateOnce checks the calibrate-exactly-once contract
-// under the two classic spoilers: a first client that disconnects
-// mid-build (the detached build must finish and serve the next caller
-// from cache) and a transient calibration failure (the poisoned entry
-// must be evicted and rebuilt exactly once more — not zero, not per
-// subsequent request).
+// under four spoilers: a first client that disconnects mid-build (the
+// detached build must finish and serve the next caller from cache), a
+// transient calibration failure (the poisoned entry must be evicted and
+// rebuilt exactly once more — not zero, not per subsequent request), and
+// two overlaps that make an owner busy — three quantizes of one cold
+// key, and a classify of a warm key behind another held in the owner's
+// forward. A busy owner keeps its keys: at R = 1 every other worker
+// would calibrate them afresh.
 func scenarioCalibrateOnce(ctx context.Context, seed uint64, opts Options, rep *chaos.Report) error {
 	selA := Selection{Model: "ViT-Nano", Method: "BaseQ", Bits: 6}
 	selB := Selection{Model: "ViT-Nano", Method: "QUQ", Bits: 6}
-	keyA, err := selA.Key()
-	if err != nil {
-		return err
-	}
-	keyB, err := selB.Key()
-	if err != nil {
-		return err
+	selC := Selection{Model: "ViT-Nano", Method: "BaseQ", Bits: 4}
+	selD := Selection{Model: "ViT-Nano", Method: "BaseQ", Bits: 8}
+	var keyA, keyB, keyC, keyD string
+	for _, k := range []struct {
+		sel Selection
+		key *string
+	}{{selA, &keyA}, {selB, &keyB}, {selC, &keyC}, {selD, &keyD}} {
+		var err error
+		if *k.key, err = k.sel.Key(); err != nil {
+			return err
+		}
 	}
 
 	var mu sync.Mutex
 	builds := map[string]int{}
 	started := make(chan struct{})
 	release := make(chan struct{})
+	releaseC := make(chan struct{})
+	releaseD := make(chan struct{})
+	var holdingD atomic.Bool
 	cfg := baseConfig(seed)
 	cfg.Registry.BuildHook = func(k serve.Key) error {
 		ks := k.String()
@@ -119,8 +129,15 @@ func scenarioCalibrateOnce(ctx context.Context, seed uint64, opts Options, rep *
 			<-release
 		case ks == keyB && n == 1:
 			return errors.New("chaos: injected calibration failure")
+		case ks == keyC:
+			<-releaseC // every build of key C waits until all three quantizes are in flight
 		}
 		return nil
+	}
+	cfg.Batcher.ForwardHook = func(key string) {
+		if key == keyD && holdingD.CompareAndSwap(false, true) {
+			<-releaseD // the first forward of key D waits for the overlap
+		}
 	}
 	f, err := Boot(ctx, 3, 1, cfg, &chaos.Script{Name: "calibrate-once", Seed: seed}, opts)
 	if err != nil {
@@ -173,6 +190,73 @@ func scenarioCalibrateOnce(ctx context.Context, seed uint64, opts Options, rep *
 	}
 	if r.Status != http.StatusOK {
 		return fmt.Errorf("calibration retry: status %d, want 200", r.Status)
+	}
+
+	// waitFor spins until the front is proxying n requests or one of
+	// those sent has returned.
+	waitFor := func(n int64, done chan error) error {
+		for len(done) == 0 {
+			var inflight int64
+			for _, b := range f.Front.Ring().Backends() {
+				inflight += b.Inflight()
+			}
+			if inflight >= n {
+				return nil
+			}
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			runtime.Gosched()
+		}
+		return nil
+	}
+	send := func(path string, body any, done chan error) {
+		r, err := post(ctx, f.Base+path, body)
+		if err == nil && r.Status != http.StatusOK {
+			err = fmt.Errorf("%s: status %d, want 200", path, r.Status)
+		}
+		done <- err
+	}
+
+	// Key C: three quantizes of the cold key overlap, each sent once the
+	// one before it is in flight. The owner's registry folds them into
+	// its one build; a router that spilled the busy owner's key would
+	// send the second and third to successors, which calibrate it again.
+	quantized := make(chan error, 3)
+	for i := int64(1); i <= 3; i++ {
+		go send("/v1/quantize", selC, quantized)
+		if err := waitFor(i, quantized); err != nil {
+			return err
+		}
+	}
+	close(releaseC)
+	for i := 0; i < 3; i++ {
+		if err := <-quantized; err != nil {
+			return fmt.Errorf("overlapping quantize: %w", err)
+		}
+	}
+
+	// Key D: warm on its owner, then a classify parks inside the owner's
+	// forward while a second one overlaps it. The second must wait for
+	// the owner, which holds the calibration: at R = 1 any other worker
+	// would build the key, so zero new builds means the owner served it.
+	classified := make(chan error, 2)
+	send("/v1/quantize", selD, classified)
+	if err := <-classified; err != nil {
+		return fmt.Errorf("warm quantize: %w", err)
+	}
+	img := data.Images(vit.ViTNano, 1, seed)[0].Data()
+	for i := int64(1); i <= 2; i++ {
+		go send("/v1/classify", ClassifyBody(selD, img), classified)
+		if err := waitFor(i, classified); err != nil {
+			return err
+		}
+	}
+	close(releaseD)
+	for i := 0; i < 2; i++ {
+		if err := <-classified; err != nil {
+			return fmt.Errorf("overlapping classify: %w", err)
+		}
 	}
 
 	mu.Lock()
@@ -252,7 +336,7 @@ func scenarioBoundedRemap(ctx context.Context, seed uint64, opts Options, rep *c
 			return errors.New("could not balance synthetic keys across shards")
 		}
 		key := fmt.Sprintf("chaos-remap-%d", i)
-		b, err := ring.Pick(key, nil)
+		b, _, err := ring.Route(key, nil)
 		if err != nil {
 			return err
 		}
@@ -264,7 +348,7 @@ func scenarioBoundedRemap(ctx context.Context, seed uint64, opts Options, rep *c
 	pickAll := func() (map[string]int, error) {
 		m := make(map[string]int, len(owners))
 		for key := range owners {
-			b, err := ring.Pick(key, nil)
+			b, _, err := ring.Route(key, nil)
 			if err != nil {
 				return nil, err
 			}

@@ -8,8 +8,10 @@ package shard
 // and claims its arcs; leave drops it abruptly (replication is what
 // covers the keys it held); drain copies its calibrated keys' snapshots
 // onto the post-departure owners first and only then removes it, so a
-// planned departure loses nothing and recalibrates nothing, even at
-// R = 1.
+// planned departure recalibrates nothing. It copies at most
+// handoffMaxKeys (64) keys: at R = 1 the keys past the cap are lost
+// with the member and calibrate afresh on their new owners when next
+// asked for.
 
 import (
 	"context"
@@ -17,6 +19,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"strconv"
 
 	"quq/internal/serve"
@@ -32,25 +35,19 @@ type ClusterBackend struct {
 
 // ClusterView is the /cluster page: everything a client needs to build
 // a byte-identical local replica of the front-end's ring — the vnode
-// count and load factor (placement parameters), the member list (ring
-// contents), and the epoch that versions them.
+// count (the one placement parameter), the member list (ring contents),
+// and the epoch that versions them.
 type ClusterView struct {
-	Epoch         uint64           `json:"epoch"`
-	Replicas      int              `json:"replicas"`
-	VNodes        int              `json:"vnodes"`
-	MaxLoadFactor float64          `json:"max_load_factor"`
-	Backends      []ClusterBackend `json:"backends"`
+	Epoch    uint64           `json:"epoch"`
+	Replicas int              `json:"replicas"`
+	VNodes   int              `json:"vnodes"`
+	Backends []ClusterBackend `json:"backends"`
 }
 
 // handleCluster renders the roster, epoch-stamped.
 func (f *Front) handleCluster(w http.ResponseWriter, r *http.Request) {
 	epoch, members := f.ring.Roster()
-	cv := ClusterView{
-		Epoch:         epoch,
-		Replicas:      f.opts.Replicas,
-		VNodes:        vnodes,
-		MaxLoadFactor: maxLoadFactor,
-	}
+	cv := ClusterView{Epoch: epoch, Replicas: f.opts.Replicas, VNodes: VNodes}
 	for _, b := range members {
 		cv.Backends = append(cv.Backends, ClusterBackend{
 			Addr:     b.Addr(),
@@ -202,10 +199,10 @@ func (f *Front) handleAdminDrain(w http.ResponseWriter, r *http.Request) {
 // entries, and copy every ready key's snapshot from it onto each
 // healthy owner the key will have after the departure — the same
 // verified transfer anti-entropy repairs with, so nothing recalibrates.
-// The first failed copy aborts the whole drain so a "successful" drain
-// can never silently shed calibrations. The key count is bounded by
-// handoffMaxKeys — keys past the cap fall back on replication or
-// on-demand recalibration.
+// The first failed copy aborts the whole drain, so a successful drain
+// never silently sheds a key it took on. The key count is bounded by
+// handoffMaxKeys — keys past the cap are not copied and fall back on
+// replication or on-demand recalibration.
 func (f *Front) handoffKeys(ctx context.Context, from *Backend) (int, error) {
 	var page struct {
 		Entries []serve.EntryInfo `json:"entries"`
@@ -218,8 +215,12 @@ func (f *Front) handoffKeys(ctx context.Context, from *Backend) (int, error) {
 		if !e.Ready || moved >= handoffMaxKeys {
 			continue
 		}
+		// The key's owners once from has left: its first R successors
+		// other than from.
+		owners := slices.DeleteFunc(f.ring.OwnerN(e.Key, f.opts.Replicas+1),
+			func(b *Backend) bool { return b == from })
 		copied := 0
-		for _, owner := range f.ring.OwnerNSkip(e.Key, f.opts.Replicas, from.addr) {
+		for _, owner := range owners[:min(len(owners), f.opts.Replicas)] {
 			if !owner.Healthy() {
 				// An ejected owner keeps its slot but cannot take a copy
 				// now; it recalibrates on demand once readmitted.

@@ -70,7 +70,7 @@ type Front struct {
 func New(opts Options) *Front {
 	opts.defaults()
 	met := NewShardMetrics()
-	ring := NewRing(vnodes, maxLoadFactor)
+	ring := NewRing(VNodes)
 	client := &http.Client{Transport: opts.Transport}
 	f := &Front{
 		opts:   opts,
@@ -210,7 +210,7 @@ func (f *Front) handleProxy(w http.ResponseWriter, r *http.Request) {
 
 	exclude := map[*Backend]bool{}
 	for {
-		b, replica, err := f.pickReplica(key.String(), exclude)
+		b, i, err := f.ring.Route(key.String(), exclude)
 		if err != nil {
 			f.writeError(w, http.StatusServiceUnavailable, fmt.Errorf("%w for key %s", err, key))
 			return
@@ -218,7 +218,14 @@ func (f *Front) handleProxy(w http.ResponseWriter, r *http.Request) {
 		if len(exclude) > 0 {
 			f.met.Failovers.Inc()
 		}
-		resp, err := f.forward(r.Context(), b, r.URL.Path, r.Header, body, replica, f.drawDelays())
+		// A backend inside the replica set is stamped with its slot; one
+		// past it (or any at R = 1) holds no slot and calibrates the key
+		// on demand, so a read never fails while a healthy backend is left.
+		slot := -1
+		if f.opts.Replicas > 1 && i < f.opts.Replicas {
+			slot = i
+		}
+		resp, err := f.forward(r.Context(), b, r.URL.Path, r.Header, body, slot, f.drawDelays())
 		if err != nil {
 			if cerr := r.Context().Err(); cerr != nil {
 				// The client hung up or its deadline expired while the
@@ -238,27 +245,6 @@ func (f *Front) handleProxy(w http.ResponseWriter, r *http.Request) {
 		f.relay(w, resp, b)
 		return
 	}
-}
-
-// pickReplica chooses the backend for a read. With replication on, the
-// key's replica set is tried in slot order first — those are the
-// backends holding (or entitled to hold) the calibration, and a slot's
-// identity survives its siblings' health flaps — and only when every
-// replica is excluded or unhealthy does the walk continue past the set
-// via Pick, which preserves the R = 1 failover semantics: a read never
-// fails while any healthy backend remains, it just pays a fresh
-// calibration beyond the replica set. The int is the replica slot the
-// choice occupies, -1 when the backend is outside the set.
-func (f *Front) pickReplica(key string, exclude map[*Backend]bool) (*Backend, int, error) {
-	if f.opts.Replicas > 1 {
-		for slot, b := range f.ring.OwnerN(key, f.opts.Replicas) {
-			if !exclude[b] && b.healthy.Load() {
-				return b, slot, nil
-			}
-		}
-	}
-	b, err := f.ring.Pick(key, exclude)
-	return b, -1, err
 }
 
 // proxyReplicated fans one quantize out to every healthy replica owner

@@ -314,6 +314,53 @@ func TestReplicatedReadFailsOverToReplica(t *testing.T) {
 	}
 }
 
+// TestReadPastReplicaSetIsUnstamped pins the read's slot rule: a
+// backend is stamped with its replica slot only inside the first R of
+// the key's successors. At R = 2 over three backends, with the primary
+// already ejected and the second owner dead, a read fails over once to
+// the third backend, which holds no slot and gets no stamp; at R = 1 no
+// read is stamped.
+func TestReadPastReplicaSetIsUnstamped(t *testing.T) {
+	backends := []*repBackend{newRepBackend(t), newRepBackend(t), newRepBackend(t)}
+	f := newRepFront(t, 2, backends...)
+	addrs := byAddr(backends)
+
+	const key = "DeiT-B/QUQ/w6a6/partial"
+	body := `{"model":"DeiT-B","method":"QUQ","bits":6}`
+	walk := f.Ring().OwnerN(key, 3)
+	addrs[walk[0].Addr()].srv.Close()
+	f.ProbeNow(context.Background())
+	f.ProbeNow(context.Background()) // failAfter=2: the primary is ejected
+	if walk[0].Healthy() || !walk[1].Healthy() {
+		t.Fatal("probes should eject the primary alone")
+	}
+	addrs[walk[1].Addr()].srv.Close()
+
+	w := post(t, f.Handler(), "/v1/classify", body)
+	if w.Code != http.StatusOK {
+		t.Fatalf("classify: status %d: %s", w.Code, w.Body)
+	}
+	if got := w.Header().Get(shard.BackendHeader); got != walk[2].Addr() {
+		t.Fatalf("read served by %s, want the third backend %s", got, walk[2].Addr())
+	}
+	third := addrs[walk[2].Addr()]
+	if got := third.seen(&third.classifies); len(got) != 1 || got[0] != key+"@-" {
+		t.Fatalf("third backend saw %v, want one unstamped %s@-", got, key)
+	}
+	if got := f.Metrics().Failovers.Value(); got != 1 {
+		t.Fatalf("failovers = %d, want 1", got)
+	}
+
+	single := []*repBackend{newRepBackend(t), newRepBackend(t)}
+	f = newRepFront(t, 1, single...)
+	w = post(t, f.Handler(), "/v1/classify", body)
+	owner, _ := f.Ring().Owner(key)
+	b := byAddr(single)[owner.Addr()]
+	if got := b.seen(&b.classifies); w.Code != http.StatusOK || len(got) != 1 || got[0] != key+"@-" {
+		t.Fatalf("R = 1 read: status %d, owner saw %v; want one unstamped %s@-", w.Code, got, key)
+	}
+}
+
 // TestAdminJoinAndLeave: joins admit live backends without a restart
 // (epoch bump, ring membership, topology gauges), re-joins are
 // idempotent, and leaves evict. Unknown leaves are 404, empty bodies
@@ -402,7 +449,7 @@ func TestAdminDrainHandsOffKeys(t *testing.T) {
 		{Key: key, Ready: true},
 		{Key: "ViT-S/BaseQ/w8a8/full", Ready: false}, // mid-build: not handed off
 	}
-	newOwners := f.Ring().OwnerNSkip(key, 1, owner.Addr())
+	newOwners := f.Ring().OwnerN(key, 2)[1:] // the owner's successor
 	if len(newOwners) != 1 || newOwners[0].Addr() == owner.Addr() {
 		t.Fatalf("bad post-departure owners %v", newOwners)
 	}
@@ -703,8 +750,8 @@ func TestClusterViewRendersTopology(t *testing.T) {
 	if got := hdr.Get(shard.EpochHeader); got != "2" {
 		t.Fatalf("epoch header = %q, want \"2\"", got)
 	}
-	if view.Epoch != 2 || view.Replicas != 2 || view.VNodes != 128 || view.MaxLoadFactor != 1.25 {
-		t.Fatalf("view = %+v, want epoch 2, replicas 2, vnodes 128, load factor 1.25", view)
+	if view.Epoch != 2 || view.Replicas != 2 || view.VNodes != 128 {
+		t.Fatalf("view = %+v, want epoch 2, replicas 2, vnodes 128", view)
 	}
 	if len(view.Backends) != 2 {
 		t.Fatalf("view backends = %d, want 2", len(view.Backends))

@@ -3,6 +3,7 @@ package shard
 import (
 	"errors"
 	"hash/fnv"
+	"math"
 	"sort"
 	"strconv"
 	"sync"
@@ -45,15 +46,14 @@ func (b *Backend) Inflight() int64 { return b.inflight.Load() }
 // observed connection failures until the next refresh.
 func (b *Backend) SetHealthy(v bool) { b.healthy.Store(v) }
 
-// Ring is a consistent-hash ring with virtual nodes and bounded-load
-// overflow, and the front's roster: its members are the fleet. Placement
-// depends only on the backend address set and the key bytes — FNV-1a
-// hashing, no map iteration, no randomness, no time — so every
-// front-end process computes identical ownership. All methods are safe
-// for concurrent use.
+// Ring is a consistent-hash ring with virtual nodes, and the front's
+// roster: its members are the fleet. Placement depends only on the
+// backend address set and the key bytes — FNV-1a hashing, no map
+// iteration, no randomness, no time, no load — so every front-end
+// process computes identical ownership. All methods are safe for
+// concurrent use.
 type Ring struct {
-	vnodes        int
-	maxLoadFactor float64
+	vnodes int
 
 	mu       sync.RWMutex
 	epoch    uint64 // effective Adds and Removes so far
@@ -69,19 +69,14 @@ type ringPoint struct {
 }
 
 // NewRing builds an empty ring with the given virtual-node count per
-// backend and bounded-load factor (<= 0 disables load bounding).
-// vnodes must be positive: a silent default here would let a ring and a
-// shardclient replica of it disagree on placement, so a non-positive
-// count is a programmer error, not a tunable.
-func NewRing(vnodes int, maxLoadFactor float64) *Ring {
+// backend. vnodes must be positive: a silent default here would let a
+// ring and a shardclient replica of it disagree on placement, so a
+// non-positive count is a programmer error, not a tunable.
+func NewRing(vnodes int) *Ring {
 	if vnodes <= 0 {
 		panic(check.Invariantf("shard: NewRing vnodes must be positive, got %d", vnodes))
 	}
-	return &Ring{
-		vnodes:        vnodes,
-		maxLoadFactor: maxLoadFactor,
-		backends:      map[string]*Backend{},
-	}
+	return &Ring{vnodes: vnodes, backends: map[string]*Backend{}}
 }
 
 // hashString is FNV-1a 64 — stable across processes and Go versions,
@@ -206,116 +201,37 @@ func (r *Ring) startLocked(key string) int {
 func (r *Ring) OwnerN(key string, n int) []*Backend {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	return r.ownerNLocked(key, n, "")
-}
-
-// ownerNLocked is OwnerN with an optional address to skip — the drain
-// path computes the post-departure owners while the leaver is still a
-// ring member and still serving.
-func (r *Ring) ownerNLocked(key string, n int, skip string) []*Backend {
 	if len(r.points) == 0 || n <= 0 {
 		return nil
 	}
+	n = min(n, len(r.backends)) // the walk ends once every member is seen
 	start := r.startLocked(key)
 	owners := make([]*Backend, 0, n)
-	seen := make(map[*Backend]bool, len(r.backends))
+	seen := make(map[*Backend]bool, n)
 	for i := 0; i < len(r.points) && len(owners) < n; i++ {
 		p := r.points[(start+i)%len(r.points)]
-		if seen[p.b] {
-			continue
+		if !seen[p.b] {
+			seen[p.b] = true
+			owners = append(owners, p.b)
 		}
-		seen[p.b] = true
-		if p.b.addr == skip {
-			continue
-		}
-		owners = append(owners, p.b)
 	}
 	return owners
 }
 
-// OwnerNSkip is OwnerN computed as if the named backend had already
-// left the ring (drain handoff planning).
-func (r *Ring) OwnerNSkip(key string, n int, skip string) []*Backend {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.ownerNLocked(key, n, skip)
-}
-
-// VNodes returns the virtual-node count per backend.
-func (r *Ring) VNodes() int { return r.vnodes }
-
-// MaxLoadFactor returns the bounded-load factor (<= 0: unbounded).
-func (r *Ring) MaxLoadFactor() float64 { return r.maxLoadFactor }
-
-// Points returns the number of virtual nodes currently on the ring —
-// always members × vnodes; the Add-idempotency tests pin that.
-func (r *Ring) Points() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return len(r.points)
-}
-
-// Pick returns the backend that should serve a key right now: the first
-// ring successor that is healthy, not excluded, and under the bounded-
-// load threshold. If every healthy candidate is over the bound, the
-// first healthy one is used anyway (shedding load is the backend's 429
-// backpressure's job, not the router's). Excluded backends are ones the
-// caller already failed against this request.
-func (r *Ring) Pick(key string, exclude map[*Backend]bool) (*Backend, error) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	if len(r.points) == 0 {
-		return nil, ErrNoBackends
-	}
-	start := r.startLocked(key)
-	bound := r.loadBoundLocked()
-	var fallback *Backend
-	seen := make(map[*Backend]bool, len(r.backends))
-	for n := 0; n < len(r.points); n++ {
-		p := r.points[(start+n)%len(r.points)]
-		if seen[p.b] {
-			continue
-		}
-		seen[p.b] = true
-		if exclude[p.b] || !p.b.healthy.Load() {
-			continue
-		}
-		if fallback == nil {
-			fallback = p.b
-		}
-		if bound == 0 || p.b.inflight.Load() < bound {
-			return p.b, nil
+// Route returns the backend that serves a key right now and its
+// position on the key's successor walk (position i < R is the key's
+// replica-i slot): the first member that is healthy and not excluded.
+// Excluded backends are ones the caller already failed against this
+// request. Load plays no part: a busy owner keeps its keys, because a
+// successor would calibrate them afresh, and shedding load is the
+// backend's 429 backpressure's job, not the router's.
+func (r *Ring) Route(key string, exclude map[*Backend]bool) (*Backend, int, error) {
+	for i, b := range r.OwnerN(key, math.MaxInt) {
+		if !exclude[b] && b.Healthy() {
+			return b, i, nil
 		}
 	}
-	if fallback == nil {
-		return nil, ErrNoBackends
-	}
-	return fallback, nil
-}
-
-// loadBoundLocked computes the bounded-load threshold: ceil(c * (total
-// in-flight + 1) / healthy backends), the classic consistent-hashing-
-// with-bounded-loads bound. Zero means unbounded.
-func (r *Ring) loadBoundLocked() int64 {
-	if r.maxLoadFactor <= 0 {
-		return 0
-	}
-	var total int64
-	var healthy int64
-	for _, b := range r.backends {
-		if b.healthy.Load() {
-			healthy++
-			total += b.inflight.Load()
-		}
-	}
-	if healthy == 0 {
-		return 0
-	}
-	bound := int64(r.maxLoadFactor * float64(total+1) / float64(healthy))
-	if bound < 1 {
-		bound = 1
-	}
-	return bound
+	return nil, -1, ErrNoBackends
 }
 
 // Backends snapshots the ring membership sorted by address.

@@ -32,11 +32,11 @@ func ownerMap(r *Ring, keys []string) map[string]string {
 // no coordination.
 func TestRingOwnerDeterministic(t *testing.T) {
 	addrs := []string{"http://a:1", "http://b:2", "http://c:3", "http://d:4"}
-	a := NewRing(128, 0)
+	a := NewRing(128)
 	for _, addr := range addrs {
 		a.Add(addr)
 	}
-	b := NewRing(128, 0)
+	b := NewRing(128)
 	for i := range addrs {
 		b.Add(addrs[len(addrs)-1-i]) // reverse order
 	}
@@ -54,7 +54,7 @@ func TestRingOwnerDeterministic(t *testing.T) {
 // (consistent hashing moves only the arcs the newcomer claims).
 func TestRingRemappingOnAdd(t *testing.T) {
 	const n = 3
-	r := NewRing(128, 0)
+	r := NewRing(128)
 	for i := 0; i < n; i++ {
 		r.Add(fmt.Sprintf("http://backend-%d:86", i))
 	}
@@ -88,7 +88,7 @@ func TestRingRemappingOnAdd(t *testing.T) {
 // keys it owned (each to a survivor) and leave every other key in place.
 func TestRingRemappingOnRemove(t *testing.T) {
 	const n = 4
-	r := NewRing(128, 0)
+	r := NewRing(128)
 	addrs := make([]string, n)
 	for i := range addrs {
 		addrs[i] = fmt.Sprintf("http://backend-%d:86", i)
@@ -123,7 +123,7 @@ func TestRingRemappingOnRemove(t *testing.T) {
 // disproportionate share.
 func TestRingSpreadsKeys(t *testing.T) {
 	const n = 3
-	r := NewRing(128, 0)
+	r := NewRing(128)
 	for i := 0; i < n; i++ {
 		r.Add(fmt.Sprintf("http://backend-%d:86", i))
 	}
@@ -144,78 +144,43 @@ func TestRingSpreadsKeys(t *testing.T) {
 	}
 }
 
-// TestRingPickHealthAndFailover: Pick skips unhealthy backends and
-// honors the exclude set; with everything down it reports ErrNoBackends.
-func TestRingPickHealthAndFailover(t *testing.T) {
-	r := NewRing(64, 0)
+// TestRingRouteHealthAndFailover: Route walks the key's successors,
+// skipping unhealthy backends and honoring the exclude set, and reports
+// the walk position (the replica slot a front stamps); with everything
+// down it reports ErrNoBackends. Load never moves a key.
+func TestRingRouteHealthAndFailover(t *testing.T) {
+	r := NewRing(64)
 	for i := 0; i < 3; i++ {
 		r.Add(fmt.Sprintf("http://backend-%d:86", i))
 	}
 	key := "ViT-S/QUQ/w6a6/partial"
-	owner, _ := r.Owner(key)
-	if picked, err := r.Pick(key, nil); err != nil || picked != owner {
-		t.Fatalf("healthy Pick = %v, %v; want the owner %s", picked, err, owner.Addr())
+	walk := r.OwnerN(key, 3)
+	route := func(exclude map[*Backend]bool, want *Backend, wantPos int) {
+		t.Helper()
+		if b, pos, err := r.Route(key, exclude); err != nil || b != want || pos != wantPos {
+			t.Fatalf("Route = %v @%d, %v; want %s @%d", b, pos, err, want.Addr(), wantPos)
+		}
 	}
+	route(nil, walk[0], 0)
 
-	owner.healthy.Store(false)
-	second, err := r.Pick(key, nil)
-	if err != nil || second == owner {
-		t.Fatalf("Pick with unhealthy owner = %v, %v; want a successor", second, err)
-	}
+	// A busy owner keeps its key: a successor would calibrate it afresh.
+	walk[0].inflight.Store(100)
+	route(nil, walk[0], 0)
+	walk[0].inflight.Store(0)
 
+	walk[0].healthy.Store(false)
+	route(nil, walk[1], 1)
 	// Excluding the successor too walks further around the ring.
-	third, err := r.Pick(key, map[*Backend]bool{second: true})
-	if err != nil || third == owner || third == second {
-		t.Fatalf("Pick excluding successor = %v, %v; want the third backend", third, err)
-	}
+	route(map[*Backend]bool{walk[1]: true}, walk[2], 2)
 
-	owner.healthy.Store(true)
-	if picked, _ := r.Pick(key, nil); picked != owner {
-		t.Fatal("readmitted owner did not get its arc back")
-	}
+	walk[0].healthy.Store(true)
+	route(nil, walk[0], 0)
 
 	for _, b := range r.Backends() {
 		b.healthy.Store(false)
 	}
-	if _, err := r.Pick(key, nil); err == nil {
-		t.Fatal("Pick with all backends down must fail")
-	}
-}
-
-// TestRingBoundedLoad: a backend far above the fleet-average load spills
-// its keys to a successor; once it drains, placement snaps back.
-func TestRingBoundedLoad(t *testing.T) {
-	r := NewRing(64, 1.25)
-	for i := 0; i < 3; i++ {
-		r.Add(fmt.Sprintf("http://backend-%d:86", i))
-	}
-	key := "DeiT-B/QUQ/w8a8/full"
-	owner, _ := r.Owner(key)
-
-	owner.inflight.Store(100)
-	spilled, err := r.Pick(key, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if spilled == owner {
-		t.Fatal("overloaded owner was not spilled")
-	}
-
-	owner.inflight.Store(0)
-	back, _ := r.Pick(key, nil)
-	if back != owner {
-		t.Fatal("drained owner did not get its arc back")
-	}
-
-	// With load bounding disabled the overloaded owner keeps its keys.
-	u := NewRing(64, 0)
-	for i := 0; i < 3; i++ {
-		u.Add(fmt.Sprintf("http://backend-%d:86", i))
-	}
-	uo, _ := u.Owner(key)
-	uo.inflight.Store(100)
-	if picked, _ := u.Pick(key, nil); picked != uo {
-		t.Fatal("unbounded ring must ignore load")
+	if _, _, err := r.Route(key, nil); err != ErrNoBackends {
+		t.Fatalf("Route with all backends down = %v, want ErrNoBackends", err)
 	}
 }
 
@@ -228,10 +193,10 @@ func TestNewRingRejectsNonPositiveVNodes(t *testing.T) {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("NewRing(%d, 0) did not panic", vnodes)
+					t.Errorf("NewRing(%d) did not panic", vnodes)
 				}
 			}()
-			NewRing(vnodes, 0)
+			NewRing(vnodes)
 		}()
 	}
 }
@@ -242,13 +207,13 @@ func TestNewRingRejectsNonPositiveVNodes(t *testing.T) {
 // member's keyspace share and desynchronize any ring replica built from
 // the membership view.
 func TestRingAddIdempotent(t *testing.T) {
-	r := NewRing(64, 0)
+	r := NewRing(64)
 	first, added := r.Add("http://backend-0:86")
 	if !added {
 		t.Fatal("first Add reported no change")
 	}
 	r.Add("http://backend-1:86")
-	points := r.Points()
+	points := len(r.points)
 	if points != 2*64 {
 		t.Fatalf("points = %d, want %d", points, 2*64)
 	}
@@ -256,7 +221,7 @@ func TestRingAddIdempotent(t *testing.T) {
 	if again != first || added {
 		t.Fatalf("re-Add = %p, %v; want the existing %p, false", again, added, first)
 	}
-	if got := r.Points(); got != points {
+	if got := len(r.points); got != points {
 		t.Fatalf("re-Add grew the ring: %d -> %d points", points, got)
 	}
 	if n := len(r.Backends()); n != 2 {
@@ -272,7 +237,7 @@ func TestRingAddIdempotent(t *testing.T) {
 // of a stranger reports no change and leaves it alone. Roster pairs the
 // epoch with the members it numbers.
 func TestRingEpochCountsEffectiveChanges(t *testing.T) {
-	r := NewRing(8, 0)
+	r := NewRing(8)
 	if e := r.Epoch(); e != 0 {
 		t.Fatalf("fresh epoch = %d, want 0", e)
 	}
@@ -292,7 +257,7 @@ func TestRingEpochCountsEffectiveChanges(t *testing.T) {
 	if epoch != 4 || len(members) != 2 || members[0].Addr() != "b" || members[1].Addr() != "c" {
 		t.Fatalf("roster = %d, %v; want epoch 4 over [b c]", epoch, members)
 	}
-	if got := r.Points(); got != 2*8 {
+	if got := len(r.points); got != 2*8 {
 		t.Fatalf("points = %d, want %d", got, 2*8)
 	}
 }
@@ -300,10 +265,9 @@ func TestRingEpochCountsEffectiveChanges(t *testing.T) {
 // TestRingOwnerN: the replica walk yields distinct backends in
 // successor order — owner 0 is Owner(key); the set is a pure function
 // of membership, so an unhealthy member keeps its slot (callers skip
-// it but never renumber); the skip variant previews post-departure
-// ownership.
+// it but never renumber).
 func TestRingOwnerN(t *testing.T) {
-	r := NewRing(64, 0)
+	r := NewRing(64)
 	addrs := make([]string, 4)
 	for i := range addrs {
 		addrs[i] = fmt.Sprintf("http://backend-%d:86", i)
@@ -331,12 +295,6 @@ func TestRingOwnerN(t *testing.T) {
 	stable := r.OwnerN(key, 2)
 	if len(stable) != 2 || stable[0] != all[0] || stable[1] != all[1] {
 		t.Fatal("transient unhealth renumbered the replica slots")
-	}
-	all[0].healthy.Store(true)
-
-	skipped := r.OwnerNSkip(key, 2, all[0].Addr())
-	if len(skipped) != 2 || skipped[0] != all[1] || skipped[1] != all[2] {
-		t.Fatal("OwnerNSkip did not preview the post-departure owners")
 	}
 	if got := r.OwnerN(key, 0); got != nil {
 		t.Fatalf("OwnerN(key, 0) = %v, want nil", got)

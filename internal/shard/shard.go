@@ -7,12 +7,14 @@
 //
 // The pieces:
 //
-//   - Ring (ring.go): a consistent-hash ring with virtual nodes and
-//     bounded-load overflow. Keys are canonical serve.Key strings
-//     (serve.CanonicalKey runs before hashing, so "Quq" and "quq" land
-//     on one shard); hashing is FNV-1a, so two processes always agree
-//     on ownership, and adding or removing one backend only remaps the
-//     arcs it owns (~1/N of the keyspace). The ring is also the roster:
+//   - Ring (ring.go): a consistent-hash ring with virtual nodes. Keys
+//     are canonical serve.Key strings (serve.CanonicalKey runs before
+//     hashing, so "Quq" and "quq" land on one shard); hashing is
+//     FNV-1a, so two processes always agree on ownership, and adding or
+//     removing one backend only remaps the arcs it owns (~1/N of the
+//     keyspace). Load never moves a key: a busy owner keeps it, since
+//     any other backend would calibrate it afresh, and sheds with 429s
+//     instead. The ring is also the roster:
 //     the admin surface (admin.go) joins, drains and removes members on
 //     it, and its epoch counts those changes;
 //   - prober (prober.go): periodic /healthz probes with
@@ -36,17 +38,15 @@ import (
 	"quq/internal/serve/metrics"
 )
 
+// VNodes is the number of virtual nodes per backend: more means
+// smoother key distribution and smaller moved arcs. /cluster reports
+// it, and a shard-aware client refuses a view that places with any
+// other count.
+const VNodes = 128
+
 // What no deployment, chaos script or benchmark has ever set is a
-// constant, not an option. /cluster reports vnodes and maxLoadFactor,
-// so a shard-aware client still rebuilds the same ring.
+// constant, not an option.
 const (
-	// vnodes is the number of virtual nodes per backend: more means
-	// smoother key distribution and smaller moved arcs.
-	vnodes = 128
-	// maxLoadFactor bounds per-backend load: a backend whose in-flight
-	// request count exceeds it times the fleet average spills its keys
-	// to the next ring successor.
-	maxLoadFactor = 1.25
 	// handoffMaxKeys bounds how many registry keys one admin drain
 	// re-homes before the member leaves; entries beyond the cap rely on
 	// replication or on-demand recalibration.

@@ -1,9 +1,9 @@
 // Package shardclient is the shard-aware client library for a quq
 // fleet. A Client bootstraps from the front-end's GET /cluster page,
 // builds a local replica of the consistent-hash ring from the same
-// placement parameters (vnode count, load factor, member list), and
-// routes reads directly to the workers that own each key — skipping
-// the proxy hop on the hot path. The local ring is byte-identical to
+// placement parameters (vnode count, member list), and routes reads
+// directly to the workers that own each key — skipping the proxy hop
+// on the hot path. The local ring is byte-identical to
 // the server's by construction (same FNV-1a hashing, same tie-breaks),
 // which the property tests pin.
 //
@@ -117,10 +117,13 @@ func (c *Client) Refresh(ctx context.Context) error {
 	if err := decodeBody(resp, &view); err != nil {
 		return fmt.Errorf("shardclient: cluster view: %w", err)
 	}
-	if view.VNodes <= 0 {
-		return fmt.Errorf("shardclient: cluster view has vnodes=%d; cannot replicate the ring", view.VNodes)
+	// The count is the front's constant; any other value is a front this
+	// client cannot place like, or a page that would make Ring.Add
+	// allocate vnodes points per member.
+	if view.VNodes != shard.VNodes {
+		return fmt.Errorf("shardclient: cluster view has vnodes=%d, want %d; cannot replicate the ring", view.VNodes, shard.VNodes)
 	}
-	ring := shard.NewRing(view.VNodes, view.MaxLoadFactor)
+	ring := shard.NewRing(shard.VNodes)
 	for _, cb := range view.Backends {
 		b, _ := ring.Add(cb.Addr)
 		b.SetHealthy(cb.Healthy)

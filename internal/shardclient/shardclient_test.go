@@ -358,3 +358,21 @@ func TestNewFailsOnUnreachableFront(t *testing.T) {
 		t.Fatal("New against a dead front must fail")
 	}
 }
+
+// TestRefreshRejectsForeignVNodes: a /cluster page whose vnode count is
+// not the front's constant is refused before any ring is built — a
+// client cannot place like such a front, and a huge count would make
+// Ring.Add allocate that many points per member.
+func TestRefreshRejectsForeignVNodes(t *testing.T) {
+	for _, vnodes := range []int{0, -1, 64, 1 << 40} {
+		front := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set("Content-Type", "application/json")
+			fmt.Fprintf(w, `{"epoch":1,"replicas":1,"vnodes":%d,"backends":[{"addr":"http://127.0.0.1:1","healthy":true}]}`, vnodes)
+		}))
+		_, err := shardclient.New(context.Background(), front.URL, shardclient.Options{})
+		front.Close()
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("vnodes=%d", vnodes)) {
+			t.Fatalf("vnodes=%d: New = %v, want a vnodes refusal", vnodes, err)
+		}
+	}
+}
