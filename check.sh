@@ -55,8 +55,9 @@ go test -count=1 ./...
 # runs one family of chunk shapes, and the batcher's take-rule tests run
 # their worker pools under a different scheduler each time. The parallel
 # snapshot load sizes its worker pool the same way, so its serial-loop
-# oracle and its model-sharing oracle run here too.
-go test -count=1 -cpu 1,2,4 -run 'Stacked|ForwardBatchMatchesSerial|BatcherTake|BatcherChunk|BatcherPanicFails|LoadMatchesSerialLoad|LoadSharesIdenticalFamilyModels' . ./internal/vit/ ./internal/ptq/ ./internal/serve/ ./internal/snapstore/
+# oracle runs here too, and so does the warm restart's weight-sharing
+# oracle, whose load workers race for each family's weights.
+go test -count=1 -cpu 1,2,4 -run 'Stacked|ForwardBatchMatchesSerial|BatcherTake|BatcherChunk|BatcherPanicFails|LoadMatchesSerialLoad|WarmRestartSharesEqualWeights' . ./internal/vit/ ./internal/ptq/ ./internal/serve/ ./internal/snapstore/
 go test -race ./...
 
 # Short fuzz smoke of the property-based targets. `go test -fuzz`
@@ -75,7 +76,8 @@ fuzz FuzzSnapshotDecode ./internal/snapstore/
 # The checkpoint parser behind the snapshot digest, which
 # FuzzSnapshotDecode's mutations never get past.
 fuzz FuzzCheckpointLoad ./internal/vit/
-# The bit-for-bit matcher a warm restart shares a decoded model on.
+# The bit-for-bit matcher a restored or installed snapshot shares its
+# family's weight clone on.
 fuzz FuzzCheckpointMatches ./internal/vit/
 fuzz FuzzSFUSliceKernels ./internal/mathx/
 # U_b ≡ the QUQ kernel on its uniform special case, bit for bit.

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"sync"
 	"time"
 
 	"quq/internal/ptq"
@@ -12,16 +11,20 @@ import (
 // Calibration is a small DAG, and the registry builds each node once:
 //
 //	statistics (per config)                   ptq.Collect over the base's calibration set
-//	  ├─ weights       (per config, method, bits)  ptq.QuantizeWeights
+//	  ├─ weights       (per config, method, bits)  ptq.QuantizeWeights, or a snapshot's checkpoint
 //	  ├─ GEMM-in sites (per config, method, bits)  ptq.CalibrateSites, vit.KindGEMMIn
 //	  └─ other sites   (per config, method, bits)  ptq.CalibrateSites, vit.KindActivation
 //	       └─ entry (per key)                      ptq.Assemble: Partial = weights + GEMM-in, Full adds the rest
 //
 // The three family nodes are small next to the entries that point at
-// them — both regimes share one weight clone — and live as long as the
-// registry. The statistics are the opposite: tens of megabytes that only
-// node builds read, so they are resident only while a build for their
-// config is in flight, plus statsGrace for the sibling about to arrive.
+// them and live as long as the registry. The weights node is the
+// worker's one weight store: a build fills it with a weight pass, and a
+// restored or installed snapshot fills it with its checkpoint or shares
+// what is there (familyModel, snapshot.go), so both regimes serve one
+// clone however each came to be. The statistics are the opposite: tens
+// of megabytes that only node builds read, so they are resident only
+// while a build for their config is in flight, plus statsGrace for the
+// sibling about to arrive.
 // Collect is deterministic, so a key that arrives later re-collects and
 // builds exactly what it would have built from the released set.
 
@@ -45,26 +48,61 @@ const (
 	numNodes
 )
 
-// node is one lazily-built calibration result: the first get builds it,
+// node is one lazily-built family result: the first get builds it (a
+// calibration pass, or a snapshot's checkpoint decode for the weights),
 // one that arrives mid-build waits for that build, later ones read it.
-// Builds cannot fail — everything fallible (the BuildHook, loading the
-// base model) happens before a key reaches its nodes — so there is no
-// error to cache or evict.
+// done closes once val is set, or once a failed build — only a decode
+// can fail — has given the node back to the next claimant.
 type node[T any] struct {
-	once sync.Once
+	done chan struct{}
 	val  T
+	ok   bool
 }
 
-func (n *node[T]) get(build func() T) T {
-	n.once.Do(func() { n.val = build() })
-	return n.val
+// get returns *n's value, building it if no one has; built reports
+// whether this call did. A failed build leaves *n unset. The family
+// nodes are guarded by r.mu, which the caller does not hold.
+func get[T any](r *Registry, n **node[T], build func() (T, error)) (val T, built bool, err error) {
+	for {
+		r.mu.Lock()
+		nd := *n
+		if nd == nil {
+			nd = &node[T]{done: make(chan struct{})}
+			*n = nd
+			r.mu.Unlock()
+			nd.val, err = build()
+			if nd.ok = err == nil; !nd.ok {
+				r.mu.Lock()
+				*n = nil
+				r.mu.Unlock()
+			}
+			close(nd.done)
+			return nd.val, true, err
+		}
+		r.mu.Unlock()
+		if <-nd.done; nd.ok {
+			return nd.val, false, nil
+		}
+	}
 }
 
 // family is the calibration state of one (config, method, bits). Partial
 // keys never touch acts.
 type family struct {
-	weights      node[*ptq.Weights]
-	gemmIn, acts node[map[string]ptq.TensorQuantizer]
+	weights      *node[*ptq.Weights]
+	gemmIn, acts *node[map[string]ptq.TensorQuantizer]
+}
+
+// familyOf returns fk's family, creating it if it has none.
+func (r *Registry) familyOf(fk familyKey) *family {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	fam := r.families[fk]
+	if fam == nil {
+		fam = &family{}
+		r.families[fk] = fam
+	}
+	return fam
 }
 
 // statsSlot is one collection of a config's statistics: ready closes
@@ -80,13 +118,8 @@ type statsSlot struct {
 // the duration, so a key that builds several nodes collects at most once
 // however short the grace.
 func (r *Registry) calibrate(be *baseEntry, key Key) *ptq.QuantizedModel {
-	fk := familyKey{key.Config, key.Method, key.Bits}
+	fam := r.familyOf(familyKey{key.Config, key.Method, key.Bits})
 	r.mu.Lock()
-	fam := r.families[fk]
-	if fam == nil {
-		fam = &family{}
-		r.families[fk] = fam
-	}
 	be.pins++
 	be.idle++
 	r.mu.Unlock()
@@ -94,22 +127,25 @@ func (r *Registry) calibrate(be *baseEntry, key Key) *ptq.QuantizedModel {
 
 	// Every node builder gets a method of its own: QUQMethod carries the
 	// weight-parameter callback as mutable state.
-	sites := func(n *node[map[string]ptq.TensorQuantizer], which int, kind vit.SiteKind) map[string]ptq.TensorQuantizer {
-		return n.get(func() map[string]ptq.TensorQuantizer {
+	sites := func(n **node[map[string]ptq.TensorQuantizer], which int, kind vit.SiteKind) map[string]ptq.TensorQuantizer {
+		//quq:errdrop-ok a calibration pass cannot fail
+		q, _, _ := get(r, n, func() (map[string]ptq.TensorQuantizer, error) {
 			r.nodeRuns[which].Add(1)
 			method, _ := newMethod(key.Method)
-			return ptq.CalibrateSites(r.siteStats(be), kind, method, key.Bits)
+			return ptq.CalibrateSites(r.siteStats(be), kind, method, key.Bits), nil
 		})
+		return q
 	}
 	gemmIn := sites(&fam.gemmIn, gemmInNode, vit.KindGEMMIn)
 	var acts map[string]ptq.TensorQuantizer
 	if key.Regime == ptq.Full {
 		acts = sites(&fam.acts, actsNode, vit.KindActivation)
 	}
-	w := fam.weights.get(func() *ptq.Weights {
+	//quq:errdrop-ok a weight pass cannot fail
+	w, _, _ := get(r, &fam.weights, func() (*ptq.Weights, error) {
 		r.nodeRuns[weightsNode].Add(1)
 		method, _ := newMethod(key.Method)
-		return ptq.QuantizeWeights(be.model, r.siteStats(be), method, key.Bits)
+		return ptq.QuantizeWeights(be.model, r.siteStats(be), method, key.Bits), nil
 	})
 	return ptq.Assemble(w, key.Regime, gemmIn, acts)
 }

@@ -15,8 +15,10 @@
 //     config (owned by the base-model slot, released after an idle grace
 //     because they dwarf the models), weights and site quantizers are
 //     built once per (config, method, bits) and kept, and an entry is an
-//     assembly over them — both regimes of a selection serve from one
-//     weight clone;
+//     assembly over them. The family's weights are the worker's one
+//     weight store, which warm restarts and snapshot installs go
+//     through too (snapshot.go): both regimes of a selection serve from
+//     one weight clone, built, restored or installed;
 //   - Batcher (batcher.go): a work-conserving micro-batcher — admitted
 //     images wait in one bounded FIFO, and each free worker of a
 //     GOMAXPROCS-sized pool takes the oldest image's model with what of

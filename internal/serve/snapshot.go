@@ -4,7 +4,9 @@ import (
 	"errors"
 	"fmt"
 
+	"quq/internal/ptq"
 	"quq/internal/snapstore"
+	"quq/internal/vit"
 )
 
 // ErrSnapshotUnavailable is returned by Registry.Snapshot when the key
@@ -18,7 +20,7 @@ var ErrSnapshotUnavailable = errors.New("serve: no snapshot for key")
 func (r *Registry) warmRestart() {
 	defer r.builds.Done()
 	defer close(r.warm)
-	loaded, quarantined, err := r.store.Load()
+	loaded, quarantined, err := r.store.LoadWith(r.familyModel)
 	if r.met != nil {
 		r.met.SnapshotQuarantined.Add(uint64(quarantined))
 		r.met.SnapshotErrors.Add(uint64(countErrors(err)))
@@ -26,18 +28,12 @@ func (r *Registry) warmRestart() {
 	if r.opts.SnapshotLoadHook != nil {
 		r.opts.SnapshotLoadHook(len(loaded))
 	}
-	for _, l := range loaded {
-		if !r.installLoaded(l) {
-			// The payload verified but does not belong here (foreign key,
-			// mismatched metadata): quarantine it like a digest failure.
-			if qerr := r.store.Quarantine(l.Path); qerr == nil && r.met != nil {
-				r.met.SnapshotQuarantined.Inc()
-			}
-		}
+	for _, se := range loaded {
+		r.installLoaded(se)
 	}
 }
 
-// countErrors counts the failures in a Store.Load error: one per file
+// countErrors counts the failures in a Store.LoadWith error: one per file
 // it could not read or quarantine, or one for an unreadable directory.
 func countErrors(err error) int {
 	if err == nil {
@@ -49,35 +45,33 @@ func countErrors(err error) int {
 	return 1
 }
 
-// installLoaded validates one decoded snapshot against the registry's
-// key space and installs it as a ready entry. It reports false when the
-// snapshot is internally consistent but unusable for this registry.
-func (r *Registry) installLoaded(l snapstore.Loaded) bool {
-	key, err := r.entryKeyFor(l.Entry)
+// installLoaded installs one restored snapshot as a ready entry unless
+// the key is already resident. familyModel has checked its key.
+func (r *Registry) installLoaded(se *snapstore.Entry) {
+	key, err := snapshotKey(se)
 	if err != nil {
-		return false
+		return
 	}
-	r.armIntPath(l.Entry)
-	e := &entry{key: key, ready: make(chan struct{}), qm: l.Entry.Model, digest: l.Entry.Digest}
+	r.armIntPath(se)
+	e := &entry{key: key, ready: make(chan struct{}), qm: se.Model, digest: se.Digest}
 	e.replica.Store(-1)
 	close(e.ready)
 	r.mu.Lock()
 	if _, exists := r.entries[key]; exists {
 		r.mu.Unlock()
-		return true // already resident (another snapshot won the slot)
+		return // another snapshot won the slot
 	}
 	r.entries[key] = e
 	r.mu.Unlock()
 	if r.met != nil {
 		r.met.SnapshotLoads.Inc()
 	}
-	return true
 }
 
-// entryKeyFor canonicalizes and cross-checks a decoded snapshot's key
-// against the payload's own metadata, so a verified-but-mislabeled file
-// can never serve under the wrong selection.
-func (r *Registry) entryKeyFor(e *snapstore.Entry) (Key, error) {
+// snapshotKey canonicalizes and cross-checks a snapshot's key against
+// the payload's own metadata (whose config the model is decoded under),
+// so a verified-but-mislabeled file never serves the wrong selection.
+func snapshotKey(e *snapstore.Entry) (Key, error) {
 	key, err := ParseKey(e.Key)
 	if err != nil {
 		return Key{}, err
@@ -86,10 +80,38 @@ func (r *Registry) entryKeyFor(e *snapstore.Entry) (Key, error) {
 	if key.Config != e.Config || key.Bits != qm.Bits || key.Method != qm.Method || key.Regime != qm.Regime {
 		return Key{}, fmt.Errorf("%w: snapshot metadata does not match key %s", ErrBadRequest, e.Key)
 	}
-	if key.Config != qm.Model.Config().Name {
-		return Key{}, fmt.Errorf("%w: snapshot weights belong to %s, key says %s", ErrBadRequest, qm.Model.Config().Name, key.Config)
-	}
 	return key, nil
+}
+
+// familyModel is the ModelFunc of warm restarts and installs: it takes
+// a snapshot's weights from its family's weights node (calib.go). A
+// family without weights gets the decoded checkpoint and the snapshot's
+// weight parameters; a bit-for-bit equal model is shared; a different
+// one leaves the entry a model of its own and drops the overruled
+// family, so a sibling built later recalibrates.
+func (r *Registry) familyModel(se *snapstore.Entry, cfg vit.Config, ckpt []byte) (vit.Model, error) {
+	key, err := snapshotKey(se)
+	if err != nil {
+		return nil, err
+	}
+	fk := familyKey{key.Config, key.Method, key.Bits}
+	fam := r.familyOf(fk)
+	w, decoded, err := get(r, &fam.weights, func() (*ptq.Weights, error) {
+		m, err := vit.LoadCheckpoint(cfg, ckpt)
+		return &ptq.Weights{Model: m, Method: key.Method, Bits: key.Bits, Params: se.Model.WeightParams}, err
+	})
+	if err != nil || decoded || vit.CheckpointMatches(w.Model, ckpt) {
+		return w.Model, err
+	}
+	m, err := vit.LoadCheckpoint(cfg, ckpt)
+	if err == nil {
+		r.mu.Lock()
+		if r.families[fk] == fam {
+			delete(r.families, fk)
+		}
+		r.mu.Unlock()
+	}
+	return m, err
 }
 
 // armIntPath re-arms the integer weight path on a restored model when
@@ -180,14 +202,15 @@ func (r *Registry) Snapshot(key Key) (blob []byte, digestHex string, err error) 
 // key's ready entry, replacing whatever held the slot — the repair path
 // anti-entropy uses to overwrite a divergent replica with the healthy
 // majority's build. The snapshot is also committed to the local store so
-// the repair survives the next restart. Installing a snapshot whose
-// digest already matches the resident ready entry is a no-op.
+// the repair survives the next restart. Its weights follow familyModel's
+// rule, as a warm restart's do. Installing a snapshot whose digest
+// already matches the resident ready entry is a no-op.
 func (r *Registry) InstallSnapshot(data []byte) (keyStr, digestHex string, err error) {
-	se, err := snapstore.Decode(data)
+	se, err := snapstore.DecodeWith(data, r.familyModel)
 	if err != nil {
 		return "", "", fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
-	key, err := r.entryKeyFor(se)
+	key, err := snapshotKey(se) // checked by familyModel already
 	if err != nil {
 		return "", "", err
 	}
@@ -200,10 +223,6 @@ func (r *Registry) InstallSnapshot(data []byte) (keyStr, digestHex string, err e
 	close(e.ready)
 	r.mu.Lock()
 	r.entries[key] = e
-	// The family's nodes belong to the calibration that was just
-	// overruled: a sibling built later recalibrates instead of reusing
-	// them, and nothing keeps the replaced weights alive.
-	delete(r.families, familyKey{key.Config, key.Method, key.Bits})
 	r.mu.Unlock()
 	if r.store != nil {
 		if werr := r.store.WriteBlob(key.String(), data); werr != nil && r.met != nil {

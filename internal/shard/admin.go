@@ -8,10 +8,8 @@ package shard
 // and claims its arcs; leave drops it abruptly (replication is what
 // covers the keys it held); drain copies its calibrated keys' snapshots
 // onto the post-departure owners first and only then removes it, so a
-// planned departure recalibrates nothing. It copies at most
-// handoffMaxKeys (64) keys: at R = 1 the keys past the cap are lost
-// with the member and calibrate afresh on their new owners when next
-// asked for.
+// planned departure recalibrates nothing. It copies every ready key;
+// the request's context is what bounds the copy.
 
 import (
 	"context"
@@ -161,8 +159,8 @@ func (f *Front) handleAdminLeave(w http.ResponseWriter, r *http.Request) {
 
 // handleAdminDrain gracefully removes a backend: it is marked draining
 // (it keeps serving), its calibrated keys' snapshots are copied onto
-// the post-departure owners (bounded by handoffMaxKeys and the request
-// context), and only then does it leave. A failed handoff aborts the
+// the post-departure owners (bounded by the request context), and only
+// then does it leave. A failed handoff aborts the
 // drain with the member intact and un-marked — the caller can retry, or
 // fall back to /admin/leave and eat the recalibrations. A second drain
 // of a member already draining is a 409.
@@ -200,9 +198,7 @@ func (f *Front) handleAdminDrain(w http.ResponseWriter, r *http.Request) {
 // healthy owner the key will have after the departure — the same
 // verified transfer anti-entropy repairs with, so nothing recalibrates.
 // The first failed copy aborts the whole drain, so a successful drain
-// never silently sheds a key it took on. The key count is bounded by
-// handoffMaxKeys — keys past the cap are not copied and fall back on
-// replication or on-demand recalibration.
+// never silently sheds a key it took on.
 func (f *Front) handoffKeys(ctx context.Context, from *Backend) (int, error) {
 	var page struct {
 		Entries []serve.EntryInfo `json:"entries"`
@@ -212,7 +208,7 @@ func (f *Front) handoffKeys(ctx context.Context, from *Backend) (int, error) {
 	}
 	moved := 0
 	for _, e := range page.Entries {
-		if !e.Ready || moved >= handoffMaxKeys {
+		if !e.Ready {
 			continue
 		}
 		// The key's owners once from has left: its first R successors

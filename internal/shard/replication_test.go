@@ -433,10 +433,10 @@ func TestAdminJoinAndLeave(t *testing.T) {
 	}
 }
 
-// TestAdminDrainHandsOffKeys: a drain copies the leaver's ready entries
-// onto their post-departure owners before removal — one snapshot GET
-// from the drainee, one install on the new owner, no quantize anywhere;
-// not-ready entries are skipped; the member is gone afterwards.
+// TestAdminDrainHandsOffKeys: a drain copies every one of the leaver's
+// 65 ready entries onto its post-departure owner before removal — one
+// snapshot GET from the drainee and one install per key, no quantize
+// anywhere; not-ready entries are skipped; the member is gone afterwards.
 func TestAdminDrainHandsOffKeys(t *testing.T) {
 	backends := []*repBackend{newRepBackend(t), newRepBackend(t), newRepBackend(t)}
 	f := newRepFront(t, 1, backends...)
@@ -449,6 +449,18 @@ func TestAdminDrainHandsOffKeys(t *testing.T) {
 		{Key: key, Ready: true},
 		{Key: "ViT-S/BaseQ/w8a8/full", Ready: false}, // mid-build: not handed off
 	}
+	const ready = 65
+	for bits := serve.MinBits; len(drainee.entries) <= ready; bits++ {
+		for _, regime := range []string{"partial", "full"} {
+			k := fmt.Sprintf("ViT-Nano/QUQ/w%da%d/%s", bits, bits, regime)
+			drainee.entries = append(drainee.entries, serve.EntryInfo{Key: k, Ready: true})
+		}
+		for _, m := range []string{"BaseQ", "FQ-ViT"} {
+			k := fmt.Sprintf("DeiT-T/%s/w%da%d/full", m, bits, bits)
+			drainee.entries = append(drainee.entries, serve.EntryInfo{Key: k, Ready: true})
+		}
+	}
+	drainee.entries = drainee.entries[:ready+1]
 	newOwners := f.Ring().OwnerN(key, 2)[1:] // the owner's successor
 	if len(newOwners) != 1 || newOwners[0].Addr() == owner.Addr() {
 		t.Fatalf("bad post-departure owners %v", newOwners)
@@ -465,15 +477,33 @@ func TestAdminDrainHandsOffKeys(t *testing.T) {
 	if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
 	}
-	if resp.Moved != 1 || resp.Epoch != 4 {
-		t.Fatalf("drain = %+v, want 1 key moved at epoch 4", resp)
+	if resp.Moved != ready || resp.Epoch != 4 {
+		t.Fatalf("drain = %+v, want %d keys moved at epoch 4", resp, ready)
 	}
 	heir := addrs[newOwners[0].Addr()]
-	if got := drainee.snapGets.Load(); got != 1 {
-		t.Fatalf("snapshot GETs from the drainee = %d, want 1", got)
+	if got := drainee.snapGets.Load(); got != ready {
+		t.Fatalf("snapshot GETs from the drainee = %d, want %d", got, ready)
 	}
-	if got := heir.snapPosts.Load(); got != 1 {
-		t.Fatalf("snapshot installs on the new owner = %d, want 1", got)
+	installs := int64(0)
+	for _, b := range backends {
+		installs += b.snapPosts.Load()
+	}
+	if installs != ready || drainee.snapPosts.Load() != 0 {
+		t.Fatalf("snapshot installs = %d (%d on the drainee), want %d, none on the drainee", installs, drainee.snapPosts.Load(), ready)
+	}
+	for _, e := range drainee.entries {
+		if !e.Ready {
+			continue
+		}
+		heirs := 0
+		for _, b := range backends {
+			if got, ok := b.entry(e.Key); ok && got.Ready && b != drainee {
+				heirs++
+			}
+		}
+		if heirs != 1 {
+			t.Fatalf("%s is held ready by %d post-departure owners, want 1", e.Key, heirs)
+		}
 	}
 	if e, ok := heir.entry(key); !ok || !e.Ready {
 		t.Fatalf("new owner holds %+v (ok=%v), want the ready entry", e, ok)
@@ -486,8 +516,8 @@ func TestAdminDrainHandsOffKeys(t *testing.T) {
 	if _, ok := f.Ring().Member(owner.Addr()); ok {
 		t.Fatal("drained backend still a member")
 	}
-	if got := f.Metrics().Handoffs.Value(); got != 1 {
-		t.Fatalf("handoff counter = %d, want 1", got)
+	if got := f.Metrics().Handoffs.Value(); got != ready {
+		t.Fatalf("handoff counter = %d, want %d", got, ready)
 	}
 
 	// The key's new home serves it from now on.

@@ -47,10 +47,6 @@ const VNodes = 128
 // What no deployment, chaos script or benchmark has ever set is a
 // constant, not an option.
 const (
-	// handoffMaxKeys bounds how many registry keys one admin drain
-	// re-homes before the member leaves; entries beyond the cap rely on
-	// replication or on-demand recalibration.
-	handoffMaxKeys = 64
 	// retries is how many times a proxied request is retried against
 	// the same backend on connection failure before failing over.
 	// HTTP-level responses, including 429 backpressure, are never

@@ -184,12 +184,18 @@ func appendSites(dst []byte, qm *ptq.QuantizedModel) ([]byte, error) {
 // is rejected by the hash comparison alone — mutated bytes never reach
 // the model decoder.
 func Decode(data []byte) (*Entry, error) {
-	return decode(data, nil)
+	return DecodeWith(data, nil)
 }
 
-// decode is Decode drawing the entry's model from pool, which a nil
-// pool leaves to a decode of its own.
-func decode(data []byte, pool *modelPool) (*Entry, error) {
+// ModelFunc supplies e.Model.Model, the one field of a decoded entry it
+// is handed unset: ckpt is the payload's checkpoint, which
+// vit.LoadCheckpoint decodes under cfg. ckpt may alias a read buffer.
+type ModelFunc func(e *Entry, cfg vit.Config, ckpt []byte) (vit.Model, error)
+
+// DecodeWith is Decode with the entry's model supplied by model, which
+// is called only once the rest of the payload has parsed; a nil model
+// decodes the checkpoint.
+func DecodeWith(data []byte, model ModelFunc) (*Entry, error) {
 	if len(data) < headerBytes {
 		return nil, fmt.Errorf("snapstore: file is %d bytes, shorter than the %d-byte header", len(data), headerBytes)
 	}
@@ -210,12 +216,10 @@ func decode(data []byte, pool *modelPool) (*Entry, error) {
 		return nil, fmt.Errorf("snapstore: digest mismatch: file says %s, payload hashes to %s",
 			hex.EncodeToString(want[:]), hex.EncodeToString(sum[:]))
 	}
-	e, err := decodePayload(payload, pool)
-	if err != nil {
-		return nil, err
+	if model == nil {
+		model = func(_ *Entry, cfg vit.Config, ckpt []byte) (vit.Model, error) { return vit.LoadCheckpoint(cfg, ckpt) }
 	}
-	e.Digest = hex.EncodeToString(want[:])
-	return e, nil
+	return decodePayload(payload, hex.EncodeToString(want[:]), model)
 }
 
 // reader is a bounds-checked cursor over the payload.
@@ -275,7 +279,10 @@ func (r *reader) blob() ([]byte, error) {
 	return r.take(int(n))
 }
 
-func decodePayload(payload []byte, pool *modelPool) (*Entry, error) {
+// decodePayload parses the payload in full — metadata, activation
+// records, weight parameters, the trailing-byte check — and only then
+// has model supply the checkpoint's model.
+func decodePayload(payload []byte, digest string, model ModelFunc) (*Entry, error) {
 	r := &reader{data: payload}
 	key, err := r.str()
 	if err != nil {
@@ -301,13 +308,9 @@ func decodePayload(payload []byte, pool *modelPool) (*Entry, error) {
 	if !ok {
 		return nil, fmt.Errorf("snapstore: unknown model config %q", configName)
 	}
-	modelBlob, err := r.blob()
+	ckpt, err := r.blob()
 	if err != nil {
 		return nil, err
-	}
-	model, err := pool.model(familyKey{configName, method, bits}, cfg, modelBlob)
-	if err != nil {
-		return nil, fmt.Errorf("snapstore: loading model weights: %w", err)
 	}
 	nActs, err := r.u32()
 	if err != nil {
@@ -340,7 +343,6 @@ func decodePayload(payload []byte, pool *modelPool) (*Entry, error) {
 		acts[site] = q
 	}
 	qm := &ptq.QuantizedModel{
-		Model:  model,
 		Bits:   int(bits),
 		Regime: ptq.Regime(regime),
 		Method: method,
@@ -388,7 +390,11 @@ func decodePayload(payload []byte, pool *modelPool) (*Entry, error) {
 	if r.off != len(r.data) {
 		return nil, fmt.Errorf("snapstore: %d trailing payload bytes", len(r.data)-r.off)
 	}
-	return &Entry{Key: key, Config: configName, Model: qm}, nil
+	e := &Entry{Key: key, Config: configName, Model: qm, Digest: digest}
+	if qm.Model, err = model(e, cfg, ckpt); err != nil {
+		return nil, fmt.Errorf("snapstore: model of %s: %w", key, err)
+	}
+	return e, nil
 }
 
 // unmarshalQuantizer dispatches a tagged quantizer record to the package

@@ -2,7 +2,6 @@ package snapstore
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"testing"
 
@@ -78,10 +77,10 @@ var coldKeyBlobs = sync.OnceValues(func() ([]keyedBlob, error) {
 	return out, nil
 })
 
-// BenchmarkStoreLoad times one warm restart's Store.Load over the
-// cold-keys mix (twenty files, ≈65 MB), allocations included, and
-// reports what one Load's entries keep resident: the live heap, after a
-// collection, with the loaded slice alive, less the live heap before.
+// BenchmarkStoreLoad times one Store.Load over the cold-keys mix
+// (twenty files, ≈65 MB), allocations included: every checkpoint is
+// decoded. What a warm restart keeps resident, with the registry's
+// family sharing, is serve's BenchmarkWarmRestart.
 //
 //	go test -run '^$' -bench StoreLoad -benchtime 20x -cpu 1,2 ./internal/snapstore/
 func BenchmarkStoreLoad(b *testing.B) {
@@ -109,16 +108,4 @@ func BenchmarkStoreLoad(b *testing.B) {
 			b.Fatalf("load: %d entries, %d quarantined, err %v", len(loaded), quarantined, err)
 		}
 	}
-	b.StopTimer()
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	loaded, _, err := s.Load()
-	if err != nil {
-		b.Fatal(err)
-	}
-	runtime.GC()
-	runtime.ReadMemStats(&after)
-	runtime.KeepAlive(loaded)
-	b.ReportMetric(float64(int64(after.HeapAlloc)-int64(before.HeapAlloc))/(1<<20), "resident-MiB")
 }

@@ -4,12 +4,10 @@ import (
 	"bytes"
 	"errors"
 	"io/fs"
-	"math"
 	"os"
 	"path/filepath"
 	"runtime"
 	"strings"
-	"sync"
 	"testing"
 
 	"quq/internal/baselines"
@@ -45,8 +43,8 @@ func TestLoadSkipsUnreadableFile(t *testing.T) {
 	if len(loaded) != 1 || quarantined != 0 {
 		t.Fatalf("load: %d entries, %d quarantined; want 1, 0 (err %v)", len(loaded), quarantined, err)
 	}
-	if loaded[0].Entry.Digest != digest {
-		t.Fatalf("loaded digest %s, want %s", loaded[0].Entry.Digest, digest)
+	if loaded[0].Digest != digest {
+		t.Fatalf("loaded digest %s, want %s", loaded[0].Digest, digest)
 	}
 	if !errors.Is(err, fs.ErrNotExist) {
 		t.Fatalf("load error %v, want one wrapping fs.ErrNotExist", err)
@@ -102,7 +100,7 @@ func TestLoadQuarantinesOversizeFileUnread(t *testing.T) {
 
 // serialLoad is the one-file-after-another loop Store.Load replaced,
 // kept as the oracle the parallel load must agree with.
-func serialLoad(s *Store) (loaded []Loaded, quarantined int, err error) {
+func serialLoad(s *Store) (loaded []*Entry, quarantined int, err error) {
 	names, err := listDir(s.dir)
 	if err != nil {
 		return nil, 0, err
@@ -124,7 +122,7 @@ func serialLoad(s *Store) (loaded []Loaded, quarantined int, err error) {
 			quarantined++
 			continue
 		}
-		loaded = append(loaded, Loaded{Path: path, Entry: e})
+		loaded = append(loaded, e)
 	}
 	return loaded, quarantined, nil
 }
@@ -178,7 +176,8 @@ func oracleDir(t *testing.T) *Store {
 // entry's bytes. check.sh runs it at -cpu 1,2,4 so one, two and four
 // workers are each covered.
 func TestLoadMatchesSerialLoad(t *testing.T) {
-	want, wantQ, err := serialLoad(oracleDir(t))
+	serial := oracleDir(t)
+	want, wantQ, err := serialLoad(serial)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,10 +193,7 @@ func TestLoadMatchesSerialLoad(t *testing.T) {
 		t.Fatalf("loaded %d entries, serial loop %d; want 8", len(got), len(want))
 	}
 	for i := range got {
-		if filepath.Base(got[i].Path) != filepath.Base(want[i].Path) {
-			t.Fatalf("entry %d: %s, serial loop %s", i, filepath.Base(got[i].Path), filepath.Base(want[i].Path))
-		}
-		g, w := got[i].Entry, want[i].Entry
+		g, w := got[i], want[i]
 		if g.Digest != w.Digest || g.Key != w.Key || g.Config != w.Config {
 			t.Fatalf("entry %d: %s %s, serial loop %s %s", i, g.Key, g.Digest, w.Key, w.Digest)
 		}
@@ -213,7 +209,7 @@ func TestLoadMatchesSerialLoad(t *testing.T) {
 			t.Fatalf("entry %d (%s) re-encodes differently from the serial loop's", i, g.Key)
 		}
 	}
-	// The serial loop ran on its own directory: compare what each left.
+	// The serial loop ran on a directory of its own: compare what each left.
 	listing := func(dir string) []string {
 		names, err := listDir(dir)
 		if err != nil {
@@ -221,145 +217,8 @@ func TestLoadMatchesSerialLoad(t *testing.T) {
 		}
 		return names
 	}
-	if g, w := listing(s.Dir()), listing(filepath.Dir(want[0].Path)); strings.Join(g, ",") != strings.Join(w, ",") {
+	if g, w := listing(s.Dir()), listing(serial.Dir()); strings.Join(g, ",") != strings.Join(w, ",") {
 		t.Fatalf("directory after load %v, serial loop left %v", g, w)
-	}
-}
-
-// familyModels calibrates ViT-Nano and ViT-S under QUQ and FQ-ViT
-// once per process and assembles both regimes of each over one weights
-// node, as the registry does: the two regimes of a family carry
-// byte-identical checkpoints.
-var familyModels = sync.OnceValues(func() ([]servedModel, error) {
-	var out []servedModel
-	for _, cfg := range []vit.Config{vit.ViTNano, vit.ViTSmall} {
-		m := vit.New(cfg, 99)
-		stats := ptq.Collect(m, data.CalibrationSet(cfg, 2, 1), 0)
-		for _, meth := range []ptq.Method{ptq.NewQUQ(), baselines.FQViT{}} {
-			w := ptq.QuantizeWeights(m, stats, meth, 6)
-			gemmIn := ptq.CalibrateSites(stats, vit.KindGEMMIn, meth, 6)
-			acts := ptq.CalibrateSites(stats, vit.KindActivation, meth, 6)
-			for _, regime := range []ptq.Regime{ptq.Partial, ptq.Full} {
-				out = append(out, servedModel{cfg.Name + "/" + meth.Name() + "/w6a6/" + regime.String(), ptq.Assemble(w, regime, gemmIn, acts)})
-			}
-		}
-	}
-	return out, nil
-})
-
-// sharingDir fills a fresh store with both regimes of four families,
-// two copies of a near-twin of ViT-Nano/QUQ (one weight moved by one
-// ulp, under keys of their own, so their digests are valid) and one
-// bit-flipped snapshot.
-func sharingDir(t *testing.T) *Store {
-	t.Helper()
-	models, err := familyModels()
-	if err != nil {
-		t.Fatal(err)
-	}
-	nano := models[0].qm
-	twin := &ptq.QuantizedModel{
-		Model: nano.Model.Clone(), Bits: nano.Bits, Regime: nano.Regime, Method: nano.Method,
-		Acts: nano.Acts, WeightParams: nano.WeightParams,
-	}
-	moved := false
-	twin.Model.Params(func(name string, data []float64) {
-		if !moved && name == "block00.fc1.w" {
-			data[0] = math.Nextafter(data[0], math.Inf(1))
-			moved = true
-		}
-	})
-	models = append(models,
-		servedModel{models[0].key + "/twin-a", twin},
-		servedModel{models[0].key + "/twin-b", twin})
-	dir := t.TempDir()
-	s, _, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var flipped []byte
-	for _, sm := range models {
-		blob, _, err := Encode(sm.key, sm.qm)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := s.WriteBlob(sm.key, blob); err != nil {
-			t.Fatal(err)
-		}
-		if flipped == nil {
-			flipped = append([]byte(nil), blob...)
-			flipped[len(flipped)/2] ^= 0x10
-		}
-	}
-	if err := os.WriteFile(PathFor(dir, "flipped"), flipped, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return s
-}
-
-// TestLoadSharesIdenticalFamilyModels is the sharing oracle: two
-// entries of one Load share a vit.Model exactly when they belong to
-// one (config, method, bits) family and their checkpoints are
-// byte-identical — the near-twin one ulp away gets a model of its own,
-// shared only with its exact copy — and sharing changes nothing else:
-// every entry re-encodes to its file, and the order, digests and
-// quarantine count are the serial loop's. check.sh runs it at
-// -cpu 1,2,4.
-func TestLoadSharesIdenticalFamilyModels(t *testing.T) {
-	want, wantQ, err := serialLoad(sharingDir(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, gotQ, err := sharingDir(t).Load()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotQ != wantQ || gotQ != 1 {
-		t.Fatalf("quarantined %d, serial loop %d; want 1", gotQ, wantQ)
-	}
-	if len(got) != len(want) || len(got) != 10 {
-		t.Fatalf("loaded %d entries, serial loop %d; want 10", len(got), len(want))
-	}
-	type family struct {
-		config, method string
-		bits           int
-	}
-	ckpts := make([][]byte, len(got))
-	distinct := map[vit.Model]bool{}
-	for i, l := range got {
-		w := want[i]
-		if filepath.Base(l.Path) != filepath.Base(w.Path) || l.Entry.Digest != w.Entry.Digest || l.Entry.Key != w.Entry.Key {
-			t.Fatalf("entry %d: %s %s, serial loop %s %s", i, filepath.Base(l.Path), l.Entry.Digest, filepath.Base(w.Path), w.Entry.Digest)
-		}
-		file, err := os.ReadFile(l.Path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		again, _, err := Encode(l.Entry.Key, l.Entry.Model)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(again, file) {
-			t.Fatalf("entry %d (%s) does not re-encode to its file", i, l.Entry.Key)
-		}
-		// The serial loop's models share nothing: their checkpoints say
-		// what the pool may share.
-		ckpts[i] = vit.AppendCheckpoint(nil, w.Entry.Model.Model)
-		distinct[l.Entry.Model.Model] = true
-	}
-	fam := func(e *Entry) family { return family{e.Config, e.Model.Method, e.Model.Bits} }
-	for i := range got {
-		for j := i + 1; j < len(got); j++ {
-			a, b := got[i].Entry, got[j].Entry
-			wantShared := fam(a) == fam(b) && bytes.Equal(ckpts[i], ckpts[j])
-			if shared := a.Model.Model == b.Model.Model; shared != wantShared {
-				t.Errorf("%s and %s: share a model %v, want %v", a.Key, b.Key, shared, wantShared)
-			}
-		}
-	}
-	// Four families, plus the near-twin's one model.
-	if len(distinct) != 5 {
-		t.Fatalf("%d distinct models over %d entries, want 5", len(distinct), len(got))
 	}
 }
 

@@ -143,8 +143,8 @@ func TestStoreWriteLoadQuarantine(t *testing.T) {
 	if quarantined != 0 || len(loaded) != 1 {
 		t.Fatalf("load: %d entries, %d quarantined; want 1, 0", len(loaded), quarantined)
 	}
-	if loaded[0].Entry.Digest != digest || loaded[0].Entry.Key != testKey {
-		t.Fatalf("loaded %s (%s), want %s (%s)", loaded[0].Entry.Key, loaded[0].Entry.Digest, testKey, digest)
+	if loaded[0].Digest != digest || loaded[0].Key != testKey {
+		t.Fatalf("loaded %s (%s), want %s (%s)", loaded[0].Key, loaded[0].Digest, testKey, digest)
 	}
 
 	// Corrupt the file on disk: the next load must quarantine it, not
